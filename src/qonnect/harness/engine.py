@@ -21,9 +21,9 @@ from qonnect.agent.client import InProcessRlaClient, RlaClientError
 from qonnect.agent.ra import RaConfig, ResourceAgent
 from qonnect.events import EventLog
 from qonnect.harness.testbed import TestbedSpec
-from qonnect.kb.commands import KBCommand, encode_command
+from qonnect.kb.commands import Batch, KBCommand, encode_command
 from qonnect.kb.model import Domain
-from qonnect.kb.store import KnowledgeBase, cluster_id_for
+from qonnect.kb.store import Effect, KnowledgeBase, cluster_id_for
 from qonnect.raft.node import RaftConfig, Role
 from qonnect.raft.simulation import SyncRaftGroup
 from qonnect.rla.config import RlaConfig
@@ -127,14 +127,13 @@ class Deployment:
         return str(uuid.UUID(int=self.rng.getrandbits(128), version=4))
 
     def _make_proposer(self, rla_id: int, service: RlaService) -> Callable:
-        def propose(command: KBCommand):
-            index = self.group.propose(rla_id, encode_command(command))
-            if index is None:
+        def propose(entry: KBCommand | Batch) -> list[Effect]:
+            term = self.group.nodes[rla_id].current_term
+            index = self.group.propose(rla_id, encode_command(entry), service.await_effects)
+            effects = service.take_effects(index, term)
+            if effects is None:
                 raise UnavailableError("proposal did not reach a quorum")
-            effect = service.take_effect(index)
-            if effect is None:
-                raise UnavailableError("committed entry was not applied locally")
-            return effect
+            return effects
 
         return propose
 
@@ -235,8 +234,8 @@ class Deployment:
         cluster = self.clusters[cluster_name]
         event = cluster.inject_fault(fault)
         self.events.append(self.now, cluster_name, event.kind, event.detail)
-        if isinstance(fault, KillRa):
-            pass  # engine skips dead agents via cluster.ra_alive
+        # A killed agent needs nothing here: ``step`` skips agents whose
+        # cluster reports ``ra_alive`` false.
         if isinstance(fault, KillRla):
             for rla_id, host in self.rla_hosts.items():
                 if host == cluster_name:

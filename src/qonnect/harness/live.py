@@ -21,7 +21,7 @@ from qonnect.agent.client import RlaClientError, _RestClientBase
 from qonnect.agent.ra import RaConfig, ResourceAgent
 from qonnect.events import EventLog
 from qonnect.harness.testbed import TestbedSpec
-from qonnect.kb.commands import KBCommand, encode_command
+from qonnect.kb.commands import Batch, KBCommand, encode_command
 from qonnect.kb.model import Domain
 from qonnect.kb.store import Effect, KnowledgeBase
 from qonnect.raft.messages import (
@@ -207,10 +207,11 @@ class LiveRla:
         self._dispatch(rest)
         return reply
 
-    def _propose_and_wait(self, command: KBCommand, timeout: float = 5.0) -> Effect:
+    def _propose_and_wait(self, entry: KBCommand | Batch, timeout: float = 5.0) -> list[Effect]:
         with self._lock:
-            index = self.node.propose(encode_command(command))
+            index = self.node.propose(encode_command(entry))
             term = self.node.current_term
+            self.service.await_effects(index)
             outbound = self.node.broadcast_append()
         self._dispatch(outbound)
         deadline = time.monotonic() + timeout
@@ -218,14 +219,13 @@ class LiveRla:
             while self.node.last_applied < index:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0 or not self._running:
+                    self.service.take_effects(index, term)  # stop waiting
                     raise UnavailableError("proposal did not commit in time")
                 self._commit_cond.wait(timeout=min(0.05, remaining))
-            if self.node.term_at(index) != term:
-                raise UnavailableError("proposal was superseded by a new leader")
-            effect = self.service.take_effect(index)
-        if effect is None:
-            raise UnavailableError("commit effect unavailable")
-        return effect
+            effects = self.service.take_effects(index, term)
+        if effects is None:
+            raise UnavailableError("proposal was superseded by a new leader")
+        return effects
 
 
 class _RlaHandler(BaseHTTPRequestHandler):
@@ -252,7 +252,7 @@ class _RlaHandler(BaseHTTPRequestHandler):
         if self.path.startswith("/raft/") and method == "POST":
             try:
                 msg = decode_message(self._body().decode("utf-8"))
-            except (ValueError, UnicodeDecodeError) as exc:
+            except ValueError as exc:  # includes UnicodeDecodeError
                 self._respond(400, json.dumps({"error": str(exc)}).encode(), "application/json")
                 return
             reply = rla._handle_inbound(msg)

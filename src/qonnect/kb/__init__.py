@@ -1,6 +1,7 @@
 """Replicated knowledge base: clusters, node telemetry, applications, decisions."""
 
 from qonnect.kb.commands import (
+    Batch,
     DeleteApplication,
     KBCommand,
     PutNodeSnapshot,
@@ -27,6 +28,7 @@ from qonnect.kb.store import Effect, KnowledgeBase
 
 __all__ = [
     "ApplicationRecord",
+    "Batch",
     "ClusterRecord",
     "ComponentRecord",
     "ComponentStatus",

@@ -3,6 +3,11 @@
 Commands carry any wall-clock timestamps explicitly (stamped by the leader at
 propose time) so that applying the same sequence on every replica is fully
 deterministic.
+
+A log entry holds either one command or a ``Batch`` of them (group commit:
+one entry per telemetry flush or scheduler pass). A batch's members are
+encoded exactly like single-command entries, so entries written before
+batches existed still decode.
 """
 
 from __future__ import annotations
@@ -100,22 +105,54 @@ KBCommand = Union[
     RequeueComponent,
 ]
 
-_KINDS = {
-    cls.kind: cls
-    for cls in (
-        RegisterCluster,
-        PutNodeSnapshot,
-        SubmitApplication,
-        UpdateQoS,
-        DeleteApplication,
-        RecordDecision,
-        RecordHeartbeat,
-        RequeueComponent,
-    )
-}
+
+@dataclass(frozen=True)
+class Batch:
+    """Several commands committed as one log entry and applied in order."""
+
+    kind = "batch"
+    commands: tuple[KBCommand, ...]
+
+    def __post_init__(self) -> None:
+        if not self.commands:
+            raise ValueError("a batch carries at least one command")
+        if any(isinstance(cmd, Batch) for cmd in self.commands):
+            raise ValueError("batches do not nest")
 
 
-def encode_command(cmd: KBCommand) -> str:
+def encode_command(cmd: KBCommand | Batch) -> str:
+    if isinstance(cmd, Batch):
+        data = {
+            "v": COMMAND_SCHEMA_VERSION,
+            "kind": Batch.kind,
+            "commands": [_to_dict(member) for member in cmd.commands],
+        }
+    else:
+        data = _to_dict(cmd)
+    return json.dumps(data, separators=(",", ":"), sort_keys=True)
+
+
+def decode_command(raw: str) -> KBCommand | Batch:
+    """Decode one log entry; any malformed payload raises ``ValueError``."""
+    try:
+        data = json.loads(raw)
+        if isinstance(data, dict) and data.get("kind") == Batch.kind:
+            _check_version(data)
+            members = data["commands"]
+            if not isinstance(members, list):
+                raise ValueError("batch commands must be a list")
+            return Batch(tuple(_from_dict(member) for member in members))
+        return _from_dict(data)
+    except (KeyError, TypeError, AttributeError, RecursionError) as exc:
+        raise ValueError(f"malformed command: {exc!r}") from None
+
+
+def _check_version(data: dict) -> None:
+    if data.get("v") != COMMAND_SCHEMA_VERSION:
+        raise ValueError(f"unsupported command schema version: {data.get('v')!r}")
+
+
+def _to_dict(cmd: KBCommand) -> dict:
     data: dict = {"v": COMMAND_SCHEMA_VERSION, "kind": cmd.kind}
     if isinstance(cmd, RegisterCluster):
         data.update(
@@ -163,14 +200,16 @@ def encode_command(cmd: KBCommand) -> str:
         )
     else:
         raise TypeError(f"unknown command type: {type(cmd)!r}")
-    return json.dumps(data, separators=(",", ":"), sort_keys=True)
+    return data
 
 
-def decode_command(raw: str) -> KBCommand:
-    data = json.loads(raw)
-    if data.get("v") != COMMAND_SCHEMA_VERSION:
-        raise ValueError(f"unsupported command schema version: {data.get('v')!r}")
+def _from_dict(data: object) -> KBCommand:
+    if not isinstance(data, dict):
+        raise ValueError("a command must be a JSON object")
+    _check_version(data)
     kind = data.get("kind")
+    if kind == Batch.kind:
+        raise ValueError("batches do not nest")
     if kind == RegisterCluster.kind:
         return RegisterCluster(
             external_ip=data["external_ip"],

@@ -130,14 +130,20 @@ def encode_message(msg: Message) -> str:
 
 
 def decode_message(raw: str) -> Message:
+    """Decode one wire message; any malformed payload raises ``ValueError``."""
     data = json.loads(raw)
+    if not isinstance(data, dict):
+        raise ValueError("a raft message must be a JSON object")
     version = data.pop("v", None)
     if version != WIRE_VERSION:
         raise ValueError(f"unsupported raft wire version: {version!r}")
     kind = data.pop("kind", None)
-    cls = _KINDS.get(kind)
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown raft message kind: {kind!r}")
-    if cls is AppendRequest:
-        data["entries"] = tuple(LogEntry.from_dict(e) for e in data["entries"])
-    return cls(**data)
+    try:
+        if cls is AppendRequest:
+            data["entries"] = tuple(LogEntry.from_dict(e) for e in data["entries"])
+        return cls(**data)
+    except (KeyError, TypeError) as exc:  # missing, extra or non-object fields
+        raise ValueError(f"malformed {kind} message: {exc!r}") from None

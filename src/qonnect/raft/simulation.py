@@ -240,17 +240,22 @@ class SyncRaftGroup:
         for node in self.alive_nodes():
             self.pump(node.tick(dt))
 
-    def propose(self, node_id: int, command: str) -> int | None:
-        """Propose on ``node_id`` and pump to quiescence.
+    def propose(
+        self,
+        node_id: int,
+        command: str,
+        on_append: Callable[[int], None] | None = None,
+    ) -> int:
+        """Propose on ``node_id`` and pump to quiescence; returns the entry's index.
 
-        Returns the committed log index, or None if the entry did not commit
-        (no quorum). Raises ``NotLeaderError`` when the target node is not
-        the leader.
+        ``on_append(index)`` runs once the entry is in the leader's log and
+        before it can commit. The entry need not have committed on return
+        (no quorum); callers learn that from the apply side. Raises
+        ``NotLeaderError`` when the target node is not the leader.
         """
         node = self.nodes[node_id]
         index = node.propose(command)
-        term = node.current_term
+        if on_append is not None:
+            on_append(index)
         self.pump(node.broadcast_append())
-        if node.commit_index >= index and node.term_at(index) == term:
-            return index
-        return None
+        return index

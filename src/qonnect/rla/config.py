@@ -18,14 +18,16 @@ class RlaConfig:
     # Full member map (id -> address), identical across one deployment.
     peers: dict[int, str] = field(default_factory=dict)
     data_dir: str | None = None
-    bootstrap: bool = False
     tick_period: float = 5.0
     grace_period: float = 30.0
     snapshot_staleness: float = 15.0
     telemetry_flush: float = 1.0
     election_timeout: tuple[float, float] = (0.15, 0.30)
     heartbeat_interval: float = 0.05
-    compact_every: int = 1000  # applied entries between snapshots
+    # Applied commands between snapshots. A batch entry counts as its number
+    # of commands, so group commit keeps the snapshot cadence and the bound
+    # on log length per applied command.
+    compact_every: int = 1000
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -53,7 +55,6 @@ class RlaConfig:
             listen_address=str(data.get("listen_address", "127.0.0.1:7400")),
             peers=peers,
             data_dir=data.get("data_dir"),
-            bootstrap=bool(data.get("bootstrap", False)),
             tick_period=float(data.get("tick_period", 5.0)),
             grace_period=float(data.get("grace_period", 30.0)),
             snapshot_staleness=float(data.get("snapshot_staleness", 15.0)),

@@ -72,11 +72,17 @@ class RestApi:
         return 200, self.service.delete_application(params["name"])
 
     def _heartbeat(self, params: dict, body: dict) -> tuple[int, dict]:
+        try:
+            version = int(body.get("version", 0))
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationFailed(
+                [{"field": "version", "error": "version must be an integer"}]
+            ) from None
         ok = self.service.heartbeat(
             app_id=params["app_id"],
             component=params["component"],
             cluster_id=str(body.get("cluster_id", "")),
-            version=int(body.get("version", 0)),
+            version=version,
             status=str(body.get("status", "")),
         )
         if not ok:
@@ -88,7 +94,7 @@ class RestApi:
 
     # -- dispatch ---------------------------------------------------------
 
-    def dispatch(self, method: str, path: str, body: dict | None = None) -> tuple[int, dict]:
+    def dispatch(self, method: str, path: str, body: object = None) -> tuple[int, dict]:
         segments = [s for s in path.split("/") if s]
         for route_method, pattern, handler in self._routes:
             if route_method != method.upper() or len(pattern) != len(segments):
@@ -100,10 +106,12 @@ class RestApi:
                 elif expected != actual:
                     break
             else:
-                return self._invoke(handler, params, body or {})
+                return self._invoke(handler, params, {} if body is None else body)
         return 404, {"error": "no-such-route", "path": path}
 
-    def _invoke(self, handler, params: dict, body: dict) -> tuple[int, dict]:
+    def _invoke(self, handler, params: dict, body: object) -> tuple[int, dict]:
+        if not isinstance(body, dict):
+            return 400, {"errors": [{"field": "body", "error": "body must be a JSON object"}]}
         try:
             return handler(params, body)
         except ValidationFailed as exc:

@@ -4,7 +4,8 @@ One service instance wraps a Raft node plus its KB replica. Control writes
 (registrations, submissions, QoS changes, deletions, placement decisions)
 commit through Raft before the request is answered. High-volume telemetry
 (node snapshots, heartbeats) is acknowledged from applied state and flushed
-through the log in small batches.
+through the log in small batches: each telemetry flush, like each scheduler
+pass, commits as one ``Batch`` log entry.
 
 The scheduler pass and telemetry flush only run while this node is leader;
 a deposed leader's in-flight proposals fail at commit and are harmless.
@@ -21,6 +22,7 @@ from typing import Callable
 
 from qonnect.events import EventLog
 from qonnect.kb.commands import (
+    Batch,
     DeleteApplication,
     KBCommand,
     PutNodeSnapshot,
@@ -83,14 +85,17 @@ class RlaService:
         self.clock = clock
         self.id_factory = id_factory
         self.events = events if events is not None else EventLog()
-        # Installed by the hosting runtime: propose a command, wait for its
-        # commit, and return the apply effect.  Engine and live runtimes
-        # provide different implementations.
-        self.proposer: Callable[[KBCommand], Effect] | None = None
+        # Installed by the hosting runtime: propose one log entry (a command
+        # or a batch), wait for its commit, and return the apply effects of
+        # its commands in order.  Engine and live runtimes provide different
+        # implementations, both built on ``await_effects``/``take_effects``.
+        self.proposer: Callable[[KBCommand | Batch], list[Effect]] | None = None
 
         self._source = f"rla-{config.rla_id}"
         self._telemetry: list[KBCommand] = []
-        self._effects_by_index: dict[int, Effect] = {}
+        # Log index a local proposer waits on -> (entry term, effects) once
+        # applied.  Only awaited indexes are filled, so followers keep nothing.
+        self._awaited: dict[int, tuple[int, list[Effect]] | None] = {}
         self._applied_since_compact = 0
         self._next_scheduler_pass = 0.0
         self._next_flush = 0.0
@@ -108,35 +113,49 @@ class RlaService:
     def is_leader(self) -> bool:
         return self.node.role == Role.LEADER
 
-    def apply_committed(self, index: int, raw_command: str) -> Effect:
-        """Apply one committed log entry to the KB replica."""
-        effect = self.kb.apply(decode_command(raw_command))
-        self._effects_by_index[index] = effect
-        if len(self._effects_by_index) > 1024:
-            # Effects are only consumed by the proposing leader; keep
-            # followers from accumulating them forever.
-            for key in list(self._effects_by_index)[:512]:
-                del self._effects_by_index[key]
-        self.events.append(
-            self.clock(),
-            self._source,
-            f"kb-{effect.kind}",
-            {**effect.detail, "transitions": effect.transitions},
-        )
-        self._applied_since_compact += 1
+    def apply_committed(self, index: int, raw_command: str) -> None:
+        """Apply one committed log entry, a command or a batch, to the KB replica."""
+        command = decode_command(raw_command)
+        members = command.commands if isinstance(command, Batch) else (command,)
+        effects = []
+        for member in members:
+            effect = self.kb.apply(member)
+            effects.append(effect)
+            self.events.append(
+                self.clock(),
+                self._source,
+                f"kb-{effect.kind}",
+                {**effect.detail, "transitions": effect.transitions},
+            )
+        if index in self._awaited:
+            # The term identifies the entry: a proposer whose entry was
+            # overwritten by another leader's entry at this index sees a
+            # different term here.
+            self._awaited[index] = (self.node.term_at(index), effects)
+        self._applied_since_compact += len(members)
         if self._applied_since_compact >= self.config.compact_every:
-            self.node.compact(self.node.last_applied, self.kb.snapshot_state())
+            # Compact at this entry, not at ``last_applied``: entries of the
+            # same commit that follow it are not in the KB state yet.
+            self.node.compact(index, self.kb.snapshot_state())
             self._applied_since_compact = 0
             self.events.append(self.clock(), self._source, "log-compacted", {})
-        return effect
 
     def restore_from_snapshot(self, blob: str) -> None:
         self.kb = KnowledgeBase.restore(blob)
-        self._effects_by_index.clear()
         self._applied_since_compact = 0
 
-    def take_effect(self, index: int) -> Effect | None:
-        return self._effects_by_index.pop(index, None)
+    def await_effects(self, index: int) -> None:
+        """Keep the effects of the entry at ``index`` for a waiting proposer."""
+        self._awaited[index] = None
+
+    def take_effects(self, index: int, term: int) -> list[Effect] | None:
+        """Stop waiting on ``index``; the effects if the entry proposed in
+        ``term`` was applied there, else None (not yet applied, superseded by
+        another leader's entry, or covered by an installed snapshot)."""
+        applied = self._awaited.pop(index, None)
+        if applied is None or applied[0] != term:
+            return None
+        return applied[1]
 
     def _require_leader(self) -> None:
         # Writes validate against local KB state, which is authoritative only
@@ -145,10 +164,13 @@ class RlaService:
             raise NotLeaderError(self.node.leader_id)
 
     def _propose(self, command: KBCommand) -> Effect:
+        return self._propose_entry(command)[0]
+
+    def _propose_entry(self, entry: KBCommand | Batch) -> list[Effect]:
         if self.proposer is None:
             raise UnavailableError("no proposer wired to this service")
         self._require_leader()
-        return self.proposer(command)
+        return self.proposer(entry)
 
     def leader_address(self) -> str | None:
         return self.config.peer_address(self.node.leader_id)
@@ -339,21 +361,24 @@ class RlaService:
 
     def _flush_telemetry(self) -> None:
         pending, self._telemetry = self._telemetry, []
-        for command in pending:
-            try:
-                self._propose(command)
-            except (NotLeaderError, UnavailableError):
-                return  # deposed mid-flush; agents re-report next period
+        if not pending:
+            return
+        try:
+            self._propose_entry(Batch(tuple(pending)))
+        except (NotLeaderError, UnavailableError):
+            pass  # deposed; agents re-report next period
 
     def _scheduler_pass(self, now: float) -> None:
         commands = scheduler_tick(
             self.kb, now=now, term=self.node.current_term, config=self._scheduler_config
         )
-        for command in commands:
-            try:
-                effect = self._propose(command)
-            except (NotLeaderError, UnavailableError):
-                return
+        if not commands:
+            return
+        try:
+            effects = self._propose_entry(Batch(tuple(commands)))
+        except (NotLeaderError, UnavailableError):
+            return
+        for effect in effects:
             self.events.append(
                 now,
                 self._source,

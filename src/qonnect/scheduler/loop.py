@@ -3,6 +3,12 @@
 Each tick requeues stalled components and places pending ones. A component
 requeued in a tick is deliberately not placed until the next tick, so its
 placement uses snapshots that postdate the stall.
+
+The KB does not change within a tick, so a placement depends only on the
+component's target domain and its application's QoS vector. Each tick
+places every such class once and reuses the result (the equivalence-class
+cache of the Kubernetes scheduler); this requires ``PlacementStrategy.place``
+to be a pure function of its arguments.
 """
 
 from __future__ import annotations
@@ -10,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from qonnect.kb.commands import KBCommand, RecordDecision, RequeueComponent
+from qonnect.kb.model import Domain, NodeSnapshot, QoSVector
 from qonnect.kb.store import KnowledgeBase
-from qonnect.scheduler.borda import BordaCountStrategy, PlacementStrategy
+from qonnect.scheduler.borda import BordaCountStrategy, PlacementResult, PlacementStrategy
 
 
 @dataclass
@@ -38,11 +45,20 @@ def scheduler_tick(
                 reason="heartbeat-stalled",
             )
         )
+    domains: dict[Domain, list[NodeSnapshot]] = {}
+    placements: dict[tuple[Domain, QoSVector], PlacementResult | None] = {}
     for app, comp in kb.pending_components():
-        snapshots = kb.nodes_in_domain(comp.target_domain)
-        result = config.strategy.place(
-            snapshots, app.qos, now=now, staleness=config.snapshot_staleness
-        )
+        key = (comp.target_domain, app.qos)
+        if key not in placements:
+            if comp.target_domain not in domains:
+                domains[comp.target_domain] = kb.nodes_in_domain(comp.target_domain)
+            placements[key] = config.strategy.place(
+                domains[comp.target_domain],
+                app.qos,
+                now=now,
+                staleness=config.snapshot_staleness,
+            )
+        result = placements[key]
         if result is None:
             continue  # nothing eligible; the component stays pending
         commands.append(

@@ -5,6 +5,14 @@ from __future__ import annotations
 from qonnect.harness.bookinfo import bookinfo_bundle
 from qonnect.harness.engine import Deployment
 from qonnect.harness.scenarios import run_all, run_scenario
+from qonnect.kb import (
+    Batch,
+    ComponentStatus,
+    Domain,
+    RegisterCluster,
+    decode_command,
+    encode_command,
+)
 
 # Legal component status transitions (None = first appearance).
 ALLOWED_TRANSITIONS = {
@@ -91,3 +99,63 @@ def test_log_compaction_keeps_the_control_plane_running():
         and all(c.decision is not None for c in app.components),
         60.0,
     )
+
+
+def test_one_telemetry_flush_commits_as_one_log_entry():
+    dep = Deployment(seed=25)
+    dep.boot()
+    dep.client().submit_application(bookinfo_bundle("flushed"))
+    assert dep.run_until(
+        lambda: (app := dep.kb().live_application("flushed")) is not None
+        and all(c.status == ComponentStatus.HEALTHY for c in app.components),
+        60.0,
+    )
+    leader_id = dep.leader_id()
+    service, leader = dep.services[leader_id], dep.group.nodes[leader_id]
+    service._flush_telemetry()  # start from an empty queue, every replica caught up
+    dep.group.pump(leader.broadcast_append())
+    for agent in dep.agents.values():
+        agent.send_node_snapshot(dep.now)
+        agent.report_heartbeats(dep.now)
+    pending = list(service._telemetry)
+    assert len(pending) == len(dep.agents) + 4  # a snapshot per cluster, a heartbeat per component
+    before, mark = leader.last_log_index, len(dep.events.events)
+
+    service._flush_telemetry()
+
+    assert leader.last_log_index == before + 1
+    assert decode_command(leader.entry_at(before + 1).command) == Batch(tuple(pending))
+    dep.group.pump(leader.broadcast_append())  # followers learn the commit
+    assert {node.last_applied for node in dep.group.nodes.values()} == {before + 1}
+    for rla_id in dep.services:
+        applied = [
+            e for e in dep.events.events[mark:]
+            if e.source == f"rla-{rla_id}" and e.kind.startswith("kb-")
+        ]
+        assert len(applied) == len(pending)  # one event per member, on every replica
+    blobs = {service.kb.snapshot_state() for service in dep.services.values()}
+    assert len(blobs) == 1, "replica KBs diverged"
+
+
+def test_proposer_gets_its_effects_after_compaction_swallowed_the_entry():
+    dep = Deployment(seed=26)
+    dep.boot()
+    for service in dep.services.values():
+        service.config.compact_every = 1
+    leader_id = dep.leader_id()
+    service, leader = dep.services[leader_id], dep.group.nodes[leader_id]
+    # The awaited entry and the one after it commit together; applying the
+    # second compacts the log past the first.
+    index = leader.propose(encode_command(RegisterCluster("10.9.9.1", Domain.EDGE, dep.now)))
+    service.await_effects(index)
+    dep.group.propose(
+        leader_id, encode_command(RegisterCluster("10.9.9.2", Domain.EDGE, dep.now))
+    )
+    assert leader.snapshot_index == index + 1 and leader.term_at(index) is None
+    effects = service.take_effects(index, leader.current_term)
+    assert [e.kind for e in effects] == ["cluster-registered"]
+    assert service.take_effects(index, leader.current_term) is None  # handed over once
+
+    # Every control write still answers with its effect.
+    app_id = dep.client().submit_application(bookinfo_bundle("compacted"))
+    assert dep.kb().live_application("compacted").app_id == app_id

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import socket
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+import requests
 
 from qonnect.harness.bookinfo import bookinfo_bundle
 from qonnect.harness.live import LiveDeployment
@@ -13,12 +15,24 @@ from qonnect.harness.testbed import TestbedSpec
 
 
 def free_port_base(count: int = 3) -> int:
-    # Reserve a contiguous-ish base by probing one port and hoping the next
-    # few are free; good enough for CI-scale runs.
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        base = s.getsockname()[1]
-    return base
+    """A base port whose next ``count`` ports were all free just now."""
+    for _ in range(50):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            base = probe.getsockname()[1]
+        if base + count > 65536:
+            continue
+        sockets = [socket.socket() for _ in range(count)]
+        try:
+            for offset, sock in enumerate(sockets):
+                sock.bind(("127.0.0.1", base + offset))
+        except OSError:
+            continue
+        finally:
+            for sock in sockets:
+                sock.close()
+        return base
+    raise RuntimeError("no run of free ports found")
 
 
 def fast_spec() -> TestbedSpec:
@@ -116,3 +130,45 @@ def test_live_http_elects_leader_and_places_application(live):
     assert workload is not None and workload.phase == "Ready"
     # Placeholders were resolved before apply.
     assert "{{QONNECT" not in str(workload.env)
+
+
+def test_malformed_requests_get_400_and_the_server_keeps_serving(live):
+    address = next(iter(live.addresses.values()))
+
+    def post(path: str, data: str) -> int:
+        return requests.post(f"http://{address}{path}", data=data, timeout=5.0).status_code
+
+    assert post("/raft/append-request", '{"v": 1, "kind": "append-request", "src": 0}') == 400
+    assert post("/raft/vote-request", '[1, 2]') == 400
+    assert post("/raft/vote-request", '"vote-request"') == 400
+    assert post("/applications", '["bookinfo"]') == 400
+    heartbeat = '{"cluster_id": "c", "version": "abc", "status": "healthy"}'
+    assert post("/applications/a/components/c/heartbeat", heartbeat) == 400
+    assert requests.get(f"http://{address}/status", timeout=5.0).status_code == 200
+
+
+def test_committed_writes_answer_with_compaction_after_every_command():
+    live = LiveDeployment(spec=fast_spec(), base_port=free_port_base())
+    for rla in live.rlas.values():
+        rla.config.compact_every = 1  # snapshot after every applied command
+    live.start()
+    try:
+        leader = live.wait_for_leader(timeout=15.0)
+        client = live.client()
+        deadline = time.monotonic() + 20.0
+        while time.monotonic() < deadline and len(client.cluster_config()) < 9:
+            time.sleep(0.2)
+        address = live.addresses[leader]
+
+        def submit(i: int) -> tuple[int, dict]:
+            return client._dispatch(address, "POST", "/applications", bookinfo_bundle(f"app{i}"))
+
+        # Concurrent writes commit several entries at once, and every apply
+        # compacts the log past the entries before it; each committed write
+        # must still answer with its effect.
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            results = list(pool.map(submit, range(12)))
+        assert [status for status, _ in results] == [201] * 12, results
+        assert any(e.kind == "log-compacted" for e in live.events.events)
+    finally:
+        live.stop()

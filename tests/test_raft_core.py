@@ -372,3 +372,23 @@ def test_message_roundtrip_is_self_describing():
     assert decode_message(raw) == msg
     with pytest.raises(ValueError):
         decode_message('{"v": 99, "kind": "append-request"}')
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        "[1]",
+        '"append-request"',
+        "null",
+        '{"v": 1, "kind": ["append-request"]}',
+        '{"v": 1, "kind": "vote-request", "src": 0}',  # missing fields
+        '{"v": 1, "kind": "vote-response", "src": 0, "dst": 1, "term": 1, "granted": true, "x": 1}',
+        '{"v": 1, "kind": "append-request", "src": 0, "dst": 1, "term": 1, "prev_log_index": 0,'
+        ' "prev_log_term": 0, "leader_commit": 0}',  # no entries
+        '{"v": 1, "kind": "append-request", "src": 0, "dst": 1, "term": 1, "prev_log_index": 0,'
+        ' "prev_log_term": 0, "entries": [7], "leader_commit": 0}',
+    ],
+)
+def test_malformed_messages_raise_value_error(raw):
+    with pytest.raises(ValueError):
+        decode_message(raw)

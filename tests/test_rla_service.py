@@ -256,6 +256,25 @@ def test_heartbeat_paths_ok_stale_and_failed(dep):
     assert status == 400
 
 
+def test_non_integer_heartbeat_version_is_400(dep):
+    api = leader_api(dep)
+    path = "/applications/some-app/components/ratings/heartbeat"
+    for version in ("abc", [1], {"n": 1}, 1e999):
+        status, body = api.dispatch(
+            "POST", path, {"cluster_id": "c", "version": version, "status": "healthy"}
+        )
+        assert status == 400 and body["errors"][0]["field"] == "version", version
+
+
+def test_body_that_is_not_a_json_object_is_400(dep):
+    api = leader_api(dep)
+    for body in ([1, 2], [], "bookinfo", 7, False):
+        status, reply = api.dispatch("POST", "/applications", body)
+        assert status == 400 and reply["errors"][0]["field"] == "body", body
+    status, _ = api.dispatch("PUT", "/applications/bookinfo/qos", ["energy"])
+    assert status == 400
+
+
 def test_unknown_route_is_404(dep):
     status, body = leader_api(dep).dispatch("GET", "/nope")
     assert status == 404 and body["error"] == "no-such-route"

@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+import random
+from dataclasses import dataclass, field, replace
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from placement_oracle import random_instance
 from qonnect.kb import (
     KnowledgeBase,
     PutNodeSnapshot,
@@ -13,7 +20,7 @@ from qonnect.kb import (
 )
 from qonnect.kb.commands import RequeueComponent
 from qonnect.kb.model import Domain
-from qonnect.scheduler import SchedulerConfig, scheduler_tick
+from qonnect.scheduler import BordaCountStrategy, SchedulerConfig, scheduler_tick
 from qonnect.sim.profiles import PROFILES
 
 
@@ -149,3 +156,76 @@ def test_all_snapshots_stale_halts_and_component_stays_pending():
 def test_quiet_kb_produces_no_commands():
     kb, _ = build_kb()
     assert scheduler_tick(kb, now=1.0, term=2, config=SchedulerConfig()) == []
+
+
+@dataclass
+class CountingStrategy:
+    calls: int = 0
+    inner: BordaCountStrategy = field(default_factory=BordaCountStrategy)
+
+    def place(self, snapshots, qos, now, staleness):
+        self.calls += 1
+        return self.inner.place(snapshots, qos, now=now, staleness=staleness)
+
+
+def random_federation(seed: int) -> KnowledgeBase:
+    """One random domain per ``Domain`` and apps whose QoS vectors repeat."""
+    rng = random.Random(seed)
+    kb = KnowledgeBase()
+    qos_pool = []
+    for d_idx, domain in enumerate(Domain):
+        snapshots, qos = random_instance(rng)
+        qos_pool.append(qos)
+        cluster_ids: dict[str, str] = {}
+        for snap in snapshots:
+            if snap.cluster_id not in cluster_ids:
+                ip = f"10.{d_idx}.{len(cluster_ids)}.1"
+                effect = kb.apply(RegisterCluster(ip, domain, registered_at=0.0))
+                cluster_ids[snap.cluster_id] = effect.detail["cluster_id"]
+            cid = cluster_ids[snap.cluster_id]
+            kb.nodes[(cid, snap.node_name)] = replace(snap, cluster_id=cid)
+    for i in range(rng.randint(1, 8)):
+        components = tuple(
+            (f"c{j}", rng.choice(list(Domain)), {}) for j in range(rng.randint(1, 4))
+        )
+        kb.apply(
+            SubmitApplication(
+                app_id=f"app-{i}",
+                name=f"app-{i}",
+                labels=(),
+                qos=rng.choice(qos_pool),
+                components=components,
+                submitted_at=float(i),
+            )
+        )
+    return kb
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_memoized_tick_equals_placing_each_component_on_its_own(seed):
+    kb = random_federation(seed)
+    strategy = CountingStrategy()
+    config = SchedulerConfig(snapshot_staleness=60.0, strategy=strategy)
+    commands = scheduler_tick(kb, now=100.0, term=3, config=config)
+
+    expected = []
+    for app, comp in kb.pending_components():
+        result = BordaCountStrategy().place(
+            kb.nodes_in_domain(comp.target_domain), app.qos, now=100.0, staleness=60.0
+        )
+        if result is not None:
+            expected.append(
+                RecordDecision(
+                    app_id=app.app_id,
+                    component=comp.name,
+                    cluster_id=result.cluster_id,
+                    node_names=result.node_names,
+                    decided_at=100.0,
+                    deciding_term=3,
+                    version=app.version,
+                )
+            )
+    assert commands == expected
+    classes = {(comp.target_domain, app.qos) for app, comp in kb.pending_components()}
+    assert strategy.calls == len(classes)
