@@ -252,6 +252,10 @@ class _RlaHandler(BaseHTTPRequestHandler):
         if self.path.startswith("/raft/") and method == "POST":
             try:
                 msg = decode_message(self._body().decode("utf-8"))
+                if isinstance(msg, SnapshotRequest):
+                    # Load the blob before the node installs and persists it:
+                    # a snapshot the KB cannot restore must never replace the log.
+                    KnowledgeBase.restore(msg.state_blob)
             except ValueError as exc:  # includes UnicodeDecodeError
                 self._respond(400, json.dumps({"error": str(exc)}).encode(), "application/json")
                 return

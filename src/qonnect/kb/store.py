@@ -368,13 +368,16 @@ class KnowledgeBase:
                 f"unsupported knowledge base snapshot schema: {data.get('v') if isinstance(data, dict) else data!r}"
             )
         kb = cls()
-        for cdata in data["clusters"]:
-            rec = ClusterRecord.from_dict(cdata)
-            kb.clusters[rec.cluster_id] = rec
-        for ndata in data["nodes"]:
-            snap = NodeSnapshot.from_dict(ndata)
-            kb.nodes[(snap.cluster_id, snap.node_name)] = snap
-        for adata in data["applications"]:
-            app = ApplicationRecord.from_dict(adata)
-            kb.applications[app.app_id] = app
+        try:
+            for cdata in data["clusters"]:
+                rec = ClusterRecord.from_dict(cdata)
+                kb.clusters[rec.cluster_id] = rec
+            for ndata in data["nodes"]:
+                snap = NodeSnapshot.from_dict(ndata)
+                kb.nodes[(snap.cluster_id, snap.node_name)] = snap
+            for adata in data["applications"]:
+                app = ApplicationRecord.from_dict(adata)
+                kb.applications[app.app_id] = app
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed knowledge base snapshot: {exc!r}") from exc
         return kb

@@ -8,7 +8,7 @@ understand.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Union
 
 WIRE_VERSION = 1
@@ -21,13 +21,6 @@ class LogEntry:
     index: int
     term: int
     command: str
-
-    def to_dict(self) -> dict:
-        return {"index": self.index, "term": self.term, "command": self.command}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> LogEntry:
-        return cls(index=data["index"], term=data["term"], command=data["command"])
 
 
 @dataclass(frozen=True)
@@ -121,12 +114,38 @@ REQUEST_KINDS = (VoteRequest.kind, AppendRequest.kind, SnapshotRequest.kind)
 
 
 def encode_message(msg: Message) -> str:
-    payload = asdict(msg)
-    if isinstance(msg, AppendRequest):
-        payload["entries"] = [e.to_dict() for e in msg.entries]
+    payload = asdict(msg)  # entries become a list of objects
     payload["v"] = WIRE_VERSION
     payload["kind"] = msg.kind
     return json.dumps(payload, separators=(",", ":"))
+
+
+# Wire type of each field annotation; ``type(value) is`` keeps a JSON
+# ``true`` out of an int field and ``1`` out of a bool field.
+_SCALARS: dict[str, type] = {"int": int, "bool": bool, "str": str}
+_FIELD_TYPES: dict[type, dict[str, str]] = {
+    cls: {f.name: f.type for f in fields(cls)} for cls in (LogEntry, *_KINDS.values())
+}
+
+
+def _decode_fields(cls: type, data: object, what: str):
+    """Build ``cls`` from a JSON object holding exactly its fields, typed."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    annotations = _FIELD_TYPES[cls]
+    if data.keys() != annotations.keys():
+        raise ValueError(f"{what} needs fields {sorted(annotations)}, got {sorted(data)}")
+    for name, annotation in annotations.items():
+        value = data[name]
+        if annotation == "tuple[LogEntry, ...]":
+            if not isinstance(value, list):
+                raise ValueError(f"{what}: {name} must be a list")
+            data[name] = tuple(_decode_fields(LogEntry, e, "a log entry") for e in value)
+        elif type(value) is not _SCALARS[annotation]:
+            raise ValueError(
+                f"{what}: {name} must be {annotation}, not {type(value).__name__}"
+            )
+    return cls(**data)
 
 
 def decode_message(raw: str) -> Message:
@@ -141,9 +160,9 @@ def decode_message(raw: str) -> Message:
     cls = _KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown raft message kind: {kind!r}")
-    try:
-        if cls is AppendRequest:
-            data["entries"] = tuple(LogEntry.from_dict(e) for e in data["entries"])
-        return cls(**data)
-    except (KeyError, TypeError) as exc:  # missing, extra or non-object fields
-        raise ValueError(f"malformed {kind} message: {exc!r}") from None
+    msg = _decode_fields(cls, data, f"a {kind} message")
+    if isinstance(msg, AppendRequest) and any(
+        e.index != msg.prev_log_index + i for i, e in enumerate(msg.entries, start=1)
+    ):
+        raise ValueError("append-request entries must follow prev_log_index without gaps")
+    return msg

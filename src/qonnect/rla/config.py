@@ -24,15 +24,17 @@ class RlaConfig:
     telemetry_flush: float = 1.0
     election_timeout: tuple[float, float] = (0.15, 0.30)
     heartbeat_interval: float = 0.05
-    # Applied commands between snapshots. A batch entry counts as its number
-    # of commands, so group commit keeps the snapshot cadence and the bound
-    # on log length per applied command.
+    # Fewest applied commands between snapshots (a batch counts its members).
+    # A replica also waits until the raw entries applied since its last
+    # snapshot reach that snapshot's size; see ``qonnect.rla.service``.
     compact_every: int = 1000
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.peers and self.rla_id not in self.peers:
             raise ValueError("rla_id must appear in the peer map")
+        if self.compact_every < 1:
+            raise ValueError(f"compact_every must be at least 1, got {self.compact_every}")
 
     def peer_address(self, rla_id: int | None) -> str | None:
         if rla_id is None:

@@ -7,6 +7,14 @@ commit through Raft before the request is answered. High-volume telemetry
 through the log in small batches: each telemetry flush, like each scheduler
 pass, commits as one ``Batch`` log entry.
 
+Each replica compacts its log into a KB snapshot on its own, by the
+size-relative rule of Ongaro's dissertation (section 5.1.1): once at least
+``compact_every`` commands were applied since the last snapshot *and* the
+raw entries applied since then add up to ``_COMPACT_RATIO`` times that
+snapshot's size. Snapshot work then stays proportional to the bytes logged,
+whatever the size of a batch, and the log kept between snapshots is bounded
+by about one snapshot's size.
+
 The scheduler pass and telemetry flush only run while this node is leader;
 a deposed leader's in-flight proposals fail at commit and are harmless.
 """
@@ -64,6 +72,10 @@ def _default_id_factory() -> str:
 
 _PLACEHOLDER_RE = re.compile(r"\{\{QONNECT_([A-Z]+)_IP\}\}")
 
+# Raw entry bytes to log since the last snapshot, as a multiple of its size,
+# before the next one (the dissertation's factor).
+_COMPACT_RATIO = 1.0
+
 
 def _placeholder_domains(manifest: dict) -> set[str]:
     return {m.lower() for m in _PLACEHOLDER_RE.findall(json.dumps(manifest))}
@@ -96,7 +108,16 @@ class RlaService:
         # Log index a local proposer waits on -> (entry term, effects) once
         # applied.  Only awaited indexes are filled, so followers keep nothing.
         self._awaited: dict[int, tuple[int, list[Effect]] | None] = {}
+        # Compaction trigger state (see the module docstring): commands and
+        # raw entry bytes applied since the last snapshot, and its size.
         self._applied_since_compact = 0
+        self._logged_since_compact = 0
+        self._snapshot_bytes = 0
+        if node.snapshot is not None:
+            # A node reloaded from storage resumes after its snapshot; the
+            # entries it covers are never applied again, so the KB starts
+            # from the snapshot.
+            self.restore_from_snapshot(node.snapshot.blob)
         self._next_scheduler_pass = 0.0
         self._next_flush = 0.0
         self._scheduler_config = SchedulerConfig(
@@ -133,16 +154,35 @@ class RlaService:
             # different term here.
             self._awaited[index] = (self.node.term_at(index), effects)
         self._applied_since_compact += len(members)
-        if self._applied_since_compact >= self.config.compact_every:
+        self._logged_since_compact += len(raw_command)
+        if (
+            self._applied_since_compact >= self.config.compact_every
+            and self._logged_since_compact >= _COMPACT_RATIO * self._snapshot_bytes
+        ):
             # Compact at this entry, not at ``last_applied``: entries of the
             # same commit that follow it are not in the KB state yet.
-            self.node.compact(index, self.kb.snapshot_state())
-            self._applied_since_compact = 0
-            self.events.append(self.clock(), self._source, "log-compacted", {})
+            blob = self.kb.snapshot_state()
+            self.node.compact(index, blob)
+            self.events.append(
+                self.clock(),
+                self._source,
+                "log-compacted",
+                {
+                    "index": index,
+                    "snapshot_bytes": len(blob),
+                    "logged_bytes": self._logged_since_compact,
+                },
+            )
+            self._reset_compaction(len(blob))
 
     def restore_from_snapshot(self, blob: str) -> None:
         self.kb = KnowledgeBase.restore(blob)
+        self._reset_compaction(len(blob))
+
+    def _reset_compaction(self, snapshot_bytes: int) -> None:
         self._applied_since_compact = 0
+        self._logged_since_compact = 0
+        self._snapshot_bytes = snapshot_bytes
 
     def await_effects(self, index: int) -> None:
         """Keep the effects of the entry at ``index`` for a waiting proposer."""

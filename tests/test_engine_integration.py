@@ -13,6 +13,7 @@ from qonnect.kb import (
     decode_command,
     encode_command,
 )
+from qonnect.rla import service as service_module
 
 # Legal component status transitions (None = first appearance).
 ALLOWED_TRANSITIONS = {
@@ -61,10 +62,7 @@ def test_component_status_transitions_follow_the_machine():
     assert observed <= ALLOWED_TRANSITIONS, observed - ALLOWED_TRANSITIONS
 
 
-def test_replicas_converge_to_identical_kb_state():
-    dep = Deployment(seed=22)
-    run_scenario(dep, 1)
-
+def assert_replicas_converge(dep: Deployment) -> None:
     def caught_up() -> bool:
         nodes = [n for i, n in dep.group.nodes.items() if i not in dep.group.stopped]
         applied = {n.last_applied for n in nodes}
@@ -80,16 +78,23 @@ def test_replicas_converge_to_identical_kb_state():
     assert len(set(blobs.values())) == 1, "replica KBs diverged"
 
 
+def test_replicas_converge_to_identical_kb_state():
+    dep = Deployment(seed=22)
+    run_scenario(dep, 1)
+    assert_replicas_converge(dep)
+
+
 def test_empty_kb_serves_empty_cluster_config():
     dep = Deployment(seed=23)  # not booted; nothing registered anywhere
     status, body = dep.apis["rla-0"].dispatch("GET", "/clusters/config")
     assert status == 200 and body["clusters"] == {}
 
 
-def test_log_compaction_keeps_the_control_plane_running():
+def test_log_compaction_keeps_the_control_plane_running(monkeypatch):
     dep = Deployment(seed=24)
     for service in dep.services.values():
         service.config.compact_every = 40  # force frequent snapshots
+    monkeypatch.setattr(service_module, "_COMPACT_RATIO", 0)
     run_scenario(dep, 1)
     assert any(e.kind == "log-compacted" for e in dep.events.events)
     # Still serving and consistent after compaction.
@@ -99,6 +104,34 @@ def test_log_compaction_keeps_the_control_plane_running():
         and all(c.decision is not None for c in app.components),
         60.0,
     )
+
+
+def test_compaction_waits_until_a_snapshot_worth_of_bytes_was_logged():
+    dep = Deployment(seed=27)
+    logged = dict.fromkeys(dep.services, 0)
+    for rla_id, service in dep.services.items():
+        # A low count floor leaves the byte rule to decide when to compact.
+        service.config.compact_every = 10
+
+        def apply(index: int, raw: str, rla_id: int = rla_id, service=service) -> None:
+            logged[rla_id] += len(raw)
+            service.apply_committed(index, raw)
+
+        dep.group.apply_fns[rla_id] = apply
+    dep.boot()
+    for n in range(4):
+        dep.client().submit_application(bookinfo_bundle(f"sized{n}"))
+    dep.run(120.0)  # twelve agent heartbeat periods
+
+    for rla_id in dep.services:
+        compactions = dep.events.matching("log-compacted", source=f"rla-{rla_id}")
+        assert len(compactions) >= 2
+        smallest = min(e.detail["snapshot_bytes"] for e in compactions)
+        assert len(compactions) <= logged[rla_id] // smallest + 1
+        for previous, current in zip(compactions, compactions[1:]):
+            assert current.detail["logged_bytes"] >= previous.detail["snapshot_bytes"]
+            assert current.detail["index"] > previous.detail["index"]
+    assert_replicas_converge(dep)
 
 
 def test_one_telemetry_flush_commits_as_one_log_entry():
@@ -137,11 +170,12 @@ def test_one_telemetry_flush_commits_as_one_log_entry():
     assert len(blobs) == 1, "replica KBs diverged"
 
 
-def test_proposer_gets_its_effects_after_compaction_swallowed_the_entry():
+def test_proposer_gets_its_effects_after_compaction_swallowed_the_entry(monkeypatch):
     dep = Deployment(seed=26)
     dep.boot()
     for service in dep.services.values():
         service.config.compact_every = 1
+    monkeypatch.setattr(service_module, "_COMPACT_RATIO", 0)
     leader_id = dep.leader_id()
     service, leader = dep.services[leader_id], dep.group.nodes[leader_id]
     # The awaited entry and the one after it commit together; applying the

@@ -19,6 +19,7 @@ from qonnect.harness.energy import (
 from qonnect.harness.engine import Deployment
 from qonnect.harness.scenarios import run_scenario
 from qonnect.harness.testbed import TestbedSpec
+from qonnect.rla.config import RlaConfig
 from qonnect.sim.profiles import PROFILES
 
 
@@ -75,8 +76,6 @@ def test_testbed_spec_yaml_roundtrip_with_env_override(tmp_path):
 
 
 def test_rla_config_yaml_with_env_override(tmp_path):
-    from qonnect.rla.config import RlaConfig
-
     config_file = tmp_path / "rla.yaml"
     config_file.write_text(
         yaml.safe_dump(
@@ -95,6 +94,12 @@ def test_rla_config_yaml_with_env_override(tmp_path):
     assert config.grace_period == 12.0
     assert config.peer_address(2) == "127.0.0.1:7402"
     assert config.peer_address(None) is None
+
+
+@pytest.mark.parametrize("compact_every", [0, -1])
+def test_rla_config_rejects_unusable_compaction_settings(compact_every):
+    with pytest.raises(ValueError):
+        RlaConfig(rla_id=0, compact_every=compact_every)
 
 
 def test_bundle_yaml_stream_roundtrip():

@@ -257,6 +257,21 @@ def test_snapshot_rejects_unknown_schema_and_truncated_blob():
         KnowledgeBase.restore('{"v": 999}')
 
 
+@pytest.mark.parametrize(
+    "blob",
+    [
+        '{"v": 1}',
+        '{"v": 1, "clusters": 3, "nodes": [], "applications": []}',
+        '{"v": 1, "clusters": [{"cluster_id": "c"}], "nodes": [], "applications": []}',
+        '{"v": 1, "clusters": [], "nodes": [{"bogus": 1}], "applications": []}',
+        '{"v": 1, "clusters": [], "nodes": [], "applications": [[]]}',
+    ],
+)
+def test_snapshot_with_a_malformed_record_raises_value_error(blob):
+    with pytest.raises(ValueError):
+        KnowledgeBase.restore(blob)
+
+
 def test_same_command_sequence_yields_identical_kbs():
     commands = []
     kb_a = KnowledgeBase()

@@ -10,8 +10,12 @@ import pytest
 import requests
 
 from qonnect.harness.bookinfo import bookinfo_bundle
-from qonnect.harness.live import LiveDeployment
+from qonnect.harness.live import LiveDeployment, LiveRla
+from qonnect.kb import Domain, KnowledgeBase, RegisterCluster
+from qonnect.raft import SnapshotRequest, encode_message
+from qonnect.rla import RlaConfig
 from qonnect.harness.testbed import TestbedSpec
+from qonnect.rla import service as service_module
 
 
 def free_port_base(count: int = 3) -> int:
@@ -147,10 +151,11 @@ def test_malformed_requests_get_400_and_the_server_keeps_serving(live):
     assert requests.get(f"http://{address}/status", timeout=5.0).status_code == 200
 
 
-def test_committed_writes_answer_with_compaction_after_every_command():
+def test_committed_writes_answer_with_compaction_after_every_command(monkeypatch):
     live = LiveDeployment(spec=fast_spec(), base_port=free_port_base())
     for rla in live.rlas.values():
         rla.config.compact_every = 1  # snapshot after every applied command
+    monkeypatch.setattr(service_module, "_COMPACT_RATIO", 0)
     live.start()
     try:
         leader = live.wait_for_leader(timeout=15.0)
@@ -172,3 +177,39 @@ def test_committed_writes_answer_with_compaction_after_every_command():
         assert any(e.kind == "log-compacted" for e in live.events.events)
     finally:
         live.stop()
+
+
+def test_a_snapshot_the_kb_cannot_restore_is_refused_and_never_saved(tmp_path):
+    config = RlaConfig(
+        rla_id=0, listen_address=f"127.0.0.1:{free_port_base(1)}", data_dir=str(tmp_path)
+    )
+    kb = KnowledgeBase()
+    kb.apply(RegisterCluster("10.0.0.1", Domain.EDGE, 1.0))
+    good = kb.snapshot_state()
+
+    def install(index: int, blob: str) -> int:
+        # A term far above what a lone node reaches by timing out elections.
+        msg = SnapshotRequest(src=1, dst=0, term=100, last_included_index=index,
+                              last_included_term=100, state_blob=blob)
+        url = f"http://{config.listen_address}/raft/{msg.kind}"
+        return requests.post(url, data=encode_message(msg), timeout=5.0).status_code
+
+    rla = LiveRla(config, members=(0, 1, 2))
+    rla.start()
+    try:
+        assert install(5, good) == 200
+        assert install(9, "not a snapshot") == 400
+        assert install(9, '{"v": 1}') == 400
+        assert rla.node.snapshot_index == 5
+        assert rla.service.kb.snapshot_state() == good
+    finally:
+        rla.stop()
+        rla.node.storage.close()
+
+    restarted = LiveRla(config, members=(0, 1, 2))  # from the same data directory
+    try:
+        assert restarted.node.snapshot_index == 5
+        assert restarted.service.kb.snapshot_state() == good
+    finally:
+        restarted.server.server_close()
+        restarted.node.storage.close()

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import json
+from dataclasses import fields
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qonnect.raft import (
     AppendRequest,
@@ -13,6 +18,8 @@ from qonnect.raft import (
     RaftConfig,
     RaftNode,
     Role,
+    SnapshotRequest,
+    SnapshotResponse,
     VoteRequest,
     VoteResponse,
     decode_message,
@@ -387,8 +394,74 @@ def test_message_roundtrip_is_self_describing():
         ' "prev_log_term": 0, "leader_commit": 0}',  # no entries
         '{"v": 1, "kind": "append-request", "src": 0, "dst": 1, "term": 1, "prev_log_index": 0,'
         ' "prev_log_term": 0, "entries": [7], "leader_commit": 0}',
+        # Well-formed JSON objects with mistyped fields.
+        '{"v": 1, "kind": "vote-request", "src": 0, "dst": 1, "term": "x", "last_log_index": 0,'
+        ' "last_log_term": 0}',
+        '{"v": 1, "kind": "vote-response", "src": true, "dst": 1, "term": 1, "granted": true}',
+        '{"v": 1, "kind": "vote-response", "src": 0, "dst": 1, "term": 1, "granted": 1}',
+        '{"v": 1, "kind": "append-request", "src": 0, "dst": 1, "term": 1, "prev_log_index": 0,'
+        ' "prev_log_term": 0, "entries": [{"index": "a", "term": 1, "command": 3}],'
+        ' "leader_commit": 0}',
+        '{"v": 1, "kind": "append-request", "src": 0, "dst": 1, "term": 1, "prev_log_index": 0,'
+        ' "prev_log_term": 0, "entries": {"index": 1}, "leader_commit": 0}',
+        '{"v": 1, "kind": "snapshot-request", "src": 0, "dst": 1, "term": 1,'
+        ' "last_included_index": 1, "last_included_term": 1, "state_blob": null}',
+        # Entries with a gap after prev_log_index.
+        '{"v": 1, "kind": "append-request", "src": 0, "dst": 1, "term": 1, "prev_log_index": 0,'
+        ' "prev_log_term": 0, "entries": [{"index": 5, "term": 1, "command": ""}],'
+        ' "leader_commit": 5}',
     ],
 )
 def test_malformed_messages_raise_value_error(raw):
     with pytest.raises(ValueError):
         decode_message(raw)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_WIRE_TYPES = {"int": st.integers(-2, 6), "bool": st.booleans(), "str": st.text(max_size=4)}
+_MESSAGE_TYPES = (
+    VoteRequest,
+    VoteResponse,
+    AppendRequest,
+    AppendResponse,
+    SnapshotRequest,
+    SnapshotResponse,
+)
+
+
+@st.composite
+def wire_payloads(draw) -> str:
+    """Raft payloads near the wire format: each field mostly well typed."""
+    cls = draw(st.sampled_from(_MESSAGE_TYPES))
+    payload: dict = {"v": 1, "kind": cls.kind}
+    for f in fields(cls):
+        if draw(st.integers(0, 9)) == 0:
+            payload[f.name] = draw(_JSON)  # likely mistyped
+        elif f.name == "entries":
+            prev = payload["prev_log_index"]
+            contiguous = type(prev) is int and draw(st.booleans())
+            first = prev + 1 if contiguous else draw(st.integers(-2, 6))
+            count = draw(st.integers(0, 3))
+            payload[f.name] = [
+                {"index": first + i, "term": draw(st.integers(-1, 4)), "command": draw(st.text())}
+                for i in range(count)
+            ]
+        else:
+            payload[f.name] = draw(_WIRE_TYPES[f.type])
+    if draw(st.integers(0, 9)) == 0:
+        payload.pop(draw(st.sampled_from(sorted(payload))))
+    return json.dumps(payload)
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw=st.one_of(_JSON.map(json.dumps), wire_payloads()))
+def test_any_json_decodes_or_raises_value_error_and_never_crashes_a_node(raw):
+    try:
+        msg = decode_message(raw)
+    except ValueError:
+        return
+    make_node(0).handle_message(msg)

@@ -6,8 +6,21 @@ import pytest
 
 from qonnect.harness.bookinfo import bookinfo_bundle
 from qonnect.harness.engine import Deployment
+from qonnect.kb import Domain, KBCommand, KnowledgeBase, RegisterCluster, encode_command
 from qonnect.kb.model import ComponentStatus
+from qonnect.raft import (
+    AppendRequest,
+    FileStorage,
+    LogEntry,
+    MemoryStorage,
+    RaftConfig,
+    RaftNode,
+    SnapshotRequest,
+)
 from qonnect.raft.node import Role
+from qonnect.raft.storage import RaftStorage
+from qonnect.rla import RlaConfig, RlaService
+from qonnect.rla import service as service_module
 
 
 @pytest.fixture()
@@ -282,16 +295,7 @@ def test_unknown_route_is_404(dep):
 
 def test_poll_withholds_payload_until_placeholder_domains_are_placed():
     # Read-path behavior, driven directly against one replica's KB view.
-    from qonnect.kb import (
-        Domain,
-        KnowledgeBase,
-        QoSVector,
-        RecordDecision,
-        RegisterCluster,
-        SubmitApplication,
-    )
-    from qonnect.raft import RaftConfig, RaftNode
-    from qonnect.rla import RlaConfig, RlaService
+    from qonnect.kb import QoSVector, RecordDecision, SubmitApplication
 
     kb = KnowledgeBase()
     cloud = kb.apply(RegisterCluster("10.0.0.1", Domain.CLOUD, 0.0)).detail["cluster_id"]
@@ -329,3 +333,90 @@ def test_poll_withholds_payload_until_placeholder_domains_are_placed():
     assert len(payloads) == 1
     assert payloads[0]["component"] == "front"
     assert payloads[0]["placement"]["fog"] == fog
+
+
+# ---------------------------------------------------------------------------
+# Log compaction on one replica, driven by a leader's messages
+# ---------------------------------------------------------------------------
+
+
+def follower_service(storage: RaftStorage, **config) -> RlaService:
+    node = RaftNode(RaftConfig(node_id=0, members=(0, 1, 2)), storage=storage)
+    return RlaService(RlaConfig(rla_id=0, **config), node=node)
+
+
+def replicate(service: RlaService, commands: list[KBCommand]) -> None:
+    """Deliver ``commands`` from leader 1 as committed entries and apply them."""
+    node = service.node
+    start = node.last_log_index
+    entries = tuple(
+        LogEntry(start + i, 1, encode_command(c)) for i, c in enumerate(commands, start=1)
+    )
+    result = node.handle_message(
+        AppendRequest(
+            src=1,
+            dst=0,
+            term=1,
+            prev_log_index=start,
+            prev_log_term=node.last_log_term,
+            entries=entries,
+            leader_commit=start + len(entries),
+        )
+    )
+    for index, raw in result.committed:
+        service.apply_committed(index, raw)
+
+
+def install(service: RlaService, index: int, blob: str) -> None:
+    result = service.node.handle_message(
+        SnapshotRequest(
+            src=1, dst=0, term=1, last_included_index=index, last_included_term=1, state_blob=blob
+        )
+    )
+    service.restore_from_snapshot(result.snapshot_installed)
+
+
+def test_restarted_replica_serves_the_kb_its_snapshot_holds(tmp_path, monkeypatch):
+    storage = FileStorage(tmp_path)
+    monkeypatch.setattr(service_module, "_COMPACT_RATIO", 0)  # compact at every entry
+    service = follower_service(storage, compact_every=1)
+    replicate(
+        service,
+        [RegisterCluster("10.0.0.1", Domain.EDGE, 1.0), RegisterCluster("10.0.0.2", Domain.FOG, 2.0)],
+    )
+    assert service.node.snapshot_index == 2 and len(service.kb.clusters) == 2
+    before = service.kb.snapshot_state()
+    storage.close()
+
+    reopened = FileStorage(tmp_path)
+    restarted = follower_service(reopened)
+    reopened.close()
+    # The snapshot covers every applied entry, so none is applied again.
+    assert restarted.node.last_applied == 2
+    assert restarted.kb.snapshot_state() == before
+
+
+def test_snapshot_install_restarts_the_compaction_trigger():
+    service = follower_service(MemoryStorage(), compact_every=1)
+    source = KnowledgeBase()
+    for i in range(8):
+        source.apply(RegisterCluster(f"10.0.1.{i}", Domain.EDGE, float(i)))
+    blob = source.snapshot_state()
+    command = RegisterCluster("10.0.0.9", Domain.CLOUD, 9.0)
+    below = (len(blob) - 1) // len(encode_command(command))  # entries logging < one blob
+    assert below >= 2
+
+    install(service, 3, blob)
+    replicate(service, [command] * below)
+    assert service.node.snapshot_index == 3  # the installed blob sets the bar
+
+    newer = service.node.last_log_index + 1
+    install(service, newer, blob)  # a leader's newer snapshot
+    replicate(service, [command] * below)
+    assert service.node.snapshot_index == newer  # bytes logged before it do not count
+    replicate(service, [command])
+    assert service.node.snapshot_index == newer + below + 1
+    compacted = service.events.matching("log-compacted")[-1].detail
+    assert compacted["index"] == newer + below + 1
+    assert compacted["logged_bytes"] >= len(blob)
+    assert compacted["snapshot_bytes"] == len(service.kb.snapshot_state())
