@@ -37,12 +37,6 @@ def energy_coefficient(coefficients: EnergyCoefficientInput) -> float:
     return (coefficients.w_idle + coefficients.w_max) / 2.0 * coefficients.pue / 1000.0
 
 
-def round_to_table(value: float, places: int = 7) -> float:
-    """Half-up rounding as used by the published parameter table."""
-    quantum = Decimal(1).scaleb(-places)
-    return float(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
-
-
 def table_midpoint(low: float, high: float, places: int = 7) -> float:
     """Midpoint in exact decimal arithmetic (the parameter table is decimal)."""
     value = (Decimal(repr(low)) + Decimal(repr(high))) / 2

@@ -18,18 +18,16 @@ import uuid
 from typing import Callable
 
 from qonnect.agent.client import InProcessRlaClient, RlaClientError
-from qonnect.agent.ra import RaConfig, ResourceAgent
 from qonnect.events import EventLog
 from qonnect.harness.testbed import TestbedSpec
 from qonnect.kb.commands import Batch, KBCommand, encode_command
 from qonnect.kb.model import Domain
 from qonnect.kb.store import Effect, KnowledgeBase, cluster_id_for
-from qonnect.raft.node import RaftConfig, Role
+from qonnect.raft.node import Role
 from qonnect.raft.simulation import SyncRaftGroup
-from qonnect.rla.config import RlaConfig
 from qonnect.rla.rest import RestApi
 from qonnect.rla.service import RlaService, UnavailableError
-from qonnect.sim.cluster import Fault, KillRa, KillRla, SimCluster, make_cluster
+from qonnect.sim.cluster import Fault, KillRa, KillRla, SimCluster
 
 
 class EngineRlaClient(InProcessRlaClient):
@@ -55,20 +53,10 @@ class Deployment:
         self.rng = random.Random(self.spec.seed)
         self.unreachable_rlas: set[str] = set()
 
-        self.clusters: dict[str, SimCluster] = {}
-        for c_index, cspec in enumerate(self.spec.clusters):
-            self.clusters[cspec.name] = make_cluster(
-                name=cspec.name,
-                domain=Domain(cspec.domain),
-                profile=cspec.profile,
-                ingress_ip=cspec.ingress_ip,
-                workers=cspec.workers,
-                seed=self.spec.seed ^ (c_index + 1),
-                rollout_latency=self.spec.rollout_latency,
-            )
+        self.clusters: dict[str, SimCluster] = self.spec.make_clusters()
 
         self._build_control_plane()
-        self._build_agents()
+        self.agents = self.spec.make_agents(self.clusters, self.client, self.events)
         # RLAs ride on the cloud clusters, one each, in spec order.
         cloud = [c.name for c in self.spec.clusters if c.domain == Domain.CLOUD.value]
         self.rla_hosts: dict[int, str] = {
@@ -85,30 +73,11 @@ class Deployment:
     def _build_control_plane(self) -> None:
         members = tuple(range(self.spec.rla_count))
         addresses = {i: f"rla-{i}" for i in members}
-        raft_configs = [
-            RaftConfig(
-                node_id=i,
-                members=members,
-                election_timeout=self.spec.election_timeout,
-                heartbeat_interval=self.spec.heartbeat_interval,
-                seed=self.spec.seed,
-            )
-            for i in members
-        ]
-        self.group = SyncRaftGroup(raft_configs)
+        configs = [self.spec.rla_config(i, addresses) for i in members]
+        self.group = SyncRaftGroup([config.raft_config(members) for config in configs])
         self.services: dict[int, RlaService] = {}
         self.apis: dict[str, RestApi] = {}
-        for i in members:
-            config = RlaConfig(
-                rla_id=i,
-                listen_address=addresses[i],
-                peers=addresses,
-                tick_period=self.spec.tick_period,
-                grace_period=self.spec.grace_period,
-                snapshot_staleness=self.spec.snapshot_staleness,
-                telemetry_flush=self.spec.telemetry_flush,
-                seed=self.spec.seed,
-            )
+        for i, config in zip(members, configs):
             service = RlaService(
                 config,
                 node=self.group.nodes[i],
@@ -136,24 +105,6 @@ class Deployment:
             return effects
 
         return propose
-
-    def _build_agents(self) -> None:
-        self.agents: dict[str, ResourceAgent] = {}
-        for cspec in self.spec.clusters:
-            client = EngineRlaClient(self.apis, self.unreachable_rlas)
-            self.agents[cspec.name] = ResourceAgent(
-                backend=self.clusters[cspec.name],
-                client=client,
-                config=RaConfig(
-                    domain=cspec.domain,
-                    snapshot_period=self.spec.ra_snapshot_period,
-                    poll_period=self.spec.ra_poll_period,
-                    heartbeat_period=self.spec.ra_heartbeat_period,
-                    rollout_timeout=self.spec.rollout_timeout,
-                ),
-                events=self.events,
-                name=f"ra-{cspec.name}",
-            )
 
     # ------------------------------------------------------------------
     # Driving

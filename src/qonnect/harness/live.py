@@ -18,11 +18,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import requests
 
 from qonnect.agent.client import RlaClientError, _RestClientBase
-from qonnect.agent.ra import RaConfig, ResourceAgent
 from qonnect.events import EventLog
 from qonnect.harness.testbed import TestbedSpec
 from qonnect.kb.commands import Batch, KBCommand, encode_command
-from qonnect.kb.model import Domain
 from qonnect.kb.store import Effect, KnowledgeBase
 from qonnect.raft.messages import (
     AppendRequest,
@@ -33,12 +31,12 @@ from qonnect.raft.messages import (
     decode_message,
     encode_message,
 )
-from qonnect.raft.node import RaftConfig, RaftNode
+from qonnect.raft.node import RaftNode
 from qonnect.raft.storage import FileStorage
 from qonnect.rla.config import RlaConfig
 from qonnect.rla.rest import RestApi
 from qonnect.rla.service import RlaService, UnavailableError
-from qonnect.sim.cluster import SimCluster, make_cluster
+from qonnect.sim.cluster import SimCluster
 
 _RESPONSE_FOR = {
     VoteRequest.kind: "vote-response",
@@ -96,16 +94,7 @@ class LiveRla:
         events: EventLog | None = None,
     ) -> None:
         storage = FileStorage(config.data_dir) if config.data_dir else None
-        self.node = RaftNode(
-            RaftConfig(
-                node_id=config.rla_id,
-                members=members,
-                election_timeout=config.election_timeout,
-                heartbeat_interval=config.heartbeat_interval,
-                seed=config.seed,
-            ),
-            storage=storage,
-        )
+        self.node = RaftNode(config.raft_config(members), storage=storage)
         self.service = RlaService(
             config, node=self.node, kb=KnowledgeBase(), events=events or EventLog()
         )
@@ -324,48 +313,14 @@ class LiveDeployment:
         self.addresses = addresses
         self.rlas: dict[int, LiveRla] = {}
         for i in members:
-            config = RlaConfig(
-                rla_id=i,
-                listen_address=addresses[i],
-                peers=addresses,
-                data_dir=f"{data_root}/rla-{i}" if data_root else None,
-                tick_period=self.spec.tick_period,
-                grace_period=self.spec.grace_period,
-                snapshot_staleness=self.spec.snapshot_staleness,
-                telemetry_flush=self.spec.telemetry_flush,
-                election_timeout=self.spec.election_timeout,
-                heartbeat_interval=self.spec.heartbeat_interval,
-                seed=self.spec.seed,
-            )
+            data_dir = f"{data_root}/rla-{i}" if data_root else None
+            config = self.spec.rla_config(i, addresses, data_dir)
             self.rlas[i] = LiveRla(config, members, events=self.events)
 
-        self.clusters: dict[str, _LockedCluster] = {}
-        self.agents: dict[str, ResourceAgent] = {}
-        for index, cspec in enumerate(self.spec.clusters):
-            cluster = make_cluster(
-                name=cspec.name,
-                domain=Domain(cspec.domain),
-                profile=cspec.profile,
-                ingress_ip=cspec.ingress_ip,
-                workers=cspec.workers,
-                seed=self.spec.seed ^ (index + 1),
-                rollout_latency=self.spec.rollout_latency,
-            )
-            locked = _LockedCluster(cluster)
-            self.clusters[cspec.name] = locked
-            self.agents[cspec.name] = ResourceAgent(
-                backend=locked,
-                client=HttpRlaClient(list(addresses.values())),
-                config=RaConfig(
-                    domain=cspec.domain,
-                    snapshot_period=self.spec.ra_snapshot_period,
-                    poll_period=self.spec.ra_poll_period,
-                    heartbeat_period=self.spec.ra_heartbeat_period,
-                    rollout_timeout=self.spec.rollout_timeout,
-                ),
-                events=self.events,
-                name=f"ra-{cspec.name}",
-            )
+        self.clusters = {
+            name: _LockedCluster(cluster) for name, cluster in self.spec.make_clusters().items()
+        }
+        self.agents = self.spec.make_agents(self.clusters, self.client, self.events)
         self._running = False
         self._threads: list[threading.Thread] = []
 

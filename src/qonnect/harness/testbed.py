@@ -1,14 +1,25 @@
-"""Testbed layout: nine clusters, three RLAs, periods and seeds."""
+"""Testbed layout: nine clusters, three RLAs, periods and seeds.
+
+``TestbedSpec`` also derives what both deployments (the deterministic engine
+and live HTTP mode) build from it: each RLA's config, the simulated clusters
+and their resource agents.
+"""
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import yaml
 
+from qonnect.agent.client import RlaClient
+from qonnect.agent.ra import RaConfig, ResourceAgent
+from qonnect.events import EventLog
 from qonnect.kb.model import Domain
+from qonnect.rla.config import RlaConfig
+from qonnect.sim.cluster import SimCluster, make_cluster
 from qonnect.sim.profiles import PROFILES
 
 ENV_PREFIX = "QONNECT_TESTBED_"
@@ -78,6 +89,59 @@ class TestbedSpec:
             if cluster.name == name:
                 return cluster
         raise KeyError(name)
+
+    def rla_config(
+        self, rla_id: int, peers: dict[int, str], data_dir: str | None = None
+    ) -> RlaConfig:
+        return RlaConfig(
+            rla_id=rla_id,
+            listen_address=peers[rla_id],
+            peers=peers,
+            data_dir=data_dir,
+            tick_period=self.tick_period,
+            grace_period=self.grace_period,
+            snapshot_staleness=self.snapshot_staleness,
+            telemetry_flush=self.telemetry_flush,
+            election_timeout=self.election_timeout,
+            heartbeat_interval=self.heartbeat_interval,
+            seed=self.seed,
+        )
+
+    def make_agents(
+        self, backends: dict, make_client: Callable[[], RlaClient], events: EventLog
+    ) -> dict[str, ResourceAgent]:
+        """One resource agent per cluster, over ``backends[name]``, each with its own client."""
+        return {
+            cluster.name: ResourceAgent(
+                backend=backends[cluster.name],
+                client=make_client(),
+                config=RaConfig(
+                    domain=cluster.domain,
+                    snapshot_period=self.ra_snapshot_period,
+                    poll_period=self.ra_poll_period,
+                    heartbeat_period=self.ra_heartbeat_period,
+                    rollout_timeout=self.rollout_timeout,
+                ),
+                events=events,
+                name=f"ra-{cluster.name}",
+            )
+            for cluster in self.clusters
+        }
+
+    def make_clusters(self) -> dict[str, SimCluster]:
+        """One simulated cluster per entry, seeded by the spec seed and position."""
+        return {
+            cluster.name: make_cluster(
+                name=cluster.name,
+                domain=Domain(cluster.domain),
+                profile=cluster.profile,
+                ingress_ip=cluster.ingress_ip,
+                workers=cluster.workers,
+                seed=self.seed ^ (index + 1),
+                rollout_latency=self.rollout_latency,
+            )
+            for index, cluster in enumerate(self.clusters)
+        }
 
     @classmethod
     def default(cls, seed: int = 0) -> TestbedSpec:

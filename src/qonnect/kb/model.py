@@ -39,17 +39,6 @@ class QoSVector:
             return QoSVector(1.0, 1.0, 1.0)
         return self
 
-    def to_dict(self) -> dict:
-        return {"energy": self.energy, "pricing": self.pricing, "performance": self.performance}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> QoSVector:
-        return cls(
-            energy=float(data.get("energy", 0.0)),
-            pricing=float(data.get("pricing", 0.0)),
-            performance=float(data.get("performance", 0.0)),
-        )
-
 
 @dataclass(frozen=True)
 class ClusterRecord:
@@ -57,23 +46,6 @@ class ClusterRecord:
     domain: Domain
     external_ip: str
     registered_at: float
-
-    def to_dict(self) -> dict:
-        return {
-            "cluster_id": self.cluster_id,
-            "domain": self.domain.value,
-            "external_ip": self.external_ip,
-            "registered_at": self.registered_at,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> ClusterRecord:
-        return cls(
-            cluster_id=data["cluster_id"],
-            domain=Domain(data["domain"]),
-            external_ip=data["external_ip"],
-            registered_at=data["registered_at"],
-        )
 
 
 @dataclass(frozen=True)
@@ -99,27 +71,6 @@ class NodeSnapshot:
             if getattr(self, attr) < 0:
                 raise ValueError(f"node attribute {attr} must be non-negative")
 
-    def to_dict(self) -> dict:
-        return {
-            "cluster_id": self.cluster_id,
-            "node_name": self.node_name,
-            "ready": self.ready,
-            "schedulable": self.schedulable,
-            "pressured": self.pressured,
-            "energy": self.energy,
-            "pricing": self.pricing,
-            "cpu": self.cpu,
-            "memory": self.memory,
-            "bandwidth": self.bandwidth,
-            "storage": self.storage,
-            "taken_at": self.taken_at,
-            "role": self.role,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> NodeSnapshot:
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class ScheduleDecision:
@@ -128,25 +79,6 @@ class ScheduleDecision:
     node_names: tuple[str, ...]
     decided_at: float
     deciding_term: int
-
-    def to_dict(self) -> dict:
-        return {
-            "component_name": self.component_name,
-            "cluster_id": self.cluster_id,
-            "node_names": list(self.node_names),
-            "decided_at": self.decided_at,
-            "deciding_term": self.deciding_term,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> ScheduleDecision:
-        return cls(
-            component_name=data["component_name"],
-            cluster_id=data["cluster_id"],
-            node_names=tuple(data["node_names"]),
-            decided_at=data["decided_at"],
-            deciding_term=data["deciding_term"],
-        )
 
 
 @dataclass
@@ -157,28 +89,6 @@ class ComponentRecord:
     status: ComponentStatus = ComponentStatus.PENDING
     decision: ScheduleDecision | None = None
     last_heartbeat: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "target_domain": self.target_domain.value,
-            "manifest": self.manifest,
-            "status": self.status.value,
-            "decision": self.decision.to_dict() if self.decision else None,
-            "last_heartbeat": self.last_heartbeat,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> ComponentRecord:
-        decision = data.get("decision")
-        return cls(
-            name=data["name"],
-            target_domain=Domain(data["target_domain"]),
-            manifest=data["manifest"],
-            status=ComponentStatus(data["status"]),
-            decision=ScheduleDecision.from_dict(decision) if decision else None,
-            last_heartbeat=data.get("last_heartbeat"),
-        )
 
 
 @dataclass
@@ -197,28 +107,3 @@ class ApplicationRecord:
             if comp.name == name:
                 return comp
         return None
-
-    def to_dict(self) -> dict:
-        return {
-            "app_id": self.app_id,
-            "name": self.name,
-            "labels": dict(self.labels),
-            "qos": self.qos.to_dict(),
-            "components": [c.to_dict() for c in self.components],
-            "submitted_at": self.submitted_at,
-            "version": self.version,
-            "withdrawn": self.withdrawn,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> ApplicationRecord:
-        return cls(
-            app_id=data["app_id"],
-            name=data["name"],
-            labels=dict(data["labels"]),
-            qos=QoSVector.from_dict(data["qos"]),
-            components=[ComponentRecord.from_dict(c) for c in data["components"]],
-            submitted_at=data["submitted_at"],
-            version=data["version"],
-            withdrawn=data["withdrawn"],
-        )

@@ -9,10 +9,10 @@ which is what the status-machine property tests replay.
 
 from __future__ import annotations
 
-import json
 import uuid
 from dataclasses import dataclass, field
 
+from qonnect import codec
 from qonnect.kb.commands import (
     DeleteApplication,
     KBCommand,
@@ -34,11 +34,22 @@ from qonnect.kb.model import (
     ScheduleDecision,
 )
 
-SNAPSHOT_SCHEMA_VERSION = 1
-
 # Namespace for deriving cluster ids from (domain, external ip); makes
 # RegisterCluster idempotent and replica-deterministic by construction.
 _CLUSTER_ID_NAMESPACE = uuid.UUID("87e1f2da-4b6e-4f80-9da5-5ea726ea3d58")
+
+_decode_node = codec.decoder(NodeSnapshot)
+
+
+def node_from_wire(wire: object, cluster_id: str, taken_at: float) -> NodeSnapshot:
+    """The ``NodeSnapshot`` a reported node applies as; ``ValueError`` if malformed.
+
+    The leader stamps ``cluster_id`` and ``taken_at``; the wire form may not
+    carry them.
+    """
+    if type(wire) is not dict or "cluster_id" in wire or "taken_at" in wire:
+        raise ValueError("a node must be an object without cluster_id or taken_at")
+    return _decode_node({**wire, "cluster_id": cluster_id, "taken_at": taken_at})
 
 _HEARTBEAT_STATUS = {
     "healthy": ComponentStatus.HEALTHY,
@@ -193,10 +204,12 @@ class KnowledgeBase:
         if cmd.cluster_id not in self.clusters:
             return _noop("unknown-cluster", cluster_id=cmd.cluster_id)
         stored, flags = 0, []
-        for wire in cmd.nodes:
-            snap = NodeSnapshot(
-                cluster_id=cmd.cluster_id, taken_at=cmd.taken_at, **dict(wire)
-            )
+        for i, wire in enumerate(cmd.nodes):
+            try:
+                snap = node_from_wire(wire, cmd.cluster_id, cmd.taken_at)
+            except ValueError:  # logged before leaders checked reports
+                flags.append(f"malformed-node:{i}")
+                continue
             key = (cmd.cluster_id, snap.node_name)
             existing = self.nodes.get(key)
             if existing is not None and existing.taken_at > snap.taken_at:
@@ -346,38 +359,41 @@ class KnowledgeBase:
     # ------------------------------------------------------------------
 
     def snapshot_state(self) -> str:
-        return json.dumps(
-            {
-                "v": SNAPSHOT_SCHEMA_VERSION,
-                "clusters": [c.to_dict() for c in self.clusters.values()],
-                "nodes": [n.to_dict() for n in self.nodes.values()],
-                "applications": [a.to_dict() for a in self.applications.values()],
-            },
-            separators=(",", ":"),
-            sort_keys=True,
+        return codec.dumps(
+            _encode_state(
+                _State(
+                    v=codec.VERSION,
+                    clusters=list(self.clusters.values()),
+                    nodes=list(self.nodes.values()),
+                    applications=list(self.applications.values()),
+                )
+            )
         )
 
     @classmethod
     def restore(cls, blob: str) -> KnowledgeBase:
-        try:
-            data = json.loads(blob)
-        except (json.JSONDecodeError, TypeError) as exc:
-            raise ValueError(f"invalid knowledge base snapshot: {exc}") from exc
-        if not isinstance(data, dict) or data.get("v") != SNAPSHOT_SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported knowledge base snapshot schema: {data.get('v') if isinstance(data, dict) else data!r}"
-            )
+        """Load a ``snapshot_state`` blob; a malformed one raises ``ValueError``."""
+        state = _decode_state(codec.loads(blob))
         kb = cls()
-        try:
-            for cdata in data["clusters"]:
-                rec = ClusterRecord.from_dict(cdata)
-                kb.clusters[rec.cluster_id] = rec
-            for ndata in data["nodes"]:
-                snap = NodeSnapshot.from_dict(ndata)
-                kb.nodes[(snap.cluster_id, snap.node_name)] = snap
-            for adata in data["applications"]:
-                app = ApplicationRecord.from_dict(adata)
-                kb.applications[app.app_id] = app
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise ValueError(f"malformed knowledge base snapshot: {exc!r}") from exc
+        kb.clusters = {rec.cluster_id: rec for rec in state.clusters}
+        kb.nodes = {(snap.cluster_id, snap.node_name): snap for snap in state.nodes}
+        kb.applications = {app.app_id: app for app in state.applications}
         return kb
+
+
+@dataclass(frozen=True)
+class _State:
+    """The snapshot document: every record of the KB, schema v1."""
+
+    v: int
+    clusters: list[ClusterRecord]
+    nodes: list[NodeSnapshot]
+    applications: list[ApplicationRecord]
+
+    def __post_init__(self) -> None:
+        if self.v != codec.VERSION:
+            raise ValueError(f"unsupported knowledge base snapshot schema: {self.v!r}")
+
+
+_encode_state = codec.encoder(_State)
+_decode_state = codec.decoder(_State)

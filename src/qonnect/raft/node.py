@@ -279,7 +279,7 @@ class RaftNode:
         snapshot = Snapshot(index=upto_index, term=term, blob=state_blob)
         self._entries = [e for e in self._entries if e.index > upto_index]
         self._snapshot = snapshot
-        self.storage.save_snapshot(snapshot)
+        self.storage.save_snapshot(snapshot, self._entries)
         return snapshot
 
     # ------------------------------------------------------------------
@@ -476,7 +476,7 @@ class RaftNode:
                 self._entries = []
                 self.storage.truncate_from(0)
             self._snapshot = snapshot
-            self.storage.save_snapshot(snapshot)
+            self.storage.save_snapshot(snapshot, self._entries)
             self.commit_index = max(self.commit_index, msg.last_included_index)
             self.last_applied = msg.last_included_index
             installed = msg.state_blob

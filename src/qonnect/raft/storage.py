@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Protocol
 
+from qonnect import codec
 from qonnect.raft.messages import LogEntry
 
 WAL_FILE = "wal.jsonl"
@@ -47,7 +48,27 @@ class RaftStorage(Protocol):
 
     def truncate_from(self, index: int) -> None: ...
 
-    def save_snapshot(self, snapshot: Snapshot) -> None: ...
+    def save_snapshot(self, snapshot: Snapshot, entries: Iterable[LogEntry]) -> None:
+        """Store ``snapshot`` and keep exactly ``entries``, the log after it."""
+        ...
+
+
+@dataclass(frozen=True)
+class _SnapshotFile:
+    """The snapshot file: a ``Snapshot`` and its schema version."""
+
+    v: int
+    index: int
+    term: int
+    blob: str
+
+    def __post_init__(self) -> None:
+        if self.v != SNAPSHOT_SCHEMA_VERSION:
+            raise ValueError(f"unsupported snapshot schema: {self.v!r}")
+
+
+_encode_file = codec.encoder(_SnapshotFile)
+_decode_file = codec.decoder(_SnapshotFile)
 
 
 class MemoryStorage:
@@ -74,9 +95,9 @@ class MemoryStorage:
     def truncate_from(self, index: int) -> None:
         self._state.entries = [e for e in self._state.entries if e.index < index]
 
-    def save_snapshot(self, snapshot: Snapshot) -> None:
+    def save_snapshot(self, snapshot: Snapshot, entries: Iterable[LogEntry]) -> None:
         self._state.snapshot = snapshot
-        self._state.entries = [e for e in self._state.entries if e.index > snapshot.index]
+        self._state.entries = list(entries)
 
 
 class FileStorage:
@@ -87,6 +108,9 @@ class FileStorage:
         self._dir.mkdir(parents=True, exist_ok=True)
         self._wal_path = self._dir / WAL_FILE
         self._wal = self._wal_path.open("a", encoding="utf-8")
+        # The term and vote last loaded or saved, for rewriting the WAL.
+        fresh = PersistedState()
+        self._meta = _meta_record(fresh.term, fresh.voted_for)
 
     def close(self) -> None:
         self._wal.close()
@@ -95,10 +119,8 @@ class FileStorage:
         state = PersistedState()
         snap_path = self._dir / SNAPSHOT_FILE
         if snap_path.exists():
-            data = json.loads(snap_path.read_text(encoding="utf-8"))
-            if data.get("v") != SNAPSHOT_SCHEMA_VERSION:
-                raise ValueError(f"unsupported snapshot schema: {data.get('v')!r}")
-            state.snapshot = Snapshot(index=data["index"], term=data["term"], blob=data["blob"])
+            doc = _decode_file(codec.loads(snap_path.read_text(encoding="utf-8")))
+            state.snapshot = Snapshot(doc.index, doc.term, doc.blob)
         if self._wal_path.exists():
             by_index: dict[int, LogEntry] = {}
             with self._wal_path.open("r", encoding="utf-8") as fh:
@@ -120,50 +142,47 @@ class FileStorage:
                         by_index = {i: e for i, e in by_index.items() if i < rec["i"]}
             base = state.snapshot.index if state.snapshot else 0
             state.entries = [by_index[i] for i in sorted(by_index) if i > base]
+        self._meta = _meta_record(state.term, state.voted_for)
         return state
 
     def _write(self, record: dict) -> None:
-        self._wal.write(json.dumps(record, separators=(",", ":")) + "\n")
+        self._wal.write(_line(record))
         self._wal.flush()
 
     def save_state(self, term: int, voted_for: int | None) -> None:
-        self._write({"t": "meta", "term": term, "vote": voted_for})
+        self._meta = _meta_record(term, voted_for)
+        self._write(self._meta)
 
     def append_entries(self, entries: Iterable[LogEntry]) -> None:
         for e in entries:
-            self._write({"t": "entry", "i": e.index, "tm": e.term, "c": e.command})
+            self._write(_entry_record(e))
 
     def truncate_from(self, index: int) -> None:
         self._write({"t": "trunc", "i": index})
 
-    def save_snapshot(self, snapshot: Snapshot) -> None:
+    def save_snapshot(self, snapshot: Snapshot, entries: Iterable[LogEntry]) -> None:
         snap_path = self._dir / SNAPSHOT_FILE
         tmp = snap_path.with_suffix(".tmp")
-        tmp.write_text(
-            json.dumps(
-                {
-                    "v": SNAPSHOT_SCHEMA_VERSION,
-                    "index": snapshot.index,
-                    "term": snapshot.term,
-                    "blob": snapshot.blob,
-                }
-            ),
-            encoding="utf-8",
-        )
+        doc = _SnapshotFile(SNAPSHOT_SCHEMA_VERSION, snapshot.index, snapshot.term, snapshot.blob)
+        tmp.write_text(codec.dumps(_encode_file(doc)), encoding="utf-8")
         tmp.rename(snap_path)
         # Rewrite the WAL so the discarded log prefix does not grow unbounded.
-        state = self.load()
         self._wal.close()
         tmp_wal = self._wal_path.with_suffix(".tmp")
         with tmp_wal.open("w", encoding="utf-8") as fh:
-            fh.write(
-                json.dumps({"t": "meta", "term": state.term, "vote": state.voted_for}) + "\n"
-            )
-            for e in state.entries:
-                if e.index > snapshot.index:
-                    fh.write(
-                        json.dumps({"t": "entry", "i": e.index, "tm": e.term, "c": e.command})
-                        + "\n"
-                    )
+            fh.write(_line(self._meta))
+            fh.writelines(_line(_entry_record(e)) for e in entries)
         tmp_wal.rename(self._wal_path)
         self._wal = self._wal_path.open("a", encoding="utf-8")
+
+
+def _meta_record(term: int, voted_for: int | None) -> dict:
+    return {"t": "meta", "term": term, "vote": voted_for}
+
+
+def _entry_record(e: LogEntry) -> dict:
+    return {"t": "entry", "i": e.index, "tm": e.term, "c": e.command}
+
+
+def _line(record: dict) -> str:
+    return json.dumps(record, separators=(",", ":")) + "\n"

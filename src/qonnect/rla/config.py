@@ -8,6 +8,8 @@ from pathlib import Path
 
 import yaml
 
+from qonnect.raft.node import RaftConfig
+
 ENV_PREFIX = "QONNECT_RLA_"
 
 
@@ -35,6 +37,15 @@ class RlaConfig:
             raise ValueError("rla_id must appear in the peer map")
         if self.compact_every < 1:
             raise ValueError(f"compact_every must be at least 1, got {self.compact_every}")
+
+    def raft_config(self, members: tuple[int, ...]) -> RaftConfig:
+        return RaftConfig(
+            node_id=self.rla_id,
+            members=members,
+            election_timeout=self.election_timeout,
+            heartbeat_interval=self.heartbeat_interval,
+            seed=self.seed,
+        )
 
     def peer_address(self, rla_id: int | None) -> str | None:
         if rla_id is None:

@@ -21,24 +21,18 @@ from qonnect.rla.service import (
 )
 
 
+def _route(method: str, path: str, handler: Callable[..., tuple[int, dict]]) -> tuple:
+    """A route with its pattern parsed once: per segment, (param name, None) or (None, literal)."""
+    pattern = tuple(
+        (s[1:-1], None) if s.startswith("{") and s.endswith("}") else (None, s)
+        for s in path.split("/")
+    )
+    return method, pattern, handler
+
+
 class RestApi:
     def __init__(self, service: RlaService) -> None:
         self.service = service
-        self._routes: list[tuple[str, list[str], Callable[..., tuple[int, dict]]]] = [
-            ("POST", ["clusters", "register"], self._register),
-            ("GET", ["clusters", "config"], self._config),
-            ("POST", ["clusters", "{cluster_id}", "nodes"], self._nodes),
-            ("GET", ["clusters", "{cluster_id}", "applications"], self._poll),
-            ("POST", ["applications"], self._submit),
-            ("PUT", ["applications", "{name}", "qos"], self._qos),
-            ("DELETE", ["applications", "{name}"], self._delete),
-            (
-                "POST",
-                ["applications", "{app_id}", "components", "{component}", "heartbeat"],
-                self._heartbeat,
-            ),
-            ("GET", ["status"], self._status),
-        ]
 
     # -- handlers --------------------------------------------------------
 
@@ -92,18 +86,32 @@ class RestApi:
     def _status(self, params: dict, body: dict) -> tuple[int, dict]:
         return 200, self.service.status()
 
+    # Parsed once for the class; a handler is called with the instance.
+    _routes = [
+        _route("POST", "clusters/register", _register),
+        _route("GET", "clusters/config", _config),
+        _route("POST", "clusters/{cluster_id}/nodes", _nodes),
+        _route("GET", "clusters/{cluster_id}/applications", _poll),
+        _route("POST", "applications", _submit),
+        _route("PUT", "applications/{name}/qos", _qos),
+        _route("DELETE", "applications/{name}", _delete),
+        _route("POST", "applications/{app_id}/components/{component}/heartbeat", _heartbeat),
+        _route("GET", "status", _status),
+    ]
+
     # -- dispatch ---------------------------------------------------------
 
     def dispatch(self, method: str, path: str, body: object = None) -> tuple[int, dict]:
         segments = [s for s in path.split("/") if s]
+        method = method.upper()
         for route_method, pattern, handler in self._routes:
-            if route_method != method.upper() or len(pattern) != len(segments):
+            if route_method != method or len(pattern) != len(segments):
                 continue
             params: dict[str, str] = {}
-            for expected, actual in zip(pattern, segments):
-                if expected.startswith("{") and expected.endswith("}"):
-                    params[expected[1:-1]] = actual
-                elif expected != actual:
+            for (name, literal), actual in zip(pattern, segments):
+                if name is not None:
+                    params[name] = actual
+                elif literal != actual:
                     break
             else:
                 return self._invoke(handler, params, {} if body is None else body)
@@ -113,7 +121,7 @@ class RestApi:
         if not isinstance(body, dict):
             return 400, {"errors": [{"field": "body", "error": "body must be a JSON object"}]}
         try:
-            return handler(params, body)
+            return handler(self, params, body)
         except ValidationFailed as exc:
             return 400, {"errors": exc.errors}
         except NotFoundError as exc:

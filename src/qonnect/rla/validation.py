@@ -12,10 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from qonnect import codec
 from qonnect.kb.model import Domain, QoSVector
 
 VALID_DOMAINS = {d.value for d in Domain}
 HEARTBEAT_STATUSES = ("healthy", "progressing", "failed")
+
+_decode_qos = codec.decoder(QoSVector)
 
 
 @dataclass(frozen=True)
@@ -35,22 +38,11 @@ def _ingress_first_segment(obj: dict) -> str | None:
 
 
 def parse_qos(data: object) -> QoSVector:
+    """Weights from a request; unknown keys, non-numbers and negatives raise ``ValueError``."""
     if data is None:
         return QoSVector()
-    if not isinstance(data, dict):
-        raise ValueError("qos must be a mapping of energy/pricing/performance weights")
-    unknown = set(data) - {"energy", "pricing", "performance"}
-    if unknown:
-        raise ValueError(f"unknown qos keys: {sorted(unknown)}")
-    values = {}
-    for key in ("energy", "pricing", "performance"):
-        raw = data.get(key, 0.0)
-        if not isinstance(raw, (int, float)) or isinstance(raw, bool):
-            raise ValueError(f"qos.{key} must be a number")
-        if raw < 0:
-            raise ValueError(f"qos.{key} must be non-negative")
-        values[key] = float(raw)
-    return QoSVector(**values)
+    qos = _decode_qos(data)
+    return QoSVector(float(qos.energy), float(qos.pricing), float(qos.performance))
 
 
 def validate_bundle(bundle: object) -> tuple[ParsedBundle | None, list[dict]]:

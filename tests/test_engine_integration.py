@@ -193,3 +193,50 @@ def test_proposer_gets_its_effects_after_compaction_swallowed_the_entry(monkeypa
     # Every control write still answers with its effect.
     app_id = dep.client().submit_application(bookinfo_bundle("compacted"))
     assert dep.kb().live_application("compacted").app_id == app_id
+
+
+GOOD_NODE = {
+    "node_name": "edge-energy-w9",
+    "ready": True,
+    "schedulable": True,
+    "pressured": False,
+    "energy": 0.002,
+    "pricing": 1.0,
+    "cpu": 4.0,
+    "memory": 8.0,
+    "bandwidth": 52.5,
+    "storage": 100.0,
+}
+
+
+def test_malformed_node_telemetry_gets_400_and_never_reaches_the_log():
+    dep = Deployment(seed=28)
+    dep.boot()
+    leader_id = dep.leader_id()
+    api, service = dep.apis[f"rla-{leader_id}"], dep.services[leader_id]
+    path = f"/clusters/{dep.cluster_id_of('edge-energy')}/nodes"
+    bad_nodes = [
+        {"bogus": 1},
+        {**GOOD_NODE, "energy": -1},
+        {**GOOD_NODE, "cpu": "4"},
+        {**GOOD_NODE, "taken_at": 1.0},
+        "edge-energy-w9",
+    ]
+    for bad in bad_nodes:
+        status, body = api.dispatch("POST", path, {"nodes": [GOOD_NODE, bad]})
+        assert status == 400, bad
+        assert [e["field"] for e in body["errors"]] == ["nodes[1]"]
+    assert service._telemetry == []  # not even the good node was queued
+
+    dep.run(3 * dep.spec.telemetry_flush)  # flushes would apply anything queued
+    assert_replicas_converge(dep)
+    assert all(name != "edge-energy-w9" for _cid, name in dep.kb().nodes)
+    status, _ = api.dispatch("POST", path, {"nodes": [GOOD_NODE]})
+    assert status == 200
+    # Every report is checked alike: an accepted one before it changes nothing.
+    status, _ = api.dispatch("POST", path, {"nodes": [{**GOOD_NODE, "ready": 1}]})
+    assert status == 400
+    status, _ = api.dispatch("POST", path, {"nodes": [{**GOOD_NODE, "cpu": 4}]})
+    assert status == 200
+    assert [cmd.nodes for cmd in service._telemetry] == [(GOOD_NODE,), ({**GOOD_NODE, "cpu": 4},)]
+    assert type(service._telemetry[-1].nodes[0]["cpu"]) is int  # logged as sent

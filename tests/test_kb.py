@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from qonnect.kb import (
+    Batch,
     ComponentStatus,
     DeleteApplication,
     Domain,
@@ -213,6 +214,25 @@ def test_control_plane_node_is_stored_but_flagged():
     )
     assert any(f.startswith("control-plane-node-reported") for f in effect.detail["flags"])
     assert (cid, "cp-1") in kb.nodes
+
+
+def test_committed_malformed_nodes_are_flagged_and_skipped():
+    # Entries logged before leaders checked node reports may hold such nodes.
+    kb = KnowledgeBase()
+    cid = register(kb, "10.1.0.1", Domain.CLOUD)
+    bad = (
+        {"bogus": 1},
+        node_wire("w2", energy=-1),
+        node_wire("w3", cluster_id="x"),
+        node_wire(["w4"]),
+        node_wire("w5", ready=1),
+    )
+    logged = Batch((PutNodeSnapshot(cid, (node_wire("w1"), *bad), taken_at=1.0),))
+    (cmd,) = decode_command(encode_command(logged)).commands
+    effect = kb.apply(cmd)
+    assert effect.detail["stored"] == 1
+    assert effect.detail["flags"] == [f"malformed-node:{i}" for i in range(1, 6)]
+    assert list(kb.nodes) == [(cid, "w1")]
 
 
 def populated_kb() -> KnowledgeBase:

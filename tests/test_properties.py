@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -72,12 +74,7 @@ def test_zero_qos_equals_unit_qos(nodes):
     factor=st.sampled_from([0.25, 0.5, 2.0, 3.0, 4.0, 8.0]),
 )
 def test_positive_scaling_of_one_attribute_changes_nothing(nodes, qos, attribute, factor):
-    scaled = [
-        NodeSnapshot(
-            **{**n.to_dict(), attribute: getattr(n, attribute) * factor}
-        )
-        for n in nodes
-    ]
+    scaled = [replace(n, **{attribute: getattr(n, attribute) * factor}) for n in nodes]
     base = score_and_filter_nodes(nodes, qos, now=100.0, staleness=60.0)
     after = score_and_filter_nodes(scaled, qos, now=100.0, staleness=60.0)
     assert base is not None and after is not None

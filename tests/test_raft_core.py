@@ -14,6 +14,7 @@ from qonnect.raft import (
     AppendResponse,
     FileStorage,
     LogEntry,
+    MemoryStorage,
     NotLeaderError,
     RaftConfig,
     RaftNode,
@@ -26,6 +27,7 @@ from qonnect.raft import (
     encode_message,
 )
 from qonnect.raft.simulation import RaftHarness
+from qonnect.raft.storage import Snapshot
 
 
 def make_node(node_id: int = 0, size: int = 3, **kwargs) -> RaftNode:
@@ -294,6 +296,42 @@ def test_restart_from_wal_and_snapshot_preserves_state(tmp_path):
         assert node.last_log_index == last_index
         assert node.entries_from(1) == entries
     assert harness.nodes[leader_id].snapshot.blob == "blob-10"
+
+
+@pytest.mark.parametrize("durable", [False, True])
+def test_storage_reloads_term_vote_snapshot_and_entries_after_compaction(tmp_path, durable):
+    storage = FileStorage(tmp_path) if durable else MemoryStorage()
+    node = RaftNode(RaftConfig(node_id=0, members=(0, 1, 2)), storage=storage)
+    entries = tuple(LogEntry(i, 2, f"c{i}") for i in range(1, 6))
+    node.handle_message(VoteRequest(src=1, dst=0, term=2, last_log_index=0, last_log_term=0))
+    node.handle_message(AppendRequest(1, 0, 2, 0, 0, entries, leader_commit=2))
+    # A new term and vote, then a leader whose log disagrees from index 4 on.
+    node.handle_message(VoteRequest(src=2, dst=0, term=3, last_log_index=5, last_log_term=2))
+    node.handle_message(AppendRequest(2, 0, 3, 3, 2, (LogEntry(4, 3, "x4"),), leader_commit=4))
+    node.compact(3, state_blob="blob-3")
+    node.handle_message(AppendRequest(2, 0, 3, 4, 3, (LogEntry(5, 3, "x5"),), leader_commit=4))
+    assert (node.current_term, node.voted_for) == (3, 2)
+
+    if durable:
+        storage.close()
+        storage = FileStorage(tmp_path)
+        storage.close()  # load reads the files afresh
+    state = storage.load()
+    assert (state.term, state.voted_for) == (node.current_term, node.voted_for)
+    assert state.snapshot == node.snapshot and state.snapshot.blob == "blob-3"
+    assert state.entries == node.entries_from(4) == [LogEntry(4, 3, "x4"), LogEntry(5, 3, "x5")]
+
+
+@pytest.mark.parametrize("version", [0, 2, "1", True, None])
+def test_file_storage_refuses_other_snapshot_file_versions(tmp_path, version):
+    storage = FileStorage(tmp_path)
+    storage.save_snapshot(Snapshot(index=3, term=2, blob="blob-3"), [LogEntry(4, 2, "c4")])
+    storage.close()
+    assert FileStorage(tmp_path).load().snapshot == Snapshot(3, 2, "blob-3")
+    path = tmp_path / "snapshot.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "v": version}))
+    with pytest.raises(ValueError):
+        FileStorage(tmp_path).load()
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,33 @@ def test_node_snapshot_unknown_cluster_404_and_control_plane_flagged(dep):
     assert (cid, "sneaky-control-plane") in dep.kb().nodes
 
 
+def test_repeated_node_report_gets_the_same_answer_and_is_queued_as_sent(dep, monkeypatch):
+    api, service = leader_api(dep), dep.services[dep.leader_id()]
+    checked = []
+    check = service_module._check_report
+    monkeypatch.setattr(
+        service_module, "_check_report", lambda *args: checked.append(1) or check(*args)
+    )
+    cid = dep.cluster_id_of("cloud-energy")
+    node = {
+        "node_name": "cp", "ready": True, "schedulable": True, "pressured": False,
+        "energy": 0.1, "pricing": 1.0, "cpu": 1.0, "memory": 1.0, "bandwidth": 1.0,
+        "storage": 1.0, "role": "control-plane",
+    }
+    service._telemetry.clear()
+    path = f"/clusters/{cid}/nodes"
+    answers = [api.dispatch("POST", path, {"nodes": [dict(node)]}) for _ in "ab"]
+    flags = ["control-plane-node-reported:cp"]
+    assert answers[0] == answers[1] == (200, {"accepted": 1, "flags": flags})
+    assert len(checked) == 1  # the identical second report is not decoded again
+    assert [cmd.nodes for cmd in service._telemetry] == [(node,), (node,)]
+    assert service._telemetry[0].nodes[0] is not service._telemetry[1].nodes[0]
+    # Equal values of other types are different reports, checked on their own.
+    for changes, status in (({"pricing": True}, 400), ({"pricing": 1}, 200)):
+        assert api.dispatch("POST", path, {"nodes": [{**node, **changes}]})[0] == status
+    assert len(checked) == 3
+
+
 def test_submit_validation_errors_are_field_level(dep):
     api = leader_api(dep)
     bundle = bookinfo_bundle("bookinfo")
@@ -420,3 +447,28 @@ def test_snapshot_install_restarts_the_compaction_trigger():
     assert compacted["index"] == newer + below + 1
     assert compacted["logged_bytes"] >= len(blob)
     assert compacted["snapshot_bytes"] == len(service.kb.snapshot_state())
+
+
+def test_apply_path_calls_the_names_the_benchmark_tracer_wraps(monkeypatch):
+    # benchmark/tracing.py times decoding by wrapping ``decode_command`` in
+    # ``qonnect.rla.service``'s namespace and snapshots by wrapping
+    # ``KnowledgeBase.snapshot_state``; a rename would silently drop both spans.
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(
+        service_module, "decode_command", spy("decode", service_module.decode_command)
+    )
+    monkeypatch.setattr(
+        KnowledgeBase, "snapshot_state", spy("snapshot", KnowledgeBase.snapshot_state)
+    )
+    monkeypatch.setattr(service_module, "_COMPACT_RATIO", 0)  # compact at every entry
+    service = follower_service(MemoryStorage(), compact_every=1)
+    replicate(service, [RegisterCluster("10.0.0.1", Domain.EDGE, 1.0)])
+    assert calls == ["decode", "snapshot"]
