@@ -8,8 +8,9 @@ dataclass as an object of its fields (a field with a default may be
 omitted), and a union of dataclasses with a ``kind`` class attribute as
 ``{"v": VERSION, "kind": cls.kind, **fields}``. ``X | None``,
 ``tuple[X, ...]``, fixed tuples and ``list[X]`` nest, ``dict[str, X]`` takes
-scalar values, and a bare ``dict`` (a manifest, a node's wire form) is opaque
-and passes through. Any other type raises ``TypeError`` when its codec is
+scalar values, and a bare ``dict`` (a manifest) is opaque and passes
+through, as does ``Any``, which takes any JSON value (a logged node report,
+which apply checks). Any other type raises ``TypeError`` when its codec is
 built.
 
 A decoder raises ``ValueError`` for malformed input, and no other exception.
@@ -76,6 +77,8 @@ def _codec(tp: Any) -> _Codec:
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if tp in _EXACT:
         return _scalar(_EXACT[tp])
+    if tp is Any:
+        return _Codec(None, _identity)
     if isinstance(tp, type) and issubclass(tp, Enum):
         return _enum(tp)
     if dataclasses.is_dataclass(tp):

@@ -196,6 +196,14 @@ class LiveRla:
         self._dispatch(rest)
         return reply
 
+    def dispatch(self, method: str, path: str, body: object = None) -> tuple[int, dict]:
+        """Serve one REST call under the lock that commits apply under, so a
+        handler never reads the KB or its indexes mid-apply. A write's wait
+        for its commit releases the lock (``Condition.wait`` releases an
+        ``RLock`` however deeply it is held)."""
+        with self._lock:
+            return self.rest.dispatch(method, path, body)
+
     def _propose_and_wait(self, entry: KBCommand | Batch, timeout: float = 5.0) -> list[Effect]:
         with self._lock:
             index = self.node.propose(encode_command(entry))
@@ -260,7 +268,7 @@ class _RlaHandler(BaseHTTPRequestHandler):
             except (ValueError, UnicodeDecodeError):
                 self._respond(400, b'{"error":"invalid-json"}', "application/json")
                 return
-        status, response = rla.rest.dispatch(method, self.path, body)
+        status, response = rla.dispatch(method, self.path, body)
         headers = {}
         if status == 307 and response.get("leader_address"):
             headers["Location"] = f"http://{response['leader_address']}{self.path}"

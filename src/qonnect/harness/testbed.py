@@ -18,7 +18,7 @@ from qonnect.agent.client import RlaClient
 from qonnect.agent.ra import RaConfig, ResourceAgent
 from qonnect.events import EventLog
 from qonnect.kb.model import Domain
-from qonnect.rla.config import RlaConfig
+from qonnect.rla.config import RlaConfig, election_timeout_from
 from qonnect.sim.cluster import SimCluster, make_cluster
 from qonnect.sim.profiles import PROFILES
 
@@ -164,7 +164,6 @@ class TestbedSpec:
             )
             for c in (data.get("clusters") or [])
         ]
-        timeout = data.get("election_timeout", (0.15, 0.30))
         return cls(
             clusters=clusters,
             rla_count=int(data.get("rla_count", 3)),
@@ -178,7 +177,7 @@ class TestbedSpec:
             ra_heartbeat_period=float(data.get("ra_heartbeat_period", 10.0)),
             rollout_timeout=float(data.get("rollout_timeout", 120.0)),
             rollout_latency=float(data.get("rollout_latency", 2.0)),
-            election_timeout=(float(timeout[0]), float(timeout[1])),
+            election_timeout=election_timeout_from(data, env, ENV_PREFIX),
             heartbeat_interval=float(data.get("heartbeat_interval", 0.05)),
         )
 

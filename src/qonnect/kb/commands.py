@@ -14,7 +14,7 @@ batches existed still decode. Entries are written by ``qonnect.codec`` as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Any, Union
 
 from qonnect import codec
 from qonnect.kb.model import Domain, QoSVector
@@ -32,7 +32,10 @@ class RegisterCluster:
 class PutNodeSnapshot:
     kind = "put-node-snapshot"
     cluster_id: str
-    nodes: tuple[dict, ...]  # wire-form node dicts, taken_at stamped on apply
+    # Wire-form node dicts, taken_at stamped on apply. Any JSON value decodes,
+    # so an entry logged before leaders checked reports still replays; apply
+    # flags and skips a node that is not a well-formed object.
+    nodes: tuple[Any, ...]
     taken_at: float
 
 

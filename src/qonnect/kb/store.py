@@ -86,6 +86,11 @@ class KnowledgeBase:
         self.clusters: dict[str, ClusterRecord] = {}
         self.nodes: dict[tuple[str, str], NodeSnapshot] = {}
         self.applications: dict[str, ApplicationRecord] = {}
+        # Indexes kept by apply and rebuilt by restore; they are derived from
+        # the records above, so equality and snapshots leave them out.
+        self._live_by_name: dict[str, ApplicationRecord] = {}
+        # cluster id -> (app id, component) of its Scheduled components.
+        self._scheduled: dict[str, set[tuple[str, str]]] = {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KnowledgeBase):
@@ -101,10 +106,15 @@ class KnowledgeBase:
     # ------------------------------------------------------------------
 
     def live_application(self, name: str) -> ApplicationRecord | None:
-        for app in self.applications.values():
-            if app.name == name and not app.withdrawn:
-                return app
-        return None
+        return self._live_by_name.get(name)
+
+    def scheduled_applications(self, cluster_id: str) -> list[ApplicationRecord]:
+        """Apps with a component Scheduled on this cluster, by (submitted_at, name)."""
+        app_ids = {app_id for app_id, _ in self._scheduled.get(cluster_id, ())}
+        return sorted(
+            (self.applications[app_id] for app_id in app_ids),
+            key=lambda a: (a.submitted_at, a.name),
+        )
 
     def cluster_config(self) -> dict[str, str]:
         """cluster id -> ingress ip for every registered cluster."""
@@ -173,8 +183,17 @@ class KnowledgeBase:
     def _transition(
         self, effect: Effect, app: ApplicationRecord, comp: ComponentRecord, to: ComponentStatus
     ) -> None:
+        """Move ``comp`` to ``to``: the one place a status changes.
+
+        A move to Scheduled needs ``comp.decision`` set, and a move away from
+        it needs the decision still set: it names the cluster to unindex.
+        """
         if comp.status == to:
             return
+        if comp.status == ComponentStatus.SCHEDULED:
+            self._unindex_scheduled(app, comp)
+        if to == ComponentStatus.SCHEDULED:
+            self._index_scheduled(app, comp)
         effect.transitions.append(
             {
                 "app": app.name,
@@ -184,6 +203,20 @@ class KnowledgeBase:
             }
         )
         comp.status = to
+
+    def _index_scheduled(self, app: ApplicationRecord, comp: ComponentRecord) -> None:
+        if comp.decision is not None:
+            cluster = self._scheduled.setdefault(comp.decision.cluster_id, set())
+            cluster.add((app.app_id, comp.name))
+
+    def _unindex_scheduled(self, app: ApplicationRecord, comp: ComponentRecord) -> None:
+        if comp.decision is None:
+            return
+        cluster = self._scheduled.get(comp.decision.cluster_id)
+        if cluster is not None:
+            cluster.discard((app.app_id, comp.name))
+            if not cluster:
+                del self._scheduled[comp.decision.cluster_id]
 
     def _apply_register(self, cmd: RegisterCluster) -> Effect:
         cid = cluster_id_for(cmd.external_ip, cmd.domain)
@@ -233,7 +266,7 @@ class KnowledgeBase:
             effect.transitions.append(
                 {"app": cmd.name, "component": name, "from": None, "to": comp.status.value}
             )
-        self.applications[cmd.app_id] = ApplicationRecord(
+        app = ApplicationRecord(
             app_id=cmd.app_id,
             name=cmd.name,
             labels=dict(cmd.labels),
@@ -241,6 +274,15 @@ class KnowledgeBase:
             components=components,
             submitted_at=cmd.submitted_at,
         )
+        replaced = self.applications.get(cmd.app_id)
+        if replaced is not None:  # a reused app id drops the record it replaces
+            if self._live_by_name.get(replaced.name) is replaced:
+                del self._live_by_name[replaced.name]
+            for comp in replaced.components:
+                if comp.status == ComponentStatus.SCHEDULED:
+                    self._unindex_scheduled(replaced, comp)
+        self.applications[cmd.app_id] = app
+        self._live_by_name[cmd.name] = app
         return effect
 
     def _apply_update_qos(self, cmd: UpdateQoS) -> Effect:
@@ -254,9 +296,9 @@ class KnowledgeBase:
         for comp in app.components:
             if comp.status == ComponentStatus.WITHDRAWN:
                 continue
+            self._transition(effect, app, comp, ComponentStatus.PENDING)
             comp.decision = None
             comp.last_heartbeat = None
-            self._transition(effect, app, comp, ComponentStatus.PENDING)
         return effect
 
     def _apply_delete(self, cmd: DeleteApplication) -> Effect:
@@ -264,10 +306,11 @@ class KnowledgeBase:
         if app is None:
             return _noop("unknown-application", name=cmd.name)
         app.withdrawn = True
+        del self._live_by_name[cmd.name]
         effect = Effect(kind="application-withdrawn", detail={"name": cmd.name})
         for comp in app.components:
-            comp.decision = None
             self._transition(effect, app, comp, ComponentStatus.WITHDRAWN)
+            comp.decision = None
         return effect
 
     def _apply_decision(self, cmd: RecordDecision) -> Effect:
@@ -345,13 +388,13 @@ class KnowledgeBase:
             return _noop("already-pending", component=cmd.component)
         if comp.status == ComponentStatus.WITHDRAWN:
             return _noop("withdrawn", component=cmd.component)
-        comp.decision = None
-        comp.last_heartbeat = None
         effect = Effect(
             kind="component-requeued",
             detail={"app": app.name, "component": comp.name, "reason": cmd.reason},
         )
         self._transition(effect, app, comp, ComponentStatus.PENDING)
+        comp.decision = None
+        comp.last_heartbeat = None
         return effect
 
     # ------------------------------------------------------------------
@@ -378,6 +421,12 @@ class KnowledgeBase:
         kb.clusters = {rec.cluster_id: rec for rec in state.clusters}
         kb.nodes = {(snap.cluster_id, snap.node_name): snap for snap in state.nodes}
         kb.applications = {app.app_id: app for app in state.applications}
+        for app in kb.applications.values():
+            if not app.withdrawn:
+                kb._live_by_name.setdefault(app.name, app)
+            for comp in app.components:
+                if comp.status == ComponentStatus.SCHEDULED:
+                    kb._index_scheduled(app, comp)
         return kb
 
 

@@ -13,6 +13,27 @@ from qonnect.raft.node import RaftConfig
 ENV_PREFIX = "QONNECT_RLA_"
 
 
+def election_timeout_from(data: dict, env: dict[str, str], prefix: str) -> tuple[float, float]:
+    """The ``election_timeout`` of a config whose environment overrides are in ``data``.
+
+    A YAML file gives two numbers; the variable ``<prefix>ELECTION_TIMEOUT``
+    gives ``"lo,hi"``. Anything but ``0 < lo <= hi`` raises ``ValueError``
+    naming where it came from.
+    """
+    value = data.get("election_timeout", (0.15, 0.30))
+    try:
+        lo, hi = value.split(",") if isinstance(value, str) else value
+        lo, hi = float(lo), float(hi)
+        valid = 0 < lo <= hi
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        variable = f"{prefix}ELECTION_TIMEOUT"
+        source = variable if variable in env else "election_timeout"
+        raise ValueError(f"{source} must be 'lo,hi' with 0 < lo <= hi, got {value!r}")
+    return lo, hi
+
+
 @dataclass
 class RlaConfig:
     rla_id: int
@@ -62,7 +83,6 @@ class RlaConfig:
             field_name = key[len(ENV_PREFIX):].lower()
             data[field_name] = value
         peers = {int(k): str(v) for k, v in (data.get("peers") or {}).items()}
-        timeout = data.get("election_timeout", (0.15, 0.30))
         return cls(
             rla_id=int(data["rla_id"]),
             listen_address=str(data.get("listen_address", "127.0.0.1:7400")),
@@ -72,7 +92,7 @@ class RlaConfig:
             grace_period=float(data.get("grace_period", 30.0)),
             snapshot_staleness=float(data.get("snapshot_staleness", 15.0)),
             telemetry_flush=float(data.get("telemetry_flush", 1.0)),
-            election_timeout=(float(timeout[0]), float(timeout[1])),
+            election_timeout=election_timeout_from(data, env, ENV_PREFIX),
             heartbeat_interval=float(data.get("heartbeat_interval", 0.05)),
             compact_every=int(data.get("compact_every", 1000)),
             seed=int(data.get("seed", 0)),

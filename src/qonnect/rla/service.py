@@ -346,7 +346,7 @@ class RlaService:
         if cluster_id not in self.kb.clusters:
             raise NotFoundError(f"unknown cluster: {cluster_id}")
         payloads: list[dict] = []
-        for app in sorted(self.kb.applications.values(), key=lambda a: (a.submitted_at, a.name)):
+        for app in self.kb.scheduled_applications(cluster_id):
             if app.withdrawn:
                 continue
             app_domains = {c.target_domain.value for c in app.components}

@@ -126,6 +126,9 @@ class SimCluster:
         self.config_stores: dict[str, dict] = {}
         self._rng = random.Random(seed)
         self._crash_state: dict[tuple[str, str], int] = {}
+        # Namespaces holding a Rolling or CrashLoop workload: the only ones
+        # ``step`` has work in. A namespace leaves once all its workloads are Ready.
+        self._unsettled: set[str] = set()
 
     # ------------------------------------------------------------------
     # Node and store access (the agent-facing backend surface)
@@ -165,6 +168,7 @@ class SimCluster:
         """Remove exactly this namespace's objects; absent is a no-op."""
         self.namespaces.pop(namespace, None)
         self.workloads.pop(namespace, None)
+        self._unsettled.discard(namespace)
 
     def apply_objects(
         self, namespace: str, objects: list[dict], pinned_nodes: tuple[str, ...]
@@ -221,6 +225,7 @@ class SimCluster:
             labels=labels,
             env=env,
         )
+        self._unsettled.add(namespace)
 
     def delete_objects(self, namespace: str, object_ids: list[str]) -> None:
         ns = self.namespaces.get(namespace)
@@ -247,7 +252,13 @@ class SimCluster:
             raise SimClusterError("step requires dt > 0")
         self.now += dt
         events: list[SimEvent] = []
+        if not self._unsettled:
+            return events
+        # Dict order, as a full scan would visit them, keeps events in order.
         for namespace, workloads in self.workloads.items():
+            if namespace not in self._unsettled:
+                continue
+            settled = True
             for workload in workloads.values():
                 if workload.phase == WorkloadPhase.ROLLING:
                     elapsed = self.now - workload.rollout_started
@@ -263,11 +274,13 @@ class SimCluster:
                             )
                         )
                     else:
+                        settled = False
                         fraction = elapsed / self.rollout_latency
                         workload.ready = min(
                             workload.desired, int(workload.desired * fraction)
                         )
                 elif workload.phase == WorkloadPhase.CRASH_LOOP:
+                    settled = False
                     # Replicas flap between 0 and desired-1; never all ready.
                     flap = int(self.now) % 2
                     new_ready = 0 if flap == 0 else max(0, workload.desired - 1)
@@ -283,6 +296,8 @@ class SimCluster:
                             )
                         )
                     workload.ready = new_ready
+            if settled:
+                self._unsettled.discard(namespace)
         return events
 
     def inject_fault(self, fault: Fault) -> SimEvent:
@@ -310,6 +325,7 @@ class SimCluster:
                     f"unknown workload: {fault.namespace}/{fault.workload}"
                 )
             workload.phase = WorkloadPhase.CRASH_LOOP
+            self._unsettled.add(fault.namespace)
             detail = {"namespace": fault.namespace, "workload": fault.workload}
         else:
             raise SimClusterError(f"unknown fault: {fault!r}")

@@ -1,0 +1,98 @@
+"""Full-scan reference versions of the simulator step and the agent poll.
+
+``SimCluster.step`` visits only namespaces that hold a Rolling or CrashLoop
+workload, and ``RlaService.poll_applications`` only applications with a
+component Scheduled on the polled cluster. The functions here are those two
+paths as they were before: they walk every workload and every application on
+every call, and serve as the oracles the equivalence tests compare against.
+"""
+
+from __future__ import annotations
+
+from qonnect.kb.model import ApplicationRecord, ComponentStatus
+from qonnect.kb.store import KnowledgeBase
+from qonnect.rla.service import NotFoundError, _placeholder_domains
+from qonnect.sim.cluster import SimCluster, SimEvent, WorkloadPhase
+
+
+def oracle_step(cluster: SimCluster, dt: float) -> list[SimEvent]:
+    """Advance ``cluster`` by ``dt``, visiting every workload."""
+    cluster.now += dt
+    events: list[SimEvent] = []
+    for namespace, workloads in cluster.workloads.items():
+        for workload in workloads.values():
+            if workload.phase == WorkloadPhase.ROLLING:
+                elapsed = cluster.now - workload.rollout_started
+                if elapsed >= cluster.rollout_latency:
+                    workload.ready = workload.desired
+                    workload.phase = WorkloadPhase.READY
+                    events.append(
+                        SimEvent(
+                            at=cluster.now,
+                            cluster=cluster.name,
+                            kind="workload-ready",
+                            detail={"namespace": namespace, "workload": workload.name},
+                        )
+                    )
+                else:
+                    fraction = elapsed / cluster.rollout_latency
+                    workload.ready = min(workload.desired, int(workload.desired * fraction))
+            elif workload.phase == WorkloadPhase.CRASH_LOOP:
+                flap = int(cluster.now) % 2
+                new_ready = 0 if flap == 0 else max(0, workload.desired - 1)
+                key = (namespace, workload.name)
+                if cluster._crash_state.get(key) != flap:
+                    cluster._crash_state[key] = flap
+                    events.append(
+                        SimEvent(
+                            at=cluster.now,
+                            cluster=cluster.name,
+                            kind="crashloop-restart",
+                            detail={"namespace": namespace, "workload": workload.name},
+                        )
+                    )
+                workload.ready = new_ready
+    return events
+
+
+def oracle_live_application(kb: KnowledgeBase, name: str) -> ApplicationRecord | None:
+    """The first live application called ``name``, by a scan of every record."""
+    for app in kb.applications.values():
+        if app.name == name and not app.withdrawn:
+            return app
+    return None
+
+
+def oracle_poll(kb: KnowledgeBase, cluster_id: str) -> list[dict]:
+    """The poll payloads for ``cluster_id``, sorting and walking every application."""
+    if cluster_id not in kb.clusters:
+        raise NotFoundError(f"unknown cluster: {cluster_id}")
+    payloads: list[dict] = []
+    for app in sorted(kb.applications.values(), key=lambda a: (a.submitted_at, a.name)):
+        if app.withdrawn:
+            continue
+        app_domains = {c.target_domain.value for c in app.components}
+        placement: dict[str, str] = {}
+        for comp in app.components:
+            if comp.decision is not None:
+                placement.setdefault(comp.target_domain.value, comp.decision.cluster_id)
+        for comp in app.components:
+            if comp.status != ComponentStatus.SCHEDULED or comp.decision is None:
+                continue
+            if comp.decision.cluster_id != cluster_id:
+                continue
+            needed = _placeholder_domains(comp.manifest) & app_domains
+            if not needed <= placement.keys():
+                continue
+            payloads.append(
+                {
+                    "app_id": app.app_id,
+                    "name": app.name,
+                    "version": app.version,
+                    "component": comp.name,
+                    "manifest": comp.manifest,
+                    "target_nodes": list(comp.decision.node_names),
+                    "placement": placement,
+                }
+            )
+    return payloads

@@ -1,0 +1,306 @@
+"""The simulator step and the agent poll visit only what changed.
+
+Equivalence properties against the full-scan oracles in ``scan_oracles``, and
+work-count guards: a settled cluster's step and a poll of a cluster with
+nothing Scheduled touch no workload and no application.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qonnect.kb import (
+    ComponentStatus,
+    DeleteApplication,
+    Domain,
+    KnowledgeBase,
+    QoSVector,
+    RecordDecision,
+    RecordHeartbeat,
+    RegisterCluster,
+    RequeueComponent,
+    SubmitApplication,
+    UpdateQoS,
+)
+from qonnect.kb.store import cluster_id_for
+from qonnect.raft import RaftConfig, RaftNode
+from qonnect.rla import RlaConfig, RlaService
+from qonnect.sim import CrashLoop, DeleteNamespace, make_cluster
+from scan_oracles import oracle_live_application, oracle_poll, oracle_step
+
+
+class CountingDict(dict):
+    """A dict that counts the calls that read its entries."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.reads = 0
+
+    def _read(self, method, *args):
+        self.reads += 1
+        return method(self, *args)
+
+    def __iter__(self):
+        return self._read(dict.__iter__)
+
+    def __getitem__(self, key):
+        return self._read(dict.__getitem__, key)
+
+    def get(self, key, default=None):
+        return self._read(dict.get, key, default)
+
+    def keys(self):
+        return self._read(dict.keys)
+
+    def values(self):
+        return self._read(dict.values)
+
+    def items(self):
+        return self._read(dict.items)
+
+
+# ---------------------------------------------------------------------------
+# Simulator
+# ---------------------------------------------------------------------------
+
+NAMESPACES = ("a", "b", "c")
+WORKLOADS = ("w1", "w2")
+applies = st.tuples(
+    st.just("apply"),
+    st.sampled_from(NAMESPACES),
+    st.sampled_from(WORKLOADS),
+    st.integers(1, 3),
+    st.sampled_from(("", "v2")),
+)
+steps = st.tuples(st.just("step"), st.sampled_from((0.25, 0.5, 0.75, 1.0, 2.5)))
+# Applies and steps are listed more than once, so that workloads often
+# settle before a crash loop, a delete or a re-apply reaches them.
+sim_ops = st.lists(
+    st.one_of(
+        applies,
+        applies,
+        steps,
+        steps,
+        steps,
+        st.tuples(st.just("crash"), st.sampled_from(NAMESPACES[:2]), st.just("w1")),
+        st.tuples(st.just("delete"), st.sampled_from(NAMESPACES), st.sampled_from(WORKLOADS)),
+        st.tuples(st.just("drop"), st.sampled_from(NAMESPACES)),
+    ),
+    min_size=10,
+    max_size=50,
+)
+
+
+def sim_cluster():
+    return make_cluster("edge-perf", Domain.EDGE, "performance", "10.3.2.1", seed=1)
+
+
+def run_op(cluster, op, step) -> list:
+    kind = op[0]
+    if kind == "apply":
+        _, ns, name, replicas, env = op
+        cluster.ensure_namespace(ns)
+        deployment = {"kind": "Deployment", "name": name, "replicas": replicas, "env": {"v": env}}
+        cluster.apply_objects(ns, [deployment], pinned_nodes=())
+    elif kind == "delete":
+        cluster.delete_objects(op[1], [f"Deployment/{op[2]}"])
+    elif kind == "drop":
+        if cluster.namespace_exists(op[1]):
+            cluster.inject_fault(DeleteNamespace(op[1]))
+        else:
+            cluster.delete_namespace(op[1])
+    elif kind == "crash":
+        if cluster.workload_state(op[1], op[2]) is not None:
+            cluster.inject_fault(CrashLoop(op[1], op[2]))
+    else:
+        return step(cluster, op[1])
+    return []
+
+
+def workload_states(cluster) -> dict:
+    return {
+        (ns, name): (w.ready, w.phase)
+        for ns, workloads in cluster.workloads.items()
+        for name, w in workloads.items()
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=sim_ops)
+def test_step_matches_the_full_scan(ops):
+    cluster, oracle = sim_cluster(), sim_cluster()
+    for op in ops:
+        events = run_op(cluster, op, lambda c, dt: c.step(dt))
+        expected = run_op(oracle, op, oracle_step)
+        assert events == expected
+        assert workload_states(cluster) == workload_states(oracle)
+        assert cluster.now == oracle.now
+
+
+def settled_cluster():
+    cluster = sim_cluster()
+    for ns in NAMESPACES:
+        cluster.ensure_namespace(ns)
+        cluster.apply_objects(ns, [{"kind": "Deployment", "name": "w1"}], pinned_nodes=())
+    cluster.step(3.0)  # past the rollout latency: every workload is Ready
+    cluster.workloads = CountingDict(
+        {ns: CountingDict(workloads) for ns, workloads in cluster.workloads.items()}
+    )
+    return cluster
+
+
+def test_a_settled_cluster_step_visits_no_workload():
+    cluster = settled_cluster()
+    for _ in range(20):
+        assert cluster.step(0.05) == []
+    assert cluster.workloads.reads == 0
+    assert all(workloads.reads == 0 for workloads in cluster.workloads.values())
+
+
+def test_a_step_visits_only_unsettled_namespaces():
+    cluster = settled_cluster()
+    cluster.apply_objects("b", [{"kind": "Deployment", "name": "w1", "replicas": 2}], ())
+    inner = {ns: dict.__getitem__(cluster.workloads, ns) for ns in NAMESPACES}
+    events = cluster.step(0.5)
+    assert events == [] and inner["b"].reads > 0
+    assert inner["a"].reads == inner["c"].reads == 0
+    cluster.step(2.0)  # "b" settles and leaves the set
+    before = {ns: w.reads for ns, w in inner.items()}
+    cluster.workloads.reads = 0
+    cluster.step(0.5)
+    assert cluster.workloads.reads == 0
+    assert {ns: w.reads for ns, w in inner.items()} == before
+
+
+# ---------------------------------------------------------------------------
+# Knowledge base and poll
+# ---------------------------------------------------------------------------
+
+CLUSTER_IPS = (("10.0.0.1", Domain.EDGE), ("10.0.0.2", Domain.EDGE), ("10.0.0.3", Domain.FOG))
+CLUSTER_IDS = tuple(cluster_id_for(ip, domain) for ip, domain in CLUSTER_IPS)
+APP_IDS = ("a1", "a2", "a3")
+NAMES = ("n1", "n2")
+COMPONENTS = {
+    "x": (Domain.EDGE, {"kind": "Deployment", "name": "x"}),
+    "y": (Domain.FOG, {"kind": "Deployment", "name": "y"}),
+    # Withheld from polls until the fog sibling is placed.
+    "z": (Domain.EDGE, {"kind": "Deployment", "env": {"PEER": "{{QONNECT_FOG_IP}}"}}),
+}
+
+# Ops that name components by position among those a command can act on
+# now, so most of them apply. A ``rarely`` of 1 sends the previous app version
+# (or, for a heartbeat, another cluster). Ops listed twice are drawn more often.
+picks = st.integers(0, 11)
+rarely = st.sampled_from((0, 0, 0, 1))
+submits = st.tuples(
+    st.just("submit"),
+    st.sampled_from(APP_IDS),
+    st.sampled_from(NAMES),
+    st.lists(st.sampled_from(sorted(COMPONENTS)), min_size=1, max_size=3, unique=True),
+    st.sampled_from((0.0, 1.0)),
+)
+kb_ops = st.one_of(
+    submits,
+    submits,
+    st.tuples(st.just("qos"), st.sampled_from(NAMES), st.integers(0, 2)),
+    st.tuples(st.just("delete"), st.sampled_from(NAMES)),
+    *[st.tuples(st.just("decide"), picks, picks, rarely)] * 3,
+    *[st.tuples(st.just("beat"), picks, st.sampled_from(("healthy", "failed")), rarely)] * 2,
+    st.tuples(st.just("requeue"), picks, rarely),
+)
+
+
+def command_for(kb: KnowledgeBase, op: tuple):
+    """The KB command ``op`` stands for in the state of ``kb``."""
+    kind = op[0]
+    if kind == "submit":
+        _, app_id, name, comps, at = op
+        components = tuple((c, *COMPONENTS[c]) for c in comps)
+        return SubmitApplication(app_id, name, (), QoSVector(), components, at)
+    if kind == "qos":
+        return UpdateQoS(op[1], QoSVector(energy=op[2]), 2.0)
+    if kind == "delete":
+        return DeleteApplication(op[1])
+    comps = [(app, comp) for app in kb.applications.values() for comp in app.components]
+    if kind == "decide":
+        _, pick, cluster_pick, stale = op
+        pending = [(a, c) for a, c in comps if c.status == ComponentStatus.PENDING] or comps
+        if not pending:
+            return DeleteApplication("nobody")
+        app, comp = pending[pick % len(pending)]
+        cids = [cid for cid, rec in kb.clusters.items() if rec.domain == comp.target_domain]
+        cid = cids[cluster_pick % len(cids)]
+        return RecordDecision(app.app_id, comp.name, cid, ("w1",), 3.0, 1, app.version - stale)
+    placed = [(a, c) for a, c in comps if c.decision is not None] or comps
+    if not placed:
+        return DeleteApplication("nobody")
+    app, comp = placed[op[1] % len(placed)]
+    if kind == "beat":
+        _, _, status, elsewhere = op
+        cid = comp.decision.cluster_id if comp.decision and not elsewhere else CLUSTER_IDS[0]
+        return RecordHeartbeat(app.app_id, comp.name, cid, app.version, status, 4.0)
+    return RequeueComponent(app.app_id, comp.name, app.version - op[2], "stalled")
+
+
+def poll_service(kb: KnowledgeBase) -> RlaService:
+    node = RaftNode(RaftConfig(node_id=0, members=(0, 1, 2)))
+    return RlaService(RlaConfig(rla_id=0), node=node, kb=kb)
+
+
+def registered_kb() -> KnowledgeBase:
+    kb = KnowledgeBase()
+    for ip, domain in CLUSTER_IPS:
+        kb.apply(RegisterCluster(ip, domain, 0.0))
+    return kb
+
+
+def assert_reads_match_the_scans(kb: KnowledgeBase, oracle_kb: KnowledgeBase) -> None:
+    service = poll_service(kb)
+    for cid in CLUSTER_IDS:
+        assert service.poll_applications(cid) == oracle_poll(oracle_kb, cid)
+    for name in NAMES:
+        assert kb.live_application(name) == oracle_live_application(oracle_kb, name)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=st.lists(kb_ops, min_size=10, max_size=50), split=st.integers(0, 50))
+def test_poll_and_lookup_match_the_full_scans_also_after_restore(ops, split):
+    kb = registered_kb()
+    for op in ops[:split]:
+        kb.apply(command_for(kb, op))
+        assert_reads_match_the_scans(kb, kb)
+    blob = kb.snapshot_state()
+    restored = KnowledgeBase.restore(blob)
+    assert restored.snapshot_state() == blob
+    assert restored._scheduled == kb._scheduled  # the rebuilt index equals the kept one
+    assert_reads_match_the_scans(restored, kb)
+    for op in ops[split:]:
+        cmd = command_for(kb, op)
+        assert kb.apply(cmd) == restored.apply(cmd)
+        assert_reads_match_the_scans(kb, kb)
+        assert_reads_match_the_scans(restored, kb)
+    assert restored == kb and restored._scheduled == kb._scheduled
+
+
+def test_a_poll_of_a_cluster_with_nothing_scheduled_visits_no_application():
+    kb = registered_kb()
+    edge, _, fog = CLUSTER_IDS
+    for i in range(20):
+        kb.apply(
+            SubmitApplication(
+                f"id{i}", f"app{i}", (), QoSVector(), (("x", *COMPONENTS["x"]),), float(i)
+            )
+        )
+        kb.apply(RecordDecision(f"id{i}", "x", edge, ("w1",), 3.0, 1, 1))
+    kb.applications = CountingDict(kb.applications)
+    service = poll_service(kb)
+    assert service.poll_applications(fog) == []
+    assert kb.applications.reads == 0
+    assert len(service.poll_applications(edge)) == 20
+    # Heartbeats move every component out of Scheduled: polls read nothing again.
+    for i in range(20):
+        kb.apply(RecordHeartbeat(f"id{i}", "x", edge, 1, "healthy", 4.0))
+    kb.applications.reads = 0
+    assert service.poll_applications(edge) == service.poll_applications(fog) == []
+    assert kb.applications.reads == 0

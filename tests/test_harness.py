@@ -96,6 +96,29 @@ def test_rla_config_yaml_with_env_override(tmp_path):
     assert config.peer_address(None) is None
 
 
+@pytest.mark.parametrize(
+    "load, base, variable",
+    [
+        (TestbedSpec.from_yaml, {"seed": 1}, "QONNECT_TESTBED_ELECTION_TIMEOUT"),
+        (RlaConfig.from_yaml, {"rla_id": 0}, "QONNECT_RLA_ELECTION_TIMEOUT"),
+    ],
+    ids=["testbed", "rla"],
+)
+def test_election_timeout_reads_lo_hi_and_names_the_variable_otherwise(
+    tmp_path, load, base, variable
+):
+    config_file = tmp_path / "config.yaml"
+    config_file.write_text(yaml.safe_dump({**base, "election_timeout": [0.5, 0.9]}))
+    assert load(config_file, env={}).election_timeout == (0.5, 0.9)
+    assert load(config_file, env={variable: "0.2,0.4"}).election_timeout == (0.2, 0.4)
+    for bad in ("12", "0.2", "a,b", "0.2,0.4,0.6", "0.4,0.2", "0,1", ""):
+        with pytest.raises(ValueError, match=variable):
+            load(config_file, env={variable: bad})
+    config_file.write_text(yaml.safe_dump({**base, "election_timeout": 12}))
+    with pytest.raises(ValueError, match="^election_timeout"):
+        load(config_file, env={})
+
+
 @pytest.mark.parametrize("compact_every", [0, -1])
 def test_rla_config_rejects_unusable_compaction_settings(compact_every):
     with pytest.raises(ValueError):

@@ -235,6 +235,22 @@ def test_committed_malformed_nodes_are_flagged_and_skipped():
     assert list(kb.nodes) == [(cid, "w1")]
 
 
+def test_a_logged_node_report_holding_non_objects_replays():
+    # Such an entry decoded nowhere, so it stopped replay on every replica.
+    logged = Batch((PutNodeSnapshot("c", ({"node_name": "w1"}, "w4"), 1.0),))
+    (cmd,) = decode_command(encode_command(logged)).commands
+    assert cmd == logged.commands[0]
+    assert KnowledgeBase().apply(cmd).detail["reason"] == "unknown-cluster"
+
+    kb = KnowledgeBase()
+    cid = register(kb, "10.1.0.1", Domain.CLOUD)
+    nodes = ({"node_name": "w1"}, "w4", None, 3, ["w5"], node_wire("w6"))
+    (cmd,) = decode_command(encode_command(Batch((PutNodeSnapshot(cid, nodes, 1.0),)))).commands
+    effect = kb.apply(cmd)
+    assert effect.detail["flags"] == [f"malformed-node:{i}" for i in range(5)]
+    assert list(kb.nodes) == [(cid, "w6")]
+
+
 def populated_kb() -> KnowledgeBase:
     kb = KnowledgeBase()
     ids = []

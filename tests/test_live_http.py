@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import socket
+import sys
+import threading
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -213,3 +216,66 @@ def test_a_snapshot_the_kb_cannot_restore_is_refused_and_never_saved(tmp_path):
     finally:
         restarted.server.server_close()
         restarted.node.storage.close()
+
+
+def test_polls_answer_while_decisions_and_heartbeats_commit(monkeypatch):
+    """REST reads of the KB run while commits apply on other threads."""
+    live = LiveDeployment(spec=fast_spec(), base_port=free_port_base())
+    handler_errors: list[str] = []
+    for rla in live.rlas.values():
+        # The HTTP server reports an exception a handler thread raised here.
+        monkeypatch.setattr(
+            rla.server, "handle_error",
+            lambda request, address: handler_errors.append(traceback.format_exc()),
+        )
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so reads overlap applies
+    live.start()
+    try:
+        leader = live.wait_for_leader(timeout=15.0)
+        client = live.client()
+        deadline = time.monotonic() + 20.0
+        while time.monotonic() < deadline and len(client.cluster_config()) < 9:
+            time.sleep(0.2)
+        address = live.addresses[leader]
+        cluster_ids = list(client.cluster_config())
+        submitted = threading.Event()
+        rla = live.rlas[leader]
+        locked: list[bool] = []
+
+        def poll_applications(cluster_id: str, _poll=rla.service.poll_applications):
+            locked.append(rla._lock._is_owned())  # commits cannot apply meanwhile
+            return _poll(cluster_id)
+
+        monkeypatch.setattr(rla.service, "poll_applications", poll_applications)
+
+        def poll() -> list[int]:
+            statuses = []
+            while not submitted.is_set():
+                for cid in cluster_ids:
+                    status, _ = client._dispatch(address, "GET", f"/clusters/{cid}/applications", None)
+                    statuses.append(status)
+            return statuses
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            polls = [pool.submit(poll) for _ in range(3)]
+            try:
+                # Each submit commits an app; scheduler passes commit its
+                # decisions and the agents' heartbeats move it on.
+                for i in range(24):
+                    status, _ = client._dispatch(
+                        address, "POST", "/applications", bookinfo_bundle(f"app{i}")
+                    )
+                    assert status == 201
+                time.sleep(2.0)
+            finally:
+                submitted.set()
+            statuses = [s for future in polls for s in future.result(timeout=30.0)]
+        assert statuses and set(statuses) == {200}, sorted(set(statuses))
+        assert locked and all(locked)
+        kinds = {e.kind for e in live.events.events}
+        assert {"kb-decision-recorded", "kb-heartbeat-recorded"} <= kinds
+        assert handler_errors == []
+    finally:
+        sys.setswitchinterval(interval)
+        live.stop()
