@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import uuid
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from qonnect import codec
 from qonnect.kb.commands import (
@@ -51,7 +52,7 @@ def node_from_wire(wire: object, cluster_id: str, taken_at: float) -> NodeSnapsh
         raise ValueError("a node must be an object without cluster_id or taken_at")
     return _decode_node({**wire, "cluster_id": cluster_id, "taken_at": taken_at})
 
-_HEARTBEAT_STATUS = {
+HEARTBEAT_STATUS = {
     "healthy": ComponentStatus.HEALTHY,
     "progressing": ComponentStatus.PROGRESSING,
     "failed": ComponentStatus.FAILED,
@@ -139,10 +140,20 @@ class KnowledgeBase:
         return out
 
     def stalled_components(
-        self, now: float, grace: float
+        self,
+        now: float,
+        grace: float,
+        seen: Mapping[tuple[str, str], float] | None = None,
+        lease_start: float | None = None,
     ) -> list[tuple[ApplicationRecord, ComponentRecord]]:
         """Active components whose heartbeat (or decision, if never beaten)
-        is older than ``grace``."""
+        is older than ``grace``.
+
+        A leader passes the soft state of its lease: ``seen`` maps
+        ``(app_id, component)`` to the last heartbeat it accepted, and
+        ``lease_start`` is when it began to lead. A component's age runs
+        from the latest of those times and its replicated one.
+        """
         if grace <= 0:
             raise ValueError("grace period must be positive")
         out = []
@@ -153,6 +164,10 @@ class KnowledgeBase:
                 reference = comp.last_heartbeat
                 if reference is None:
                     reference = comp.decision.decided_at
+                if seen:
+                    reference = max(reference, seen.get((app.app_id, comp.name), reference))
+                if lease_start is not None:
+                    reference = max(reference, lease_start)
                 if now - reference > grace:
                     out.append((app, comp))
         return out
@@ -364,7 +379,7 @@ class KnowledgeBase:
             return _noop("stale-version", expected=app.version, got=cmd.version)
         if comp.decision is None or comp.decision.cluster_id != cmd.cluster_id:
             return _noop("not-assigned", component=cmd.component, cluster_id=cmd.cluster_id)
-        status = _HEARTBEAT_STATUS.get(cmd.status)
+        status = HEARTBEAT_STATUS.get(cmd.status)
         if status is None:
             return _noop("unknown-status", status=cmd.status)
         comp.last_heartbeat = cmd.at

@@ -2,7 +2,12 @@
 
 ``FileStorage`` keeps an append-only JSONL write-ahead log plus a snapshot
 file under a per-node data directory; a node restarted from that directory
-resumes with identical term, vote, and log suffix. ``MemoryStorage`` offers
+resumes with identical term, vote, and log suffix. Every call that writes is
+durable when it returns: the WAL is fsynced once per call, and a snapshot
+file or rewritten WAL is fsynced before it is renamed into place, and the
+directory after. A crash in mid-append leaves at most a torn last record;
+``load`` drops it and cuts it from the file, while a bad record anywhere
+else is corruption and raises ``ValueError``. ``MemoryStorage`` offers
 the same interface for deterministic in-process tests, where the storage
 object surviving a "process" restart stands in for the disk.
 """
@@ -10,6 +15,7 @@ object surviving a "process" restart stands in for the disk.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Protocol
@@ -123,57 +129,110 @@ class FileStorage:
             state.snapshot = Snapshot(doc.index, doc.term, doc.blob)
         if self._wal_path.exists():
             by_index: dict[int, LogEntry] = {}
-            with self._wal_path.open("r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    rec = json.loads(line)
-                    if rec["t"] == "meta":
-                        state.term = rec["term"]
-                        state.voted_for = rec["vote"]
-                    elif rec["t"] == "entry":
-                        # An append at an already-present index implies the old
-                        # suffix was replaced, even without an explicit trunc.
-                        if rec["i"] in by_index:
-                            by_index = {i: e for i, e in by_index.items() if i < rec["i"]}
-                        by_index[rec["i"]] = LogEntry(rec["i"], rec["tm"], rec["c"])
-                    elif rec["t"] == "trunc":
+            for rec in self._read_wal():
+                if rec["t"] == "meta":
+                    state.term = rec["term"]
+                    state.voted_for = rec["vote"]
+                elif rec["t"] == "entry":
+                    # An append at an already-present index implies the old
+                    # suffix was replaced, even without an explicit trunc.
+                    if rec["i"] in by_index:
                         by_index = {i: e for i, e in by_index.items() if i < rec["i"]}
+                    by_index[rec["i"]] = LogEntry(rec["i"], rec["tm"], rec["c"])
+                else:  # trunc
+                    by_index = {i: e for i, e in by_index.items() if i < rec["i"]}
             base = state.snapshot.index if state.snapshot else 0
             state.entries = [by_index[i] for i in sorted(by_index) if i > base]
         self._meta = _meta_record(state.term, state.voted_for)
         return state
 
-    def _write(self, record: dict) -> None:
-        self._wal.write(_line(record))
+    def _read_wal(self) -> list[dict]:
+        """The WAL's records, after cutting a torn or unreadable last record
+        from the file; ``ValueError`` names a bad record before the last."""
+        data = self._wal_path.read_bytes()
+        records: list[dict] = []
+        start, number = 0, 0
+        while start < len(data):
+            end = data.find(b"\n", start) + 1 or len(data)
+            number += 1
+            line = data[start:end]
+            if line.strip():
+                # A line without its newline is torn, whatever it holds.
+                record = _parse_record(line) if line.endswith(b"\n") else None
+                if record is None:
+                    if end < len(data):
+                        raise ValueError(f"{self._wal_path}: corrupt record on line {number}")
+                    with self._wal_path.open("r+b") as fh:
+                        fh.truncate(start)
+                        os.fsync(fh.fileno())
+                    break
+                records.append(record)
+            start = end
+        return records
+
+    def _write(self, records: Iterable[dict]) -> None:
+        self._wal.write("".join(_line(record) for record in records))
         self._wal.flush()
+        os.fsync(self._wal.fileno())
 
     def save_state(self, term: int, voted_for: int | None) -> None:
         self._meta = _meta_record(term, voted_for)
-        self._write(self._meta)
+        self._write([self._meta])
 
     def append_entries(self, entries: Iterable[LogEntry]) -> None:
-        for e in entries:
-            self._write(_entry_record(e))
+        self._write(_entry_record(e) for e in entries)
 
     def truncate_from(self, index: int) -> None:
-        self._write({"t": "trunc", "i": index})
+        self._write([{"t": "trunc", "i": index}])
 
     def save_snapshot(self, snapshot: Snapshot, entries: Iterable[LogEntry]) -> None:
-        snap_path = self._dir / SNAPSHOT_FILE
-        tmp = snap_path.with_suffix(".tmp")
         doc = _SnapshotFile(SNAPSHOT_SCHEMA_VERSION, snapshot.index, snapshot.term, snapshot.blob)
-        tmp.write_text(codec.dumps(_encode_file(doc)), encoding="utf-8")
-        tmp.rename(snap_path)
+        self._replace(self._dir / SNAPSHOT_FILE, codec.dumps(_encode_file(doc)))
         # Rewrite the WAL so the discarded log prefix does not grow unbounded.
         self._wal.close()
-        tmp_wal = self._wal_path.with_suffix(".tmp")
-        with tmp_wal.open("w", encoding="utf-8") as fh:
-            fh.write(_line(self._meta))
-            fh.writelines(_line(_entry_record(e)) for e in entries)
-        tmp_wal.rename(self._wal_path)
+        self._replace(
+            self._wal_path,
+            _line(self._meta) + "".join(_line(_entry_record(e)) for e in entries),
+        )
         self._wal = self._wal_path.open("a", encoding="utf-8")
+
+    def _replace(self, path: Path, text: str) -> None:
+        """Durably replace ``path`` with ``text``: write and fsync a temp
+        file, rename it over ``path``, then fsync the directory."""
+        tmp = path.with_suffix(".tmp")
+        with tmp.open("w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        tmp.rename(path)
+        fd = os.open(self._dir, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+
+
+# The fields of each WAL record kind and the types each may hold.
+_RECORD_FIELDS = {
+    "meta": {"term": (int,), "vote": (int, type(None))},
+    "entry": {"i": (int,), "tm": (int,), "c": (str,)},
+    "trunc": {"i": (int,)},
+}
+
+
+def _parse_record(line: bytes) -> dict | None:
+    """The WAL record on ``line``, or None if it holds no valid one."""
+    try:
+        record = json.loads(line)
+    except ValueError:  # includes UnicodeDecodeError
+        return None
+    kind = record.get("t") if type(record) is dict else None
+    fields = _RECORD_FIELDS.get(kind) if type(kind) is str else None
+    if fields is None or any(
+        name not in record or type(record[name]) not in types for name, types in fields.items()
+    ):
+        return None
+    return record
 
 
 def _meta_record(term: int, voted_for: int | None) -> dict:

@@ -17,6 +17,16 @@ by about one snapshot's size.
 
 The scheduler pass and telemetry flush only run while this node is leader;
 a deposed leader's in-flight proposals fail at commit and are harmless.
+
+Heartbeats work as leases (Kubernetes KEP-589, "Efficient Node
+Heartbeats"). The leader keeps, as soft state for its term, the time of
+each component's last accepted heartbeat and the time it began to lead.
+It logs a heartbeat only when the replicated state needs it: a status
+change, a component never beaten since its decision, or a replicated
+time at least ``_REFRESH_SHARE`` of the grace period old. Its stall
+check counts from the latest of the replicated time, its own last-seen
+time and its lease start, so a new leader gives every component one full
+grace period before it requeues any.
 """
 
 from __future__ import annotations
@@ -37,15 +47,16 @@ from qonnect.kb.commands import (
     PutNodeSnapshot,
     RecordHeartbeat,
     RegisterCluster,
+    RequeueComponent,
     SubmitApplication,
     UpdateQoS,
     decode_command,
 )
-from qonnect.kb.model import ComponentStatus, Domain
-from qonnect.kb.store import Effect, KnowledgeBase, node_from_wire
+from qonnect.kb.model import ApplicationRecord, ComponentStatus, Domain
+from qonnect.kb.store import HEARTBEAT_STATUS, Effect, KnowledgeBase, node_from_wire
 from qonnect.raft.node import NotLeaderError, RaftNode, Role
 from qonnect.rla.config import RlaConfig
-from qonnect.rla.validation import HEARTBEAT_STATUSES, parse_qos, validate_bundle
+from qonnect.rla.validation import parse_qos, validate_bundle
 from qonnect.scheduler.loop import SchedulerConfig, scheduler_tick
 
 
@@ -76,6 +87,10 @@ _PLACEHOLDER_RE = re.compile(r"\{\{QONNECT_([A-Z]+)_IP\}\}")
 # Raw entry bytes to log since the last snapshot, as a multiple of its size,
 # before the next one (the dissertation's factor).
 _COMPACT_RATIO = 1.0
+
+# Age of a replicated heartbeat, as a share of the grace period, from which
+# the leader logs a same-status heartbeat again.
+_REFRESH_SHARE = 0.5
 
 
 def _placeholder_domains(manifest: dict) -> set[str]:
@@ -131,6 +146,15 @@ class RlaService:
 
         self._source = f"rla-{config.rla_id}"
         self._telemetry: list[KBCommand] = []
+        # (app id, component) of heartbeats in ``_telemetry`` that change the
+        # replicated status: a later same-status heartbeat must be logged too.
+        self._status_queued: set[tuple[str, str]] = set()
+        # Lease soft state (see the module docstring), kept for one term:
+        # (app id, component) -> time of its last accepted heartbeat. Live
+        # mode reads it outside the REST lock, so ``pump`` never iterates it.
+        self._lease_term: int | None = None
+        self._lease_start: float | None = None
+        self._seen: dict[tuple[str, str], float] = {}
         # Cluster -> the fingerprint and flags of its last report that passed.
         self._checked_reports: dict[str, tuple[bytes, tuple[str, ...]]] = {}
         # Log index a local proposer waits on -> (entry term, effects) once
@@ -231,6 +255,18 @@ class RlaService:
         if self.node.role != Role.LEADER:
             raise NotLeaderError(self.node.leader_id)
 
+    def _hold_lease(self, now: float) -> None:
+        """Begin this term's lease at the first leader work in the term."""
+        if self._lease_term != self.node.current_term:
+            self._lease_term = self.node.current_term
+            self._lease_start = now
+            self._seen = {}
+
+    def _forget(self, app: ApplicationRecord) -> None:
+        """Drop the last-seen times of every component of ``app``."""
+        for comp in app.components:
+            self._seen.pop((app.app_id, comp.name), None)
+
     def _propose(self, command: KBCommand) -> Effect:
         return self._propose_entry(command)[0]
 
@@ -318,20 +354,24 @@ class RlaService:
         except ValueError as exc:
             raise ValidationFailed([{"field": "qos", "error": str(exc)}]) from None
         self._require_leader()
-        if self.kb.live_application(name) is None:
+        app = self.kb.live_application(name)
+        if app is None:
             raise NotFoundError(f"unknown application: {name}")
         effect = self._propose(UpdateQoS(name=name, qos=qos, updated_at=self.clock()))
         if effect.is_noop:
             raise NotFoundError(f"unknown application: {name}")
+        self._forget(app)  # every component goes back to Pending
         return {"name": name, "version": effect.detail["version"]}
 
     def delete_application(self, name: str) -> dict:
         self._require_leader()
-        if self.kb.live_application(name) is None:
+        app = self.kb.live_application(name)
+        if app is None:
             raise NotFoundError(f"unknown application: {name}")
         effect = self._propose(DeleteApplication(name=name))
         if effect.is_noop:
             raise NotFoundError(f"unknown application: {name}")
+        self._forget(app)
         return {"name": name, "status": "withdrawn"}
 
     def poll_applications(self, cluster_id: str) -> list[dict]:
@@ -378,20 +418,39 @@ class RlaService:
     def heartbeat(
         self, app_id: str, component: str, cluster_id: str, version: int, status: str
     ) -> bool:
-        """True = recorded; False = unknown/withdrawn/reassigned (drives cleanup)."""
-        if status not in HEARTBEAT_STATUSES:
+        """True = accepted; False = unknown/withdrawn/reassigned (drives cleanup).
+
+        An accepted heartbeat renews the component's lease on this leader; it
+        reaches the log only when the replicated state needs it (see the
+        module docstring).
+        """
+        if status not in HEARTBEAT_STATUS:
             raise ValidationFailed(
                 [{"field": "status", "error": f"unknown status: {status!r}"}]
             )
         self._require_leader()
+        at = self.clock()
+        self._hold_lease(at)
+        key = (app_id, component)
         app = self.kb.applications.get(app_id)
-        if app is None or app.withdrawn:
+        comp = None if app is None or app.withdrawn else app.component(component)
+        if (
+            comp is None
+            or version != app.version
+            or comp.decision is None
+            or comp.decision.cluster_id != cluster_id
+        ):
+            self._seen.pop(key, None)
             return False
-        comp = app.component(component)
-        if comp is None or version != app.version:
-            return False
-        if comp.decision is None or comp.decision.cluster_id != cluster_id:
-            return False
+        self._seen[key] = at
+        if HEARTBEAT_STATUS[status] != comp.status:
+            self._status_queued.add(key)
+        elif not (
+            key in self._status_queued
+            or comp.last_heartbeat is None
+            or at - comp.last_heartbeat >= _REFRESH_SHARE * self.config.grace_period
+        ):
+            return True
         self._telemetry.append(
             RecordHeartbeat(
                 app_id=app_id,
@@ -399,7 +458,7 @@ class RlaService:
                 cluster_id=cluster_id,
                 version=version,
                 status=status,
-                at=self.clock(),
+                at=at,
             )
         )
         return True
@@ -423,7 +482,11 @@ class RlaService:
         """Run due leader work: telemetry flush and the scheduler pass."""
         if not self.is_leader:
             self._telemetry.clear()
+            self._status_queued.clear()
+            self._seen.clear()
+            self._lease_term = None  # leading again starts a new lease
             return
+        self._hold_lease(now)
         if now >= self._next_flush:
             self._next_flush = now + self.config.telemetry_flush
             self._flush_telemetry()
@@ -433,6 +496,7 @@ class RlaService:
 
     def _flush_telemetry(self) -> None:
         pending, self._telemetry = self._telemetry, []
+        self._status_queued = set()
         if not pending:
             return
         try:
@@ -442,10 +506,18 @@ class RlaService:
 
     def _scheduler_pass(self, now: float) -> None:
         commands = scheduler_tick(
-            self.kb, now=now, term=self.node.current_term, config=self._scheduler_config
+            self.kb,
+            now=now,
+            term=self.node.current_term,
+            config=self._scheduler_config,
+            seen=self._seen,
+            lease_start=self._lease_start,
         )
         if not commands:
             return
+        for command in commands:
+            if isinstance(command, RequeueComponent):
+                self._seen.pop((command.app_id, command.component), None)
         try:
             effects = self._propose_entry(Batch(tuple(commands)))
         except (NotLeaderError, UnavailableError):

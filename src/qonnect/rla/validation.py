@@ -16,7 +16,6 @@ from qonnect import codec
 from qonnect.kb.model import Domain, QoSVector
 
 VALID_DOMAINS = {d.value for d in Domain}
-HEARTBEAT_STATUSES = ("healthy", "progressing", "failed")
 
 _decode_qos = codec.decoder(QoSVector)
 

@@ -14,6 +14,7 @@ to be a pure function of its arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from qonnect.kb.commands import KBCommand, RecordDecision, RequeueComponent
 from qonnect.kb.model import Domain, NodeSnapshot, QoSVector
@@ -32,11 +33,23 @@ class SchedulerConfig:
 
 
 def scheduler_tick(
-    kb: KnowledgeBase, now: float, term: int, config: SchedulerConfig
+    kb: KnowledgeBase,
+    now: float,
+    term: int,
+    config: SchedulerConfig,
+    seen: Mapping[tuple[str, str], float] | None = None,
+    lease_start: float | None = None,
 ) -> list[KBCommand]:
-    """Compute this tick's commands from a consistent KB view."""
+    """Compute this tick's commands from a consistent KB view.
+
+    ``seen`` and ``lease_start`` are the leader's lease soft state, passed
+    on to ``KnowledgeBase.stalled_components``.
+    """
     commands: list[KBCommand] = []
-    for app, comp in kb.stalled_components(now=now, grace=config.grace_period):
+    stalled = kb.stalled_components(
+        now=now, grace=config.grace_period, seen=seen, lease_start=lease_start
+    )
+    for app, comp in stalled:
         commands.append(
             RequeueComponent(
                 app_id=app.app_id,

@@ -138,9 +138,11 @@ def test_one_telemetry_flush_commits_as_one_log_entry():
     dep = Deployment(seed=25)
     dep.boot()
     dep.client().submit_application(bookinfo_bundle("flushed"))
+    # Stop as soon as every component is placed and none has been beaten:
+    # the first heartbeat after a decision is always logged.
     assert dep.run_until(
         lambda: (app := dep.kb().live_application("flushed")) is not None
-        and all(c.status == ComponentStatus.HEALTHY for c in app.components),
+        and all(c.status == ComponentStatus.SCHEDULED for c in app.components),
         60.0,
     )
     leader_id = dep.leader_id()
@@ -149,6 +151,8 @@ def test_one_telemetry_flush_commits_as_one_log_entry():
     dep.group.pump(leader.broadcast_append())
     for agent in dep.agents.values():
         agent.send_node_snapshot(dep.now)
+        agent.poll_cluster_config(dep.now)
+        agent.poll_and_reconcile(dep.now)
         agent.report_heartbeats(dep.now)
     pending = list(service._telemetry)
     assert len(pending) == len(dep.agents) + 4  # a snapshot per cluster, a heartbeat per component

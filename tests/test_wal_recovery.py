@@ -1,0 +1,87 @@
+"""A node restarts from whatever its WAL holds after a crash.
+
+A crash in mid-append leaves a torn last record: the node restarts with the
+records before it, and the file is cut back to them. A bad record anywhere
+else is corruption, and loading refuses it.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from qonnect.raft import FileStorage, LogEntry, RaftConfig, RaftNode, Snapshot
+from qonnect.raft import storage as storage_module
+from qonnect.raft.storage import WAL_FILE
+
+ENTRIES = [LogEntry(i, 2, f"cmd-{i}") for i in range(1, 4)]
+
+
+def _write_wal(data_dir) -> bytes:
+    storage = FileStorage(data_dir)
+    storage.save_state(2, 1)
+    storage.append_entries(ENTRIES)
+    storage.close()
+    return (data_dir / WAL_FILE).read_bytes()
+
+
+def test_a_cut_anywhere_in_the_last_record_restarts_with_the_prefix(tmp_path):
+    full = _write_wal(tmp_path / "full")
+    last_start = full.rstrip(b"\n").rfind(b"\n") + 1
+    for cut in range(last_start, len(full)):
+        data_dir = tmp_path / f"cut-{cut}"
+        data_dir.mkdir()
+        (data_dir / WAL_FILE).write_bytes(full[:cut])
+        storage = FileStorage(data_dir)
+        node = RaftNode(RaftConfig(node_id=0, members=(0, 1, 2)), storage=storage)
+
+        assert (node.current_term, node.voted_for) == (2, 1)
+        assert node.entries_from(1) == ENTRIES[:-1]
+        assert (data_dir / WAL_FILE).read_bytes() == full[:last_start]
+        # Appends after the restart follow the kept prefix.
+        storage.append_entries([LogEntry(3, 3, "again")])
+        storage.close()
+        assert FileStorage(data_dir).load().entries == [*ENTRIES[:-1], LogEntry(3, 3, "again")]
+
+
+def test_an_intact_wal_loads_whole_and_is_left_as_it_is(tmp_path):
+    full = _write_wal(tmp_path)
+    state = FileStorage(tmp_path).load()
+    assert (state.term, state.voted_for, state.entries) == (2, 1, ENTRIES)
+    assert (tmp_path / WAL_FILE).read_bytes() == full
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [b"{\"t\":\"entry\",\"i\":2,\"tm\":2,\"c\"", b"not json", b"[1, 2]", b"{\"t\":\"entry\",\"i\":\"2\"}"],
+)
+def test_a_bad_record_before_the_last_is_refused_with_its_line(tmp_path, bad):
+    lines = _write_wal(tmp_path).splitlines(keepends=True)
+    lines[2] = bad + b"\n"  # the second entry; the meta record is line 1
+    (tmp_path / WAL_FILE).write_bytes(b"".join(lines))
+    with pytest.raises(ValueError, match="line 3"):
+        FileStorage(tmp_path).load()
+
+
+def test_each_write_call_is_fsynced_once_and_a_snapshot_before_and_after_its_renames(
+    tmp_path, monkeypatch
+):
+    synced: list[int] = []
+    monkeypatch.setattr(storage_module.os, "fsync", synced.append)
+    storage = FileStorage(tmp_path)
+    storage.append_entries(ENTRIES)
+    storage.save_state(2, 1)
+    storage.truncate_from(3)
+    assert len(synced) == 3
+    synced.clear()
+    renamed: list[int] = []  # fsyncs done at each rename
+    rename = type(tmp_path).rename
+    monkeypatch.setattr(
+        type(tmp_path),
+        "rename",
+        lambda path, target: renamed.append(len(synced)) or rename(path, target),
+    )
+    storage.save_snapshot(Snapshot(2, 2, "blob-2"), ENTRIES[2:])
+    # Each temp file is synced before its rename, the directory after it.
+    assert renamed == [1, 3] and len(synced) == 4
+    storage.close()
+    assert FileStorage(tmp_path).load().entries == ENTRIES[2:]
