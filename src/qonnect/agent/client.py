@@ -36,16 +36,17 @@ class _RestClientBase:
 
     _MAX_HOPS = 4
 
-    def _dispatch(self, target: str, method: str, path: str, body: dict | None):
-        raise NotImplementedError
+    def __init__(self, addresses: list[str]) -> None:
+        self._addresses = list(addresses)
+        self._targets = list(addresses)  # in order of trial: the last that answered first
 
-    def _targets(self) -> list[str]:
+    def _dispatch(self, target: str, method: str, path: str, body: dict | None):
         raise NotImplementedError
 
     def _request(self, method: str, path: str, body: dict | None = None) -> tuple[int, dict]:
         last_error: str | None = None
         tried: set[str] = set()
-        queue = list(self._targets())
+        queue = list(self._targets)
         hops = 0
         while queue and hops < self._MAX_HOPS + len(queue):
             target = queue.pop(0)
@@ -67,12 +68,10 @@ class _RestClientBase:
             if status == 503:
                 last_error = payload.get("error", "unavailable")
                 continue
-            self._remember_leader(target)
+            if target != self._targets[0]:
+                self._targets = [target] + [a for a in self._addresses if a != target]
             return status, payload
         raise RlaClientError(last_error or "no reachable RLA")
-
-    def _remember_leader(self, target: str) -> None:
-        pass
 
     # -- API methods ------------------------------------------------------
 
@@ -141,18 +140,8 @@ class InProcessRlaClient(_RestClientBase):
     """Dispatches directly into RestApi instances keyed by logical address."""
 
     def __init__(self, apis: dict[str, RestApi]) -> None:
+        super().__init__(list(apis))
         self._apis = dict(apis)
-        self._preferred: str | None = None
-
-    def _targets(self) -> list[str]:
-        targets = list(self._apis)
-        if self._preferred in self._apis:
-            targets.remove(self._preferred)
-            targets.insert(0, self._preferred)
-        return targets
-
-    def _remember_leader(self, target: str) -> None:
-        self._preferred = target
 
     def _dispatch(self, target: str, method: str, path: str, body: dict | None):
         api = self._apis.get(target)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 import uuid
+from functools import partial
 from typing import Callable
 
 from qonnect.agent.client import InProcessRlaClient, RlaClientError
@@ -23,7 +24,8 @@ from qonnect.harness.testbed import TestbedSpec
 from qonnect.kb.commands import Batch, KBCommand, encode_command
 from qonnect.kb.model import Domain
 from qonnect.kb.store import Effect, KnowledgeBase, cluster_id_for
-from qonnect.raft.node import Role
+from qonnect.raft.node import RaftNode
+from qonnect.raft.replica import Replica
 from qonnect.raft.simulation import SyncRaftGroup
 from qonnect.rla.rest import RestApi
 from qonnect.rla.service import RlaService, UnavailableError
@@ -62,9 +64,6 @@ class Deployment:
         self.rla_hosts: dict[int, str] = {
             rla_id: cloud[rla_id % len(cloud)] for rla_id in self.services
         }
-        self._last_roles: dict[int, Role] = {
-            i: node.role for i, node in self.group.nodes.items()
-        }
 
     # ------------------------------------------------------------------
     # Construction
@@ -73,38 +72,34 @@ class Deployment:
     def _build_control_plane(self) -> None:
         members = tuple(range(self.spec.rla_count))
         addresses = {i: f"rla-{i}" for i in members}
-        configs = [self.spec.rla_config(i, addresses) for i in members]
-        self.group = SyncRaftGroup([config.raft_config(members) for config in configs])
         self.services: dict[int, RlaService] = {}
         self.apis: dict[str, RestApi] = {}
-        for i, config in zip(members, configs):
+        replicas: dict[int, Replica] = {}
+        for i in members:
+            config = self.spec.rla_config(i, addresses)
+            node = RaftNode(config.raft_config(members))
             service = RlaService(
                 config,
-                node=self.group.nodes[i],
+                node=node,
                 kb=KnowledgeBase(),
                 clock=lambda: self.now,
                 id_factory=self._make_id,
                 events=self.events,
             )
-            service.proposer = self._make_proposer(i, service)
-            self.group.apply_fns[i] = service.apply_committed
-            self.group.restore_fns[i] = service.restore_from_snapshot
+            service.proposer = partial(self._propose, i)
+            replicas[i] = Replica(node, service)
             self.services[i] = service
             self.apis[addresses[i]] = RestApi(service)
+        self.group = SyncRaftGroup(replicas)
 
     def _make_id(self) -> str:
         return str(uuid.UUID(int=self.rng.getrandbits(128), version=4))
 
-    def _make_proposer(self, rla_id: int, service: RlaService) -> Callable:
-        def propose(entry: KBCommand | Batch) -> list[Effect]:
-            term = self.group.nodes[rla_id].current_term
-            index = self.group.propose(rla_id, encode_command(entry), service.await_effects)
-            effects = service.take_effects(index, term)
-            if effects is None:
-                raise UnavailableError("proposal did not reach a quorum")
-            return effects
-
-        return propose
+    def _propose(self, rla_id: int, entry: KBCommand | Batch) -> list[Effect]:
+        effects = self.group.propose(rla_id, encode_command(entry))
+        if effects is None:
+            raise UnavailableError("proposal did not reach a quorum")
+        return effects
 
     # ------------------------------------------------------------------
     # Driving
@@ -113,7 +108,10 @@ class Deployment:
     def step(self, dt: float = 0.05) -> None:
         self.now += dt
         self.group.tick(dt)
-        self._observe_leadership()
+        for i, replica in self.group.replicas.items():
+            if self.group.observe(i):
+                term = replica.node.current_term
+                self.events.append(self.now, f"rla-{i}", "leader-elected", {"term": term})
         for cluster in self.clusters.values():
             for event in cluster.step(dt):
                 self.events.append(event.at, cluster.name, event.kind, event.detail)
@@ -137,25 +135,12 @@ class Deployment:
             self.step(dt)
         return predicate()
 
-    def _observe_leadership(self) -> None:
-        for i, node in self.group.nodes.items():
-            if node.role != self._last_roles[i]:
-                self._last_roles[i] = node.role
-                if node.role == Role.LEADER:
-                    self.events.append(
-                        self.now,
-                        f"rla-{i}",
-                        "leader-elected",
-                        {"term": node.current_term},
-                    )
-
     # ------------------------------------------------------------------
     # Introspection and control
     # ------------------------------------------------------------------
 
     def leader_id(self) -> int | None:
-        node = self.group.leader()
-        return node.config.node_id if node is not None else None
+        return self.group.leader_id()
 
     def leader_service(self) -> RlaService | None:
         leader = self.leader_id()

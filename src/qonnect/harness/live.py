@@ -1,10 +1,10 @@
 """Live deployment: the same components on wall-clock time and real HTTP.
 
-Each RLA runs a Raft tick loop in a thread and serves one HTTP endpoint
-that carries both the Raft transport (one route per request kind under
-``/raft/``, answering with the paired response message) and the REST
-control API. Resource agents poll over HTTP; simulated clusters advance on
-a real-time stepper thread.
+Each RLA is one ``Replica`` served over one HTTP endpoint that carries
+both the Raft transport (one route per request kind under ``/raft/``,
+answering with the paired response message) and the REST control API.
+Resource agents poll over HTTP; simulated clusters advance on a real-time
+stepper thread.
 """
 
 from __future__ import annotations
@@ -23,47 +23,26 @@ from qonnect.harness.testbed import TestbedSpec
 from qonnect.kb.commands import Batch, KBCommand, encode_command
 from qonnect.kb.store import Effect, KnowledgeBase
 from qonnect.raft.messages import (
-    AppendRequest,
     Message,
     REQUEST_KINDS,
     SnapshotRequest,
-    VoteRequest,
     decode_message,
     encode_message,
 )
 from qonnect.raft.node import RaftNode
+from qonnect.raft.replica import Replica
 from qonnect.raft.storage import FileStorage
 from qonnect.rla.config import RlaConfig
 from qonnect.rla.rest import RestApi
 from qonnect.rla.service import RlaService, UnavailableError
 from qonnect.sim.cluster import SimCluster
 
-_RESPONSE_FOR = {
-    VoteRequest.kind: "vote-response",
-    AppendRequest.kind: "append-response",
-    SnapshotRequest.kind: "snapshot-response",
-}
-
-
 class HttpRlaClient(_RestClientBase):
     """REST client over real HTTP; addresses are host:port."""
 
     def __init__(self, addresses: list[str], timeout: float = 8.0) -> None:
-        self._addresses = list(addresses)
-        self._preferred: str | None = None
+        super().__init__(addresses)
         self._timeout = timeout
-
-    def _targets(self) -> list[str]:
-        targets = list(self._addresses)
-        if self._preferred in targets:
-            targets.remove(self._preferred)
-            targets.insert(0, self._preferred)
-        elif self._preferred:
-            targets.insert(0, self._preferred)
-        return targets
-
-    def _remember_leader(self, target: str) -> None:
-        self._preferred = target
 
     def _dispatch(self, target: str, method: str, path: str, body: dict | None):
         try:
@@ -83,7 +62,17 @@ class HttpRlaClient(_RestClientBase):
 
 
 class LiveRla:
-    """One RLA process-equivalent: raft loop + HTTP server + service."""
+    """One RLA process-equivalent: a replica served over HTTP.
+
+    Threads: the HTTP server's handler threads serve REST calls and inbound
+    Raft requests, and a send pool posts outbound Raft requests and hands
+    their replies to the replica. The Raft tick thread only ticks the node
+    and sends what it emits, so a slow commit cannot hold back heartbeats.
+    The leader-work thread runs ``RlaService.pump`` (telemetry flush and
+    scheduler pass). One lock, ``_lock``, guards the replica: the node, the
+    KB and the service's queues and lease state. Every thread holds it while
+    it touches them; a proposer waiting for its commit releases it.
+    """
 
     TICK = 0.01
 
@@ -98,61 +87,94 @@ class LiveRla:
         self.service = RlaService(
             config, node=self.node, kb=KnowledgeBase(), events=events or EventLog()
         )
-        self.service.proposer = self._propose_and_wait
+        self.service.proposer = self._propose
+        self.replica = Replica(self.node, self.service)
         self.rest = RestApi(self.service)
         self.config = config
 
         self._lock = threading.RLock()
         self._commit_cond = threading.Condition(self._lock)
-        self._send_pool = ThreadPoolExecutor(max_workers=8)
+        # Peer -> its latest unsent request, or None while one is in flight.
+        self._outbox: dict[int, Message | None] = {}
+        self._outbox_lock = threading.Lock()
+        self._send_pool = ThreadPoolExecutor(max_workers=len(members) - 1)
         self._running = False
-        self._loop_thread: threading.Thread | None = None
+        self._threads: list[threading.Thread] = []
 
         host, port = config.listen_address.rsplit(":", 1)
         self.server = ThreadingHTTPServer((host, int(port)), _RlaHandler)
         self.server.daemon_threads = True
         self.server.rla = self  # type: ignore[attr-defined]
-        self._server_thread: threading.Thread | None = None
 
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> None:
         self._running = True
-        self._server_thread = threading.Thread(
-            target=self.server.serve_forever, name=f"rla-http-{self.config.rla_id}", daemon=True
-        )
-        self._server_thread.start()
-        self._loop_thread = threading.Thread(
-            target=self._loop, name=f"rla-loop-{self.config.rla_id}", daemon=True
-        )
-        self._loop_thread.start()
+        name = self.config.rla_id
+        self._threads = [
+            threading.Thread(target=self.server.serve_forever, name=f"rla-http-{name}"),
+            threading.Thread(target=self._tick_loop, name=f"rla-tick-{name}"),
+            threading.Thread(target=self._leader_loop, name=f"rla-leader-{name}"),
+        ]
+        for thread in self._threads:
+            thread.daemon = True
+            thread.start()
 
     def stop(self) -> None:
         self._running = False
         self.server.shutdown()
         self.server.server_close()
-        if self._loop_thread is not None:
-            self._loop_thread.join(timeout=2.0)
+        for thread in self._threads:
+            thread.join(timeout=2.0)
         self._send_pool.shutdown(wait=False, cancel_futures=True)
 
     # -- raft plumbing ----------------------------------------------------
 
-    def _loop(self) -> None:
-        last = time.monotonic()
+    def _tick_loop(self) -> None:
         while self._running:
             time.sleep(self.TICK)
-            now_mono = time.monotonic()
-            dt, last = now_mono - last, now_mono
+            # One tick per wake-up, however late (as etcd's ticker drops the
+            # ticks a slow receiver missed): a pause of the whole process, such
+            # as a garbage collection, delays elections instead of starting them.
             with self._lock:
-                outbound = self.node.tick(dt)
+                outbound = self.node.tick(self.TICK)
             self._dispatch(outbound)
-            self.service.pump(time.time())
+
+    def _leader_loop(self) -> None:
+        while self._running:
+            time.sleep(self.TICK)
+            with self._lock:
+                self.service.pump(time.time())
 
     def _dispatch(self, messages: list[Message]) -> None:
+        """Queue requests to peers. Each peer has one request in flight and
+        keeps only its latest unsent one: the node builds every request from
+        its current state, and Raft tolerates losing the ones replaced, so a
+        slow peer never builds up a backlog of stale heartbeats."""
         for msg in messages:
-            if msg.kind in REQUEST_KINDS:
-                self._send_pool.submit(self._post_message, msg)
-            # Response kinds only travel as HTTP replies to inbound requests.
+            if msg.kind not in REQUEST_KINDS:
+                continue  # responses only travel as HTTP replies to inbound requests
+            with self._outbox_lock:
+                idle = msg.dst not in self._outbox
+                self._outbox[msg.dst] = msg
+            if idle:
+                self._send_pool.submit(self._send_to, msg.dst)
+
+    def _send_to(self, peer: int) -> None:
+        """Post ``peer``'s latest request until none is left queued."""
+        while True:
+            with self._outbox_lock:
+                msg = self._outbox[peer]
+                if msg is None:
+                    del self._outbox[peer]
+                    return
+                self._outbox[peer] = None
+            try:
+                self._post_message(msg)
+            except BaseException:
+                with self._outbox_lock:
+                    del self._outbox[peer]  # the next request starts a new sender
+                raise
 
     def _post_message(self, msg: Message) -> None:
         address = self.config.peer_address(msg.dst)
@@ -177,52 +199,39 @@ class LiveRla:
     def _handle_inbound(self, msg: Message) -> Message | None:
         """Handle a message; returns the direct reply to msg.src, if any."""
         with self._lock:
-            result = self.node.handle_message(msg)
-            if result.snapshot_installed is not None:
-                self.service.restore_from_snapshot(result.snapshot_installed)
-            for index, command in result.committed:
-                if command:  # skip leader no-op entries
-                    self.service.apply_committed(index, command)
-            if result.committed:
+            applied = self.node.last_applied
+            messages = self.replica.handle(msg)
+            if self.node.last_applied != applied:
                 self._commit_cond.notify_all()
-        reply: Message | None = None
-        rest: list[Message] = []
-        expected = _RESPONSE_FOR.get(msg.kind)
-        for out in result.messages:
-            if reply is None and expected is not None and out.kind == expected and out.dst == msg.src:
-                reply = out
-            else:
-                rest.append(out)
-        self._dispatch(rest)
-        return reply
+        self._dispatch(messages)
+        # A node emits a response only to answer the request it handles.
+        return next((out for out in messages if out.kind not in REQUEST_KINDS), None)
 
     def dispatch(self, method: str, path: str, body: object = None) -> tuple[int, dict]:
-        """Serve one REST call under the lock that commits apply under, so a
-        handler never reads the KB or its indexes mid-apply. A write's wait
-        for its commit releases the lock (``Condition.wait`` releases an
-        ``RLock`` however deeply it is held)."""
+        """Serve one REST call under the replica lock, so a handler never
+        reads the KB or its indexes mid-apply."""
         with self._lock:
             return self.rest.dispatch(method, path, body)
 
-    def _propose_and_wait(self, entry: KBCommand | Batch, timeout: float = 5.0) -> list[Effect]:
-        with self._lock:
-            index = self.node.propose(encode_command(entry))
-            term = self.node.current_term
-            self.service.await_effects(index)
-            outbound = self.node.broadcast_append()
-        self._dispatch(outbound)
-        deadline = time.monotonic() + timeout
+    def _propose(self, entry: KBCommand | Batch) -> list[Effect]:
         with self._commit_cond:
-            while self.node.last_applied < index:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or not self._running:
-                    self.service.take_effects(index, term)  # stop waiting
-                    raise UnavailableError("proposal did not commit in time")
-                self._commit_cond.wait(timeout=min(0.05, remaining))
-            effects = self.service.take_effects(index, term)
+            effects = self.replica.propose(encode_command(entry), self._await_commit)
         if effects is None:
             raise UnavailableError("proposal was superseded by a new leader")
         return effects
+
+    def _await_commit(self, index: int, timeout: float = 5.0) -> None:
+        """Send the entry at ``index`` and wait until it applies. The wait
+        releases the replica lock (``Condition.wait`` releases an ``RLock``
+        however deeply it is held), so commits apply and the other threads
+        run meanwhile."""
+        self._dispatch(self.node.broadcast_append())
+        deadline = time.monotonic() + timeout
+        while self.node.last_applied < index:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not self._running:
+                raise UnavailableError("proposal did not commit in time")
+            self._commit_cond.wait(timeout=min(0.05, remaining))
 
 
 class _RlaHandler(BaseHTTPRequestHandler):

@@ -7,18 +7,15 @@ and their resource agents.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
-
-import yaml
 
 from qonnect.agent.client import RlaClient
 from qonnect.agent.ra import RaConfig, ResourceAgent
 from qonnect.events import EventLog
 from qonnect.kb.model import Domain
-from qonnect.rla.config import RlaConfig, election_timeout_from
+from qonnect.rla.config import RlaConfig, fields_from_yaml
 from qonnect.sim.cluster import SimCluster, make_cluster
 from qonnect.sim.profiles import PROFILES
 
@@ -149,11 +146,7 @@ class TestbedSpec:
 
     @classmethod
     def from_yaml(cls, path: str | Path, env: dict[str, str] | None = None) -> TestbedSpec:
-        data = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
-        env = env if env is not None else dict(os.environ)
-        for key, value in env.items():
-            if key.startswith(ENV_PREFIX):
-                data[key[len(ENV_PREFIX):].lower()] = value
+        data, args = fields_from_yaml(cls, path, env, ENV_PREFIX)
         clusters = [
             ClusterSpec(
                 name=c["name"],
@@ -164,22 +157,7 @@ class TestbedSpec:
             )
             for c in (data.get("clusters") or [])
         ]
-        return cls(
-            clusters=clusters,
-            rla_count=int(data.get("rla_count", 3)),
-            seed=int(data.get("seed", 0)),
-            tick_period=float(data.get("tick_period", 5.0)),
-            grace_period=float(data.get("grace_period", 30.0)),
-            snapshot_staleness=float(data.get("snapshot_staleness", 15.0)),
-            telemetry_flush=float(data.get("telemetry_flush", 1.0)),
-            ra_snapshot_period=float(data.get("ra_snapshot_period", 5.0)),
-            ra_poll_period=float(data.get("ra_poll_period", 5.0)),
-            ra_heartbeat_period=float(data.get("ra_heartbeat_period", 10.0)),
-            rollout_timeout=float(data.get("rollout_timeout", 120.0)),
-            rollout_latency=float(data.get("rollout_latency", 2.0)),
-            election_timeout=election_timeout_from(data, env, ENV_PREFIX),
-            heartbeat_interval=float(data.get("heartbeat_interval", 0.05)),
-        )
+        return cls(**args, clusters=clusters)
 
 
 def default_clusters() -> list[ClusterSpec]:

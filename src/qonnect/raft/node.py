@@ -3,8 +3,9 @@
 The node never touches the network. ``tick`` advances timers and returns
 outbound messages; ``handle_message`` applies one inbound message and returns
 outbound messages plus any commands that just became committed, in order.
-Callers own delivery (deterministic in-memory or HTTP) and apply committed
-commands to their state machine.
+Transports own delivery (deterministic in-memory or HTTP); a
+``qonnect.raft.replica.Replica`` applies the committed commands to its
+state machine.
 
 Role transitions follow the classic finite-state machine: a follower whose
 election timer fires becomes a candidate, a candidate reaching a majority
@@ -28,6 +29,11 @@ from qonnect.raft.messages import (
     VoteResponse,
 )
 from qonnect.raft.storage import MemoryStorage, RaftStorage, Snapshot
+
+# Most entries one AppendRequest carries. A follower far behind catches up
+# over several round trips (each success answers with the next batch), so
+# no single message grows with its lag (Ongaro's dissertation, 10.2).
+MAX_APPEND_ENTRIES = 128
 
 
 class Role(str, Enum):
@@ -233,19 +239,10 @@ class RaftNode:
 
     def _append_for(self, peer: int) -> Message:
         next_idx = self._next_index.get(peer, self.last_log_index + 1)
-        if next_idx <= self.snapshot_index and self._snapshot is not None:
-            return SnapshotRequest(
-                src=self.config.node_id,
-                dst=peer,
-                term=self.current_term,
-                last_included_index=self._snapshot.index,
-                last_included_term=self._snapshot.term,
-                state_blob=self._snapshot.blob,
-            )
         prev_index = next_idx - 1
         prev_term = self.term_at(prev_index)
-        if prev_term is None:
-            # prev falls inside the compacted prefix; ship the snapshot.
+        if next_idx <= self.snapshot_index or prev_term is None:
+            # The peer needs entries the log no longer holds; ship the snapshot.
             assert self._snapshot is not None
             return SnapshotRequest(
                 src=self.config.node_id,
@@ -255,13 +252,14 @@ class RaftNode:
                 last_included_term=self._snapshot.term,
                 state_blob=self._snapshot.blob,
             )
+        offset = prev_index - self.snapshot_index
         return AppendRequest(
             src=self.config.node_id,
             dst=peer,
             term=self.current_term,
             prev_log_index=prev_index,
             prev_log_term=prev_term,
-            entries=tuple(self.entries_from(next_idx)),
+            entries=tuple(self._entries[offset:offset + MAX_APPEND_ENTRIES]),
             leader_commit=self.commit_index,
         )
 

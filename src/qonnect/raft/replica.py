@@ -1,0 +1,77 @@
+"""One replica: a Raft node, its state machine and the apply path between them.
+
+``Replica.handle`` is the only place a message reaches a node: it restores
+an installed snapshot into the state machine, then applies the newly
+committed entries in order, skipping the leader's empty no-op entries.
+``propose`` hands an entry's effects to the one proposer waiting on it.
+Transports (the engine's instant group, the seeded lossy harness, live
+HTTP) only deliver messages and decide how a proposer waits for its commit.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable, Protocol
+
+from qonnect.raft.messages import Message
+from qonnect.raft.node import RaftNode
+
+
+class StateMachine(Protocol):
+    def apply_committed(self, index: int, command: str) -> Any: ...
+
+    def restore_from_snapshot(self, blob: str) -> None: ...
+
+
+class Replica:
+    def __init__(self, node: RaftNode, machine: StateMachine) -> None:
+        self.node = node
+        self.machine = machine
+        # Log index a local proposer waits on -> (entry term, effects) once
+        # applied. Only awaited indexes are filled, so followers keep nothing.
+        self._awaited: dict[int, tuple[int | None, Any] | None] = {}
+        if node.snapshot is not None:
+            # A node reloaded from storage resumes after its snapshot; the
+            # entries it covers are never applied again.
+            machine.restore_from_snapshot(node.snapshot.blob)
+
+    def handle(self, msg: Message) -> list[Message]:
+        """Deliver ``msg`` to the node and apply what it committed; returns
+        the node's outbound messages."""
+        result = self.node.handle_message(msg)
+        if result.snapshot_installed is not None:
+            self.machine.restore_from_snapshot(result.snapshot_installed)
+        for index, command in result.committed:
+            if not command:
+                continue  # leader no-ops are not state machine input
+            if index in self._awaited:
+                # The term identifies the entry: a proposer whose entry was
+                # overwritten by another leader's sees a different term. Read
+                # it first, because applying may compact past the entry.
+                term = self.node.term_at(index)
+                self._awaited[index] = (term, self.machine.apply_committed(index, command))
+            else:
+                self.machine.apply_committed(index, command)
+        return result.messages
+
+    def propose(self, command: str, wait: Callable[[int], None]) -> Any | None:
+        """Append ``command`` to this leader's log, let ``wait(index)``
+        deliver it and wait for its commit, and return its effects; None
+        when another entry took its place. Raises ``NotLeaderError`` on a
+        follower, and whatever ``wait`` raises when it gives up."""
+        index = self.node.propose(command)
+        term = self.node.current_term
+        self._awaited[index] = None
+        try:
+            wait(index)
+        finally:
+            effects = self.take_effects(index, term)
+        return effects
+
+    def take_effects(self, index: int, term: int) -> Any | None:
+        """Stop waiting on ``index``; the effects if the entry proposed in
+        ``term`` was applied there, else None (not yet applied, superseded,
+        or covered by an installed snapshot)."""
+        applied = self._awaited.pop(index, None)
+        if applied is None or applied[0] != term:
+            return None
+        return applied[1]

@@ -5,7 +5,8 @@ drops, delivery jitter, scripted partitions, and node stop/restart, for
 safety and liveness testing. ``SyncRaftGroup`` is the instant-delivery
 variant used by the scenario engine: messages cascade to quiescence within
 one step, so a proposal commits synchronously while timers still advance
-with simulated time.
+with simulated time. Both only deliver messages; each node's ``Replica``
+applies what commits.
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 
 from qonnect.raft.messages import Message
 from qonnect.raft.node import RaftConfig, RaftNode, Role
+from qonnect.raft.replica import Replica
 from qonnect.raft.storage import MemoryStorage, RaftStorage
 
 
@@ -66,12 +68,71 @@ class LossyNetwork:
         return out
 
 
-class RaftHarness:
+class _ReplicaGroup:
+    """Node bookkeeping shared by the in-memory transports: the replicas,
+    which of them are stopped, who leads, and every ``(term, node)`` moment
+    of leadership observed."""
+
+    def __init__(self, replicas: dict[int, Replica]) -> None:
+        self.replicas = replicas
+        self.stopped: set[int] = set()
+        self.leaders_by_term: dict[int, set[int]] = {}
+
+    @property
+    def nodes(self) -> dict[int, RaftNode]:
+        return {i: replica.node for i, replica in self.replicas.items()}
+
+    def stop(self, node_id: int) -> None:
+        self.stopped.add(node_id)
+
+    def alive(self) -> list[int]:
+        return [i for i in self.replicas if i not in self.stopped]
+
+    def leader(self) -> RaftNode | None:
+        leaders = [
+            r.node for i, r in self.replicas.items()
+            if i not in self.stopped and r.node.role == Role.LEADER
+        ]
+        # With several stale leaders (partitions) prefer the highest term.
+        return max(leaders, key=lambda n: n.current_term) if leaders else None
+
+    def leader_id(self) -> int | None:
+        node = self.leader()
+        return node.config.node_id if node is not None else None
+
+    def observe(self, node_id: int) -> bool:
+        """Record whether ``node_id`` leads its current term; True the first time."""
+        node = self.replicas[node_id].node
+        if node.role != Role.LEADER:
+            return False
+        leaders = self.leaders_by_term.setdefault(node.current_term, set())
+        if node_id in leaders:
+            return False
+        leaders.add(node_id)
+        return True
+
+
+class _Recorder:
+    """The harness's state machine: records what one node applies."""
+
+    def __init__(self, node: RaftNode, applied: dict[int, str], restored: dict[int, int]) -> None:
+        self.node = node
+        self.applied = applied
+        self.restored = restored
+
+    def apply_committed(self, index: int, command: str) -> None:
+        self.applied[index] = command
+
+    def restore_from_snapshot(self, blob: str) -> None:
+        self.restored[self.node.config.node_id] = self.node.snapshot_index
+
+
+class RaftHarness(_ReplicaGroup):
     """Seeded multi-node simulation over a ``LossyNetwork``.
 
-    Tracks, per node, every applied ``(index, command)`` and every
-    ``(term, node)`` moment of leadership, which is what the safety
-    invariants are asserted against.
+    Tracks, per node, every applied ``(index, command)``, the index of the
+    snapshot it last restored from, and every ``(term, node)`` moment of
+    leadership, which is what the safety invariants are asserted against.
     """
 
     def __init__(
@@ -87,78 +148,42 @@ class RaftHarness:
         members = tuple(range(size))
         self.seed = seed
         self.storages = storages or {i: MemoryStorage() for i in members}
-        self.nodes: dict[int, RaftNode] = {
-            i: RaftNode(
-                RaftConfig(
-                    node_id=i,
-                    members=members,
-                    election_timeout=election_timeout,
-                    heartbeat_interval=heartbeat_interval,
-                    seed=seed,
-                ),
-                storage=self.storages[i],
-            )
-            for i in members
-        }
-        self.network = LossyNetwork(seed=seed ^ 0x5EED, drop_rate=drop_rate, jitter=jitter)
-        self.now = 0.0
-        self.stopped: set[int] = set()
         self.applied: dict[int, dict[int, str]] = {i: {} for i in members}
         self.snapshots_installed: dict[int, int] = {}
-        self.leaders_by_term: dict[int, set[int]] = {}
+        super().__init__({
+            i: self._replica(RaftConfig(i, members, election_timeout, heartbeat_interval, seed))
+            for i in members
+        })
+        self.network = LossyNetwork(seed=seed ^ 0x5EED, drop_rate=drop_rate, jitter=jitter)
+        self.now = 0.0
         self._proposal_counter = 0
 
-    # -- lifecycle ------------------------------------------------------
-
-    def stop(self, node_id: int) -> None:
-        self.stopped.add(node_id)
+    def _replica(self, config: RaftConfig) -> Replica:
+        node = RaftNode(config, storage=self.storages[config.node_id])
+        recorder = _Recorder(node, self.applied[config.node_id], self.snapshots_installed)
+        return Replica(node, recorder)
 
     def restart(self, node_id: int) -> None:
         """Kill -9 style restart: rebuild the node from its storage."""
-        node = self.nodes[node_id]
-        self.nodes[node_id] = RaftNode(node.config, storage=self.storages[node_id])
+        self.replicas[node_id] = self._replica(self.replicas[node_id].node.config)
         self.stopped.discard(node_id)
-
-    def alive(self) -> list[int]:
-        return [i for i in self.nodes if i not in self.stopped]
-
-    # -- observation ----------------------------------------------------
-
-    def _observe(self, node: RaftNode) -> None:
-        if node.role == Role.LEADER:
-            self.leaders_by_term.setdefault(node.current_term, set()).add(node.config.node_id)
-
-    def leader_id(self) -> int | None:
-        leaders = [i for i in self.alive() if self.nodes[i].role == Role.LEADER]
-        if not leaders:
-            return None
-        # With multiple stale leaders (partition scenarios) prefer highest term.
-        return max(leaders, key=lambda i: self.nodes[i].current_term)
 
     # -- driving --------------------------------------------------------
 
-    def _dispatch(self, messages: Iterable[Message]) -> None:
+    def _send(self, messages: Iterable[Message]) -> None:
         for msg in messages:
             self.network.send(msg, self.now)
 
     def step(self, dt: float = 0.01) -> None:
         self.now += dt
         for node_id in self.alive():
-            node = self.nodes[node_id]
-            self._dispatch(node.tick(dt))
-            self._observe(node)
+            self._send(self.replicas[node_id].node.tick(dt))
+            self.observe(node_id)
         for msg in self.network.due(self.now):
             if msg.dst in self.stopped:
                 continue
-            node = self.nodes[msg.dst]
-            result = node.handle_message(msg)
-            for index, command in result.committed:
-                if command:  # leader no-ops are not state machine input
-                    self.applied[msg.dst][index] = command
-            if result.snapshot_installed is not None:
-                self.snapshots_installed[msg.dst] = node.snapshot_index
-            self._dispatch(result.messages)
-            self._observe(node)
+            self._send(self.replicas[msg.dst].handle(msg))
+            self.observe(msg.dst)
 
     def run(self, duration: float, dt: float = 0.01) -> None:
         steps = int(round(duration / dt))
@@ -177,47 +202,18 @@ class RaftHarness:
 
     def propose(self, command: str | None = None) -> int | None:
         """Propose on the current leader, if any; returns the log index."""
-        leader = self.leader_id()
+        leader = self.leader()
         if leader is None:
             return None
         self._proposal_counter += 1
         cmd = command if command is not None else f"cmd-{self._proposal_counter}"
-        node = self.nodes[leader]
-        index = node.propose(cmd)
-        self._dispatch(node.broadcast_append())
+        index = leader.propose(cmd)
+        self._send(leader.broadcast_append())
         return index
 
 
-class SyncRaftGroup:
-    """Raft cluster with instant in-process delivery (run-to-completion).
-
-    ``apply_fns[node_id]`` is invoked for every committed command on that
-    node, in commit order; ``restore_fns[node_id]`` replaces the node's
-    state machine from a snapshot blob.
-    """
-
-    def __init__(
-        self,
-        configs: list[RaftConfig],
-        storages: dict[int, RaftStorage] | None = None,
-    ) -> None:
-        storages = storages or {}
-        self.nodes: dict[int, RaftNode] = {
-            cfg.node_id: RaftNode(cfg, storage=storages.get(cfg.node_id)) for cfg in configs
-        }
-        self.stopped: set[int] = set()
-        self.apply_fns: dict[int, Callable[[int, str], None]] = {}
-        self.restore_fns: dict[int, Callable[[str], None]] = {}
-
-    def stop(self, node_id: int) -> None:
-        self.stopped.add(node_id)
-
-    def alive_nodes(self) -> list[RaftNode]:
-        return [n for i, n in self.nodes.items() if i not in self.stopped]
-
-    def leader(self) -> RaftNode | None:
-        leaders = [n for n in self.alive_nodes() if n.role == Role.LEADER]
-        return max(leaders, key=lambda n: n.current_term) if leaders else None
+class SyncRaftGroup(_ReplicaGroup):
+    """Raft replicas with instant in-process delivery (run-to-completion)."""
 
     def pump(self, messages: Iterable[Message]) -> None:
         queue = deque(messages)
@@ -225,37 +221,17 @@ class SyncRaftGroup:
             msg = queue.popleft()
             if msg.dst in self.stopped or msg.src in self.stopped:
                 continue
-            node = self.nodes[msg.dst]
-            result = node.handle_message(msg)
-            if result.snapshot_installed is not None and msg.dst in self.restore_fns:
-                self.restore_fns[msg.dst](result.snapshot_installed)
-            apply_fn = self.apply_fns.get(msg.dst)
-            if apply_fn is not None:
-                for index, command in result.committed:
-                    if command:  # skip leader no-op entries
-                        apply_fn(index, command)
-            queue.extend(result.messages)
+            queue.extend(self.replicas[msg.dst].handle(msg))
 
     def tick(self, dt: float) -> None:
-        for node in self.alive_nodes():
-            self.pump(node.tick(dt))
+        for node_id in self.alive():
+            self.pump(self.replicas[node_id].node.tick(dt))
 
-    def propose(
-        self,
-        node_id: int,
-        command: str,
-        on_append: Callable[[int], None] | None = None,
-    ) -> int:
-        """Propose on ``node_id`` and pump to quiescence; returns the entry's index.
+    def propose(self, node_id: int, command: str) -> Any | None:
+        """Propose on ``node_id`` and pump to quiescence.
 
-        ``on_append(index)`` runs once the entry is in the leader's log and
-        before it can commit. The entry need not have committed on return
-        (no quorum); callers learn that from the apply side. Raises
-        ``NotLeaderError`` when the target node is not the leader.
+        Returns the entry's effects, or None when it did not commit (no
+        quorum). Raises ``NotLeaderError`` when the node is not the leader.
         """
-        node = self.nodes[node_id]
-        index = node.propose(command)
-        if on_append is not None:
-            on_append(index)
-        self.pump(node.broadcast_append())
-        return index
+        replica = self.replicas[node_id]
+        return replica.propose(command, lambda _: self.pump(replica.node.broadcast_append()))

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -32,6 +33,29 @@ def election_timeout_from(data: dict, env: dict[str, str], prefix: str) -> tuple
         source = variable if variable in env else "election_timeout"
         raise ValueError(f"{source} must be 'lo,hi' with 0 < lo <= hi, got {value!r}")
     return lo, hi
+
+
+def fields_from_yaml(
+    cls: type, path: str | Path, env: dict[str, str] | None, prefix: str
+) -> tuple[dict, dict]:
+    """A config file's mapping, with each ``<prefix><FIELD>`` variable of
+    ``env`` (default: the process environment) overriding its key, and the
+    constructor arguments of dataclass ``cls`` read from it: every ``int``,
+    ``float`` or ``str`` field the mapping names, converted to its type, and
+    ``election_timeout``. Other fields are left to the caller."""
+    data = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
+    env = env if env is not None else dict(os.environ)
+    for key, value in env.items():
+        if key.startswith(prefix):
+            data[key[len(prefix):].lower()] = value
+    types = typing.get_type_hints(cls)
+    args = {
+        f.name: types[f.name](data[f.name])
+        for f in fields(cls)
+        if f.name in data and types[f.name] in (int, float, str)
+    }
+    args["election_timeout"] = election_timeout_from(data, env, prefix)
+    return data, args
 
 
 @dataclass
@@ -75,25 +99,6 @@ class RlaConfig:
 
     @classmethod
     def from_yaml(cls, path: str | Path, env: dict[str, str] | None = None) -> RlaConfig:
-        data = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
-        env = env if env is not None else dict(os.environ)
-        for key, value in env.items():
-            if not key.startswith(ENV_PREFIX):
-                continue
-            field_name = key[len(ENV_PREFIX):].lower()
-            data[field_name] = value
+        data, args = fields_from_yaml(cls, path, env, ENV_PREFIX)
         peers = {int(k): str(v) for k, v in (data.get("peers") or {}).items()}
-        return cls(
-            rla_id=int(data["rla_id"]),
-            listen_address=str(data.get("listen_address", "127.0.0.1:7400")),
-            peers=peers,
-            data_dir=data.get("data_dir"),
-            tick_period=float(data.get("tick_period", 5.0)),
-            grace_period=float(data.get("grace_period", 30.0)),
-            snapshot_staleness=float(data.get("snapshot_staleness", 15.0)),
-            telemetry_flush=float(data.get("telemetry_flush", 1.0)),
-            election_timeout=election_timeout_from(data, env, ENV_PREFIX),
-            heartbeat_interval=float(data.get("heartbeat_interval", 0.05)),
-            compact_every=int(data.get("compact_every", 1000)),
-            seed=int(data.get("seed", 0)),
-        )
+        return cls(**args, peers=peers, data_dir=data.get("data_dir"))

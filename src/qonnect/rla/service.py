@@ -1,6 +1,7 @@
 """RLA request handling and the leader-side control loops.
 
-One service instance wraps a Raft node plus its KB replica. Control writes
+One service instance is the state machine of one ``Replica`` (its KB
+replica and the compaction rule) plus the control API. Control writes
 (registrations, submissions, QoS changes, deletions, placement decisions)
 commit through Raft before the request is answered. High-volume telemetry
 (node snapshots, heartbeats) is acknowledged from applied state and flushed
@@ -139,9 +140,8 @@ class RlaService:
         self.id_factory = id_factory
         self.events = events if events is not None else EventLog()
         # Installed by the hosting runtime: propose one log entry (a command
-        # or a batch), wait for its commit, and return the apply effects of
-        # its commands in order.  Engine and live runtimes provide different
-        # implementations, both built on ``await_effects``/``take_effects``.
+        # or a batch) through this node's ``Replica``, wait for its commit,
+        # and return the apply effects of its commands in order.
         self.proposer: Callable[[KBCommand | Batch], list[Effect]] | None = None
 
         self._source = f"rla-{config.rla_id}"
@@ -150,26 +150,17 @@ class RlaService:
         # replicated status: a later same-status heartbeat must be logged too.
         self._status_queued: set[tuple[str, str]] = set()
         # Lease soft state (see the module docstring), kept for one term:
-        # (app id, component) -> time of its last accepted heartbeat. Live
-        # mode reads it outside the REST lock, so ``pump`` never iterates it.
+        # (app id, component) -> time of its last accepted heartbeat.
         self._lease_term: int | None = None
         self._lease_start: float | None = None
         self._seen: dict[tuple[str, str], float] = {}
         # Cluster -> the fingerprint and flags of its last report that passed.
         self._checked_reports: dict[str, tuple[bytes, tuple[str, ...]]] = {}
-        # Log index a local proposer waits on -> (entry term, effects) once
-        # applied.  Only awaited indexes are filled, so followers keep nothing.
-        self._awaited: dict[int, tuple[int, list[Effect]] | None] = {}
         # Compaction trigger state (see the module docstring): commands and
         # raw entry bytes applied since the last snapshot, and its size.
         self._applied_since_compact = 0
         self._logged_since_compact = 0
         self._snapshot_bytes = 0
-        if node.snapshot is not None:
-            # A node reloaded from storage resumes after its snapshot; the
-            # entries it covers are never applied again, so the KB starts
-            # from the snapshot.
-            self.restore_from_snapshot(node.snapshot.blob)
         self._next_scheduler_pass = 0.0
         self._next_flush = 0.0
         self._scheduler_config = SchedulerConfig(
@@ -179,15 +170,12 @@ class RlaService:
         )
 
     # ------------------------------------------------------------------
-    # Raft integration
+    # State machine, driven by this node's ``Replica``
     # ------------------------------------------------------------------
 
-    @property
-    def is_leader(self) -> bool:
-        return self.node.role == Role.LEADER
-
-    def apply_committed(self, index: int, raw_command: str) -> None:
-        """Apply one committed log entry, a command or a batch, to the KB replica."""
+    def apply_committed(self, index: int, raw_command: str) -> list[Effect]:
+        """Apply one committed log entry, a command or a batch, to the KB
+        replica; returns the effect of each of its commands."""
         command = decode_command(raw_command)
         members = command.commands if isinstance(command, Batch) else (command,)
         effects = []
@@ -200,11 +188,6 @@ class RlaService:
                 f"kb-{effect.kind}",
                 {**effect.detail, "transitions": effect.transitions},
             )
-        if index in self._awaited:
-            # The term identifies the entry: a proposer whose entry was
-            # overwritten by another leader's entry at this index sees a
-            # different term here.
-            self._awaited[index] = (self.node.term_at(index), effects)
         self._applied_since_compact += len(members)
         self._logged_since_compact += len(raw_command)
         if (
@@ -226,6 +209,7 @@ class RlaService:
                 },
             )
             self._reset_compaction(len(blob))
+        return effects
 
     def restore_from_snapshot(self, blob: str) -> None:
         self.kb = KnowledgeBase.restore(blob)
@@ -235,19 +219,6 @@ class RlaService:
         self._applied_since_compact = 0
         self._logged_since_compact = 0
         self._snapshot_bytes = snapshot_bytes
-
-    def await_effects(self, index: int) -> None:
-        """Keep the effects of the entry at ``index`` for a waiting proposer."""
-        self._awaited[index] = None
-
-    def take_effects(self, index: int, term: int) -> list[Effect] | None:
-        """Stop waiting on ``index``; the effects if the entry proposed in
-        ``term`` was applied there, else None (not yet applied, superseded by
-        another leader's entry, or covered by an installed snapshot)."""
-        applied = self._awaited.pop(index, None)
-        if applied is None or applied[0] != term:
-            return None
-        return applied[1]
 
     def _require_leader(self) -> None:
         # Writes validate against local KB state, which is authoritative only
@@ -480,7 +451,7 @@ class RlaService:
 
     def pump(self, now: float) -> None:
         """Run due leader work: telemetry flush and the scheduler pass."""
-        if not self.is_leader:
+        if self.node.role != Role.LEADER:
             self._telemetry.clear()
             self._status_queued.clear()
             self._seen.clear()

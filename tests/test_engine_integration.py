@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 from qonnect.harness.bookinfo import bookinfo_bundle
 from qonnect.harness.engine import Deployment
 from qonnect.harness.scenarios import run_all, run_scenario
@@ -113,11 +115,13 @@ def test_compaction_waits_until_a_snapshot_worth_of_bytes_was_logged():
         # A low count floor leaves the byte rule to decide when to compact.
         service.config.compact_every = 10
 
-        def apply(index: int, raw: str, rla_id: int = rla_id, service=service) -> None:
+        def apply(index: int, raw: str, rla_id: int = rla_id, service=service) -> list:
             logged[rla_id] += len(raw)
-            service.apply_committed(index, raw)
+            return service.apply_committed(index, raw)
 
-        dep.group.apply_fns[rla_id] = apply
+        dep.group.replicas[rla_id].machine = SimpleNamespace(
+            apply_committed=apply, restore_from_snapshot=service.restore_from_snapshot
+        )
     dep.boot()
     for n in range(4):
         dep.client().submit_application(bookinfo_bundle(f"sized{n}"))
@@ -181,18 +185,23 @@ def test_proposer_gets_its_effects_after_compaction_swallowed_the_entry(monkeypa
         service.config.compact_every = 1
     monkeypatch.setattr(service_module, "_COMPACT_RATIO", 0)
     leader_id = dep.leader_id()
-    service, leader = dep.services[leader_id], dep.group.nodes[leader_id]
-    # The awaited entry and the one after it commit together; applying the
-    # second compacts the log past the first.
-    index = leader.propose(encode_command(RegisterCluster("10.9.9.1", Domain.EDGE, dep.now)))
-    service.await_effects(index)
-    dep.group.propose(
-        leader_id, encode_command(RegisterCluster("10.9.9.2", Domain.EDGE, dep.now))
+    replica, leader = dep.group.replicas[leader_id], dep.group.nodes[leader_id]
+    awaited = []
+
+    def commit_with_the_next(index: int) -> None:
+        # The awaited entry and the one after it commit together; applying
+        # the second compacts the log past the first.
+        dep.group.propose(
+            leader_id, encode_command(RegisterCluster("10.9.9.2", Domain.EDGE, dep.now))
+        )
+        assert leader.snapshot_index == index + 1 and leader.term_at(index) is None
+        awaited.append(index)
+
+    effects = replica.propose(
+        encode_command(RegisterCluster("10.9.9.1", Domain.EDGE, dep.now)), commit_with_the_next
     )
-    assert leader.snapshot_index == index + 1 and leader.term_at(index) is None
-    effects = service.take_effects(index, leader.current_term)
     assert [e.kind for e in effects] == ["cluster-registered"]
-    assert service.take_effects(index, leader.current_term) is None  # handed over once
+    assert replica.take_effects(awaited[0], leader.current_term) is None  # handed over once
 
     # Every control write still answers with its effect.
     app_id = dep.client().submit_application(bookinfo_bundle("compacted"))

@@ -15,7 +15,7 @@ import requests
 from qonnect.harness.bookinfo import bookinfo_bundle
 from qonnect.harness.live import LiveDeployment, LiveRla
 from qonnect.kb import Domain, KnowledgeBase, RegisterCluster
-from qonnect.raft import SnapshotRequest, encode_message
+from qonnect.raft import Role, SnapshotRequest, encode_message
 from qonnect.rla import RlaConfig
 from qonnect.harness.testbed import TestbedSpec
 from qonnect.rla import service as service_module
@@ -279,3 +279,74 @@ def test_polls_answer_while_decisions_and_heartbeats_commit(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
         live.stop()
+
+
+def test_a_commit_slowed_past_the_election_timeout_leaves_the_term_unchanged(monkeypatch):
+    """The leader's tick thread keeps heartbeating while its leader work
+    waits on a slow commit that released the replica lock."""
+    live = LiveDeployment(spec=fast_spec(), base_port=free_port_base())
+    live.start()
+    try:
+        rla = live.rlas[live.wait_for_leader(timeout=15.0)]
+        slow = 2 * live.spec.election_timeout[1]
+        propose, slowed = rla.service.proposer, []
+
+        def slow_propose(entry):
+            waiting = threading.Condition(rla._lock)
+            with waiting:
+                waiting.wait(slow)  # releases the lock, as a commit wait does
+            slowed.append(entry)
+            return propose(entry)
+
+        terms = {i: r.node.current_term for i, r in live.rlas.items()}
+        monkeypatch.setattr(rla.service, "proposer", slow_propose)
+        deadline = time.monotonic() + 20.0
+        while len(slowed) < 3 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        monkeypatch.undo()
+        assert len(slowed) >= 3
+        assert {i: r.node.current_term for i, r in live.rlas.items()} == terms
+        assert rla.node.role == Role.LEADER
+    finally:
+        live.stop()
+
+
+def test_a_pause_of_the_whole_process_starts_no_election():
+    """Each wake-up of a tick thread is one tick, so a pause that stops every
+    thread at once, as a garbage collection does, times out no follower."""
+    live = LiveDeployment(spec=fast_spec(), base_port=free_port_base())
+    live.start()
+    try:
+        live.wait_for_leader(timeout=15.0)
+        terms = {i: r.node.current_term for i, r in live.rlas.items()}
+        start = time.perf_counter()
+        sum(range(1_000_000))
+        per_item = (time.perf_counter() - start) / 1_000_000
+        for _ in range(3):
+            # One C call holds the interpreter lock: no other thread runs
+            # for twice the longest election timeout.
+            sum(range(int(2 * live.spec.election_timeout[1] / per_item)))
+            time.sleep(0.3)
+        assert {i: r.node.current_term for i, r in live.rlas.items()} == terms
+    finally:
+        live.stop()
+
+
+def test_the_scheduler_pass_runs_with_the_replica_lock_owned(monkeypatch):
+    live = LiveDeployment(spec=fast_spec(), base_port=free_port_base())
+    owned: list[bool] = []
+
+    def scheduler_tick(*args, _tick=service_module.scheduler_tick, **kwargs):
+        owned.append(any(r._lock._is_owned() for r in live.rlas.values()))
+        return _tick(*args, **kwargs)
+
+    monkeypatch.setattr(service_module, "scheduler_tick", scheduler_tick)
+    live.start()
+    try:
+        live.wait_for_leader(timeout=15.0)
+        deadline = time.monotonic() + 20.0
+        while len(owned) < 3 and time.monotonic() < deadline:
+            time.sleep(0.05)
+    finally:
+        live.stop()
+    assert len(owned) >= 3 and all(owned)

@@ -26,6 +26,7 @@ from qonnect.raft import (
     decode_message,
     encode_message,
 )
+from qonnect.raft.node import MAX_APPEND_ENTRIES
 from qonnect.raft.simulation import RaftHarness
 from qonnect.raft.storage import Snapshot
 
@@ -265,6 +266,34 @@ def test_lagging_follower_receives_snapshot_then_appends():
         entry = leader.entry_at(index)
         if entry.command:
             assert harness.applied[lagger].get(index) == entry.command
+
+
+def test_a_follower_far_behind_catches_up_in_capped_appends():
+    harness, leader_id = committed_harness(10)
+    leader = harness.nodes[leader_id]
+    lagger = next(i for i in harness.nodes if i != leader_id)
+    harness.stop(lagger)
+    sent = 0
+    while sent < MAX_APPEND_ENTRIES + 50:
+        if harness.propose(f"late-{sent}") is not None:
+            sent += 1
+        harness.step()
+    assert harness.run_until(lambda: leader.last_applied >= leader.last_log_index, 10.0)
+
+    received: list[AppendRequest] = []
+    send = harness.network.send
+
+    def record(msg, now):
+        if msg.dst == lagger and isinstance(msg, AppendRequest):
+            received.append(msg)
+        send(msg, now)
+
+    harness.network.send = record
+    harness.restart(lagger)
+    target = leader.last_log_index
+    assert harness.run_until(lambda: harness.nodes[lagger].last_applied >= target, 10.0)
+    assert max(len(m.entries) for m in received) == MAX_APPEND_ENTRIES
+    assert harness.applied[lagger] == harness.applied[leader_id]
 
 
 def test_restart_from_wal_and_snapshot_preserves_state(tmp_path):

@@ -1,0 +1,166 @@
+"""The one apply path: ``Replica`` over a fake state machine.
+
+Node 0 is driven by hand with the messages its peers would send, so each
+test pins one step of handle → restore → apply and the proposer hand-off.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from qonnect.raft import (
+    AppendRequest,
+    AppendResponse,
+    LogEntry,
+    RaftConfig,
+    RaftNode,
+    Role,
+    SnapshotRequest,
+    VoteResponse,
+)
+from qonnect.raft.replica import Replica
+
+
+class FakeMachine:
+    """Records every call; its state is the list of applied commands."""
+
+    def __init__(self) -> None:
+        self.state: list[str] = []
+        self.calls: list[tuple] = []
+        self.node: RaftNode | None = None  # set to compact at every apply
+
+    def apply_committed(self, index: int, command: str) -> str:
+        self.state.append(command)
+        self.calls.append(("apply", index, command))
+        if self.node is not None:  # through every committed entry, this one's successors too
+            self.node.compact(self.node.last_applied, ",".join(self.state))
+        return f"effect-{index}"
+
+    def restore_from_snapshot(self, blob: str) -> None:
+        self.state = blob.split(",")
+        self.calls.append(("restore", blob))
+
+
+def follower() -> tuple[Replica, FakeMachine]:
+    machine = FakeMachine()
+    return Replica(RaftNode(RaftConfig(node_id=0, members=(0, 1, 2))), machine), machine
+
+
+def leader() -> tuple[Replica, FakeMachine]:
+    """Node 0 elected with node 1's vote; its no-op sits at index 1."""
+    replica, machine = follower()
+    replica.node.tick(1.0)  # past any election timeout
+    term = replica.node.current_term
+    replica.handle(VoteResponse(src=1, dst=0, term=term, granted=True))
+    assert replica.node.role == Role.LEADER and replica.node.last_log_index == 1
+    return replica, machine
+
+
+def append(term: int, prev: tuple[int, int], entries: list[tuple[int, str]], commit: int):
+    return AppendRequest(
+        src=1,
+        dst=0,
+        term=term,
+        prev_log_index=prev[0],
+        prev_log_term=prev[1],
+        entries=tuple(LogEntry(index, term, command) for index, command in entries),
+        leader_commit=commit,
+    )
+
+
+def acked(replica: Replica, match_index: int) -> list:
+    """Node 1 acknowledges the leader's log through ``match_index``."""
+    term = replica.node.current_term
+    return replica.handle(
+        AppendResponse(src=1, dst=0, term=term, success=True, match_index=match_index,
+                       conflict_index=0)
+    )
+
+
+def test_leader_no_ops_are_not_applied():
+    replica, machine = follower()
+    replica.handle(append(1, (0, 0), [(1, ""), (2, "a"), (3, "")], commit=3))
+    assert replica.node.last_applied == 3
+    assert machine.calls == [("apply", 2, "a")]
+
+
+def test_a_snapshot_install_restores_the_state_before_later_entries_apply():
+    replica, machine = follower()
+    replica.handle(
+        SnapshotRequest(src=1, dst=0, term=1, last_included_index=5, last_included_term=1,
+                        state_blob="x,y")
+    )
+    replica.handle(append(1, (5, 1), [(6, "z")], commit=6))
+    assert machine.calls == [("restore", "x,y"), ("apply", 6, "z")]
+    assert machine.state == ["x", "y", "z"]
+
+
+def test_a_restarted_node_restores_its_snapshot_once():
+    replica, machine = follower()
+    replica.handle(
+        SnapshotRequest(src=1, dst=0, term=1, last_included_index=5, last_included_term=1,
+                        state_blob="x,y")
+    )
+    reloaded = FakeMachine()
+    Replica(RaftNode(replica.node.config, storage=replica.node.storage), reloaded)
+    assert reloaded.calls == [("restore", "x,y")]
+
+
+def test_effects_reach_the_proposer_once():
+    replica, machine = leader()
+    term = replica.node.current_term
+    assert replica.propose("cmd", lambda index: acked(replica, index)) == "effect-2"
+    assert machine.calls == [("apply", 2, "cmd")]
+    assert replica.take_effects(2, term) is None  # handed over once
+
+
+def test_a_proposer_that_gives_up_stops_waiting():
+    replica, machine = leader()
+    term = replica.node.current_term
+
+    def give_up(index: int) -> None:
+        raise TimeoutError(index)
+
+    with pytest.raises(TimeoutError):
+        replica.propose("slow", give_up)
+    acked(replica, 2)  # the entry commits after all
+    assert machine.calls == [("apply", 2, "slow")]
+    assert replica.take_effects(2, term) is None  # nobody kept its effects
+
+
+def test_effects_survive_a_compaction_past_the_awaited_entry():
+    replica, machine = leader()
+    machine.node = replica.node
+
+    def commit_with_the_next(index: int) -> None:
+        replica.node.propose("second")
+        acked(replica, index + 1)  # both commit at once; applying the first compacts past it
+        assert replica.node.snapshot_index == index + 1 and replica.node.term_at(index) is None
+
+    assert replica.propose("first", commit_with_the_next) == "effect-2"
+
+
+def test_a_superseded_entry_hands_the_proposer_none():
+    replica, machine = leader()
+    term = replica.node.current_term
+
+    def overwritten(index: int) -> None:
+        # Node 1 leads the next term and overwrites the entry with its own.
+        replica.handle(append(term + 1, (index - 1, term), [(index, "winner")], commit=index))
+
+    assert replica.propose("lost", overwritten) is None
+    assert machine.calls == [("apply", 2, "winner")]
+
+
+def test_an_entry_covered_by_a_snapshot_hands_the_proposer_none():
+    replica, machine = leader()
+    term = replica.node.current_term
+
+    def covered(index: int) -> None:
+        replica.handle(
+            SnapshotRequest(src=1, dst=0, term=term + 1, last_included_index=index + 2,
+                            last_included_term=term + 1, state_blob="s")
+        )
+
+    assert replica.propose("covered", covered) is None
+    assert machine.calls == [("restore", "s")]

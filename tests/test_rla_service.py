@@ -18,6 +18,7 @@ from qonnect.raft import (
     SnapshotRequest,
 )
 from qonnect.raft.node import Role
+from qonnect.raft.replica import Replica
 from qonnect.raft.storage import RaftStorage
 from qonnect.rla import RlaConfig, RlaService
 from qonnect.rla import service as service_module
@@ -369,7 +370,8 @@ def test_poll_withholds_payload_until_placeholder_domains_are_placed():
 
 def follower_service(storage: RaftStorage, **config) -> RlaService:
     node = RaftNode(RaftConfig(node_id=0, members=(0, 1, 2)), storage=storage)
-    return RlaService(RlaConfig(rla_id=0, **config), node=node)
+    # The replica restores a node reloaded from storage to its snapshot.
+    return Replica(node, RlaService(RlaConfig(rla_id=0, **config), node=node)).machine
 
 
 def replicate(service: RlaService, commands: list[KBCommand]) -> None:
