@@ -1,10 +1,9 @@
 """Resource Agent: stateless per-cluster reconciler driven by RLA polling."""
 
-from qonnect.agent.client import InProcessRlaClient, RlaClient, RlaClientError
+from qonnect.agent.client import RlaClient, RlaClientError
 from qonnect.agent.ra import RaConfig, ResourceAgent
 
 __all__ = [
-    "InProcessRlaClient",
     "RaConfig",
     "ResourceAgent",
     "RlaClient",

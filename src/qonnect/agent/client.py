@@ -1,47 +1,37 @@
 """Client-side access to the RLA REST API.
 
-Both implementations speak the same route table: ``InProcessRlaClient``
-dispatches straight into ``RestApi`` instances (deterministic testbeds),
-``HttpRlaClient`` (in ``qonnect.harness.live``) goes over real HTTP.
-Writes follow not-leader redirects; reads are served by any replica.
+``RlaClient`` speaks the route table and follows not-leader redirects;
+reads are served by any replica. How one request travels is the ``send``
+function it is built with: the deterministic engine dispatches straight
+into ``RestApi`` instances, live mode posts over HTTP
+(``qonnect.harness.live.http_send``).
 """
 
 from __future__ import annotations
 
-from typing import Protocol
-
-from qonnect.rla.rest import RestApi
+from typing import Callable
 
 
 class RlaClientError(Exception):
     """Transport failure, no leader, or an unexpected API response."""
 
 
-class RlaClient(Protocol):
-    def register(self, external_ip: str, domain: str) -> str: ...
+class RlaClient:
+    """Redirect-following REST client over the addresses of the RLAs.
 
-    def cluster_config(self) -> dict[str, str]: ...
-
-    def put_nodes(self, cluster_id: str, nodes: list[dict]) -> dict: ...
-
-    def poll_applications(self, cluster_id: str) -> list[dict]: ...
-
-    def heartbeat(
-        self, app_id: str, component: str, cluster_id: str, version: int, status: str
-    ) -> bool: ...
-
-
-class _RestClientBase:
-    """Shared redirect-following request logic over an abstract dispatcher."""
+    ``send(target, method, path, body)`` carries one request to one RLA and
+    returns ``(status, payload)``; it raises ``RlaClientError`` when
+    ``target`` cannot be reached.
+    """
 
     _MAX_HOPS = 4
 
-    def __init__(self, addresses: list[str]) -> None:
+    def __init__(
+        self, addresses: list[str], send: Callable[[str, str, str, dict | None], tuple[int, dict]]
+    ) -> None:
         self._addresses = list(addresses)
         self._targets = list(addresses)  # in order of trial: the last that answered first
-
-    def _dispatch(self, target: str, method: str, path: str, body: dict | None):
-        raise NotImplementedError
+        self.send = send
 
     def _request(self, method: str, path: str, body: dict | None = None) -> tuple[int, dict]:
         last_error: str | None = None
@@ -55,7 +45,7 @@ class _RestClientBase:
             tried.add(target)
             hops += 1
             try:
-                status, payload = self._dispatch(target, method, path, body)
+                status, payload = self.send(target, method, path, body)
             except RlaClientError as exc:
                 last_error = str(exc)
                 continue
@@ -134,17 +124,3 @@ class _RestClientBase:
         if status != 200:
             raise RlaClientError(f"delete failed ({status}): {payload}")
         return payload
-
-
-class InProcessRlaClient(_RestClientBase):
-    """Dispatches directly into RestApi instances keyed by logical address."""
-
-    def __init__(self, apis: dict[str, RestApi]) -> None:
-        super().__init__(list(apis))
-        self._apis = dict(apis)
-
-    def _dispatch(self, target: str, method: str, path: str, body: dict | None):
-        api = self._apis.get(target)
-        if api is None:
-            raise RlaClientError(f"unknown RLA address: {target}")
-        return api.dispatch(method, path, body)

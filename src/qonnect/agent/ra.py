@@ -19,12 +19,14 @@ from typing import Protocol
 
 from qonnect.agent.client import RlaClient, RlaClientError
 from qonnect.events import EventLog
+from qonnect.rla.validation import PLACEHOLDER_RE
 
 SELF_STORE = "self"
 CONFIG_STORE = "cluster-config"
 APPS_STORE = "applications"
 
-PLACEHOLDER_RE = re.compile(r"\{\{QONNECT_([A-Z]+)_IP\}\}")
+# Seconds between registration attempts while the RLAs cannot be reached.
+REGISTRATION_BACKOFF = 1.0
 
 
 class ClusterBackend(Protocol):
@@ -62,7 +64,6 @@ class RaConfig:
     poll_period: float = 5.0
     heartbeat_period: float = 10.0
     rollout_timeout: float = 120.0
-    registration_backoff: float = 1.0
 
 
 class PlaceholderError(Exception):
@@ -125,7 +126,7 @@ class ResourceAgent:
             try:
                 self.ensure_registered(now)
             except RlaClientError as exc:
-                self._next_register = now + self.config.registration_backoff
+                self._next_register = now + REGISTRATION_BACKOFF
                 self._log(now, "registration-retry", {"error": str(exc)})
                 return
         if now >= self._next_snapshot:

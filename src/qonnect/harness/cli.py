@@ -15,6 +15,7 @@ import sys
 import time
 from pathlib import Path
 
+from qonnect.agent.client import RlaClient
 from qonnect.harness.bookinfo import parse_bundle_stream
 from qonnect.harness.engine import Deployment
 from qonnect.harness.scenarios import run_scenario
@@ -35,10 +36,10 @@ def _load_spec(args: argparse.Namespace) -> TestbedSpec:
     return spec
 
 
-def _client(args: argparse.Namespace):
-    from qonnect.harness.live import HttpRlaClient
+def _client(args: argparse.Namespace) -> RlaClient:
+    from qonnect.harness.live import http_send
 
-    return HttpRlaClient([args.rla])
+    return RlaClient([args.rla], http_send)
 
 
 def cmd_up(args: argparse.Namespace) -> int:

@@ -15,34 +15,19 @@ from __future__ import annotations
 
 import random
 import uuid
-from functools import partial
 from typing import Callable
 
-from qonnect.agent.client import InProcessRlaClient, RlaClientError
+from qonnect.agent.client import RlaClient, RlaClientError
 from qonnect.events import EventLog
 from qonnect.harness.testbed import TestbedSpec
-from qonnect.kb.commands import Batch, KBCommand, encode_command
 from qonnect.kb.model import Domain
-from qonnect.kb.store import Effect, KnowledgeBase, cluster_id_for
+from qonnect.kb.store import KnowledgeBase, cluster_id_for
 from qonnect.raft.node import RaftNode
 from qonnect.raft.replica import Replica
 from qonnect.raft.simulation import SyncRaftGroup
 from qonnect.rla.rest import RestApi
-from qonnect.rla.service import RlaService, UnavailableError
+from qonnect.rla.service import RlaService
 from qonnect.sim.cluster import Fault, KillRa, KillRla, SimCluster
-
-
-class EngineRlaClient(InProcessRlaClient):
-    """In-process client that respects killed RLAs."""
-
-    def __init__(self, apis: dict[str, RestApi], unreachable: set[str]) -> None:
-        super().__init__(apis)
-        self._unreachable = unreachable
-
-    def _dispatch(self, target: str, method: str, path: str, body: dict | None):
-        if target in self._unreachable:
-            raise RlaClientError(f"RLA unreachable: {target}")
-        return super()._dispatch(target, method, path, body)
 
 
 class Deployment:
@@ -86,7 +71,9 @@ class Deployment:
                 id_factory=self._make_id,
                 events=self.events,
             )
-            service.proposer = partial(self._propose, i)
+            # Looked up at each call, so a wrapper of ``SyncRaftGroup.propose``
+            # installed later still sees every proposal.
+            service.proposer = lambda raw, i=i: self.group.propose(i, raw)
             replicas[i] = Replica(node, service)
             self.services[i] = service
             self.apis[addresses[i]] = RestApi(service)
@@ -94,12 +81,6 @@ class Deployment:
 
     def _make_id(self) -> str:
         return str(uuid.UUID(int=self.rng.getrandbits(128), version=4))
-
-    def _propose(self, rla_id: int, entry: KBCommand | Batch) -> list[Effect]:
-        effects = self.group.propose(rla_id, encode_command(entry))
-        if effects is None:
-            raise UnavailableError("proposal did not reach a quorum")
-        return effects
 
     # ------------------------------------------------------------------
     # Driving
@@ -153,8 +134,14 @@ class Deployment:
             service = next(iter(self.services.values()))
         return service.kb
 
-    def client(self) -> EngineRlaClient:
-        return EngineRlaClient(self.apis, self.unreachable_rlas)
+    def client(self) -> RlaClient:
+        return RlaClient(list(self.apis), self.send)
+
+    def send(self, target: str, method: str, path: str, body: dict | None) -> tuple[int, dict]:
+        """Carry one REST call to the RLA at ``target``, unless it was stopped."""
+        if target in self.unreachable_rlas:
+            raise RlaClientError(f"RLA unreachable: {target}")
+        return self.apis[target].dispatch(method, path, body)
 
     def cluster_id_of(self, cluster_name: str) -> str:
         cluster = self.clusters[cluster_name]

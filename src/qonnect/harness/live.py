@@ -17,18 +17,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import requests
 
-from qonnect.agent.client import RlaClientError, _RestClientBase
+from qonnect import codec
+from qonnect.agent.client import RlaClient, RlaClientError
 from qonnect.events import EventLog
 from qonnect.harness.testbed import TestbedSpec
-from qonnect.kb.commands import Batch, KBCommand, encode_command
-from qonnect.kb.store import Effect, KnowledgeBase
-from qonnect.raft.messages import (
-    Message,
-    REQUEST_KINDS,
-    SnapshotRequest,
-    decode_message,
-    encode_message,
-)
+from qonnect.raft.messages import Message, REQUEST_KINDS, decode_message, encode_message
 from qonnect.raft.node import RaftNode
 from qonnect.raft.replica import Replica
 from qonnect.raft.storage import FileStorage
@@ -37,28 +30,24 @@ from qonnect.rla.rest import RestApi
 from qonnect.rla.service import RlaService, UnavailableError
 from qonnect.sim.cluster import SimCluster
 
-class HttpRlaClient(_RestClientBase):
-    """REST client over real HTTP; addresses are host:port."""
 
-    def __init__(self, addresses: list[str], timeout: float = 8.0) -> None:
-        super().__init__(addresses)
-        self._timeout = timeout
+# Seconds an agent or CLI request waits for an RLA's answer.
+_REQUEST_TIMEOUT = 8.0
 
-    def _dispatch(self, target: str, method: str, path: str, body: dict | None):
-        try:
-            response = requests.request(
-                method,
-                f"http://{target}{path}",
-                json=body,
-                timeout=self._timeout,
-            )
-        except requests.RequestException as exc:
-            raise RlaClientError(f"{target} unreachable: {exc}") from exc
-        try:
-            payload = response.json()
-        except ValueError:
-            payload = {"error": response.text}
-        return response.status_code, payload
+
+def http_send(target: str, method: str, path: str, body: dict | None) -> tuple[int, dict]:
+    """Carry one REST call to the RLA at ``target`` (host:port) over HTTP."""
+    try:
+        response = requests.request(
+            method, f"http://{target}{path}", json=body, timeout=_REQUEST_TIMEOUT
+        )
+    except requests.RequestException as exc:
+        raise RlaClientError(f"{target} unreachable: {exc}") from exc
+    try:
+        payload = response.json()
+    except ValueError:
+        payload = {"error": response.text}
+    return response.status_code, payload
 
 
 class LiveRla:
@@ -84,11 +73,9 @@ class LiveRla:
     ) -> None:
         storage = FileStorage(config.data_dir) if config.data_dir else None
         self.node = RaftNode(config.raft_config(members), storage=storage)
-        self.service = RlaService(
-            config, node=self.node, kb=KnowledgeBase(), events=events or EventLog()
-        )
-        self.service.proposer = self._propose
+        self.service = RlaService(config, node=self.node, events=events)
         self.replica = Replica(self.node, self.service)
+        self.service.proposer = lambda raw: self.replica.propose(raw, self._await_commit)
         self.rest = RestApi(self.service)
         self.config = config
 
@@ -191,10 +178,9 @@ class LiveRla:
         if response.status_code != 200 or not response.content:
             return
         try:
-            reply = decode_message(response.text)
+            self._handle_inbound(decode_message(response.text))
         except ValueError:
-            return
-        self._handle_inbound(reply)
+            return  # a malformed reply, or a snapshot the KB cannot load
 
     def _handle_inbound(self, msg: Message) -> Message | None:
         """Handle a message; returns the direct reply to msg.src, if any."""
@@ -213,25 +199,19 @@ class LiveRla:
         with self._lock:
             return self.rest.dispatch(method, path, body)
 
-    def _propose(self, entry: KBCommand | Batch) -> list[Effect]:
-        with self._commit_cond:
-            effects = self.replica.propose(encode_command(entry), self._await_commit)
-        if effects is None:
-            raise UnavailableError("proposal was superseded by a new leader")
-        return effects
-
     def _await_commit(self, index: int, timeout: float = 5.0) -> None:
         """Send the entry at ``index`` and wait until it applies. The wait
         releases the replica lock (``Condition.wait`` releases an ``RLock``
         however deeply it is held), so commits apply and the other threads
         run meanwhile."""
-        self._dispatch(self.node.broadcast_append())
-        deadline = time.monotonic() + timeout
-        while self.node.last_applied < index:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0 or not self._running:
-                raise UnavailableError("proposal did not commit in time")
-            self._commit_cond.wait(timeout=min(0.05, remaining))
+        with self._commit_cond:
+            self._dispatch(self.node.broadcast_append())
+            deadline = time.monotonic() + timeout
+            while self.node.last_applied < index:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0 or not self._running:
+                    raise UnavailableError("proposal did not commit in time")
+                self._commit_cond.wait(timeout=min(0.05, remaining))
 
 
 class _RlaHandler(BaseHTTPRequestHandler):
@@ -241,47 +221,55 @@ class _RlaHandler(BaseHTTPRequestHandler):
         pass
 
     def _body(self) -> bytes:
+        """The request body; ``ValueError`` unless Content-Length is a
+        non-negative integer."""
         length = int(self.headers.get("Content-Length") or 0)
-        return self.rfile.read(length) if length else b""
+        if length < 0:
+            raise ValueError(f"negative Content-Length: {length}")
+        return self.rfile.read(length)
 
-    def _respond(self, status: int, payload: bytes, content_type: str, headers: dict | None = None) -> None:
+    def _respond(self, status: int, payload: bytes, headers: dict | None = None) -> None:
         self.send_response(status)
-        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
         for key, value in (headers or {}).items():
             self.send_header(key, value)
         self.end_headers()
         self.wfile.write(payload)
 
+    def _refuse(self, error: str) -> None:
+        self._respond(400, json.dumps({"error": error}).encode("utf-8"))
+
     def _handle(self, method: str) -> None:
         rla: LiveRla = self.server.rla  # type: ignore[attr-defined]
+        try:
+            raw = self._body()
+        except ValueError as exc:
+            self.close_connection = True  # where the body ends is unknown
+            self._refuse(f"bad Content-Length: {exc}")
+            return
         if self.path.startswith("/raft/") and method == "POST":
             try:
-                msg = decode_message(self._body().decode("utf-8"))
-                if isinstance(msg, SnapshotRequest):
-                    # Load the blob before the node installs and persists it:
-                    # a snapshot the KB cannot restore must never replace the log.
-                    KnowledgeBase.restore(msg.state_blob)
+                # ``Replica.handle`` refuses a snapshot its KB cannot load
+                # before the node sees it.
+                reply = rla._handle_inbound(decode_message(raw.decode("utf-8")))
             except ValueError as exc:  # includes UnicodeDecodeError
-                self._respond(400, json.dumps({"error": str(exc)}).encode(), "application/json")
+                self._refuse(str(exc))
                 return
-            reply = rla._handle_inbound(msg)
-            payload = encode_message(reply).encode("utf-8") if reply else b""
-            self._respond(200, payload, "application/json")
+            self._respond(200, encode_message(reply).encode("utf-8") if reply else b"")
             return
         body: dict | None = None
-        raw = self._body()
         if raw:
             try:
-                body = json.loads(raw.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                self._respond(400, b'{"error":"invalid-json"}', "application/json")
+                body = codec.loads(raw.decode("utf-8"))
+            except ValueError:  # includes UnicodeDecodeError
+                self._refuse("invalid-json")
                 return
         status, response = rla.dispatch(method, self.path, body)
         headers = {}
         if status == 307 and response.get("leader_address"):
             headers["Location"] = f"http://{response['leader_address']}{self.path}"
-        self._respond(status, json.dumps(response).encode("utf-8"), "application/json", headers)
+        self._respond(status, json.dumps(response).encode("utf-8"), headers)
 
     def do_GET(self) -> None:
         self._handle("GET")
@@ -379,16 +367,15 @@ class LiveDeployment:
                     except Exception:
                         pass  # duty-level errors are already guarded; stay alive
 
-    def client(self) -> HttpRlaClient:
-        return HttpRlaClient(list(self.addresses.values()))
+    def client(self) -> RlaClient:
+        return RlaClient(list(self.addresses.values()), http_send)
 
     def wait_for_leader(self, timeout: float = 10.0) -> int:
-        client = self.client()
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
             for address in self.addresses.values():
                 try:
-                    status, body = client._dispatch(address, "GET", "/status", None)
+                    status, body = http_send(address, "GET", "/status", None)
                 except RlaClientError:
                     continue
                 if status == 200 and body.get("role") == "leader":

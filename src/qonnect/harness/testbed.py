@@ -7,15 +7,19 @@ and their resource agents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+import typing
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
+
+import yaml
 
 from qonnect.agent.client import RlaClient
 from qonnect.agent.ra import RaConfig, ResourceAgent
 from qonnect.events import EventLog
 from qonnect.kb.model import Domain
-from qonnect.rla.config import RlaConfig, fields_from_yaml
+from qonnect.rla.config import RlaConfig
 from qonnect.sim.cluster import SimCluster, make_cluster
 from qonnect.sim.profiles import PROFILES
 
@@ -23,6 +27,27 @@ ENV_PREFIX = "QONNECT_TESTBED_"
 
 DOMAINS = tuple(d.value for d in Domain)
 PROFILE_NAMES = ("energy", "cost", "performance")
+
+
+def _election_timeout(data: dict, env: dict[str, str]) -> tuple[float, float]:
+    """The ``election_timeout`` of a spec whose environment overrides are in ``data``.
+
+    A YAML file gives two numbers; the variable ``QONNECT_TESTBED_ELECTION_TIMEOUT``
+    gives ``"lo,hi"``. Anything but ``0 < lo <= hi`` raises ``ValueError``
+    naming where it came from.
+    """
+    value = data.get("election_timeout", (0.15, 0.30))
+    try:
+        lo, hi = value.split(",") if isinstance(value, str) else value
+        lo, hi = float(lo), float(hi)
+        valid = 0 < lo <= hi
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        variable = f"{ENV_PREFIX}ELECTION_TIMEOUT"
+        source = variable if variable in env else "election_timeout"
+        raise ValueError(f"{source} must be 'lo,hi' with 0 < lo <= hi, got {value!r}")
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -146,7 +171,19 @@ class TestbedSpec:
 
     @classmethod
     def from_yaml(cls, path: str | Path, env: dict[str, str] | None = None) -> TestbedSpec:
-        data, args = fields_from_yaml(cls, path, env, ENV_PREFIX)
+        """A spec from a YAML file, each ``QONNECT_TESTBED_<FIELD>`` variable of
+        ``env`` (default: the process environment) overriding its key."""
+        data = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
+        env = env if env is not None else dict(os.environ)
+        for key, value in env.items():
+            if key.startswith(ENV_PREFIX):
+                data[key[len(ENV_PREFIX):].lower()] = value
+        types = typing.get_type_hints(cls)
+        args = {
+            f.name: types[f.name](data[f.name])
+            for f in fields(cls)
+            if f.name in data and types[f.name] in (int, float, str)
+        }
         clusters = [
             ClusterSpec(
                 name=c["name"],
@@ -157,7 +194,7 @@ class TestbedSpec:
             )
             for c in (data.get("clusters") or [])
         ]
-        return cls(**args, clusters=clusters)
+        return cls(**args, election_timeout=_election_timeout(data, env), clusters=clusters)
 
 
 def default_clusters() -> list[ClusterSpec]:

@@ -1,25 +1,32 @@
 """One replica: a Raft node, its state machine and the apply path between them.
 
-``Replica.handle`` is the only place a message reaches a node: it restores
-an installed snapshot into the state machine, then applies the newly
-committed entries in order, skipping the leader's empty no-op entries.
-``propose`` hands an entry's effects to the one proposer waiting on it.
-Transports (the engine's instant group, the seeded lossy harness, live
-HTTP) only deliver messages and decide how a proposer waits for its commit.
+``Replica.handle`` is the only place a message reaches a node. The state
+machine loads a snapshot's blob before the node sees it, so a blob that
+does not load is refused with ``ValueError`` and never replaces the log;
+once the node installs the snapshot, the replica installs the state already
+loaded. It then applies the newly committed entries in order, skipping the
+leader's empty no-op entries. ``propose`` hands an entry's effects to the
+one proposer waiting on it. Transports (the engine's instant group, the
+seeded lossy harness, live HTTP) only deliver messages and decide how a
+proposer waits for its commit.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Protocol
 
-from qonnect.raft.messages import Message
+from qonnect.raft.messages import Message, SnapshotRequest
 from qonnect.raft.node import RaftNode
 
 
 class StateMachine(Protocol):
     def apply_committed(self, index: int, command: str) -> Any: ...
 
-    def restore_from_snapshot(self, blob: str) -> None: ...
+    def load_snapshot(self, blob: str) -> Any:
+        """The state ``blob`` holds; ``ValueError`` if it holds none."""
+
+    def install_snapshot(self, state: Any, blob: str) -> None:
+        """Replace the state with ``state``, loaded from ``blob``."""
 
 
 class Replica:
@@ -32,14 +39,19 @@ class Replica:
         if node.snapshot is not None:
             # A node reloaded from storage resumes after its snapshot; the
             # entries it covers are never applied again.
-            machine.restore_from_snapshot(node.snapshot.blob)
+            blob = node.snapshot.blob
+            machine.install_snapshot(machine.load_snapshot(blob), blob)
 
     def handle(self, msg: Message) -> list[Message]:
         """Deliver ``msg`` to the node and apply what it committed; returns
-        the node's outbound messages."""
+        the node's outbound messages. Raises ``ValueError``, before the node
+        sees ``msg``, for a snapshot the state machine cannot load."""
+        loaded = None
+        if isinstance(msg, SnapshotRequest):
+            loaded = self.machine.load_snapshot(msg.state_blob)
         result = self.node.handle_message(msg)
         if result.snapshot_installed is not None:
-            self.machine.restore_from_snapshot(result.snapshot_installed)
+            self.machine.install_snapshot(loaded, result.snapshot_installed)
         for index, command in result.committed:
             if not command:
                 continue  # leader no-ops are not state machine input

@@ -123,7 +123,10 @@ class _Recorder:
     def apply_committed(self, index: int, command: str) -> None:
         self.applied[index] = command
 
-    def restore_from_snapshot(self, blob: str) -> None:
+    def load_snapshot(self, blob: str) -> str:
+        return blob
+
+    def install_snapshot(self, state: str, blob: str) -> None:
         self.restored[self.node.config.node_id] = self.node.snapshot_index
 
 

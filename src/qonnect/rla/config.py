@@ -1,61 +1,10 @@
-"""RLA process configuration: file-based with environment overrides."""
+"""RLA process configuration."""
 
 from __future__ import annotations
 
-import os
-import typing
-from dataclasses import dataclass, field, fields
-from pathlib import Path
-
-import yaml
+from dataclasses import dataclass, field
 
 from qonnect.raft.node import RaftConfig
-
-ENV_PREFIX = "QONNECT_RLA_"
-
-
-def election_timeout_from(data: dict, env: dict[str, str], prefix: str) -> tuple[float, float]:
-    """The ``election_timeout`` of a config whose environment overrides are in ``data``.
-
-    A YAML file gives two numbers; the variable ``<prefix>ELECTION_TIMEOUT``
-    gives ``"lo,hi"``. Anything but ``0 < lo <= hi`` raises ``ValueError``
-    naming where it came from.
-    """
-    value = data.get("election_timeout", (0.15, 0.30))
-    try:
-        lo, hi = value.split(",") if isinstance(value, str) else value
-        lo, hi = float(lo), float(hi)
-        valid = 0 < lo <= hi
-    except (TypeError, ValueError):
-        valid = False
-    if not valid:
-        variable = f"{prefix}ELECTION_TIMEOUT"
-        source = variable if variable in env else "election_timeout"
-        raise ValueError(f"{source} must be 'lo,hi' with 0 < lo <= hi, got {value!r}")
-    return lo, hi
-
-
-def fields_from_yaml(
-    cls: type, path: str | Path, env: dict[str, str] | None, prefix: str
-) -> tuple[dict, dict]:
-    """A config file's mapping, with each ``<prefix><FIELD>`` variable of
-    ``env`` (default: the process environment) overriding its key, and the
-    constructor arguments of dataclass ``cls`` read from it: every ``int``,
-    ``float`` or ``str`` field the mapping names, converted to its type, and
-    ``election_timeout``. Other fields are left to the caller."""
-    data = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
-    env = env if env is not None else dict(os.environ)
-    for key, value in env.items():
-        if key.startswith(prefix):
-            data[key[len(prefix):].lower()] = value
-    types = typing.get_type_hints(cls)
-    args = {
-        f.name: types[f.name](data[f.name])
-        for f in fields(cls)
-        if f.name in data and types[f.name] in (int, float, str)
-    }
-    args["election_timeout"] = election_timeout_from(data, env, prefix)
-    return data, args
 
 
 @dataclass
@@ -96,9 +45,3 @@ class RlaConfig:
         if rla_id is None:
             return None
         return self.peers.get(rla_id)
-
-    @classmethod
-    def from_yaml(cls, path: str | Path, env: dict[str, str] | None = None) -> RlaConfig:
-        data, args = fields_from_yaml(cls, path, env, ENV_PREFIX)
-        peers = {int(k): str(v) for k, v in (data.get("peers") or {}).items()}
-        return cls(**args, peers=peers, data_dir=data.get("data_dir"))

@@ -35,7 +35,6 @@ from __future__ import annotations
 import ipaddress
 import json
 import marshal
-import re
 import time
 import uuid
 from typing import Callable
@@ -52,12 +51,13 @@ from qonnect.kb.commands import (
     SubmitApplication,
     UpdateQoS,
     decode_command,
+    encode_command,
 )
 from qonnect.kb.model import ApplicationRecord, ComponentStatus, Domain
 from qonnect.kb.store import HEARTBEAT_STATUS, Effect, KnowledgeBase, node_from_wire
 from qonnect.raft.node import NotLeaderError, RaftNode, Role
 from qonnect.rla.config import RlaConfig
-from qonnect.rla.validation import parse_qos, validate_bundle
+from qonnect.rla.validation import PLACEHOLDER_RE, parse_qos, validate_bundle
 from qonnect.scheduler.loop import SchedulerConfig, scheduler_tick
 
 
@@ -83,8 +83,6 @@ def _default_id_factory() -> str:
     return str(uuid.uuid4())
 
 
-_PLACEHOLDER_RE = re.compile(r"\{\{QONNECT_([A-Z]+)_IP\}\}")
-
 # Raw entry bytes to log since the last snapshot, as a multiple of its size,
 # before the next one (the dissertation's factor).
 _COMPACT_RATIO = 1.0
@@ -95,7 +93,7 @@ _REFRESH_SHARE = 0.5
 
 
 def _placeholder_domains(manifest: dict) -> set[str]:
-    return {m.lower() for m in _PLACEHOLDER_RE.findall(json.dumps(manifest))}
+    return {m.lower() for m in PLACEHOLDER_RE.findall(json.dumps(manifest))}
 
 
 def _fingerprint(nodes: list) -> bytes | None:
@@ -139,10 +137,11 @@ class RlaService:
         self.clock = clock
         self.id_factory = id_factory
         self.events = events if events is not None else EventLog()
-        # Installed by the hosting runtime: propose one log entry (a command
-        # or a batch) through this node's ``Replica``, wait for its commit,
-        # and return the apply effects of its commands in order.
-        self.proposer: Callable[[KBCommand | Batch], list[Effect]] | None = None
+        # Installed by the hosting runtime: deliver one encoded log entry
+        # through this node's ``Replica``, wait for its commit, and return
+        # the apply effects of its commands in order, or None when it did
+        # not commit.
+        self.proposer: Callable[[str], list[Effect] | None] | None = None
 
         self._source = f"rla-{config.rla_id}"
         self._telemetry: list[KBCommand] = []
@@ -164,7 +163,6 @@ class RlaService:
         self._next_scheduler_pass = 0.0
         self._next_flush = 0.0
         self._scheduler_config = SchedulerConfig(
-            tick_period=config.tick_period,
             grace_period=config.grace_period,
             snapshot_staleness=config.snapshot_staleness,
         )
@@ -211,8 +209,11 @@ class RlaService:
             self._reset_compaction(len(blob))
         return effects
 
-    def restore_from_snapshot(self, blob: str) -> None:
-        self.kb = KnowledgeBase.restore(blob)
+    def load_snapshot(self, blob: str) -> KnowledgeBase:
+        return KnowledgeBase.restore(blob)
+
+    def install_snapshot(self, kb: KnowledgeBase, blob: str) -> None:
+        self.kb = kb
         self._reset_compaction(len(blob))
 
     def _reset_compaction(self, snapshot_bytes: int) -> None:
@@ -245,7 +246,10 @@ class RlaService:
         if self.proposer is None:
             raise UnavailableError("no proposer wired to this service")
         self._require_leader()
-        return self.proposer(entry)
+        effects = self.proposer(encode_command(entry))
+        if effects is None:
+            raise UnavailableError("proposal did not commit")
+        return effects
 
     def leader_address(self) -> str | None:
         return self.config.peer_address(self.node.leader_id)

@@ -4,18 +4,22 @@ A bundle is one ``application`` block (name, labels, qos) plus component
 blocks, each targeting a domain and carrying opaque manifest objects. Two
 conventions make manifests portable across domains: every component ships
 an Ingress whose first path segment is the application name, and cross
-domain addresses appear as ``{{QONNECT_<DOMAIN>_IP}}`` placeholders that
-agents substitute before applying.
+domain addresses appear as ``{{QONNECT_<DOMAIN>_IP}}`` placeholders
+(``PLACEHOLDER_RE``) that agents substitute before applying.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from qonnect import codec
 from qonnect.kb.model import Domain, QoSVector
 
 VALID_DOMAINS = {d.value for d in Domain}
+
+# A cross-domain address placeholder; group 1 is the domain, in upper case.
+PLACEHOLDER_RE = re.compile(r"\{\{QONNECT_([A-Z]+)_IP\}\}")
 
 _decode_qos = codec.decoder(QoSVector)
 

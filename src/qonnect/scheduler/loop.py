@@ -24,7 +24,6 @@ from qonnect.scheduler.borda import BordaCountStrategy, PlacementResult, Placeme
 
 @dataclass
 class SchedulerConfig:
-    tick_period: float = 5.0
     grace_period: float = 30.0
     # Snapshots older than this are ineligible; defaults to 3x the agents'
     # snapshot interval so a dead cluster ages out before its grace expires.

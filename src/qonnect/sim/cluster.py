@@ -55,7 +55,6 @@ class SimWorkload:
     ready: int = 0
     pinned_nodes: tuple[str, ...] = ()
     phase: WorkloadPhase = WorkloadPhase.ROLLING
-    created_at: float = 0.0
     rollout_started: float = 0.0
     labels: dict[str, str] = field(default_factory=dict)
     env: dict[str, str] = field(default_factory=dict)
@@ -120,7 +119,6 @@ class SimCluster:
         self.rollout_latency = rollout_latency
         self.now = 0.0
         self.ra_alive = True
-        self.rla_alive = True
         self.namespaces: dict[str, dict[str, dict]] = {}
         self.workloads: dict[str, dict[str, SimWorkload]] = {}
         self.config_stores: dict[str, dict] = {}
@@ -220,7 +218,6 @@ class SimCluster:
             ready=0,
             pinned_nodes=tuple(pinned_nodes),
             phase=WorkloadPhase.ROLLING,
-            created_at=current.created_at if current else self.now,
             rollout_started=self.now,
             labels=labels,
             env=env,
@@ -305,8 +302,7 @@ class SimCluster:
             self.ra_alive = False
             detail = {}
         elif isinstance(fault, KillRla):
-            self.rla_alive = False
-            detail = {}
+            detail = {}  # the harness stops the RLA this cluster hosts
         elif isinstance(fault, NodeNotReady):
             self._node(fault.node_name).ready = False
             detail = {"node": fault.node_name}

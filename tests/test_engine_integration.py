@@ -120,7 +120,9 @@ def test_compaction_waits_until_a_snapshot_worth_of_bytes_was_logged():
             return service.apply_committed(index, raw)
 
         dep.group.replicas[rla_id].machine = SimpleNamespace(
-            apply_committed=apply, restore_from_snapshot=service.restore_from_snapshot
+            apply_committed=apply,
+            load_snapshot=service.load_snapshot,
+            install_snapshot=service.install_snapshot,
         )
     dep.boot()
     for n in range(4):

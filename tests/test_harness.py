@@ -75,34 +75,12 @@ def test_testbed_spec_yaml_roundtrip_with_env_override(tmp_path):
     assert spec.grace_period == 7.5  # environment wins over file
 
 
-def test_rla_config_yaml_with_env_override(tmp_path):
-    config_file = tmp_path / "rla.yaml"
-    config_file.write_text(
-        yaml.safe_dump(
-            {
-                "rla_id": 1,
-                "listen_address": "127.0.0.1:7401",
-                "peers": {0: "127.0.0.1:7400", 1: "127.0.0.1:7401", 2: "127.0.0.1:7402"},
-                "grace_period": 30.0,
-                "data_dir": "/tmp/rla-1",
-            }
-        ),
-        encoding="utf-8",
-    )
-    config = RlaConfig.from_yaml(config_file, env={"QONNECT_RLA_GRACE_PERIOD": "12"})
-    assert config.rla_id == 1
-    assert config.grace_period == 12.0
-    assert config.peer_address(2) == "127.0.0.1:7402"
-    assert config.peer_address(None) is None
-
-
 @pytest.mark.parametrize(
     "load, base, variable",
     [
         (TestbedSpec.from_yaml, {"seed": 1}, "QONNECT_TESTBED_ELECTION_TIMEOUT"),
-        (RlaConfig.from_yaml, {"rla_id": 0}, "QONNECT_RLA_ELECTION_TIMEOUT"),
     ],
-    ids=["testbed", "rla"],
+    ids=["testbed"],
 )
 def test_election_timeout_reads_lo_hi_and_names_the_variable_otherwise(
     tmp_path, load, base, variable

@@ -24,7 +24,7 @@ from qonnect.kb import (
     RegisterCluster,
     SubmitApplication,
 )
-from qonnect.kb.commands import RecordHeartbeat, RequeueComponent
+from qonnect.kb.commands import RecordHeartbeat, RequeueComponent, decode_command
 from qonnect.kb.model import ComponentStatus, Domain
 from qonnect.kb.store import HEARTBEAT_STATUS
 from qonnect.raft.node import Role
@@ -82,7 +82,8 @@ class _Leader:
             )
         )
 
-    def _commit(self, entry):
+    def _commit(self, raw: str):
+        entry = decode_command(raw)
         members = entry.commands if isinstance(entry, Batch) else (entry,)
         self.requeues.extend((self.now, m) for m in members if isinstance(m, RequeueComponent))
         return [self.service.kb.apply(m) for m in members]

@@ -151,6 +151,24 @@ def test_malformed_requests_get_400_and_the_server_keeps_serving(live):
     assert post("/applications", '["bookinfo"]') == 400
     heartbeat = '{"cluster_id": "c", "version": "abc", "status": "healthy"}'
     assert post("/applications/a/components/c/heartbeat", heartbeat) == 400
+
+    def raw_status(head: str, body: bytes = b"") -> int | None:
+        """Send one raw request; the status line's code, or None without one."""
+        host, port = address.rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=3.0) as sock:
+            sock.sendall(head.encode("ascii") + b"\r\n" + body)
+            try:
+                first = sock.makefile("rb").readline()
+            except socket.timeout:
+                return None
+        return int(first.split()[1]) if first.startswith(b"HTTP/") else None
+
+    for length in ("-1", "abc"):
+        head = f"POST /applications HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n"
+        assert raw_status(head) == 400, length
+    nested = b"[" * 100_000
+    head = f"POST /applications HTTP/1.1\r\nHost: x\r\nContent-Length: {len(nested)}\r\n"
+    assert raw_status(head, nested) == 400
     assert requests.get(f"http://{address}/status", timeout=5.0).status_code == 200
 
 
@@ -169,7 +187,7 @@ def test_committed_writes_answer_with_compaction_after_every_command(monkeypatch
         address = live.addresses[leader]
 
         def submit(i: int) -> tuple[int, dict]:
-            return client._dispatch(address, "POST", "/applications", bookinfo_bundle(f"app{i}"))
+            return client.send(address, "POST", "/applications", bookinfo_bundle(f"app{i}"))
 
         # Concurrent writes commit several entries at once, and every apply
         # compacts the log past the entries before it; each committed write
@@ -218,6 +236,31 @@ def test_a_snapshot_the_kb_cannot_restore_is_refused_and_never_saved(tmp_path):
         restarted.node.storage.close()
 
 
+def test_an_accepted_snapshot_is_parsed_once(monkeypatch):
+    config = RlaConfig(rla_id=0, listen_address=f"127.0.0.1:{free_port_base(1)}")
+    kb = KnowledgeBase()
+    kb.apply(RegisterCluster("10.0.0.1", Domain.EDGE, 1.0))
+    restores: list[str] = []
+    restore = KnowledgeBase.restore
+
+    def counted(blob: str) -> KnowledgeBase:
+        restores.append(blob)
+        return restore(blob)
+
+    monkeypatch.setattr(KnowledgeBase, "restore", counted)
+    msg = SnapshotRequest(src=1, dst=0, term=100, last_included_index=5,
+                          last_included_term=100, state_blob=kb.snapshot_state())
+    rla = LiveRla(config, members=(0, 1, 2))
+    rla.start()
+    try:
+        url = f"http://{config.listen_address}/raft/{msg.kind}"
+        assert requests.post(url, data=encode_message(msg), timeout=5.0).status_code == 200
+        assert rla.node.snapshot_index == 5
+    finally:
+        rla.stop()
+    assert restores == [msg.state_blob]
+
+
 def test_polls_answer_while_decisions_and_heartbeats_commit(monkeypatch):
     """REST reads of the KB run while commits apply on other threads."""
     live = LiveDeployment(spec=fast_spec(), base_port=free_port_base())
@@ -253,7 +296,7 @@ def test_polls_answer_while_decisions_and_heartbeats_commit(monkeypatch):
             statuses = []
             while not submitted.is_set():
                 for cid in cluster_ids:
-                    status, _ = client._dispatch(address, "GET", f"/clusters/{cid}/applications", None)
+                    status, _ = client.send(address, "GET", f"/clusters/{cid}/applications", None)
                     statuses.append(status)
             return statuses
 
@@ -263,7 +306,7 @@ def test_polls_answer_while_decisions_and_heartbeats_commit(monkeypatch):
                 # Each submit commits an app; scheduler passes commit its
                 # decisions and the agents' heartbeats move it on.
                 for i in range(24):
-                    status, _ = client._dispatch(
+                    status, _ = client.send(
                         address, "POST", "/applications", bookinfo_bundle(f"app{i}")
                     )
                     assert status == 201

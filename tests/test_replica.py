@@ -1,7 +1,8 @@
 """The one apply path: ``Replica`` over a fake state machine.
 
 Node 0 is driven by hand with the messages its peers would send, so each
-test pins one step of handle → restore → apply and the proposer hand-off.
+test pins one step of handle → load → install → apply and the proposer
+hand-off.
 """
 
 from __future__ import annotations
@@ -36,8 +37,13 @@ class FakeMachine:
             self.node.compact(self.node.last_applied, ",".join(self.state))
         return f"effect-{index}"
 
-    def restore_from_snapshot(self, blob: str) -> None:
-        self.state = blob.split(",")
+    def load_snapshot(self, blob: str) -> list[str]:
+        if blob.startswith("!"):
+            raise ValueError(f"not a snapshot: {blob!r}")
+        return blob.split(",")
+
+    def install_snapshot(self, state: list[str], blob: str) -> None:
+        self.state = state
         self.calls.append(("restore", blob))
 
 
@@ -93,6 +99,22 @@ def test_a_snapshot_install_restores_the_state_before_later_entries_apply():
     replica.handle(append(1, (5, 1), [(6, "z")], commit=6))
     assert machine.calls == [("restore", "x,y"), ("apply", 6, "z")]
     assert machine.state == ["x", "y", "z"]
+
+
+def test_a_snapshot_the_machine_cannot_load_never_reaches_the_node():
+    replica, machine = follower()
+    replica.handle(append(1, (0, 0), [(1, "a"), (2, "b")], commit=2))
+    before = (replica.node.current_term, replica.node.snapshot_index,
+              replica.node.entries_from(1))
+    with pytest.raises(ValueError):
+        replica.handle(
+            SnapshotRequest(src=1, dst=0, term=2, last_included_index=5, last_included_term=2,
+                            state_blob="!garbage")
+        )
+    after = (replica.node.current_term, replica.node.snapshot_index,
+             replica.node.entries_from(1))
+    assert after == before
+    assert machine.calls == [("apply", 1, "a"), ("apply", 2, "b")]
 
 
 def test_a_restarted_node_restores_its_snapshot_once():

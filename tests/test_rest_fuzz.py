@@ -1,0 +1,103 @@
+"""Fuzz the REST surface: no request, however malformed, escapes the route table.
+
+Any method on any route template, with real or random ids and any JSON
+body, must answer with one of the API's statuses and a JSON-encodable
+payload, on the leader and on a follower alike. ``validate_bundle`` must
+classify any JSON value without raising.
+"""
+
+from __future__ import annotations
+
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qonnect.harness.bookinfo import bookinfo_bundle
+from qonnect.harness.engine import Deployment
+from qonnect.rla.rest import RestApi
+from qonnect.rla.validation import validate_bundle
+
+STATUSES = {200, 201, 307, 400, 404, 409, 503}
+
+# Keys the handlers read, so that some bodies get past the shape checks.
+KEYS = (
+    "external_ip", "domain", "nodes", "qos", "cluster_id", "version", "status",
+    "application", "components", "name", "energy", "pricing", "performance",
+)
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=6), children, max_size=5),
+    max_leaves=16,
+)
+# Mostly objects, as every route wants one.
+bodies = st.dictionaries(st.sampled_from(KEYS), json_values, max_size=4) | json_values
+methods = st.sampled_from(["GET", "POST", "PUT", "DELETE"]) | st.text(max_size=6)
+# Random path segments: mostly one segment each, sometimes empty or several.
+ids = st.text(st.characters(blacklist_characters="/"), min_size=1, max_size=10) | st.text(
+    max_size=10
+)
+
+
+def booted() -> tuple[Deployment, dict[str, list[str]]]:
+    """A booted engine with one placed application, and the real value of
+    each route parameter."""
+    dep = Deployment(seed=31)
+    dep.boot()
+    dep.client().submit_application(bookinfo_bundle("fuzzed"))
+    assert dep.run_until(
+        lambda: (app := dep.kb().live_application("fuzzed")) is not None
+        and all(c.decision is not None for c in app.components),
+        60.0,
+    )
+    app = dep.kb().live_application("fuzzed")
+    return dep, {
+        "cluster_id": sorted(dep.kb().clusters),
+        "name": [app.name],
+        "app_id": [app.app_id],
+        "component": [c.name for c in app.components],
+    }
+
+
+def test_any_request_gets_an_api_status_on_the_leader_and_a_follower():
+    dep, real = booted()
+    leader = dep.leader_id()
+    follower = next(i for i in dep.services if i != leader)
+    apis = [dep.apis[f"rla-{leader}"], dep.apis[f"rla-{follower}"]]
+
+    @st.composite
+    def requests(draw) -> tuple[str, str]:
+        """A method and path: mostly the route's own method, and its template
+        filled with real ids or random text."""
+        route_method, pattern, _ = draw(st.sampled_from(RestApi._routes))
+        segments = [
+            literal if name is None
+            else draw(st.sampled_from(real[name]) | ids)
+            for name, literal in pattern
+        ]
+        method = route_method if draw(st.integers(0, 3)) else draw(methods)
+        return method, "/" + "/".join(segments)
+
+    @settings(max_examples=200, deadline=None)
+    @given(requests(), bodies)
+    def check(request: tuple[str, str], body: object) -> None:
+        method, path = request
+        for api in apis:
+            status, payload = api.dispatch(method, path, body)
+            assert status in STATUSES, (status, payload)
+            assert isinstance(payload, dict)
+            json.dumps(payload)
+
+    check()
+
+
+@settings(max_examples=300, deadline=None)
+@given(bodies)
+def test_validate_bundle_classifies_any_json_value(bundle):
+    parsed, errors = validate_bundle(bundle)
+    if parsed is None:
+        assert isinstance(errors, list) and errors
+    else:
+        assert errors == []

@@ -397,12 +397,13 @@ def replicate(service: RlaService, commands: list[KBCommand]) -> None:
 
 
 def install(service: RlaService, index: int, blob: str) -> None:
+    kb = service.load_snapshot(blob)
     result = service.node.handle_message(
         SnapshotRequest(
             src=1, dst=0, term=1, last_included_index=index, last_included_term=1, state_blob=blob
         )
     )
-    service.restore_from_snapshot(result.snapshot_installed)
+    service.install_snapshot(kb, result.snapshot_installed)
 
 
 def test_restarted_replica_serves_the_kb_its_snapshot_holds(tmp_path, monkeypatch):
