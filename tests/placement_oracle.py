@@ -90,6 +90,60 @@ def oracle_place(
     return best, tuple(name for _, name in chosen)
 
 
+def oracle_ranking(
+    snapshots: list[NodeSnapshot], qos: QoSVector, now: float, staleness: float
+):
+    """Every cluster's ``(cluster_id, retained, total)``, best first; None if none eligible."""
+    eligible = []
+    for node in snapshots:
+        if not node.ready:
+            continue
+        if not node.schedulable:
+            continue
+        if node.pressured:
+            continue
+        if now - node.taken_at > staleness:
+            continue
+        eligible.append(node)
+    if len(eligible) == 0:
+        return None
+
+    q_energy, q_pricing, q_perf = qos.energy, qos.pricing, qos.performance
+    if q_energy == 0 and q_pricing == 0 and q_perf == 0:
+        q_energy = q_pricing = q_perf = 1.0
+
+    energy = oracle_borda([n.energy for n in eligible], True)
+    pricing = oracle_borda([n.pricing for n in eligible], True)
+    capacity = [0] * len(eligible)
+    for attr in ATTRS_HIGHER_WINS:
+        ranks = oracle_borda([getattr(n, attr) for n in eligible], False)
+        for i in range(len(eligible)):
+            capacity[i] += ranks[i]
+
+    weighted = []
+    for i in range(len(eligible)):
+        weighted.append(energy[i] * q_energy + pricing[i] * q_pricing + capacity[i] * q_perf)
+
+    mean = sum(weighted) / len(weighted)
+    retained_idx = [i for i in range(len(eligible)) if weighted[i] >= mean]
+
+    retained_by_cluster: dict[str, float] = {}
+    total_by_cluster: dict[str, float] = {}
+    for i, node in enumerate(eligible):
+        total_by_cluster[node.cluster_id] = total_by_cluster.get(node.cluster_id, 0.0) + weighted[i]
+        if node.cluster_id not in retained_by_cluster:
+            retained_by_cluster[node.cluster_id] = 0.0
+    for i in retained_idx:
+        cid = eligible[i].cluster_id
+        retained_by_cluster[cid] += weighted[i]
+
+    ordered = sorted(
+        total_by_cluster,
+        key=lambda cid: (-retained_by_cluster[cid], -total_by_cluster[cid], cid),
+    )
+    return [(cid, retained_by_cluster[cid], total_by_cluster[cid]) for cid in ordered]
+
+
 def random_instance(rng: random.Random) -> tuple[list[NodeSnapshot], QoSVector]:
     """A small random domain: up to 4 clusters, up to 12 nodes, tie-prone values."""
     n_clusters = rng.randint(1, 4)

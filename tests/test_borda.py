@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from placement_oracle import oracle_place, random_instance
+from placement_oracle import oracle_place, oracle_ranking, random_instance
 from qonnect.kb.model import NodeSnapshot, QoSVector
 from qonnect.scheduler import (
     aggregate_clusters,
@@ -176,6 +176,20 @@ def test_oracle_equivalence_on_random_instances():
             assert (result.cluster_id, result.node_names) == expected
         agreements += 1
     assert agreements == 200
+
+
+def test_full_ranking_matches_oracle_on_random_instances():
+    rng = random.Random(20251018)
+    for _ in range(1000):
+        snapshots, qos = random_instance(rng)
+        expected = oracle_ranking(snapshots, qos, now=100.0, staleness=60.0)
+        result = score_and_filter_nodes(snapshots, qos, now=100.0, staleness=60.0)
+        if expected is None:
+            assert result is None
+            continue
+        assert result is not None
+        ranking = [(c.cluster_id, c.retained_score, c.total_score) for c in result.ranking]
+        assert ranking == expected
 
 
 def test_retained_nodes_live_in_chosen_cluster():
