@@ -232,13 +232,19 @@ def _scenario_3(dep: Deployment, report: ScenarioReport) -> None:
 
     edge_perf = _profile_cluster(dep, "edge", "performance")
     started = dep.now
+    scanned = len(dep.events.events)
     dep.kill_ra(edge_perf)
 
     def requeued() -> bool:
+        # Only an event logged since the kill can be the requeue; each is read once.
+        nonlocal scanned
+        fresh = dep.events.events[scanned:]
+        scanned += len(fresh)
         return any(
-            e.at >= started and e.detail.get("component") == "ratings"
+            e.kind == "scheduler-component-requeued"
+            and e.detail.get("component") == "ratings"
             and e.detail.get("app") == app_name
-            for e in dep.events.matching(kind="scheduler-component-requeued")
+            for e in fresh
         )
 
     grace = dep.spec.grace_period

@@ -59,6 +59,22 @@ class ClusterSpec:
     workers: int = 2
 
 
+def _cluster_spec(where: str, entry: object) -> ClusterSpec:
+    """One ``clusters`` entry of a YAML spec; ``ValueError`` naming it and the key if malformed."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where} must be a mapping, got {entry!r}")
+    for key in ("name", "domain", "profile", "ingress_ip"):
+        if key not in entry:
+            raise ValueError(f"{where} ({entry.get('name', 'unnamed')}) has no {key!r}")
+    return ClusterSpec(
+        name=entry["name"],
+        domain=entry["domain"],
+        profile=entry["profile"],
+        ingress_ip=entry["ingress_ip"],
+        workers=int(entry.get("workers", 2)),
+    )
+
+
 @dataclass
 class TestbedSpec:
     __test__ = False  # not a pytest case, despite the name
@@ -174,6 +190,9 @@ class TestbedSpec:
         """A spec from a YAML file, each ``QONNECT_TESTBED_<FIELD>`` variable of
         ``env`` (default: the process environment) overriding its key."""
         data = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
+        if not isinstance(data, dict):
+            kind = type(data).__name__
+            raise ValueError(f"{path}: a testbed spec must be a mapping, got {kind}")
         env = env if env is not None else dict(os.environ)
         for key, value in env.items():
             if key.startswith(ENV_PREFIX):
@@ -184,16 +203,10 @@ class TestbedSpec:
             for f in fields(cls)
             if f.name in data and types[f.name] in (int, float, str)
         }
-        clusters = [
-            ClusterSpec(
-                name=c["name"],
-                domain=c["domain"],
-                profile=c["profile"],
-                ingress_ip=c["ingress_ip"],
-                workers=int(c.get("workers", 2)),
-            )
-            for c in (data.get("clusters") or [])
-        ]
+        entries = data.get("clusters") or []
+        if not isinstance(entries, list):
+            raise ValueError(f"{path}: clusters must be a list")
+        clusters = [_cluster_spec(f"{path}: clusters[{i}]", c) for i, c in enumerate(entries)]
         return cls(**args, election_timeout=_election_timeout(data, env), clusters=clusters)
 
 

@@ -16,6 +16,8 @@ class RlaConfig:
     data_dir: str | None = None
     tick_period: float = 5.0
     grace_period: float = 30.0
+    # Snapshots older than this are ineligible: 3x the agents' snapshot
+    # interval, so a dead cluster ages out before its grace expires.
     snapshot_staleness: float = 15.0
     telemetry_flush: float = 1.0
     election_timeout: tuple[float, float] = (0.15, 0.30)

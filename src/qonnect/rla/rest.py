@@ -66,12 +66,9 @@ class RestApi:
         return 200, self.service.delete_application(params["name"])
 
     def _heartbeat(self, params: dict, body: dict) -> tuple[int, dict]:
-        try:
-            version = int(body.get("version", 0))
-        except (TypeError, ValueError, OverflowError):
-            raise ValidationFailed(
-                [{"field": "version", "error": "version must be an integer"}]
-            ) from None
+        version = body.get("version")
+        if type(version) is not int:  # a bool, a float or a string is not a version
+            raise ValidationFailed([{"field": "version", "error": "version must be an integer"}])
         ok = self.service.heartbeat(
             app_id=params["app_id"],
             component=params["component"],

@@ -58,7 +58,7 @@ from qonnect.kb.store import HEARTBEAT_STATUS, Effect, KnowledgeBase, node_from_
 from qonnect.raft.node import NotLeaderError, RaftNode, Role
 from qonnect.rla.config import RlaConfig
 from qonnect.rla.validation import PLACEHOLDER_RE, parse_qos, validate_bundle
-from qonnect.scheduler.loop import SchedulerConfig, scheduler_tick
+from qonnect.scheduler.loop import scheduler_tick
 
 
 class ValidationFailed(Exception):
@@ -162,10 +162,6 @@ class RlaService:
         self._snapshot_bytes = 0
         self._next_scheduler_pass = 0.0
         self._next_flush = 0.0
-        self._scheduler_config = SchedulerConfig(
-            grace_period=config.grace_period,
-            snapshot_staleness=config.snapshot_staleness,
-        )
 
     # ------------------------------------------------------------------
     # State machine, driven by this node's ``Replica``
@@ -484,7 +480,8 @@ class RlaService:
             self.kb,
             now=now,
             term=self.node.current_term,
-            config=self._scheduler_config,
+            grace_period=self.config.grace_period,
+            snapshot_staleness=self.config.snapshot_staleness,
             seen=self._seen,
             lease_start=self._lease_start,
         )

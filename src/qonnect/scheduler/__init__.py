@@ -3,30 +3,21 @@
 from qonnect.scheduler.borda import (
     BordaCountStrategy,
     ClusterScore,
-    NodeScore,
     PlacementResult,
-    PlacementStrategy,
-    aggregate_clusters,
     borda_rank,
     eligibility_filter,
     score_and_filter_nodes,
-    score_nodes,
-    threshold_filter,
+    weighted_scores,
 )
-from qonnect.scheduler.loop import SchedulerConfig, scheduler_tick
+from qonnect.scheduler.loop import scheduler_tick
 
 __all__ = [
     "BordaCountStrategy",
     "ClusterScore",
-    "NodeScore",
     "PlacementResult",
-    "PlacementStrategy",
-    "SchedulerConfig",
-    "aggregate_clusters",
     "borda_rank",
     "eligibility_filter",
     "score_and_filter_nodes",
-    "score_nodes",
     "scheduler_tick",
-    "threshold_filter",
+    "weighted_scores",
 ]

@@ -14,26 +14,9 @@ under positive scaling of any attribute column.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Sequence
 
 from qonnect.kb.model import NodeSnapshot, QoSVector
-
-
-@dataclass(frozen=True)
-class NodeScore:
-    cluster_id: str
-    node_name: str
-    energy_borda: int
-    pricing_borda: int
-    cpu_borda: int
-    memory_borda: int
-    bandwidth_borda: int
-    storage_borda: int
-    weighted: float
-
-    @property
-    def capacity_borda(self) -> int:
-        return self.cpu_borda + self.memory_borda + self.bandwidth_borda + self.storage_borda
 
 
 @dataclass(frozen=True)
@@ -82,10 +65,8 @@ def borda_rank(values: Sequence[float], lower_wins: bool) -> list[int]:
     return scores
 
 
-def score_nodes(eligible: Sequence[NodeSnapshot], qos: QoSVector) -> list[NodeScore]:
-    """Per-attribute Borda rankings over all eligible nodes, folded by QoS weights."""
-    if not eligible:
-        raise ValueError("cannot score an empty node set")
+def weighted_scores(eligible: Sequence[NodeSnapshot], qos: QoSVector) -> list[float]:
+    """Each eligible node's per-attribute Borda ranks, folded by QoS weights."""
     weights = qos.normalized()
     energy = borda_rank([n.energy for n in eligible], lower_wins=True)
     pricing = borda_rank([n.pricing for n in eligible], lower_wins=True)
@@ -93,59 +74,10 @@ def score_nodes(eligible: Sequence[NodeSnapshot], qos: QoSVector) -> list[NodeSc
     memory = borda_rank([n.memory for n in eligible], lower_wins=False)
     bandwidth = borda_rank([n.bandwidth for n in eligible], lower_wins=False)
     storage = borda_rank([n.storage for n in eligible], lower_wins=False)
-    scored = []
-    for i, node in enumerate(eligible):
-        capacity = cpu[i] + memory[i] + bandwidth[i] + storage[i]
-        weighted = (
-            energy[i] * weights.energy
-            + pricing[i] * weights.pricing
-            + capacity * weights.performance
-        )
-        scored.append(
-            NodeScore(
-                cluster_id=node.cluster_id,
-                node_name=node.node_name,
-                energy_borda=energy[i],
-                pricing_borda=pricing[i],
-                cpu_borda=cpu[i],
-                memory_borda=memory[i],
-                bandwidth_borda=bandwidth[i],
-                storage_borda=storage[i],
-                weighted=weighted,
-            )
-        )
-    return scored
-
-
-def threshold_filter(scored: Sequence[NodeScore]) -> list[NodeScore]:
-    """Keep nodes scoring at or above the arithmetic mean; never empty."""
-    if not scored:
-        raise ValueError("cannot threshold an empty score list")
-    mean = sum(s.weighted for s in scored) / len(scored)
-    return [s for s in scored if s.weighted >= mean]
-
-
-def aggregate_clusters(
-    retained: Sequence[NodeScore], all_scored: Sequence[NodeScore]
-) -> list[ClusterScore]:
-    """Order clusters by retained score, then total score, then id."""
-    retained_by_cluster: dict[str, float] = {}
-    total_by_cluster: dict[str, float] = {}
-    for s in all_scored:
-        total_by_cluster[s.cluster_id] = total_by_cluster.get(s.cluster_id, 0.0) + s.weighted
-        retained_by_cluster.setdefault(s.cluster_id, 0.0)
-    for s in retained:
-        retained_by_cluster[s.cluster_id] += s.weighted
-    ranking = [
-        ClusterScore(
-            cluster_id=cid,
-            retained_score=retained_by_cluster[cid],
-            total_score=total_by_cluster[cid],
-        )
-        for cid in total_by_cluster
+    return [
+        e * weights.energy + p * weights.pricing + (c + m + b + s) * weights.performance
+        for e, p, c, m, b, s in zip(energy, pricing, cpu, memory, bandwidth, storage)
     ]
-    ranking.sort(key=lambda c: (-c.retained_score, -c.total_score, c.cluster_id))
-    return ranking
 
 
 def score_and_filter_nodes(
@@ -154,36 +86,46 @@ def score_and_filter_nodes(
     now: float,
     staleness: float,
 ) -> PlacementResult | None:
-    """Full pipeline over one domain's snapshots; None when nothing is eligible."""
+    """Full pipeline over one domain's snapshots; None when nothing is eligible.
+
+    Nodes scoring at or above the mean are retained (never none). Clusters
+    rank by retained score, then total score, then id; both sums run in
+    eligible order.
+    """
     eligible = eligibility_filter(snapshots, now=now, staleness=staleness)
     if not eligible:
         return None
-    scored = score_nodes(eligible, qos)
-    retained = threshold_filter(scored)
-    ranking = aggregate_clusters(retained, scored)
-    top = ranking[0]
-    chosen = [s for s in retained if s.cluster_id == top.cluster_id]
-    chosen.sort(key=lambda s: (-s.weighted, s.node_name))
+    scores = weighted_scores(eligible, qos)
+    mean = sum(scores) / len(scores)
+    retained: dict[str, float] = {}
+    total: dict[str, float] = {}
+    for node, score in zip(eligible, scores):
+        cid = node.cluster_id
+        total[cid] = total.get(cid, 0.0) + score
+        if score >= mean:
+            retained[cid] = retained.get(cid, 0.0) + score
+    ranking = sorted(
+        (ClusterScore(cid, retained.get(cid, 0.0), t) for cid, t in total.items()),
+        key=lambda c: (-c.retained_score, -c.total_score, c.cluster_id),
+    )
+    top = ranking[0].cluster_id
+    chosen = sorted(
+        (-score, node.node_name)
+        for node, score in zip(eligible, scores)
+        if node.cluster_id == top and score >= mean
+    )
     return PlacementResult(
-        cluster_id=top.cluster_id,
-        node_names=tuple(s.node_name for s in chosen),
+        cluster_id=top,
+        node_names=tuple(name for _, name in chosen),
         ranking=tuple(ranking),
     )
 
 
-class PlacementStrategy(Protocol):
-    """Swap point for alternative ranking algorithms."""
-
-    def place(
-        self,
-        snapshots: Sequence[NodeSnapshot],
-        qos: QoSVector,
-        now: float,
-        staleness: float,
-    ) -> PlacementResult | None: ...
-
-
 class BordaCountStrategy:
+    """The placement entry point: ``scheduler_tick`` places every class
+    through ``place``, and ``benchmark/tracing.py`` wraps it to time and
+    count placements."""
+
     def place(
         self,
         snapshots: Sequence[NodeSnapshot],

@@ -7,46 +7,41 @@ placement uses snapshots that postdate the stall.
 The KB does not change within a tick, so a placement depends only on the
 component's target domain and its application's QoS vector. Each tick
 places every such class once and reuses the result (the equivalence-class
-cache of the Kubernetes scheduler); this requires ``PlacementStrategy.place``
+cache of the Kubernetes scheduler); this requires ``BordaCountStrategy.place``
 to be a pure function of its arguments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping
 
 from qonnect.kb.commands import KBCommand, RecordDecision, RequeueComponent
 from qonnect.kb.model import Domain, NodeSnapshot, QoSVector
 from qonnect.kb.store import KnowledgeBase
-from qonnect.scheduler.borda import BordaCountStrategy, PlacementResult, PlacementStrategy
+from qonnect.scheduler.borda import BordaCountStrategy, PlacementResult
 
-
-@dataclass
-class SchedulerConfig:
-    grace_period: float = 30.0
-    # Snapshots older than this are ineligible; defaults to 3x the agents'
-    # snapshot interval so a dead cluster ages out before its grace expires.
-    snapshot_staleness: float = 15.0
-    strategy: PlacementStrategy = field(default_factory=BordaCountStrategy)
+_STRATEGY = BordaCountStrategy()
 
 
 def scheduler_tick(
     kb: KnowledgeBase,
     now: float,
     term: int,
-    config: SchedulerConfig,
+    grace_period: float,
+    snapshot_staleness: float,
     seen: Mapping[tuple[str, str], float] | None = None,
     lease_start: float | None = None,
 ) -> list[KBCommand]:
     """Compute this tick's commands from a consistent KB view.
 
+    A component silent for ``grace_period`` is requeued; a snapshot older
+    than ``snapshot_staleness`` makes its node ineligible.
     ``seen`` and ``lease_start`` are the leader's lease soft state, passed
     on to ``KnowledgeBase.stalled_components``.
     """
     commands: list[KBCommand] = []
     stalled = kb.stalled_components(
-        now=now, grace=config.grace_period, seen=seen, lease_start=lease_start
+        now=now, grace=grace_period, seen=seen, lease_start=lease_start
     )
     for app, comp in stalled:
         commands.append(
@@ -64,11 +59,11 @@ def scheduler_tick(
         if key not in placements:
             if comp.target_domain not in domains:
                 domains[comp.target_domain] = kb.nodes_in_domain(comp.target_domain)
-            placements[key] = config.strategy.place(
+            placements[key] = _STRATEGY.place(
                 domains[comp.target_domain],
                 app.qos,
                 now=now,
-                staleness=config.snapshot_staleness,
+                staleness=snapshot_staleness,
             )
         result = placements[key]
         if result is None:

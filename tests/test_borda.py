@@ -9,12 +9,10 @@ import pytest
 from placement_oracle import oracle_place, oracle_ranking, random_instance
 from qonnect.kb.model import NodeSnapshot, QoSVector
 from qonnect.scheduler import (
-    aggregate_clusters,
     borda_rank,
     eligibility_filter,
     score_and_filter_nodes,
-    score_nodes,
-    threshold_filter,
+    weighted_scores,
 )
 
 
@@ -73,9 +71,7 @@ def test_eligibility_filter_drops_flagged_and_stale_nodes():
 
 
 def test_single_node_scores_zero():
-    scored = score_nodes([snap("only")], QoSVector(performance=1.0))
-    assert scored[0].weighted == 0.0
-    assert scored[0].capacity_borda == 0
+    assert weighted_scores([snap("only")], QoSVector(performance=1.0)) == [0.0]
 
 
 def test_zero_qos_equals_unit_weights():
@@ -84,19 +80,17 @@ def test_zero_qos_equals_unit_weights():
         snap("b", energy=0.003, pricing=1.0, cpu=8),
         snap("c", energy=0.002, pricing=3.0, cpu=4),
     ]
-    assert score_nodes(nodes, QoSVector()) == score_nodes(nodes, QoSVector(1.0, 1.0, 1.0))
+    assert weighted_scores(nodes, QoSVector()) == weighted_scores(nodes, QoSVector(1.0, 1.0, 1.0))
 
 
 def test_performance_profile_wins_capacity_only_qos():
     # Derived by hand from the profile rows: capacity Bordas are
     # energy=4, cost=3, performance=8, so (0,0,1) must pick performance.
     nodes = [snap(profile, **row) for profile, row in PROFILE_ROWS.items()]
-    scored = score_nodes(nodes, QoSVector(performance=1.0))
-    by_name = {s.node_name: s for s in scored}
-    assert by_name["performance"].weighted == 8.0
-    assert by_name["energy"].weighted == 4.0
-    assert by_name["cost"].weighted == 3.0
-    assert max(scored, key=lambda s: s.weighted).node_name == "performance"
+    scores = weighted_scores(nodes, QoSVector(performance=1.0))
+    assert dict(zip(PROFILE_ROWS, scores)) == {"energy": 4.0, "cost": 3.0, "performance": 8.0}
+    result = score_and_filter_nodes(nodes, QoSVector(performance=1.0), now=100.0, staleness=15.0)
+    assert result.node_names == ("performance",)
 
 
 def test_threshold_filter_keeps_at_or_above_mean():
@@ -105,38 +99,35 @@ def test_threshold_filter_keeps_at_or_above_mean():
         snap("b", cluster="c1", cpu=2),
         snap("c", cluster="c1", cpu=3),
     ]
-    scored = score_nodes(nodes, QoSVector(performance=1.0))
-    # weighted = [1, 2, 3]... cpu ranks give w = [0,1,2]; mean = 1.
-    retained = threshold_filter(scored)
-    assert {s.node_name for s in retained} == {"b", "c"}
+    qos = QoSVector(performance=1.0)
+    # cpu ranks 0, 1, 2 plus 2 points each for the three tied capacity columns.
+    assert weighted_scores(nodes, qos) == [6.0, 7.0, 8.0]
+    # The mean is 7: "a" drops, and the rest come best first.
+    result = score_and_filter_nodes(nodes, qos, now=100.0, staleness=15.0)
+    assert result.node_names == ("c", "b")
 
-    all_equal = score_nodes([snap("x"), snap("y")], QoSVector(performance=1.0))
-    assert threshold_filter(all_equal) == all_equal
+    all_equal = score_and_filter_nodes([snap("y"), snap("x")], qos, now=100.0, staleness=15.0)
+    assert all_equal.node_names == ("x", "y")
 
-    single = score_nodes([snap("solo")], QoSVector())
-    assert threshold_filter(single) == single
+    single = score_and_filter_nodes([snap("solo")], QoSVector(), now=100.0, staleness=15.0)
+    assert single.node_names == ("solo",)
 
 
 def test_cluster_tiebreak_prefers_higher_total_score():
-    a = [
-        ("a1", "cluster-a", 10.0, True),
-        ("a2", "cluster-a", 1.0, False),
+    nodes = [
+        snap("a1", cluster="cluster-a", cpu=10.0),
+        snap("a2", cluster="cluster-a", cpu=1.0),
+        snap("b1", cluster="cluster-b", cpu=10.0),
+        snap("b2", cluster="cluster-b", cpu=5.0),
     ]
-    b = [
-        ("b1", "cluster-b", 10.0, True),
-        ("b2", "cluster-b", 2.0, False),
+    # Scores a1=b1=12, b2=10, a2=9; the mean is 10.75, so only a1 and b1
+    # are retained and the clusters tie at 12 until totals 21 < 22 split them.
+    result = score_and_filter_nodes(nodes, QoSVector(performance=1.0), now=100.0, staleness=15.0)
+    assert [(c.cluster_id, c.retained_score, c.total_score) for c in result.ranking] == [
+        ("cluster-b", 12.0, 22.0),
+        ("cluster-a", 12.0, 21.0),
     ]
-    from qonnect.scheduler import NodeScore
-
-    def ns(name, cluster, w):
-        return NodeScore(cluster, name, 0, 0, 0, 0, 0, 0, weighted=w)
-
-    all_scored = [ns(n, c, w) for n, c, w, _ in a + b]
-    retained = [ns(n, c, w) for n, c, w, keep in a + b if keep]
-    ranking = aggregate_clusters(retained, all_scored)
-    assert ranking[0].cluster_id == "cluster-b"
-    assert ranking[0].retained_score == 10.0 and ranking[0].total_score == 12.0
-    assert ranking[1].cluster_id == "cluster-a"
+    assert result.cluster_id == "cluster-b" and result.node_names == ("b1",)
 
 
 def test_single_cluster_ranks_first_and_halt_on_empty():

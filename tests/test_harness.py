@@ -75,6 +75,23 @@ def test_testbed_spec_yaml_roundtrip_with_env_override(tmp_path):
     assert spec.grace_period == 7.5  # environment wins over file
 
 
+def test_malformed_testbed_spec_is_a_value_error_naming_the_entry(tmp_path):
+    spec_file = tmp_path / "spec.yaml"
+    entries = [
+        {"name": c.name, "domain": c.domain, "profile": c.profile, "ingress_ip": c.ingress_ip}
+        for c in TestbedSpec.default().clusters
+    ]
+    del entries[3]["profile"]
+    spec_file.write_text(yaml.safe_dump({"clusters": entries}), encoding="utf-8")
+    name = entries[3]["name"]
+    with pytest.raises(ValueError, match=rf"clusters\[3\] \({name}\) has no 'profile'"):
+        TestbedSpec.from_yaml(spec_file, env={})
+
+    spec_file.write_text(yaml.safe_dump([{"seed": 1}]), encoding="utf-8")
+    with pytest.raises(ValueError, match="must be a mapping, got list"):
+        TestbedSpec.from_yaml(spec_file, env={})
+
+
 @pytest.mark.parametrize(
     "load, base, variable",
     [

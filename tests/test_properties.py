@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qonnect.agent.ra import APPS_STORE, CONFIG_STORE, RaConfig, ResourceAgent
 from qonnect.kb.model import Domain, NodeSnapshot, QoSVector
-from qonnect.scheduler import score_and_filter_nodes, score_nodes, threshold_filter
+from qonnect.scheduler import score_and_filter_nodes, weighted_scores
 from test_resource_agent import ScriptedClient
 from qonnect.sim import make_cluster
 
@@ -54,16 +54,22 @@ qos_vectors = st.builds(
 @settings(max_examples=150, deadline=None)
 @given(nodes=eligible_nodes(), qos=qos_vectors)
 def test_threshold_filter_never_empties(nodes, qos):
-    retained = threshold_filter(score_nodes(nodes, qos))
-    assert retained
-    mean = sum(s.weighted for s in score_nodes(nodes, qos)) / len(nodes)
-    assert all(s.weighted >= mean for s in retained)
+    scores = weighted_scores(nodes, qos)
+    mean = sum(scores) / len(scores)
+    assert any(score >= mean for score in scores)
+    result = score_and_filter_nodes(nodes, qos, now=100.0, staleness=60.0)
+    assert result is not None and result.node_names
+    score_of = {node.node_name: score for node, score in zip(nodes, scores)}
+    assert all(score_of[name] >= mean for name in result.node_names)
 
 
 @settings(max_examples=150, deadline=None)
 @given(nodes=eligible_nodes())
 def test_zero_qos_equals_unit_qos(nodes):
-    assert score_nodes(nodes, QoSVector(0, 0, 0)) == score_nodes(nodes, QoSVector(1, 1, 1))
+    zero, unit = QoSVector(0, 0, 0), QoSVector(1, 1, 1)
+    assert weighted_scores(nodes, zero) == weighted_scores(nodes, unit)
+    placed = [score_and_filter_nodes(nodes, q, now=100.0, staleness=60.0) for q in (zero, unit)]
+    assert placed[0].node_names == placed[1].node_names
 
 
 @settings(max_examples=150, deadline=None)

@@ -300,11 +300,13 @@ def test_heartbeat_paths_ok_stale_and_failed(dep):
 def test_non_integer_heartbeat_version_is_400(dep):
     api = leader_api(dep)
     path = "/applications/some-app/components/ratings/heartbeat"
-    for version in ("abc", [1], {"n": 1}, 1e999):
+    for version in ("abc", [1], {"n": 1}, 1e999, 1.9, "1", True):
         status, body = api.dispatch(
             "POST", path, {"cluster_id": "c", "version": version, "status": "healthy"}
         )
         assert status == 400 and body["errors"][0]["field"] == "version", version
+    status, body = api.dispatch("POST", path, {"cluster_id": "c", "status": "healthy"})
+    assert status == 400 and body["errors"][0]["field"] == "version"
 
 
 def test_body_that_is_not_a_json_object_is_400(dep):

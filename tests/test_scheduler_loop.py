@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
+from unittest.mock import patch
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,8 +21,10 @@ from qonnect.kb import (
 )
 from qonnect.kb.commands import RequeueComponent
 from qonnect.kb.model import Domain
-from qonnect.scheduler import BordaCountStrategy, SchedulerConfig, scheduler_tick
+from qonnect.scheduler import BordaCountStrategy, scheduler_tick
 from qonnect.sim.profiles import PROFILES
+
+PERIODS = {"grace_period": 30.0, "snapshot_staleness": 15.0}
 
 
 def profile_nodes(profile: str) -> tuple[dict, ...]:
@@ -82,7 +85,7 @@ def submit(kb: KnowledgeBase, qos: QoSVector, name: str = "bookinfo", at: float 
 def test_four_pending_components_yield_four_decisions_on_performance():
     kb, ids = build_kb()
     submit(kb, QoSVector(performance=1.0))
-    commands = scheduler_tick(kb, now=1.0, term=2, config=SchedulerConfig())
+    commands = scheduler_tick(kb, now=1.0, term=2, **PERIODS)
     decisions = [c for c in commands if isinstance(c, RecordDecision)]
     assert len(decisions) == 4
     by_component = {c.component: c for c in decisions}
@@ -97,7 +100,7 @@ def test_four_pending_components_yield_four_decisions_on_performance():
 def test_energy_qos_places_on_energy_clusters():
     kb, ids = build_kb()
     submit(kb, QoSVector(energy=1.0))
-    commands = scheduler_tick(kb, now=1.0, term=2, config=SchedulerConfig())
+    commands = scheduler_tick(kb, now=1.0, term=2, **PERIODS)
     targets = {c.component: c.cluster_id for c in commands if isinstance(c, RecordDecision)}
     assert targets["ratings"] == ids["edge-energy"]
     assert targets["productpage"] == ids["cloud-energy"]
@@ -106,8 +109,7 @@ def test_energy_qos_places_on_energy_clusters():
 def test_stalled_component_requeues_then_places_elsewhere_next_tick():
     kb, ids = build_kb()
     app_id = submit(kb, QoSVector(performance=1.0))
-    config = SchedulerConfig()
-    for command in scheduler_tick(kb, now=1.0, term=2, config=config):
+    for command in scheduler_tick(kb, now=1.0, term=2, **PERIODS):
         kb.apply(command)
     edge_perf = ids["edge-performance"]
     kb.apply(RecordHeartbeat(app_id, "ratings", edge_perf, 1, "healthy", at=2.0))
@@ -126,7 +128,7 @@ def test_stalled_component_requeues_then_places_elsewhere_next_tick():
         profile = key.split("-", 1)[1]
         kb.apply(PutNodeSnapshot(cid, profile_nodes(profile), taken_at=40.0))
 
-    commands = scheduler_tick(kb, now=40.0, term=2, config=config)
+    commands = scheduler_tick(kb, now=40.0, term=2, **PERIODS)
     requeues = [c for c in commands if isinstance(c, RequeueComponent)]
     assert [r.component for r in requeues] == ["ratings"]
     # Requeue wins this tick: no placement yet for ratings.
@@ -136,7 +138,7 @@ def test_stalled_component_requeues_then_places_elsewhere_next_tick():
     for command in commands:
         kb.apply(command)
 
-    next_commands = scheduler_tick(kb, now=45.0, term=2, config=config)
+    next_commands = scheduler_tick(kb, now=45.0, term=2, **PERIODS)
     placements = [c for c in next_commands if isinstance(c, RecordDecision)]
     assert len(placements) == 1
     assert placements[0].component == "ratings"
@@ -148,24 +150,14 @@ def test_stalled_component_requeues_then_places_elsewhere_next_tick():
 def test_all_snapshots_stale_halts_and_component_stays_pending():
     kb, ids = build_kb(now=0.0)
     submit(kb, QoSVector(performance=1.0))
-    commands = scheduler_tick(kb, now=100.0, term=2, config=SchedulerConfig())
+    commands = scheduler_tick(kb, now=100.0, term=2, **PERIODS)
     assert commands == []
     assert len(kb.pending_components()) == 4
 
 
 def test_quiet_kb_produces_no_commands():
     kb, _ = build_kb()
-    assert scheduler_tick(kb, now=1.0, term=2, config=SchedulerConfig()) == []
-
-
-@dataclass
-class CountingStrategy:
-    calls: int = 0
-    inner: BordaCountStrategy = field(default_factory=BordaCountStrategy)
-
-    def place(self, snapshots, qos, now, staleness):
-        self.calls += 1
-        return self.inner.place(snapshots, qos, now=now, staleness=staleness)
+    assert scheduler_tick(kb, now=1.0, term=2, **PERIODS) == []
 
 
 def random_federation(seed: int) -> KnowledgeBase:
@@ -205,9 +197,19 @@ def random_federation(seed: int) -> KnowledgeBase:
 @given(seed=st.integers(0, 2**32 - 1))
 def test_memoized_tick_equals_placing_each_component_on_its_own(seed):
     kb = random_federation(seed)
-    strategy = CountingStrategy()
-    config = SchedulerConfig(snapshot_staleness=60.0, strategy=strategy)
-    commands = scheduler_tick(kb, now=100.0, term=3, config=config)
+    place = BordaCountStrategy.place
+    calls = []
+
+    # Counts through the same class attribute, and reads the same keyword
+    # ``now``, that the benchmark tracer's wrapper does.
+    def counting_place(*args, **kwargs):
+        calls.append(kwargs["now"])
+        return place(*args, **kwargs)
+
+    with patch.object(BordaCountStrategy, "place", counting_place):
+        commands = scheduler_tick(
+            kb, now=100.0, term=3, grace_period=30.0, snapshot_staleness=60.0
+        )
 
     expected = []
     for app, comp in kb.pending_components():
@@ -228,4 +230,4 @@ def test_memoized_tick_equals_placing_each_component_on_its_own(seed):
             )
     assert commands == expected
     classes = {(comp.target_domain, app.qos) for app, comp in kb.pending_components()}
-    assert strategy.calls == len(classes)
+    assert calls == [100.0] * len(classes)
