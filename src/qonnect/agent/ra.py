@@ -27,6 +27,8 @@ APPS_STORE = "applications"
 
 # Seconds between registration attempts while the RLAs cannot be reached.
 REGISTRATION_BACKOFF = 1.0
+# Seconds a component may stay rolling after its apply before it reports failed.
+ROLLOUT_TIMEOUT = 120.0
 
 
 class ClusterBackend(Protocol):
@@ -63,7 +65,6 @@ class RaConfig:
     snapshot_period: float = 5.0
     poll_period: float = 5.0
     heartbeat_period: float = 10.0
-    rollout_timeout: float = 120.0
 
 
 class PlaceholderError(Exception):
@@ -286,7 +287,7 @@ class ResourceAgent:
                 rolling = True
         if not rolling:
             return "healthy"
-        if now - comp_record.get("deployed_at", 0.0) <= self.config.rollout_timeout:
+        if now - comp_record.get("deployed_at", 0.0) <= ROLLOUT_TIMEOUT:
             return "progressing"
         return "failed"
 

@@ -26,7 +26,7 @@ import types
 import typing
 from enum import Enum
 from functools import cache
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, length_hint
 from typing import Any, Callable, NamedTuple
 
 VERSION = 1
@@ -238,11 +238,18 @@ def _sequence(item: Any, build: type) -> _Codec:
     def decode(value):
         if type(value) is not list:
             raise _mistyped("expected a list", value)
+        # On failure, the failing item is the last one taken from ``items``.
+        items = iter(value)
         if exact is None:
-            return build(map(decode_item, value))
-        for x in value:  # scalars, checked inline
+            try:
+                return build(map(decode_item, items))
+            except ValueError as exc:
+                index = len(value) - length_hint(items) - 1
+                raise ValueError(f"[{index}]: {exc}") from None
+        for x in items:  # scalars, checked inline
             if type(x) not in exact:
-                raise _mistyped(f"expected a list of {exact[0].__name__}", x)
+                index = len(value) - length_hint(items) - 1
+                raise _mistyped(f"[{index}]: expected {exact[0].__name__}", x)
         return build(value)
 
     return _Codec(list if convert is None else lambda v: [convert(x) for x in v], decode)

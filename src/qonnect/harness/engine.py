@@ -31,6 +31,8 @@ from qonnect.sim.cluster import Fault, KillRa, KillRla, SimCluster
 
 
 class Deployment:
+    DT = 0.05  # simulated seconds per step
+
     def __init__(self, spec: TestbedSpec | None = None, seed: int | None = None) -> None:
         self.spec = spec if spec is not None else TestbedSpec.default()
         if seed is not None:
@@ -86,15 +88,15 @@ class Deployment:
     # Driving
     # ------------------------------------------------------------------
 
-    def step(self, dt: float = 0.05) -> None:
-        self.now += dt
-        self.group.tick(dt)
+    def step(self) -> None:
+        self.now += self.DT
+        self.group.tick(self.DT)
         for i, replica in self.group.replicas.items():
             if self.group.observe(i):
                 term = replica.node.current_term
                 self.events.append(self.now, f"rla-{i}", "leader-elected", {"term": term})
         for cluster in self.clusters.values():
-            for event in cluster.step(dt):
+            for event in cluster.step(self.DT):
                 self.events.append(event.at, cluster.name, event.kind, event.detail)
         for name, agent in self.agents.items():
             if self.clusters[name].ra_alive:
@@ -103,17 +105,16 @@ class Deployment:
             if rla_id not in self.group.stopped:
                 service.pump(self.now)
 
-    def run(self, duration: float, dt: float = 0.05) -> None:
-        steps = int(round(duration / dt))
-        for _ in range(steps):
-            self.step(dt)
+    def run(self, duration: float) -> None:
+        for _ in range(int(round(duration / self.DT))):
+            self.step()
 
-    def run_until(self, predicate: Callable[[], bool], timeout: float, dt: float = 0.05) -> bool:
+    def run_until(self, predicate: Callable[[], bool], timeout: float) -> bool:
         deadline = self.now + timeout
         while self.now < deadline:
             if predicate():
                 return True
-            self.step(dt)
+            self.step()
         return predicate()
 
     # ------------------------------------------------------------------

@@ -88,7 +88,7 @@ class LiveRla:
         self._running = False
         self._threads: list[threading.Thread] = []
 
-        host, port = config.listen_address.rsplit(":", 1)
+        host, port = config.peers[config.rla_id].rsplit(":", 1)
         self.server = ThreadingHTTPServer((host, int(port)), _RlaHandler)
         self.server.daemon_threads = True
         self.server.rla = self  # type: ignore[attr-defined]

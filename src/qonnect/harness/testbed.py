@@ -7,14 +7,14 @@ and their resource agents.
 
 from __future__ import annotations
 
-import os
-import typing
-from dataclasses import dataclass, field, fields
+import ipaddress
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
 import yaml
 
+from qonnect import codec
 from qonnect.agent.client import RlaClient
 from qonnect.agent.ra import RaConfig, ResourceAgent
 from qonnect.events import EventLog
@@ -23,31 +23,8 @@ from qonnect.rla.config import RlaConfig
 from qonnect.sim.cluster import SimCluster, make_cluster
 from qonnect.sim.profiles import PROFILES
 
-ENV_PREFIX = "QONNECT_TESTBED_"
-
 DOMAINS = tuple(d.value for d in Domain)
 PROFILE_NAMES = ("energy", "cost", "performance")
-
-
-def _election_timeout(data: dict, env: dict[str, str]) -> tuple[float, float]:
-    """The ``election_timeout`` of a spec whose environment overrides are in ``data``.
-
-    A YAML file gives two numbers; the variable ``QONNECT_TESTBED_ELECTION_TIMEOUT``
-    gives ``"lo,hi"``. Anything but ``0 < lo <= hi`` raises ``ValueError``
-    naming where it came from.
-    """
-    value = data.get("election_timeout", (0.15, 0.30))
-    try:
-        lo, hi = value.split(",") if isinstance(value, str) else value
-        lo, hi = float(lo), float(hi)
-        valid = 0 < lo <= hi
-    except (TypeError, ValueError):
-        valid = False
-    if not valid:
-        variable = f"{ENV_PREFIX}ELECTION_TIMEOUT"
-        source = variable if variable in env else "election_timeout"
-        raise ValueError(f"{source} must be 'lo,hi' with 0 < lo <= hi, got {value!r}")
-    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -59,24 +36,11 @@ class ClusterSpec:
     workers: int = 2
 
 
-def _cluster_spec(where: str, entry: object) -> ClusterSpec:
-    """One ``clusters`` entry of a YAML spec; ``ValueError`` naming it and the key if malformed."""
-    if not isinstance(entry, dict):
-        raise ValueError(f"{where} must be a mapping, got {entry!r}")
-    for key in ("name", "domain", "profile", "ingress_ip"):
-        if key not in entry:
-            raise ValueError(f"{where} ({entry.get('name', 'unnamed')}) has no {key!r}")
-    return ClusterSpec(
-        name=entry["name"],
-        domain=entry["domain"],
-        profile=entry["profile"],
-        ingress_ip=entry["ingress_ip"],
-        workers=int(entry.get("workers", 2)),
-    )
-
-
 @dataclass
 class TestbedSpec:
+    """The testbed, as a YAML file gives it: its keys are these fields, with
+    exact JSON types (``codec.decoder``), and a missing key keeps its default."""
+
     __test__ = False  # not a pytest case, despite the name
 
     clusters: list[ClusterSpec] = field(default_factory=list)
@@ -91,7 +55,6 @@ class TestbedSpec:
     ra_snapshot_period: float = 5.0
     ra_poll_period: float = 5.0
     ra_heartbeat_period: float = 10.0
-    rollout_timeout: float = 120.0
     rollout_latency: float = 2.0
     # Raft timers
     election_timeout: tuple[float, float] = (0.15, 0.30)
@@ -105,16 +68,32 @@ class TestbedSpec:
     def validate(self) -> None:
         if self.rla_count < 3 or self.rla_count % 2 == 0:
             raise ValueError("rla_count must be odd and at least 3")
-        seen = set()
+        lo, hi = self.election_timeout
+        if not 0 < lo <= hi:
+            raise ValueError(f"election_timeout must be [lo, hi] with 0 < lo <= hi, got {[lo, hi]}")
+        if not self.grace_period > 0:
+            raise ValueError(f"grace_period must be positive, got {self.grace_period}")
+        names: set[str] = set()
+        ips: dict[str, str] = {}
         per_domain: dict[str, list[str]] = {}
         for cluster in self.clusters:
             if cluster.domain not in DOMAINS:
                 raise ValueError(f"unknown domain: {cluster.domain}")
             if cluster.profile not in PROFILES:
                 raise ValueError(f"unknown profile: {cluster.profile}")
-            if cluster.name in seen:
+            if cluster.name in names:
                 raise ValueError(f"duplicate cluster name: {cluster.name}")
-            seen.add(cluster.name)
+            names.add(cluster.name)
+            try:
+                ipaddress.ip_address(cluster.ingress_ip)
+            except ValueError:
+                raise ValueError(
+                    f"{cluster.name}: ingress_ip {cluster.ingress_ip!r} is not an IP address"
+                ) from None
+            # The ingress ip is the cluster's id in the KB.
+            other = ips.setdefault(cluster.ingress_ip, cluster.name)
+            if other != cluster.name:
+                raise ValueError(f"{cluster.name}: ingress_ip {cluster.ingress_ip} is {other}'s")
             per_domain.setdefault(cluster.domain, []).append(cluster.profile)
         # The federation shape is fixed: every profile exactly once per domain.
         if len(self.clusters) != 9 or any(
@@ -122,18 +101,11 @@ class TestbedSpec:
         ):
             raise ValueError("testbed needs 3 domains x 3 profiles, each profile once per domain")
 
-    def cluster(self, name: str) -> ClusterSpec:
-        for cluster in self.clusters:
-            if cluster.name == name:
-                return cluster
-        raise KeyError(name)
-
     def rla_config(
         self, rla_id: int, peers: dict[int, str], data_dir: str | None = None
     ) -> RlaConfig:
         return RlaConfig(
             rla_id=rla_id,
-            listen_address=peers[rla_id],
             peers=peers,
             data_dir=data_dir,
             tick_period=self.tick_period,
@@ -158,7 +130,6 @@ class TestbedSpec:
                     snapshot_period=self.ra_snapshot_period,
                     poll_period=self.ra_poll_period,
                     heartbeat_period=self.ra_heartbeat_period,
-                    rollout_timeout=self.rollout_timeout,
                 ),
                 events=events,
                 name=f"ra-{cluster.name}",
@@ -186,28 +157,19 @@ class TestbedSpec:
         return cls(clusters=default_clusters(), seed=seed)
 
     @classmethod
-    def from_yaml(cls, path: str | Path, env: dict[str, str] | None = None) -> TestbedSpec:
-        """A spec from a YAML file, each ``QONNECT_TESTBED_<FIELD>`` variable of
-        ``env`` (default: the process environment) overriding its key."""
-        data = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
-        if not isinstance(data, dict):
-            kind = type(data).__name__
-            raise ValueError(f"{path}: a testbed spec must be a mapping, got {kind}")
-        env = env if env is not None else dict(os.environ)
-        for key, value in env.items():
-            if key.startswith(ENV_PREFIX):
-                data[key[len(ENV_PREFIX):].lower()] = value
-        types = typing.get_type_hints(cls)
-        args = {
-            f.name: types[f.name](data[f.name])
-            for f in fields(cls)
-            if f.name in data and types[f.name] in (int, float, str)
-        }
-        entries = data.get("clusters") or []
-        if not isinstance(entries, list):
-            raise ValueError(f"{path}: clusters must be a list")
-        clusters = [_cluster_spec(f"{path}: clusters[{i}]", c) for i, c in enumerate(entries)]
-        return cls(**args, election_timeout=_election_timeout(data, env), clusters=clusters)
+    def from_yaml(cls, path: str | Path) -> TestbedSpec:
+        """A spec from a YAML file; an empty file is the default spec. A
+        malformed one raises ``ValueError`` naming the file and the key."""
+        text = Path(path).read_text(encoding="utf-8")
+        try:
+            data = yaml.safe_load(text)
+        except (yaml.YAMLError, ValueError, LookupError, AttributeError, RecursionError) as exc:
+            # PyYAML raises KeyError for ``!!bool x``, AttributeError for ``!!timestamp x``.
+            raise ValueError(f"{path}: not YAML: {exc}") from None
+        try:
+            return codec.decoder(cls)({} if data is None else data)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def default_clusters() -> list[ClusterSpec]:

@@ -328,15 +328,24 @@ class KnowledgeBase:
             comp.decision = None
         return effect
 
-    def _apply_decision(self, cmd: RecordDecision) -> Effect:
+    def _target(
+        self, cmd: RecordDecision | RecordHeartbeat | RequeueComponent
+    ) -> tuple[ApplicationRecord, ComponentRecord, None] | tuple[None, None, Effect]:
+        """The live app and component ``cmd`` names at its version, or the no-op it is."""
         app = self.applications.get(cmd.app_id)
         if app is None or app.withdrawn:
-            return _noop("unknown-application", app_id=cmd.app_id)
+            return None, None, _noop("unknown-application", app_id=cmd.app_id)
         comp = app.component(cmd.component)
         if comp is None:
-            return _noop("unknown-component", component=cmd.component)
+            return None, None, _noop("unknown-component", component=cmd.component)
         if cmd.version != app.version:
-            return _noop("stale-version", expected=app.version, got=cmd.version)
+            return None, None, _noop("stale-version", expected=app.version, got=cmd.version)
+        return app, comp, None
+
+    def _apply_decision(self, cmd: RecordDecision) -> Effect:
+        app, comp, refused = self._target(cmd)
+        if refused is not None:
+            return refused
         if comp.status != ComponentStatus.PENDING:
             return _noop("not-pending", component=cmd.component, status=comp.status.value)
         cluster = self.clusters.get(cmd.cluster_id)
@@ -369,14 +378,9 @@ class KnowledgeBase:
         return effect
 
     def _apply_heartbeat(self, cmd: RecordHeartbeat) -> Effect:
-        app = self.applications.get(cmd.app_id)
-        if app is None or app.withdrawn:
-            return _noop("unknown-application", app_id=cmd.app_id)
-        comp = app.component(cmd.component)
-        if comp is None:
-            return _noop("unknown-component", component=cmd.component)
-        if cmd.version != app.version:
-            return _noop("stale-version", expected=app.version, got=cmd.version)
+        app, comp, refused = self._target(cmd)
+        if refused is not None:
+            return refused
         if comp.decision is None or comp.decision.cluster_id != cmd.cluster_id:
             return _noop("not-assigned", component=cmd.component, cluster_id=cmd.cluster_id)
         status = HEARTBEAT_STATUS.get(cmd.status)
@@ -391,14 +395,9 @@ class KnowledgeBase:
         return effect
 
     def _apply_requeue(self, cmd: RequeueComponent) -> Effect:
-        app = self.applications.get(cmd.app_id)
-        if app is None or app.withdrawn:
-            return _noop("unknown-application", app_id=cmd.app_id)
-        comp = app.component(cmd.component)
-        if comp is None:
-            return _noop("unknown-component", component=cmd.component)
-        if cmd.version != app.version:
-            return _noop("stale-version", expected=app.version, got=cmd.version)
+        app, comp, refused = self._target(cmd)
+        if refused is not None:
+            return refused
         if comp.status == ComponentStatus.PENDING:
             return _noop("already-pending", component=cmd.component)
         if comp.status == ComponentStatus.WITHDRAWN:

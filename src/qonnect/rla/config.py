@@ -10,8 +10,8 @@ from qonnect.raft.node import RaftConfig
 @dataclass
 class RlaConfig:
     rla_id: int
-    listen_address: str = "127.0.0.1:7400"
-    # Full member map (id -> address), identical across one deployment.
+    # Full member map (id -> address), identical across one deployment; a
+    # live replica listens on its own entry.
     peers: dict[int, str] = field(default_factory=dict)
     data_dir: str | None = None
     tick_period: float = 5.0
@@ -22,17 +22,11 @@ class RlaConfig:
     telemetry_flush: float = 1.0
     election_timeout: tuple[float, float] = (0.15, 0.30)
     heartbeat_interval: float = 0.05
-    # Fewest applied commands between snapshots (a batch counts its members).
-    # A replica also waits until the raw entries applied since its last
-    # snapshot reach that snapshot's size; see ``qonnect.rla.service``.
-    compact_every: int = 1000
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.peers and self.rla_id not in self.peers:
             raise ValueError("rla_id must appear in the peer map")
-        if self.compact_every < 1:
-            raise ValueError(f"compact_every must be at least 1, got {self.compact_every}")
 
     def raft_config(self, members: tuple[int, ...]) -> RaftConfig:
         return RaftConfig(

@@ -10,7 +10,7 @@ pass, commits as one ``Batch`` log entry.
 
 Each replica compacts its log into a KB snapshot on its own, by the
 size-relative rule of Ongaro's dissertation (section 5.1.1): once at least
-``compact_every`` commands were applied since the last snapshot *and* the
+``_COMPACT_EVERY`` commands were applied since the last snapshot *and* the
 raw entries applied since then add up to ``_COMPACT_RATIO`` times that
 snapshot's size. Snapshot work then stays proportional to the bytes logged,
 whatever the size of a batch, and the log kept between snapshots is bounded
@@ -83,6 +83,8 @@ def _default_id_factory() -> str:
     return str(uuid.uuid4())
 
 
+# Fewest applied commands between snapshots (a batch counts its members).
+_COMPACT_EVERY = 1000
 # Raw entry bytes to log since the last snapshot, as a multiple of its size,
 # before the next one (the dissertation's factor).
 _COMPACT_RATIO = 1.0
@@ -185,7 +187,7 @@ class RlaService:
         self._applied_since_compact += len(members)
         self._logged_since_compact += len(raw_command)
         if (
-            self._applied_since_compact >= self.config.compact_every
+            self._applied_since_compact >= _COMPACT_EVERY
             and self._logged_since_compact >= _COMPACT_RATIO * self._snapshot_bytes
         ):
             # Compact at this entry, not at ``last_applied``: entries of the

@@ -113,6 +113,16 @@ def test_rules_about_meaning_stay_in_post_init():
         codec.decoder(QoSVector)({"energy": -1})
 
 
+def test_a_malformed_list_item_is_named_by_its_index():
+    good = json.loads(encode_command(UpdateQoS("a", QoSVector(energy=1.0), 0.0)))
+    bad = {**good, "name": 7}
+    batch = {"v": codec.VERSION, "kind": "batch", "commands": [good, bad, good]}
+    with pytest.raises(ValueError, match=r"^Batch\.commands: \[1\]: UpdateQoS\.name must be str"):
+        decode_command(json.dumps(batch))
+    with pytest.raises(ValueError, match=r"\[2\]: expected str, not int"):
+        codec.decoder(Sample)({**SAMPLE, "names": ["a", "b", 3]})
+
+
 NODE = {
     "cluster_id": "c",
     "node_name": "n",

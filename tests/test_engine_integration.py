@@ -94,8 +94,7 @@ def test_empty_kb_serves_empty_cluster_config():
 
 def test_log_compaction_keeps_the_control_plane_running(monkeypatch):
     dep = Deployment(seed=24)
-    for service in dep.services.values():
-        service.config.compact_every = 40  # force frequent snapshots
+    monkeypatch.setattr(service_module, "_COMPACT_EVERY", 40)  # force frequent snapshots
     monkeypatch.setattr(service_module, "_COMPACT_RATIO", 0)
     run_scenario(dep, 1)
     assert any(e.kind == "log-compacted" for e in dep.events.events)
@@ -108,13 +107,12 @@ def test_log_compaction_keeps_the_control_plane_running(monkeypatch):
     )
 
 
-def test_compaction_waits_until_a_snapshot_worth_of_bytes_was_logged():
+def test_compaction_waits_until_a_snapshot_worth_of_bytes_was_logged(monkeypatch):
     dep = Deployment(seed=27)
     logged = dict.fromkeys(dep.services, 0)
+    # A low count floor leaves the byte rule to decide when to compact.
+    monkeypatch.setattr(service_module, "_COMPACT_EVERY", 10)
     for rla_id, service in dep.services.items():
-        # A low count floor leaves the byte rule to decide when to compact.
-        service.config.compact_every = 10
-
         def apply(index: int, raw: str, rla_id: int = rla_id, service=service) -> list:
             logged[rla_id] += len(raw)
             return service.apply_committed(index, raw)
@@ -183,8 +181,7 @@ def test_one_telemetry_flush_commits_as_one_log_entry():
 def test_proposer_gets_its_effects_after_compaction_swallowed_the_entry(monkeypatch):
     dep = Deployment(seed=26)
     dep.boot()
-    for service in dep.services.values():
-        service.config.compact_every = 1
+    monkeypatch.setattr(service_module, "_COMPACT_EVERY", 1)
     monkeypatch.setattr(service_module, "_COMPACT_RATIO", 0)
     leader_id = dep.leader_id()
     replica, leader = dep.group.replicas[leader_id], dep.group.nodes[leader_id]

@@ -19,7 +19,6 @@ from qonnect.harness.energy import (
 from qonnect.harness.engine import Deployment
 from qonnect.harness.scenarios import run_scenario
 from qonnect.harness.testbed import TestbedSpec
-from qonnect.rla.config import RlaConfig
 from qonnect.sim.profiles import PROFILES
 
 
@@ -54,7 +53,7 @@ def test_default_testbed_is_nine_clusters():
         TestbedSpec(clusters=spec.clusters[:6])  # missing a domain's profiles
 
 
-def test_testbed_spec_yaml_roundtrip_with_env_override(tmp_path):
+def test_testbed_spec_yaml_roundtrip(tmp_path):
     spec_file = tmp_path / "spec.yaml"
     spec_file.write_text(
         yaml.safe_dump(
@@ -70,9 +69,9 @@ def test_testbed_spec_yaml_roundtrip_with_env_override(tmp_path):
         ),
         encoding="utf-8",
     )
-    spec = TestbedSpec.from_yaml(spec_file, env={"QONNECT_TESTBED_GRACE_PERIOD": "7.5"})
+    spec = TestbedSpec.from_yaml(spec_file)
     assert spec.seed == 9
-    assert spec.grace_period == 7.5  # environment wins over file
+    assert spec.grace_period == 12.5
 
 
 def test_malformed_testbed_spec_is_a_value_error_naming_the_entry(tmp_path):
@@ -83,41 +82,22 @@ def test_malformed_testbed_spec_is_a_value_error_naming_the_entry(tmp_path):
     ]
     del entries[3]["profile"]
     spec_file.write_text(yaml.safe_dump({"clusters": entries}), encoding="utf-8")
-    name = entries[3]["name"]
-    with pytest.raises(ValueError, match=rf"clusters\[3\] \({name}\) has no 'profile'"):
-        TestbedSpec.from_yaml(spec_file, env={})
+    missing = r"clusters: \[3\]: ClusterSpec misses fields \['profile'\]"
+    with pytest.raises(ValueError, match=missing):
+        TestbedSpec.from_yaml(spec_file)
 
     spec_file.write_text(yaml.safe_dump([{"seed": 1}]), encoding="utf-8")
-    with pytest.raises(ValueError, match="must be a mapping, got list"):
-        TestbedSpec.from_yaml(spec_file, env={})
+    with pytest.raises(ValueError, match="must be an object, not list"):
+        TestbedSpec.from_yaml(spec_file)
 
 
-@pytest.mark.parametrize(
-    "load, base, variable",
-    [
-        (TestbedSpec.from_yaml, {"seed": 1}, "QONNECT_TESTBED_ELECTION_TIMEOUT"),
-    ],
-    ids=["testbed"],
-)
-def test_election_timeout_reads_lo_hi_and_names_the_variable_otherwise(
-    tmp_path, load, base, variable
-):
+def test_election_timeout_reads_lo_hi(tmp_path):
     config_file = tmp_path / "config.yaml"
-    config_file.write_text(yaml.safe_dump({**base, "election_timeout": [0.5, 0.9]}))
-    assert load(config_file, env={}).election_timeout == (0.5, 0.9)
-    assert load(config_file, env={variable: "0.2,0.4"}).election_timeout == (0.2, 0.4)
-    for bad in ("12", "0.2", "a,b", "0.2,0.4,0.6", "0.4,0.2", "0,1", ""):
-        with pytest.raises(ValueError, match=variable):
-            load(config_file, env={variable: bad})
-    config_file.write_text(yaml.safe_dump({**base, "election_timeout": 12}))
-    with pytest.raises(ValueError, match="^election_timeout"):
-        load(config_file, env={})
-
-
-@pytest.mark.parametrize("compact_every", [0, -1])
-def test_rla_config_rejects_unusable_compaction_settings(compact_every):
-    with pytest.raises(ValueError):
-        RlaConfig(rla_id=0, compact_every=compact_every)
+    config_file.write_text(yaml.safe_dump({"seed": 1, "election_timeout": [0.5, 0.9]}))
+    assert TestbedSpec.from_yaml(config_file).election_timeout == (0.5, 0.9)
+    config_file.write_text(yaml.safe_dump({"seed": 1, "election_timeout": 12}))
+    with pytest.raises(ValueError, match=r"TestbedSpec\.election_timeout: expected a list of 2"):
+        TestbedSpec.from_yaml(config_file)
 
 
 def test_bundle_yaml_stream_roundtrip():

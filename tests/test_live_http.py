@@ -174,8 +174,7 @@ def test_malformed_requests_get_400_and_the_server_keeps_serving(live):
 
 def test_committed_writes_answer_with_compaction_after_every_command(monkeypatch):
     live = LiveDeployment(spec=fast_spec(), base_port=free_port_base())
-    for rla in live.rlas.values():
-        rla.config.compact_every = 1  # snapshot after every applied command
+    monkeypatch.setattr(service_module, "_COMPACT_EVERY", 1)  # snapshot after every command
     monkeypatch.setattr(service_module, "_COMPACT_RATIO", 0)
     live.start()
     try:
@@ -202,7 +201,7 @@ def test_committed_writes_answer_with_compaction_after_every_command(monkeypatch
 
 def test_a_snapshot_the_kb_cannot_restore_is_refused_and_never_saved(tmp_path):
     config = RlaConfig(
-        rla_id=0, listen_address=f"127.0.0.1:{free_port_base(1)}", data_dir=str(tmp_path)
+        rla_id=0, peers={0: f"127.0.0.1:{free_port_base(1)}"}, data_dir=str(tmp_path)
     )
     kb = KnowledgeBase()
     kb.apply(RegisterCluster("10.0.0.1", Domain.EDGE, 1.0))
@@ -212,7 +211,7 @@ def test_a_snapshot_the_kb_cannot_restore_is_refused_and_never_saved(tmp_path):
         # A term far above what a lone node reaches by timing out elections.
         msg = SnapshotRequest(src=1, dst=0, term=100, last_included_index=index,
                               last_included_term=100, state_blob=blob)
-        url = f"http://{config.listen_address}/raft/{msg.kind}"
+        url = f"http://{config.peers[0]}/raft/{msg.kind}"
         return requests.post(url, data=encode_message(msg), timeout=5.0).status_code
 
     rla = LiveRla(config, members=(0, 1, 2))
@@ -237,7 +236,7 @@ def test_a_snapshot_the_kb_cannot_restore_is_refused_and_never_saved(tmp_path):
 
 
 def test_an_accepted_snapshot_is_parsed_once(monkeypatch):
-    config = RlaConfig(rla_id=0, listen_address=f"127.0.0.1:{free_port_base(1)}")
+    config = RlaConfig(rla_id=0, peers={0: f"127.0.0.1:{free_port_base(1)}"})
     kb = KnowledgeBase()
     kb.apply(RegisterCluster("10.0.0.1", Domain.EDGE, 1.0))
     restores: list[str] = []
@@ -253,7 +252,7 @@ def test_an_accepted_snapshot_is_parsed_once(monkeypatch):
     rla = LiveRla(config, members=(0, 1, 2))
     rla.start()
     try:
-        url = f"http://{config.listen_address}/raft/{msg.kind}"
+        url = f"http://{config.peers[0]}/raft/{msg.kind}"
         assert requests.post(url, data=encode_message(msg), timeout=5.0).status_code == 200
         assert rla.node.snapshot_index == 5
     finally:

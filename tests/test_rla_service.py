@@ -370,10 +370,10 @@ def test_poll_withholds_payload_until_placeholder_domains_are_placed():
 # ---------------------------------------------------------------------------
 
 
-def follower_service(storage: RaftStorage, **config) -> RlaService:
+def follower_service(storage: RaftStorage) -> RlaService:
     node = RaftNode(RaftConfig(node_id=0, members=(0, 1, 2)), storage=storage)
     # The replica restores a node reloaded from storage to its snapshot.
-    return Replica(node, RlaService(RlaConfig(rla_id=0, **config), node=node)).machine
+    return Replica(node, RlaService(RlaConfig(rla_id=0), node=node)).machine
 
 
 def replicate(service: RlaService, commands: list[KBCommand]) -> None:
@@ -410,8 +410,9 @@ def install(service: RlaService, index: int, blob: str) -> None:
 
 def test_restarted_replica_serves_the_kb_its_snapshot_holds(tmp_path, monkeypatch):
     storage = FileStorage(tmp_path)
+    monkeypatch.setattr(service_module, "_COMPACT_EVERY", 1)
     monkeypatch.setattr(service_module, "_COMPACT_RATIO", 0)  # compact at every entry
-    service = follower_service(storage, compact_every=1)
+    service = follower_service(storage)
     replicate(
         service,
         [RegisterCluster("10.0.0.1", Domain.EDGE, 1.0), RegisterCluster("10.0.0.2", Domain.FOG, 2.0)],
@@ -428,8 +429,9 @@ def test_restarted_replica_serves_the_kb_its_snapshot_holds(tmp_path, monkeypatc
     assert restarted.kb.snapshot_state() == before
 
 
-def test_snapshot_install_restarts_the_compaction_trigger():
-    service = follower_service(MemoryStorage(), compact_every=1)
+def test_snapshot_install_restarts_the_compaction_trigger(monkeypatch):
+    monkeypatch.setattr(service_module, "_COMPACT_EVERY", 1)
+    service = follower_service(MemoryStorage())
     source = KnowledgeBase()
     for i in range(8):
         source.apply(RegisterCluster(f"10.0.1.{i}", Domain.EDGE, float(i)))
@@ -473,7 +475,8 @@ def test_apply_path_calls_the_names_the_benchmark_tracer_wraps(monkeypatch):
     monkeypatch.setattr(
         KnowledgeBase, "snapshot_state", spy("snapshot", KnowledgeBase.snapshot_state)
     )
+    monkeypatch.setattr(service_module, "_COMPACT_EVERY", 1)
     monkeypatch.setattr(service_module, "_COMPACT_RATIO", 0)  # compact at every entry
-    service = follower_service(MemoryStorage(), compact_every=1)
+    service = follower_service(MemoryStorage())
     replicate(service, [RegisterCluster("10.0.0.1", Domain.EDGE, 1.0)])
     assert calls == ["decode", "snapshot"]

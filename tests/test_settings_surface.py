@@ -1,0 +1,51 @@
+"""The settings a user or operator can set, pinned by name.
+
+A new field in one of these classes, or a module that reads the process
+environment, then shows up as an edit to this file.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import re
+from pathlib import Path
+
+import pytest
+
+import qonnect
+from qonnect.agent.ra import RaConfig
+from qonnect.harness.testbed import ClusterSpec, TestbedSpec
+from qonnect.raft.node import RaftConfig
+from qonnect.rla.config import RlaConfig
+
+SURFACE = {
+    TestbedSpec: (
+        "clusters", "rla_count", "seed",
+        "tick_period", "grace_period", "snapshot_staleness", "telemetry_flush",
+        "ra_snapshot_period", "ra_poll_period", "ra_heartbeat_period", "rollout_latency",
+        "election_timeout", "heartbeat_interval",
+    ),
+    ClusterSpec: ("name", "domain", "profile", "ingress_ip", "workers"),
+    RlaConfig: (
+        "rla_id", "peers", "data_dir",
+        "tick_period", "grace_period", "snapshot_staleness", "telemetry_flush",
+        "election_timeout", "heartbeat_interval", "seed",
+    ),
+    RaConfig: ("domain", "snapshot_period", "poll_period", "heartbeat_period"),
+    RaftConfig: ("node_id", "members", "election_timeout", "heartbeat_interval", "seed"),
+}
+
+
+@pytest.mark.parametrize("cls", SURFACE, ids=lambda cls: cls.__name__)
+def test_settings_are_the_pinned_fields(cls):
+    assert tuple(f.name for f in dataclasses.fields(cls)) == SURFACE[cls]
+
+
+def test_no_module_reads_the_environment():
+    package = Path(qonnect.__file__).parent
+    readers = [
+        str(path.relative_to(package))
+        for path in sorted(package.rglob("*.py"))
+        if re.search(r"\benviron\b|\bgetenv\b", path.read_text(encoding="utf-8"))
+    ]
+    assert readers == []
