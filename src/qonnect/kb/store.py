@@ -126,10 +126,7 @@ class KnowledgeBase:
         return [snap for key, snap in self.nodes.items() if key[0] in cluster_ids]
 
     def _apps_in_order(self) -> list[ApplicationRecord]:
-        return sorted(
-            (a for a in self.applications.values() if not a.withdrawn),
-            key=lambda a: (a.submitted_at, a.name),
-        )
+        return sorted(self.applications.values(), key=lambda a: (a.submitted_at, a.name))
 
     def pending_components(self) -> list[tuple[ApplicationRecord, ComponentRecord]]:
         out = []
@@ -309,8 +306,6 @@ class KnowledgeBase:
         effect = Effect(kind="qos-updated", detail={"name": cmd.name, "version": app.version})
         # A QoS change re-places every component against the new weights.
         for comp in app.components:
-            if comp.status == ComponentStatus.WITHDRAWN:
-                continue
             self._transition(effect, app, comp, ComponentStatus.PENDING)
             comp.decision = None
             comp.last_heartbeat = None
@@ -320,12 +315,11 @@ class KnowledgeBase:
         app = self.live_application(cmd.name)
         if app is None:
             return _noop("unknown-application", name=cmd.name)
-        app.withdrawn = True
         del self._live_by_name[cmd.name]
+        del self.applications[app.app_id]
         effect = Effect(kind="application-withdrawn", detail={"name": cmd.name})
         for comp in app.components:
             self._transition(effect, app, comp, ComponentStatus.WITHDRAWN)
-            comp.decision = None
         return effect
 
     def _target(
@@ -333,7 +327,7 @@ class KnowledgeBase:
     ) -> tuple[ApplicationRecord, ComponentRecord, None] | tuple[None, None, Effect]:
         """The live app and component ``cmd`` names at its version, or the no-op it is."""
         app = self.applications.get(cmd.app_id)
-        if app is None or app.withdrawn:
+        if app is None:
             return None, None, _noop("unknown-application", app_id=cmd.app_id)
         comp = app.component(cmd.component)
         if comp is None:
@@ -400,8 +394,6 @@ class KnowledgeBase:
             return refused
         if comp.status == ComponentStatus.PENDING:
             return _noop("already-pending", component=cmd.component)
-        if comp.status == ComponentStatus.WITHDRAWN:
-            return _noop("withdrawn", component=cmd.component)
         effect = Effect(
             kind="component-requeued",
             detail={"app": app.name, "component": comp.name, "reason": cmd.reason},
@@ -429,15 +421,18 @@ class KnowledgeBase:
 
     @classmethod
     def restore(cls, blob: str) -> KnowledgeBase:
-        """Load a ``snapshot_state`` blob; a malformed one raises ``ValueError``."""
+        """Load a ``snapshot_state`` blob; a malformed one raises ``ValueError``.
+
+        Older v1 snapshots kept deleted applications marked ``withdrawn``;
+        they are dropped, as a delete applied now drops them.
+        """
         state = _decode_state(codec.loads(blob))
         kb = cls()
         kb.clusters = {rec.cluster_id: rec for rec in state.clusters}
         kb.nodes = {(snap.cluster_id, snap.node_name): snap for snap in state.nodes}
-        kb.applications = {app.app_id: app for app in state.applications}
+        kb.applications = {app.app_id: app for app in state.applications if not app.withdrawn}
         for app in kb.applications.values():
-            if not app.withdrawn:
-                kb._live_by_name.setdefault(app.name, app)
+            kb._live_by_name.setdefault(app.name, app)
             for comp in app.components:
                 if comp.status == ComponentStatus.SCHEDULED:
                     kb._index_scheduled(app, comp)

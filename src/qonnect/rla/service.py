@@ -360,8 +360,6 @@ class RlaService:
             raise NotFoundError(f"unknown cluster: {cluster_id}")
         payloads: list[dict] = []
         for app in self.kb.scheduled_applications(cluster_id):
-            if app.withdrawn:
-                continue
             app_domains = {c.target_domain.value for c in app.components}
             placement: dict[str, str] = {}
             for comp in app.components:
@@ -391,7 +389,7 @@ class RlaService:
     def heartbeat(
         self, app_id: str, component: str, cluster_id: str, version: int, status: str
     ) -> bool:
-        """True = accepted; False = unknown/withdrawn/reassigned (drives cleanup).
+        """True = accepted; False = unknown or reassigned (drives cleanup).
 
         An accepted heartbeat renews the component's lease on this leader; it
         reaches the log only when the replicated state needs it (see the
@@ -406,7 +404,7 @@ class RlaService:
         self._hold_lease(at)
         key = (app_id, component)
         app = self.kb.applications.get(app_id)
-        comp = None if app is None or app.withdrawn else app.component(component)
+        comp = None if app is None else app.component(component)
         if (
             comp is None
             or version != app.version
