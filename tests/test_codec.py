@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_commands import GOLDEN_STATE, json_values
+from test_commands import GOLDEN_STATE, TOMBSTONE_STATE, json_values
 
 from qonnect import codec
 from qonnect.kb import (
@@ -208,10 +208,16 @@ components = st.builds(
     ComponentRecord, text, domains, objects, st.sampled_from(ComponentStatus),
     st.none() | decisions, st.none() | times,
 )
-applications = st.builds(
-    ApplicationRecord, text, text, st.dictionaries(text, text, max_size=3), qos_vectors,
-    st.lists(components, max_size=3), times, ints, st.booleans(),
-)
+
+
+def applications_with(withdrawn):
+    return st.builds(
+        ApplicationRecord, text, text, st.dictionaries(text, text, max_size=3), qos_vectors,
+        st.lists(components, max_size=3), times, ints, withdrawn,
+    )
+
+
+applications = applications_with(st.booleans())
 clusters = st.builds(ClusterRecord, text, domains, text, times)
 records = st.one_of(qos_vectors, clusters, nodes, decisions, components, applications)
 
@@ -232,20 +238,39 @@ def test_every_kb_record_round_trips(record):
     assert codec.decoder(cls)(codec.loads(raw)) == record
 
 
-@settings(max_examples=50, deadline=None)
-@given(
-    clusters=st.lists(clusters, max_size=3),
-    nodes=st.lists(nodes, max_size=3),
-    applications=st.lists(applications, max_size=3),
-)
-def test_kb_snapshot_round_trips(clusters, nodes, applications):
+def kb_of(clusters, nodes, applications) -> KnowledgeBase:
     kb = KnowledgeBase()
     kb.clusters = {c.cluster_id: c for c in clusters}
     kb.nodes = {(n.cluster_id, n.node_name): n for n in nodes}
     kb.applications = {a.app_id: a for a in applications}
+    return kb
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    clusters=st.lists(clusters, max_size=3),
+    nodes=st.lists(nodes, max_size=3),
+    applications=st.lists(applications_with(st.just(False)), max_size=3),
+)
+def test_kb_snapshot_round_trips(clusters, nodes, applications):
+    kb = kb_of(clusters, nodes, applications)
     blob = kb.snapshot_state()
     assert KnowledgeBase.restore(blob) == kb
     assert KnowledgeBase.restore(blob).snapshot_state() == blob
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    clusters=st.lists(clusters, max_size=3),
+    nodes=st.lists(nodes, max_size=3),
+    applications=st.lists(applications, max_size=4),
+)
+def test_restore_drops_withdrawn_applications(clusters, nodes, applications):
+    kb = kb_of(clusters, nodes, applications)
+    live = kb_of(clusters, nodes, [a for a in kb.applications.values() if not a.withdrawn])
+    restored = KnowledgeBase.restore(kb.snapshot_state())
+    assert restored == live
+    assert restored.snapshot_state() == live.snapshot_state()
 
 
 @st.composite
@@ -349,8 +374,9 @@ def test_restore_refuses_other_schema_versions(version):
 
 @st.composite
 def mutated_states(draw) -> str:
-    """The recorded KB snapshot with fields dropped or replaced anywhere in it."""
-    state = json.loads(GOLDEN_STATE)
+    """The recorded tombstone-bearing KB snapshot with fields dropped or
+    replaced anywhere in it."""
+    state = json.loads(TOMBSTONE_STATE)
     for _ in range(draw(st.integers(1, 3))):
         target = draw(st.sampled_from(_objects_in(state)))
         if not target:

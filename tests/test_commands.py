@@ -32,13 +32,23 @@ GOLDEN_EFFECTS = [
     "qos-updated",
     "application-withdrawn",
 ]
-GOLDEN_STATE = (
+# The snapshot those entries applied to while a delete kept the application
+# as a record marked withdrawn: a recorded v1 document holding a tombstone.
+TOMBSTONE_STATE = (
     '{"applications":[{"app_id":"app-1","components":[{"decision":null,"last_heartbeat":null,'
     '"manifest":{"objects":[{"kind":"Deployment"}]},"name":"ratings","status":"Withdrawn",'
     '"target_domain":"edge"}],"labels":{"team":"a"},"name":"demo","qos":{"energy":0.0,'
     '"performance":0.5,"pricing":2.0},"submitted_at":3.0,"version":2,"withdrawn":true}],'
     '"clusters":[{"cluster_id":"79a62f64-8252-5a15-b929-f461267aebc7","domain":"edge",'
     '"external_ip":"10.0.0.1","registered_at":1.0}],"nodes":[{"bandwidth":52.5,'
+    '"cluster_id":"79a62f64-8252-5a15-b929-f461267aebc7","cpu":4.0,"energy":0.002,'
+    '"memory":8.0,"node_name":"edge-w0","pressured":false,"pricing":1.0,"ready":true,'
+    '"role":"worker","schedulable":true,"storage":100.0,"taken_at":2.0}],"v":1}'
+)
+# The KB snapshot the entries apply to: the delete removed the application.
+GOLDEN_STATE = (
+    '{"applications":[],"clusters":[{"cluster_id":"79a62f64-8252-5a15-b929-f461267aebc7",'
+    '"domain":"edge","external_ip":"10.0.0.1","registered_at":1.0}],"nodes":[{"bandwidth":52.5,'
     '"cluster_id":"79a62f64-8252-5a15-b929-f461267aebc7","cpu":4.0,"energy":0.002,'
     '"memory":8.0,"node_name":"edge-w0","pressured":false,"pricing":1.0,"ready":true,'
     '"role":"worker","schedulable":true,"storage":100.0,"taken_at":2.0}],"v":1}'
@@ -67,6 +77,16 @@ def test_batch_of_recorded_entries_applies_like_the_entries_one_by_one():
     kb = KnowledgeBase()
     assert [kb.apply(member).kind for member in decoded.commands] == GOLDEN_EFFECTS
     assert kb.snapshot_state() == GOLDEN_STATE
+
+
+def test_a_recorded_tombstone_is_dropped_on_restore():
+    replayed = KnowledgeBase()
+    for raw in GOLDEN_ENTRIES:
+        replayed.apply(decode_command(raw))
+    assert [app["withdrawn"] for app in json.loads(TOMBSTONE_STATE)["applications"]] == [True]
+    restored = KnowledgeBase.restore(TOMBSTONE_STATE)
+    assert restored == replayed
+    assert restored.snapshot_state() == GOLDEN_STATE
 
 
 def test_batches_are_never_empty_or_nested():
