@@ -72,8 +72,12 @@ def bundle_to_yaml(bundle: dict) -> str:
 
 
 def parse_bundle_stream(text: str) -> dict:
-    """Parse the YAML document stream back into a submit bundle."""
-    docs = [d for d in yaml.safe_load_all(text) if d is not None]
+    """Parse the YAML document stream into a submit bundle; ``ValueError`` if malformed."""
+    try:
+        docs = [d for d in yaml.safe_load_all(text) if d is not None]
+    except (yaml.YAMLError, LookupError, AttributeError, RecursionError) as exc:
+        # PyYAML raises KeyError for ``!!bool x``, AttributeError for ``!!timestamp x``.
+        raise ValueError(f"not YAML: {exc}") from None
     if not docs or not isinstance(docs[0], dict) or "application" not in docs[0]:
         raise ValueError("the first document must carry the application block")
     return {"application": docs[0]["application"], "components": docs[1:]}

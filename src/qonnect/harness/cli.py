@@ -69,7 +69,10 @@ def cmd_up(args: argparse.Namespace) -> int:
 
 
 def cmd_submit(args: argparse.Namespace) -> int:
-    bundle = parse_bundle_stream(Path(args.bundle).read_text(encoding="utf-8"))
+    try:
+        bundle = parse_bundle_stream(Path(args.bundle).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{args.bundle}: {exc}") from None
     app_id = _client(args).submit_application(bundle)
     print(f"submitted {bundle['application']['name']}: {app_id}")
     return 0
@@ -176,7 +179,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as exc:  # a malformed spec, bundle or verdict file
+        print("qonnect:", *str(exc).split(), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -138,7 +138,7 @@ class TestbedSpec:
         }
 
     def make_clusters(self) -> dict[str, SimCluster]:
-        """One simulated cluster per entry, seeded by the spec seed and position."""
+        """One simulated cluster per entry."""
         return {
             cluster.name: make_cluster(
                 name=cluster.name,
@@ -146,10 +146,9 @@ class TestbedSpec:
                 profile=cluster.profile,
                 ingress_ip=cluster.ingress_ip,
                 workers=cluster.workers,
-                seed=self.seed ^ (index + 1),
                 rollout_latency=self.rollout_latency,
             )
-            for index, cluster in enumerate(self.clusters)
+            for cluster in self.clusters
         }
 
     @classmethod

@@ -422,10 +422,7 @@ class KnowledgeBase:
     @classmethod
     def restore(cls, blob: str) -> KnowledgeBase:
         """Load a ``snapshot_state`` blob; a malformed one raises ``ValueError``.
-
-        Older v1 snapshots kept deleted applications marked ``withdrawn``;
-        they are dropped, as a delete applied now drops them.
-        """
+        Applications an older delete kept, marked ``withdrawn``, are dropped."""
         state = _decode_state(codec.loads(blob))
         kb = cls()
         kb.clusters = {rec.cluster_id: rec for rec in state.clusters}

@@ -9,7 +9,6 @@ advances only via ``step``, so identical inputs replay identically.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Union
@@ -106,7 +105,6 @@ class SimCluster:
         profile: str,
         ingress_ip: str,
         nodes: list[SimNode],
-        seed: int = 0,
         rollout_latency: float = 2.0,
     ) -> None:
         if sum(1 for n in nodes if n.role == "control-plane") != 1:
@@ -122,7 +120,6 @@ class SimCluster:
         self.namespaces: dict[str, dict[str, dict]] = {}
         self.workloads: dict[str, dict[str, SimWorkload]] = {}
         self.config_stores: dict[str, dict] = {}
-        self._rng = random.Random(seed)
         self._crash_state: dict[tuple[str, str], int] = {}
         # Namespaces holding a Rolling or CrashLoop workload: the only ones
         # ``step`` has work in. A namespace leaves once all its workloads are Ready.
@@ -339,7 +336,6 @@ def make_cluster(
     profile: str,
     ingress_ip: str,
     workers: int = 2,
-    seed: int = 0,
     rollout_latency: float = 2.0,
 ) -> SimCluster:
     """Build a cluster whose workers carry the profile's parameter row."""
@@ -364,6 +360,5 @@ def make_cluster(
         profile=profile,
         ingress_ip=ingress_ip,
         nodes=nodes,
-        seed=seed,
         rollout_latency=rollout_latency,
     )

@@ -93,7 +93,7 @@ sim_ops = st.lists(
 
 
 def sim_cluster():
-    return make_cluster("edge-perf", Domain.EDGE, "performance", "10.3.2.1", seed=1)
+    return make_cluster("edge-perf", Domain.EDGE, "performance", "10.3.2.1")
 
 
 def run_op(cluster, op, step) -> list:

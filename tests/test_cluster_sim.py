@@ -19,7 +19,7 @@ from qonnect.sim.cluster import SimClusterError
 
 
 def cluster(profile: str = "performance") -> SimCluster:
-    return make_cluster("edge-perf", Domain.EDGE, profile, "10.3.2.1", seed=1)
+    return make_cluster("edge-perf", Domain.EDGE, profile, "10.3.2.1")
 
 
 def deployment(name: str = "web", replicas: int = 1, **extra) -> dict:

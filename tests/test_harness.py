@@ -167,3 +167,27 @@ def test_cli_scenario_and_report_commands(tmp_path):
     assert (out / "events.jsonl").read_text(encoding="utf-8").strip()
     assert (out / "report.txt").read_text(encoding="utf-8").startswith("scenario 4: PASS")
     assert main(["report", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        (["scenario", "1"], "seed: [1]\n", "TestbedSpec.seed"),
+        (["scenario", "1"], "seed: [\n", "not YAML"),
+        (["submit"], "components: []\n", "the first document must carry the application block"),
+        (["submit"], "application: {name: a}\n---\n!!bool x\n", "not YAML"),
+        (["submit"], "application: [\n", "not YAML"),
+    ],
+)
+def test_cli_reports_a_malformed_input_file_in_one_line(tmp_path, capsys, command, text, message):
+    path = tmp_path / "input.yaml"
+    path.write_text(text, encoding="utf-8")
+    if command[0] == "scenario":
+        command = command + ["--spec", str(path), "--out", str(tmp_path / "out")]
+    else:
+        command = command + [str(path)]
+    assert main(command) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"qonnect: {path}: ") and err.count("\n") == 1
+    assert message in err
+    assert not (tmp_path / "out").exists()

@@ -1,12 +1,14 @@
 """The settings a user or operator can set, pinned by name.
 
-A new field in one of these classes, or a module that reads the process
-environment, then shows up as an edit to this file.
+A new field in one of these classes, a new parameter of the simulated
+cluster's constructors, or a module that reads the process environment,
+then shows up as an edit to this file.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import re
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from qonnect.agent.ra import RaConfig
 from qonnect.harness.testbed import ClusterSpec, TestbedSpec
 from qonnect.raft.node import RaftConfig
 from qonnect.rla.config import RlaConfig
+from qonnect.sim.cluster import SimCluster, make_cluster
 
 SURFACE = {
     TestbedSpec: (
@@ -39,6 +42,19 @@ SURFACE = {
 @pytest.mark.parametrize("cls", SURFACE, ids=lambda cls: cls.__name__)
 def test_settings_are_the_pinned_fields(cls):
     assert tuple(f.name for f in dataclasses.fields(cls)) == SURFACE[cls]
+
+
+PARAMETERS = {
+    make_cluster: ("name", "domain", "profile", "ingress_ip", "workers", "rollout_latency"),
+    SimCluster.__init__: (
+        "self", "name", "domain", "profile", "ingress_ip", "nodes", "rollout_latency",
+    ),
+}
+
+
+@pytest.mark.parametrize("fn", PARAMETERS, ids=lambda fn: fn.__qualname__)
+def test_constructors_take_the_pinned_parameters(fn):
+    assert tuple(inspect.signature(fn).parameters) == PARAMETERS[fn]
 
 
 def test_no_module_reads_the_environment():
