@@ -3,8 +3,8 @@
 ``RlaClient`` speaks the route table and follows not-leader redirects;
 reads are served by any replica. How one request travels is the ``send``
 function it is built with: the deterministic engine dispatches straight
-into ``RestApi`` instances, live mode posts over HTTP
-(``qonnect.harness.live.http_send``).
+into ``RestApi`` instances, live mode posts over kept-alive HTTP
+connections (``qonnect.harness.live.HttpSend``).
 """
 
 from __future__ import annotations

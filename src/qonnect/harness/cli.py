@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from qonnect.agent.client import RlaClient
@@ -36,10 +37,16 @@ def _load_spec(args: argparse.Namespace) -> TestbedSpec:
     return spec
 
 
-def _client(args: argparse.Namespace) -> RlaClient:
-    from qonnect.harness.live import http_send
+@contextmanager
+def _client(args: argparse.Namespace):
+    """A client of the RLA at ``--rla``, whose connection closes on exit."""
+    from qonnect.harness.live import HttpSend
 
-    return RlaClient([args.rla], http_send)
+    send = HttpSend()
+    try:
+        yield RlaClient([args.rla], send)
+    finally:
+        send.close()
 
 
 def cmd_up(args: argparse.Namespace) -> int:
@@ -73,22 +80,23 @@ def cmd_submit(args: argparse.Namespace) -> int:
         bundle = parse_bundle_stream(Path(args.bundle).read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ValueError(f"{args.bundle}: {exc}") from None
-    app_id = _client(args).submit_application(bundle)
+    with _client(args) as client:
+        app_id = client.submit_application(bundle)
     print(f"submitted {bundle['application']['name']}: {app_id}")
     return 0
 
 
 def cmd_qos(args: argparse.Namespace) -> int:
-    result = _client(args).update_qos(
-        args.name,
-        {"energy": args.energy, "pricing": args.pricing, "performance": args.performance},
-    )
+    qos = {"energy": args.energy, "pricing": args.pricing, "performance": args.performance}
+    with _client(args) as client:
+        result = client.update_qos(args.name, qos)
     print(f"qos updated: {result['name']} now at version {result['version']}")
     return 0
 
 
 def cmd_delete(args: argparse.Namespace) -> int:
-    result = _client(args).delete_application(args.name)
+    with _client(args) as client:
+        result = client.delete_application(args.name)
     print(f"deleted: {result['name']}")
     return 0
 

@@ -3,19 +3,20 @@
 Each RLA is one ``Replica`` served over one HTTP endpoint that carries
 both the Raft transport (one route per request kind under ``/raft/``,
 answering with the paired response message) and the REST control API.
-Resource agents poll over HTTP; simulated clusters advance on a real-time
-stepper thread.
+Both travel on kept-alive stdlib connections (``Connections``). Resource
+agents poll over HTTP; simulated clusters advance on a real-time stepper
+thread.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-import requests
+from urllib.parse import quote
 
 from qonnect import codec
 from qonnect.agent.client import RlaClient, RlaClientError
@@ -33,30 +34,91 @@ from qonnect.sim.cluster import SimCluster
 
 # Seconds an agent or CLI request waits for an RLA's answer.
 _REQUEST_TIMEOUT = 8.0
+# Seconds a Raft request waits for its peer's answer.
+_RAFT_TIMEOUT = 2.0
 
 
-def http_send(target: str, method: str, path: str, body: dict | None) -> tuple[int, dict]:
-    """Carry one REST call to the RLA at ``target`` (host:port) over HTTP."""
-    try:
-        response = requests.request(
-            method, f"http://{target}{path}", json=body, timeout=_REQUEST_TIMEOUT
-        )
-    except requests.RequestException as exc:
-        raise RlaClientError(f"{target} unreachable: {exc}") from exc
-    try:
-        payload = response.json()
-    except ValueError:
-        payload = {"error": response.text}
-    return response.status_code, payload
+class Connections:
+    """Idle kept-alive HTTP connections, per target (``host:port``).
+
+    A call takes an idle connection or opens one, so concurrent callers
+    never share a connection. The connection goes back only after a
+    complete response that leaves it open; on a transport error it is
+    closed and the error raised. Nothing is retried: a request whose reply
+    was lost may have taken effect, and is never sent twice.
+    """
+
+    def __init__(self, timeout: float) -> None:
+        self._timeout = timeout
+        self._idle: dict[str, list[http.client.HTTPConnection]] = {}
+        self._closed = False
+        self._lock = threading.Lock()
+
+    def request(self, target: str, method: str, path: str, body: bytes | None) -> tuple[int, bytes]:
+        """Send one request; its status and body. Raises ``OSError`` or
+        ``http.client.HTTPException`` when ``target`` does not answer."""
+        with self._lock:
+            idle = self._idle.get(target)
+            conn = idle.pop() if idle else None
+        if conn is None:
+            host, port = target.rsplit(":", 1)
+            conn = http.client.HTTPConnection(host, int(port), timeout=self._timeout)
+        try:
+            conn.request(method, path, body=body)
+            response = conn.getresponse()
+            payload = response.read()
+        except BaseException:  # the connection is mid-request: never reuse it
+            conn.close()
+            raise
+        with self._lock:
+            keep = not response.will_close and not self._closed
+            if keep:
+                self._idle.setdefault(target, []).append(conn)
+        if not keep:
+            conn.close()
+        return response.status, payload
+
+    def close(self) -> None:
+        """Close every idle connection, and each busy one once its call ends."""
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, {}
+        for conns in idle.values():
+            for conn in conns:
+                conn.close()
+
+
+class HttpSend(Connections):
+    """The ``send`` of a live ``RlaClient``: carries one REST call to the
+    RLA at ``target`` (host:port) over a kept-alive connection."""
+
+    def __init__(self) -> None:
+        super().__init__(_REQUEST_TIMEOUT)
+
+    def __call__(self, target: str, method: str, path: str, body: dict | None) -> tuple[int, dict]:
+        try:
+            data = None if body is None else json.dumps(body, allow_nan=False).encode("utf-8")
+        except ValueError as exc:  # NaN or an infinity
+            raise RlaClientError(f"body is not JSON: {exc}") from exc
+        try:
+            status, raw = self.request(target, method, quote(path), data)
+        except (OSError, http.client.HTTPException) as exc:
+            raise RlaClientError(f"{target} unreachable: {exc}") from exc
+        try:
+            payload = json.loads(raw)
+        except ValueError:  # includes UnicodeDecodeError
+            payload = {"error": raw.decode("utf-8", "replace")}
+        return status, payload
 
 
 class LiveRla:
     """One RLA process-equivalent: a replica served over HTTP.
 
     Threads: the HTTP server's handler threads serve REST calls and inbound
-    Raft requests, and a send pool posts outbound Raft requests and hands
-    their replies to the replica. The Raft tick thread only ticks the node
-    and sends what it emits, so a slow commit cannot hold back heartbeats.
+    Raft requests, and a send pool posts outbound Raft requests, on one
+    kept-alive connection per peer, and hands their replies to the replica.
+    The Raft tick thread only ticks the node and sends what it emits, so a
+    slow commit cannot hold back heartbeats.
     The leader-work thread runs ``RlaService.pump`` (telemetry flush and
     scheduler pass). One lock, ``_lock``, guards the replica: the node, the
     KB and the service's queues and lease state. Every thread holds it while
@@ -85,6 +147,7 @@ class LiveRla:
         self._outbox: dict[int, Message | None] = {}
         self._outbox_lock = threading.Lock()
         self._send_pool = ThreadPoolExecutor(max_workers=len(members) - 1)
+        self._peers = Connections(_RAFT_TIMEOUT)
         self._running = False
         self._threads: list[threading.Thread] = []
 
@@ -114,6 +177,7 @@ class LiveRla:
         for thread in self._threads:
             thread.join(timeout=2.0)
         self._send_pool.shutdown(wait=False, cancel_futures=True)
+        self._peers.close()
 
     # -- raft plumbing ----------------------------------------------------
 
@@ -168,18 +232,16 @@ class LiveRla:
         if address is None or not self._running:
             return
         try:
-            response = requests.post(
-                f"http://{address}/raft/{msg.kind}",
-                data=encode_message(msg),
-                timeout=2.0,
+            status, raw = self._peers.request(
+                address, "POST", f"/raft/{msg.kind}", encode_message(msg).encode("utf-8")
             )
-        except requests.RequestException:
+        except (OSError, http.client.HTTPException):
             return  # unreachable peer; raft retries by protocol
-        if response.status_code != 200 or not response.content:
+        if status != 200 or not raw:
             return
         try:
-            self._handle_inbound(decode_message(response.text))
-        except ValueError:
+            self._handle_inbound(decode_message(raw.decode("utf-8")))
+        except ValueError:  # includes UnicodeDecodeError
             return  # a malformed reply, or a snapshot the KB cannot load
 
     def _handle_inbound(self, msg: Message) -> Message | None:
@@ -216,13 +278,20 @@ class LiveRla:
 
 class _RlaHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # ``_respond`` writes the head and the body separately; with Nagle's
+    # algorithm on, the body waits for the client's delayed ACK of the head
+    # (about 40 ms) on every call of a kept-alive connection.
+    disable_nagle_algorithm = True
 
     def log_message(self, fmt: str, *args) -> None:  # quiet the default stderr spam
         pass
 
     def _body(self) -> bytes:
-        """The request body; ``ValueError`` unless Content-Length is a
+        """The request body; ``ValueError`` unless it is framed by no
+        Transfer-Encoding and a Content-Length, if any, that is a
         non-negative integer."""
+        if "Transfer-Encoding" in self.headers:
+            raise ValueError("Transfer-Encoding is not supported; send a Content-Length")
         length = int(self.headers.get("Content-Length") or 0)
         if length < 0:
             raise ValueError(f"negative Content-Length: {length}")
@@ -234,6 +303,8 @@ class _RlaHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(payload)))
         for key, value in (headers or {}).items():
             self.send_header(key, value)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(payload)
 
@@ -246,7 +317,12 @@ class _RlaHandler(BaseHTTPRequestHandler):
             raw = self._body()
         except ValueError as exc:
             self.close_connection = True  # where the body ends is unknown
-            self._refuse(f"bad Content-Length: {exc}")
+            self._refuse(f"bad framing: {exc}")
+            return
+        if not rla._running:
+            # A client may hold a connection opened before ``stop``.
+            self.close_connection = True
+            self._respond(503, json.dumps({"error": "rla stopped"}).encode("utf-8"))
             return
         if self.path.startswith("/raft/") and method == "POST":
             try:
@@ -325,6 +401,7 @@ class LiveDeployment:
         self.clusters = {
             name: _LockedCluster(cluster) for name, cluster in self.spec.make_clusters().items()
         }
+        self._send = HttpSend()  # shared by every client: each call has its own connection
         self.agents = self.spec.make_agents(self.clusters, self.client, self.events)
         self._running = False
         self._threads: list[threading.Thread] = []
@@ -343,6 +420,7 @@ class LiveDeployment:
         self._running = False
         for thread in self._threads:
             thread.join(timeout=2.0)
+        self._send.close()
         for rla in self.rlas.values():
             rla.stop()
 
@@ -368,14 +446,14 @@ class LiveDeployment:
                         pass  # duty-level errors are already guarded; stay alive
 
     def client(self) -> RlaClient:
-        return RlaClient(list(self.addresses.values()), http_send)
+        return RlaClient(list(self.addresses.values()), self._send)
 
     def wait_for_leader(self, timeout: float = 10.0) -> int:
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
             for address in self.addresses.values():
                 try:
-                    status, body = http_send(address, "GET", "/status", None)
+                    status, body = self._send(address, "GET", "/status", None)
                 except RlaClientError:
                     continue
                 if status == 200 and body.get("role") == "leader":

@@ -28,7 +28,7 @@ class EveryBeatService(RlaService):
             )
         self._require_leader()
         app = self.kb.applications.get(app_id)
-        if app is None or app.withdrawn:
+        if app is None:
             return False
         comp = app.component(component)
         if comp is None or version != app.version:

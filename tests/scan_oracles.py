@@ -56,9 +56,9 @@ def oracle_step(cluster: SimCluster, dt: float) -> list[SimEvent]:
 
 
 def oracle_live_application(kb: KnowledgeBase, name: str) -> ApplicationRecord | None:
-    """The first live application called ``name``, by a scan of every record."""
+    """The first application called ``name``, by a scan of every record."""
     for app in kb.applications.values():
-        if app.name == name and not app.withdrawn:
+        if app.name == name:
             return app
     return None
 
@@ -69,8 +69,6 @@ def oracle_poll(kb: KnowledgeBase, cluster_id: str) -> list[dict]:
         raise NotFoundError(f"unknown cluster: {cluster_id}")
     payloads: list[dict] = []
     for app in sorted(kb.applications.values(), key=lambda a: (a.submitted_at, a.name)):
-        if app.withdrawn:
-            continue
         app_domains = {c.target_domain.value for c in app.components}
         placement: dict[str, str] = {}
         for comp in app.components:

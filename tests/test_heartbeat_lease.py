@@ -155,7 +155,6 @@ def _components_on(dep: Deployment, cluster_name: str):
     return [
         comp
         for app in dep.kb().applications.values()
-        if not app.withdrawn
         for comp in app.components
         if comp.decision is not None and comp.decision.cluster_id == cluster_id
     ]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import socket
 import sys
 import threading
@@ -10,12 +11,11 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-import requests
 
 from qonnect.harness.bookinfo import bookinfo_bundle
 from qonnect.harness.live import LiveDeployment, LiveRla
 from qonnect.kb import Domain, KnowledgeBase, RegisterCluster
-from qonnect.raft import Role, SnapshotRequest, encode_message
+from qonnect.raft import Role, SnapshotRequest, VoteRequest, encode_message
 from qonnect.rla import RlaConfig
 from qonnect.harness.testbed import TestbedSpec
 from qonnect.rla import service as service_module
@@ -40,6 +40,28 @@ def free_port_base(count: int = 3) -> int:
                 sock.close()
         return base
     raise RuntimeError("no run of free ports found")
+
+
+def connect(address: str) -> http.client.HTTPConnection:
+    host, port = address.rsplit(":", 1)
+    return http.client.HTTPConnection(host, int(port), timeout=5.0)
+
+
+def request(conn: http.client.HTTPConnection, method: str, path: str, data: str | None = None):
+    """One request on ``conn``; its response, read to the end."""
+    conn.request(method, path, body=None if data is None else data.encode("utf-8"))
+    response = conn.getresponse()
+    response.read()
+    return response
+
+
+def status_of(address: str, method: str, path: str, data: str | None = None) -> int:
+    """The status of one request on a connection of its own."""
+    conn = connect(address)
+    try:
+        return request(conn, method, path, data).status
+    finally:
+        conn.close()
 
 
 def fast_spec() -> TestbedSpec:
@@ -143,7 +165,7 @@ def test_malformed_requests_get_400_and_the_server_keeps_serving(live):
     address = next(iter(live.addresses.values()))
 
     def post(path: str, data: str) -> int:
-        return requests.post(f"http://{address}{path}", data=data, timeout=5.0).status_code
+        return status_of(address, "POST", path, data)
 
     assert post("/raft/append-request", '{"v": 1, "kind": "append-request", "src": 0}') == 400
     assert post("/raft/vote-request", '[1, 2]') == 400
@@ -152,24 +174,36 @@ def test_malformed_requests_get_400_and_the_server_keeps_serving(live):
     heartbeat = '{"cluster_id": "c", "version": "abc", "status": "healthy"}'
     assert post("/applications/a/components/c/heartbeat", heartbeat) == 400
 
-    def raw_status(head: str, body: bytes = b"") -> int | None:
-        """Send one raw request; the status line's code, or None without one."""
+    def raw_response(head: str, body: bytes = b"") -> tuple[int | None, bytes]:
+        """Send one raw request; the status line's code (None without one)
+        and the response head."""
         host, port = address.rsplit(":", 1)
         with socket.create_connection((host, int(port)), timeout=3.0) as sock:
             sock.sendall(head.encode("ascii") + b"\r\n" + body)
+            reply = sock.makefile("rb")
             try:
-                first = sock.makefile("rb").readline()
+                lines = [reply.readline()]
+                while lines[-1] not in (b"\r\n", b""):
+                    lines.append(reply.readline())
             except socket.timeout:
-                return None
-        return int(first.split()[1]) if first.startswith(b"HTTP/") else None
+                return None, b""
+        status = int(lines[0].split()[1]) if lines[0].startswith(b"HTTP/") else None
+        return status, b"".join(lines)
 
-    for length in ("-1", "abc"):
-        head = f"POST /applications HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n"
-        assert raw_status(head) == 400, length
+    # A refusal that leaves the end of the body unknown closes the connection
+    # and says so: the rest of the bytes are never read as the next request.
+    for framing, body in (
+        ("Content-Length: -1", b""),
+        ("Content-Length: abc", b""),
+        ("Transfer-Encoding: chunked", b"4\r\nGET \r\n0\r\n\r\n"),
+    ):
+        head = f"POST /applications HTTP/1.1\r\nHost: x\r\n{framing}\r\n"
+        status, reply = raw_response(head, body)
+        assert status == 400 and b"Connection: close" in reply, (framing, reply)
     nested = b"[" * 100_000
     head = f"POST /applications HTTP/1.1\r\nHost: x\r\nContent-Length: {len(nested)}\r\n"
-    assert raw_status(head, nested) == 400
-    assert requests.get(f"http://{address}/status", timeout=5.0).status_code == 200
+    assert raw_response(head, nested)[0] == 400
+    assert status_of(address, "GET", "/status") == 200
 
 
 def test_committed_writes_answer_with_compaction_after_every_command(monkeypatch):
@@ -211,8 +245,7 @@ def test_a_snapshot_the_kb_cannot_restore_is_refused_and_never_saved(tmp_path):
         # A term far above what a lone node reaches by timing out elections.
         msg = SnapshotRequest(src=1, dst=0, term=100, last_included_index=index,
                               last_included_term=100, state_blob=blob)
-        url = f"http://{config.peers[0]}/raft/{msg.kind}"
-        return requests.post(url, data=encode_message(msg), timeout=5.0).status_code
+        return status_of(config.peers[0], "POST", f"/raft/{msg.kind}", encode_message(msg))
 
     rla = LiveRla(config, members=(0, 1, 2))
     rla.start()
@@ -252,12 +285,75 @@ def test_an_accepted_snapshot_is_parsed_once(monkeypatch):
     rla = LiveRla(config, members=(0, 1, 2))
     rla.start()
     try:
-        url = f"http://{config.peers[0]}/raft/{msg.kind}"
-        assert requests.post(url, data=encode_message(msg), timeout=5.0).status_code == 200
+        path = f"/raft/{msg.kind}"
+        assert status_of(config.peers[0], "POST", path, encode_message(msg)) == 200
         assert rla.node.snapshot_index == 5
     finally:
         rla.stop()
     assert restores == [msg.state_blob]
+
+
+def test_a_stopped_rla_answers_503_on_a_connection_opened_before_stop():
+    config = RlaConfig(rla_id=0, peers={0: f"127.0.0.1:{free_port_base(1)}"})
+    rla = LiveRla(config, members=(0, 1, 2))
+    rla.start()
+    conn = connect(config.peers[0])
+    try:
+        assert request(conn, "GET", "/status").status == 200
+    finally:
+        rla.stop()
+    try:
+        term = rla.node.current_term
+        vote = VoteRequest(src=1, dst=0, term=term + 1, last_log_index=0, last_log_term=0)
+        response = request(conn, "POST", f"/raft/{vote.kind}", encode_message(vote))
+        assert response.status == 503 and response.will_close
+        assert rla.node.current_term == term
+    finally:
+        conn.close()
+
+
+def test_twenty_calls_on_one_kept_alive_connection_take_under_half_a_second():
+    """With Nagle's algorithm on the server, each call of a kept-alive
+    connection waits about 40 ms for the client's delayed ACK."""
+    config = RlaConfig(rla_id=0, peers={0: f"127.0.0.1:{free_port_base(1)}"})
+    rla = LiveRla(config, members=(0, 1, 2))
+    rla.start()
+    conn = connect(config.peers[0])
+    try:
+        request(conn, "GET", "/status")
+        start = time.perf_counter()
+        statuses = [request(conn, "GET", "/status").status for _ in range(20)]
+        elapsed = time.perf_counter() - start
+        assert statuses == [200] * 20
+        assert elapsed < 0.5, elapsed
+    finally:
+        conn.close()
+        rla.stop()
+
+
+def test_a_quiet_deployment_opens_no_new_connections(monkeypatch):
+    """Raft peers, agents and clients keep their connections alive."""
+    live = LiveDeployment(spec=fast_spec(), base_port=free_port_base())
+    accepted = {i: 0 for i in live.rlas}
+    for i, rla in live.rlas.items():
+        def counted(request, client_address, _process=rla.server.process_request, i=i):
+            accepted[i] += 1
+            return _process(request, client_address)
+
+        monkeypatch.setattr(rla.server, "process_request", counted)
+    live.start()
+    try:
+        live.wait_for_leader(timeout=15.0)
+        client = live.client()
+        deadline = time.monotonic() + 20.0
+        while time.monotonic() < deadline and len(client.cluster_config()) < 9:
+            time.sleep(0.2)
+        time.sleep(2 * live.spec.ra_heartbeat_period)  # every agent has called every RLA it uses
+        before = dict(accepted)
+        time.sleep(3.0)
+        assert accepted == before
+    finally:
+        live.stop()
 
 
 def test_polls_answer_while_decisions_and_heartbeats_commit(monkeypatch):

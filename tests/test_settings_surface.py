@@ -1,8 +1,9 @@
 """The settings a user or operator can set, pinned by name.
 
 A new field in one of these classes, a new parameter of the simulated
-cluster's constructors, or a module that reads the process environment,
-then shows up as an edit to this file.
+cluster's constructors, a module that reads the process environment, or
+live mode or the CLI needing ``requests`` again, then shows up as an edit
+to this file.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,3 +68,16 @@ def test_no_module_reads_the_environment():
         if re.search(r"\benviron\b|\bgetenv\b", path.read_text(encoding="utf-8"))
     ]
     assert readers == []
+
+
+def test_live_mode_and_the_cli_import_without_requests():
+    src = str(Path(qonnect.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.modules['requests'] = None; "
+        f"sys.path.insert(0, {src!r}); "
+        "import qonnect.harness.cli, qonnect.harness.live"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
