@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import string
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -101,7 +102,10 @@ class HttpSend(Connections):
         except ValueError as exc:  # NaN or an infinity
             raise RlaClientError(f"body is not JSON: {exc}") from exc
         try:
-            status, raw = self.request(target, method, quote(path), data)
+            # Percent-encode only what a request line cannot carry (space,
+            # control characters, non-ASCII): the server routes on the raw
+            # path, so a name such as ``db:primary`` must arrive as it is.
+            status, raw = self.request(target, method, quote(path, safe=string.punctuation), data)
         except (OSError, http.client.HTTPException) as exc:
             raise RlaClientError(f"{target} unreachable: {exc}") from exc
         try:

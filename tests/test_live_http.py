@@ -161,6 +161,36 @@ def test_live_http_elects_leader_and_places_application(live):
     assert "{{QONNECT" not in str(workload.env)
 
 
+def test_names_with_reserved_characters_route_over_http(live):
+    """The server routes on the raw path, as the in-process API does, so a
+    name with ``:`` or ``+`` reaches its application over HTTP too."""
+    leader = live.wait_for_leader(timeout=15.0)
+    client = live.client()
+    bundle = bookinfo_bundle("shop+eu")
+    details = next(c for c in bundle["components"] if c["component"] == "details")
+    details["component"] = "db:primary"
+    app_id = client.submit_application(bundle)
+
+    def placed():
+        app = live.rlas[leader].service.kb.live_application("shop+eu")
+        comp = None if app is None else app.component("db:primary")
+        return app, comp
+
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline:
+        app, comp = placed()
+        if comp is not None and comp.decision is not None:
+            break
+        time.sleep(0.2)
+    app, comp = placed()
+    assert comp is not None and comp.decision is not None
+    assert client.heartbeat(
+        app_id, "db:primary", comp.decision.cluster_id, app.version, "progressing"
+    )
+    assert client.delete_application("shop+eu")
+    assert live.rlas[leader].service.kb.live_application("shop+eu") is None
+
+
 def test_malformed_requests_get_400_and_the_server_keeps_serving(live):
     address = next(iter(live.addresses.values()))
 
