@@ -10,6 +10,7 @@ domain addresses appear as ``{{QONNECT_<DOMAIN>_IP}}`` placeholders
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -41,11 +42,23 @@ def _ingress_first_segment(obj: dict) -> str | None:
 
 
 def parse_qos(data: object) -> QoSVector:
-    """Weights from a request; unknown keys, non-numbers and negatives raise ``ValueError``."""
+    """Weights from a request; unknown keys, non-numbers, negatives and weights
+    that are not finite (NaN, infinities, integers too large for a float)
+    raise ``ValueError``.
+
+    ``QoSVector`` itself accepts NaN, so log entries written before this
+    check still decode and replay.
+    """
     if data is None:
         return QoSVector()
     qos = _decode_qos(data)
-    return QoSVector(float(qos.energy), float(qos.pricing), float(qos.performance))
+    try:
+        weights = [float(qos.energy), float(qos.pricing), float(qos.performance)]
+    except OverflowError:
+        raise ValueError("QoS weights must be finite") from None
+    if not all(map(math.isfinite, weights)):
+        raise ValueError("QoS weights must be finite")
+    return QoSVector(*weights)
 
 
 def validate_bundle(bundle: object) -> tuple[ParsedBundle | None, list[dict]]:

@@ -7,6 +7,11 @@ attributes), fold the capacity ranks into one score, weight the three
 criteria by the user's QoS vector, keep nodes at or above the mean score,
 aggregate per cluster, and return the top cluster with its retained nodes.
 
+The first three steps do not depend on the QoS vector, so they run once
+per domain (``rank_domain``, giving a ``DomainRanks``). The last four run
+once per QoS class (``DomainRanks.place``). ``score_and_filter_nodes`` is
+the two composed.
+
 Because Borda scores depend only on ordering, the outcome is invariant
 under positive scaling of any attribute column.
 """
@@ -65,19 +70,84 @@ def borda_rank(values: Sequence[float], lower_wins: bool) -> list[int]:
     return scores
 
 
-def weighted_scores(eligible: Sequence[NodeSnapshot], qos: QoSVector) -> list[float]:
-    """Each eligible node's per-attribute Borda ranks, folded by QoS weights."""
-    weights = qos.normalized()
-    energy = borda_rank([n.energy for n in eligible], lower_wins=True)
-    pricing = borda_rank([n.pricing for n in eligible], lower_wins=True)
+@dataclass(frozen=True, slots=True)
+class DomainRanks:
+    """The QoS-independent half of a placement: one domain's eligible nodes,
+    in snapshot order, with their Borda ranks.
+
+    ``capacity`` is the sum of the four capacity ranks.
+    """
+
+    cluster_ids: tuple[str, ...]
+    node_names: tuple[str, ...]
+    energy: list[int]
+    pricing: list[int]
+    capacity: list[int]
+
+    def weighted(self, qos: QoSVector) -> list[float]:
+        """Each node's ranks folded by the QoS weights."""
+        weights = qos.normalized()
+        we, wp, wf = weights.energy, weights.pricing, weights.performance
+        return [
+            e * we + p * wp + cap * wf
+            for e, p, cap in zip(self.energy, self.pricing, self.capacity)
+        ]
+
+    def place(self, qos: QoSVector) -> PlacementResult:
+        """Keep nodes scoring at or above the mean (never none) and pick the
+        top cluster. Clusters rank by retained score, then total score, then
+        id; both sums run in eligible order."""
+        scores = self.weighted(qos)
+        mean = sum(scores) / len(scores)
+        retained: dict[str, float] = {}
+        total: dict[str, float] = {}
+        for cid, score in zip(self.cluster_ids, scores):
+            total[cid] = total.get(cid, 0.0) + score
+            if score >= mean:
+                retained[cid] = retained.get(cid, 0.0) + score
+        ranking = sorted(
+            (ClusterScore(cid, retained.get(cid, 0.0), t) for cid, t in total.items()),
+            key=lambda c: (-c.retained_score, -c.total_score, c.cluster_id),
+        )
+        top = ranking[0].cluster_id
+        chosen = sorted(
+            (-score, name)
+            for cid, name, score in zip(self.cluster_ids, self.node_names, scores)
+            if cid == top and score >= mean
+        )
+        return PlacementResult(
+            cluster_id=top,
+            node_names=tuple(name for _, name in chosen),
+            ranking=tuple(ranking),
+        )
+
+
+def rank_nodes(eligible: Sequence[NodeSnapshot]) -> DomainRanks:
+    """The six Borda rankings of a non-empty list of eligible nodes."""
     cpu = borda_rank([n.cpu for n in eligible], lower_wins=False)
     memory = borda_rank([n.memory for n in eligible], lower_wins=False)
     bandwidth = borda_rank([n.bandwidth for n in eligible], lower_wins=False)
     storage = borda_rank([n.storage for n in eligible], lower_wins=False)
-    return [
-        e * weights.energy + p * weights.pricing + (c + m + b + s) * weights.performance
-        for e, p, c, m, b, s in zip(energy, pricing, cpu, memory, bandwidth, storage)
-    ]
+    return DomainRanks(
+        cluster_ids=tuple(n.cluster_id for n in eligible),
+        node_names=tuple(n.node_name for n in eligible),
+        energy=borda_rank([n.energy for n in eligible], lower_wins=True),
+        pricing=borda_rank([n.pricing for n in eligible], lower_wins=True),
+        capacity=[c + m + b + s for c, m, b, s in zip(cpu, memory, bandwidth, storage)],
+    )
+
+
+def rank_domain(
+    snapshots: Sequence[NodeSnapshot], now: float, staleness: float
+) -> DomainRanks | None:
+    """The per-domain step; None when nothing is eligible."""
+    eligible = eligibility_filter(snapshots, now=now, staleness=staleness)
+    return rank_nodes(eligible) if eligible else None
+
+
+def weighted_scores(eligible: Sequence[NodeSnapshot], qos: QoSVector) -> list[float]:
+    """Each eligible node's per-attribute Borda ranks, folded by QoS weights."""
+    return rank_nodes(eligible).weighted(qos)
 
 
 def score_and_filter_nodes(
@@ -86,45 +156,28 @@ def score_and_filter_nodes(
     now: float,
     staleness: float,
 ) -> PlacementResult | None:
-    """Full pipeline over one domain's snapshots; None when nothing is eligible.
-
-    Nodes scoring at or above the mean are retained (never none). Clusters
-    rank by retained score, then total score, then id; both sums run in
-    eligible order.
-    """
-    eligible = eligibility_filter(snapshots, now=now, staleness=staleness)
-    if not eligible:
-        return None
-    scores = weighted_scores(eligible, qos)
-    mean = sum(scores) / len(scores)
-    retained: dict[str, float] = {}
-    total: dict[str, float] = {}
-    for node, score in zip(eligible, scores):
-        cid = node.cluster_id
-        total[cid] = total.get(cid, 0.0) + score
-        if score >= mean:
-            retained[cid] = retained.get(cid, 0.0) + score
-    ranking = sorted(
-        (ClusterScore(cid, retained.get(cid, 0.0), t) for cid, t in total.items()),
-        key=lambda c: (-c.retained_score, -c.total_score, c.cluster_id),
-    )
-    top = ranking[0].cluster_id
-    chosen = sorted(
-        (-score, node.node_name)
-        for node, score in zip(eligible, scores)
-        if node.cluster_id == top and score >= mean
-    )
-    return PlacementResult(
-        cluster_id=top,
-        node_names=tuple(name for _, name in chosen),
-        ranking=tuple(ranking),
-    )
+    """Full pipeline over one domain's snapshots; None when nothing is eligible."""
+    ranks = rank_domain(snapshots, now=now, staleness=staleness)
+    return None if ranks is None else ranks.place(qos)
 
 
 class BordaCountStrategy:
-    """The placement entry point: ``scheduler_tick`` places every class
-    through ``place``, and ``benchmark/tracing.py`` wraps it to time and
-    count placements."""
+    """The placement entry point for one scheduler tick.
+
+    ``scheduler_tick`` makes one instance per tick and places every
+    (domain, QoS) class through ``place``; ``benchmark/tracing.py`` wraps
+    ``place`` to time and count placements. The instance holds the rank
+    table of each snapshot list it has placed on, keyed by that list with
+    ``now`` and ``staleness``, so the classes of one domain share one
+    ranking. A list must therefore not change while the instance lives.
+    """
+
+    def __init__(self) -> None:
+        # Each entry holds its list, so the list's id cannot be reused by
+        # another object while the entry is cached.
+        self._tables: dict[
+            tuple[int, float, float], tuple[Sequence[NodeSnapshot], DomainRanks | None]
+        ] = {}
 
     def place(
         self,
@@ -133,4 +186,12 @@ class BordaCountStrategy:
         now: float,
         staleness: float,
     ) -> PlacementResult | None:
-        return score_and_filter_nodes(snapshots, qos, now=now, staleness=staleness)
+        key = (id(snapshots), now, staleness)
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = (
+                snapshots,
+                rank_domain(snapshots, now=now, staleness=staleness),
+            )
+        ranks = table[1]
+        return None if ranks is None else ranks.place(qos)

@@ -7,8 +7,10 @@ placement uses snapshots that postdate the stall.
 The KB does not change within a tick, so a placement depends only on the
 component's target domain and its application's QoS vector. Each tick
 places every such class once and reuses the result (the equivalence-class
-cache of the Kubernetes scheduler); this requires ``BordaCountStrategy.place``
-to be a pure function of its arguments.
+cache of the Kubernetes scheduler). Below that, a tick computes once per
+domain what no QoS vector affects: the domain's node list, its eligible
+nodes and their six Borda rankings, held by the tick's own
+``BordaCountStrategy``. Each class then only weights those ranks.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from qonnect.kb.commands import KBCommand, RecordDecision, RequeueComponent
 from qonnect.kb.model import Domain, NodeSnapshot, QoSVector
 from qonnect.kb.store import KnowledgeBase
 from qonnect.scheduler.borda import BordaCountStrategy, PlacementResult
-
-_STRATEGY = BordaCountStrategy()
 
 
 def scheduler_tick(
@@ -52,6 +52,7 @@ def scheduler_tick(
                 reason="heartbeat-stalled",
             )
         )
+    strategy = BordaCountStrategy()
     domains: dict[Domain, list[NodeSnapshot]] = {}
     placements: dict[tuple[Domain, QoSVector], PlacementResult | None] = {}
     for app, comp in kb.pending_components():
@@ -59,7 +60,7 @@ def scheduler_tick(
         if key not in placements:
             if comp.target_domain not in domains:
                 domains[comp.target_domain] = kb.nodes_in_domain(comp.target_domain)
-            placements[key] = _STRATEGY.place(
+            placements[key] = strategy.place(
                 domains[comp.target_domain],
                 app.qos,
                 now=now,

@@ -9,6 +9,7 @@ import pytest
 from placement_oracle import oracle_place, oracle_ranking, random_instance
 from qonnect.kb.model import NodeSnapshot, QoSVector
 from qonnect.scheduler import (
+    BordaCountStrategy,
     borda_rank,
     eligibility_filter,
     score_and_filter_nodes,
@@ -197,3 +198,28 @@ def test_retained_nodes_live_in_chosen_cluster():
         }
         assert result.node_names
         assert set(result.node_names) <= eligible_names
+
+
+def test_one_strategy_reuses_ranks_only_for_the_same_list_now_and_staleness():
+    # One instance, as in a scheduler tick, but over several lists and
+    # ``now``/``staleness`` values: taken_at is 0, 50 or 100, so each ``now``
+    # below makes a different set of nodes eligible, or none.
+    rng = random.Random(20261019)
+    lists = [random_instance(rng)[0] for _ in range(5)]
+    qos_pool = [random_instance(rng)[1] for _ in range(6)] + [QoSVector()]
+    strategy = BordaCountStrategy()
+    for _ in range(600):
+        snapshots = rng.choice(lists)
+        qos = rng.choice(qos_pool)
+        now = rng.choice([60.0, 100.0, 150.0, 200.0])
+        staleness = rng.choice([30.0, 60.0])
+        result = strategy.place(snapshots, qos, now=now, staleness=staleness)
+        assert result == score_and_filter_nodes(snapshots, qos, now=now, staleness=staleness)
+        expected = oracle_ranking(snapshots, qos, now=now, staleness=staleness)
+        if expected is None:
+            assert result is None
+            continue
+        assert (result.cluster_id, result.node_names) == oracle_place(
+            snapshots, qos, now=now, staleness=staleness
+        )
+        assert [(c.cluster_id, c.retained_score, c.total_score) for c in result.ranking] == expected

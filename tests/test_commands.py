@@ -89,6 +89,21 @@ def test_a_recorded_tombstone_is_dropped_on_restore():
     assert restored.snapshot_state() == GOLDEN_STATE
 
 
+def test_entries_with_qos_weights_that_are_not_finite_still_replay():
+    # The REST API refuses such weights, but a log written before it did
+    # may hold them; the KB must still apply it.
+    entries = [
+        GOLDEN_ENTRIES[2].replace('"energy":1.0', '"energy":NaN'),
+        GOLDEN_ENTRIES[6].replace('"pricing":2.0', '"pricing":Infinity'),
+    ]
+    kb = KnowledgeBase()
+    assert [kb.apply(decode_command(raw)).kind for raw in entries] == [
+        "application-submitted",
+        "qos-updated",
+    ]
+    assert kb.live_application("demo").qos.pricing == float("inf")
+
+
 def test_batches_are_never_empty_or_nested():
     heartbeat = RecordHeartbeat("a", "c", "cid", version=1, status="healthy", at=1.0)
     with pytest.raises(ValueError):

@@ -155,6 +155,30 @@ def test_submit_validation_errors_are_field_level(dep):
     assert status == 400
 
 
+NOT_FINITE = {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"), "1e400": 10**400}
+
+
+def test_qos_weights_that_are_not_finite_are_400_on_submit_and_update(dep):
+    leader = f"rla-{dep.leader_id()}"
+    status, _ = dep.send(leader, "POST", "/applications", bookinfo_bundle("bookinfo"))
+    assert status == 201
+    for weight in ("energy", "pricing", "performance"):
+        for i, (label, value) in enumerate(NOT_FINITE.items()):
+            bundle = bookinfo_bundle(f"app-{weight}-{i}")
+            bundle["application"]["qos"] = {weight: value}
+            status, body = dep.send(leader, "POST", "/applications", bundle)
+            assert status == 400, (weight, label)
+            assert [e["field"] for e in body["errors"]] == ["application.qos"]
+
+            status, body = dep.send(
+                leader, "PUT", "/applications/bookinfo/qos", {"qos": {weight: value}}
+            )
+            assert status == 400, (weight, label)
+            assert [e["field"] for e in body["errors"]] == ["qos"]
+    assert [app.name for app in dep.kb().applications.values()] == ["bookinfo"]
+    assert dep.kb().live_application("bookinfo").version == 1
+
+
 def test_duplicate_live_name_is_conflict(dep):
     api = leader_api(dep)
     status, _ = api.dispatch("POST", "/applications", bookinfo_bundle("bookinfo"))

@@ -21,7 +21,7 @@ from qonnect.kb import (
 )
 from qonnect.kb.commands import RequeueComponent
 from qonnect.kb.model import Domain
-from qonnect.scheduler import BordaCountStrategy, scheduler_tick
+from qonnect.scheduler import BordaCountStrategy, borda, eligibility_filter, scheduler_tick
 from qonnect.sim.profiles import PROFILES
 
 PERIODS = {"grace_period": 30.0, "snapshot_staleness": 15.0}
@@ -231,3 +231,45 @@ def test_memoized_tick_equals_placing_each_component_on_its_own(seed):
     assert commands == expected
     classes = {(comp.target_domain, app.qos) for app, comp in kb.pending_components()}
     assert calls == [100.0] * len(classes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), apps=st.integers(10, 40))
+def test_a_tick_ranks_each_domain_once_whatever_the_number_of_classes(seed, apps):
+    kb = random_federation(seed)
+    rng = random.Random(seed)
+    for i in range(apps):
+        kb.apply(
+            SubmitApplication(
+                app_id=f"many-{i}",
+                name=f"many-{i}",
+                labels=(),
+                qos=QoSVector(rng.random(), rng.random(), rng.random()),
+                components=tuple((f"c{j}", domain, {}) for j, domain in enumerate(Domain)),
+                submitted_at=10.0,
+            )
+        )
+    rank, place = borda.borda_rank, BordaCountStrategy.place
+    calls = {"rank": 0, "place": 0}
+
+    def counting_rank(*args, **kwargs):
+        calls["rank"] += 1
+        return rank(*args, **kwargs)
+
+    def counting_place(*args, **kwargs):
+        calls["place"] += 1
+        return place(*args, **kwargs)
+
+    with patch.object(borda, "borda_rank", counting_rank), patch.object(
+        BordaCountStrategy, "place", counting_place
+    ):
+        scheduler_tick(kb, now=100.0, term=3, grace_period=30.0, snapshot_staleness=60.0)
+
+    classes = {(comp.target_domain, app.qos) for app, comp in kb.pending_components()}
+    ranked = {
+        domain
+        for domain, _ in classes
+        if eligibility_filter(kb.nodes_in_domain(domain), now=100.0, staleness=60.0)
+    }
+    assert len(classes) >= 3 * apps
+    assert calls == {"rank": 6 * len(ranked), "place": len(classes)}
