@@ -37,6 +37,10 @@ from qonnect.sim.cluster import SimCluster
 _REQUEST_TIMEOUT = 8.0
 # Seconds a Raft request waits for its peer's answer.
 _RAFT_TIMEOUT = 2.0
+# Seconds an RLA's handler waits for the next bytes of a request, far above
+# any live duty period. A connection that sends nothing for this long (idle,
+# or a body shorter than its Content-Length) is closed and frees its thread.
+_HANDLER_TIMEOUT = 30.0
 
 
 class Connections:
@@ -46,21 +50,30 @@ class Connections:
     never share a connection. The connection goes back only after a
     complete response that leaves it open; on a transport error it is
     closed and the error raised. Nothing is retried: a request whose reply
-    was lost may have taken effect, and is never sent twice.
+    was lost may have taken effect, and is never sent twice. So that no
+    request goes out on a connection the server may have timed out, one
+    idle for half of ``_HANDLER_TIMEOUT`` is closed instead of reused.
     """
 
     def __init__(self, timeout: float) -> None:
         self._timeout = timeout
-        self._idle: dict[str, list[http.client.HTTPConnection]] = {}
+        # Target -> (connection, monotonic time it went idle), oldest first.
+        self._idle: dict[str, list[tuple[http.client.HTTPConnection, float]]] = {}
         self._closed = False
         self._lock = threading.Lock()
 
     def request(self, target: str, method: str, path: str, body: bytes | None) -> tuple[int, bytes]:
         """Send one request; its status and body. Raises ``OSError`` or
         ``http.client.HTTPException`` when ``target`` does not answer."""
+        stale = []
+        cutoff = time.monotonic() - _HANDLER_TIMEOUT / 2
         with self._lock:
-            idle = self._idle.get(target)
-            conn = idle.pop() if idle else None
+            idle = self._idle.get(target, [])
+            while idle and idle[0][1] < cutoff:
+                stale.append(idle.pop(0)[0])
+            conn = idle.pop()[0] if idle else None
+        for old in stale:
+            old.close()
         if conn is None:
             host, port = target.rsplit(":", 1)
             conn = http.client.HTTPConnection(host, int(port), timeout=self._timeout)
@@ -74,7 +87,7 @@ class Connections:
         with self._lock:
             keep = not response.will_close and not self._closed
             if keep:
-                self._idle.setdefault(target, []).append(conn)
+                self._idle.setdefault(target, []).append((conn, time.monotonic()))
         if not keep:
             conn.close()
         return response.status, payload
@@ -85,7 +98,7 @@ class Connections:
             self._closed = True
             idle, self._idle = self._idle, {}
         for conns in idle.values():
-            for conn in conns:
+            for conn, _ in conns:
                 conn.close()
 
 
@@ -286,6 +299,10 @@ class _RlaHandler(BaseHTTPRequestHandler):
     # algorithm on, the body waits for the client's delayed ACK of the head
     # (about 40 ms) on every call of a kept-alive connection.
     disable_nagle_algorithm = True
+
+    @property
+    def timeout(self) -> float:  # read by ``setup`` for each connection
+        return _HANDLER_TIMEOUT
 
     def log_message(self, fmt: str, *args) -> None:  # quiet the default stderr spam
         pass

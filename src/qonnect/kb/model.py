@@ -48,6 +48,10 @@ class ClusterRecord:
     registered_at: float
 
 
+# A node's numeric attributes, each non-negative.
+NODE_METRICS = ("energy", "pricing", "cpu", "memory", "bandwidth", "storage")
+
+
 @dataclass(frozen=True)
 class NodeSnapshot:
     """Per-node telemetry plus the static profile attributes used by the scorer."""
@@ -67,7 +71,7 @@ class NodeSnapshot:
     role: str = "worker"
 
     def __post_init__(self) -> None:
-        for attr in ("energy", "pricing", "cpu", "memory", "bandwidth", "storage"):
+        for attr in NODE_METRICS:
             if getattr(self, attr) < 0:
                 raise ValueError(f"node attribute {attr} must be non-negative")
 

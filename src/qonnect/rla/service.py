@@ -16,6 +16,18 @@ snapshot's size. Snapshot work then stays proportional to the bytes logged,
 whatever the size of a batch, and the log kept between snapshots is bounded
 by about one snapshot's size.
 
+Every replica applies every committed entry. Followers decode each one
+from the log; the leader applies an entry it proposed from the object it
+encoded, kept until its proposal returns. Each such command is
+built from validated values (exact scalars, enums, tuples of strings,
+finite weights, node reports that passed ``_check_report``), so decoding
+its encoding gives an equal object, and the leader's KB stays equal to
+every follower's. A submit is always decoded, on the leader too: its
+manifests are the client's own objects (the engine hands a request body
+over in-process), which the KB must not share, and a JSON round trip
+normalises what such a body may hold (tuples, non-string keys, string
+subclasses).
+
 The scheduler pass and telemetry flush only run while this node is leader;
 a deposed leader's in-flight proposals fail at commit and are harmless.
 
@@ -35,6 +47,7 @@ from __future__ import annotations
 import ipaddress
 import json
 import marshal
+import math
 import time
 import uuid
 from typing import Callable
@@ -53,7 +66,7 @@ from qonnect.kb.commands import (
     decode_command,
     encode_command,
 )
-from qonnect.kb.model import ApplicationRecord, ComponentStatus, Domain
+from qonnect.kb.model import NODE_METRICS, ApplicationRecord, ComponentStatus, Domain
 from qonnect.kb.store import HEARTBEAT_STATUS, Effect, KnowledgeBase, node_from_wire
 from qonnect.raft.node import NotLeaderError, RaftNode, Role
 from qonnect.rla.config import RlaConfig
@@ -106,14 +119,32 @@ def _fingerprint(nodes: list) -> bytes | None:
         return None
 
 
+def _finite(value: float) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 def _check_report(nodes: list, cluster_id: str, taken_at: float) -> tuple[str, ...]:
-    """A node report's flags; ``ValidationFailed`` names each node that would not apply."""
+    """A node report's flags; ``ValidationFailed`` names each node that would
+    not apply, or whose attributes are not all finite.
+
+    ``NodeSnapshot`` itself accepts NaN and infinities, so log entries
+    written before this check still decode and replay.
+    """
     errors = []
     for i, wire in enumerate(nodes):
         try:  # decode each node as it will apply, before it can reach the log
-            node_from_wire(wire, cluster_id, taken_at)
+            node = node_from_wire(wire, cluster_id, taken_at)
         except ValueError as exc:
             errors.append({"field": f"nodes[{i}]", "error": str(exc)})
+            continue
+        errors.extend(
+            {"field": f"nodes[{i}]", "error": f"node attribute {attr} must be finite"}
+            for attr in NODE_METRICS
+            if not _finite(getattr(node, attr))
+        )
     if errors:
         raise ValidationFailed(errors)
     return tuple(
@@ -164,6 +195,10 @@ class RlaService:
         self._snapshot_bytes = 0
         self._next_scheduler_pass = 0.0
         self._next_flush = 0.0
+        # Encoded entry -> the object it encodes, while a proposer of this
+        # service waits on it. Only a leader fills it, so followers keep
+        # nothing; several proposers may wait at once in live mode.
+        self._proposed: dict[str, KBCommand | Batch] = {}
 
     # ------------------------------------------------------------------
     # State machine, driven by this node's ``Replica``
@@ -171,8 +206,15 @@ class RlaService:
 
     def apply_committed(self, index: int, raw_command: str) -> list[Effect]:
         """Apply one committed log entry, a command or a batch, to the KB
-        replica; returns the effect of each of its commands."""
-        command = decode_command(raw_command)
+        replica; returns the effect of each of its commands.
+
+        An entry this service proposed and still waits on is applied from the
+        object it encoded; any other entry (a follower's, another leader's
+        at the same index, a submit) is decoded from the log.
+        """
+        command = self._proposed.get(raw_command)
+        if command is None:
+            command = decode_command(raw_command)
         members = command.commands if isinstance(command, Batch) else (command,)
         effects = []
         for member in members:
@@ -244,7 +286,17 @@ class RlaService:
         if self.proposer is None:
             raise UnavailableError("no proposer wired to this service")
         self._require_leader()
-        effects = self.proposer(encode_command(entry))
+        raw = encode_command(entry)
+        # A submit carries the client's manifests: it is decoded on apply
+        # (see the module docstring). Batches never hold a submit.
+        keep = not isinstance(entry, SubmitApplication)
+        if keep:
+            self._proposed[raw] = entry
+        try:
+            effects = self.proposer(raw)
+        finally:
+            if keep:
+                self._proposed.pop(raw, None)
         if effects is None:
             raise UnavailableError("proposal did not commit")
         return effects

@@ -15,6 +15,7 @@ from qonnect.kb import (
     decode_command,
     encode_command,
 )
+from qonnect.kb.model import NODE_METRICS
 from qonnect.rla import service as service_module
 
 # Legal component status transitions (None = first appearance).
@@ -252,3 +253,85 @@ def test_malformed_node_telemetry_gets_400_and_never_reaches_the_log():
     assert status == 200
     assert [cmd.nodes for cmd in service._telemetry] == [(GOOD_NODE,), ({**GOOD_NODE, "cpu": 4},)]
     assert type(service._telemetry[-1].nodes[0]["cpu"]) is int  # logged as sent
+
+
+def test_the_leader_decodes_only_submits_and_every_replica_kb_is_equal(monkeypatch):
+    dep = Deployment(seed=29)
+    applied = {i: [] for i in dep.services}  # raw entries each replica applied
+    decoded = {i: [] for i in dep.services}  # raw entries each replica decoded
+    applying = []  # the replica inside ``apply_committed``
+    decode = service_module.decode_command
+
+    def spy(raw: str):
+        decoded[applying[-1]].append(raw)
+        return decode(raw)
+
+    monkeypatch.setattr(service_module, "decode_command", spy)
+    for rla_id, service in dep.services.items():
+        def apply(index: int, raw: str, rla_id=rla_id, apply=service.apply_committed) -> list:
+            applied[rla_id].append(raw)
+            applying.append(rla_id)
+            try:
+                return apply(index, raw)
+            finally:
+                applying.pop()
+
+        monkeypatch.setattr(service, "apply_committed", apply)
+
+    dep.boot()
+    client = dep.client()
+    client.submit_application(bookinfo_bundle("guarded"))
+
+    def running(status: ComponentStatus) -> bool:
+        app = dep.kb().live_application("guarded")
+        return app is not None and all(c.status == status for c in app.components)
+
+    assert dep.run_until(lambda: running(ComponentStatus.HEALTHY), 90.0)
+    client.update_qos("guarded", {"energy": 1.0, "pricing": 0.0, "performance": 0.0})
+    assert dep.run_until(lambda: running(ComponentStatus.HEALTHY), 90.0)
+    ratings = dep.kb().live_application("guarded").component("ratings")
+    dep.kill_ra(dep.cluster_name_by_id(ratings.decision.cluster_id))
+    assert dep.run_until(lambda: dep.events.matching("scheduler-component-requeued"), 90.0)
+    client.delete_application("guarded")
+    assert_replicas_converge(dep)
+
+    leader = dep.leader_id()
+    assert len(dep.events.matching("leader-elected")) == 1  # one leader proposed everything
+    entries = [decode_command(raw) for raw in applied[leader]]
+    kinds = {
+        member.kind
+        for entry in entries
+        for member in (entry.commands if isinstance(entry, Batch) else (entry,))
+    }
+    assert kinds == {
+        "register-cluster", "put-node-snapshot", "record-heartbeat", "submit-application",
+        "update-qos", "delete-application", "record-decision", "requeue-component",
+    }
+    submits = [
+        raw for raw, entry in zip(applied[leader], entries) if entry.kind == "submit-application"
+    ]
+    assert decoded[leader] == submits
+    for follower in set(dep.services) - {leader}:
+        assert decoded[follower] == applied[follower] == applied[leader]
+        # Objects, not snapshot bytes: those would hide a tuple that is a list.
+        assert dep.services[follower].kb == dep.services[leader].kb
+
+
+def test_node_attributes_that_are_not_finite_get_400():
+    dep = Deployment(seed=28)
+    dep.boot()
+    leader_id = dep.leader_id()
+    service = dep.services[leader_id]
+    path = f"/clusters/{dep.cluster_id_of('edge-energy')}/nodes"
+    service._telemetry.clear()
+    for attr in NODE_METRICS:
+        for value in (float("nan"), float("inf"), float("-inf"), 10**400):
+            body = {"nodes": [GOOD_NODE, {**GOOD_NODE, attr: value}]}
+            status, answer = dep.send(f"rla-{leader_id}", "POST", path, body)
+            assert status == 400, (attr, value)
+            # -inf is refused as negative, before it is tested for finiteness.
+            rule = "non-negative" if value == float("-inf") else "finite"
+            assert answer["errors"] == [
+                {"field": "nodes[1]", "error": f"node attribute {attr} must be {rule}"}
+            ]
+    assert service._telemetry == []

@@ -9,11 +9,13 @@ import threading
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 
 import pytest
 
 from qonnect.harness.bookinfo import bookinfo_bundle
-from qonnect.harness.live import LiveDeployment, LiveRla
+from qonnect.harness import live as live_module
+from qonnect.harness.live import Connections, LiveDeployment, LiveRla
 from qonnect.kb import Domain, KnowledgeBase, RegisterCluster
 from qonnect.raft import Role, SnapshotRequest, VoteRequest, encode_message
 from qonnect.rla import RlaConfig
@@ -449,6 +451,53 @@ def test_polls_answer_while_decisions_and_heartbeats_commit(monkeypatch):
         live.stop()
 
 
+def test_writes_proposed_at_once_leave_every_replica_kb_equal():
+    """REST proposals and the leader-work thread wait on their commits at
+    the same time; the leader applies each from the object it proposed."""
+    live = LiveDeployment(spec=fast_spec(), base_port=free_port_base())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so proposals overlap
+    live.start()
+    try:
+        leader = live.wait_for_leader(timeout=15.0)
+        client = live.client()
+        deadline = time.monotonic() + 20.0
+        while time.monotonic() < deadline and len(client.cluster_config()) < 9:
+            time.sleep(0.2)
+        address = live.addresses[leader]
+        for i in range(4):
+            status, _ = client.send(address, "POST", "/applications", bookinfo_bundle(f"app{i}"))
+            assert status == 201
+        weights = (
+            {"energy": 1.0, "pricing": 0.0, "performance": 0.0},
+            {"energy": 0.0, "pricing": 0.5, "performance": 0.5},
+        )
+
+        def update(i: int) -> list[int]:
+            path = f"/applications/app{i % 4}/qos"
+            return [client.send(address, "PUT", path, {"qos": weights[n % 2]})[0] for n in range(5)]
+
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            updates = [pool.submit(update, i) for i in range(8)]
+            statuses = [s for future in updates for s in future.result(timeout=60.0)]
+        assert set(statuses) == {200}
+
+        deadline = time.monotonic() + 10.0
+        while True:  # compare the KBs at an index every replica has applied
+            with ExitStack() as stack:
+                for rla in live.rlas.values():
+                    stack.enter_context(rla._lock)
+                if len({rla.node.last_applied for rla in live.rlas.values()}) == 1:
+                    kbs = [rla.service.kb for rla in live.rlas.values()]
+                    assert all(kb == kbs[0] for kb in kbs)
+                    break
+            assert time.monotonic() < deadline, "replicas never applied the same index"
+            time.sleep(0.01)
+    finally:
+        sys.setswitchinterval(interval)
+        live.stop()
+
+
 def test_a_commit_slowed_past_the_election_timeout_leaves_the_term_unchanged(monkeypatch):
     """The leader's tick thread keeps heartbeating while its leader work
     waits on a slow commit that released the replica lock."""
@@ -518,3 +567,60 @@ def test_the_scheduler_pass_runs_with_the_replica_lock_owned(monkeypatch):
     finally:
         live.stop()
     assert len(owned) >= 3 and all(owned)
+
+
+def handler_threads() -> set[threading.Thread]:
+    """The HTTP servers' request handler threads now running."""
+    return {t for t in threading.enumerate() if t.name.endswith("(process_request_thread)")}
+
+
+def test_idle_connections_and_short_bodies_release_their_handler_threads(monkeypatch):
+    monkeypatch.setattr(live_module, "_HANDLER_TIMEOUT", 0.3)
+    config = RlaConfig(rla_id=0, peers={0: f"127.0.0.1:{free_port_base(1)}"})
+    rla = LiveRla(config, members=(0, 1, 2))
+    rla.start()
+    host, port = config.peers[0].rsplit(":", 1)
+    before = handler_threads()
+    sockets = [socket.create_connection((host, int(port)), timeout=3.0) for _ in range(5)]
+    try:
+        for sock in sockets[3:]:  # a body shorter than its Content-Length
+            sock.sendall(b"POST /applications HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n{}")
+        deadline = time.monotonic() + 3.0
+        while time.monotonic() < deadline and len(handler_threads() - before) < 5:
+            time.sleep(0.02)
+        assert len(handler_threads() - before) == 5
+        for sock in sockets:
+            assert sock.recv(1) == b""  # the server closed it, answering nothing
+        deadline = time.monotonic() + 3.0
+        while time.monotonic() < deadline and handler_threads() - before:
+            time.sleep(0.02)
+        assert not handler_threads() - before
+    finally:
+        for sock in sockets:
+            sock.close()
+        rla.stop()
+
+
+def test_a_connection_idle_for_half_the_server_timeout_is_not_reused(monkeypatch):
+    monkeypatch.setattr(live_module, "_HANDLER_TIMEOUT", 0.4)
+    config = RlaConfig(rla_id=0, peers={0: f"127.0.0.1:{free_port_base(1)}"})
+    rla = LiveRla(config, members=(0, 1, 2))
+    accepted = []
+
+    def counted(request, client_address, _process=rla.server.process_request):
+        accepted.append(client_address)
+        return _process(request, client_address)
+
+    monkeypatch.setattr(rla.server, "process_request", counted)
+    rla.start()
+    connections = Connections(timeout=2.0)
+    try:
+        assert connections.request(config.peers[0], "GET", "/status", None)[0] == 200
+        assert connections.request(config.peers[0], "GET", "/status", None)[0] == 200
+        assert len(accepted) == 1  # kept alive
+        time.sleep(0.6)  # the server has timed the idle connection out
+        assert connections.request(config.peers[0], "GET", "/status", None)[0] == 200
+        assert len(accepted) == 2  # on a new connection, not a retry
+    finally:
+        connections.close()
+        rla.stop()

@@ -16,12 +16,14 @@ from qonnect.raft import (
     RaftConfig,
     RaftNode,
     SnapshotRequest,
+    VoteResponse,
 )
 from qonnect.raft.node import Role
 from qonnect.raft.replica import Replica
 from qonnect.raft.storage import RaftStorage
 from qonnect.rla import RlaConfig, RlaService
 from qonnect.rla import service as service_module
+from qonnect.rla.service import UnavailableError
 
 
 @pytest.fixture()
@@ -504,3 +506,42 @@ def test_apply_path_calls_the_names_the_benchmark_tracer_wraps(monkeypatch):
     service = follower_service(MemoryStorage())
     replicate(service, [RegisterCluster("10.0.0.1", Domain.EDGE, 1.0)])
     assert calls == ["decode", "snapshot"]
+
+
+def test_an_entry_another_leader_wrote_at_the_proposed_index_is_applied_as_written(monkeypatch):
+    node = RaftNode(RaftConfig(node_id=0, members=(0, 1, 2)))
+    service = RlaService(RlaConfig(rla_id=0), node=node)
+    replica = Replica(node, service)
+    node.tick(1.0)  # past any election timeout
+    term = node.current_term
+    replica.handle(VoteResponse(src=1, dst=0, term=term, granted=True))
+    assert node.role == Role.LEADER
+    decoded = []
+    decode = service_module.decode_command
+    monkeypatch.setattr(
+        service_module, "decode_command", lambda raw: decoded.append(raw) or decode(raw)
+    )
+    winner = encode_command(RegisterCluster("10.0.0.2", Domain.FOG, 2.0))
+
+    def overwritten(index: int) -> None:
+        # Node 1 leads the next term and commits its own entry at the index.
+        replica.handle(
+            AppendRequest(
+                src=1,
+                dst=0,
+                term=term + 1,
+                prev_log_index=index - 1,
+                prev_log_term=term,
+                entries=(LogEntry(index, term + 1, winner),),
+                leader_commit=index,
+            )
+        )
+
+    service.proposer = lambda raw: replica.propose(raw, overwritten)
+    with pytest.raises(UnavailableError):
+        service.register_cluster("10.0.0.1", "edge")
+    assert decoded == [winner]
+    assert [(c.external_ip, c.domain) for c in service.kb.clusters.values()] == [
+        ("10.0.0.2", Domain.FOG)
+    ]
+    assert service._proposed == {}  # dropped when the proposer returned
