@@ -34,10 +34,28 @@ class RlaClient:
         self.send = send
 
     def _request(self, method: str, path: str, body: dict | None = None) -> tuple[int, dict]:
-        last_error: str | None = None
-        tried: set[str] = set()
-        queue = list(self._targets)
-        hops = 0
+        # Fast path: the RLA that answered last answers again.
+        if self._targets:
+            target = self._targets[0]
+            try:
+                status, payload = self.send(target, method, path, body)
+            except RlaClientError as exc:
+                return self._try_others(method, path, body, target, str(exc))
+            if status != 307 and status != 503:
+                return status, payload
+            return self._try_others(method, path, body, target, (status, payload))
+        raise RlaClientError("no reachable RLA")
+
+    def _try_others(
+        self, method: str, path: str, body: dict | None, first: str, failed: str | tuple
+    ) -> tuple[int, dict]:
+        """Carry on after ``first`` failed, with a transport error's message or
+        a 307 or 503 answer: a leader hint first, then the other RLAs in
+        order. No RLA gets one request twice."""
+        tried = {first}
+        queue = self._targets[1:]
+        hops = 1
+        last_error = failed if isinstance(failed, str) else self._refused(*failed, tried, queue)
         while queue and hops < self._MAX_HOPS + len(queue):
             target = queue.pop(0)
             if target in tried:
@@ -49,19 +67,23 @@ class RlaClient:
             except RlaClientError as exc:
                 last_error = str(exc)
                 continue
-            if status == 307:
-                hint = payload.get("leader_address")
-                if hint and hint not in tried:
-                    queue.insert(0, hint)
-                last_error = "redirected to leader"
+            if status == 307 or status == 503:
+                last_error = self._refused(status, payload, tried, queue)
                 continue
-            if status == 503:
-                last_error = payload.get("error", "unavailable")
-                continue
-            if target != self._targets[0]:
-                self._targets = [target] + [a for a in self._addresses if a != target]
+            self._targets = [target] + [a for a in self._addresses if a != target]
             return status, payload
         raise RlaClientError(last_error or "no reachable RLA")
+
+    @staticmethod
+    def _refused(status: int, payload: dict, tried: set[str], queue: list[str]) -> str:
+        """The error a 307 or 503 answer stands for; a 307's leader hint goes
+        to the front of ``queue`` unless it was tried."""
+        if status == 307:
+            hint = payload.get("leader_address")
+            if hint and hint not in tried:
+                queue.insert(0, hint)
+            return "redirected to leader"
+        return payload.get("error", "unavailable")
 
     # -- API methods ------------------------------------------------------
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import uuid
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping, TypeVar
 
 from qonnect import codec
 from qonnect.kb.commands import (
@@ -40,6 +40,8 @@ from qonnect.kb.model import (
 _CLUSTER_ID_NAMESPACE = uuid.UUID("87e1f2da-4b6e-4f80-9da5-5ea726ea3d58")
 
 _decode_node = codec.decoder(NodeSnapshot)
+
+_T = TypeVar("_T")
 
 
 def node_from_wire(wire: object, cluster_id: str, taken_at: float) -> NodeSnapshot:
@@ -92,6 +94,9 @@ class KnowledgeBase:
         self._live_by_name: dict[str, ApplicationRecord] = {}
         # cluster id -> (app id, component) of its Scheduled components.
         self._scheduled: dict[str, set[tuple[str, str]]] = {}
+        # app id -> what ``derived`` computed from that record; filled by
+        # reads, dropped with the record and never restored.
+        self._derived: dict[str, object] = {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KnowledgeBase):
@@ -108,6 +113,19 @@ class KnowledgeBase:
 
     def live_application(self, name: str) -> ApplicationRecord | None:
         return self._live_by_name.get(name)
+
+    def derived(self, app: ApplicationRecord, derive: Callable[[ApplicationRecord], _T]) -> _T:
+        """``derive(app)``, computed once while ``app`` is in this KB.
+
+        Only for what a submit fixes and no later command changes: each
+        component's name, target domain and manifest. The value may hold
+        slots its reader fills later. A KB has one such reader (the agent
+        poll), so the value is kept per application, not per ``derive``.
+        """
+        value = self._derived.get(app.app_id)
+        if value is None:
+            value = self._derived[app.app_id] = derive(app)
+        return value
 
     def scheduled_applications(self, cluster_id: str) -> list[ApplicationRecord]:
         """Apps with a component Scheduled on this cluster, by (submitted_at, name)."""
@@ -288,6 +306,7 @@ class KnowledgeBase:
         )
         replaced = self.applications.get(cmd.app_id)
         if replaced is not None:  # a reused app id drops the record it replaces
+            self._derived.pop(cmd.app_id, None)
             if self._live_by_name.get(replaced.name) is replaced:
                 del self._live_by_name[replaced.name]
             for comp in replaced.components:
@@ -317,6 +336,7 @@ class KnowledgeBase:
             return _noop("unknown-application", name=cmd.name)
         del self._live_by_name[cmd.name]
         del self.applications[app.app_id]
+        self._derived.pop(app.app_id, None)
         effect = Effect(kind="application-withdrawn", detail={"name": cmd.name})
         for comp in app.components:
             self._transition(effect, app, comp, ComponentStatus.WITHDRAWN)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from qonnect.raft.messages import (
     AppendRequest,
@@ -67,7 +68,7 @@ class RaftConfig:
         if not 0 < lo <= hi:
             raise ValueError("election timeout range must satisfy 0 < min <= max")
 
-    @property
+    @cached_property  # computed once: the fields above are frozen
     def peers(self) -> tuple[int, ...]:
         return tuple(m for m in self.members if m != self.node_id)
 

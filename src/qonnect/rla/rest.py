@@ -30,6 +30,15 @@ def _route(method: str, path: str, handler: Callable[..., tuple[int, dict]]) -> 
     return method, pattern, handler
 
 
+def _by_shape(routes: list[tuple]) -> dict[tuple[str, int], list[tuple]]:
+    """(method, segment count) -> the (pattern, handler) of each route of
+    that shape, in table order: only these can match such a request."""
+    table: dict[tuple[str, int], list[tuple]] = {}
+    for method, pattern, handler in routes:
+        table.setdefault((method, len(pattern)), []).append((pattern, handler))
+    return table
+
+
 class RestApi:
     def __init__(self, service: RlaService) -> None:
         self.service = service
@@ -95,15 +104,13 @@ class RestApi:
         _route("POST", "applications/{app_id}/components/{component}/heartbeat", _heartbeat),
         _route("GET", "status", _status),
     ]
+    _shapes = _by_shape(_routes)
 
     # -- dispatch ---------------------------------------------------------
 
     def dispatch(self, method: str, path: str, body: object = None) -> tuple[int, dict]:
         segments = [s for s in path.split("/") if s]
-        method = method.upper()
-        for route_method, pattern, handler in self._routes:
-            if route_method != method or len(pattern) != len(segments):
-                continue
+        for pattern, handler in self._shapes.get((method.upper(), len(segments)), ()):
             params: dict[str, str] = {}
             for (name, literal), actual in zip(pattern, segments):
                 if name is not None:

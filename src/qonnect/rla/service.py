@@ -45,7 +45,6 @@ grace period before it requeues any.
 from __future__ import annotations
 
 import ipaddress
-import json
 import marshal
 import math
 import time
@@ -70,7 +69,7 @@ from qonnect.kb.model import NODE_METRICS, ApplicationRecord, ComponentStatus, D
 from qonnect.kb.store import HEARTBEAT_STATUS, Effect, KnowledgeBase, node_from_wire
 from qonnect.raft.node import NotLeaderError, RaftNode, Role
 from qonnect.rla.config import RlaConfig
-from qonnect.rla.validation import PLACEHOLDER_RE, parse_qos, validate_bundle
+from qonnect.rla.validation import parse_qos, placeholder_domains, validate_bundle
 from qonnect.scheduler.loop import scheduler_tick
 
 
@@ -107,8 +106,15 @@ _COMPACT_RATIO = 1.0
 _REFRESH_SHARE = 0.5
 
 
-def _placeholder_domains(manifest: dict) -> set[str]:
-    return {m.lower() for m in PLACEHOLDER_RE.findall(json.dumps(manifest))}
+def _poll_plan(app: ApplicationRecord) -> tuple[tuple[str, ...], list[frozenset[str] | None]]:
+    """Per component of ``app``: its domain's name, and a slot for the domains
+    of ``app`` whose placement its manifest's placeholders need, which the
+    component's first poll fills.
+
+    Both depend only on what the submit fixed, so each KB keeps them while
+    it holds the application (``KnowledgeBase.derived``).
+    """
+    return tuple(comp.target_domain.value for comp in app.components), [None] * len(app.components)
 
 
 def _fingerprint(nodes: list) -> bytes | None:
@@ -407,22 +413,33 @@ class RlaService:
         A payload is withheld while a sibling decision its manifest's
         placeholders depend on is still pending, so every delivered placement
         map is complete enough to resolve the manifest.
+
+        A poll costs O(the payloads it returns): the KB indexes the Scheduled
+        components per cluster, and each component's placeholder domains are
+        computed at its first poll (``_poll_plan``), not on every poll.
         """
         if cluster_id not in self.kb.clusters:
             raise NotFoundError(f"unknown cluster: {cluster_id}")
         payloads: list[dict] = []
+        scheduled = ComponentStatus.SCHEDULED
         for app in self.kb.scheduled_applications(cluster_id):
-            app_domains = {c.target_domain.value for c in app.components}
+            domains, needs = self.kb.derived(app, _poll_plan)
             placement: dict[str, str] = {}
-            for comp in app.components:
-                if comp.decision is not None:
-                    placement.setdefault(comp.target_domain.value, comp.decision.cluster_id)
-            for comp in app.components:
-                if comp.status != ComponentStatus.SCHEDULED or comp.decision is None:
+            for comp, domain in zip(app.components, domains):
+                if comp.decision is not None and domain not in placement:
+                    placement[domain] = comp.decision.cluster_id
+            for i, comp in enumerate(app.components):
+                decision = comp.decision
+                if (
+                    comp.status is not scheduled
+                    or decision is None
+                    or decision.cluster_id != cluster_id
+                ):
                     continue
-                if comp.decision.cluster_id != cluster_id:
-                    continue
-                needed = _placeholder_domains(comp.manifest) & app_domains
+                needed = needs[i]
+                if needed is None:  # the component's first poll on this KB
+                    needed = frozenset(placeholder_domains(comp.manifest)).intersection(domains)
+                    needs[i] = needed
                 if not needed <= placement.keys():
                     continue
                 payloads.append(
@@ -432,7 +449,7 @@ class RlaService:
                         "version": app.version,
                         "component": comp.name,
                         "manifest": comp.manifest,
-                        "target_nodes": list(comp.decision.node_names),
+                        "target_nodes": list(decision.node_names),
                         "placement": placement,
                     }
                 )

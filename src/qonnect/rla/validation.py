@@ -5,11 +5,14 @@ blocks, each targeting a domain and carrying opaque manifest objects. Two
 conventions make manifests portable across domains: every component ships
 an Ingress whose first path segment is the application name, and cross
 domain addresses appear as ``{{QONNECT_<DOMAIN>_IP}}`` placeholders
-(``PLACEHOLDER_RE``) that agents substitute before applying.
+(``PLACEHOLDER_RE``) that agents substitute before applying. A placeholder
+resolves to the cluster of a component in its domain, so each must name a
+domain that some component of the same bundle targets.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from dataclasses import dataclass
@@ -23,6 +26,14 @@ VALID_DOMAINS = {d.value for d in Domain}
 PLACEHOLDER_RE = re.compile(r"\{\{QONNECT_([A-Z]+)_IP\}\}")
 
 _decode_qos = codec.decoder(QoSVector)
+
+
+def placeholder_domains(manifest: object) -> set[str]:
+    """The domains, in lower case, that the placeholders in ``manifest`` name.
+
+    ``TypeError`` or ``ValueError`` if ``manifest`` is not a JSON value.
+    """
+    return {m.lower() for m in PLACEHOLDER_RE.findall(json.dumps(manifest))}
 
 
 @dataclass(frozen=True)
@@ -99,6 +110,7 @@ def validate_bundle(bundle: object) -> tuple[ParsedBundle | None, list[dict]]:
 
     seen: set[str] = set()
     components: list[tuple[str, Domain, dict]] = []
+    positions: list[int] = []  # of each kept component in ``components_raw``
     for i, comp in enumerate(components_raw):
         prefix = f"components[{i}]"
         if not isinstance(comp, dict):
@@ -113,7 +125,7 @@ def validate_bundle(bundle: object) -> tuple[ParsedBundle | None, list[dict]]:
             continue
         seen.add(comp_name)
         domain_raw = comp.get("domain")
-        if domain_raw not in VALID_DOMAINS:
+        if not isinstance(domain_raw, str) or domain_raw not in VALID_DOMAINS:
             err(f"{prefix}.domain", f"unknown domain: {domain_raw!r}")
             continue
         objects = comp.get("objects")
@@ -134,6 +146,23 @@ def validate_bundle(bundle: object) -> tuple[ParsedBundle | None, list[dict]]:
             )
             continue
         components.append((comp_name, Domain(domain_raw), {"objects": objects}))
+        positions.append(i)
+
+    # A placeholder resolves to the cluster of a sibling in its domain, so
+    # it must name a domain that some component of the bundle targets.
+    targets = {domain.value for _, domain, _ in components}
+    for i, (_, _, manifest) in zip(positions, components):
+        try:
+            unresolvable = sorted(placeholder_domains(manifest) - targets)
+        except (TypeError, ValueError):
+            err(f"components[{i}].objects", "objects must be JSON values")
+            continue
+        if unresolvable:
+            err(
+                f"components[{i}].objects",
+                f"placeholder {{{{QONNECT_{unresolvable[0].upper()}_IP}}}} names a domain"
+                " that no component of the application targets",
+            )
 
     if errors:
         return None, errors

@@ -1,17 +1,23 @@
-"""Full-scan reference versions of the simulator step and the agent poll.
+"""Full-scan reference versions of the simulator step, the agent poll and
+REST dispatch.
 
 ``SimCluster.step`` visits only namespaces that hold a Rolling or CrashLoop
-workload, and ``RlaService.poll_applications`` only applications with a
-component Scheduled on the polled cluster. The functions here are those two
-paths as they were before: they walk every workload and every application on
-every call, and serve as the oracles the equivalence tests compare against.
+workload, ``RlaService.poll_applications`` only applications with a
+component Scheduled on the polled cluster and reuses each application's
+placeholder domains, and ``RestApi.dispatch`` only the routes of the
+request's method and segment count. The functions here are those paths as
+they were before: they walk every workload, every application and every
+route, and compute everything again on every call. They serve as the oracles
+the equivalence tests compare against.
 """
 
 from __future__ import annotations
 
 from qonnect.kb.model import ApplicationRecord, ComponentStatus
 from qonnect.kb.store import KnowledgeBase
-from qonnect.rla.service import NotFoundError, _placeholder_domains
+from qonnect.rla.rest import RestApi
+from qonnect.rla.service import NotFoundError
+from qonnect.rla.validation import placeholder_domains
 from qonnect.sim.cluster import SimCluster, SimEvent, WorkloadPhase
 
 
@@ -79,7 +85,7 @@ def oracle_poll(kb: KnowledgeBase, cluster_id: str) -> list[dict]:
                 continue
             if comp.decision.cluster_id != cluster_id:
                 continue
-            needed = _placeholder_domains(comp.manifest) & app_domains
+            needed = placeholder_domains(comp.manifest) & app_domains
             if not needed <= placement.keys():
                 continue
             payloads.append(
@@ -94,3 +100,21 @@ def oracle_poll(kb: KnowledgeBase, cluster_id: str) -> list[dict]:
                 }
             )
     return payloads
+
+
+def oracle_dispatch(api: RestApi, method: str, path: str, body: object = None) -> tuple[int, dict]:
+    """``api.dispatch``, by a scan of the whole route table in order."""
+    segments = [s for s in path.split("/") if s]
+    method = method.upper()
+    for route_method, pattern, handler in api._routes:
+        if route_method != method or len(pattern) != len(segments):
+            continue
+        params: dict[str, str] = {}
+        for (name, literal), actual in zip(pattern, segments):
+            if name is not None:
+                params[name] = actual
+            elif literal != actual:
+                break
+        else:
+            return api._invoke(handler, params, {} if body is None else body)
+    return 404, {"error": "no-such-route", "path": path}

@@ -1,11 +1,15 @@
-"""The simulator step and the agent poll visit only what changed.
+"""The simulator step, the agent poll and REST dispatch visit only what
+changed or what can match.
 
 Equivalence properties against the full-scan oracles in ``scan_oracles``, and
 work-count guards: a settled cluster's step and a poll of a cluster with
-nothing Scheduled touch no workload and no application.
+nothing Scheduled touch no workload and no application, and repeated polls
+compute each manifest's placeholder domains once.
 """
 
 from __future__ import annotations
+
+import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,8 +30,12 @@ from qonnect.kb import (
 from qonnect.kb.store import cluster_id_for
 from qonnect.raft import RaftConfig, RaftNode
 from qonnect.rla import RlaConfig, RlaService
+from qonnect.rla import service as service_module
+from qonnect.rla.rest import RestApi
+from qonnect.rla.service import NotFoundError
+from qonnect.rla.validation import placeholder_domains
 from qonnect.sim import CrashLoop, DeleteNamespace, make_cluster
-from scan_oracles import oracle_live_application, oracle_poll, oracle_step
+from scan_oracles import oracle_dispatch, oracle_live_application, oracle_poll, oracle_step
 
 
 class CountingDict(dict):
@@ -187,6 +195,15 @@ COMPONENTS = {
     # Withheld from polls until the fog sibling is placed.
     "z": (Domain.EDGE, {"kind": "Deployment", "env": {"PEER": "{{QONNECT_FOG_IP}}"}}),
 }
+# What a submit that reuses an app id sends: the same component names, other
+# placeholders. A poll that kept the replaced record's placeholder domains
+# would withhold or deliver the wrong components.
+REUSED = {
+    "x": (Domain.EDGE, {"kind": "Deployment", "env": {"PEER": "{{QONNECT_FOG_IP}}"}}),
+    "y": (Domain.FOG, {"kind": "Deployment", "env": {"PEER": "{{QONNECT_EDGE_IP}}"}}),
+    "z": (Domain.EDGE, {"kind": "Deployment", "name": "z"}),
+}
+REUSE_NAMES = ("r1", "r2")
 
 # Ops that name components by position among those a command can act on
 # now, so most of them apply. A ``rarely`` of 1 sends the previous app version
@@ -203,8 +220,15 @@ submits = st.tuples(
 kb_ops = st.one_of(
     submits,
     submits,
+    st.tuples(
+        st.just("reuse"),
+        st.sampled_from(APP_IDS),
+        st.sampled_from(REUSE_NAMES),
+        st.lists(st.sampled_from(sorted(REUSED)), min_size=1, max_size=3, unique=True),
+    ),
     st.tuples(st.just("qos"), st.sampled_from(NAMES), st.integers(0, 2)),
     st.tuples(st.just("delete"), st.sampled_from(NAMES)),
+    st.tuples(st.just("drop"), picks),
     *[st.tuples(st.just("decide"), picks, picks, rarely)] * 3,
     *[st.tuples(st.just("beat"), picks, st.sampled_from(("healthy", "failed")), rarely)] * 2,
     st.tuples(st.just("requeue"), picks, rarely),
@@ -222,6 +246,13 @@ def command_for(kb: KnowledgeBase, op: tuple):
         return UpdateQoS(op[1], QoSVector(energy=op[2]), 2.0)
     if kind == "delete":
         return DeleteApplication(op[1])
+    if kind == "reuse":  # other manifests under an app id that may be in use
+        _, app_id, name, comps = op
+        components = tuple((c, *REUSED[c]) for c in comps)
+        return SubmitApplication(app_id, name, (), QoSVector(), components, 1.5)
+    if kind == "drop":  # delete a live application, whatever its name
+        apps = list(kb.applications.values())
+        return DeleteApplication(apps[op[1] % len(apps)].name if apps else "nobody")
     comps = [(app, comp) for app in kb.applications.values() for comp in app.components]
     if kind == "decide":
         _, pick, cluster_pick, stale = op
@@ -259,7 +290,7 @@ def assert_reads_match_the_scans(kb: KnowledgeBase, oracle_kb: KnowledgeBase) ->
     service = poll_service(kb)
     for cid in CLUSTER_IDS:
         assert service.poll_applications(cid) == oracle_poll(oracle_kb, cid)
-    for name in NAMES:
+    for name in NAMES + REUSE_NAMES:
         assert kb.live_application(name) == oracle_live_application(oracle_kb, name)
 
 
@@ -274,6 +305,7 @@ def test_poll_and_lookup_match_the_full_scans_also_after_restore(ops, split):
     restored = KnowledgeBase.restore(blob)
     assert restored.snapshot_state() == blob
     assert restored._scheduled == kb._scheduled  # the rebuilt index equals the kept one
+    assert restored._derived == {}  # placeholder domains are computed again
     assert_reads_match_the_scans(restored, kb)
     for op in ops[split:]:
         cmd = command_for(kb, op)
@@ -304,3 +336,110 @@ def test_a_poll_of_a_cluster_with_nothing_scheduled_visits_no_application():
     kb.applications.reads = 0
     assert service.poll_applications(edge) == service.poll_applications(fog) == []
     assert kb.applications.reads == 0
+
+
+def test_polls_compute_each_placeholder_set_once_and_encode_nothing(monkeypatch):
+    kb = registered_kb()
+    edge = CLUSTER_IDS[0]
+    n, k = 20, 5
+    for i in range(n):
+        kb.apply(
+            SubmitApplication(
+                f"id{i}", f"app{i}", (), QoSVector(), (("x", *COMPONENTS["x"]),), float(i)
+            )
+        )
+        kb.apply(RecordDecision(f"id{i}", "x", edge, ("w1",), 3.0, 1, 1))
+    computed = []
+
+    def counted(manifest):
+        computed.append(manifest)
+        return placeholder_domains(manifest)
+
+    monkeypatch.setattr(service_module, "placeholder_domains", counted)
+    service = poll_service(kb)
+    for _ in range(k):
+        assert len(service.poll_applications(edge)) == n
+    assert len(computed) == n
+
+    assert service.poll_applications(edge) == oracle_poll(kb, edge)
+    dumps, real_dumps = [], json.dumps
+
+    def counted_dumps(*args, **kwargs):
+        dumps.append(args)
+        return real_dumps(*args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counted_dumps)
+    assert len(service.poll_applications(edge)) == n
+    assert dumps == []
+
+    # A reused app id and a delete drop what was computed for the record.
+    kb.apply(SubmitApplication("id0", "again", (), QoSVector(), (("x", *REUSED["x"]),), 0.5))
+    kb.apply(DeleteApplication("app1"))
+    assert set(kb._derived) == {f"id{i}" for i in range(2, n)}
+    kb.apply(RecordDecision("id0", "x", edge, ("w1",), 3.0, 1, 1))
+    computed.clear()
+    assert service.poll_applications(edge) == oracle_poll(kb, edge)
+    assert len(computed) == 1
+
+
+# ---------------------------------------------------------------------------
+# REST dispatch
+# ---------------------------------------------------------------------------
+
+
+class EchoService:
+    """Refuses every call with its name and arguments, so that a reply
+    names the route a request reached and the parameters it parsed."""
+
+    def __getattr__(self, name):
+        def call(*args, **kwargs):
+            raise NotFoundError(repr((name, args, sorted(kwargs.items()))))
+
+        return call
+
+
+# Every route's method, in any letter case, and arbitrary text.
+any_case = st.sampled_from(sorted({m for m, _, _ in RestApi._routes} | {"PATCH"})).flatmap(
+    lambda m: st.tuples(*[st.sampled_from((c, c.lower())) for c in m]).map("".join)
+)
+segment_text = st.text(st.characters(blacklist_characters="/"), min_size=1, max_size=8)
+separators = st.sampled_from(("/", "/", "/", "//"))
+
+
+@st.composite
+def route_paths(draw) -> str:
+    """A route's shape with random segments, or random segments, maybe behind
+    an unknown prefix, joined by single or doubled slashes, with or without
+    a leading and a trailing slash; or a path of slashes only."""
+    if draw(st.integers(0, 5)) == 0:
+        return draw(st.sampled_from(("", "/", "//", "///")))
+    if draw(st.booleans()):
+        _, pattern, _ = draw(st.sampled_from(RestApi._routes))
+        segments = [
+            draw(segment_text) if name is not None or not draw(st.integers(0, 4)) else literal
+            for name, literal in pattern
+        ]
+    else:
+        segments = draw(st.lists(st.sampled_from(("clusters", "applications")) | segment_text,
+                                 max_size=6))
+    if draw(st.integers(0, 4)) == 0:
+        segments = draw(st.lists(segment_text, min_size=1, max_size=2)) + segments
+    path = "".join(draw(separators) + s for s in segments)
+    if draw(st.integers(0, 4)) == 0:
+        path = path[1:]  # no leading slash
+    if draw(st.integers(0, 4)) == 0:
+        path += draw(separators)
+    return path
+
+
+request_bodies = st.sampled_from(
+    (None, {}, [1], {"version": 2, "cluster_id": "c", "status": "healthy"}, {"nodes": []},
+     {"qos": {"energy": 1.0}}, {"external_ip": "10.0.0.9", "domain": "fog"})
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(method=any_case | st.text(max_size=6), path=route_paths(), body=request_bodies)
+def test_dispatch_matches_the_route_table_scan(method, path, body):
+    api = RestApi(EchoService())
+    assert api.dispatch(method, path, body) == oracle_dispatch(api, method, path, body)

@@ -147,11 +147,12 @@ def test_submit_validation_errors_are_field_level(dep):
     assert status == 400
     assert any("ingress path" in e["error"] for e in body["errors"])
 
-    bundle = bookinfo_bundle("bookinfo")
-    bundle["components"][1]["domain"] = "space"
-    status, body = api.dispatch("POST", "/applications", bundle)
-    assert status == 400
-    assert any("unknown domain" in e["error"] for e in body["errors"])
+    for domain in ("space", ["fog"], {"fog": 1}):  # a list or an object is no domain either
+        bundle = bookinfo_bundle("bookinfo")
+        bundle["components"][1]["domain"] = domain
+        status, body = api.dispatch("POST", "/applications", bundle)
+        assert status == 400
+        assert any("unknown domain" in e["error"] for e in body["errors"])
 
     status, body = api.dispatch("POST", "/applications", {"components": []})
     assert status == 400
@@ -179,6 +180,43 @@ def test_qos_weights_that_are_not_finite_are_400_on_submit_and_update(dep):
             assert [e["field"] for e in body["errors"]] == ["qos"]
     assert [app.name for app in dep.kb().applications.values()] == ["bookinfo"]
     assert dep.kb().live_application("bookinfo").version == 1
+
+
+def one_component_bundle(name: str, domain: str, env: dict) -> dict:
+    return {
+        "application": {"name": name},
+        "components": [
+            {
+                "component": "web",
+                "domain": domain,
+                "objects": [
+                    {"kind": "Deployment", "name": "web", "env": env},
+                    {"kind": "Ingress", "name": "web", "path": f"/{name}/web"},
+                ],
+            }
+        ],
+    }
+
+
+def test_a_placeholder_no_component_can_resolve_is_400_on_submit(dep):
+    # No edge component: no agent could ever substitute the edge address.
+    leader = f"rla-{dep.leader_id()}"
+    for i, token in enumerate(("{{QONNECT_EDGE_IP}}", "{{QONNECT_MARS_IP}}")):
+        bundle = one_component_bundle(f"lone-{i}", "cloud", {"PEER": f"http://{token}/x"})
+        status, body = dep.send(leader, "POST", "/applications", bundle)
+        assert status == 400, token
+        assert [e["field"] for e in body["errors"]] == ["components[0].objects"]
+        assert token in body["errors"][0]["error"]
+    # An in-process body is not encoded before submit: objects it cannot encode
+    # are a 400 too, not an exception out of the proposal.
+    bundle = one_component_bundle("unencodable", "cloud", {"PORTS": {80, 443}})
+    status, body = dep.send(leader, "POST", "/applications", bundle)
+    assert status == 400 and [e["field"] for e in body["errors"]] == ["components[0].objects"]
+    # A placeholder naming its own or a sibling's domain is accepted.
+    bundle = one_component_bundle("own", "cloud", {"SELF": "{{QONNECT_CLOUD_IP}}"})
+    assert dep.send(leader, "POST", "/applications", bundle)[0] == 201
+    assert dep.send(leader, "POST", "/applications", bookinfo_bundle("shop"))[0] == 201
+    assert sorted(app.name for app in dep.kb().applications.values()) == ["own", "shop"]
 
 
 def test_duplicate_live_name_is_conflict(dep):
