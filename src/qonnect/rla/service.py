@@ -31,15 +31,18 @@ subclasses).
 The scheduler pass and telemetry flush only run while this node is leader;
 a deposed leader's in-flight proposals fail at commit and are harmless.
 
-Heartbeats work as leases (Kubernetes KEP-589, "Efficient Node
-Heartbeats"). The leader keeps, as soft state for its term, the time of
-each component's last accepted heartbeat and the time it began to lead.
-It logs a heartbeat only when the replicated state needs it: a status
-change, a component never beaten since its decision, or a replicated
-time at least ``_REFRESH_SHARE`` of the grace period old. Its stall
-check counts from the latest of the replicated time, its own last-seen
-time and its lease start, so a new leader gives every component one full
-grace period before it requeues any.
+Heartbeats work as leases (Gray and Cheriton, "Leases", SOSP 1989;
+Kubernetes KEP-589, "Efficient Node Heartbeats"). The leader keeps, as
+soft state for its term, the time of each component's last accepted
+heartbeat and the time it began to lead; renewing a lease writes nothing
+to the log. A heartbeat is logged only when it changes the replicated
+state: a status change, or the first beat since the component's decision.
+A same-status beat behind a status change still in the unflushed
+telemetry is logged too, so a flip and its undoing both commit. The stall
+check counts from the latest of the replicated time, the leader's own
+last-seen time and its lease start, so a new leader gives every component
+one full grace period before it requeues any, however old the replicated
+times are.
 """
 
 from __future__ import annotations
@@ -100,10 +103,6 @@ _COMPACT_EVERY = 1000
 # Raw entry bytes to log since the last snapshot, as a multiple of its size,
 # before the next one (the dissertation's factor).
 _COMPACT_RATIO = 1.0
-
-# Age of a replicated heartbeat, as a share of the grace period, from which
-# the leader logs a same-status heartbeat again.
-_REFRESH_SHARE = 0.5
 
 
 def _poll_plan(app: ApplicationRecord) -> tuple[tuple[str, ...], list[frozenset[str] | None]]:
@@ -485,11 +484,7 @@ class RlaService:
         self._seen[key] = at
         if HEARTBEAT_STATUS[status] != comp.status:
             self._status_queued.add(key)
-        elif not (
-            key in self._status_queued
-            or comp.last_heartbeat is None
-            or at - comp.last_heartbeat >= _REFRESH_SHARE * self.config.grace_period
-        ):
+        elif key not in self._status_queued and comp.last_heartbeat is not None:
             return True
         self._telemetry.append(
             RecordHeartbeat(

@@ -3,11 +3,15 @@
 The property drives ``RlaService`` and the log-every-heartbeat oracle
 (``lease_oracles.EveryBeatService``) through the same heartbeat schedule
 under one stable leader and compares every requeue. The engine tests kill
-the leader: a live component must survive the change, and a dead one must
-still be requeued within one grace period of the new lease.
+the leader: a live component must survive the change, however old its
+replicated heartbeat time, and a dead one must still be requeued within
+one grace period of the new lease. A settled federation logs no heartbeat
+at all, while the leader still knows how fresh each component is.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -28,6 +32,7 @@ from qonnect.kb.commands import RecordHeartbeat, RequeueComponent, decode_comman
 from qonnect.kb.model import ComponentStatus, Domain
 from qonnect.kb.store import HEARTBEAT_STATUS
 from qonnect.raft.node import Role
+from qonnect.sim import CrashLoop
 from qonnect.rla import RlaConfig, RlaService
 
 GRACE, TICK = 30.0, 5.0
@@ -160,19 +165,19 @@ def _components_on(dep: Deployment, cluster_name: str):
     ]
 
 
-def test_a_leader_change_just_before_a_refresh_round_requeues_no_live_component():
-    # With 10 s heartbeat rounds and a 25 s grace, the leader logs every
-    # second round (a refresh is due from 12.5 s), so the replicated time is
-    # up to 20 s old. Killing the leader just before a refresh round loses
-    # that round to the election, and the next one lands 30 s after the
-    # replicated time: a new leader that read only that time would requeue.
+def test_a_leader_change_just_before_a_heartbeat_round_requeues_no_live_component():
+    # With 10 s heartbeat rounds and a 25 s grace, only a component's first
+    # beat after its decision is logged, so its replicated time only ages:
+    # after the 30 s settle it is more than a grace old. Killing the leader
+    # just before a heartbeat round loses that round to the election, so a
+    # new leader that read only the replicated time would requeue at once.
     spec = TestbedSpec(grace_period=25.0, seed=31)
     dep = Deployment(spec)
     dep.boot()
     _healthy_fleet(dep, ["leased-a", "leased-b"])
-    dep.run(30.0)  # settle into refresh-every-second-round
+    dep.run(30.0)  # every replicated time is now over a grace old
 
-    def refresh_round_next_step() -> bool:
+    def heartbeat_round_next_step() -> bool:
         for name, agent in dep.agents.items():
             due = agent._next_heartbeat
             comps = _components_on(dep, name)
@@ -184,7 +189,7 @@ def test_a_leader_change_just_before_a_refresh_round_requeues_no_live_component(
                 return True
         return False
 
-    assert dep.run_until(refresh_round_next_step, 30.0)
+    assert dep.run_until(heartbeat_round_next_step, 30.0)
     old_leader = dep.leader_id()
     dep.kill_rla(old_leader)
     mark = len(dep.events.events)
@@ -233,11 +238,19 @@ def test_a_dead_agents_component_is_requeued_within_a_grace_of_the_new_lease():
     assert requeued_at() <= deadline
 
 
-def test_a_settled_federation_logs_at_most_half_of_its_heartbeats():
-    dep = Deployment(seed=33)  # the default 9-cluster testbed
+def _settled_fleet(seed: int) -> Deployment:
+    """The default 9-cluster testbed, three Healthy bookinfo apps, settled."""
+    dep = Deployment(seed=seed)
     dep.boot()
     _healthy_fleet(dep, ["quiet-a", "quiet-b", "quiet-c"])
     dep.run(30.0)
+    return dep
+
+
+def test_a_settled_federation_logs_none_of_its_heartbeats():
+    # Every heartbeat of a settled federation repeats its component's
+    # replicated status, so each one only renews a lease on the leader.
+    dep = _settled_fleet(seed=33)
     # Start half a period after a round, so the window holds whole rounds.
     agent = next(iter(dep.agents.values()))
     assert dep.run_until(
@@ -250,7 +263,7 @@ def test_a_settled_federation_logs_at_most_half_of_its_heartbeats():
     dep.run(100.0)
 
     assert counts["accepted"] >= 3 * 4 * 10  # every component, every round
-    assert 2 * counts["logged"] <= counts["accepted"]
+    assert counts["logged"] == 0
 
 
 def _counting(service: RlaService, counts: dict[str, int]):
@@ -266,3 +279,87 @@ def _counting(service: RlaService, counts: dict[str, int]):
         return accepted
 
     return heartbeat
+
+
+def test_a_settled_window_appends_only_node_report_events():
+    # With no heartbeat logged, what a settled window still appends is one
+    # ``kb-nodes-updated`` per node report per replica.
+    dep = _settled_fleet(seed=35)
+    spec = dep.spec
+    window = 100.0
+    reports = len(spec.clusters) * round(window / spec.ra_snapshot_period)
+    for _ in range(2):
+        mark = len(dep.events.events)
+        dep.run(window)
+        kinds = Counter(e.kind for e in dep.events.events[mark:])
+        assert set(kinds) == {"kb-nodes-updated"}
+        assert kinds["kb-nodes-updated"] <= spec.rla_count * reports  # 540
+
+
+def test_the_leader_knows_each_components_freshness_while_nothing_is_logged():
+    # Three 100 s windows. A crash loop at the start of the second changes one
+    # component's status, which must still be logged and reach every replica.
+    dep = _settled_fleet(seed=36)
+    leader_id = dep.leader_id()
+    leader = dep.services[leader_id]
+    bound = dep.spec.ra_heartbeat_period + dep.DT + 1e-9  # a period and a step
+    crashed = ("quiet-b", "reviews")
+    for window in range(3):
+        if window == 1:
+            comp = dep.kb().live_application(crashed[0]).component(crashed[1])
+            host = dep.cluster_name_by_id(comp.decision.cluster_id)
+            dep.inject_fault(host, CrashLoop(*crashed))
+            mark = len(dep.events.events)
+        for _ in range(round(100.0 / dep.DT)):
+            dep.step()
+            for app in leader.kb.applications.values():
+                for comp in app.components:
+                    if comp.status in (ComponentStatus.HEALTHY, ComponentStatus.PROGRESSING):
+                        assert dep.now - leader._seen[(app.app_id, comp.name)] <= bound
+
+    assert dep.leader_id() == leader_id
+    failed = [
+        e.source
+        for e in dep.events.events[mark:]
+        if e.kind == "kb-heartbeat-recorded"
+        and (e.detail["app"], e.detail["component"]) == crashed
+    ]
+    assert sorted(failed) == [f"rla-{i}" for i in sorted(dep.services)]  # once per replica
+    kbs = [service.kb for service in dep.services.values()]
+    for kb in kbs:
+        app = kb.live_application(crashed[0])
+        assert app.component(crashed[1]).status == ComponentStatus.FAILED
+    assert all(kb == kbs[0] for kb in kbs)
+
+
+def test_a_leader_change_after_a_long_stable_term_requeues_only_dead_components():
+    # Ten grace periods under one leader leave every replicated heartbeat
+    # time ten graces old. The new leader's lease must still spare each live
+    # component and requeue those of the agent killed with the old leader.
+    dep = Deployment(seed=34)
+    dep.boot()
+    _healthy_fleet(dep, ["long-a", "long-b", "long-c"])
+    spec = dep.spec
+    old_leader = dep.leader_id()
+    dep.run(10 * spec.grace_period)
+    assert dep.leader_id() == old_leader
+    components = [
+        (app.name, comp) for app in dep.kb().applications.values() for comp in app.components
+    ]
+    assert all(dep.now - c.last_heartbeat >= 10 * spec.grace_period for _, c in components)
+
+    host_id = dep.kb().live_application("long-a").component("ratings").decision.cluster_id
+    dead = {(name, c.name) for name, c in components if c.decision.cluster_id == host_id}
+    dep.kill_ra(dep.cluster_name_by_id(host_id))
+    dep.kill_rla(old_leader)
+    mark = len(dep.events.events)
+    dep.run(3 * spec.grace_period)
+
+    assert dep.leader_id() not in (None, old_leader)
+    elected_at = next(e.at for e in dep.events.events[mark:] if e.kind == "leader-elected")
+    requeued: dict[tuple[str, str], float] = {}
+    for e in dep.events.events[mark:]:
+        if e.kind == "kb-component-requeued":
+            requeued.setdefault((e.detail["app"], e.detail["component"]), e.at)
+    assert requeued.keys() == dead
+    assert max(requeued.values()) <= elected_at + spec.grace_period + spec.tick_period
