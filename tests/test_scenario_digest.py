@@ -15,14 +15,14 @@ from qonnect.harness.cli import EVENTS_FILE, REPORT_FILE, VERDICT_FILE, main
 
 DIGESTS = {
     7: {
-        VERDICT_FILE: "7a344d551ccdd33eacf8a082e705292ba602b199f4012ce7b157e5efec547f4a",
-        EVENTS_FILE: "a6a3debaa959d982923d489457c1d603dc125171fa3b58ab86dbfb520d7805eb",
-        REPORT_FILE: "3c87bd7a25632006599f5f43fc09bbfd3a379f727e191bc756366455308643d1",
+        VERDICT_FILE: "d0ee430dfd6cc14bd8f6d33ff2e9ac8bc516e8a94f9b7551597a4d2c47fcd904",
+        EVENTS_FILE: "642847c9b988f68cb6dd7e3e1a827227d0c97a053dcc0aff0bac95d17278d6da",
+        REPORT_FILE: "2c81e8b3a2d1a781d50ff220f13a40d81f3e312218987704395f83baba85aefb",
     },
     9001: {
-        VERDICT_FILE: "f1cdd8a99aac73061f1163ff82913a055f44c90d04e57ba65a8edddac87e39dc",
-        EVENTS_FILE: "1c4481a4392b7db5e3c047711094882f9f81defb34a87d4d1b6ab0e118c40717",
-        REPORT_FILE: "d1e85c1caaa2cc592ab55e8bc346003881d7655d2dd7b18529fedc822548dd40",
+        VERDICT_FILE: "b933c519da174572211162432287b2dc809f299a08c3603a139cf17f7de02f0a",
+        EVENTS_FILE: "038a2c6a31f854590bfe690f2a78e83fc38423ef5edca6f97a39e813da031ca8",
+        REPORT_FILE: "2848d11b4894544e59e87df9acffaaed994c480181556db9c0a0bc343904df9b",
     },
 }
 
