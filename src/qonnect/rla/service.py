@@ -36,13 +36,13 @@ Kubernetes KEP-589, "Efficient Node Heartbeats"). The leader keeps, as
 soft state for its term, the time of each component's last accepted
 heartbeat and the time it began to lead; renewing a lease writes nothing
 to the log. A heartbeat is logged only when it changes the replicated
-state: a status change, or the first beat since the component's decision.
-A same-status beat behind a status change still in the unflushed
-telemetry is logged too, so a flip and its undoing both commit. The stall
-check counts from the latest of the replicated time, the leader's own
-last-seen time and its lease start, so a new leader gives every component
-one full grace period before it requeues any, however old the replicated
-times are.
+status, which the first beat after a decision always does (a decision
+sets Scheduled, which no heartbeat reports). A same-status beat behind a
+status change still in the unflushed telemetry is logged too, so a flip
+and its undoing both commit. The stall check counts from the latest of
+the replicated time, the leader's own last-seen time and its lease
+start, so a new leader gives every component one full grace period
+before it requeues any, however old the replicated times are.
 """
 
 from __future__ import annotations
@@ -460,7 +460,7 @@ class RlaService:
         """True = accepted; False = unknown or reassigned (drives cleanup).
 
         An accepted heartbeat renews the component's lease on this leader; it
-        reaches the log only when the replicated state needs it (see the
+        reaches the log only when it changes the replicated status (see the
         module docstring).
         """
         if status not in HEARTBEAT_STATUS:
@@ -484,7 +484,7 @@ class RlaService:
         self._seen[key] = at
         if HEARTBEAT_STATUS[status] != comp.status:
             self._status_queued.add(key)
-        elif key not in self._status_queued and comp.last_heartbeat is not None:
+        elif key not in self._status_queued:
             return True
         self._telemetry.append(
             RecordHeartbeat(
