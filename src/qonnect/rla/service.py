@@ -183,8 +183,8 @@ class RlaService:
 
         self._source = f"rla-{config.rla_id}"
         self._telemetry: list[KBCommand] = []
-        # (app id, component) of heartbeats in ``_telemetry`` that change the
-        # replicated status: a later same-status heartbeat must be logged too.
+        # (app id, component) with a status change in ``_telemetry``: each of
+        # its later heartbeats in the window is logged too.
         self._status_queued: set[tuple[str, str]] = set()
         # Lease soft state (see the module docstring), kept for one term:
         # (app id, component) -> time of its last accepted heartbeat.
@@ -482,10 +482,9 @@ class RlaService:
             self._seen.pop(key, None)
             return False
         self._seen[key] = at
-        if HEARTBEAT_STATUS[status] != comp.status:
-            self._status_queued.add(key)
-        elif key not in self._status_queued:
+        if HEARTBEAT_STATUS[status] == comp.status and key not in self._status_queued:
             return True
+        self._status_queued.add(key)
         self._telemetry.append(
             RecordHeartbeat(
                 app_id=app_id,

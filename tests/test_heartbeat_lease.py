@@ -32,8 +32,8 @@ from qonnect.kb.commands import RecordHeartbeat, RequeueComponent, decode_comman
 from qonnect.kb.model import ComponentStatus, Domain
 from qonnect.kb.store import HEARTBEAT_STATUS
 from qonnect.raft.node import Role
-from qonnect.sim import CrashLoop
 from qonnect.rla import RlaConfig, RlaService
+from qonnect.sim import CrashLoop
 
 GRACE, TICK = 30.0, 5.0
 STEPS = 150  # one simulated second each
@@ -166,9 +166,9 @@ def _components_on(dep: Deployment, cluster_name: str):
 
 
 def test_a_leader_change_just_before_a_heartbeat_round_requeues_no_live_component():
-    # With 10 s heartbeat rounds and a 25 s grace, only a component's first
-    # beat after its decision is logged, so its replicated time only ages:
-    # after the 30 s settle it is more than a grace old. Killing the leader
+    # With 10 s heartbeat rounds and a 25 s grace, only status changes are
+    # logged, so a Healthy component's replicated time is that of its first
+    # beat and only ages: after the 30 s settle it is more than a grace old. Killing the leader
     # just before a heartbeat round loses that round to the election, so a
     # new leader that read only the replicated time would requeue at once.
     spec = TestbedSpec(grace_period=25.0, seed=31)
