@@ -136,7 +136,7 @@ class ResourceAgent:
         if now >= self._next_poll:
             self._next_poll = now + self.config.poll_period
             self._guarded(now, "config-poll", self.poll_cluster_config)
-            self._guarded(now, "application-poll", lambda t: self.poll_and_reconcile(t))
+            self._guarded(now, "application-poll", self.poll_and_reconcile)
         if now >= self._next_heartbeat:
             self._next_heartbeat = now + self.config.heartbeat_period
             self._guarded(now, "heartbeat", self.report_heartbeats)

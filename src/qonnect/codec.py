@@ -52,9 +52,10 @@ def decoder(tp: Any) -> Callable[[Any], Any]:
     return _codec(tp).decode
 
 
-def dumps(value: Any) -> str:
-    """Compact JSON with sorted keys, so equal values give equal bytes."""
-    return json.dumps(value, separators=(",", ":"), sort_keys=True)
+def dumps(value: Any, allow_nan: bool = True) -> str:
+    """Compact JSON with sorted keys, so equal values give equal bytes; with
+    ``allow_nan=False``, NaN or an infinity (no JSON value) is a ``ValueError``."""
+    return json.dumps(value, separators=(",", ":"), sort_keys=True, allow_nan=allow_nan)
 
 
 def loads(raw: Any) -> Any:

@@ -118,9 +118,9 @@ class KnowledgeBase:
         """``derive(app)``, computed once while ``app`` is in this KB.
 
         Only for what a submit fixes and no later command changes: each
-        component's name, target domain and manifest. The value may hold
-        slots its reader fills later. A KB has one such reader (the agent
-        poll), so the value is kept per application, not per ``derive``.
+        component's name, target domain and manifest. A KB has one such
+        reader (the agent poll), so the value is kept per application, not
+        per ``derive``.
         """
         value = self._derived.get(app.app_id)
         if value is None:

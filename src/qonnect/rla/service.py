@@ -20,13 +20,10 @@ Every replica applies every committed entry. Followers decode each one
 from the log; the leader applies an entry it proposed from the object it
 encoded, kept until its proposal returns. Each such command is
 built from validated values (exact scalars, enums, tuples of strings,
-finite weights, node reports that passed ``_check_report``), so decoding
-its encoding gives an equal object, and the leader's KB stays equal to
-every follower's. A submit is always decoded, on the leader too: its
-manifests are the client's own objects (the engine hands a request body
-over in-process), which the KB must not share, and a JSON round trip
-normalises what such a body may hold (tuples, non-string keys, string
-subclasses).
+finite weights, node reports that passed ``_check_report``, manifests
+``validate_bundle`` decoded from their own encoding), so decoding its
+encoding gives an equal object, and the leader's KB stays equal to every
+follower's.
 
 The scheduler pass and telemetry flush only run while this node is leader;
 a deposed leader's in-flight proposals fail at commit and are harmless.
@@ -105,15 +102,18 @@ _COMPACT_EVERY = 1000
 _COMPACT_RATIO = 1.0
 
 
-def _poll_plan(app: ApplicationRecord) -> tuple[tuple[str, ...], list[frozenset[str] | None]]:
-    """Per component of ``app``: its domain's name, and a slot for the domains
-    of ``app`` whose placement its manifest's placeholders need, which the
-    component's first poll fills.
+def _poll_plan(app: ApplicationRecord) -> tuple[tuple[str, ...], tuple[frozenset[str], ...]]:
+    """Per component of ``app``: its domain's name, and the domains of ``app``
+    whose placement its manifest's placeholders need.
 
     Both depend only on what the submit fixed, so each KB keeps them while
     it holds the application (``KnowledgeBase.derived``).
     """
-    return tuple(comp.target_domain.value for comp in app.components), [None] * len(app.components)
+    domains = tuple(comp.target_domain.value for comp in app.components)
+    return domains, tuple(
+        frozenset(placeholder_domains(comp.manifest).intersection(domains))
+        for comp in app.components
+    )
 
 
 def _fingerprint(nodes: list) -> bytes | None:
@@ -215,7 +215,7 @@ class RlaService:
 
         An entry this service proposed and still waits on is applied from the
         object it encoded; any other entry (a follower's, another leader's
-        at the same index, a submit) is decoded from the log.
+        at the same index) is decoded from the log.
         """
         command = self._proposed.get(raw_command)
         if command is None:
@@ -292,16 +292,11 @@ class RlaService:
             raise UnavailableError("no proposer wired to this service")
         self._require_leader()
         raw = encode_command(entry)
-        # A submit carries the client's manifests: it is decoded on apply
-        # (see the module docstring). Batches never hold a submit.
-        keep = not isinstance(entry, SubmitApplication)
-        if keep:
-            self._proposed[raw] = entry
+        self._proposed[raw] = entry
         try:
             effects = self.proposer(raw)
         finally:
-            if keep:
-                self._proposed.pop(raw, None)
+            self._proposed.pop(raw, None)
         if effects is None:
             raise UnavailableError("proposal did not commit")
         return effects
@@ -415,7 +410,7 @@ class RlaService:
 
         A poll costs O(the payloads it returns): the KB indexes the Scheduled
         components per cluster, and each component's placeholder domains are
-        computed at its first poll (``_poll_plan``), not on every poll.
+        computed once per application (``_poll_plan``), not on every poll.
         """
         if cluster_id not in self.kb.clusters:
             raise NotFoundError(f"unknown cluster: {cluster_id}")
@@ -427,19 +422,14 @@ class RlaService:
             for comp, domain in zip(app.components, domains):
                 if comp.decision is not None and domain not in placement:
                     placement[domain] = comp.decision.cluster_id
-            for i, comp in enumerate(app.components):
+            for comp, needed in zip(app.components, needs):
                 decision = comp.decision
                 if (
                     comp.status is not scheduled
                     or decision is None
                     or decision.cluster_id != cluster_id
+                    or not needed <= placement.keys()
                 ):
-                    continue
-                needed = needs[i]
-                if needed is None:  # the component's first poll on this KB
-                    needed = frozenset(placeholder_domains(comp.manifest)).intersection(domains)
-                    needs[i] = needed
-                if not needed <= placement.keys():
                     continue
                 payloads.append(
                     {

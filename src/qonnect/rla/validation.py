@@ -73,7 +73,11 @@ def parse_qos(data: object) -> QoSVector:
 
 
 def validate_bundle(bundle: object) -> tuple[ParsedBundle | None, list[dict]]:
-    """Field-level validation; returns (parsed, errors) with parsed None on failure."""
+    """Field-level validation; returns (parsed, errors) with parsed None on failure.
+
+    ``parsed`` is in the form the log decodes to: exact strings, and manifests
+    decoded from their own encoding, so no object of the caller's is kept.
+    """
     errors: list[dict] = []
 
     def err(field: str, message: str) -> None:
@@ -88,12 +92,12 @@ def validate_bundle(bundle: object) -> tuple[ParsedBundle | None, list[dict]]:
         return None, errors
 
     name = application.get("name")
-    if not isinstance(name, str) or not name:
+    if type(name) is not str or not name:
         err("application.name", "name is required")
         name = ""
     labels_raw = application.get("labels") or {}
     if not isinstance(labels_raw, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in labels_raw.items()
+        type(k) is str and type(v) is str for k, v in labels_raw.items()
     ):
         err("application.labels", "labels must map strings to strings")
         labels_raw = {}
@@ -109,15 +113,14 @@ def validate_bundle(bundle: object) -> tuple[ParsedBundle | None, list[dict]]:
         components_raw = []
 
     seen: set[str] = set()
-    components: list[tuple[str, Domain, dict]] = []
-    positions: list[int] = []  # of each kept component in ``components_raw``
+    kept: list[tuple[int, str, Domain, list]] = []  # position, name, domain, objects
     for i, comp in enumerate(components_raw):
         prefix = f"components[{i}]"
         if not isinstance(comp, dict):
             err(prefix, "component must be a mapping")
             continue
         comp_name = comp.get("component") or comp.get("name")
-        if not isinstance(comp_name, str) or not comp_name:
+        if type(comp_name) is not str or not comp_name:
             err(f"{prefix}.component", "component name is required")
             continue
         if comp_name in seen:
@@ -145,33 +148,38 @@ def validate_bundle(bundle: object) -> tuple[ParsedBundle | None, list[dict]]:
                 f"ingress path must start with /{name}/ (got {bad[0].get('path')!r})",
             )
             continue
-        components.append((comp_name, Domain(domain_raw), {"objects": objects}))
-        positions.append(i)
+        kept.append((i, comp_name, Domain(domain_raw), objects))
 
     # A placeholder resolves to the cluster of a sibling in its domain, so
     # it must name a domain that some component of the bundle targets.
-    targets = {domain.value for _, domain, _ in components}
-    for i, (_, _, manifest) in zip(positions, components):
+    targets = {domain.value for _, _, domain, _ in kept}
+    texts: list[str] = []
+    for i, _, _, objects in kept:
         try:
-            unresolvable = sorted(placeholder_domains(manifest) - targets)
+            text = codec.dumps({"objects": objects}, allow_nan=False)
         except (TypeError, ValueError):
             err(f"components[{i}].objects", "objects must be JSON values")
             continue
+        unresolvable = sorted({m.lower() for m in PLACEHOLDER_RE.findall(text)} - targets)
         if unresolvable:
             err(
                 f"components[{i}].objects",
                 f"placeholder {{{{QONNECT_{unresolvable[0].upper()}_IP}}}} names a domain"
                 " that no component of the application targets",
             )
+        texts.append(text)
 
     if errors:
         return None, errors
+    # One document for the bundle, so its manifests share their repeated
+    # keys as the decoded log entry's do.
+    manifests = codec.loads(f"[{','.join(texts)}]")
     return (
         ParsedBundle(
             name=name,
             labels=tuple(sorted(labels_raw.items())),
             qos=qos,
-            components=tuple(components),
+            components=tuple((c, d, m) for (_, c, d, _), m in zip(kept, manifests)),
         ),
         [],
     )

@@ -340,7 +340,7 @@ def test_a_poll_of_a_cluster_with_nothing_scheduled_visits_no_application():
 
 def test_polls_compute_each_placeholder_set_once_and_encode_nothing(monkeypatch):
     kb = registered_kb()
-    edge = CLUSTER_IDS[0]
+    edge, _, fog = CLUSTER_IDS
     n, k = 20, 5
     for i in range(n):
         kb.apply(
@@ -380,6 +380,18 @@ def test_polls_compute_each_placeholder_set_once_and_encode_nothing(monkeypatch)
     computed.clear()
     assert service.poll_applications(edge) == oracle_poll(kb, edge)
     assert len(computed) == 1
+
+    # An app with components on two clusters: across both clusters' polls,
+    # each component's set is computed once.
+    pair = (("x", *COMPONENTS["x"]), ("y", *COMPONENTS["y"]))
+    kb.apply(SubmitApplication("pair", "pair", (), QoSVector(), pair, 9.0))
+    kb.apply(RecordDecision("pair", "x", edge, ("w1",), 9.0, 1, 1))
+    kb.apply(RecordDecision("pair", "y", fog, ("w1",), 9.0, 1, 1))
+    computed.clear()
+    for _ in range(k):
+        for cluster_id in (edge, fog):
+            assert service.poll_applications(cluster_id) == oracle_poll(kb, cluster_id)
+    assert computed == [manifest for _, _, manifest in pair]
 
 
 # ---------------------------------------------------------------------------

@@ -3,18 +3,20 @@
 Any method on any route template, with real or random ids and any JSON
 body, must answer with one of the API's statuses and a JSON-encodable
 payload, on the leader and on a follower alike. ``validate_bundle`` must
-classify any JSON value without raising.
+classify any JSON value without raising, and a bundle it accepts must be in
+the form the log decodes to, as the leader applies it from that form.
 """
 
 from __future__ import annotations
 
 import json
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qonnect.harness.bookinfo import bookinfo_bundle
 from qonnect.harness.engine import Deployment
+from qonnect.kb.commands import SubmitApplication, decode_command, encode_command
 from qonnect.rla.rest import RestApi
 from qonnect.rla.validation import validate_bundle
 
@@ -93,11 +95,64 @@ def test_any_request_gets_an_api_status_on_the_leader_and_a_follower():
     check()
 
 
+class Name(str):
+    """A string subclass, which an in-process caller may hand over."""
+
+
+# What an in-process body may hold besides JSON values: tuples, non-string
+# keys and string subclasses.
+in_process_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12)
+    | st.text(max_size=6).map(Name),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(
+        st.sampled_from(KEYS) | st.text(max_size=6) | st.integers() | st.text(max_size=6).map(Name),
+        children,
+        max_size=5,
+    ),
+    max_leaves=16,
+)
+
+
+def bookinfo_with(edit) -> dict:
+    bundle = bookinfo_bundle("fuzzed")
+    edit(bundle)
+    return bundle
+
+
+@st.composite
+def bookinfo_variants(draw) -> dict:
+    """A bookinfo bundle with one field of one manifest object set to a
+    JSON value or an in-process one, so that most variants pass."""
+    bundle = bookinfo_bundle("fuzzed")
+    obj = draw(st.sampled_from([o for c in bundle["components"] for o in c["objects"]]))
+    obj[draw(st.sampled_from(KEYS) | st.text(max_size=6))] = draw(in_process_values)
+    return bundle
+
+
 @settings(max_examples=300, deadline=None)
-@given(bodies)
+@given(bodies | bookinfo_variants())
+@example(bookinfo_with(lambda b: b["components"][0]["objects"][1].update(ports=(9080, 9443))))
+@example(bookinfo_with(lambda b: b["components"][0]["objects"][0]["env"].update({1: "a"})))
+@example(bookinfo_with(lambda b: b["components"][1]["objects"][0].update(ids={1: {2: "b"}})))
+@example(bookinfo_with(lambda b: b["application"].update(name=Name("fuzzed"))))
+@example(bookinfo_with(lambda b: b["components"][2].update(component=Name("reviews"))))
+@example(bookinfo_with(lambda b: b["application"].update(labels={"app": Name("fuzzed")})))
 def test_validate_bundle_classifies_any_json_value(bundle):
     parsed, errors = validate_bundle(bundle)
     if parsed is None:
         assert isinstance(errors, list) and errors
-    else:
-        assert errors == []
+        return
+    assert errors == []
+    # Accepted: the leader applies the command from this very object, and
+    # each follower from its decoded copy.
+    cmd = SubmitApplication("id", parsed.name, parsed.labels, parsed.qos, parsed.components, 0.0)
+    copy = decode_command(encode_command(cmd))
+    assert copy == cmd
+    # ``==`` ignores key order and takes 1 == 1.0 == True and a subclass for
+    # its base; the unsorted dumps and exact types do not.
+    for (_, _, manifest), (_, _, decoded) in zip(cmd.components, copy.components):
+        assert json.dumps(manifest) == json.dumps(decoded)
+    names = (parsed.name, *(s for label in parsed.labels for s in label))
+    assert all(type(s) is str for s in names + tuple(c for c, _, _ in parsed.components))

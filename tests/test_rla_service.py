@@ -207,11 +207,14 @@ def test_a_placeholder_no_component_can_resolve_is_400_on_submit(dep):
         assert status == 400, token
         assert [e["field"] for e in body["errors"]] == ["components[0].objects"]
         assert token in body["errors"][0]["error"]
-    # An in-process body is not encoded before submit: objects it cannot encode
-    # are a 400 too, not an exception out of the proposal.
-    bundle = one_component_bundle("unencodable", "cloud", {"PORTS": {80, 443}})
-    status, body = dep.send(leader, "POST", "/applications", bundle)
-    assert status == 400 and [e["field"] for e in body["errors"]] == ["components[0].objects"]
+    # An in-process body is not encoded before submit: objects the log cannot
+    # hold (a set, keys that do not sort, a number JSON has no value for) are
+    # a 400 too, not an exception out of the proposal.
+    for env in ({"PORTS": {80, 443}}, {1: "a", "b": "c"}, {"RATIO": float("nan")}):
+        bundle = one_component_bundle("unencodable", "cloud", env)
+        status, body = dep.send(leader, "POST", "/applications", bundle)
+        assert status == 400, env
+        assert [e["field"] for e in body["errors"]] == ["components[0].objects"]
     # A placeholder naming its own or a sibling's domain is accepted.
     bundle = one_component_bundle("own", "cloud", {"SELF": "{{QONNECT_CLOUD_IP}}"})
     assert dep.send(leader, "POST", "/applications", bundle)[0] == 201
