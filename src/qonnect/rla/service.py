@@ -4,9 +4,10 @@ One service instance is the state machine of one ``Replica`` (its KB
 replica and the compaction rule) plus the control API. Control writes
 (registrations, submissions, QoS changes, deletions, placement decisions)
 commit through Raft before the request is answered. High-volume telemetry
-(node snapshots, heartbeats) is acknowledged from applied state and flushed
-through the log in small batches: each telemetry flush, like each scheduler
-pass, commits as one ``Batch`` log entry.
+(node snapshots, heartbeats) is acknowledged from applied state, and what
+of it changes the KB is flushed through the log in small batches: each
+telemetry flush, like each scheduler pass, commits as one ``Batch`` log
+entry. The rest only renews leases (below).
 
 Each replica compacts its log into a KB snapshot on its own, by the
 size-relative rule of Ongaro's dissertation (section 5.1.1): once at least
@@ -28,18 +29,30 @@ follower's.
 The scheduler pass and telemetry flush only run while this node is leader;
 a deposed leader's in-flight proposals fail at commit and are harmless.
 
-Heartbeats work as leases (Gray and Cheriton, "Leases", SOSP 1989;
+Telemetry works as leases (Gray and Cheriton, "Leases", SOSP 1989;
 Kubernetes KEP-589, "Efficient Node Heartbeats"). The leader keeps, as
 soft state for its term, the time of each component's last accepted
-heartbeat and the time it began to lead; renewing a lease writes nothing
-to the log. A heartbeat is logged only when it changes the replicated
-status, which the first beat after a decision always does (a decision
-sets Scheduled, which no heartbeat reports). A same-status beat behind a
-status change still in the unflushed telemetry is logged too, so a flip
-and its undoing both commit. The stall check counts from the latest of
-the replicated time, the leader's own last-seen time and its lease
-start, so a new leader gives every component one full grace period
-before it requeues any, however old the replicated times are.
+heartbeat, of each node's last accepted report, and the time it began to
+lead; renewing a lease writes nothing to the log.
+
+A heartbeat is logged only when it changes the replicated status, which
+the first beat after a decision always does (a decision sets Scheduled,
+which no heartbeat reports). A same-status beat behind a status change
+still in the unflushed telemetry is logged too, so a flip and its undoing
+both commit. The stall check counts from the latest of the replicated
+time, the leader's own last-seen time and its lease start, so a new
+leader gives every component one full grace period before it requeues
+any, however old the replicated times are.
+
+A node report is logged only when it differs from the last report of its
+cluster that the leader queued or committed in its term, so a leader logs
+each cluster's first report, a changed one, and a change and its undoing
+alike. A node is eligible for placement while the latest of its
+replicated report time and the leader's own last-heard time is within
+the snapshot staleness. Nothing stands in for the lease start here: a new
+leader places only on nodes it has heard from in its term or whose
+replicated report is fresh, so a cluster that died around a leader change
+gets nothing placed on it.
 """
 
 from __future__ import annotations
@@ -191,8 +204,13 @@ class RlaService:
         self._lease_term: int | None = None
         self._lease_start: float | None = None
         self._seen: dict[tuple[str, str], float] = {}
-        # Cluster -> the fingerprint and flags of its last report that passed.
-        self._checked_reports: dict[str, tuple[bytes, tuple[str, ...]]] = {}
+        # (cluster id, node name) -> time of the last accepted report naming it.
+        self._nodes_seen: dict[tuple[str, str], float] = {}
+        # Cluster -> the fingerprint, flags and node keys of its last report
+        # queued or committed in this term.
+        self._checked_reports: dict[
+            str, tuple[bytes, tuple[str, ...], tuple[tuple[str, str], ...]]
+        ] = {}
         # Compaction trigger state (see the module docstring): commands and
         # raw entry bytes applied since the last snapshot, and its size.
         self._applied_since_compact = 0
@@ -278,6 +296,8 @@ class RlaService:
             self._lease_term = self.node.current_term
             self._lease_start = now
             self._seen = {}
+            self._nodes_seen = {}
+            self._checked_reports = {}
 
     def _forget(self, app: ApplicationRecord) -> None:
         """Drop the last-seen times of every component of ``app``."""
@@ -332,23 +352,32 @@ class RlaService:
         return self.kb.cluster_config()
 
     def put_node_snapshot(self, cluster_id: str, nodes: list[dict]) -> dict:
+        """Accept one cluster's node report; it renews each node it names on
+        this leader and reaches the log only when it changed (see the module
+        docstring)."""
         self._require_leader()
         if cluster_id not in self.kb.clusters:
             raise NotFoundError(f"unknown cluster: {cluster_id}")
         taken_at = self.clock()
-        # Most reports repeat the cluster's last one (89% on the scenarios
-        # benchmark). A report's check and flags depend on nothing else, so a
-        # report identical in every value and type to the last one that
-        # passed gets that one's flags without being decoded again.
+        self._hold_lease(taken_at)
+        # A report's check and flags depend on nothing else, so a report
+        # identical in every value and type to the cluster's last one gets
+        # that one's flags and node keys without being decoded again.
         fingerprint = _fingerprint(nodes)
-        checked, flags = self._checked_reports.get(cluster_id, (None, ()))
-        if fingerprint is None or fingerprint != checked:
+        last = self._checked_reports.get(cluster_id)
+        if last is not None and fingerprint == last[0]:
+            _, flags, keys = last
+        else:
             flags = _check_report(nodes, cluster_id, taken_at)
-            if fingerprint is not None:
-                self._checked_reports[cluster_id] = (fingerprint, flags)
-        self._telemetry.append(
-            PutNodeSnapshot(cluster_id=cluster_id, nodes=tuple(nodes), taken_at=taken_at)
-        )
+            keys = tuple((cluster_id, n["node_name"]) for n in nodes)
+            self._telemetry.append(
+                PutNodeSnapshot(cluster_id=cluster_id, nodes=tuple(nodes), taken_at=taken_at)
+            )
+            if fingerprint is None:
+                self._checked_reports.pop(cluster_id, None)
+            else:
+                self._checked_reports[cluster_id] = (fingerprint, flags, keys)
+        self._nodes_seen.update(dict.fromkeys(keys, taken_at))
         return {"accepted": len(nodes), "flags": list(flags)}
 
     def submit_application(self, bundle: dict) -> str:
@@ -508,6 +537,8 @@ class RlaService:
             self._telemetry.clear()
             self._status_queued.clear()
             self._seen.clear()
+            self._nodes_seen.clear()
+            self._checked_reports.clear()
             self._lease_term = None  # leading again starts a new lease
             return
         self._hold_lease(now)
@@ -526,7 +557,9 @@ class RlaService:
         try:
             self._propose_entry(Batch(tuple(pending)))
         except (NotLeaderError, UnavailableError):
-            pass  # deposed; agents re-report next period
+            # Deposed or stalled; agents re-report next period, and each
+            # cluster's next report is logged whatever it repeats.
+            self._checked_reports = {}
 
     def _scheduler_pass(self, now: float) -> None:
         commands = scheduler_tick(
@@ -537,6 +570,7 @@ class RlaService:
             snapshot_staleness=self.config.snapshot_staleness,
             seen=self._seen,
             lease_start=self._lease_start,
+            nodes_seen=self._nodes_seen,
         )
         if not commands:
             return

@@ -16,6 +16,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from typing import Iterable
 
 from qonnect import codec
 from qonnect.kb.model import Domain, QoSVector
@@ -26,6 +27,12 @@ VALID_DOMAINS = {d.value for d in Domain}
 PLACEHOLDER_RE = re.compile(r"\{\{QONNECT_([A-Z]+)_IP\}\}")
 
 _decode_qos = codec.decoder(QoSVector)
+
+# Most levels of objects and arrays a component's manifest,
+# ``{"objects": [...]}``, may nest. Kubernetes objects nest a few tens of
+# levels; the log's decoder, which reads a manifest three levels below the
+# top of its entry, stops near a thousand.
+MAX_MANIFEST_DEPTH = 100
 
 
 def placeholder_domains(manifest: object) -> set[str]:
@@ -42,6 +49,26 @@ class ParsedBundle:
     labels: tuple[tuple[str, str], ...]
     qos: QoSVector
     components: tuple[tuple[str, Domain, dict], ...]
+
+
+def _nests_deeper(values: Iterable[object], levels: int) -> bool:
+    """Whether any of ``values`` nests objects and arrays more than ``levels``
+    levels deep (an array of scalars is one level). The walk stops at
+    ``levels``, so it never recurses deeper than that."""
+    for value in values:
+        if isinstance(value, dict):
+            children = value.values()
+        elif isinstance(value, (list, tuple)):
+            children = value
+        else:
+            continue
+        if levels == 0 or _nests_deeper(children, levels - 1):
+            return True
+    return False
+
+
+def _too_deep(component: str) -> str:
+    return f"the manifest of {component} nests deeper than {MAX_MANIFEST_DEPTH} levels"
 
 
 def _ingress_first_segment(obj: dict) -> str | None:
@@ -154,11 +181,21 @@ def validate_bundle(bundle: object) -> tuple[ParsedBundle | None, list[dict]]:
     # it must name a domain that some component of the bundle targets.
     targets = {domain.value for _, _, domain, _ in kept}
     texts: list[str] = []
-    for i, _, _, objects in kept:
+    for i, comp_name, _, objects in kept:
         try:
             text = codec.dumps({"objects": objects}, allow_nan=False)
+        except RecursionError:
+            err(f"components[{i}].objects", _too_deep(comp_name))
+            continue
         except (TypeError, ValueError):
             err(f"components[{i}].objects", "objects must be JSON values")
+            continue
+        # Each level opens a bracket, so only a text with more brackets than
+        # the limit needs the walk.
+        if text.count("[") + text.count("{") > MAX_MANIFEST_DEPTH and _nests_deeper(
+            objects, MAX_MANIFEST_DEPTH - 2  # the levels below {"objects": [...]}
+        ):
+            err(f"components[{i}].objects", _too_deep(comp_name))
             continue
         unresolvable = sorted({m.lower() for m in PLACEHOLDER_RE.findall(text)} - targets)
         if unresolvable:

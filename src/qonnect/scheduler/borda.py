@@ -19,7 +19,7 @@ under positive scaling of any attribute column.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from qonnect.kb.model import NodeSnapshot, QoSVector
 
@@ -39,13 +39,26 @@ class PlacementResult:
 
 
 def eligibility_filter(
-    nodes: Sequence[NodeSnapshot], now: float, staleness: float
+    nodes: Sequence[NodeSnapshot],
+    now: float,
+    staleness: float,
+    seen: Mapping[tuple[str, str], float] | None = None,
 ) -> list[NodeSnapshot]:
-    """Drop unready, unschedulable, pressured, or stale-snapshot nodes."""
+    """Drop unready, unschedulable, pressured, or stale nodes.
+
+    A node is fresh while the latest of its snapshot's ``taken_at`` and its
+    time in ``seen`` ((cluster id, node name) -> when the leader last heard
+    it) is within ``staleness`` of ``now``.
+    """
+    seen = seen or {}
     return [
         n
         for n in nodes
-        if n.ready and n.schedulable and not n.pressured and now - n.taken_at <= staleness
+        if n.ready
+        and n.schedulable
+        and not n.pressured
+        and now - max(n.taken_at, seen.get((n.cluster_id, n.node_name), n.taken_at))
+        <= staleness
     ]
 
 
@@ -138,10 +151,13 @@ def rank_nodes(eligible: Sequence[NodeSnapshot]) -> DomainRanks:
 
 
 def rank_domain(
-    snapshots: Sequence[NodeSnapshot], now: float, staleness: float
+    snapshots: Sequence[NodeSnapshot],
+    now: float,
+    staleness: float,
+    seen: Mapping[tuple[str, str], float] | None = None,
 ) -> DomainRanks | None:
     """The per-domain step; None when nothing is eligible."""
-    eligible = eligibility_filter(snapshots, now=now, staleness=staleness)
+    eligible = eligibility_filter(snapshots, now=now, staleness=staleness, seen=seen)
     return rank_nodes(eligible) if eligible else None
 
 
@@ -169,7 +185,8 @@ class BordaCountStrategy:
     ``place`` to time and count placements. The instance holds the rank
     table of each snapshot list it has placed on, keyed by that list with
     ``now`` and ``staleness``, so the classes of one domain share one
-    ranking. A list must therefore not change while the instance lives.
+    ranking. A list, and the ``seen`` map passed with it, must therefore not
+    change while the instance lives.
     """
 
     def __init__(self) -> None:
@@ -185,13 +202,14 @@ class BordaCountStrategy:
         qos: QoSVector,
         now: float,
         staleness: float,
+        seen: Mapping[tuple[str, str], float] | None = None,
     ) -> PlacementResult | None:
         key = (id(snapshots), now, staleness)
         table = self._tables.get(key)
         if table is None:
             table = self._tables[key] = (
                 snapshots,
-                rank_domain(snapshots, now=now, staleness=staleness),
+                rank_domain(snapshots, now=now, staleness=staleness, seen=seen),
             )
         ranks = table[1]
         return None if ranks is None else ranks.place(qos)

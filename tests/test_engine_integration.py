@@ -17,6 +17,7 @@ from qonnect.kb import (
 )
 from qonnect.kb.model import NODE_METRICS
 from qonnect.rla import service as service_module
+from qonnect.sim import NodePressure
 
 # Legal component status transitions (None = first appearance).
 ALLOWED_TRANSITIONS = {
@@ -95,7 +96,7 @@ def test_empty_kb_serves_empty_cluster_config():
 
 def test_log_compaction_keeps_the_control_plane_running(monkeypatch):
     dep = Deployment(seed=24)
-    monkeypatch.setattr(service_module, "_COMPACT_EVERY", 40)  # force frequent snapshots
+    monkeypatch.setattr(service_module, "_COMPACT_EVERY", 10)  # force frequent snapshots
     monkeypatch.setattr(service_module, "_COMPACT_RATIO", 0)
     run_scenario(dep, 1)
     assert any(e.kind == "log-compacted" for e in dep.events.events)
@@ -154,13 +155,17 @@ def test_one_telemetry_flush_commits_as_one_log_entry():
     service, leader = dep.services[leader_id], dep.group.nodes[leader_id]
     service._flush_telemetry()  # start from an empty queue, every replica caught up
     dep.group.pump(leader.broadcast_append())
+    # A node report is logged only when it changed: change one node per cluster.
+    for name, cluster in dep.clusters.items():
+        worker = next(n for n in cluster.nodes if n.role == "worker")
+        dep.inject_fault(name, NodePressure(worker.name))
     for agent in dep.agents.values():
         agent.send_node_snapshot(dep.now)
         agent.poll_cluster_config(dep.now)
         agent.poll_and_reconcile(dep.now)
         agent.report_heartbeats(dep.now)
     pending = list(service._telemetry)
-    assert len(pending) == len(dep.agents) + 4  # a snapshot per cluster, a heartbeat per component
+    assert len(pending) == len(dep.agents) + 4  # a report per cluster, a heartbeat per component
     before, mark = leader.last_log_index, len(dep.events.events)
 
     service._flush_telemetry()

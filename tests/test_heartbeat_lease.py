@@ -1,18 +1,22 @@
-"""Heartbeats as leases: what the leader logs, and when it requeues.
+"""Heartbeats and node reports as leases: what the leader logs, when it
+requeues, and which nodes it places on.
 
 The property drives ``RlaService`` and the log-every-heartbeat oracle
 (``lease_oracles.EveryBeatService``) through the same heartbeat schedule
 under one stable leader and compares every requeue. The engine tests kill
 the leader: a live component must survive the change, however old its
 replicated heartbeat time, and a dead one must still be requeued within
-one grace period of the new lease. A settled federation logs no heartbeat
-at all, while the leader still knows how fresh each component is.
+one grace period of the new lease. A settled federation logs nothing at
+all, while the leader still knows how fresh each component and node is:
+a changed node report reaches every replica, a node no longer reported
+ages out, and a new leader places only on nodes it has heard from.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +37,8 @@ from qonnect.kb.model import ComponentStatus, Domain
 from qonnect.kb.store import HEARTBEAT_STATUS
 from qonnect.raft.node import Role
 from qonnect.rla import RlaConfig, RlaService
-from qonnect.sim import CrashLoop
+from qonnect.scheduler import eligibility_filter
+from qonnect.sim import CrashLoop, NodeNotReady, NodePressure
 
 GRACE, TICK = 30.0, 5.0
 STEPS = 150  # one simulated second each
@@ -281,19 +286,23 @@ def _counting(service: RlaService, counts: dict[str, int]):
     return heartbeat
 
 
-def test_a_settled_window_appends_only_node_report_events():
-    # With no heartbeat logged, what a settled window still appends is one
-    # ``kb-nodes-updated`` per node report per replica.
+def test_settled_windows_propose_append_and_compact_nothing():
+    # Every heartbeat and every node report of a settled federation repeats
+    # what the KB holds, so each one only renews a lease on the leader: two
+    # 100 s windows propose no log entry, append no event and compact no log.
     dep = _settled_fleet(seed=35)
-    spec = dep.spec
-    window = 100.0
-    reports = len(spec.clusters) * round(window / spec.ra_snapshot_period)
+    proposals: list[str] = []
+    propose = dep.group.propose
+    dep.group.propose = lambda i, raw: proposals.append(raw) or propose(i, raw)
+    nodes = dep.group.nodes.values()
     for _ in range(2):
         mark = len(dep.events.events)
-        dep.run(window)
-        kinds = Counter(e.kind for e in dep.events.events[mark:])
-        assert set(kinds) == {"kb-nodes-updated"}
-        assert kinds["kb-nodes-updated"] <= spec.rla_count * reports  # 540
+        before = [(n.commit_index, n.snapshot_index) for n in nodes]
+        dep.run(100.0)
+        assert proposals == []
+        assert dep.events.events[mark:] == []
+        assert [(n.commit_index, n.snapshot_index) for n in nodes] == before
+    _assert_replicas_equal(dep)
 
 
 def test_the_leader_knows_each_components_freshness_while_nothing_is_logged():
@@ -363,3 +372,138 @@ def test_a_leader_change_after_a_long_stable_term_requeues_only_dead_components(
             requeued.setdefault((e.detail["app"], e.detail["component"]), e.at)
     assert requeued.keys() == dead
     assert max(requeued.values()) <= elected_at + spec.grace_period + spec.tick_period
+
+
+# ---------------------------------------------------------------------------
+# Node reports as leases
+# ---------------------------------------------------------------------------
+
+
+def _assert_replicas_equal(dep: Deployment) -> None:
+    """After one round of catch-up, every running replica's KB is ``==``."""
+    leader = dep.group.leader()
+    if leader is not None:
+        dep.group.pump(leader.broadcast_append())
+    kbs = _running_kbs(dep)
+    assert len(kbs) >= 2 and all(kb == kbs[0] for kb in kbs)
+
+
+def _running_kbs(dep: Deployment) -> list[KnowledgeBase]:
+    return [s.kb for i, s in dep.services.items() if i not in dep.group.stopped]
+
+
+def _chosen_node(dep: Deployment, app_name: str, component: str) -> tuple[str, str]:
+    """(cluster id, node name) placement chose first for ``component``."""
+    decision = dep.kb().live_application(app_name).component(component).decision
+    return decision.cluster_id, decision.node_names[0]
+
+
+def _placed(dep: Deployment, name: str) -> bool:
+    app = dep.kb().live_application(name)
+    return app is not None and all(c.decision is not None for c in app.components)
+
+
+@pytest.mark.parametrize(
+    "fault, field, value", [(NodeNotReady, "ready", False), (NodePressure, "pressured", True)]
+)
+def test_a_node_that_turns_unfit_reaches_every_replica_and_loses_placements(
+    fault, field, value
+):
+    dep = _settled_fleet(seed=37)
+    spec = dep.spec
+    cluster_id, node_name = _chosen_node(dep, "quiet-a", "ratings")
+    key = (cluster_id, node_name)
+    assert all(getattr(kb.nodes[key], field) != value for kb in _running_kbs(dep))
+    start = dep.now
+    dep.inject_fault(dep.cluster_name_by_id(cluster_id), fault(node_name))
+
+    assert dep.run_until(
+        lambda: all(getattr(kb.nodes[key], field) == value for kb in _running_kbs(dep)),
+        spec.ra_snapshot_period + spec.telemetry_flush + dep.DT,
+    )
+    assert dep.now - start <= spec.ra_snapshot_period + spec.telemetry_flush + dep.DT
+    # The same QoS class places as before on every node but this one.
+    dep.client().submit_application(bookinfo_bundle("after-fault"))
+    assert dep.run_until(lambda: _placed(dep, "after-fault"), 2 * spec.tick_period)
+    ratings = dep.kb().live_application("after-fault").component("ratings").decision
+    assert node_name not in ratings.node_names
+    _assert_replicas_equal(dep)
+
+
+def test_a_node_dropped_from_its_clusters_reports_ages_out():
+    dep = _settled_fleet(seed=38)
+    spec = dep.spec
+    cluster_id, node_name = _chosen_node(dep, "quiet-a", "ratings")
+    cluster = dep.clusters[dep.cluster_name_by_id(cluster_id)]
+    leader = dep.leader_service()
+    domain = dep.kb().clusters[cluster_id].domain
+    cluster.nodes = [n for n in cluster.nodes if n.name != node_name]
+
+    def eligible() -> set[str]:
+        nodes = leader.kb.nodes_in_domain(domain)
+        return {
+            n.node_name
+            for n in eligibility_filter(
+                nodes, dep.now, spec.snapshot_staleness, seen=leader._nodes_seen
+            )
+            if n.cluster_id == cluster_id
+        }
+
+    last_heard = leader._nodes_seen[(cluster_id, node_name)]
+    others = {n.name for n in cluster.nodes if n.role != "control-plane"}
+    while node_name in eligible():
+        assert dep.now - last_heard <= spec.snapshot_staleness
+        dep.step()
+    assert dep.now - last_heard <= spec.snapshot_staleness + dep.DT
+    assert leader._nodes_seen[(cluster_id, node_name)] == last_heard
+    # The cluster keeps reporting, so its other nodes stay eligible.
+    dep.run(spec.snapshot_staleness)
+    assert eligible() == others
+    dep.client().submit_application(bookinfo_bundle("after-drop"))
+    assert dep.run_until(lambda: _placed(dep, "after-drop"), 2 * spec.tick_period)
+    ratings = dep.kb().live_application("after-drop").component("ratings").decision
+    assert node_name not in ratings.node_names
+    assert dep.leader_service() is leader
+    _assert_replicas_equal(dep)
+
+
+def test_a_new_leader_places_nothing_on_a_cluster_whose_agent_died_before_it():
+    # The dead agent's cluster reported within the staleness bound of the old
+    # leader's soft state, but its replicated report is old, and the new
+    # leader never hears from it.
+    dep = _settled_fleet(seed=39)
+    spec = dep.spec
+    cluster_id, _ = _chosen_node(dep, "quiet-a", "ratings")
+    dep.kill_ra(dep.cluster_name_by_id(cluster_id))
+    dep.run(dep.DT)
+    old_leader = dep.leader_id()
+    dep.kill_rla(old_leader)
+    mark = len(dep.events.events)
+    assert dep.run_until(lambda: dep.leader_id() not in (None, old_leader), 5.0)
+    # The other clusters report within a period, and a pass places on them.
+    dep.client().submit_application(bookinfo_bundle("after-failover"))
+    assert dep.run_until(
+        lambda: _placed(dep, "after-failover"),
+        spec.ra_snapshot_period + spec.telemetry_flush + 2 * spec.tick_period,
+    )
+    # The dead cluster's components are requeued after a grace period, and
+    # placed again elsewhere.
+    dep.run(spec.grace_period + 2 * spec.tick_period)
+
+    decisions = [
+        e for e in dep.events.events[mark:] if e.kind == "kb-decision-recorded"
+    ]
+    assert decisions and all(e.detail["cluster_id"] != cluster_id for e in decisions)
+    requeued = {
+        (e.detail["app"], e.detail["component"])
+        for e in dep.events.events[mark:]
+        if e.kind == "kb-component-requeued"
+    }
+    assert ("quiet-a", "ratings") in requeued
+    for name in ("quiet-a", "quiet-b", "quiet-c", "after-failover"):
+        app = dep.kb().live_application(name)
+        assert all(
+            c.decision is not None and c.decision.cluster_id != cluster_id
+            for c in app.components
+        )
+    _assert_replicas_equal(dep)

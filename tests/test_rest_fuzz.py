@@ -3,8 +3,9 @@
 Any method on any route template, with real or random ids and any JSON
 body, must answer with one of the API's statuses and a JSON-encodable
 payload, on the leader and on a follower alike. ``validate_bundle`` must
-classify any JSON value without raising, and a bundle it accepts must be in
-the form the log decodes to, as the leader applies it from that form.
+classify any JSON value without raising, however deeply nested, and a
+bundle it accepts must be in the form the log decodes to, as the leader
+applies it from that form.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from qonnect.harness.bookinfo import bookinfo_bundle
 from qonnect.harness.engine import Deployment
 from qonnect.kb.commands import SubmitApplication, decode_command, encode_command
 from qonnect.rla.rest import RestApi
-from qonnect.rla.validation import validate_bundle
+from qonnect.rla.validation import MAX_MANIFEST_DEPTH, validate_bundle
 
 STATUSES = {200, 201, 307, 400, 404, 409, 503}
 
@@ -115,6 +116,34 @@ in_process_values = st.recursive(
 )
 
 
+class Nested(list):
+    """An array holding arrays (or objects) nested ``levels`` levels deep in
+    all; its short repr keeps Hypothesis from printing every level."""
+
+    def __init__(self, levels: int, objects: bool = False) -> None:
+        inner: list | dict = {} if objects else []
+        for _ in range(levels - 2):
+            inner = {"x": inner} if objects else [inner]
+        super().__init__([inner] if levels > 1 else [])
+        self.levels = levels
+
+    def __repr__(self) -> str:
+        return f"Nested({self.levels})"
+
+
+# Values nested from shallow to past the depth at which the log's decoder
+# fails (about 975 levels below a manifest's top).
+deep_values = st.builds(Nested, st.integers(1, 1200), st.booleans())
+
+
+def depth(value: object) -> int:
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return 1 + max(map(depth, value), default=0)
+    return 0
+
+
 def bookinfo_with(edit) -> dict:
     bundle = bookinfo_bundle("fuzzed")
     edit(bundle)
@@ -127,7 +156,7 @@ def bookinfo_variants(draw) -> dict:
     JSON value or an in-process one, so that most variants pass."""
     bundle = bookinfo_bundle("fuzzed")
     obj = draw(st.sampled_from([o for c in bundle["components"] for o in c["objects"]]))
-    obj[draw(st.sampled_from(KEYS) | st.text(max_size=6))] = draw(in_process_values)
+    obj[draw(st.sampled_from(KEYS) | st.text(max_size=6))] = draw(in_process_values | deep_values)
     return bundle
 
 
@@ -138,6 +167,12 @@ def bookinfo_variants(draw) -> dict:
 @example(bookinfo_with(lambda b: b["components"][1]["objects"][0].update(ids={1: {2: "b"}})))
 @example(bookinfo_with(lambda b: b["application"].update(name=Name("fuzzed"))))
 @example(bookinfo_with(lambda b: b["components"][2].update(component=Name("reviews"))))
+# An object three levels down in its manifest, holding arrays nested to the
+# limit, one level past it, and as deep as the log's decoder or its encoder fails.
+@example(bookinfo_with(lambda b: b["components"][1]["objects"][0].update(x=Nested(97))))
+@example(bookinfo_with(lambda b: b["components"][1]["objects"][0].update(x=Nested(98))))
+@example(bookinfo_with(lambda b: b["components"][1]["objects"][0].update(x=Nested(972))))
+@example(bookinfo_with(lambda b: b["components"][1]["objects"][0].update(x=Nested(982))))
 @example(bookinfo_with(lambda b: b["application"].update(labels={"app": Name("fuzzed")})))
 def test_validate_bundle_classifies_any_json_value(bundle):
     parsed, errors = validate_bundle(bundle)
@@ -154,5 +189,6 @@ def test_validate_bundle_classifies_any_json_value(bundle):
     # its base; the unsorted dumps and exact types do not.
     for (_, _, manifest), (_, _, decoded) in zip(cmd.components, copy.components):
         assert json.dumps(manifest) == json.dumps(decoded)
+        assert depth(manifest) <= MAX_MANIFEST_DEPTH
     names = (parsed.name, *(s for label in parsed.labels for s in label))
     assert all(type(s) is str for s in names + tuple(c for c, _, _ in parsed.components))

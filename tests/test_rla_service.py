@@ -6,7 +6,14 @@ import pytest
 
 from qonnect.harness.bookinfo import bookinfo_bundle
 from qonnect.harness.engine import Deployment
-from qonnect.kb import Domain, KBCommand, KnowledgeBase, RegisterCluster, encode_command
+from qonnect.kb import (
+    Domain,
+    KBCommand,
+    KnowledgeBase,
+    RegisterCluster,
+    decode_command,
+    encode_command,
+)
 from qonnect.kb.model import ComponentStatus
 from qonnect.raft import (
     AppendRequest,
@@ -24,6 +31,7 @@ from qonnect.raft.storage import RaftStorage
 from qonnect.rla import RlaConfig, RlaService
 from qonnect.rla import service as service_module
 from qonnect.rla.service import UnavailableError
+from qonnect.rla.validation import MAX_MANIFEST_DEPTH
 
 
 @pytest.fixture()
@@ -112,7 +120,7 @@ def test_node_snapshot_unknown_cluster_404_and_control_plane_flagged(dep):
     assert (cid, "sneaky-control-plane") in dep.kb().nodes
 
 
-def test_repeated_node_report_gets_the_same_answer_and_is_queued_as_sent(dep, monkeypatch):
+def test_a_repeated_node_report_gets_the_same_answer_and_is_queued_once(dep, monkeypatch):
     api, service = leader_api(dep), dep.services[dep.leader_id()]
     checked = []
     check = service_module._check_report
@@ -127,16 +135,19 @@ def test_repeated_node_report_gets_the_same_answer_and_is_queued_as_sent(dep, mo
     }
     service._telemetry.clear()
     path = f"/clusters/{cid}/nodes"
-    answers = [api.dispatch("POST", path, {"nodes": [dict(node)]}) for _ in "ab"]
+    sent = [{"nodes": [dict(node)]} for _ in "ab"]
+    answers = [api.dispatch("POST", path, body) for body in sent]
     flags = ["control-plane-node-reported:cp"]
     assert answers[0] == answers[1] == (200, {"accepted": 1, "flags": flags})
     assert len(checked) == 1  # the identical second report is not decoded again
-    assert [cmd.nodes for cmd in service._telemetry] == [(node,), (node,)]
-    assert service._telemetry[0].nodes[0] is not service._telemetry[1].nodes[0]
-    # Equal values of other types are different reports, checked on their own.
-    for changes, status in (({"pricing": True}, 400), ({"pricing": 1}, 200)):
+    assert [cmd.nodes for cmd in service._telemetry] == [(node,)]  # nor queued
+    assert service._telemetry[0].nodes[0] is sent[0]["nodes"][0]
+    # Equal values of other types are different reports, checked and queued
+    # on their own, and so is the report that undoes such a change.
+    for changes, status in (({"pricing": True}, 400), ({"pricing": 1}, 200), ({}, 200)):
         assert api.dispatch("POST", path, {"nodes": [{**node, **changes}]})[0] == status
-    assert len(checked) == 3
+    assert len(checked) == 4
+    assert [type(cmd.nodes[0]["pricing"]) for cmd in service._telemetry] == [float, int, float]
 
 
 def test_submit_validation_errors_are_field_level(dep):
@@ -220,6 +231,45 @@ def test_a_placeholder_no_component_can_resolve_is_400_on_submit(dep):
     assert dep.send(leader, "POST", "/applications", bundle)[0] == 201
     assert dep.send(leader, "POST", "/applications", bookinfo_bundle("shop"))[0] == 201
     assert sorted(app.name for app in dep.kb().applications.values()) == ["own", "shop"]
+
+
+def nested(levels: int) -> list:
+    """An array nested ``levels`` levels deep, the innermost one empty."""
+    value: list = []
+    for _ in range(levels - 1):
+        value = [value]
+    return value
+
+
+def test_a_manifest_nested_past_the_limit_is_400_and_one_at_it_commits_everywhere(dep):
+    # In ``{"objects": [{"env": {"X": ...}}]}`` the value of X starts at
+    # the fifth level.
+    leader = f"rla-{dep.leader_id()}"
+    at_limit = one_component_bundle("deep", "cloud", {"X": nested(MAX_MANIFEST_DEPTH - 4)})
+    # One level over the limit; about 975 levels committed an entry no
+    # replica could decode, and about 985 raised out of the request.
+    for levels in (MAX_MANIFEST_DEPTH + 1, 975, 985, 5000):
+        bundle = one_component_bundle("deep", "cloud", {"X": nested(levels - 4)})
+        status, body = dep.send(leader, "POST", "/applications", bundle)
+        assert status == 400, levels
+        assert body["errors"] == [
+            {
+                "field": "components[0].objects",
+                "error": f"the manifest of web nests deeper than {MAX_MANIFEST_DEPTH} levels",
+            }
+        ]
+    assert dep.kb().live_application("deep") is None
+
+    assert dep.send(leader, "POST", "/applications", at_limit)[0] == 201
+    index = dep.group.nodes[dep.leader_id()].last_log_index
+    dep.run(0.5)  # followers learn the commit and apply it
+    manifest = {"objects": at_limit["components"][0]["objects"]}
+    for node in dep.group.nodes.values():
+        entry = decode_command(node.entry_at(index).command)
+        assert entry.components[0][2] == manifest
+    kbs = [service.kb for service in dep.services.values()]
+    assert all(kb.live_application("deep") is not None for kb in kbs)
+    assert all(kb == kbs[0] for kb in kbs)
 
 
 def test_duplicate_live_name_is_conflict(dep):
