@@ -264,9 +264,12 @@ class KnowledgeBase:
         )
 
     def _apply_put_nodes(self, cmd: PutNodeSnapshot) -> Effect:
+        """Store a cluster's report as its node list: a node the report leaves
+        out goes, unless it was reported later than this report."""
         if cmd.cluster_id not in self.clusters:
             return _noop("unknown-cluster", cluster_id=cmd.cluster_id)
         stored, flags = 0, []
+        named = set()
         for i, wire in enumerate(cmd.nodes):
             try:
                 snap = node_from_wire(wire, cmd.cluster_id, cmd.taken_at)
@@ -274,6 +277,7 @@ class KnowledgeBase:
                 flags.append(f"malformed-node:{i}")
                 continue
             key = (cmd.cluster_id, snap.node_name)
+            named.add(key)
             existing = self.nodes.get(key)
             if existing is not None and existing.taken_at > snap.taken_at:
                 flags.append(f"stale-snapshot:{snap.node_name}")
@@ -283,6 +287,12 @@ class KnowledgeBase:
                 flags.append(f"control-plane-node-reported:{snap.node_name}")
             self.nodes[key] = snap
             stored += 1
+        for key in [
+            key
+            for key, snap in self.nodes.items()
+            if key[0] == cmd.cluster_id and key not in named and snap.taken_at <= cmd.taken_at
+        ]:
+            del self.nodes[key]
         return Effect(kind="nodes-updated", detail={"stored": stored, "flags": flags})
 
     def _apply_submit(self, cmd: SubmitApplication) -> Effect:

@@ -30,10 +30,14 @@ The scheduler pass and telemetry flush only run while this node is leader;
 a deposed leader's in-flight proposals fail at commit and are harmless.
 
 Telemetry works as leases (Gray and Cheriton, "Leases", SOSP 1989;
-Kubernetes KEP-589, "Efficient Node Heartbeats"). The leader keeps, as
-soft state for its term, the time of each component's last accepted
-heartbeat, of each node's last accepted report, and the time it began to
-lead; renewing a lease writes nothing to the log.
+Kubernetes KEP-589, "Efficient Node Heartbeats"), renewed by their
+holders: a component by its heartbeat, a cluster by its node report. The
+leader keeps one ``_Lease`` record of soft state for its term, made at its
+first leader work in the term and dropped when it stops leading: when the
+term's lease began, the time of each component's last accepted heartbeat,
+the time of each cluster's last accepted report, and the fingerprint of
+each cluster's last checked report. Renewing a lease writes nothing to
+the log.
 
 A heartbeat is logged only when it changes the replicated status, which
 the first beat after a decision always does (a decision sets Scheduled,
@@ -42,15 +46,20 @@ still in the unflushed telemetry is logged too, so a flip and its undoing
 both commit. The stall check counts from the latest of the replicated
 time, the leader's own last-seen time and its lease start, so a new
 leader gives every component one full grace period before it requeues
-any, however old the replicated times are.
+any, however old the replicated times are. A refused heartbeat changes
+no lease. A requeued or re-weighted component keeps its last-seen time,
+which its next decision time postdates; only a deleted application's
+times are dropped, as nothing reads them again.
 
 A node report is logged only when it differs from the last report of its
 cluster that the leader queued or committed in its term, so a leader logs
 each cluster's first report, a changed one, and a change and its undoing
-alike. A node is eligible for placement while the latest of its
-replicated report time and the leader's own last-heard time is within
-the snapshot staleness. Nothing stands in for the lease start here: a new
-leader places only on nodes it has heard from in its term or whose
+alike. A report replaces its cluster's nodes, so the KB holds exactly the
+nodes of each cluster's last report and one last-heard time per cluster
+covers them all. A node is eligible for placement while the latest of its
+replicated report time and its cluster's last-heard time is within the
+snapshot staleness. Nothing stands in for the lease start here: a new
+leader places only on clusters it has heard from in its term or whose
 replicated report is fresh, so a cluster that died around a leader change
 gets nothing placed on it.
 """
@@ -62,6 +71,7 @@ import marshal
 import math
 import time
 import uuid
+from dataclasses import dataclass, field
 from typing import Callable
 
 from qonnect.events import EventLog
@@ -72,7 +82,6 @@ from qonnect.kb.commands import (
     PutNodeSnapshot,
     RecordHeartbeat,
     RegisterCluster,
-    RequeueComponent,
     SubmitApplication,
     UpdateQoS,
     decode_command,
@@ -144,9 +153,9 @@ def _finite(value: float) -> bool:
         return False
 
 
-def _check_report(nodes: list, cluster_id: str, taken_at: float) -> tuple[str, ...]:
-    """A node report's flags; ``ValidationFailed`` names each node that would
-    not apply, or whose attributes are not all finite.
+def _check_report(nodes: list, cluster_id: str, taken_at: float) -> None:
+    """``ValidationFailed`` naming each node of a report that would not apply,
+    or whose attributes are not all finite.
 
     ``NodeSnapshot`` itself accepts NaN and infinities, so log entries
     written before this check still decode and replay.
@@ -165,11 +174,21 @@ def _check_report(nodes: list, cluster_id: str, taken_at: float) -> tuple[str, .
         )
     if errors:
         raise ValidationFailed(errors)
-    return tuple(
-        f"control-plane-node-reported:{n['node_name']}"
-        for n in nodes
-        if n.get("role") == "control-plane"
-    )
+
+
+@dataclass
+class _Lease:
+    """A leader's soft state for one term (see the module docstring)."""
+
+    term: int
+    start: float
+    # (app id, component) -> time of its last accepted heartbeat.
+    seen: dict[tuple[str, str], float] = field(default_factory=dict)
+    # Cluster -> time of its last accepted node report.
+    heard: dict[str, float] = field(default_factory=dict)
+    # Cluster -> the fingerprint of its last report queued or committed in
+    # this term (None if it had none).
+    reports: dict[str, bytes | None] = field(default_factory=dict)
 
 
 class RlaService:
@@ -199,18 +218,7 @@ class RlaService:
         # (app id, component) with a status change in ``_telemetry``: each of
         # its later heartbeats in the window is logged too.
         self._status_queued: set[tuple[str, str]] = set()
-        # Lease soft state (see the module docstring), kept for one term:
-        # (app id, component) -> time of its last accepted heartbeat.
-        self._lease_term: int | None = None
-        self._lease_start: float | None = None
-        self._seen: dict[tuple[str, str], float] = {}
-        # (cluster id, node name) -> time of the last accepted report naming it.
-        self._nodes_seen: dict[tuple[str, str], float] = {}
-        # Cluster -> the fingerprint, flags and node keys of its last report
-        # queued or committed in this term.
-        self._checked_reports: dict[
-            str, tuple[bytes, tuple[str, ...], tuple[tuple[str, str], ...]]
-        ] = {}
+        self._lease: _Lease | None = None
         # Compaction trigger state (see the module docstring): commands and
         # raw entry bytes applied since the last snapshot, and its size.
         self._applied_since_compact = 0
@@ -290,19 +298,12 @@ class RlaService:
         if self.node.role != Role.LEADER:
             raise NotLeaderError(self.node.leader_id)
 
-    def _hold_lease(self, now: float) -> None:
-        """Begin this term's lease at the first leader work in the term."""
-        if self._lease_term != self.node.current_term:
-            self._lease_term = self.node.current_term
-            self._lease_start = now
-            self._seen = {}
-            self._nodes_seen = {}
-            self._checked_reports = {}
-
-    def _forget(self, app: ApplicationRecord) -> None:
-        """Drop the last-seen times of every component of ``app``."""
-        for comp in app.components:
-            self._seen.pop((app.app_id, comp.name), None)
+    def _hold_lease(self, now: float) -> _Lease:
+        """This term's lease, begun at the first leader work in the term."""
+        lease = self._lease
+        if lease is None or lease.term != self.node.current_term:
+            lease = self._lease = _Lease(self.node.current_term, now)
+        return lease
 
     def _propose(self, command: KBCommand) -> Effect:
         return self._propose_entry(command)[0]
@@ -352,33 +353,30 @@ class RlaService:
         return self.kb.cluster_config()
 
     def put_node_snapshot(self, cluster_id: str, nodes: list[dict]) -> dict:
-        """Accept one cluster's node report; it renews each node it names on
+        """Accept one cluster's node report; it renews the cluster's lease on
         this leader and reaches the log only when it changed (see the module
         docstring)."""
         self._require_leader()
         if cluster_id not in self.kb.clusters:
             raise NotFoundError(f"unknown cluster: {cluster_id}")
         taken_at = self.clock()
-        self._hold_lease(taken_at)
-        # A report's check and flags depend on nothing else, so a report
-        # identical in every value and type to the cluster's last one gets
-        # that one's flags and node keys without being decoded again.
+        lease = self._hold_lease(taken_at)
+        # A report's check depends on nothing else, so a report identical in
+        # every value and type to the cluster's last one is not checked again.
         fingerprint = _fingerprint(nodes)
-        last = self._checked_reports.get(cluster_id)
-        if last is not None and fingerprint == last[0]:
-            _, flags, keys = last
-        else:
-            flags = _check_report(nodes, cluster_id, taken_at)
-            keys = tuple((cluster_id, n["node_name"]) for n in nodes)
+        if fingerprint is None or fingerprint != lease.reports.get(cluster_id):
+            _check_report(nodes, cluster_id, taken_at)
             self._telemetry.append(
                 PutNodeSnapshot(cluster_id=cluster_id, nodes=tuple(nodes), taken_at=taken_at)
             )
-            if fingerprint is None:
-                self._checked_reports.pop(cluster_id, None)
-            else:
-                self._checked_reports[cluster_id] = (fingerprint, flags, keys)
-        self._nodes_seen.update(dict.fromkeys(keys, taken_at))
-        return {"accepted": len(nodes), "flags": list(flags)}
+            lease.reports[cluster_id] = fingerprint
+        lease.heard[cluster_id] = taken_at
+        flags = [
+            f"control-plane-node-reported:{n['node_name']}"
+            for n in nodes
+            if n.get("role") == "control-plane"
+        ]
+        return {"accepted": len(nodes), "flags": flags}
 
     def submit_application(self, bundle: dict) -> str:
         parsed, errors = validate_bundle(bundle)
@@ -414,7 +412,6 @@ class RlaService:
         effect = self._propose(UpdateQoS(name=name, qos=qos, updated_at=self.clock()))
         if effect.is_noop:
             raise NotFoundError(f"unknown application: {name}")
-        self._forget(app)  # every component goes back to Pending
         return {"name": name, "version": effect.detail["version"]}
 
     def delete_application(self, name: str) -> dict:
@@ -425,7 +422,9 @@ class RlaService:
         effect = self._propose(DeleteApplication(name=name))
         if effect.is_noop:
             raise NotFoundError(f"unknown application: {name}")
-        self._forget(app)
+        if self._lease is not None:  # no heartbeat will renew these again
+            for comp in app.components:
+                self._lease.seen.pop((app.app_id, comp.name), None)
         return {"name": name, "status": "withdrawn"}
 
     def poll_applications(self, cluster_id: str) -> list[dict]:
@@ -488,7 +487,7 @@ class RlaService:
             )
         self._require_leader()
         at = self.clock()
-        self._hold_lease(at)
+        lease = self._hold_lease(at)
         key = (app_id, component)
         app = self.kb.applications.get(app_id)
         comp = None if app is None else app.component(component)
@@ -498,9 +497,8 @@ class RlaService:
             or comp.decision is None
             or comp.decision.cluster_id != cluster_id
         ):
-            self._seen.pop(key, None)
             return False
-        self._seen[key] = at
+        lease.seen[key] = at
         if HEARTBEAT_STATUS[status] == comp.status and key not in self._status_queued:
             return True
         self._status_queued.add(key)
@@ -536,18 +534,15 @@ class RlaService:
         if self.node.role != Role.LEADER:
             self._telemetry.clear()
             self._status_queued.clear()
-            self._seen.clear()
-            self._nodes_seen.clear()
-            self._checked_reports.clear()
-            self._lease_term = None  # leading again starts a new lease
+            self._lease = None  # leading again starts a new lease
             return
-        self._hold_lease(now)
+        lease = self._hold_lease(now)
         if now >= self._next_flush:
             self._next_flush = now + self.config.telemetry_flush
             self._flush_telemetry()
         if now >= self._next_scheduler_pass:
             self._next_scheduler_pass = now + self.config.tick_period
-            self._scheduler_pass(now)
+            self._scheduler_pass(now, lease)
 
     def _flush_telemetry(self) -> None:
         pending, self._telemetry = self._telemetry, []
@@ -559,24 +554,22 @@ class RlaService:
         except (NotLeaderError, UnavailableError):
             # Deposed or stalled; agents re-report next period, and each
             # cluster's next report is logged whatever it repeats.
-            self._checked_reports = {}
+            if self._lease is not None:
+                self._lease.reports.clear()
 
-    def _scheduler_pass(self, now: float) -> None:
+    def _scheduler_pass(self, now: float, lease: _Lease) -> None:
         commands = scheduler_tick(
             self.kb,
             now=now,
             term=self.node.current_term,
             grace_period=self.config.grace_period,
             snapshot_staleness=self.config.snapshot_staleness,
-            seen=self._seen,
-            lease_start=self._lease_start,
-            nodes_seen=self._nodes_seen,
+            seen=lease.seen,
+            lease_start=lease.start,
+            heard=lease.heard,
         )
         if not commands:
             return
-        for command in commands:
-            if isinstance(command, RequeueComponent):
-                self._seen.pop((command.app_id, command.component), None)
         try:
             effects = self._propose_entry(Batch(tuple(commands)))
         except (NotLeaderError, UnavailableError):

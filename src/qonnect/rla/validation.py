@@ -51,20 +51,25 @@ class ParsedBundle:
     components: tuple[tuple[str, Domain, dict], ...]
 
 
-def _nests_deeper(values: Iterable[object], levels: int) -> bool:
-    """Whether any of ``values`` nests objects and arrays more than ``levels``
-    levels deep (an array of scalars is one level). The walk stops at
-    ``levels``, so it never recurses deeper than that."""
+def _check_objects(values: Iterable[object], levels: int) -> None:
+    """Fail as the encoder would at the limits of a manifest: ``RecursionError``
+    if any of ``values`` nests objects and arrays more than ``levels`` levels
+    deep (an array of scalars is one level), and ``TypeError`` for an object
+    key that is not a string, which the encoder orders as what it is but
+    writes as a string. The walk stops at ``levels``, so it never recurses
+    deeper than that."""
     for value in values:
         if isinstance(value, dict):
+            if not all(isinstance(key, str) for key in value):
+                raise TypeError("object keys must be strings")
             children = value.values()
         elif isinstance(value, (list, tuple)):
             children = value
         else:
             continue
-        if levels == 0 or _nests_deeper(children, levels - 1):
-            return True
-    return False
+        if levels == 0:
+            raise RecursionError(f"nested deeper than {MAX_MANIFEST_DEPTH} levels")
+        _check_objects(children, levels - 1)
 
 
 def _too_deep(component: str) -> str:
@@ -139,6 +144,12 @@ def validate_bundle(bundle: object) -> tuple[ParsedBundle | None, list[dict]]:
         err("components", "at least one component is required")
         components_raw = []
 
+    # A placeholder resolves to the cluster of a sibling in its domain, so
+    # it must name a domain that some component of the bundle targets. A
+    # sibling refused for another reason still counts, so that one bad
+    # component is reported once.
+    domains = (c.get("domain") for c in components_raw if isinstance(c, dict))
+    targets = {d for d in domains if isinstance(d, str) and d in VALID_DOMAINS}
     seen: set[str] = set()
     kept: list[tuple[int, str, Domain, list]] = []  # position, name, domain, objects
     for i, comp in enumerate(components_raw):
@@ -177,25 +188,16 @@ def validate_bundle(bundle: object) -> tuple[ParsedBundle | None, list[dict]]:
             continue
         kept.append((i, comp_name, Domain(domain_raw), objects))
 
-    # A placeholder resolves to the cluster of a sibling in its domain, so
-    # it must name a domain that some component of the bundle targets.
-    targets = {domain.value for _, _, domain, _ in kept}
     texts: list[str] = []
     for i, comp_name, _, objects in kept:
         try:
             text = codec.dumps({"objects": objects}, allow_nan=False)
+            _check_objects(objects, MAX_MANIFEST_DEPTH - 2)  # the levels below {"objects": [...]}
         except RecursionError:
             err(f"components[{i}].objects", _too_deep(comp_name))
             continue
         except (TypeError, ValueError):
             err(f"components[{i}].objects", "objects must be JSON values")
-            continue
-        # Each level opens a bracket, so only a text with more brackets than
-        # the limit needs the walk.
-        if text.count("[") + text.count("{") > MAX_MANIFEST_DEPTH and _nests_deeper(
-            objects, MAX_MANIFEST_DEPTH - 2  # the levels below {"objects": [...]}
-        ):
-            err(f"components[{i}].objects", _too_deep(comp_name))
             continue
         unresolvable = sorted({m.lower() for m in PLACEHOLDER_RE.findall(text)} - targets)
         if unresolvable:

@@ -42,23 +42,22 @@ def eligibility_filter(
     nodes: Sequence[NodeSnapshot],
     now: float,
     staleness: float,
-    seen: Mapping[tuple[str, str], float] | None = None,
+    heard: Mapping[str, float] | None = None,
 ) -> list[NodeSnapshot]:
     """Drop unready, unschedulable, pressured, or stale nodes.
 
     A node is fresh while the latest of its snapshot's ``taken_at`` and its
-    time in ``seen`` ((cluster id, node name) -> when the leader last heard
-    it) is within ``staleness`` of ``now``.
+    cluster's time in ``heard`` (cluster id -> when the leader last heard its
+    report) is within ``staleness`` of ``now``.
     """
-    seen = seen or {}
+    heard = heard or {}
     return [
         n
         for n in nodes
         if n.ready
         and n.schedulable
         and not n.pressured
-        and now - max(n.taken_at, seen.get((n.cluster_id, n.node_name), n.taken_at))
-        <= staleness
+        and now - max(n.taken_at, heard.get(n.cluster_id, n.taken_at)) <= staleness
     ]
 
 
@@ -154,10 +153,10 @@ def rank_domain(
     snapshots: Sequence[NodeSnapshot],
     now: float,
     staleness: float,
-    seen: Mapping[tuple[str, str], float] | None = None,
+    heard: Mapping[str, float] | None = None,
 ) -> DomainRanks | None:
     """The per-domain step; None when nothing is eligible."""
-    eligible = eligibility_filter(snapshots, now=now, staleness=staleness, seen=seen)
+    eligible = eligibility_filter(snapshots, now=now, staleness=staleness, heard=heard)
     return rank_nodes(eligible) if eligible else None
 
 
@@ -185,7 +184,7 @@ class BordaCountStrategy:
     ``place`` to time and count placements. The instance holds the rank
     table of each snapshot list it has placed on, keyed by that list with
     ``now`` and ``staleness``, so the classes of one domain share one
-    ranking. A list, and the ``seen`` map passed with it, must therefore not
+    ranking. A list, and the ``heard`` map passed with it, must therefore not
     change while the instance lives.
     """
 
@@ -202,14 +201,14 @@ class BordaCountStrategy:
         qos: QoSVector,
         now: float,
         staleness: float,
-        seen: Mapping[tuple[str, str], float] | None = None,
+        heard: Mapping[str, float] | None = None,
     ) -> PlacementResult | None:
         key = (id(snapshots), now, staleness)
         table = self._tables.get(key)
         if table is None:
             table = self._tables[key] = (
                 snapshots,
-                rank_domain(snapshots, now=now, staleness=staleness, seen=seen),
+                rank_domain(snapshots, now=now, staleness=staleness, heard=heard),
             )
         ranks = table[1]
         return None if ranks is None else ranks.place(qos)

@@ -31,15 +31,15 @@ def scheduler_tick(
     snapshot_staleness: float,
     seen: Mapping[tuple[str, str], float] | None = None,
     lease_start: float | None = None,
-    nodes_seen: Mapping[tuple[str, str], float] | None = None,
+    heard: Mapping[str, float] | None = None,
 ) -> list[KBCommand]:
     """Compute this tick's commands from a consistent KB view.
 
     A component silent for ``grace_period`` is requeued; a node neither
     reported nor heard from within ``snapshot_staleness`` is ineligible.
-    ``seen`` and ``lease_start`` are the leader's lease soft state, passed
-    on to ``KnowledgeBase.stalled_components``; ``nodes_seen`` is its
-    last-heard time per node, passed on to ``eligibility_filter``.
+    ``seen``, ``lease_start`` and ``heard`` are the leader's lease soft
+    state: the first two are passed on to ``KnowledgeBase.stalled_components``,
+    and ``heard``, its last-heard time per cluster, to ``eligibility_filter``.
     """
     commands: list[KBCommand] = []
     stalled = kb.stalled_components(
@@ -67,7 +67,7 @@ def scheduler_tick(
                 app.qos,
                 now=now,
                 staleness=snapshot_staleness,
-                seen=nodes_seen,
+                heard=heard,
             )
         result = placements[key]
         if result is None:

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 from qonnect.kb.commands import RecordHeartbeat
 from qonnect.kb.store import HEARTBEAT_STATUS
-from qonnect.rla.service import RlaService, ValidationFailed
+from qonnect.rla.service import RlaService, ValidationFailed, _Lease
 
 
 class EveryBeatService(RlaService):
-    def _hold_lease(self, now: float) -> None:
-        pass  # no soft state: ``_seen`` stays empty and the lease never starts
+    def _hold_lease(self, now: float) -> _Lease:
+        # No soft state: a new record each time, so nothing is ever seen or
+        # heard and the lease never starts.
+        return _Lease(self.node.current_term, start=float("-inf"))
 
     def heartbeat(
         self, app_id: str, component: str, cluster_id: str, version: int, status: str

@@ -9,7 +9,8 @@ replicated heartbeat time, and a dead one must still be requeued within
 one grace period of the new lease. A settled federation logs nothing at
 all, while the leader still knows how fresh each component and node is:
 a changed node report reaches every replica, a node no longer reported
-ages out, and a new leader places only on nodes it has heard from.
+leaves every replica, and a new leader places only on clusters it has
+heard from.
 """
 
 from __future__ import annotations
@@ -135,9 +136,12 @@ def test_requeues_under_a_stable_leader_equal_the_log_every_beat_oracle(schedule
         due = beats.get(second, [])
         assert leased.step(float(second), due) == oracle.step(float(second), due)
         assert leased.statuses() == oracle.statuses()
+        # A requeued component keeps its last-seen time, which its next
+        # decision postdates, so that time decides nothing.
+        seen = leased.service._lease.seen
         for comp in leased.service.kb.applications["app"].components:
-            if comp.status == ComponentStatus.PENDING:
-                assert ("app", comp.name) not in leased.service._seen
+            if comp.decision is not None and comp.last_heartbeat is None:
+                assert seen.get(("app", comp.name), -1.0) < comp.decision.decided_at
     assert leased.requeues == oracle.requeues
 
 
@@ -324,7 +328,7 @@ def test_the_leader_knows_each_components_freshness_while_nothing_is_logged():
             for app in leader.kb.applications.values():
                 for comp in app.components:
                     if comp.status in (ComponentStatus.HEALTHY, ComponentStatus.PROGRESSING):
-                        assert dep.now - leader._seen[(app.app_id, comp.name)] <= bound
+                        assert dep.now - leader._lease.seen[(app.app_id, comp.name)] <= bound
 
     assert dep.leader_id() == leader_id
     failed = [
@@ -339,6 +343,39 @@ def test_the_leader_knows_each_components_freshness_while_nothing_is_logged():
         app = kb.live_application(crashed[0])
         assert app.component(crashed[1]).status == ComponentStatus.FAILED
     assert all(kb == kbs[0] for kb in kbs)
+
+
+def test_a_stale_heartbeat_from_a_former_cluster_leaves_the_live_copy_unrequeued():
+    # Only status changes are logged, so after two graces a Healthy
+    # component's replicated time is far over a grace old, and only the
+    # leader's last-seen time keeps it alive. A heartbeat naming a cluster
+    # it has left is refused, and must not cost the live copy that time.
+    dep = _settled_fleet(seed=7)
+    spec = dep.spec
+    dep.run(2 * spec.grace_period)
+    app = dep.kb().live_application("quiet-a")
+    ratings = app.component("ratings")
+    host = dep.cluster_name_by_id(ratings.decision.cluster_id)
+    former = next(
+        cid
+        for cid, rec in dep.kb().clusters.items()
+        if rec.domain == ratings.target_domain and cid != ratings.decision.cluster_id
+    )
+    # Just after the host's heartbeat round, a full period before the next.
+    agent = dep.agents[host]
+    assert dep.run_until(
+        lambda: agent._next_heartbeat - dep.now >= spec.ra_heartbeat_period - dep.DT, 15.0
+    )
+    assert dep.now - ratings.last_heartbeat > spec.grace_period
+    leader = dep.leader_service()
+    assert not leader.heartbeat(app.app_id, "ratings", former, app.version, "healthy")
+    mark = len(dep.events.events)
+    dep.run(spec.grace_period)
+
+    assert dep.leader_service() is leader
+    assert [e for e in dep.events.events[mark:] if e.kind == "kb-component-requeued"] == []
+    assert ratings.status == ComponentStatus.HEALTHY
+    assert dep.cluster_name_by_id(ratings.decision.cluster_id) == host
 
 
 def test_a_leader_change_after_a_long_stable_term_requeues_only_dead_components():
@@ -430,35 +467,37 @@ def test_a_node_that_turns_unfit_reaches_every_replica_and_loses_placements(
     _assert_replicas_equal(dep)
 
 
-def test_a_node_dropped_from_its_clusters_reports_ages_out():
+def test_a_node_dropped_from_its_clusters_reports_leaves_every_replica():
     dep = _settled_fleet(seed=38)
     spec = dep.spec
     cluster_id, node_name = _chosen_node(dep, "quiet-a", "ratings")
+    key = (cluster_id, node_name)
     cluster = dep.clusters[dep.cluster_name_by_id(cluster_id)]
     leader = dep.leader_service()
-    domain = dep.kb().clusters[cluster_id].domain
     cluster.nodes = [n for n in cluster.nodes if n.name != node_name]
+    bound = spec.ra_snapshot_period + spec.telemetry_flush + dep.DT
+    start = dep.now
 
-    def eligible() -> set[str]:
-        nodes = leader.kb.nodes_in_domain(domain)
-        return {
-            n.node_name
-            for n in eligibility_filter(
-                nodes, dep.now, spec.snapshot_staleness, seen=leader._nodes_seen
-            )
-            if n.cluster_id == cluster_id
-        }
-
-    last_heard = leader._nodes_seen[(cluster_id, node_name)]
-    others = {n.name for n in cluster.nodes if n.role != "control-plane"}
-    while node_name in eligible():
-        assert dep.now - last_heard <= spec.snapshot_staleness
-        dep.step()
-    assert dep.now - last_heard <= spec.snapshot_staleness + dep.DT
-    assert leader._nodes_seen[(cluster_id, node_name)] == last_heard
-    # The cluster keeps reporting, so its other nodes stay eligible.
-    dep.run(spec.snapshot_staleness)
-    assert eligible() == others
+    assert dep.run_until(lambda: all(key not in kb.nodes for kb in _running_kbs(dep)), bound)
+    assert dep.now - start <= bound
+    others = {(cluster_id, n.name) for n in cluster.nodes if n.role != "control-plane"}
+    for kb in _running_kbs(dep):
+        assert {k for k in kb.nodes if k[0] == cluster_id} == others
+        restored = KnowledgeBase.restore(kb.snapshot_state())
+        assert key not in restored.nodes and restored == kb
+    # The cluster keeps reporting the same nodes, so once their replicated
+    # report is stale its last-heard time keeps them eligible.
+    dep.run(spec.snapshot_staleness + dep.DT)
+    domain = leader.kb.clusters[cluster_id].domain
+    eligible = eligibility_filter(
+        leader.kb.nodes_in_domain(domain), dep.now, spec.snapshot_staleness
+    )
+    assert not any(n.cluster_id == cluster_id for n in eligible)
+    eligible = eligibility_filter(
+        leader.kb.nodes_in_domain(domain), dep.now, spec.snapshot_staleness,
+        heard=leader._lease.heard,
+    )
+    assert {(n.cluster_id, n.node_name) for n in eligible if n.cluster_id == cluster_id} == others
     dep.client().submit_application(bookinfo_bundle("after-drop"))
     assert dep.run_until(lambda: _placed(dep, "after-drop"), 2 * spec.tick_period)
     ratings = dep.kb().live_application("after-drop").component("ratings").decision

@@ -206,6 +206,23 @@ def test_node_snapshot_freshness_is_monotone():
     assert kb.nodes[(cid, "w1")].taken_at == 10.0
 
 
+def test_a_report_replaces_its_clusters_nodes_but_never_drops_a_newer_one():
+    kb = KnowledgeBase()
+    cid = register(kb, "10.1.0.1", Domain.CLOUD)
+    other = register(kb, "10.1.0.2", Domain.CLOUD)
+    kb.apply(PutNodeSnapshot(cid, (node_wire("w1"), node_wire("w2")), taken_at=10.0))
+    kb.apply(PutNodeSnapshot(other, (node_wire("w2"),), taken_at=10.0))
+    # Older than the stored nodes: it stores nothing and removes nothing.
+    effect = kb.apply(PutNodeSnapshot(cid, (node_wire("w1"),), taken_at=5.0))
+    assert effect.detail["stored"] == 0
+    assert list(kb.nodes) == [(cid, "w1"), (cid, "w2"), (other, "w2")]
+    # A newer one drops what it leaves out, in its own cluster only.
+    effect = kb.apply(PutNodeSnapshot(cid, (node_wire("w1"),), taken_at=20.0))
+    assert effect.detail == {"stored": 1, "flags": []}
+    assert list(kb.nodes) == [(cid, "w1"), (other, "w2")]
+    assert KnowledgeBase.restore(kb.snapshot_state()) == kb
+
+
 def test_control_plane_node_is_stored_but_flagged():
     kb = KnowledgeBase()
     cid = register(kb, "10.1.0.1", Domain.CLOUD)

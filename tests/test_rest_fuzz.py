@@ -165,6 +165,9 @@ def bookinfo_variants(draw) -> dict:
 @example(bookinfo_with(lambda b: b["components"][0]["objects"][1].update(ports=(9080, 9443))))
 @example(bookinfo_with(lambda b: b["components"][0]["objects"][0]["env"].update({1: "a"})))
 @example(bookinfo_with(lambda b: b["components"][1]["objects"][0].update(ids={1: {2: "b"}})))
+# Integer keys the encoder orders as numbers, not as the strings it writes.
+@example(bookinfo_with(lambda b: b["components"][1]["objects"][0].update(x={-1: None, -2: None})))
+@example(bookinfo_with(lambda b: b["components"][1]["objects"][0].update(x={9: 1, 10: 2})))
 @example(bookinfo_with(lambda b: b["application"].update(name=Name("fuzzed"))))
 @example(bookinfo_with(lambda b: b["components"][2].update(component=Name("reviews"))))
 # An object three levels down in its manifest, holding arrays nested to the

@@ -169,6 +169,17 @@ def test_submit_validation_errors_are_field_level(dep):
     assert status == 400
 
 
+def test_a_refused_component_still_counts_as_its_domains_target(dep):
+    # Reviews' manifest names the cloud domain, which only productpage
+    # targets; productpage's bad path is the bundle's one error.
+    bundle = bookinfo_bundle("shop")
+    bundle["components"][0]["objects"][2]["path"] = "/wrong/x"
+    status, body = leader_api(dep).dispatch("POST", "/applications", bundle)
+    assert status == 400
+    assert [e["field"] for e in body["errors"]] == ["components[0].objects"]
+    assert "ingress path" in body["errors"][0]["error"]
+
+
 NOT_FINITE = {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"), "1e400": 10**400}
 
 
@@ -219,9 +230,17 @@ def test_a_placeholder_no_component_can_resolve_is_400_on_submit(dep):
         assert [e["field"] for e in body["errors"]] == ["components[0].objects"]
         assert token in body["errors"][0]["error"]
     # An in-process body is not encoded before submit: objects the log cannot
-    # hold (a set, keys that do not sort, a number JSON has no value for) are
-    # a 400 too, not an exception out of the proposal.
-    for env in ({"PORTS": {80, 443}}, {1: "a", "b": "c"}, {"RATIO": float("nan")}):
+    # hold as they are (a set, keys that are not strings, a number JSON has no
+    # value for) are a 400 too, not an exception out of the proposal.
+    # Keys that are not strings are refused too, as no JSON body holds them.
+    unencodable = (
+        {"PORTS": {80, 443}},
+        {1: "a", "b": "c"},
+        {-1: None, -2: None},
+        {"ids": {9: 1, 10: 2}},
+        {"RATIO": float("nan")},
+    )
+    for env in unencodable:
         bundle = one_component_bundle("unencodable", "cloud", env)
         status, body = dep.send(leader, "POST", "/applications", bundle)
         assert status == 400, env
