@@ -60,7 +60,15 @@ HEARTBEAT_STATUS = {
     "failed": ComponentStatus.FAILED,
 }
 
-_ACTIVE = (ComponentStatus.SCHEDULED, ComponentStatus.HEALTHY, ComponentStatus.PROGRESSING)
+_ACTIVE = frozenset(
+    (ComponentStatus.SCHEDULED, ComponentStatus.HEALTHY, ComponentStatus.PROGRESSING)
+)
+
+
+def _scan_order(pair: tuple[ApplicationRecord, ComponentRecord]) -> tuple[float, str, str]:
+    """The order both scans return: (submitted_at, app name, component name)."""
+    app, comp = pair
+    return app.submitted_at, app.name, comp.name
 
 
 def cluster_id_for(external_ip: str, domain: Domain) -> str:
@@ -94,6 +102,13 @@ class KnowledgeBase:
         self._live_by_name: dict[str, ApplicationRecord] = {}
         # cluster id -> (app id, component) of its Scheduled components.
         self._scheduled: dict[str, set[tuple[str, str]]] = {}
+        # (app id, component) of every Pending component; names are unique
+        # within an application (``validate_bundle``).
+        self._pending: set[tuple[str, str]] = set()
+        # Bumped whenever a component's stall reference may move earlier: it
+        # became active, or a heartbeat set its replicated time back. A stall
+        # watermark taken at another value is void (``StallWatch``).
+        self.stall_epoch = 0
         # app id -> what ``derived`` computed from that record; filled by
         # reads, dropped with the record and never restored.
         self._derived: dict[str, object] = {}
@@ -143,15 +158,17 @@ class KnowledgeBase:
         cluster_ids = {cid for cid, rec in self.clusters.items() if rec.domain == domain}
         return [snap for key, snap in self.nodes.items() if key[0] in cluster_ids]
 
-    def _apps_in_order(self) -> list[ApplicationRecord]:
-        return sorted(self.applications.values(), key=lambda a: (a.submitted_at, a.name))
-
     def pending_components(self) -> list[tuple[ApplicationRecord, ComponentRecord]]:
+        """Pending components by (submitted_at, app name, component name).
+
+        Read from the pending index, so with nothing pending no application
+        is visited.
+        """
         out = []
-        for app in self._apps_in_order():
-            for comp in sorted(app.components, key=lambda c: c.name):
-                if comp.status == ComponentStatus.PENDING:
-                    out.append((app, comp))
+        for app_id, name in self._pending:
+            app = self.applications[app_id]
+            out.append((app, app.component(name)))
+        out.sort(key=_scan_order)
         return out
 
     def stalled_components(
@@ -160,20 +177,29 @@ class KnowledgeBase:
         grace: float,
         seen: Mapping[tuple[str, str], float] | None = None,
         lease_start: float | None = None,
-    ) -> list[tuple[ApplicationRecord, ComponentRecord]]:
-        """Active components whose heartbeat (or decision, if never beaten)
-        is older than ``grace``.
+    ) -> tuple[list[tuple[ApplicationRecord, ComponentRecord]], float]:
+        """Active components whose stall reference is more than ``grace`` old,
+        by (submitted_at, app name, component name), and the floor: the
+        earliest stall reference of any active component, or ``now`` if
+        earlier.
 
-        A leader passes the soft state of its lease: ``seen`` maps
-        ``(app_id, component)`` to the last heartbeat it accepted, and
-        ``lease_start`` is when it began to lead. A component's age runs
-        from the latest of those times and its replicated one.
+        A component's stall reference is its replicated heartbeat time (its
+        decision time, if never beaten). A leader passes the soft state of
+        its lease: ``seen`` maps ``(app_id, component)`` to the last
+        heartbeat it accepted, and ``lease_start`` is when it began to lead;
+        the reference is then the latest of those times and the replicated
+        one. No component can stall before ``floor + grace`` unless a
+        reference moves earlier (``StallWatch`` says when).
+
+        The scan walks every active component once, unsorted, and sorts only
+        what it returns.
         """
         if grace <= 0:
             raise ValueError("grace period must be positive")
-        out = []
-        for app in self._apps_in_order():
-            for comp in sorted(app.components, key=lambda c: c.name):
+        stalled = []
+        floor = now
+        for app in self.applications.values():
+            for comp in app.components:
                 if comp.status not in _ACTIVE or comp.decision is None:
                     continue
                 reference = comp.last_heartbeat
@@ -183,9 +209,12 @@ class KnowledgeBase:
                     reference = max(reference, seen.get((app.app_id, comp.name), reference))
                 if lease_start is not None:
                     reference = max(reference, lease_start)
+                if reference < floor:
+                    floor = reference
                 if now - reference > grace:
-                    out.append((app, comp))
-        return out
+                    stalled.append((app, comp))
+        stalled.sort(key=_scan_order)
+        return stalled, floor
 
     # ------------------------------------------------------------------
     # Apply
@@ -224,6 +253,12 @@ class KnowledgeBase:
             self._unindex_scheduled(app, comp)
         if to == ComponentStatus.SCHEDULED:
             self._index_scheduled(app, comp)
+        if comp.status == ComponentStatus.PENDING:
+            self._pending.discard((app.app_id, comp.name))
+        elif to == ComponentStatus.PENDING:
+            self._pending.add((app.app_id, comp.name))
+        if to in _ACTIVE and comp.status not in _ACTIVE:
+            self.stall_epoch += 1  # its reference may predate a stall scan's floor
         effect.transitions.append(
             {
                 "app": app.name,
@@ -322,8 +357,11 @@ class KnowledgeBase:
             for comp in replaced.components:
                 if comp.status == ComponentStatus.SCHEDULED:
                     self._unindex_scheduled(replaced, comp)
+                elif comp.status == ComponentStatus.PENDING:
+                    self._pending.discard((cmd.app_id, comp.name))
         self.applications[cmd.app_id] = app
         self._live_by_name[cmd.name] = app
+        self._pending.update((cmd.app_id, comp.name) for comp in components)
         return effect
 
     def _apply_update_qos(self, cmd: UpdateQoS) -> Effect:
@@ -410,6 +448,9 @@ class KnowledgeBase:
         status = HEARTBEAT_STATUS.get(cmd.status)
         if status is None:
             return _noop("unknown-status", status=cmd.status)
+        beaten = comp.last_heartbeat
+        if cmd.at < (comp.decision.decided_at if beaten is None else beaten):
+            self.stall_epoch += 1  # stamped by a clock behind the last one
         comp.last_heartbeat = cmd.at
         effect = Effect(
             kind="heartbeat-recorded",
@@ -463,6 +504,8 @@ class KnowledgeBase:
             for comp in app.components:
                 if comp.status == ComponentStatus.SCHEDULED:
                     kb._index_scheduled(app, comp)
+                elif comp.status == ComponentStatus.PENDING:
+                    kb._pending.add((app.app_id, comp.name))
         return kb
 
 

@@ -35,9 +35,12 @@ holders: a component by its heartbeat, a cluster by its node report. The
 leader keeps one ``_Lease`` record of soft state for its term, made at its
 first leader work in the term and dropped when it stops leading: when the
 term's lease began, the time of each component's last accepted heartbeat,
-the time of each cluster's last accepted report, and the fingerprint of
-each cluster's last checked report. Renewing a lease writes nothing to
-the log.
+the time of each cluster's last accepted report, the fingerprint of each
+cluster's last checked report, and what the term's last full stall scan
+found (a ``StallWatch``: the earliest stall reference then, so passes skip
+the scan until a component can have stalled). A new term starts with no
+scan, and a clock reading earlier than the scan's floor (live mode's
+clock can step back) voids it. Renewing a lease writes nothing to the log.
 
 A heartbeat is logged only when it changes the replicated status, which
 the first beat after a decision always does (a decision sets Scheduled,
@@ -92,7 +95,7 @@ from qonnect.kb.store import HEARTBEAT_STATUS, Effect, KnowledgeBase, node_from_
 from qonnect.raft.node import NotLeaderError, RaftNode, Role
 from qonnect.rla.config import RlaConfig
 from qonnect.rla.validation import parse_qos, placeholder_domains, validate_bundle
-from qonnect.scheduler.loop import scheduler_tick
+from qonnect.scheduler.loop import StallWatch, scheduler_tick
 
 
 class ValidationFailed(Exception):
@@ -189,6 +192,8 @@ class _Lease:
     # Cluster -> the fingerprint of its last report queued or committed in
     # this term (None if it had none).
     reports: dict[str, bytes | None] = field(default_factory=dict)
+    # What the term's last full stall scan found (``scheduler_tick``).
+    stalls: StallWatch = field(default_factory=StallWatch)
 
 
 class RlaService:
@@ -303,6 +308,10 @@ class RlaService:
         lease = self._lease
         if lease is None or lease.term != self.node.current_term:
             lease = self._lease = _Lease(self.node.current_term, now)
+        elif now < lease.stalls.floor:
+            # The clock stepped back: a heartbeat now could set a stall
+            # reference earlier than the last scan's floor.
+            lease.stalls.floor = -math.inf
         return lease
 
     def _propose(self, command: KBCommand) -> Effect:
@@ -567,6 +576,7 @@ class RlaService:
             seen=lease.seen,
             lease_start=lease.start,
             heard=lease.heard,
+            stalls=lease.stalls,
         )
         if not commands:
             return

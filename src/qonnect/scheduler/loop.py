@@ -4,6 +4,17 @@ Each tick requeues stalled components and places pending ones. A component
 requeued in a tick is deliberately not placed until the next tick, so its
 placement uses snapshots that postdate the stall.
 
+A tick visits only what is due, as a next-expiry timer does (Varghese and
+Lauck, "Hashed and Hierarchical Timing Wheels", SOSP 1987). Pending
+components come from the KB's pending index, so a settled federation's
+tick reads no application for them. The stall scan walks every active
+component, so a leader skips it while its ``StallWatch`` shows that none
+can have passed its grace: a scan that found the earliest stall reference
+at ``floor`` needs no successor before ``floor + grace``. In a beating
+federation every reference is at most one heartbeat period old, so a
+leader scans at most once per grace period minus heartbeat period, not on
+every tick.
+
 The KB does not change within a tick, so a placement depends only on the
 component's target domain and its application's QoS vector. Each tick
 places every such class once and reuses the result (the equivalence-class
@@ -15,12 +26,33 @@ nodes and their six Borda rankings, held by the tick's own
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from typing import Mapping
 
 from qonnect.kb.commands import KBCommand, RecordDecision, RequeueComponent
 from qonnect.kb.model import Domain, NodeSnapshot, QoSVector
 from qonnect.kb.store import KnowledgeBase
 from qonnect.scheduler.borda import BordaCountStrategy, PlacementResult
+
+
+@dataclass
+class StallWatch:
+    """What a leader's last full stall scan found, so later ticks can skip one.
+
+    ``floor`` is the earliest stall reference of an active component at that
+    scan, or the scan time if earlier (``KnowledgeBase.stalled_components``),
+    and ``epoch`` the KB's ``stall_epoch`` then. Heartbeats only move a
+    reference later. It can move earlier only when a component becomes
+    active or a replicated heartbeat time goes back, which moves the KB's
+    epoch, or when a beat is stamped before ``floor``, which takes a clock
+    that stepped back; the leader then drops ``floor``. Until one of those,
+    no component can stall before ``floor + grace``. Each term's lease
+    starts a new watch.
+    """
+
+    floor: float = -math.inf
+    epoch: int = -1
 
 
 def scheduler_tick(
@@ -32,28 +64,37 @@ def scheduler_tick(
     seen: Mapping[tuple[str, str], float] | None = None,
     lease_start: float | None = None,
     heard: Mapping[str, float] | None = None,
+    stalls: StallWatch | None = None,
 ) -> list[KBCommand]:
-    """Compute this tick's commands from a consistent KB view.
+    """Compute this tick's commands from a consistent KB view: requeues of
+    stalled components, then decisions for pending ones, each in the scans'
+    (submitted_at, app name, component name) order.
 
     A component silent for ``grace_period`` is requeued; a node neither
     reported nor heard from within ``snapshot_staleness`` is ineligible.
-    ``seen``, ``lease_start`` and ``heard`` are the leader's lease soft
-    state: the first two are passed on to ``KnowledgeBase.stalled_components``,
-    and ``heard``, its last-heard time per cluster, to ``eligibility_filter``.
+    ``seen``, ``lease_start``, ``heard`` and ``stalls`` are the leader's lease
+    soft state: the first two are passed on to
+    ``KnowledgeBase.stalled_components``, ``heard``, its last-heard time per
+    cluster, to ``eligibility_filter``, and ``stalls`` decides whether the
+    stall scan runs and keeps what it found. Without ``stalls`` every tick
+    scans.
     """
     commands: list[KBCommand] = []
-    stalled = kb.stalled_components(
-        now=now, grace=grace_period, seen=seen, lease_start=lease_start
-    )
-    for app, comp in stalled:
-        commands.append(
-            RequeueComponent(
-                app_id=app.app_id,
-                component=comp.name,
-                version=app.version,
-                reason="heartbeat-stalled",
-            )
+    if stalls is None or now - stalls.floor > grace_period or kb.stall_epoch != stalls.epoch:
+        stalled, floor = kb.stalled_components(
+            now=now, grace=grace_period, seen=seen, lease_start=lease_start
         )
+        if stalls is not None:
+            stalls.floor, stalls.epoch = floor, kb.stall_epoch
+        for app, comp in stalled:
+            commands.append(
+                RequeueComponent(
+                    app_id=app.app_id,
+                    component=comp.name,
+                    version=app.version,
+                    reason="heartbeat-stalled",
+                )
+            )
     strategy = BordaCountStrategy()
     domains: dict[Domain, list[NodeSnapshot]] = {}
     placements: dict[tuple[Domain, QoSVector], PlacementResult | None] = {}

@@ -1,19 +1,24 @@
-"""Full-scan reference versions of the simulator step, the agent poll and
-REST dispatch.
+"""Full-scan reference versions of the simulator step, the agent poll, REST
+dispatch and the scheduler's two KB scans.
 
 ``SimCluster.step`` visits only namespaces that hold a Rolling or CrashLoop
 workload, ``RlaService.poll_applications`` only applications with a
 component Scheduled on the polled cluster and reuses each application's
-placeholder domains, and ``RestApi.dispatch`` only the routes of the
-request's method and segment count. The functions here are those paths as
-they were before: they walk every workload, every application and every
-route, and compute everything again on every call. They serve as the oracles
-the equivalence tests compare against.
+placeholder domains, ``RestApi.dispatch`` only the routes of the request's
+method and segment count, ``KnowledgeBase.pending_components`` only its
+pending index, and a leader's scheduler tick skips the stall scan while its
+``StallWatch`` shows nothing can have stalled. The functions here are those
+paths as they were before: they walk every workload, every application and
+every route, sort every application and its components, and compute
+everything again on every call. They serve as the oracles the equivalence
+tests compare against.
 """
 
 from __future__ import annotations
 
-from qonnect.kb.model import ApplicationRecord, ComponentStatus
+from typing import Mapping
+
+from qonnect.kb.model import ApplicationRecord, ComponentRecord, ComponentStatus
 from qonnect.kb.store import KnowledgeBase
 from qonnect.rla.rest import RestApi
 from qonnect.rla.service import NotFoundError
@@ -69,12 +74,53 @@ def oracle_live_application(kb: KnowledgeBase, name: str) -> ApplicationRecord |
     return None
 
 
+def _apps_in_order(kb: KnowledgeBase) -> list[ApplicationRecord]:
+    return sorted(kb.applications.values(), key=lambda a: (a.submitted_at, a.name))
+
+
+def oracle_pending(kb: KnowledgeBase) -> list[tuple[ApplicationRecord, ComponentRecord]]:
+    """Every Pending component, sorting every application and its components."""
+    out = []
+    for app in _apps_in_order(kb):
+        for comp in sorted(app.components, key=lambda c: c.name):
+            if comp.status == ComponentStatus.PENDING:
+                out.append((app, comp))
+    return out
+
+
+def oracle_stalled(
+    kb: KnowledgeBase,
+    now: float,
+    grace: float,
+    seen: Mapping[tuple[str, str], float] | None = None,
+    lease_start: float | None = None,
+) -> list[tuple[ApplicationRecord, ComponentRecord]]:
+    """The active components more than ``grace`` past their stall reference,
+    sorting every application and its components."""
+    active = (ComponentStatus.SCHEDULED, ComponentStatus.HEALTHY, ComponentStatus.PROGRESSING)
+    out = []
+    for app in _apps_in_order(kb):
+        for comp in sorted(app.components, key=lambda c: c.name):
+            if comp.status not in active or comp.decision is None:
+                continue
+            reference = comp.last_heartbeat
+            if reference is None:
+                reference = comp.decision.decided_at
+            if seen:
+                reference = max(reference, seen.get((app.app_id, comp.name), reference))
+            if lease_start is not None:
+                reference = max(reference, lease_start)
+            if now - reference > grace:
+                out.append((app, comp))
+    return out
+
+
 def oracle_poll(kb: KnowledgeBase, cluster_id: str) -> list[dict]:
     """The poll payloads for ``cluster_id``, sorting and walking every application."""
     if cluster_id not in kb.clusters:
         raise NotFoundError(f"unknown cluster: {cluster_id}")
     payloads: list[dict] = []
-    for app in sorted(kb.applications.values(), key=lambda a: (a.submitted_at, a.name)):
+    for app in _apps_in_order(kb):
         app_domains = {c.target_domain.value for c in app.components}
         placement: dict[str, str] = {}
         for comp in app.components:

@@ -1,17 +1,22 @@
-"""The simulator step, the agent poll and REST dispatch visit only what
-changed or what can match.
+"""The simulator step, the agent poll, REST dispatch and the scheduler's
+scans visit only what changed, what can match or what is due.
 
 Equivalence properties against the full-scan oracles in ``scan_oracles``, and
 work-count guards: a settled cluster's step and a poll of a cluster with
-nothing Scheduled touch no workload and no application, and repeated polls
-compute each manifest's placeholder domains once.
+nothing Scheduled touch no workload and no application, repeated polls
+compute each manifest's placeholder domains once, and a settled
+federation's leader reads no application for pending components and runs a
+stall scan on few of its ticks.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import replace
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qonnect.kb import (
@@ -27,15 +32,27 @@ from qonnect.kb import (
     SubmitApplication,
     UpdateQoS,
 )
+from qonnect.harness.bookinfo import bookinfo_bundle
+from qonnect.harness.engine import Deployment
+from qonnect.harness.testbed import TestbedSpec, default_clusters
+from qonnect.kb.commands import Batch, PutNodeSnapshot, decode_command
 from qonnect.kb.store import cluster_id_for
 from qonnect.raft import RaftConfig, RaftNode
+from qonnect.raft.node import Role
 from qonnect.rla import RlaConfig, RlaService
 from qonnect.rla import service as service_module
 from qonnect.rla.rest import RestApi
-from qonnect.rla.service import NotFoundError
+from qonnect.rla.service import NotFoundError, UnavailableError
 from qonnect.rla.validation import placeholder_domains
 from qonnect.sim import CrashLoop, DeleteNamespace, make_cluster
-from scan_oracles import oracle_dispatch, oracle_live_application, oracle_poll, oracle_step
+from scan_oracles import (
+    oracle_dispatch,
+    oracle_live_application,
+    oracle_pending,
+    oracle_poll,
+    oracle_stalled,
+    oracle_step,
+)
 
 
 class CountingDict(dict):
@@ -292,6 +309,19 @@ def assert_reads_match_the_scans(kb: KnowledgeBase, oracle_kb: KnowledgeBase) ->
         assert service.poll_applications(cid) == oracle_poll(oracle_kb, cid)
     for name in NAMES + REUSE_NAMES:
         assert kb.live_application(name) == oracle_live_application(oracle_kb, name)
+    assert kb.pending_components() == oracle_pending(oracle_kb)
+    # Decisions are stamped 3.0 and heartbeats 4.0, so this grace stalls
+    # only the components that were never beaten.
+    stalled, floor = kb.stalled_components(now=4.5, grace=1.0)
+    assert stalled == oracle_stalled(oracle_kb, now=4.5, grace=1.0)
+    active = [
+        comp.last_heartbeat if comp.last_heartbeat is not None else comp.decision.decided_at
+        for app in oracle_kb.applications.values()
+        for comp in app.components
+        if comp.status in (ComponentStatus.SCHEDULED, ComponentStatus.HEALTHY,
+                           ComponentStatus.PROGRESSING)
+    ]
+    assert floor == min([4.5, *active])
 
 
 @settings(max_examples=200, deadline=None)
@@ -304,7 +334,8 @@ def test_poll_and_lookup_match_the_full_scans_also_after_restore(ops, split):
     blob = kb.snapshot_state()
     restored = KnowledgeBase.restore(blob)
     assert restored.snapshot_state() == blob
-    assert restored._scheduled == kb._scheduled  # the rebuilt index equals the kept one
+    # The rebuilt indexes equal the kept ones.
+    assert restored._scheduled == kb._scheduled and restored._pending == kb._pending
     assert restored._derived == {}  # placeholder domains are computed again
     assert_reads_match_the_scans(restored, kb)
     for op in ops[split:]:
@@ -313,6 +344,7 @@ def test_poll_and_lookup_match_the_full_scans_also_after_restore(ops, split):
         assert_reads_match_the_scans(kb, kb)
         assert_reads_match_the_scans(restored, kb)
     assert restored == kb and restored._scheduled == kb._scheduled
+    assert restored._pending == kb._pending
 
 
 def test_a_poll_of_a_cluster_with_nothing_scheduled_visits_no_application():
@@ -392,6 +424,256 @@ def test_polls_compute_each_placeholder_set_once_and_encode_nothing(monkeypatch)
         for cluster_id in (edge, fog):
             assert service.poll_applications(cluster_id) == oracle_poll(kb, cluster_id)
     assert computed == [manifest for _, _, manifest in pair]
+
+
+# ---------------------------------------------------------------------------
+# Scheduler tick
+# ---------------------------------------------------------------------------
+
+GRACE, TICK = 30.0, 5.0
+
+
+class _Node:
+    """A Raft node stand-in whose role and term the test sets."""
+
+    def __init__(self) -> None:
+        self.role = Role.LEADER
+        self.current_term = 1
+        self.leader_id = 0
+        self.snapshot = None
+
+
+class _TickLeader:
+    """A leader service over its own KB. A proposal commits at once, unless
+    held: then it fails, and ``release`` commits every held entry later, as
+    when a deposed leader's entries commit under its successor."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+        self.node = _Node()
+        config = RlaConfig(
+            rla_id=0,
+            tick_period=TICK,
+            grace_period=GRACE,
+            snapshot_staleness=1e9,
+            telemetry_flush=0.0,  # every pump flushes before it schedules
+        )
+        self.kb = registered_kb()
+        self.service = RlaService(config, node=self.node, kb=self.kb, clock=lambda: self.now)
+        self.service.proposer = self._propose
+        self.held: list[str] | None = None
+        self.apps = 0
+        for cid in CLUSTER_IDS:
+            node = {
+                "node_name": "w1", "ready": True, "schedulable": True, "pressured": False,
+                "energy": 1.0, "pricing": 1.0, "cpu": 4.0, "memory": 8.0,
+                "bandwidth": 1.0, "storage": 10.0, "role": "worker",
+            }
+            self.kb.apply(PutNodeSnapshot(cid, (node,), taken_at=0.0))
+        for _ in range(2):
+            self.submit()
+
+    def _propose(self, raw: str):
+        if self.held is not None:
+            self.held.append(raw)
+            return None
+        return self._commit(raw)
+
+    def _commit(self, raw: str):
+        entry = decode_command(raw)
+        members = entry.commands if isinstance(entry, Batch) else (entry,)
+        return [self.kb.apply(m) for m in members]
+
+    def submit(self) -> None:
+        self.apps += 1
+        components = tuple((c, *COMPONENTS[c]) for c in ("x", "y"))
+        self.kb.apply(
+            SubmitApplication(
+                f"id{self.apps}", f"app{self.apps}", (), QoSVector(), components, self.now
+            )
+        )
+
+    def placed(self):
+        return [
+            (app, comp)
+            for app in self.kb.applications.values()
+            for comp in app.components
+            if comp.decision is not None
+        ]
+
+    def run(self, op: tuple) -> None:
+        kind = op[0]
+        if kind in ("wait", "advance"):  # a negative step is a clock stepping back
+            self.now += op[1]
+            if kind == "advance":
+                self.service.pump(self.now)
+        elif kind == "beat":
+            placed = self.placed()
+            if placed:
+                app, comp = placed[op[1] % len(placed)]
+                self.service.heartbeat(
+                    app.app_id, comp.name, comp.decision.cluster_id, app.version, op[2]
+                )
+        elif kind == "beat-all":
+            for app, comp in self.placed():
+                self.service.heartbeat(
+                    app.app_id, comp.name, comp.decision.cluster_id, app.version, "healthy"
+                )
+        elif kind == "submit":
+            self.submit()
+        elif kind == "qos":
+            apps = list(self.kb.applications.values())
+            try:
+                self.service.update_qos(apps[op[1] % len(apps)].name, {"energy": 1.0})
+            except UnavailableError:
+                pass
+        elif kind == "hold":
+            self.held = self.held or []
+        elif kind == "release":
+            held, self.held = self.held or [], None
+            for raw in held:
+                self._commit(raw)
+        elif kind == "term":  # a new term: this node leads again
+            self.node.current_term += 1
+        elif kind == "depose":  # a pump as follower, then leading a new term
+            self.node.role = Role.FOLLOWER
+            self.service.pump(self.now)
+            self.node.role = Role.LEADER
+            self.node.current_term += 1
+
+
+tick_ops = st.lists(
+    st.one_of(
+        *[st.tuples(st.just("advance"), st.sampled_from((1.0, 2.0, 3.0, 5.0, 7.0, 12.0)))] * 4,
+        st.tuples(st.just("advance"), st.sampled_from((-0.5, -3.0, -20.0, -60.0))),
+        st.tuples(st.just("wait"), st.sampled_from((0.5, 4.0, -3.0))),
+        *[st.tuples(st.just("beat"), picks, st.sampled_from(("healthy", "progressing",
+                                                              "failed")))] * 2,
+        *[st.tuples(st.just("beat-all"))] * 2,
+        st.tuples(st.just("submit")),
+        st.tuples(st.just("qos"), picks),
+        st.tuples(st.just("hold")),
+        st.tuples(st.just("release")),
+        st.tuples(st.just("term")),
+        st.tuples(st.just("depose")),
+    ),
+    min_size=10,
+    max_size=80,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=tick_ops)
+# A decision of the previous term commits after the new lease's first scan:
+# its reference is the lease start, earlier than that scan's floor.
+@example([
+    ("advance", 5.0), ("beat-all",), ("submit",), ("hold",), ("advance", 5.0),
+    ("term",), ("advance", 1.0), ("wait", 4.0), ("beat-all",), ("advance", 0.0),
+    ("release",), *[("advance", 5.0)] * 7,
+])
+# Components beaten every 10 s; then the clock steps back below the last
+# scan's floor, and a beat there sets a reference earlier than that floor.
+@example([
+    ("advance", 5.0), ("beat-all",), *[("advance", 5.0), ("advance", 5.0), ("beat-all",)] * 10,
+    ("advance", -60.0), ("beat", 0, "healthy"), *[("advance", 5.0)] * 14,
+])
+# As above, but the stepped-back beat is a status change that commits only
+# after the next scan, moving the replicated time back under that scan.
+@example([
+    ("advance", 5.0), ("beat-all",), *[("advance", 5.0), ("advance", 5.0), ("beat-all",)] * 10,
+    ("beat", 0, "progressing"), ("advance", 0.0), ("hold",), ("advance", -60.0),
+    ("beat", 0, "healthy"), ("advance", 0.0), *[("advance", 5.0)] * 13, ("release",),
+    *[("advance", 5.0)] * 2,
+])
+def test_a_leaders_requeues_at_every_tick_equal_the_full_scans(ops):
+    leader = _TickLeader()
+    ticks = []
+    tick = service_module.scheduler_tick
+
+    def checked_tick(kb, **kwargs):
+        now, seen, start = kwargs["now"], kwargs["seen"], kwargs["lease_start"]
+        stalled = oracle_stalled(kb, now, kwargs["grace_period"], seen, start)
+        pending = oracle_pending(kb)
+        commands = tick(kb, **kwargs)
+        ticks.append(
+            (
+                [(c.app_id, c.component) for c in commands if isinstance(c, RequeueComponent)],
+                [(c.app_id, c.component) for c in commands if isinstance(c, RecordDecision)],
+                [(app.app_id, comp.name) for app, comp in stalled],
+                [(app.app_id, comp.name) for app, comp in pending],
+            )
+        )
+        return commands
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(service_module, "scheduler_tick", checked_tick)
+        for op in ops:
+            leader.run(op)
+    for requeued, decided, stalled, pending in ticks:
+        assert requeued == stalled
+        assert decided == pending  # every domain has an eligible node
+
+
+# The ``steady`` fleet: 300 bookinfo apps on the default testbed with 30
+# workers per cluster, under telemetry only.
+STEADY_APPS, STEADY_WORKERS, WINDOW = 300, 30, 100.0
+
+
+def test_a_settled_federations_ticks_read_no_application_and_rarely_scan(monkeypatch):
+    spec = TestbedSpec(
+        clusters=[replace(c, workers=STEADY_WORKERS) for c in default_clusters()], seed=7
+    )
+    dep = Deployment(spec)
+    dep.boot()
+    client = dep.client()
+    names = [f"app-{i}" for i in range(STEADY_APPS)]
+    for name in names:
+        client.submit_application(bookinfo_bundle(name))
+    assert dep.run_until(
+        lambda: all(
+            c.status == ComponentStatus.HEALTHY
+            for name in names
+            for c in dep.kb().live_application(name).components
+        ),
+        60.0,
+    )
+    dep.run(spec.ra_heartbeat_period / 2)
+    leader = dep.leader_service()
+    kb = leader.kb
+    kb.applications = CountingDict(kb.applications)
+    counts = {"ticks": 0, "stall scans": 0, "pending reads": 0}
+    tick, stalled, pending = (
+        service_module.scheduler_tick,
+        KnowledgeBase.stalled_components,
+        KnowledgeBase.pending_components,
+    )
+
+    def counted_tick(*args, **kwargs):
+        counts["ticks"] += 1
+        return tick(*args, **kwargs)
+
+    def counted_stalled(self, *args, **kwargs):
+        counts["stall scans"] += self is kb
+        return stalled(self, *args, **kwargs)
+
+    def counted_pending(self):
+        reads = kb.applications.reads
+        out = pending(self)
+        counts["pending reads"] += kb.applications.reads - reads
+        return out
+
+    monkeypatch.setattr(service_module, "scheduler_tick", counted_tick)
+    monkeypatch.setattr(KnowledgeBase, "stalled_components", counted_stalled)
+    monkeypatch.setattr(KnowledgeBase, "pending_components", counted_pending)
+    bound = math.ceil(WINDOW / (spec.grace_period - spec.ra_heartbeat_period)) + 1
+    for _ in range(2):
+        counts.update({"ticks": 0, "stall scans": 0})
+        dep.run(WINDOW)
+        assert dep.leader_service() is leader
+        assert counts["ticks"] == WINDOW / spec.tick_period
+        assert counts["stall scans"] <= bound
+    assert counts["pending reads"] == 0
+    assert not any(e.kind == "kb-component-requeued" for e in dep.events.events)
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,64 @@ def test_pending_components_ordering_and_progression():
     assert len(kb.pending_components()) == 3
 
 
+def test_a_kb_restored_mid_placement_has_the_same_pending_components():
+    kb = KnowledgeBase()
+    fog = register(kb, "10.2.0.1", Domain.FOG)
+    submit_bookinfo(kb)
+    app = kb.live_application("bookinfo")
+    kb.apply(RecordDecision(app.app_id, "details", fog, ("w1",), 2.0, 2, version=1))
+    kb.apply(RecordDecision(app.app_id, "reviews", fog, ("w1",), 2.0, 2, version=1))
+    kb.apply(RequeueComponent(app.app_id, "reviews", version=1, reason="stalled"))
+    restored = KnowledgeBase.restore(kb.snapshot_state())
+    assert restored._pending == kb._pending == {
+        (app.app_id, name) for name in ("productpage", "ratings", "reviews")
+    }
+    assert restored.pending_components() == kb.pending_components()
+    assert [c.name for _, c in restored.pending_components()] == [
+        "productpage", "ratings", "reviews"
+    ]
+
+
+def test_a_submit_that_reuses_an_app_id_drops_the_replaced_records_pending_pairs():
+    kb = KnowledgeBase()
+    fog = register(kb, "10.2.0.1", Domain.FOG)
+    submit_bookinfo(kb, app_id="app-1")
+    kb.apply(RecordDecision("app-1", "details", fog, ("w1",), 2.0, 2, version=1))
+    kb.apply(
+        SubmitApplication(
+            app_id="app-1",
+            name="other",
+            labels=(),
+            qos=QoSVector(),
+            components=(("reviews", Domain.FOG, {}), ("web", Domain.CLOUD, {})),
+            submitted_at=3.0,
+        )
+    )
+    assert kb._pending == {("app-1", "reviews"), ("app-1", "web")}
+    pending = kb.pending_components()
+    assert [(a.name, c.name) for a, c in pending] == [("other", "reviews"), ("other", "web")]
+    assert all(a is kb.applications["app-1"] for a, _ in pending)
+
+
+def test_pending_components_with_equal_submit_times_come_in_name_order():
+    kb = KnowledgeBase()
+    for app_id, name in (("id-1", "zeta"), ("id-2", "alpha"), ("id-3", "mid")):
+        kb.apply(
+            SubmitApplication(
+                app_id=app_id,
+                name=name,
+                labels=(),
+                qos=QoSVector(),
+                components=(("web", Domain.CLOUD, {}), ("db", Domain.CLOUD, {})),
+                submitted_at=1.0,
+            )
+        )
+    assert [(a.name, c.name) for a, c in kb.pending_components()] == [
+        ("alpha", "db"), ("alpha", "web"), ("mid", "db"), ("mid", "web"),
+        ("zeta", "db"), ("zeta", "web"),
+    ]
+
+
 def test_stalled_components_honors_grace_boundaries():
     kb = KnowledgeBase()
     edge = register(kb, "10.3.0.1", Domain.EDGE)
@@ -166,19 +224,46 @@ def test_stalled_components_honors_grace_boundaries():
     kb.apply(
         RecordHeartbeat(app.app_id, "ratings", edge, version=1, status="healthy", at=100.0)
     )
-    # 5 s old at grace 30 s: not stalled; 31 s old: stalled.
-    assert kb.stalled_components(now=105.0, grace=30.0) == []
-    stalled = kb.stalled_components(now=131.0, grace=30.0)
-    assert [c.name for _, c in stalled] == ["ratings"]
+    # 5 s old at grace 30 s: not stalled; 31 s old: stalled. The floor is
+    # the earliest reference of an active component.
+    assert kb.stalled_components(now=105.0, grace=30.0) == ([], 100.0)
+    stalled, floor = kb.stalled_components(now=131.0, grace=30.0)
+    assert [c.name for _, c in stalled] == ["ratings"] and floor == 100.0
     # Scheduled-but-never-beaten components stall from decided_at.
     kb2 = KnowledgeBase()
     edge2 = register(kb2, "10.3.0.1", Domain.EDGE)
     submit_bookinfo(kb2)
     app2 = kb2.live_application("bookinfo")
     kb2.apply(RecordDecision(app2.app_id, "ratings", edge2, ("w1",), 0.0, 2, version=1))
-    assert [c.name for _, c in kb2.stalled_components(now=31.0, grace=30.0)] == ["ratings"]
+    stalled, floor = kb2.stalled_components(now=31.0, grace=30.0)
+    assert [c.name for _, c in stalled] == ["ratings"] and floor == 0.0
     with pytest.raises(ValueError):
         kb2.stalled_components(now=0.0, grace=0.0)
+
+
+def test_stall_epoch_moves_when_a_stall_reference_can_move_earlier():
+    kb = KnowledgeBase()
+    edge = register(kb, "10.3.0.1", Domain.EDGE)
+    submit_bookinfo(kb)
+    app = kb.live_application("bookinfo")
+    epochs = []
+
+    def apply(cmd) -> None:
+        kb.apply(cmd)
+        epochs.append(kb.stall_epoch)
+
+    def beat(status: str, at: float) -> RecordHeartbeat:
+        return RecordHeartbeat(app.app_id, "ratings", edge, version=1, status=status, at=at)
+
+    apply(RecordDecision(app.app_id, "ratings", edge, ("w1",), 10.0, 2, version=1))  # active
+    apply(beat("healthy", 12.0))
+    apply(beat("progressing", 20.0))
+    apply(beat("failed", 25.0))
+    apply(beat("healthy", 30.0))  # active again
+    apply(beat("healthy", 29.0))  # the replicated time moves back
+    apply(RequeueComponent(app.app_id, "ratings", version=1, reason="stalled"))
+    apply(UpdateQoS("bookinfo", QoSVector(energy=1.0), updated_at=40.0))
+    assert epochs == [1, 1, 1, 1, 2, 3, 3, 3]
 
 
 def test_requeue_clears_decision_and_is_version_guarded():
