@@ -8,7 +8,11 @@ same backend resumes identically.
 Each tick runs the four duties in order: ship a node snapshot, refresh the
 cluster config cache, poll and reconcile scheduled applications, and report
 per-component heartbeats. A heartbeat answered not-found means the workload
-was withdrawn or reassigned, and triggers local cleanup.
+was withdrawn or reassigned, and triggers local cleanup. A component whose
+namespace, applied objects or Deployment workload a heartbeat round finds
+gone is applied again from the record (level-triggered, as a controller
+reconciles desired against actual state); a crash loop or a rollout timeout
+is left alone.
 """
 
 from __future__ import annotations
@@ -215,31 +219,34 @@ class ResourceAgent:
     def reconcile_payload(self, payload: dict, record: dict, now: float) -> bool:
         app_id = payload["app_id"]
         component = payload["component"]
-        version = payload["version"]
         entry = record.get(app_id)
         existing = (entry or {}).get("components", {}).get(component)
-        if existing and existing.get("version") == version:
+        if existing and existing.get("version") == payload["version"]:
             return True  # already applied at this version
+        return self._apply(app_id, payload["name"], component, payload, record, now, "applied")
 
+    def _apply(
+        self, app_id: str, namespace: str, component: str, spec: dict, record: dict,
+        now: float, kind: str,
+    ) -> bool:
+        """Apply ``spec`` (its version, manifest, placement and target nodes)
+        and record it, keeping what a later reapply needs."""
         config_cache = self.backend.read_store(CONFIG_STORE) or {}
         try:
             objects = substitute_placeholders(
-                payload["manifest"].get("objects", []),
-                payload.get("placement", {}),
-                config_cache,
+                spec["manifest"].get("objects", []), spec.get("placement", {}), config_cache
             )
         except PlaceholderError as exc:
             self._log(now, "failed-to-apply", {
-                "app": payload["name"], "component": component, "error": str(exc),
+                "app": namespace, "component": component, "error": str(exc),
             })
             return False
 
-        namespace = payload["name"]
         created = not self.backend.namespace_exists(namespace)
         self.backend.ensure_namespace(namespace)
         try:
             applied = self.backend.apply_objects(
-                namespace, objects, tuple(payload.get("target_nodes", []))
+                namespace, objects, tuple(spec.get("target_nodes", []))
             )
         except Exception as exc:
             # Keep the record<->namespace bijection: a namespace created for
@@ -247,17 +254,21 @@ class ResourceAgent:
             if created and app_id not in record:
                 self.backend.delete_namespace(namespace)
             self._log(now, "failed-to-apply", {
-                "app": payload["name"], "component": component, "error": str(exc),
+                "app": namespace, "component": component, "error": str(exc),
             })
             return False
         entry = record.setdefault(app_id, {"name": namespace, "components": {}})
         entry["components"][component] = {
-            "version": version,
+            "version": spec["version"],
             "objects": applied,
             "deployed_at": now,
+            # What a reapply needs: the payload's own values, not copies.
+            "manifest": spec["manifest"],
+            "placement": spec.get("placement", {}),
+            "target_nodes": spec.get("target_nodes", []),
         }
-        self._log(now, "applied", {
-            "app": payload["name"], "component": component, "version": version,
+        self._log(now, kind, {
+            "app": namespace, "component": component, "version": spec["version"],
             "objects": applied,
         })
         return True
@@ -267,20 +278,23 @@ class ResourceAgent:
     # ------------------------------------------------------------------
 
     def component_status(self, namespace: str, comp_record: dict, now: float) -> str:
+        """The component's heartbeat status, or "missing" when its namespace,
+        an applied object or a Deployment's workload is gone (drift, which
+        the heartbeat reports as failed)."""
         if not self.backend.namespace_exists(namespace):
-            return "failed"
-        deployments = []
+            return "missing"
+        workloads = []
         for obj_id in comp_record.get("objects", []):
             if not self.backend.object_exists(namespace, obj_id):
-                return "failed"
+                return "missing"
             kind, _, obj_name = obj_id.partition("/")
             if kind == "Deployment":
-                deployments.append(obj_name)
+                workload = self.backend.workload_state(namespace, obj_name)
+                if workload is None:
+                    return "missing"
+                workloads.append(workload)
         rolling = False
-        for name in deployments:
-            workload = self.backend.workload_state(namespace, name)
-            if workload is None:
-                return "failed"
+        for workload in workloads:
             if workload.phase == "CrashLoop":
                 return "failed"
             if workload.ready != workload.desired:
@@ -307,10 +321,15 @@ class ResourceAgent:
                     component=component,
                     cluster_id=self.cluster_id,
                     version=comp_record["version"],
-                    status=status,
+                    status="failed" if status == "missing" else status,
                 )
                 if not alive:
                     self._cleanup_component(record, app_id, component, now)
+                    changed = True
+                elif status == "missing":
+                    # Drift: the RLA still places the component here.
+                    self._apply(app_id, namespace, component, comp_record, record, now,
+                                "reapplied")
                     changed = True
         if changed:
             self.backend.write_store(APPS_STORE, record)
@@ -321,20 +340,16 @@ class ResourceAgent:
             return
         namespace = entry["name"]
         comp_record = entry["components"].pop(component, None)
-        if comp_record is not None:
-            self.backend.delete_objects(namespace, comp_record.get("objects", []))
         if not entry["components"]:
+            record.pop(app_id)
+        # Another app id may share the namespace: an app deleted and submitted
+        # again applies under its new id before the old one is cleaned up.
+        sharing = [e for e in record.values() if e["name"] == namespace]
+        if comp_record is not None:
+            held = {o for e in sharing for c in e["components"].values() for o in c["objects"]}
+            self.backend.delete_objects(
+                namespace, [o for o in comp_record.get("objects", []) if o not in held]
+            )
+        if not sharing:
             self.backend.delete_namespace(namespace)
-            record.pop(app_id, None)
         self._log(now, "cleanup", {"app_id": app_id, "component": component})
-
-    def cleanup_application(self, app_id: str, now: float = 0.0) -> bool:
-        """Remove an application's workloads and record entirely; idempotent."""
-        record = self.backend.read_store(APPS_STORE) or {}
-        entry = record.get(app_id)
-        if entry is None:
-            return False
-        for component in list(entry.get("components", {})):
-            self._cleanup_component(record, app_id, component, now)
-        self.backend.write_store(APPS_STORE, record)
-        return True

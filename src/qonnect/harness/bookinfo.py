@@ -64,13 +64,6 @@ def bookinfo_bundle(name: str = "bookinfo", qos: dict | None = None) -> dict:
     }
 
 
-def bundle_to_yaml(bundle: dict) -> str:
-    """One YAML stream: the application document, then one doc per component."""
-    docs = [{"application": bundle["application"]}]
-    docs.extend(bundle["components"])
-    return yaml.safe_dump_all(docs, sort_keys=False)
-
-
 def parse_bundle_stream(text: str) -> dict:
     """Parse the YAML document stream into a submit bundle; ``ValueError`` if malformed."""
     try:

@@ -12,7 +12,6 @@ preset's max watts is back-solved so the formula lands on the published
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
 
 
 @dataclass(frozen=True)
@@ -36,8 +35,3 @@ def energy_coefficient(coefficients: EnergyCoefficientInput) -> float:
     """kWh consumed per node-hour at average load."""
     return (coefficients.w_idle + coefficients.w_max) / 2.0 * coefficients.pue / 1000.0
 
-
-def table_midpoint(low: float, high: float, places: int = 7) -> float:
-    """Midpoint in exact decimal arithmetic (the parameter table is decimal)."""
-    value = (Decimal(repr(low)) + Decimal(repr(high))) / 2
-    return float(value.quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_UP))

@@ -17,6 +17,7 @@ Scenarios compose back-to-back on one deployment: 2 reuses 1's application,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from qonnect.harness.bookinfo import bookinfo_bundle
 from qonnect.harness.engine import Deployment
@@ -125,41 +126,46 @@ def _running_on_profile(dep: Deployment, app_name: str, profile: str) -> bool:
     return True
 
 
+def _await(
+    dep: Deployment,
+    report: ScenarioReport,
+    description: str,
+    until: Callable[[], bool],
+    deadline: float,
+    observe: Callable[[], str],
+    started: float | None = None,
+    check: Callable[[], bool] = lambda: True,
+) -> bool:
+    """Run until ``until`` holds, at most ``deadline`` seconds after
+    ``started`` (default: now), and record the step; ``check`` is a further
+    condition of the step's verdict. Returns whether ``until`` held."""
+    if started is None:
+        started = dep.now
+    held = dep.run_until(until, max(0.0, deadline - (dep.now - started)))
+    report.steps.append(
+        StepCheck(description, deadline, held and check(), dep.now - started, observe())
+    )
+    return held
+
+
 def _deploy_running(
     dep: Deployment, report: ScenarioReport, app_name: str, qos: dict, profile: str
-) -> None:
-    client = dep.client()
+) -> bool:
     started = dep.now
-    client.submit_application(bookinfo_bundle(app_name, qos))
-    met = dep.run_until(
-        lambda: _running_on_profile(dep, app_name, profile), PLACEMENT_DEADLINE
-    )
-    placement = _component_placement(dep, app_name)
-    report.steps.append(
-        StepCheck(
-            description=f"{app_name}: all components running on {profile} clusters",
-            deadline=PLACEMENT_DEADLINE,
-            met=met,
-            elapsed=dep.now - started,
-            observed=str(placement),
-        )
+    dep.client().submit_application(bookinfo_bundle(app_name, qos))
+    return _await(
+        dep, report, f"{app_name}: all components running on {profile} clusters",
+        lambda: _running_on_profile(dep, app_name, profile), PLACEMENT_DEADLINE,
+        lambda: str(_component_placement(dep, app_name)), started,
     )
 
 
 def _boot(dep: Deployment, report: ScenarioReport) -> bool:
-    started = dep.now
-    met = dep.run_until(dep.booted, BOOT_DEADLINE)
-    leader = dep.leader_id()
-    report.steps.append(
-        StepCheck(
-            description="control plane elected a leader and all clusters registered",
-            deadline=BOOT_DEADLINE,
-            met=met,
-            elapsed=dep.now - started,
-            observed=f"leader=rla-{leader}, clusters={len(dep.kb().clusters)}",
-        )
+    return _await(
+        dep, report, "control plane elected a leader and all clusters registered",
+        dep.booted, BOOT_DEADLINE,
+        lambda: f"leader=rla-{dep.leader_id()}, clusters={len(dep.kb().clusters)}",
     )
-    return met
 
 
 # ---------------------------------------------------------------------------
@@ -168,66 +174,46 @@ def _boot(dep: Deployment, report: ScenarioReport) -> bool:
 
 
 def _scenario_1(dep: Deployment, report: ScenarioReport) -> None:
-    if not _boot(dep, report):
-        return
-    _deploy_running(dep, report, "bookinfo", QOS_PERFORMANCE, "performance")
+    if _boot(dep, report):
+        _deploy_running(dep, report, "bookinfo", QOS_PERFORMANCE, "performance")
 
 
 def _scenario_2(dep: Deployment, report: ScenarioReport) -> None:
     if not _boot(dep, report):
         return
-    if dep.kb().live_application("bookinfo") is None:
-        _deploy_running(dep, report, "bookinfo", QOS_PERFORMANCE, "performance")
-        if not report.steps[-1].met:
-            return
-    old_hosts = {
-        comp: cluster for comp, cluster in _component_placement(dep, "bookinfo").items()
-    }
+    if dep.kb().live_application("bookinfo") is None and not _deploy_running(
+        dep, report, "bookinfo", QOS_PERFORMANCE, "performance"
+    ):
+        return
+    old_clusters = {c for c in _component_placement(dep, "bookinfo").values() if c is not None}
     started = dep.now
     dep.client().update_qos("bookinfo", QOS_ENERGY)
-
-    met = dep.run_until(
-        lambda: _running_on_profile(dep, "bookinfo", "energy"), MIGRATION_DEADLINE
-    )
-    report.steps.append(
-        StepCheck(
-            description="bookinfo: all components migrated to energy clusters",
-            deadline=MIGRATION_DEADLINE,
-            met=met,
-            elapsed=dep.now - started,
-            observed=str(_component_placement(dep, "bookinfo")),
-        )
+    _await(
+        dep, report, "bookinfo: all components migrated to energy clusters",
+        lambda: _running_on_profile(dep, "bookinfo", "energy"), MIGRATION_DEADLINE,
+        lambda: str(_component_placement(dep, "bookinfo")), started,
     )
 
-    old_clusters = {c for c in old_hosts.values() if c is not None}
-    cleaned = dep.run_until(
-        lambda: all(
-            not dep.clusters[c].namespace_exists("bookinfo") for c in old_clusters
-        ),
-        max(0.0, MIGRATION_DEADLINE - (dep.now - started)),
-    )
-    cleanup_events = [
-        e
-        for e in dep.events.matching(kind="cleanup")
-        if e.at >= started and e.source in {f"ra-{c}" for c in old_clusters}
-    ]
-    report.steps.append(
-        StepCheck(
-            description="old namespaces removed via heartbeat-404 cleanup",
-            deadline=MIGRATION_DEADLINE,
-            met=cleaned and bool(cleanup_events),
-            elapsed=dep.now - started,
-            observed=f"cleanup events from {sorted({e.source for e in cleanup_events})}",
-        )
+    def cleaners() -> list[str]:
+        return sorted({
+            e.source
+            for e in dep.events.matching(kind="cleanup")
+            if e.at >= started and e.source in {f"ra-{c}" for c in old_clusters}
+        })
+
+    _await(
+        dep, report, "old namespaces removed via heartbeat-404 cleanup",
+        lambda: all(not dep.clusters[c].namespace_exists("bookinfo") for c in old_clusters),
+        MIGRATION_DEADLINE, lambda: f"cleanup events from {cleaners()}", started,
+        check=lambda: bool(cleaners()),
     )
 
 
 def _scenario_3(dep: Deployment, report: ScenarioReport) -> None:
-    if not _boot(dep, report):
-        return
     app_name = "bookinfo-resilience"
-    _deploy_running(dep, report, app_name, QOS_PERFORMANCE, "performance")
-    if not report.steps[-1].met:
+    if not _boot(dep, report) or not _deploy_running(
+        dep, report, app_name, QOS_PERFORMANCE, "performance"
+    ):
         return
 
     edge_perf = _profile_cluster(dep, "edge", "performance")
@@ -248,21 +234,14 @@ def _scenario_3(dep: Deployment, report: ScenarioReport) -> None:
         )
 
     grace = dep.spec.grace_period
-    met_requeue = dep.run_until(requeued, MIGRATION_DEADLINE)
-    requeue_elapsed = dep.now - started
     # The stall clock starts at the last heartbeat, which may predate the
     # kill by up to one heartbeat period.
     min_expected = grace - dep.spec.ra_heartbeat_period
-    report.steps.append(
-        StepCheck(
-            description="ratings requeued after the heartbeat grace period",
-            deadline=MIGRATION_DEADLINE,
-            met=met_requeue and requeue_elapsed >= min_expected,
-            elapsed=requeue_elapsed,
-            observed=f"grace={grace:.0f}s",
-        )
-    )
-    if not met_requeue:
+    if not _await(
+        dep, report, "ratings requeued after the heartbeat grace period",
+        requeued, MIGRATION_DEADLINE, lambda: f"grace={grace:.0f}s", started,
+        check=lambda: dep.now - started >= min_expected,
+    ):
         return
 
     def relocated() -> bool:
@@ -278,16 +257,10 @@ def _scenario_3(dep: Deployment, report: ScenarioReport) -> None:
         workload = dep.clusters[host].workload_state(app_name, "ratings")
         return workload is not None and workload.phase == WorkloadPhase.READY
 
-    met_move = dep.run_until(relocated, max(0.0, MIGRATION_DEADLINE - (dep.now - started)))
-    placement = _component_placement(dep, app_name)
-    report.steps.append(
-        StepCheck(
-            description="ratings redeployed to a different edge cluster",
-            deadline=MIGRATION_DEADLINE,
-            met=met_move,
-            elapsed=dep.now - started,
-            observed=f"ratings -> {placement.get('ratings')}",
-        )
+    _await(
+        dep, report, "ratings redeployed to a different edge cluster",
+        relocated, MIGRATION_DEADLINE,
+        lambda: f"ratings -> {_component_placement(dep, app_name).get('ratings')}", started,
     )
 
 
@@ -297,41 +270,24 @@ def _scenario_4(dep: Deployment, report: ScenarioReport) -> None:
     old_leader = dep.leader_id()
     started = dep.now
     dep.kill_rla(old_leader)
-
-    met_election = dep.run_until(
+    if not _await(
+        dep, report, "a surviving RLA took over leadership",
         lambda: dep.leader_id() is not None and dep.leader_id() != old_leader,
-        REELECTION_DEADLINE,
-    )
-    new_leader = dep.leader_id()
-    report.steps.append(
-        StepCheck(
-            description="a surviving RLA took over leadership",
-            deadline=REELECTION_DEADLINE,
-            met=met_election,
-            elapsed=dep.now - started,
-            observed=f"rla-{old_leader} -> rla-{new_leader}",
-        )
-    )
-    if not met_election:
+        REELECTION_DEADLINE, lambda: f"rla-{old_leader} -> rla-{dep.leader_id()}", started,
+    ):
         return
 
     app_name = "bookinfo-postfailover"
-    submit_at = dep.now
+    started = dep.now
     dep.client().submit_application(bookinfo_bundle(app_name, QOS_PERFORMANCE))
 
     def scheduled() -> bool:
         app = dep.kb().live_application(app_name)
         return app is not None and all(c.decision is not None for c in app.components)
 
-    met_schedule = dep.run_until(scheduled, PLACEMENT_DEADLINE)
-    report.steps.append(
-        StepCheck(
-            description=f"{app_name} scheduled by the new leader",
-            deadline=PLACEMENT_DEADLINE,
-            met=met_schedule,
-            elapsed=dep.now - submit_at,
-            observed=str(_component_placement(dep, app_name)),
-        )
+    _await(
+        dep, report, f"{app_name} scheduled by the new leader", scheduled,
+        PLACEMENT_DEADLINE, lambda: str(_component_placement(dep, app_name)), started,
     )
 
 

@@ -146,10 +146,6 @@ class RaftNode:
         entry = self.entry_at(index)
         return entry.term if entry else None
 
-    def entries_from(self, index: int) -> list[LogEntry]:
-        offset = max(0, index - self.snapshot_index - 1)
-        return self._entries[offset:]
-
     # ------------------------------------------------------------------
     # Timers
     # ------------------------------------------------------------------
@@ -331,18 +327,23 @@ class RaftNode:
             return ReceiveResult(messages=self._become_leader())
         return ReceiveResult()
 
+    def _append_reply(
+        self, msg: AppendRequest, match_index: int = 0, conflict_index: int = 0
+    ) -> ReceiveResult:
+        """Answer ``msg``: a success unless a ``conflict_index`` is given."""
+        reply = AppendResponse(
+            src=self.config.node_id,
+            dst=msg.src,
+            term=self.current_term,
+            success=conflict_index == 0,
+            match_index=match_index,
+            conflict_index=conflict_index,
+        )
+        return ReceiveResult(messages=[reply])
+
     def _on_append_request(self, msg: AppendRequest) -> ReceiveResult:
-        node_id = self.config.node_id
         if msg.term < self.current_term:
-            reply = AppendResponse(
-                src=node_id,
-                dst=msg.src,
-                term=self.current_term,
-                success=False,
-                match_index=0,
-                conflict_index=self.last_log_index + 1,
-            )
-            return ReceiveResult(messages=[reply])
+            return self._append_reply(msg, conflict_index=self.last_log_index + 1)
 
         # Valid leader for this term.
         self.role = Role.FOLLOWER
@@ -352,18 +353,8 @@ class RaftNode:
         prev_term_here = self.term_at(msg.prev_log_index)
         if msg.prev_log_index > self.snapshot_index and prev_term_here != msg.prev_log_term:
             if prev_term_here is None:
-                conflict = self.last_log_index + 1
-            else:
-                conflict = msg.prev_log_index
-            reply = AppendResponse(
-                src=node_id,
-                dst=msg.src,
-                term=self.current_term,
-                success=False,
-                match_index=0,
-                conflict_index=conflict,
-            )
-            return ReceiveResult(messages=[reply])
+                return self._append_reply(msg, conflict_index=self.last_log_index + 1)
+            return self._append_reply(msg, conflict_index=msg.prev_log_index)
 
         appended_through = msg.prev_log_index
         new_entries: list[LogEntry] = []
@@ -386,40 +377,36 @@ class RaftNode:
             self._entries.extend(new_entries)
             self.storage.append_entries(new_entries)
 
-        committed: list[tuple[int, str]] = []
+        result = self._append_reply(msg, match_index=appended_through)
         if msg.leader_commit > self.commit_index:
             # Never regress: a retransmission of an old prefix must not pull
             # the commit index back below what we already know is committed.
             self.commit_index = max(
                 self.commit_index, min(msg.leader_commit, appended_through)
             )
-            committed = self._collect_applied()
-
-        reply = AppendResponse(
-            src=node_id,
-            dst=msg.src,
-            term=self.current_term,
-            success=True,
-            match_index=appended_through,
-            conflict_index=0,
-        )
-        return ReceiveResult(messages=[reply], committed=committed)
+            result.committed = self._collect_applied()
+        return result
 
     def _on_append_response(self, msg: AppendResponse) -> ReceiveResult:
         if self.role != Role.LEADER or msg.term != self.current_term:
             return ReceiveResult()
         if msg.success:
-            if msg.match_index > self._match_index.get(msg.src, 0):
-                self._match_index[msg.src] = msg.match_index
-            self._next_index[msg.src] = self._match_index[msg.src] + 1
-            committed = self._advance_commit()
-            messages: list[Message] = []
-            if self._next_index[msg.src] <= self.last_log_index:
-                messages.append(self._append_for(msg.src))
-            return ReceiveResult(messages=messages, committed=committed)
+            return self._on_match(msg.src, msg.match_index)
         # Log mismatch: back up and retry immediately.
         self._next_index[msg.src] = max(1, min(msg.conflict_index, self.last_log_index + 1))
         return ReceiveResult(messages=[self._append_for(msg.src)])
+
+    def _on_match(self, peer: int, match_index: int) -> ReceiveResult:
+        """``peer`` holds the log through ``match_index``: advance its
+        indexes and the commit index, then send it whatever follows."""
+        if match_index > self._match_index.get(peer, 0):
+            self._match_index[peer] = match_index
+        self._next_index[peer] = self._match_index[peer] + 1
+        committed = self._advance_commit()
+        messages: list[Message] = []
+        if self._next_index[peer] <= self.last_log_index:
+            messages.append(self._append_for(peer))
+        return ReceiveResult(messages=messages, committed=committed)
 
     def _advance_commit(self) -> list[tuple[int, str]]:
         matches = sorted(
@@ -491,10 +478,4 @@ class RaftNode:
     def _on_snapshot_response(self, msg: SnapshotResponse) -> ReceiveResult:
         if self.role != Role.LEADER or msg.term != self.current_term:
             return ReceiveResult()
-        if msg.match_index > self._match_index.get(msg.src, 0):
-            self._match_index[msg.src] = msg.match_index
-        self._next_index[msg.src] = self._match_index[msg.src] + 1
-        messages: list[Message] = []
-        if self._next_index[msg.src] <= self.last_log_index:
-            messages.append(self._append_for(msg.src))
-        return ReceiveResult(messages=messages, committed=self._advance_commit())
+        return self._on_match(msg.src, msg.match_index)

@@ -6,8 +6,6 @@ from qonnect.scheduler.borda import (
     PlacementResult,
     borda_rank,
     eligibility_filter,
-    score_and_filter_nodes,
-    weighted_scores,
 )
 from qonnect.scheduler.loop import scheduler_tick
 
@@ -17,7 +15,5 @@ __all__ = [
     "PlacementResult",
     "borda_rank",
     "eligibility_filter",
-    "score_and_filter_nodes",
     "scheduler_tick",
-    "weighted_scores",
 ]

@@ -9,8 +9,8 @@ aggregate per cluster, and return the top cluster with its retained nodes.
 
 The first three steps do not depend on the QoS vector, so they run once
 per domain (``rank_domain``, giving a ``DomainRanks``). The last four run
-once per QoS class (``DomainRanks.place``). ``score_and_filter_nodes`` is
-the two composed.
+once per QoS class (``DomainRanks.place``). ``BordaCountStrategy.place``
+composes the two.
 
 Because Borda scores depend only on ordering, the outcome is invariant
 under positive scaling of any attribute column.
@@ -158,22 +158,6 @@ def rank_domain(
     """The per-domain step; None when nothing is eligible."""
     eligible = eligibility_filter(snapshots, now=now, staleness=staleness, heard=heard)
     return rank_nodes(eligible) if eligible else None
-
-
-def weighted_scores(eligible: Sequence[NodeSnapshot], qos: QoSVector) -> list[float]:
-    """Each eligible node's per-attribute Borda ranks, folded by QoS weights."""
-    return rank_nodes(eligible).weighted(qos)
-
-
-def score_and_filter_nodes(
-    snapshots: Sequence[NodeSnapshot],
-    qos: QoSVector,
-    now: float,
-    staleness: float,
-) -> PlacementResult | None:
-    """Full pipeline over one domain's snapshots; None when nothing is eligible."""
-    ranks = rank_domain(snapshots, now=now, staleness=staleness)
-    return None if ranks is None else ranks.place(qos)
 
 
 class BordaCountStrategy:

@@ -3,7 +3,8 @@
 Deliberately written straight-line and differently from the production
 code: ranks are derived from strictly-better counts rather than sort
 positions, and aggregation walks plain dicts. Used to cross-check
-``score_and_filter_nodes`` on randomized instances.
+``BordaCountStrategy.place``, the scheduler's placement path, on randomized
+instances.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ import time
 
 from placement_oracle import oracle_place, random_instance
 from raft_checks import chaos_run, stop_tolerance_run
+from support import table_midpoint
 from test_properties import (
     test_applied_objects_are_placeholder_free as prop_placeholder_free,
     test_positive_scaling_of_one_attribute_changes_nothing as prop_scaling_invariance,
@@ -22,11 +23,10 @@ from qonnect.harness.energy import (
     AWS_COEFFICIENTS,
     GCP_COEFFICIENTS,
     energy_coefficient,
-    table_midpoint,
 )
 from qonnect.harness.engine import Deployment
 from qonnect.harness.scenarios import run_scenario
-from qonnect.scheduler import score_and_filter_nodes
+from qonnect.scheduler import BordaCountStrategy
 from qonnect.sim.profiles import PROFILES
 
 SCENARIO_SEEDS = list(range(1, 11))
@@ -90,7 +90,7 @@ def test_criterion_6_scorer_oracle_equivalence():
     for _ in range(total):
         snapshots, qos = random_instance(rng)
         expected = oracle_place(snapshots, qos, now=100.0, staleness=60.0)
-        result = score_and_filter_nodes(snapshots, qos, now=100.0, staleness=60.0)
+        result = BordaCountStrategy().place(snapshots, qos, now=100.0, staleness=60.0)
         if expected is None and result is None:
             agreements += 1
         elif expected is not None and result is not None:

@@ -12,9 +12,8 @@ from qonnect.scheduler import (
     BordaCountStrategy,
     borda_rank,
     eligibility_filter,
-    score_and_filter_nodes,
-    weighted_scores,
 )
+from qonnect.scheduler.borda import rank_nodes
 
 
 def snap(name: str, cluster: str = "c1", taken_at: float = 100.0, **overrides) -> NodeSnapshot:
@@ -72,7 +71,7 @@ def test_eligibility_filter_drops_flagged_and_stale_nodes():
 
 
 def test_single_node_scores_zero():
-    assert weighted_scores([snap("only")], QoSVector(performance=1.0)) == [0.0]
+    assert rank_nodes([snap("only")]).weighted(QoSVector(performance=1.0)) == [0.0]
 
 
 def test_zero_qos_equals_unit_weights():
@@ -81,16 +80,19 @@ def test_zero_qos_equals_unit_weights():
         snap("b", energy=0.003, pricing=1.0, cpu=8),
         snap("c", energy=0.002, pricing=3.0, cpu=4),
     ]
-    assert weighted_scores(nodes, QoSVector()) == weighted_scores(nodes, QoSVector(1.0, 1.0, 1.0))
+    ranks = rank_nodes(nodes)
+    assert ranks.weighted(QoSVector()) == ranks.weighted(QoSVector(1.0, 1.0, 1.0))
 
 
 def test_performance_profile_wins_capacity_only_qos():
     # Derived by hand from the profile rows: capacity Bordas are
     # energy=4, cost=3, performance=8, so (0,0,1) must pick performance.
     nodes = [snap(profile, **row) for profile, row in PROFILE_ROWS.items()]
-    scores = weighted_scores(nodes, QoSVector(performance=1.0))
+    scores = rank_nodes(nodes).weighted(QoSVector(performance=1.0))
     assert dict(zip(PROFILE_ROWS, scores)) == {"energy": 4.0, "cost": 3.0, "performance": 8.0}
-    result = score_and_filter_nodes(nodes, QoSVector(performance=1.0), now=100.0, staleness=15.0)
+    result = BordaCountStrategy().place(
+        nodes, QoSVector(performance=1.0), now=100.0, staleness=15.0
+    )
     assert result.node_names == ("performance",)
 
 
@@ -102,15 +104,15 @@ def test_threshold_filter_keeps_at_or_above_mean():
     ]
     qos = QoSVector(performance=1.0)
     # cpu ranks 0, 1, 2 plus 2 points each for the three tied capacity columns.
-    assert weighted_scores(nodes, qos) == [6.0, 7.0, 8.0]
+    assert rank_nodes(nodes).weighted(qos) == [6.0, 7.0, 8.0]
     # The mean is 7: "a" drops, and the rest come best first.
-    result = score_and_filter_nodes(nodes, qos, now=100.0, staleness=15.0)
+    result = BordaCountStrategy().place(nodes, qos, now=100.0, staleness=15.0)
     assert result.node_names == ("c", "b")
 
-    all_equal = score_and_filter_nodes([snap("y"), snap("x")], qos, now=100.0, staleness=15.0)
+    all_equal = BordaCountStrategy().place([snap("y"), snap("x")], qos, now=100.0, staleness=15.0)
     assert all_equal.node_names == ("x", "y")
 
-    single = score_and_filter_nodes([snap("solo")], QoSVector(), now=100.0, staleness=15.0)
+    single = BordaCountStrategy().place([snap("solo")], QoSVector(), now=100.0, staleness=15.0)
     assert single.node_names == ("solo",)
 
 
@@ -123,7 +125,9 @@ def test_cluster_tiebreak_prefers_higher_total_score():
     ]
     # Scores a1=b1=12, b2=10, a2=9; the mean is 10.75, so only a1 and b1
     # are retained and the clusters tie at 12 until totals 21 < 22 split them.
-    result = score_and_filter_nodes(nodes, QoSVector(performance=1.0), now=100.0, staleness=15.0)
+    result = BordaCountStrategy().place(
+        nodes, QoSVector(performance=1.0), now=100.0, staleness=15.0
+    )
     assert [(c.cluster_id, c.retained_score, c.total_score) for c in result.ranking] == [
         ("cluster-b", 12.0, 22.0),
         ("cluster-a", 12.0, 21.0),
@@ -133,11 +137,11 @@ def test_cluster_tiebreak_prefers_higher_total_score():
 
 def test_single_cluster_ranks_first_and_halt_on_empty():
     nodes = [snap("a"), snap("b")]
-    result = score_and_filter_nodes(nodes, QoSVector(), now=100.0, staleness=15.0)
+    result = BordaCountStrategy().place(nodes, QoSVector(), now=100.0, staleness=15.0)
     assert result is not None and result.cluster_id == "c1"
     assert len(result.node_names) == 2
 
-    halted = score_and_filter_nodes(nodes, QoSVector(), now=1000.0, staleness=15.0)
+    halted = BordaCountStrategy().place(nodes, QoSVector(), now=1000.0, staleness=15.0)
     assert halted is None
 
 
@@ -148,9 +152,9 @@ def test_domain_restricted_profile_selection():
     for profile, row in PROFILE_ROWS.items():
         for i in range(2):
             nodes.append(snap(f"{profile}-w{i}", cluster=f"edge-{profile}", **row))
-    perf = score_and_filter_nodes(nodes, QoSVector(performance=1.0), now=100.0, staleness=15.0)
+    perf = BordaCountStrategy().place(nodes, QoSVector(performance=1.0), now=100.0, staleness=15.0)
     assert perf.cluster_id == "edge-performance"
-    energy = score_and_filter_nodes(nodes, QoSVector(energy=1.0), now=100.0, staleness=15.0)
+    energy = BordaCountStrategy().place(nodes, QoSVector(energy=1.0), now=100.0, staleness=15.0)
     assert energy.cluster_id == "edge-energy"
 
 
@@ -160,7 +164,7 @@ def test_oracle_equivalence_on_random_instances():
     for _ in range(200):
         snapshots, qos = random_instance(rng)
         expected = oracle_place(snapshots, qos, now=100.0, staleness=60.0)
-        result = score_and_filter_nodes(snapshots, qos, now=100.0, staleness=60.0)
+        result = BordaCountStrategy().place(snapshots, qos, now=100.0, staleness=60.0)
         if expected is None:
             assert result is None
         else:
@@ -175,7 +179,7 @@ def test_full_ranking_matches_oracle_on_random_instances():
     for _ in range(1000):
         snapshots, qos = random_instance(rng)
         expected = oracle_ranking(snapshots, qos, now=100.0, staleness=60.0)
-        result = score_and_filter_nodes(snapshots, qos, now=100.0, staleness=60.0)
+        result = BordaCountStrategy().place(snapshots, qos, now=100.0, staleness=60.0)
         if expected is None:
             assert result is None
             continue
@@ -188,7 +192,7 @@ def test_retained_nodes_live_in_chosen_cluster():
     rng = random.Random(99)
     for _ in range(100):
         snapshots, qos = random_instance(rng)
-        result = score_and_filter_nodes(snapshots, qos, now=100.0, staleness=60.0)
+        result = BordaCountStrategy().place(snapshots, qos, now=100.0, staleness=60.0)
         if result is None:
             continue
         eligible_names = {
@@ -214,7 +218,7 @@ def test_one_strategy_reuses_ranks_only_for_the_same_list_now_and_staleness():
         now = rng.choice([60.0, 100.0, 150.0, 200.0])
         staleness = rng.choice([30.0, 60.0])
         result = strategy.place(snapshots, qos, now=now, staleness=staleness)
-        assert result == score_and_filter_nodes(snapshots, qos, now=now, staleness=staleness)
+        assert result == BordaCountStrategy().place(snapshots, qos, now=now, staleness=staleness)
         expected = oracle_ranking(snapshots, qos, now=now, staleness=staleness)
         if expected is None:
             assert result is None

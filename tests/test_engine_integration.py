@@ -17,7 +17,7 @@ from qonnect.kb import (
 )
 from qonnect.kb.model import NODE_METRICS
 from qonnect.rla import service as service_module
-from qonnect.sim import NodePressure
+from qonnect.sim import DeleteNamespace, NodePressure, WorkloadPhase
 
 # Legal component status transitions (None = first appearance).
 ALLOWED_TRANSITIONS = {
@@ -337,3 +337,67 @@ def test_node_attributes_that_are_not_finite_get_400():
                 {"field": "nodes[1]", "error": f"node attribute {attr} must be {rule}"}
             ]
     assert service._telemetry == []
+
+
+def _running(dep: Deployment, name: str) -> bool:
+    """Every component of ``name`` Healthy in the KB and Ready on its host."""
+    app = dep.kb().live_application(name)
+    if app is None:
+        return False
+    for comp in app.components:
+        if comp.status != ComponentStatus.HEALTHY or comp.decision is None:
+            return False
+        host = dep.clusters[dep.cluster_name_by_id(comp.decision.cluster_id)]
+        workload = host.workload_state(name, comp.name)
+        if workload is None or workload.phase != WorkloadPhase.READY:
+            return False
+    return True
+
+
+def test_an_app_deleted_and_submitted_again_at_once_runs_and_keeps_running():
+    # The new app id applies into the namespace its old id still records on
+    # each host; the old id's heartbeat-404 cleanup must not take it away.
+    dep = Deployment(seed=7)
+    dep.boot()
+    client = dep.client()
+    client.submit_application(bookinfo_bundle("shop"))
+    assert dep.run_until(lambda: _running(dep, "shop"), 60.0)
+    client.delete_application("shop")
+    client.submit_application(bookinfo_bundle("shop"))
+    dep.run(60.0)
+    assert _running(dep, "shop")
+    dep.run(240.0)
+    assert _running(dep, "shop")
+
+
+def test_a_deleted_namespace_is_applied_again_on_the_same_cluster_without_a_requeue():
+    dep = Deployment(seed=7)
+    dep.boot()
+    dep.client().submit_application(bookinfo_bundle("shop"))
+    assert dep.run_until(lambda: _running(dep, "shop"), 60.0)
+    ratings = dep.kb().live_application("shop").component("ratings").decision
+    host = dep.cluster_name_by_id(ratings.cluster_id)
+    hosted = sorted(
+        c.name for c in dep.kb().live_application("shop").components
+        if c.decision.cluster_id == ratings.cluster_id
+    )
+    seen = len(dep.events.events)
+    deleted_at = dep.now
+    dep.inject_fault(host, DeleteNamespace("shop"))
+
+    def ratings_ready() -> bool:
+        workload = dep.clusters[host].workload_state("shop", "ratings")
+        return workload is not None and workload.phase == WorkloadPhase.READY
+
+    period, rollout = dep.spec.ra_heartbeat_period, dep.spec.rollout_latency
+    # One engine step of slack: duties and rollouts land on step boundaries.
+    assert dep.run_until(ratings_ready, period + rollout + dep.DT)
+    assert dep.run_until(
+        lambda: _running(dep, "shop"), 2 * period + rollout + dep.DT - (dep.now - deleted_at)
+    )
+    app = dep.kb().live_application("shop")
+    assert app.component("ratings").decision == ratings
+    fresh = dep.events.events[seen:]
+    assert sorted(e.detail["component"] for e in fresh if e.kind == "reapplied") == hosted
+    assert all(e.source == f"ra-{host}" for e in fresh if e.kind == "reapplied")
+    assert not [e for e in fresh if e.kind == "scheduler-component-requeued"]

@@ -7,19 +7,19 @@ import json
 import pytest
 import yaml
 
-from qonnect.harness.bookinfo import bookinfo_bundle, bundle_to_yaml, parse_bundle_stream
+from qonnect.harness.bookinfo import bookinfo_bundle, parse_bundle_stream
 from qonnect.harness.cli import main
 from qonnect.harness.energy import (
     AWS_COEFFICIENTS,
     GCP_COEFFICIENTS,
     EnergyCoefficientInput,
     energy_coefficient,
-    table_midpoint,
 )
 from qonnect.harness.engine import Deployment
 from qonnect.harness.scenarios import run_scenario
 from qonnect.harness.testbed import TestbedSpec
 from qonnect.sim.profiles import PROFILES
+from support import bundle_to_yaml, table_midpoint
 
 
 def test_energy_coefficients_reproduce_published_values():

@@ -90,7 +90,8 @@ def live():
 
 
 def test_cli_submit_qos_delete_against_live_deployment(live, tmp_path):
-    from qonnect.harness.bookinfo import bookinfo_bundle, bundle_to_yaml
+    from qonnect.harness.bookinfo import bookinfo_bundle
+    from support import bundle_to_yaml
     from qonnect.harness.cli import main
 
     live.wait_for_leader(timeout=15.0)

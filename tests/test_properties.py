@@ -4,12 +4,13 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qonnect.agent.ra import APPS_STORE, CONFIG_STORE, RaConfig, ResourceAgent
 from qonnect.kb.model import Domain, NodeSnapshot, QoSVector
-from qonnect.scheduler import score_and_filter_nodes, weighted_scores
+from qonnect.scheduler import BordaCountStrategy
+from qonnect.scheduler.borda import rank_nodes
 from test_resource_agent import ScriptedClient
 from qonnect.sim import make_cluster
 
@@ -54,10 +55,10 @@ qos_vectors = st.builds(
 @settings(max_examples=150, deadline=None)
 @given(nodes=eligible_nodes(), qos=qos_vectors)
 def test_threshold_filter_never_empties(nodes, qos):
-    scores = weighted_scores(nodes, qos)
+    scores = rank_nodes(nodes).weighted(qos)
     mean = sum(scores) / len(scores)
     assert any(score >= mean for score in scores)
-    result = score_and_filter_nodes(nodes, qos, now=100.0, staleness=60.0)
+    result = BordaCountStrategy().place(nodes, qos, now=100.0, staleness=60.0)
     assert result is not None and result.node_names
     score_of = {node.node_name: score for node, score in zip(nodes, scores)}
     assert all(score_of[name] >= mean for name in result.node_names)
@@ -67,8 +68,8 @@ def test_threshold_filter_never_empties(nodes, qos):
 @given(nodes=eligible_nodes())
 def test_zero_qos_equals_unit_qos(nodes):
     zero, unit = QoSVector(0, 0, 0), QoSVector(1, 1, 1)
-    assert weighted_scores(nodes, zero) == weighted_scores(nodes, unit)
-    placed = [score_and_filter_nodes(nodes, q, now=100.0, staleness=60.0) for q in (zero, unit)]
+    assert rank_nodes(nodes).weighted(zero) == rank_nodes(nodes).weighted(unit)
+    placed = [BordaCountStrategy().place(nodes, q, now=100.0, staleness=60.0) for q in (zero, unit)]
     assert placed[0].node_names == placed[1].node_names
 
 
@@ -81,8 +82,8 @@ def test_zero_qos_equals_unit_qos(nodes):
 )
 def test_positive_scaling_of_one_attribute_changes_nothing(nodes, qos, attribute, factor):
     scaled = [replace(n, **{attribute: getattr(n, attribute) * factor}) for n in nodes]
-    base = score_and_filter_nodes(nodes, qos, now=100.0, staleness=60.0)
-    after = score_and_filter_nodes(scaled, qos, now=100.0, staleness=60.0)
+    base = BordaCountStrategy().place(nodes, qos, now=100.0, staleness=60.0)
+    after = BordaCountStrategy().place(scaled, qos, now=100.0, staleness=60.0)
     assert base is not None and after is not None
     assert after == base  # Borda sees order only, so the whole result is stable
 
@@ -98,6 +99,9 @@ agent_ops = st.lists(
     st.tuples(
         st.sampled_from(["apply", "apply-bad-pin", "apply-bad-token", "kill"]),
         st.sampled_from(APPS),
+        # Two app ids per name: an app deleted and submitted again gets a new
+        # id while the old one may still be recorded in the same namespace.
+        st.sampled_from(("id", "id2")),
         st.sampled_from(COMPONENTS),
         st.integers(min_value=1, max_value=3),
     ),
@@ -116,12 +120,14 @@ def fresh_agent():
     return agent, backend
 
 
-def build_payload(app: str, component: str, version: int, bad_pin: bool, bad_token: bool):
+def build_payload(
+    app: str, component: str, version: int, bad_pin: bool, bad_token: bool, app_id: str = "id"
+):
     env = {"PEER": "http://{{QONNECT_FOG_IP}}/x"} if bad_token else {
         "PEER": "http://{{QONNECT_EDGE_IP}}/x"
     }
     return {
-        "app_id": f"{app}-id",
+        "app_id": f"{app}-{app_id}",
         "name": app,
         "version": version,
         "component": component,
@@ -138,12 +144,15 @@ def build_payload(app: str, component: str, version: int, bad_pin: bool, bad_tok
 
 @settings(max_examples=120, deadline=None)
 @given(ops=agent_ops)
+# The old id's cleanup once took the namespace and objects the new id holds.
+@example(ops=[("apply", "alpha", "id", "web", 1), ("apply", "alpha", "id2", "web", 1),
+              ("kill", "alpha", "id", "web", 1)])
 def test_record_and_namespace_stay_bijective(ops):
     agent, backend = fresh_agent()
     record = backend.read_store(APPS_STORE) or {}
-    for op, app, component, version in ops:
+    for op, app, app_id, component, version in ops:
         if op == "kill":
-            agent._cleanup_component(record, f"{app}-id", component, now=1.0)
+            agent._cleanup_component(record, f"{app}-{app_id}", component, now=1.0)
         else:
             payload = build_payload(
                 app,
@@ -151,6 +160,7 @@ def test_record_and_namespace_stay_bijective(ops):
                 version,
                 bad_pin=(op == "apply-bad-pin"),
                 bad_token=(op == "apply-bad-token"),
+                app_id=app_id,
             )
             agent.reconcile_payload(payload, record, now=1.0)
         # Bijection: application record entries <-> deployed namespaces.
@@ -158,6 +168,10 @@ def test_record_and_namespace_stay_bijective(ops):
         deployed = set(backend.namespaces)
         assert recorded == deployed
         assert all(entry["components"] for entry in record.values())
+        # No cleanup takes away an object another record entry still holds.
+        for entry in record.values():
+            for comp in entry["components"].values():
+                assert all(backend.object_exists(entry["name"], o) for o in comp["objects"])
 
 
 @settings(max_examples=120, deadline=None)

@@ -29,6 +29,7 @@ from qonnect.raft import (
 from qonnect.raft.node import MAX_APPEND_ENTRIES
 from qonnect.raft.simulation import RaftHarness
 from qonnect.raft.storage import Snapshot
+from support import entries_from
 
 
 def make_node(node_id: int = 0, size: int = 3, **kwargs) -> RaftNode:
@@ -237,7 +238,7 @@ def test_compact_discards_prefix_and_rejects_unapplied():
     leader = harness.nodes[leader_id]
     snap = leader.compact(50, state_blob="state-at-50")
     assert snap.index == 50
-    assert leader.entries_from(1)[0].index == 51
+    assert entries_from(leader, 1)[0].index == 51
     with pytest.raises(ValueError):
         leader.compact(leader.last_applied + 10, state_blob="too-far")
 
@@ -312,7 +313,7 @@ def test_restart_from_wal_and_snapshot_preserves_state(tmp_path):
     leader.compact(10, state_blob="blob-10")
 
     before = {
-        i: (n.current_term, n.last_log_index, n.entries_from(1))
+        i: (n.current_term, n.last_log_index, entries_from(n, 1))
         for i, n in harness.nodes.items()
     }
     for i in range(3):
@@ -323,7 +324,7 @@ def test_restart_from_wal_and_snapshot_preserves_state(tmp_path):
         term, last_index, entries = before[i]
         assert node.current_term == term
         assert node.last_log_index == last_index
-        assert node.entries_from(1) == entries
+        assert entries_from(node, 1) == entries
     assert harness.nodes[leader_id].snapshot.blob == "blob-10"
 
 
@@ -348,7 +349,7 @@ def test_storage_reloads_term_vote_snapshot_and_entries_after_compaction(tmp_pat
     state = storage.load()
     assert (state.term, state.voted_for) == (node.current_term, node.voted_for)
     assert state.snapshot == node.snapshot and state.snapshot.blob == "blob-3"
-    assert state.entries == node.entries_from(4) == [LogEntry(4, 3, "x4"), LogEntry(5, 3, "x5")]
+    assert state.entries == entries_from(node, 4) == [LogEntry(4, 3, "x4"), LogEntry(5, 3, "x5")]
 
 
 @pytest.mark.parametrize("version", [0, 2, "1", True, None])
@@ -420,7 +421,7 @@ def test_partition_heals_with_identical_logs():
         and all(harness.nodes[i].commit_index >= 9 for i in harness.nodes),
         10.0,
     )
-    logs = [harness.nodes[i].entries_from(1) for i in harness.nodes]
+    logs = [entries_from(harness.nodes[i], 1) for i in harness.nodes]
     assert logs[0] == logs[1] == logs[2]
     commands = [e.command for e in logs[0]]
     assert "stale-0" not in commands  # diverged suffix truncated and overwritten

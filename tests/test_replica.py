@@ -20,6 +20,7 @@ from qonnect.raft import (
     VoteResponse,
 )
 from qonnect.raft.replica import Replica
+from support import entries_from
 
 
 class FakeMachine:
@@ -105,14 +106,14 @@ def test_a_snapshot_the_machine_cannot_load_never_reaches_the_node():
     replica, machine = follower()
     replica.handle(append(1, (0, 0), [(1, "a"), (2, "b")], commit=2))
     before = (replica.node.current_term, replica.node.snapshot_index,
-              replica.node.entries_from(1))
+              entries_from(replica.node, 1))
     with pytest.raises(ValueError):
         replica.handle(
             SnapshotRequest(src=1, dst=0, term=2, last_included_index=5, last_included_term=2,
                             state_blob="!garbage")
         )
     after = (replica.node.current_term, replica.node.snapshot_index,
-             replica.node.entries_from(1))
+             entries_from(replica.node, 1))
     assert after == before
     assert machine.calls == [("apply", 1, "a"), ("apply", 2, "b")]
 

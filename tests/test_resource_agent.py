@@ -15,7 +15,7 @@ from qonnect.agent.ra import (
     PlaceholderError,
 )
 from qonnect.kb.model import Domain
-from qonnect.sim import CrashLoop, NodePressure, make_cluster
+from qonnect.sim import CrashLoop, DeleteNamespace, NodePressure, make_cluster
 
 
 class ScriptedClient:
@@ -228,7 +228,8 @@ def test_component_status_lifecycle():
     assert agent.component_status("shop", comp, now=10.0) == "failed"
 
     backend.delete_objects("shop", ["Deployment/web"])
-    assert agent.component_status("shop", comp, now=10.0) == "failed"  # missing object
+    # A missing object is drift: reported as failed, and applied again.
+    assert agent.component_status("shop", comp, now=10.0) == "missing"
 
 
 def test_heartbeats_report_recorded_components():
@@ -259,15 +260,6 @@ def test_heartbeat_404_triggers_cleanup_and_bijection_holds():
     assert client.heartbeats == []
 
 
-def test_cleanup_application_is_idempotent():
-    agent, backend, client = make_agent()
-    agent.ensure_registered(0.0)
-    deploy(agent, backend, now=0.0)
-    assert agent.cleanup_application("shop-id", now=1.0)
-    assert not agent.cleanup_application("shop-id", now=2.0)
-    assert not backend.namespace_exists("shop")
-
-
 def test_multi_component_cleanup_keeps_namespace_until_last():
     agent, backend, client = make_agent()
     agent.ensure_registered(0.0)
@@ -283,6 +275,73 @@ def test_multi_component_cleanup_keeps_namespace_until_last():
     agent._cleanup_component(record, "shop-id", "api", now=2.0)
     assert not backend.namespace_exists("shop")
     assert record == {}
+
+
+# ---------------------------------------------------------------------------
+# Drift: a component's namespace, objects or workload gone from the cluster
+# ---------------------------------------------------------------------------
+
+
+def drift_namespace(backend):
+    backend.inject_fault(DeleteNamespace("shop"))
+
+
+def drift_object(backend):
+    backend.delete_objects("shop", ["Ingress/web-ing"])
+
+
+def drift_workload(backend):
+    del backend.workloads["shop"]["web"]
+
+
+@pytest.mark.parametrize("drift", [drift_namespace, drift_object, drift_workload])
+def test_a_drifted_component_is_applied_again_from_the_record(drift):
+    agent, backend, client = make_agent()
+    agent.ensure_registered(0.0)
+    record = deploy(agent, backend, now=0.0)
+    backend.step(3.0)
+    applied = record["shop-id"]["components"]["web"]["objects"]
+    drift(backend)
+
+    agent.report_heartbeats(now=5.0)
+    assert client.heartbeats == [("shop-id", "web", "cid-1", 1, "failed")]
+    assert all(backend.object_exists("shop", o) for o in applied)
+    assert backend.workload_state("shop", "web").env == {}
+    reapplied = [e for e in agent.events.events if e.kind == "reapplied"]
+    assert [(e.at, e.detail) for e in reapplied] == [
+        (5.0, {"app": "shop", "component": "web", "version": 1, "objects": applied})
+    ]
+    comp = backend.read_store(APPS_STORE)["shop-id"]["components"]["web"]
+    assert comp["deployed_at"] == 5.0
+
+    backend.step(3.0)
+    agent.report_heartbeats(now=15.0)
+    assert client.heartbeats[-1] == ("shop-id", "web", "cid-1", 1, "healthy")
+    assert len([e for e in agent.events.events if e.kind == "reapplied"]) == 1
+
+
+def test_a_crash_loop_or_a_rollout_timeout_is_not_drift():
+    agent, backend, client = make_agent()
+    agent.ensure_registered(0.0)
+    deploy(agent, backend, now=0.0)
+    backend.inject_fault(CrashLoop("shop", "web"))
+    agent.report_heartbeats(now=5.0)
+    agent.report_heartbeats(now=200.0)  # past the rollout timeout as well
+    assert [h[-1] for h in client.heartbeats] == ["failed", "failed"]
+    assert not [e for e in agent.events.events if e.kind == "reapplied"]
+
+
+def test_a_drifted_component_answered_404_is_cleaned_up_not_reapplied():
+    agent, backend, client = make_agent()
+    agent.ensure_registered(0.0)
+    deploy(agent, backend, now=0.0)
+    drift_namespace(backend)
+    client.heartbeat_ok = False
+    agent.report_heartbeats(now=5.0)
+    assert backend.read_store(APPS_STORE) == {} and not backend.namespace_exists("shop")
+    assert [e.kind for e in agent.events.events if e.kind in ("reapplied", "cleanup")] == [
+        "cleanup"
+    ]
 
 
 def test_transient_rla_outage_skips_duty_and_recovers():

@@ -12,6 +12,7 @@ import pytest
 from qonnect.raft import FileStorage, LogEntry, RaftConfig, RaftNode, Snapshot
 from qonnect.raft import storage as storage_module
 from qonnect.raft.storage import WAL_FILE
+from support import entries_from
 
 ENTRIES = [LogEntry(i, 2, f"cmd-{i}") for i in range(1, 4)]
 
@@ -35,7 +36,7 @@ def test_a_cut_anywhere_in_the_last_record_restarts_with_the_prefix(tmp_path):
         node = RaftNode(RaftConfig(node_id=0, members=(0, 1, 2)), storage=storage)
 
         assert (node.current_term, node.voted_for) == (2, 1)
-        assert node.entries_from(1) == ENTRIES[:-1]
+        assert entries_from(node, 1) == ENTRIES[:-1]
         assert (data_dir / WAL_FILE).read_bytes() == full[:last_start]
         # Appends after the restart follow the kept prefix.
         storage.append_entries([LogEntry(3, 3, "again")])
