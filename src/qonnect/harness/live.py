@@ -4,8 +4,8 @@ Each RLA is one ``Replica`` served over one HTTP endpoint that carries
 both the Raft transport (one route per request kind under ``/raft/``,
 answering with the paired response message) and the REST control API.
 Both travel on kept-alive stdlib connections (``Connections``). Resource
-agents poll over HTTP; simulated clusters advance on a real-time stepper
-thread.
+agents poll over HTTP; one member loop advances the simulated clusters on
+wall-clock time and runs their agents.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from qonnect.raft.storage import FileStorage
 from qonnect.rla.config import RlaConfig
 from qonnect.rla.rest import RestApi
 from qonnect.rla.service import RlaService, UnavailableError
-from qonnect.sim.cluster import SimCluster
 
 
 # Seconds an agent or CLI request waits for an RLA's answer.
@@ -381,25 +380,12 @@ class _RlaHandler(BaseHTTPRequestHandler):
         self._handle("DELETE")
 
 
-class _LockedCluster:
-    """Serializes agent and stepper access to one SimCluster."""
-
-    def __init__(self, cluster: SimCluster) -> None:
-        self._cluster = cluster
-        self._lock = threading.RLock()
-
-    def __getattr__(self, name: str):
-        attr = getattr(self._cluster, name)
-        if not callable(attr):
-            return attr
-        def locked(*args, **kwargs):
-            with self._lock:
-                return attr(*args, **kwargs)
-        return locked
-
-
 class LiveDeployment:
-    """Boots RLAs, clusters, and agents on real time; used by `qonnect up`."""
+    """Boots RLAs, clusters, and agents on real time; used by `qonnect up`.
+
+    One member loop drives every cluster and its agent, so no other thread
+    touches a cluster.
+    """
 
     def __init__(
         self,
@@ -419,52 +405,51 @@ class LiveDeployment:
             config = self.spec.rla_config(i, addresses, data_dir)
             self.rlas[i] = LiveRla(config, members, events=self.events)
 
-        self.clusters = {
-            name: _LockedCluster(cluster) for name, cluster in self.spec.make_clusters().items()
-        }
+        self.clusters = self.spec.make_clusters()
         self._send = HttpSend()  # shared by every client: each call has its own connection
         self.agents = self.spec.make_agents(self.clusters, self.client, self.events)
         self._running = False
-        self._threads: list[threading.Thread] = []
+        self._member_loop = threading.Thread(
+            target=self._run_members, name="member-loop", daemon=True
+        )
 
     def start(self) -> None:
         self._running = True
         for rla in self.rlas.values():
             rla.start()
-        stepper = threading.Thread(target=self._step_clusters, name="cluster-stepper", daemon=True)
-        agent_loop = threading.Thread(target=self._run_agents, name="agent-loop", daemon=True)
-        self._threads = [stepper, agent_loop]
-        stepper.start()
-        agent_loop.start()
+        self._member_loop.start()
 
     def stop(self) -> None:
         self._running = False
-        for thread in self._threads:
-            thread.join(timeout=2.0)
+        if self._member_loop.is_alive():
+            self._member_loop.join(timeout=2.0)
         self._send.close()
         for rla in self.rlas.values():
             rla.stop()
 
-    def _step_clusters(self) -> None:
+    def _run_members(self) -> None:
+        """Every 0.1 s, step every cluster by the elapsed time, then run
+        each live agent's due duties: ``Deployment.step``'s order.
+
+        Cluster events are logged at the loop's wall-clock time, as agents
+        stamp theirs. An agent that raises is logged as ``agent-error`` and
+        the round goes on to the next agent, so one agent's fault neither
+        stops the others nor goes unseen.
+        """
         last = time.monotonic()
         while self._running:
             time.sleep(0.1)
-            now_mono = time.monotonic()
+            now, now_mono = time.time(), time.monotonic()
             dt, last = now_mono - last, now_mono
             for cluster in self.clusters.values():
-                if dt > 0:
-                    cluster.step(dt)
-
-    def _run_agents(self) -> None:
-        while self._running:
-            time.sleep(0.1)
-            now = time.time()
+                for event in cluster.step(dt):
+                    self.events.append(now, cluster.name, event.kind, event.detail)
             for name, agent in self.agents.items():
                 if self.clusters[name].ra_alive:
                     try:
                         agent.run_due(now)
-                    except Exception:
-                        pass  # duty-level errors are already guarded; stay alive
+                    except Exception as exc:
+                        self.events.append(now, agent.name, "agent-error", {"error": repr(exc)})
 
     def client(self) -> RlaClient:
         return RlaClient(list(self.addresses.values()), self._send)

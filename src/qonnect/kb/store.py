@@ -106,8 +106,9 @@ class KnowledgeBase:
         # within an application (``validate_bundle``).
         self._pending: set[tuple[str, str]] = set()
         # Bumped whenever a component's stall reference may move earlier: it
-        # became active, or a heartbeat set its replicated time back. A stall
-        # watermark taken at another value is void (``StallWatch``).
+        # became active, or a heartbeat set its replicated time back. A
+        # lease's stall ``floor`` taken at another ``epoch`` is void
+        # (``qonnect.scheduler.loop.Lease``).
         self.stall_epoch = 0
         # app id -> what ``derived`` computed from that record; filled by
         # reads, dropped with the record and never restored.
@@ -189,7 +190,8 @@ class KnowledgeBase:
         heartbeat it accepted, and ``lease_start`` is when it began to lead;
         the reference is then the latest of those times and the replicated
         one. No component can stall before ``floor + grace`` unless a
-        reference moves earlier (``StallWatch`` says when).
+        reference moves earlier (the lease's ``floor`` and ``epoch`` say
+        when).
 
         The scan walks every active component once, unsorted, and sorts only
         what it returns.

@@ -431,23 +431,17 @@ class RaftNode:
         return applied
 
     def _on_snapshot_request(self, msg: SnapshotRequest) -> ReceiveResult:
-        if msg.term < self.current_term:
-            return ReceiveResult(
-                messages=[
-                    SnapshotResponse(
-                        src=self.config.node_id,
-                        dst=msg.src,
-                        term=self.current_term,
-                        match_index=self.snapshot_index,
-                    )
-                ]
-            )
-        self.role = Role.FOLLOWER
-        self.leader_id = msg.src
-        self._reset_election_timer()
+        """Install a newer snapshot from a current leader. Every request, a
+        stale term's included, gets one reply with this node's snapshot
+        index."""
+        current = msg.term >= self.current_term
+        if current:
+            self.role = Role.FOLLOWER
+            self.leader_id = msg.src
+            self._reset_election_timer()
 
         installed: str | None = None
-        if msg.last_included_index > self.snapshot_index:
+        if current and msg.last_included_index > self.snapshot_index:
             snapshot = Snapshot(
                 index=msg.last_included_index,
                 term=msg.last_included_term,

@@ -52,7 +52,7 @@ class RestApi:
         return 200, {"cluster_id": cluster_id}
 
     def _config(self, params: dict, body: dict) -> tuple[int, dict]:
-        return 200, {"clusters": self.service.cluster_config()}
+        return 200, {"clusters": self.service.kb.cluster_config()}
 
     def _nodes(self, params: dict, body: dict) -> tuple[int, dict]:
         nodes = body.get("nodes")

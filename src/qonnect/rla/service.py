@@ -32,15 +32,16 @@ a deposed leader's in-flight proposals fail at commit and are harmless.
 Telemetry works as leases (Gray and Cheriton, "Leases", SOSP 1989;
 Kubernetes KEP-589, "Efficient Node Heartbeats"), renewed by their
 holders: a component by its heartbeat, a cluster by its node report. The
-leader keeps one ``_Lease`` record of soft state for its term, made at its
-first leader work in the term and dropped when it stops leading: when the
-term's lease began, the time of each component's last accepted heartbeat,
-the time of each cluster's last accepted report, the fingerprint of each
-cluster's last checked report, and what the term's last full stall scan
-found (a ``StallWatch``: the earliest stall reference then, so passes skip
-the scan until a component can have stalled). A new term starts with no
-scan, and a clock reading earlier than the scan's floor (live mode's
-clock can step back) voids it. Renewing a lease writes nothing to the log.
+leader keeps one ``Lease`` record of soft state for its term
+(``qonnect.scheduler.loop``), made at its first leader work in the term and
+dropped when it stops leading: when the term's lease began, the time of
+each component's last accepted heartbeat, the time of each cluster's last
+accepted report, the fingerprint of each cluster's last checked report,
+and what the term's last full stall scan found (its ``floor``, the
+earliest stall reference then, and the KB's ``epoch``, so passes skip the
+scan until a component can have stalled). A new term starts with no scan,
+and a clock reading earlier than the ``floor`` (live mode's clock can step
+back) voids it. Renewing a lease writes nothing to the log.
 
 A heartbeat is logged only when it changes the replicated status, which
 the first beat after a decision always does (a decision sets Scheduled,
@@ -74,7 +75,6 @@ import marshal
 import math
 import time
 import uuid
-from dataclasses import dataclass, field
 from typing import Callable
 
 from qonnect.events import EventLog
@@ -95,7 +95,7 @@ from qonnect.kb.store import HEARTBEAT_STATUS, Effect, KnowledgeBase, node_from_
 from qonnect.raft.node import NotLeaderError, RaftNode, Role
 from qonnect.rla.config import RlaConfig
 from qonnect.rla.validation import parse_qos, placeholder_domains, validate_bundle
-from qonnect.scheduler.loop import StallWatch, scheduler_tick
+from qonnect.scheduler.loop import Lease, scheduler_tick
 
 
 class ValidationFailed(Exception):
@@ -179,23 +179,6 @@ def _check_report(nodes: list, cluster_id: str, taken_at: float) -> None:
         raise ValidationFailed(errors)
 
 
-@dataclass
-class _Lease:
-    """A leader's soft state for one term (see the module docstring)."""
-
-    term: int
-    start: float
-    # (app id, component) -> time of its last accepted heartbeat.
-    seen: dict[tuple[str, str], float] = field(default_factory=dict)
-    # Cluster -> time of its last accepted node report.
-    heard: dict[str, float] = field(default_factory=dict)
-    # Cluster -> the fingerprint of its last report queued or committed in
-    # this term (None if it had none).
-    reports: dict[str, bytes | None] = field(default_factory=dict)
-    # What the term's last full stall scan found (``scheduler_tick``).
-    stalls: StallWatch = field(default_factory=StallWatch)
-
-
 class RlaService:
     def __init__(
         self,
@@ -223,7 +206,7 @@ class RlaService:
         # (app id, component) with a status change in ``_telemetry``: each of
         # its later heartbeats in the window is logged too.
         self._status_queued: set[tuple[str, str]] = set()
-        self._lease: _Lease | None = None
+        self._lease: Lease | None = None
         # Compaction trigger state (see the module docstring): commands and
         # raw entry bytes applied since the last snapshot, and its size.
         self._applied_since_compact = 0
@@ -303,15 +286,15 @@ class RlaService:
         if self.node.role != Role.LEADER:
             raise NotLeaderError(self.node.leader_id)
 
-    def _hold_lease(self, now: float) -> _Lease:
+    def _hold_lease(self, now: float) -> Lease:
         """This term's lease, begun at the first leader work in the term."""
         lease = self._lease
         if lease is None or lease.term != self.node.current_term:
-            lease = self._lease = _Lease(self.node.current_term, now)
-        elif now < lease.stalls.floor:
+            lease = self._lease = Lease(self.node.current_term, now)
+        elif now < lease.floor:
             # The clock stepped back: a heartbeat now could set a stall
             # reference earlier than the last scan's floor.
-            lease.stalls.floor = -math.inf
+            lease.floor = -math.inf
         return lease
 
     def _propose(self, command: KBCommand) -> Effect:
@@ -357,9 +340,6 @@ class RlaService:
             )
         )
         return effect.detail["cluster_id"]
-
-    def cluster_config(self) -> dict[str, str]:
-        return self.kb.cluster_config()
 
     def put_node_snapshot(self, cluster_id: str, nodes: list[dict]) -> dict:
         """Accept one cluster's node report; it renews the cluster's lease on
@@ -566,17 +546,14 @@ class RlaService:
             if self._lease is not None:
                 self._lease.reports.clear()
 
-    def _scheduler_pass(self, now: float, lease: _Lease) -> None:
+    def _scheduler_pass(self, now: float, lease: Lease) -> None:
         commands = scheduler_tick(
             self.kb,
             now=now,
             term=self.node.current_term,
             grace_period=self.config.grace_period,
             snapshot_staleness=self.config.snapshot_staleness,
-            seen=lease.seen,
-            lease_start=lease.start,
-            heard=lease.heard,
-            stalls=lease.stalls,
+            lease=lease,
         )
         if not commands:
             return

@@ -7,11 +7,12 @@ from qonnect.scheduler.borda import (
     borda_rank,
     eligibility_filter,
 )
-from qonnect.scheduler.loop import scheduler_tick
+from qonnect.scheduler.loop import Lease, scheduler_tick
 
 __all__ = [
     "BordaCountStrategy",
     "ClusterScore",
+    "Lease",
     "PlacementResult",
     "borda_rank",
     "eligibility_filter",

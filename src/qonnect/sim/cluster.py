@@ -26,7 +26,6 @@ class WorkloadPhase(str, Enum):
 @dataclass(frozen=True)
 class SimEvent:
     at: float
-    cluster: str
     kind: str
     detail: dict
 
@@ -262,7 +261,6 @@ class SimCluster:
                         events.append(
                             SimEvent(
                                 at=self.now,
-                                cluster=self.name,
                                 kind="workload-ready",
                                 detail={"namespace": namespace, "workload": workload.name},
                             )
@@ -284,7 +282,6 @@ class SimCluster:
                         events.append(
                             SimEvent(
                                 at=self.now,
-                                cluster=self.name,
                                 kind="crashloop-restart",
                                 detail={"namespace": namespace, "workload": workload.name},
                             )
@@ -324,7 +321,6 @@ class SimCluster:
             raise SimClusterError(f"unknown fault: {fault!r}")
         return SimEvent(
             at=self.now,
-            cluster=self.name,
             kind=f"fault-{type(fault).__name__.lower()}",
             detail=detail,
         )

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 from qonnect.kb.commands import RecordHeartbeat
 from qonnect.kb.store import HEARTBEAT_STATUS
-from qonnect.rla.service import RlaService, ValidationFailed, _Lease
+from qonnect.rla.service import RlaService, ValidationFailed
+from qonnect.scheduler import Lease
 
 
 class EveryBeatService(RlaService):
-    def _hold_lease(self, now: float) -> _Lease:
+    def _hold_lease(self, now: float) -> Lease:
         # No soft state: a new record each time, so nothing is ever seen or
         # heard and the lease never starts.
-        return _Lease(self.node.current_term, start=float("-inf"))
+        return Lease(self.node.current_term, start=float("-inf"))
 
     def heartbeat(
         self, app_id: str, component: str, cluster_id: str, version: int, status: str

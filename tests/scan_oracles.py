@@ -7,10 +7,10 @@ component Scheduled on the polled cluster and reuses each application's
 placeholder domains, ``RestApi.dispatch`` only the routes of the request's
 method and segment count, ``KnowledgeBase.pending_components`` only its
 pending index, and a leader's scheduler tick skips the stall scan while its
-``StallWatch`` shows nothing can have stalled. The functions here are those
-paths as they were before: they walk every workload, every application and
-every route, sort every application and its components, and compute
-everything again on every call. They serve as the oracles the equivalence
+lease's ``floor`` and ``epoch`` show nothing can have stalled. The functions
+here are those paths as they were before: they walk every workload, every
+application and every route, sort every application and its components,
+and compute everything again on every call. They serve as the oracles the equivalence
 tests compare against.
 """
 
@@ -40,7 +40,6 @@ def oracle_step(cluster: SimCluster, dt: float) -> list[SimEvent]:
                     events.append(
                         SimEvent(
                             at=cluster.now,
-                            cluster=cluster.name,
                             kind="workload-ready",
                             detail={"namespace": namespace, "workload": workload.name},
                         )
@@ -57,7 +56,6 @@ def oracle_step(cluster: SimCluster, dt: float) -> list[SimEvent]:
                     events.append(
                         SimEvent(
                             at=cluster.now,
-                            cluster=cluster.name,
                             kind="crashloop-restart",
                             detail={"namespace": namespace, "workload": workload.name},
                         )

@@ -591,7 +591,8 @@ def test_a_leaders_requeues_at_every_tick_equal_the_full_scans(ops):
     tick = service_module.scheduler_tick
 
     def checked_tick(kb, **kwargs):
-        now, seen, start = kwargs["now"], kwargs["seen"], kwargs["lease_start"]
+        now, lease = kwargs["now"], kwargs["lease"]
+        seen, start = lease.seen, lease.start
         stalled = oracle_stalled(kb, now, kwargs["grace_period"], seen, start)
         pending = oracle_pending(kb)
         commands = tick(kb, **kwargs)
@@ -683,7 +684,12 @@ def test_a_settled_federations_ticks_read_no_application_and_rarely_scan(monkeyp
 
 class EchoService:
     """Refuses every call with its name and arguments, so that a reply
-    names the route a request reached and the parameters it parsed."""
+    names the route a request reached and the parameters it parsed. Its
+    ``kb`` is itself, so a route that reads the KB is refused alike."""
+
+    @property
+    def kb(self):
+        return self
 
     def __getattr__(self, name):
         def call(*args, **kwargs):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -18,6 +19,7 @@ from qonnect.harness.energy import (
 from qonnect.harness.engine import Deployment
 from qonnect.harness.scenarios import run_scenario
 from qonnect.harness.testbed import TestbedSpec
+from qonnect.kb.model import ComponentStatus
 from qonnect.sim.profiles import PROFILES
 from support import bundle_to_yaml, table_midpoint
 
@@ -51,6 +53,30 @@ def test_default_testbed_is_nine_clusters():
         TestbedSpec(clusters=[*spec.clusters, spec.clusters[0]])  # duplicate name
     with pytest.raises(ValueError):
         TestbedSpec(clusters=spec.clusters[:6])  # missing a domain's profiles
+
+
+def test_a_testbed_with_two_clusters_per_profile_and_domain_boots_and_places():
+    base = TestbedSpec.default().clusters
+    twins = [
+        dataclasses.replace(c, name=f"{c.name}-2", ingress_ip=c.ingress_ip[:-1] + "2")
+        for c in base
+    ]
+    dep = Deployment(TestbedSpec(clusters=[*base, *twins], seed=7))
+    dep.boot()
+    assert len(dep.kb().clusters) == 18
+    dep.client().submit_application(bookinfo_bundle("bookinfo"))
+
+    def components():
+        return dep.kb().live_application("bookinfo").components
+
+    assert dep.run_until(
+        lambda: all(c.status == ComponentStatus.HEALTHY for c in components()), 30.0
+    )
+    for comp in components():
+        host = dep.clusters[dep.cluster_name_by_id(comp.decision.cluster_id)]
+        # Twin clusters score alike and a tie breaks by cluster id, so either
+        # performance cluster of the component's domain may host it.
+        assert (host.domain, host.profile) == (comp.target_domain, "performance")
 
 
 def test_testbed_spec_yaml_roundtrip(tmp_path):

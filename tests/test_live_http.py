@@ -164,6 +164,107 @@ def test_live_http_elects_leader_and_places_application(live):
     assert "{{QONNECT" not in str(workload.env)
 
 
+def test_the_live_log_holds_one_ready_event_per_placed_workload_from_its_host(live):
+    live.wait_for_leader(timeout=15.0)
+    bundle = bookinfo_bundle("bookinfo")
+    components = [c["component"] for c in bundle["components"]]
+    live.client().submit_application(bundle)
+
+    def ready() -> set[tuple[str, str]]:
+        """(cluster, workload) of every Ready bookinfo workload."""
+        out = set()
+        for name, cluster in live.clusters.items():
+            for component in components:
+                workload = cluster.workload_state("bookinfo", component)
+                if workload is not None and workload.phase == "Ready":
+                    out.add((name, component))
+        return out
+
+    def logged():
+        return live.events.matching(kind="workload-ready")
+
+    deadline = time.monotonic() + 40.0
+    while time.monotonic() < deadline and (
+        len(ready()) < len(components) or len(logged()) < len(components)
+    ):
+        time.sleep(0.1)
+    assert len(ready()) == len(components)
+    assert len(logged()) == len(components)
+    assert {(e.source, e.detail["workload"]) for e in logged()} == ready()
+    assert all(e.detail["namespace"] == "bookinfo" for e in logged())
+
+
+def test_an_agent_that_raises_is_logged_and_the_other_agents_still_run(monkeypatch):
+    live = LiveDeployment(spec=fast_spec(), base_port=free_port_base())
+    broken = "fog-cost"
+    rounds: dict[float, list[str]] = {}
+
+    def recorded(agent):
+        run_due = agent.run_due
+
+        def run(now: float) -> None:
+            rounds.setdefault(now, []).append(agent.name)
+            if agent.name == f"ra-{broken}":
+                raise RuntimeError("disk on fire")
+            run_due(now)
+
+        return run
+
+    for agent in live.agents.values():
+        monkeypatch.setattr(agent, "run_due", recorded(agent))
+    others = [agent for name, agent in live.agents.items() if name != broken]
+    live.start()
+    try:
+        live.wait_for_leader(timeout=15.0)
+        deadline = time.monotonic() + 20.0
+        while time.monotonic() < deadline and not all(a.cluster_id for a in others):
+            time.sleep(0.05)
+    finally:
+        live.stop()
+    assert all(agent.cluster_id is not None for agent in others)  # they registered
+    assert live.agents[broken].cluster_id is None
+    errors = live.events.matching(kind="agent-error")
+    assert errors
+    for event in errors:
+        assert event.source == f"ra-{broken}"
+        assert event.detail == {"error": "RuntimeError('disk on fire')"}
+    # Each round that logged an error and ended before the last round began
+    # ran every agent, in order.
+    ended = [event.at for event in errors if event.at < max(rounds)]
+    assert ended
+    for at in ended:
+        assert rounds[at] == [agent.name for agent in live.agents.values()]
+
+
+def thread_kind(thread: threading.Thread) -> str:
+    """A thread's name without its RLA id or pool index."""
+    if thread.name.endswith("(process_request_thread)"):
+        return "rla-http handler"  # started by an RLA's ``rla-http`` thread
+    if thread.name.startswith("ThreadPoolExecutor-"):
+        return "send pool"
+    return thread.name.rstrip("0123456789")
+
+
+def test_a_live_deployment_starts_only_the_rla_threads_and_one_member_loop():
+    before = set(threading.enumerate())
+    live = LiveDeployment(spec=fast_spec(), base_port=free_port_base())
+    live.start()
+    try:
+        live.wait_for_leader(timeout=15.0)
+        deadline = time.monotonic() + 20.0
+        while time.monotonic() < deadline and len(live.client().cluster_config()) < 9:
+            time.sleep(0.1)
+        kinds = sorted(thread_kind(t) for t in set(threading.enumerate()) - before)
+    finally:
+        live.stop()
+    assert set(kinds) == {
+        "rla-http-", "rla-tick-", "rla-leader-", "rla-http handler", "send pool", "member-loop",
+    }
+    for kind in ("rla-http-", "rla-tick-", "rla-leader-"):
+        assert kinds.count(kind) == live.spec.rla_count
+    assert kinds.count("member-loop") == 1
+
+
 def test_names_with_reserved_characters_route_over_http(live):
     """The server routes on the raw path, as the in-process API does, so a
     name with ``:`` or ``+`` reaches its application over HTTP too."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import replace
 from unittest.mock import patch
@@ -21,7 +22,13 @@ from qonnect.kb import (
 )
 from qonnect.kb.commands import RequeueComponent
 from qonnect.kb.model import Domain
-from qonnect.scheduler import BordaCountStrategy, borda, eligibility_filter, scheduler_tick
+from qonnect.scheduler import (
+    BordaCountStrategy,
+    Lease,
+    borda,
+    eligibility_filter,
+    scheduler_tick,
+)
 from qonnect.sim.profiles import PROFILES
 
 PERIODS = {"grace_period": 30.0, "snapshot_staleness": 15.0}
@@ -85,7 +92,7 @@ def submit(kb: KnowledgeBase, qos: QoSVector, name: str = "bookinfo", at: float 
 def test_four_pending_components_yield_four_decisions_on_performance():
     kb, ids = build_kb()
     submit(kb, QoSVector(performance=1.0))
-    commands = scheduler_tick(kb, now=1.0, term=2, **PERIODS)
+    commands = scheduler_tick(kb, now=1.0, term=2, **PERIODS, lease=Lease(2, -math.inf))
     decisions = [c for c in commands if isinstance(c, RecordDecision)]
     assert len(decisions) == 4
     by_component = {c.component: c for c in decisions}
@@ -100,7 +107,7 @@ def test_four_pending_components_yield_four_decisions_on_performance():
 def test_energy_qos_places_on_energy_clusters():
     kb, ids = build_kb()
     submit(kb, QoSVector(energy=1.0))
-    commands = scheduler_tick(kb, now=1.0, term=2, **PERIODS)
+    commands = scheduler_tick(kb, now=1.0, term=2, **PERIODS, lease=Lease(2, -math.inf))
     targets = {c.component: c.cluster_id for c in commands if isinstance(c, RecordDecision)}
     assert targets["ratings"] == ids["edge-energy"]
     assert targets["productpage"] == ids["cloud-energy"]
@@ -109,7 +116,7 @@ def test_energy_qos_places_on_energy_clusters():
 def test_stalled_component_requeues_then_places_elsewhere_next_tick():
     kb, ids = build_kb()
     app_id = submit(kb, QoSVector(performance=1.0))
-    for command in scheduler_tick(kb, now=1.0, term=2, **PERIODS):
+    for command in scheduler_tick(kb, now=1.0, term=2, **PERIODS, lease=Lease(2, -math.inf)):
         kb.apply(command)
     edge_perf = ids["edge-performance"]
     kb.apply(RecordHeartbeat(app_id, "ratings", edge_perf, 1, "healthy", at=2.0))
@@ -128,7 +135,7 @@ def test_stalled_component_requeues_then_places_elsewhere_next_tick():
         profile = key.split("-", 1)[1]
         kb.apply(PutNodeSnapshot(cid, profile_nodes(profile), taken_at=40.0))
 
-    commands = scheduler_tick(kb, now=40.0, term=2, **PERIODS)
+    commands = scheduler_tick(kb, now=40.0, term=2, **PERIODS, lease=Lease(2, -math.inf))
     requeues = [c for c in commands if isinstance(c, RequeueComponent)]
     assert [r.component for r in requeues] == ["ratings"]
     # Requeue wins this tick: no placement yet for ratings.
@@ -138,7 +145,7 @@ def test_stalled_component_requeues_then_places_elsewhere_next_tick():
     for command in commands:
         kb.apply(command)
 
-    next_commands = scheduler_tick(kb, now=45.0, term=2, **PERIODS)
+    next_commands = scheduler_tick(kb, now=45.0, term=2, **PERIODS, lease=Lease(2, -math.inf))
     placements = [c for c in next_commands if isinstance(c, RecordDecision)]
     assert len(placements) == 1
     assert placements[0].component == "ratings"
@@ -150,14 +157,14 @@ def test_stalled_component_requeues_then_places_elsewhere_next_tick():
 def test_all_snapshots_stale_halts_and_component_stays_pending():
     kb, ids = build_kb(now=0.0)
     submit(kb, QoSVector(performance=1.0))
-    commands = scheduler_tick(kb, now=100.0, term=2, **PERIODS)
+    commands = scheduler_tick(kb, now=100.0, term=2, **PERIODS, lease=Lease(2, -math.inf))
     assert commands == []
     assert len(kb.pending_components()) == 4
 
 
 def test_quiet_kb_produces_no_commands():
     kb, _ = build_kb()
-    assert scheduler_tick(kb, now=1.0, term=2, **PERIODS) == []
+    assert scheduler_tick(kb, now=1.0, term=2, **PERIODS, lease=Lease(2, -math.inf)) == []
 
 
 def random_federation(seed: int) -> KnowledgeBase:
@@ -208,7 +215,8 @@ def test_memoized_tick_equals_placing_each_component_on_its_own(seed):
 
     with patch.object(BordaCountStrategy, "place", counting_place):
         commands = scheduler_tick(
-            kb, now=100.0, term=3, grace_period=30.0, snapshot_staleness=60.0
+            kb, now=100.0, term=3, grace_period=30.0, snapshot_staleness=60.0,
+            lease=Lease(3, -math.inf),
         )
 
     expected = []
@@ -263,7 +271,10 @@ def test_a_tick_ranks_each_domain_once_whatever_the_number_of_classes(seed, apps
     with patch.object(borda, "borda_rank", counting_rank), patch.object(
         BordaCountStrategy, "place", counting_place
     ):
-        scheduler_tick(kb, now=100.0, term=3, grace_period=30.0, snapshot_staleness=60.0)
+        scheduler_tick(
+            kb, now=100.0, term=3, grace_period=30.0, snapshot_staleness=60.0,
+            lease=Lease(3, -math.inf),
+        )
 
     classes = {(comp.target_domain, app.qos) for app, comp in kb.pending_components()}
     ranked = {
