@@ -10,6 +10,15 @@ state machine.
 Role transitions follow the classic finite-state machine: a follower whose
 election timer fires becomes a candidate, a candidate reaching a majority
 becomes leader, and any node observing a higher term falls back to follower.
+
+An idle round builds nothing. A leader resends a peer's last empty
+``AppendRequest`` while its term, ``prev_log_index``, ``prev_log_term`` and
+``leader_commit`` are unchanged; a follower resends its last
+``AppendResponse`` while its destination, term, match index and conflict
+index are. Messages are frozen values, so a resent one is
+indistinguishable from a fresh equal one. The leader checks its commit
+index only when a peer's match index rises: by Raft's commit rule (Ongaro
+and Ousterhout, 2014) the index a quorum holds moves with nothing else.
 """
 
 from __future__ import annotations
@@ -102,6 +111,10 @@ class RaftNode:
         self._votes: set[int] = set()
         self._next_index: dict[int, int] = {}
         self._match_index: dict[int, int] = {}
+        # The last empty AppendRequest per peer and the last AppendResponse,
+        # each with the values it was built from: an idle round resends them.
+        self._idle: dict[int, tuple[tuple[int, ...], AppendRequest]] = {}
+        self._reply: tuple[tuple[int, ...], AppendResponse] | None = None
 
         self._election_elapsed = 0.0
         self._election_deadline = self._random_timeout()
@@ -250,15 +263,22 @@ class RaftNode:
                 state_blob=self._snapshot.blob,
             )
         offset = prev_index - self.snapshot_index
-        return AppendRequest(
-            src=self.config.node_id,
-            dst=peer,
-            term=self.current_term,
-            prev_log_index=prev_index,
-            prev_log_term=prev_term,
-            entries=tuple(self._entries[offset:offset + MAX_APPEND_ENTRIES]),
-            leader_commit=self.commit_index,
-        )
+        entries = tuple(self._entries[offset:offset + MAX_APPEND_ENTRIES])
+        key = (self.current_term, prev_index, prev_term, self.commit_index)
+        sent = self._idle.get(peer)
+        if entries or sent is None or sent[0] != key:
+            sent = (key, AppendRequest(
+                src=self.config.node_id,
+                dst=peer,
+                term=self.current_term,
+                prev_log_index=prev_index,
+                prev_log_term=prev_term,
+                entries=entries,
+                leader_commit=self.commit_index,
+            ))
+            if not entries:
+                self._idle[peer] = sent
+        return sent[1]
 
     def compact(self, upto_index: int, state_blob: str) -> Snapshot:
         """Discard the log prefix up to ``upto_index``, keeping the state blob."""
@@ -331,15 +351,17 @@ class RaftNode:
         self, msg: AppendRequest, match_index: int = 0, conflict_index: int = 0
     ) -> ReceiveResult:
         """Answer ``msg``: a success unless a ``conflict_index`` is given."""
-        reply = AppendResponse(
-            src=self.config.node_id,
-            dst=msg.src,
-            term=self.current_term,
-            success=conflict_index == 0,
-            match_index=match_index,
-            conflict_index=conflict_index,
-        )
-        return ReceiveResult(messages=[reply])
+        key = (msg.src, self.current_term, match_index, conflict_index)
+        if self._reply is None or self._reply[0] != key:
+            self._reply = (key, AppendResponse(
+                src=self.config.node_id,
+                dst=msg.src,
+                term=self.current_term,
+                success=conflict_index == 0,
+                match_index=match_index,
+                conflict_index=conflict_index,
+            ))
+        return ReceiveResult(messages=[self._reply[1]])
 
     def _on_append_request(self, msg: AppendRequest) -> ReceiveResult:
         if msg.term < self.current_term:
@@ -399,14 +421,15 @@ class RaftNode:
     def _on_match(self, peer: int, match_index: int) -> ReceiveResult:
         """``peer`` holds the log through ``match_index``: advance its
         indexes and the commit index, then send it whatever follows."""
+        result = ReceiveResult()
         if match_index > self._match_index.get(peer, 0):
             self._match_index[peer] = match_index
+            # Only a rising match index can raise the quorum index.
+            result.committed = self._advance_commit()
         self._next_index[peer] = self._match_index[peer] + 1
-        committed = self._advance_commit()
-        messages: list[Message] = []
         if self._next_index[peer] <= self.last_log_index:
-            messages.append(self._append_for(peer))
-        return ReceiveResult(messages=messages, committed=committed)
+            result.messages.append(self._append_for(peer))
+        return result
 
     def _advance_commit(self) -> list[tuple[int, str]]:
         matches = sorted(

@@ -228,7 +228,9 @@ class SyncRaftGroup(_ReplicaGroup):
 
     def tick(self, dt: float) -> None:
         for node_id in self.alive():
-            self.pump(self.replicas[node_id].node.tick(dt))
+            messages = self.replicas[node_id].node.tick(dt)
+            if messages:
+                self.pump(messages)
 
     def propose(self, node_id: int, command: str) -> Any | None:
         """Propose on ``node_id`` and pump to quiescence.

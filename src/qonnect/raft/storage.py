@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Protocol
 
@@ -84,12 +84,7 @@ class MemoryStorage:
         self._state = PersistedState()
 
     def load(self) -> PersistedState:
-        return PersistedState(
-            term=self._state.term,
-            voted_for=self._state.voted_for,
-            snapshot=self._state.snapshot,
-            entries=list(self._state.entries),
-        )
+        return replace(self._state, entries=list(self._state.entries))
 
     def save_state(self, term: int, voted_for: int | None) -> None:
         self._state.term = term

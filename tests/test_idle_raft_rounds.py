@@ -1,0 +1,206 @@
+"""A quiet Raft round builds nothing and checks no commit.
+
+A leader resends a peer's last empty AppendRequest while its term,
+``prev_log_index``, ``prev_log_term`` and ``leader_commit`` hold; a follower
+resends its last AppendResponse while the destination, term, match index
+and conflict index hold; and the leader checks its commit index only when a
+peer's match index rises. A work-count guard on the booted engine, and an
+equivalence property over seeded chaos runs: every append request and reply
+a node emits equals one built fresh from its state, and no response leaves
+a commit that checking on every response would have made.
+"""
+
+from __future__ import annotations
+
+import random
+from collections import Counter
+from dataclasses import replace
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from qonnect.harness.bookinfo import bookinfo_bundle
+from qonnect.harness.engine import Deployment
+from qonnect.kb import ComponentStatus
+from qonnect.raft import AppendRequest, AppendResponse, RaftConfig, RaftNode, SnapshotResponse
+from qonnect.raft.node import MAX_APPEND_ENTRIES, Role
+from qonnect.raft.simulation import RaftHarness, SyncRaftGroup
+from raft_checks import chaos_run
+
+# ---------------------------------------------------------------------------
+# Work count on the engine
+# ---------------------------------------------------------------------------
+
+
+def counting(patch, built: Counter, owner, name: str, key: str) -> None:
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        built[key] += 1
+        return original(*args, **kwargs)
+
+    patch.setattr(owner, name, counted)
+
+
+def test_quiet_engine_steps_build_no_append_message_and_check_no_commit(monkeypatch):
+    dep = Deployment()
+    dep.boot()
+    dep.client().submit_application(bookinfo_bundle("bookinfo"))
+    assert dep.run_until(
+        lambda: all(
+            c.status == ComponentStatus.HEALTHY
+            for c in dep.kb().live_application("bookinfo").components
+        ),
+        60.0,
+    )
+    dep.step()  # the round that carries the last entry's commit index
+    built: Counter = Counter()
+    counting(monkeypatch, built, AppendRequest, "__init__", "request")
+    counting(monkeypatch, built, AppendResponse, "__init__", "reply")
+    counting(monkeypatch, built, RaftNode, "_advance_commit", "commit check")
+    counting(monkeypatch, built, SyncRaftGroup, "propose", "proposal")
+
+    def quiet(steps: int) -> Counter:
+        built.clear()
+        for _ in range(steps):
+            dep.step()
+        return built
+
+    assert quiet(100) == {}
+    # One entry: a request carries it to each follower, each acknowledges
+    # it once, and each acknowledgement is a match rise.
+    leader = dep.leader_service()
+    cluster = next(iter(leader.kb.clusters.values()))
+    leader.register_cluster(cluster.external_ip, cluster.domain.value)
+    assert built == {"proposal": 1, "request": 2, "reply": 2, "commit check": 2}
+    # The next round carries the new commit index; each follower's reply
+    # to it is the one it already sent.
+    assert quiet(1) == {"request": 2}
+    assert quiet(100) == {}
+
+
+def test_a_reply_is_resent_only_to_the_node_it_answered():
+    node = RaftNode(RaftConfig(node_id=0, members=(0, 1, 2)))
+    # Both requests get "send from index 1" in term 3, from different nodes.
+    ahead = AppendRequest(
+        src=1, dst=0, term=3, prev_log_index=5, prev_log_term=3, entries=(), leader_commit=0
+    )
+    stale = replace(ahead, src=2, term=2)
+    [first] = node.handle_message(ahead).messages
+    assert node.handle_message(ahead).messages[0] is first
+    assert first == AppendResponse(
+        src=0, dst=1, term=3, success=False, match_index=0, conflict_index=1
+    )
+    assert node.handle_message(stale).messages == [replace(first, dst=2)]
+
+
+# ---------------------------------------------------------------------------
+# Equivalence over chaos runs
+# ---------------------------------------------------------------------------
+
+# Restarts stop halfway through the chaos phase: a restarted node forgets
+# its commit index, and ``chaos_run`` ends its run once every node agrees
+# on one, so the rest of the phase lets a leader commit in its term again.
+CHAOS_SECONDS, RESTART_SECONDS = 8.0, 4.0
+
+
+def fresh_request(node: RaftNode, peer: int) -> AppendRequest:
+    """The AppendRequest ``node`` owes ``peer``, built from its state."""
+    next_index = node._next_index[peer]
+    last = min(node.last_log_index, next_index + MAX_APPEND_ENTRIES - 1)
+    return AppendRequest(
+        src=node.config.node_id,
+        dst=peer,
+        term=node.current_term,
+        prev_log_index=next_index - 1,
+        prev_log_term=node.term_at(next_index - 1),
+        entries=tuple(node.entry_at(i) for i in range(next_index, last + 1)),
+        leader_commit=node.commit_index,
+    )
+
+
+def fresh_reply(node: RaftNode, msg: AppendRequest) -> AppendResponse:
+    """The reply ``node`` owes ``msg``, built from its state before it
+    handles ``msg``."""
+    here = node.term_at(msg.prev_log_index)
+    if msg.term < node.current_term:
+        match, conflict = 0, node.last_log_index + 1
+    elif msg.prev_log_index > node.snapshot_index and here != msg.prev_log_term:
+        match, conflict = 0, msg.prev_log_index if here is not None else node.last_log_index + 1
+    else:
+        match, conflict = msg.prev_log_index + len(msg.entries), 0
+    return AppendResponse(
+        src=node.config.node_id,
+        dst=msg.src,
+        term=max(node.current_term, msg.term),
+        success=conflict == 0,
+        match_index=match,
+        conflict_index=conflict,
+    )
+
+
+def checked_chaos_run(size: int, seed: int, compact: bool) -> tuple[RaftHarness, Counter]:
+    """``chaos_run`` with seeded node restarts and, if ``compact``, log
+    compactions, checking every message a node emits."""
+    checked: Counter = Counter()
+    broadcast, handle, step = RaftNode.broadcast_append, RaftNode.handle_message, RaftHarness.step
+
+    def check_requests(node: RaftNode, messages) -> None:
+        for m in messages:
+            if isinstance(m, AppendRequest):
+                assert m == fresh_request(node, m.dst)
+                checked["request"] += 1
+
+    def checked_broadcast(self):
+        messages = broadcast(self)
+        check_requests(self, messages)
+        return messages
+
+    def checked_handle(self, msg):
+        reply = fresh_reply(self, msg) if isinstance(msg, AppendRequest) else None
+        result = handle(self, msg)
+        if reply is not None:
+            assert result.messages == [reply]
+            checked["reply"] += 1
+        check_requests(self, result.messages)
+        if isinstance(msg, (AppendResponse, SnapshotResponse)) and self.role == Role.LEADER:
+            commit = self.commit_index
+            assert self._advance_commit() == [] and self.commit_index == commit
+            checked["commit check"] += 1
+        return result
+
+    rng = random.Random(seed)
+
+    def chaos_step(self, dt=0.01):
+        if self.now < CHAOS_SECONDS:
+            node_id = rng.randrange(size)
+            if self.now < RESTART_SECONDS and rng.random() < 0.01:
+                self.restart(node_id)
+                checked["restart"] += 1
+            node = self.replicas[node_id].node
+            if compact and rng.random() < 0.05 and node.last_applied > node.snapshot_index:
+                node.compact(node.last_applied, f"state-{node.last_applied}")
+        step(self, dt)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RaftNode, "broadcast_append", checked_broadcast)
+        patch.setattr(RaftNode, "handle_message", checked_handle)
+        patch.setattr(RaftHarness, "step", chaos_step)
+        harness = chaos_run(size=size, seed=seed, duration=CHAOS_SECONDS)
+    return harness, checked
+
+
+@settings(max_examples=20, deadline=None)
+@given(size=st.sampled_from((3, 5)), seed=st.integers(0, 2**16))
+@example(size=3, seed=0)
+@example(size=5, seed=0)
+def test_every_emitted_append_message_equals_a_fresh_one(size, seed):
+    _, checked = checked_chaos_run(size, seed, compact=False)
+    assert checked["request"] and checked["reply"] and checked["commit check"]
+
+
+@pytest.mark.parametrize("size", [3, 5])
+def test_every_emitted_append_message_equals_a_fresh_one_under_compaction(size):
+    harness, checked = checked_chaos_run(size, seed=11, compact=True)
+    assert checked["restart"] and harness.snapshots_installed
