@@ -85,35 +85,36 @@ class RlaClient:
             return "redirected to leader"
         return payload.get("error", "unavailable")
 
+    def _expect(
+        self, ok: int, failure: str, method: str, path: str, body: dict | None = None
+    ) -> dict:
+        """The payload of a call answered ``ok``; any other status raises
+        ``RlaClientError`` naming ``failure``, the status and the payload."""
+        status, payload = self._request(method, path, body)
+        if status != ok:
+            raise RlaClientError(f"{failure} ({status}): {payload}")
+        return payload
+
     # -- API methods ------------------------------------------------------
 
     def register(self, external_ip: str, domain: str) -> str:
-        status, payload = self._request(
-            "POST", "/clusters/register", {"external_ip": external_ip, "domain": domain}
-        )
-        if status != 200:
-            raise RlaClientError(f"registration failed ({status}): {payload}")
-        return payload["cluster_id"]
+        return self._expect(
+            200, "registration failed", "POST", "/clusters/register",
+            {"external_ip": external_ip, "domain": domain},
+        )["cluster_id"]
 
     def cluster_config(self) -> dict[str, str]:
-        status, payload = self._request("GET", "/clusters/config")
-        if status != 200:
-            raise RlaClientError(f"config fetch failed ({status}): {payload}")
-        return payload["clusters"]
+        return self._expect(200, "config fetch failed", "GET", "/clusters/config")["clusters"]
 
     def put_nodes(self, cluster_id: str, nodes: list[dict]) -> dict:
-        status, payload = self._request(
-            "POST", f"/clusters/{cluster_id}/nodes", {"nodes": nodes}
+        return self._expect(
+            200, "node snapshot rejected", "POST", f"/clusters/{cluster_id}/nodes", {"nodes": nodes}
         )
-        if status != 200:
-            raise RlaClientError(f"node snapshot rejected ({status}): {payload}")
-        return payload
 
     def poll_applications(self, cluster_id: str) -> list[dict]:
-        status, payload = self._request("GET", f"/clusters/{cluster_id}/applications")
-        if status != 200:
-            raise RlaClientError(f"application poll failed ({status}): {payload}")
-        return payload["applications"]
+        return self._expect(
+            200, "application poll failed", "GET", f"/clusters/{cluster_id}/applications"
+        )["applications"]
 
     def heartbeat(
         self, app_id: str, component: str, cluster_id: str, version: int, status: str
@@ -130,19 +131,12 @@ class RlaClient:
         return True
 
     def submit_application(self, bundle: dict) -> str:
-        status, payload = self._request("POST", "/applications", bundle)
-        if status != 201:
-            raise RlaClientError(f"submit failed ({status}): {payload}")
-        return payload["app_id"]
+        return self._expect(201, "submit failed", "POST", "/applications", bundle)["app_id"]
 
     def update_qos(self, name: str, qos: dict) -> dict:
-        status, payload = self._request("PUT", f"/applications/{name}/qos", {"qos": qos})
-        if status != 200:
-            raise RlaClientError(f"qos update failed ({status}): {payload}")
-        return payload
+        return self._expect(
+            200, "qos update failed", "PUT", f"/applications/{name}/qos", {"qos": qos}
+        )
 
     def delete_application(self, name: str) -> dict:
-        status, payload = self._request("DELETE", f"/applications/{name}")
-        if status != 200:
-            raise RlaClientError(f"delete failed ({status}): {payload}")
-        return payload
+        return self._expect(200, "delete failed", "DELETE", f"/applications/{name}")

@@ -40,7 +40,6 @@ class Deployment:
         self.now = 0.0
         self.events = EventLog()
         self.rng = random.Random(self.spec.seed)
-        self.unreachable_rlas: set[str] = set()
 
         self.clusters: dict[str, SimCluster] = self.spec.make_clusters()
 
@@ -60,13 +59,13 @@ class Deployment:
         members = tuple(range(self.spec.rla_count))
         addresses = {i: f"rla-{i}" for i in members}
         self.services: dict[int, RlaService] = {}
+        # Address -> REST API of each running RLA; a stopped one leaves.
         self.apis: dict[str, RestApi] = {}
         replicas: dict[int, Replica] = {}
         for i in members:
-            config = self.spec.rla_config(i, addresses)
-            node = RaftNode(config.raft_config(members))
+            node = RaftNode(self.spec.raft_config(i))
             service = RlaService(
-                config,
+                self.spec.rla_config(i, addresses),
                 node=node,
                 kb=KnowledgeBase(),
                 clock=lambda: self.now,
@@ -136,13 +135,15 @@ class Deployment:
         return service.kb
 
     def client(self) -> RlaClient:
-        return RlaClient(list(self.apis), self.send)
+        """A client that knows every RLA's address, stopped or not."""
+        return RlaClient([f"rla-{i}" for i in self.services], self.send)
 
     def send(self, target: str, method: str, path: str, body: dict | None) -> tuple[int, dict]:
         """Carry one REST call to the RLA at ``target``, unless it was stopped."""
-        if target in self.unreachable_rlas:
+        api = self.apis.get(target)
+        if api is None:
             raise RlaClientError(f"RLA unreachable: {target}")
-        return self.apis[target].dispatch(method, path, body)
+        return api.dispatch(method, path, body)
 
     def cluster_id_of(self, cluster_name: str) -> str:
         cluster = self.clusters[cluster_name]
@@ -178,7 +179,7 @@ class Deployment:
 
     def _stop_rla(self, rla_id: int) -> None:
         self.group.stop(rla_id)
-        self.unreachable_rlas.add(f"rla-{rla_id}")
+        self.apis.pop(f"rla-{rla_id}", None)
         self.events.append(self.now, f"rla-{rla_id}", "rla-stopped", {})
 
     # ------------------------------------------------------------------

@@ -24,7 +24,7 @@ from qonnect.agent.client import RlaClient, RlaClientError
 from qonnect.events import EventLog
 from qonnect.harness.testbed import TestbedSpec
 from qonnect.raft.messages import Message, REQUEST_KINDS, decode_message, encode_message
-from qonnect.raft.node import RaftNode
+from qonnect.raft.node import RaftConfig, RaftNode
 from qonnect.raft.replica import Replica
 from qonnect.raft.storage import FileStorage
 from qonnect.rla.config import RlaConfig
@@ -146,11 +146,11 @@ class LiveRla:
     def __init__(
         self,
         config: RlaConfig,
-        members: tuple[int, ...],
+        raft: RaftConfig,
         events: EventLog | None = None,
     ) -> None:
         storage = FileStorage(config.data_dir) if config.data_dir else None
-        self.node = RaftNode(config.raft_config(members), storage=storage)
+        self.node = RaftNode(raft, storage=storage)
         self.service = RlaService(config, node=self.node, events=events)
         self.replica = Replica(self.node, self.service)
         self.service.proposer = lambda raw: self.replica.propose(raw, self._await_commit)
@@ -162,7 +162,7 @@ class LiveRla:
         # Peer -> its latest unsent request, or None while one is in flight.
         self._outbox: dict[int, Message | None] = {}
         self._outbox_lock = threading.Lock()
-        self._send_pool = ThreadPoolExecutor(max_workers=len(members) - 1)
+        self._send_pool = ThreadPoolExecutor(max_workers=len(raft.peers))
         self._peers = Connections(_RAFT_TIMEOUT)
         self._running = False
         self._threads: list[threading.Thread] = []
@@ -331,7 +331,7 @@ class _RlaHandler(BaseHTTPRequestHandler):
     def _refuse(self, error: str) -> None:
         self._respond(400, json.dumps({"error": error}).encode("utf-8"))
 
-    def _handle(self, method: str) -> None:
+    def _handle(self) -> None:
         rla: LiveRla = self.server.rla  # type: ignore[attr-defined]
         try:
             raw = self._body()
@@ -344,7 +344,7 @@ class _RlaHandler(BaseHTTPRequestHandler):
             self.close_connection = True
             self._respond(503, json.dumps({"error": "rla stopped"}).encode("utf-8"))
             return
-        if self.path.startswith("/raft/") and method == "POST":
+        if self.path.startswith("/raft/") and self.command == "POST":
             try:
                 # ``Replica.handle`` refuses a snapshot its KB cannot load
                 # before the node sees it.
@@ -361,23 +361,13 @@ class _RlaHandler(BaseHTTPRequestHandler):
             except ValueError:  # includes UnicodeDecodeError
                 self._refuse("invalid-json")
                 return
-        status, response = rla.dispatch(method, self.path, body)
+        status, response = rla.dispatch(self.command, self.path, body)
         headers = {}
         if status == 307 and response.get("leader_address"):
             headers["Location"] = f"http://{response['leader_address']}{self.path}"
         self._respond(status, json.dumps(response).encode("utf-8"), headers)
 
-    def do_GET(self) -> None:
-        self._handle("GET")
-
-    def do_POST(self) -> None:
-        self._handle("POST")
-
-    def do_PUT(self) -> None:
-        self._handle("PUT")
-
-    def do_DELETE(self) -> None:
-        self._handle("DELETE")
+    do_GET = do_POST = do_PUT = do_DELETE = _handle
 
 
 class LiveDeployment:
@@ -403,7 +393,7 @@ class LiveDeployment:
         for i in members:
             data_dir = f"{data_root}/rla-{i}" if data_root else None
             config = self.spec.rla_config(i, addresses, data_dir)
-            self.rlas[i] = LiveRla(config, members, events=self.events)
+            self.rlas[i] = LiveRla(config, self.spec.raft_config(i), events=self.events)
 
         self.clusters = self.spec.make_clusters()
         self._send = HttpSend()  # shared by every client: each call has its own connection

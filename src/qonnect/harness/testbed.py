@@ -1,8 +1,8 @@
 """Testbed layout: clusters per domain and profile, three RLAs, periods and seeds.
 
 ``TestbedSpec`` also derives what both deployments (the deterministic engine
-and live HTTP mode) build from it: each RLA's config, the simulated clusters
-and their resource agents.
+and live HTTP mode) build from it: each RLA's config and Raft node settings,
+the simulated clusters and their resource agents.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from qonnect.agent.client import RlaClient
 from qonnect.agent.ra import RaConfig, ResourceAgent
 from qonnect.events import EventLog
 from qonnect.kb.model import Domain
+from qonnect.raft.node import RaftConfig
 from qonnect.rla.config import RlaConfig
 from qonnect.sim.cluster import SimCluster, make_cluster
 from qonnect.sim.profiles import PROFILES
@@ -39,7 +40,10 @@ class ClusterSpec:
 @dataclass
 class TestbedSpec:
     """The testbed, as a YAML file gives it: its keys are these fields, with
-    exact JSON types (``codec.decoder``), and a missing key keeps its default."""
+    exact JSON types (``codec.decoder``), and a missing key keeps its default.
+
+    The Raft timers and ``seed`` reach each RLA's node only through
+    ``raft_config``; ``RlaConfig`` carries no copy of them."""
 
     __test__ = False  # not a pytest case, despite the name
 
@@ -110,6 +114,12 @@ class TestbedSpec:
             grace_period=self.grace_period,
             snapshot_staleness=self.snapshot_staleness,
             telemetry_flush=self.telemetry_flush,
+        )
+
+    def raft_config(self, rla_id: int) -> RaftConfig:
+        return RaftConfig(
+            node_id=rla_id,
+            members=tuple(range(self.rla_count)),
             election_timeout=self.election_timeout,
             heartbeat_interval=self.heartbeat_interval,
             seed=self.seed,

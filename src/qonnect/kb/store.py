@@ -251,14 +251,7 @@ class KnowledgeBase:
         """
         if comp.status == to:
             return
-        if comp.status == ComponentStatus.SCHEDULED:
-            self._unindex_scheduled(app, comp)
-        if to == ComponentStatus.SCHEDULED:
-            self._index_scheduled(app, comp)
-        if comp.status == ComponentStatus.PENDING:
-            self._pending.discard((app.app_id, comp.name))
-        elif to == ComponentStatus.PENDING:
-            self._pending.add((app.app_id, comp.name))
+        self._index(app, comp, add=False)
         if to in _ACTIVE and comp.status not in _ACTIVE:
             self.stall_epoch += 1  # its reference may predate a stall scan's floor
         effect.transitions.append(
@@ -270,20 +263,24 @@ class KnowledgeBase:
             }
         )
         comp.status = to
+        self._index(app, comp, add=True)
 
-    def _index_scheduled(self, app: ApplicationRecord, comp: ComponentRecord) -> None:
-        if comp.decision is not None:
-            cluster = self._scheduled.setdefault(comp.decision.cluster_id, set())
-            cluster.add((app.app_id, comp.name))
-
-    def _unindex_scheduled(self, app: ApplicationRecord, comp: ComponentRecord) -> None:
-        if comp.decision is None:
-            return
-        cluster = self._scheduled.get(comp.decision.cluster_id)
-        if cluster is not None:
-            cluster.discard((app.app_id, comp.name))
-            if not cluster:
-                del self._scheduled[comp.decision.cluster_id]
+    def _index(self, app: ApplicationRecord, comp: ComponentRecord, add: bool) -> None:
+        """Add ``comp`` to the index its status names, or drop it from it:
+        ``_pending`` for Pending, ``_scheduled`` under its decision's cluster
+        for Scheduled. No other status has an index."""
+        key = (app.app_id, comp.name)
+        if comp.status == ComponentStatus.PENDING:
+            (self._pending.add if add else self._pending.discard)(key)
+        elif comp.status == ComponentStatus.SCHEDULED and comp.decision is not None:
+            cluster_id = comp.decision.cluster_id
+            held = self._scheduled.setdefault(cluster_id, set())
+            if add:
+                held.add(key)
+            else:
+                held.discard(key)
+                if not held:
+                    del self._scheduled[cluster_id]
 
     def _apply_register(self, cmd: RegisterCluster) -> Effect:
         cid = cluster_id_for(cmd.external_ip, cmd.domain)
@@ -335,6 +332,13 @@ class KnowledgeBase:
     def _apply_submit(self, cmd: SubmitApplication) -> Effect:
         if self.live_application(cmd.name) is not None:
             return _noop("name-in-use", name=cmd.name)
+        replaced = self.applications.get(cmd.app_id)
+        if replaced is not None:  # a reused app id drops the record it replaces
+            self._derived.pop(cmd.app_id, None)
+            if self._live_by_name.get(replaced.name) is replaced:
+                del self._live_by_name[replaced.name]
+            for comp in replaced.components:
+                self._index(replaced, comp, add=False)
         effect = Effect(kind="application-submitted", detail={"app_id": cmd.app_id})
         components = []
         for name, domain, manifest in cmd.components:
@@ -351,19 +355,10 @@ class KnowledgeBase:
             components=components,
             submitted_at=cmd.submitted_at,
         )
-        replaced = self.applications.get(cmd.app_id)
-        if replaced is not None:  # a reused app id drops the record it replaces
-            self._derived.pop(cmd.app_id, None)
-            if self._live_by_name.get(replaced.name) is replaced:
-                del self._live_by_name[replaced.name]
-            for comp in replaced.components:
-                if comp.status == ComponentStatus.SCHEDULED:
-                    self._unindex_scheduled(replaced, comp)
-                elif comp.status == ComponentStatus.PENDING:
-                    self._pending.discard((cmd.app_id, comp.name))
         self.applications[cmd.app_id] = app
         self._live_by_name[cmd.name] = app
-        self._pending.update((cmd.app_id, comp.name) for comp in components)
+        for comp in components:
+            self._index(app, comp, add=True)
         return effect
 
     def _apply_update_qos(self, cmd: UpdateQoS) -> Effect:
@@ -504,10 +499,7 @@ class KnowledgeBase:
         for app in kb.applications.values():
             kb._live_by_name.setdefault(app.name, app)
             for comp in app.components:
-                if comp.status == ComponentStatus.SCHEDULED:
-                    kb._index_scheduled(app, comp)
-                elif comp.status == ComponentStatus.PENDING:
-                    kb._pending.add((app.app_id, comp.name))
+                kb._index(app, comp, add=True)
         return kb
 
 

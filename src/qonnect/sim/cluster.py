@@ -47,7 +47,6 @@ class SimNode:
 
 @dataclass
 class SimWorkload:
-    namespace: str
     name: str
     desired: int
     ready: int = 0
@@ -208,7 +207,6 @@ class SimCluster:
         ):
             return  # unchanged spec: no second rollout
         self.workloads[namespace][name] = SimWorkload(
-            namespace=namespace,
             name=name,
             desired=desired,
             ready=0,

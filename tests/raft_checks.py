@@ -63,7 +63,13 @@ def check_applied_consistency(harness: RaftHarness) -> dict[int, str]:
 
 
 def converge(harness: RaftHarness, timeout: float = 15.0) -> bool:
-    """Heal everything and wait for all nodes to apply the same prefix."""
+    """Heal everything and wait for all nodes to apply the same prefix, one
+    that ends in an entry of the leader's term.
+
+    A restarted node forgets its commit index, and a new leader learns its
+    own only by committing an entry of its term; until then every node can
+    agree on an index below one a node applied before it restarted.
+    """
     harness.network.partition(None)
     harness.network.drop_rate = 0.0
     harness.network.jitter = 0.0
@@ -71,6 +77,9 @@ def converge(harness: RaftHarness, timeout: float = 15.0) -> bool:
         harness.restart(node_id)
 
     def caught_up() -> bool:
+        leader = harness.leader()
+        if leader is None or leader.term_at(leader.commit_index) != leader.current_term:
+            return False
         commits = [n.commit_index for n in harness.nodes.values()]
         applieds = [n.last_applied for n in harness.nodes.values()]
         return len(set(commits)) == 1 and applieds == commits

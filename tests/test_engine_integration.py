@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
+import pytest
+
+from qonnect.agent.client import RlaClientError
 from qonnect.harness.bookinfo import bookinfo_bundle
 from qonnect.harness.engine import Deployment
 from qonnect.harness.scenarios import run_all, run_scenario
@@ -50,6 +53,18 @@ def test_all_four_scenarios_pass_back_to_back_on_one_deployment():
     dep = Deployment(seed=20)
     reports = run_all(dep)
     assert [r.verdict for r in reports] == ["pass"] * 4
+
+
+def test_a_stopped_rla_is_unreachable_and_clients_reach_the_next_leader():
+    dep = Deployment(seed=3)
+    dep.boot()
+    old = dep.leader_id()
+    dep.kill_rla(old)
+    with pytest.raises(RlaClientError, match=f"^RLA unreachable: rla-{old}$"):
+        dep.send(f"rla-{old}", "GET", "/status", None)
+    assert dep.run_until(lambda: dep.leader_id() not in (None, old), 10.0)
+    app_id = dep.client().submit_application(bookinfo_bundle("after-stop"))
+    assert dep.kb().applications[app_id].name == "after-stop"
 
 
 def test_component_status_transitions_follow_the_machine():

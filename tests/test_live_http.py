@@ -17,10 +17,13 @@ from qonnect.harness.bookinfo import bookinfo_bundle
 from qonnect.harness import live as live_module
 from qonnect.harness.live import Connections, LiveDeployment, LiveRla
 from qonnect.kb import Domain, KnowledgeBase, RegisterCluster
-from qonnect.raft import Role, SnapshotRequest, VoteRequest, encode_message
+from qonnect.raft import RaftConfig, Role, SnapshotRequest, VoteRequest, encode_message
 from qonnect.rla import RlaConfig
 from qonnect.harness.testbed import TestbedSpec
 from qonnect.rla import service as service_module
+
+# The Raft settings of a lone RLA (node 0 of three) served on its own.
+LONE_NODE = RaftConfig(node_id=0, members=(0, 1, 2))
 
 
 def free_port_base(count: int = 3) -> int:
@@ -381,7 +384,7 @@ def test_a_snapshot_the_kb_cannot_restore_is_refused_and_never_saved(tmp_path):
                               last_included_term=100, state_blob=blob)
         return status_of(config.peers[0], "POST", f"/raft/{msg.kind}", encode_message(msg))
 
-    rla = LiveRla(config, members=(0, 1, 2))
+    rla = LiveRla(config, LONE_NODE)
     rla.start()
     try:
         assert install(5, good) == 200
@@ -393,7 +396,7 @@ def test_a_snapshot_the_kb_cannot_restore_is_refused_and_never_saved(tmp_path):
         rla.stop()
         rla.node.storage.close()
 
-    restarted = LiveRla(config, members=(0, 1, 2))  # from the same data directory
+    restarted = LiveRla(config, LONE_NODE)  # from the same data directory
     try:
         assert restarted.node.snapshot_index == 5
         assert restarted.service.kb.snapshot_state() == good
@@ -416,7 +419,7 @@ def test_an_accepted_snapshot_is_parsed_once(monkeypatch):
     monkeypatch.setattr(KnowledgeBase, "restore", counted)
     msg = SnapshotRequest(src=1, dst=0, term=100, last_included_index=5,
                           last_included_term=100, state_blob=kb.snapshot_state())
-    rla = LiveRla(config, members=(0, 1, 2))
+    rla = LiveRla(config, LONE_NODE)
     rla.start()
     try:
         path = f"/raft/{msg.kind}"
@@ -429,7 +432,7 @@ def test_an_accepted_snapshot_is_parsed_once(monkeypatch):
 
 def test_a_stopped_rla_answers_503_on_a_connection_opened_before_stop():
     config = RlaConfig(rla_id=0, peers={0: f"127.0.0.1:{free_port_base(1)}"})
-    rla = LiveRla(config, members=(0, 1, 2))
+    rla = LiveRla(config, LONE_NODE)
     rla.start()
     conn = connect(config.peers[0])
     try:
@@ -450,7 +453,7 @@ def test_twenty_calls_on_one_kept_alive_connection_take_under_half_a_second():
     """With Nagle's algorithm on the server, each call of a kept-alive
     connection waits about 40 ms for the client's delayed ACK."""
     config = RlaConfig(rla_id=0, peers={0: f"127.0.0.1:{free_port_base(1)}"})
-    rla = LiveRla(config, members=(0, 1, 2))
+    rla = LiveRla(config, LONE_NODE)
     rla.start()
     conn = connect(config.peers[0])
     try:
@@ -679,7 +682,7 @@ def handler_threads() -> set[threading.Thread]:
 def test_idle_connections_and_short_bodies_release_their_handler_threads(monkeypatch):
     monkeypatch.setattr(live_module, "_HANDLER_TIMEOUT", 0.3)
     config = RlaConfig(rla_id=0, peers={0: f"127.0.0.1:{free_port_base(1)}"})
-    rla = LiveRla(config, members=(0, 1, 2))
+    rla = LiveRla(config, LONE_NODE)
     rla.start()
     host, port = config.peers[0].rsplit(":", 1)
     before = handler_threads()
@@ -706,7 +709,7 @@ def test_idle_connections_and_short_bodies_release_their_handler_threads(monkeyp
 def test_a_connection_idle_for_half_the_server_timeout_is_not_reused(monkeypatch):
     monkeypatch.setattr(live_module, "_HANDLER_TIMEOUT", 0.4)
     config = RlaConfig(rla_id=0, peers={0: f"127.0.0.1:{free_port_base(1)}"})
-    rla = LiveRla(config, members=(0, 1, 2))
+    rla = LiveRla(config, LONE_NODE)
     accepted = []
 
     def counted(request, client_address, _process=rla.server.process_request):

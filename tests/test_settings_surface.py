@@ -35,7 +35,6 @@ SURFACE = {
     RlaConfig: (
         "rla_id", "peers", "data_dir",
         "tick_period", "grace_period", "snapshot_staleness", "telemetry_flush",
-        "election_timeout", "heartbeat_interval", "seed",
     ),
     RaConfig: ("domain", "snapshot_period", "poll_period", "heartbeat_period"),
     RaftConfig: ("node_id", "members", "election_timeout", "heartbeat_interval", "seed"),
