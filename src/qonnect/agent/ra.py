@@ -123,6 +123,18 @@ class ResourceAgent:
     # Duty loop
     # ------------------------------------------------------------------
 
+    @property
+    def next_due(self) -> float:
+        """The earliest time ``run_due`` has work: the next registration
+        attempt while unregistered, else the earliest duty deadline. Only
+        ``run_due`` moves it, so the loop that runs agents may skip this one
+        until then. A loop that brings an agent back (a future
+        ``Deployment.revive_ra``) must lower the due time it recorded, or
+        the agent waits for the others' next duty."""
+        if self.cluster_id is None:
+            return self._next_register
+        return min(self._next_snapshot, self._next_poll, self._next_heartbeat)
+
     def run_due(self, now: float) -> None:
         """Run whichever duties are due; duties are sequential within a tick."""
         if self.cluster_id is None:

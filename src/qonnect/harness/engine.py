@@ -5,7 +5,10 @@ replicas over an instant-delivery Raft group, one simulated cluster plus
 resource agent per testbed entry, and a single step loop that advances
 Raft timers, cluster dynamics, agent duties, and the leader's scheduler in
 a fixed order. With a fixed seed, every run is bit-identical; "within N
-seconds" deadlines are measured on the simulated clock.
+seconds" deadlines are measured on the simulated clock. The agent round
+runs only on steps where some live agent has a duty due, the earliest
+``ResourceAgent.next_due`` it recorded after the last round; on any other
+step every agent would do nothing.
 
 The RLA replicas are conceptually hosted on the cloud clusters (one per
 cloud cluster); killing a cloud cluster's lead agent stops its Raft node.
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import random
 import uuid
+from functools import cached_property
 from typing import Callable
 
 from qonnect.agent.client import RlaClient, RlaClientError
@@ -45,6 +49,9 @@ class Deployment:
 
         self._build_control_plane()
         self.agents = self.spec.make_agents(self.clusters, self.client, self.events)
+        # The earliest ``next_due`` of the live agents after the last agent
+        # round: no agent has work before it.
+        self._agents_due = 0.0
         # RLAs ride on the cloud clusters, one each, in spec order.
         cloud = [c.name for c in self.spec.clusters if c.domain == Domain.CLOUD.value]
         self.rla_hosts: dict[int, str] = {
@@ -97,9 +104,13 @@ class Deployment:
         for cluster in self.clusters.values():
             for event in cluster.step(self.DT):
                 self.events.append(event.at, cluster.name, event.kind, event.detail)
-        for name, agent in self.agents.items():
-            if self.clusters[name].ra_alive:
-                agent.run_due(self.now)
+        if self.now >= self._agents_due:
+            due = float("inf")
+            for name, agent in self.agents.items():
+                if self.clusters[name].ra_alive:
+                    agent.run_due(self.now)
+                    due = min(due, agent.next_due)
+            self._agents_due = due
         for rla_id, service in self.services.items():
             if rla_id not in self.group.stopped:
                 service.pump(self.now)
@@ -145,15 +156,21 @@ class Deployment:
             raise RlaClientError(f"RLA unreachable: {target}")
         return api.dispatch(method, path, body)
 
+    @cached_property
+    def _cluster_ids(self) -> dict[str, str]:
+        """Cluster name -> id, built on first use so that ``Deployment()``
+        stays cheap."""
+        return {name: cluster_id_for(c.ingress_ip, c.domain) for name, c in self.clusters.items()}
+
+    @cached_property
+    def _cluster_names(self) -> dict[str, str]:
+        return {cluster_id: name for name, cluster_id in self._cluster_ids.items()}
+
     def cluster_id_of(self, cluster_name: str) -> str:
-        cluster = self.clusters[cluster_name]
-        return cluster_id_for(cluster.ingress_ip, cluster.domain)
+        return self._cluster_ids[cluster_name]
 
     def cluster_name_by_id(self, cluster_id: str) -> str | None:
-        for name in self.clusters:
-            if self.cluster_id_of(name) == cluster_id:
-                return name
-        return None
+        return self._cluster_names.get(cluster_id)
 
     def inject_fault(self, cluster_name: str, fault: Fault) -> None:
         cluster = self.clusters[cluster_name]
@@ -195,7 +212,7 @@ class Deployment:
         if len(kb.clusters) < len(self.clusters):
             return False
         reported = {cid for cid, _ in kb.nodes}
-        return all(self.cluster_id_of(name) in reported for name in self.clusters)
+        return all(cluster_id in reported for cluster_id in self._cluster_ids.values())
 
     def boot(self, timeout: float = 30.0) -> None:
         if not self.run_until(self.booted, timeout):

@@ -11,22 +11,38 @@ Role transitions follow the classic finite-state machine: a follower whose
 election timer fires becomes a candidate, a candidate reaching a majority
 becomes leader, and any node observing a higher term falls back to follower.
 
-An idle round builds nothing. A leader resends a peer's last empty
-``AppendRequest`` while its term, ``prev_log_index``, ``prev_log_term`` and
-``leader_commit`` are unchanged; a follower resends its last
+An idle round builds nothing and does next to nothing. ``_log_version``
+counts every change to the log: an append, a truncation, a compaction, an
+installed snapshot. A leader resends a peer's last empty ``AppendRequest``
+while its term, commit index, log version and the peer's next index are
+unchanged, and reads no log to do so; a follower resends its last
 ``AppendResponse`` while its destination, term, match index and conflict
-index are. Messages are frozen values, so a resent one is
-indistinguishable from a fresh equal one. The leader checks its commit
-index only when a peer's match index rises: by Raft's commit rule (Ongaro
-and Ousterhout, 2014) the index a quorum holds moves with nothing else.
+index are. A follower handed the very request object it last answered
+through the full path, with a success that carried no entries and
+committed nothing, returns the stored result while its term, follower
+role, log version and last reply are unchanged: the full path would reach
+the same answer and change nothing else. A resent heartbeat then costs its
+receiver an identity check, four comparisons and the election timer's
+reset. The reset still draws the next timeout from the node's RNG, as the
+full path does, so every later draw, and with it every seeded run, stays
+the same. Only in-process transports resend one object; live mode decodes
+every inbound message into a new one and always takes the full path.
+
+On the leader, a success that raises no match index and leaves nothing to
+send returns the shared empty result. The leader checks its commit index
+only when a peer's match index rises: by Raft's commit rule (Ongaro and
+Ousterhout, 2014) the index a quorum holds moves with nothing else.
+Messages are frozen values and a ``ReceiveResult`` is a tuple, so a resent
+one is indistinguishable from a fresh equal one.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 from qonnect.raft.messages import (
     AppendRequest,
@@ -82,13 +98,16 @@ class RaftConfig:
         return tuple(m for m in self.members if m != self.node_id)
 
 
-@dataclass
-class ReceiveResult:
-    """Outcome of handling one inbound message."""
+class ReceiveResult(NamedTuple):
+    """Outcome of handling one inbound message. Immutable, so one result
+    can answer many messages."""
 
-    messages: list[Message] = field(default_factory=list)
-    committed: list[tuple[int, str]] = field(default_factory=list)
+    messages: tuple[Message, ...] = ()
+    committed: tuple[tuple[int, str], ...] = ()
     snapshot_installed: str | None = None
+
+
+_NOTHING = ReceiveResult()
 
 
 class RaftNode:
@@ -111,10 +130,16 @@ class RaftNode:
         self._votes: set[int] = set()
         self._next_index: dict[int, int] = {}
         self._match_index: dict[int, int] = {}
+        # Bumped whenever the log changes: an append, a truncation, a
+        # compaction or an installed snapshot.
+        self._log_version = 0
         # The last empty AppendRequest per peer and the last AppendResponse,
         # each with the values it was built from: an idle round resends them.
         self._idle: dict[int, tuple[tuple[int, ...], AppendRequest]] = {}
         self._reply: tuple[tuple[int, ...], AppendResponse] | None = None
+        # The last empty request answered with a success that committed
+        # nothing, with the term, log version and reply it was answered at.
+        self._answered: tuple = (None, 0, 0, None, _NOTHING)
 
         self._election_elapsed = 0.0
         self._election_deadline = self._random_timeout()
@@ -215,6 +240,7 @@ class RaftNode:
         # thereby releases any prior-term entries still awaiting commit.
         noop = LogEntry(index=self.last_log_index + 1, term=self.current_term, command="")
         self._entries.append(noop)
+        self._log_version += 1
         self.storage.append_entries([noop])
         return self.broadcast_append()
 
@@ -237,6 +263,7 @@ class RaftNode:
             raise NotLeaderError(self.leader_id)
         entry = LogEntry(index=self.last_log_index + 1, term=self.current_term, command=command)
         self._entries.append(entry)
+        self._log_version += 1
         self.storage.append_entries([entry])
         return entry.index
 
@@ -249,6 +276,10 @@ class RaftNode:
 
     def _append_for(self, peer: int) -> Message:
         next_idx = self._next_index.get(peer, self.last_log_index + 1)
+        key = (self.current_term, self.commit_index, self._log_version, next_idx)
+        sent = self._idle.get(peer)
+        if sent is not None and sent[0] == key:
+            return sent[1]
         prev_index = next_idx - 1
         prev_term = self.term_at(prev_index)
         if next_idx <= self.snapshot_index or prev_term is None:
@@ -264,21 +295,18 @@ class RaftNode:
             )
         offset = prev_index - self.snapshot_index
         entries = tuple(self._entries[offset:offset + MAX_APPEND_ENTRIES])
-        key = (self.current_term, prev_index, prev_term, self.commit_index)
-        sent = self._idle.get(peer)
-        if entries or sent is None or sent[0] != key:
-            sent = (key, AppendRequest(
-                src=self.config.node_id,
-                dst=peer,
-                term=self.current_term,
-                prev_log_index=prev_index,
-                prev_log_term=prev_term,
-                entries=entries,
-                leader_commit=self.commit_index,
-            ))
-            if not entries:
-                self._idle[peer] = sent
-        return sent[1]
+        request = AppendRequest(
+            src=self.config.node_id,
+            dst=peer,
+            term=self.current_term,
+            prev_log_index=prev_index,
+            prev_log_term=prev_term,
+            entries=entries,
+            leader_commit=self.commit_index,
+        )
+        if not entries:
+            self._idle[peer] = (key, request)
+        return request
 
     def compact(self, upto_index: int, state_blob: str) -> Snapshot:
         """Discard the log prefix up to ``upto_index``, keeping the state blob."""
@@ -294,6 +322,7 @@ class RaftNode:
         snapshot = Snapshot(index=upto_index, term=term, blob=state_blob)
         self._entries = [e for e in self._entries if e.index > upto_index]
         self._snapshot = snapshot
+        self._log_version += 1
         self.storage.save_snapshot(snapshot, self._entries)
         return snapshot
 
@@ -302,6 +331,16 @@ class RaftNode:
     # ------------------------------------------------------------------
 
     def handle_message(self, msg: Message) -> ReceiveResult:
+        request, term, version, reply, result = self._answered
+        if (
+            msg is request and term == self.current_term and self.role is Role.FOLLOWER
+            and version == self._log_version and reply is self._reply
+        ):
+            # The same heartbeat again, with nothing changed since it was
+            # answered: the full path would do only this and answer alike.
+            self.leader_id = msg.src
+            self._reset_election_timer()
+            return result
         if msg.term > self.current_term:
             self._step_down(msg.term)
 
@@ -331,21 +370,19 @@ class RaftNode:
                 self.voted_for = msg.src
                 self.storage.save_state(self.current_term, self.voted_for)
                 self._reset_election_timer()
-        return ReceiveResult(
-            messages=[
-                VoteResponse(
-                    src=self.config.node_id, dst=msg.src, term=self.current_term, granted=granted
-                )
-            ]
-        )
+        return ReceiveResult((
+            VoteResponse(
+                src=self.config.node_id, dst=msg.src, term=self.current_term, granted=granted
+            ),
+        ))
 
     def _on_vote_response(self, msg: VoteResponse) -> ReceiveResult:
         if self.role != Role.CANDIDATE or msg.term != self.current_term or not msg.granted:
-            return ReceiveResult()
+            return _NOTHING
         self._votes.add(msg.src)
         if len(self._votes) * 2 > len(self.config.members):
-            return ReceiveResult(messages=self._become_leader())
-        return ReceiveResult()
+            return ReceiveResult(tuple(self._become_leader()))
+        return _NOTHING
 
     def _append_reply(
         self, msg: AppendRequest, match_index: int = 0, conflict_index: int = 0
@@ -361,7 +398,7 @@ class RaftNode:
                 match_index=match_index,
                 conflict_index=conflict_index,
             ))
-        return ReceiveResult(messages=[self._reply[1]])
+        return ReceiveResult((self._reply[1],))
 
     def _on_append_request(self, msg: AppendRequest) -> ReceiveResult:
         if msg.term < self.current_term:
@@ -397,6 +434,7 @@ class RaftNode:
             appended_through = entry.index
         if new_entries:
             self._entries.extend(new_entries)
+            self._log_version += 1
             self.storage.append_entries(new_entries)
 
         result = self._append_reply(msg, match_index=appended_through)
@@ -406,32 +444,38 @@ class RaftNode:
             self.commit_index = max(
                 self.commit_index, min(msg.leader_commit, appended_through)
             )
-            result.committed = self._collect_applied()
+            return result._replace(committed=self._collect_applied())
+        if not msg.entries:
+            self._answered = (msg, self.current_term, self._log_version, self._reply, result)
         return result
 
     def _on_append_response(self, msg: AppendResponse) -> ReceiveResult:
         if self.role != Role.LEADER or msg.term != self.current_term:
-            return ReceiveResult()
+            return _NOTHING
         if msg.success:
+            match = self._match_index.get(msg.src, 0)
+            if msg.match_index <= match and self._next_index.get(msg.src) == match + 1 \
+                    and match >= self.last_log_index:
+                return _NOTHING  # no rise and nothing to send: _on_match would do nothing
             return self._on_match(msg.src, msg.match_index)
         # Log mismatch: back up and retry immediately.
         self._next_index[msg.src] = max(1, min(msg.conflict_index, self.last_log_index + 1))
-        return ReceiveResult(messages=[self._append_for(msg.src)])
+        return ReceiveResult((self._append_for(msg.src),))
 
     def _on_match(self, peer: int, match_index: int) -> ReceiveResult:
         """``peer`` holds the log through ``match_index``: advance its
         indexes and the commit index, then send it whatever follows."""
-        result = ReceiveResult()
+        committed: tuple[tuple[int, str], ...] = ()
         if match_index > self._match_index.get(peer, 0):
             self._match_index[peer] = match_index
             # Only a rising match index can raise the quorum index.
-            result.committed = self._advance_commit()
+            committed = self._advance_commit()
         self._next_index[peer] = self._match_index[peer] + 1
         if self._next_index[peer] <= self.last_log_index:
-            result.messages.append(self._append_for(peer))
-        return result
+            return ReceiveResult((self._append_for(peer),), committed)
+        return ReceiveResult((), committed)
 
-    def _advance_commit(self) -> list[tuple[int, str]]:
+    def _advance_commit(self) -> tuple[tuple[int, str], ...]:
         matches = sorted(
             [self.last_log_index] + [self._match_index.get(p, 0) for p in self.config.peers],
             reverse=True,
@@ -440,9 +484,9 @@ class RaftNode:
         if quorum_index > self.commit_index and self.term_at(quorum_index) == self.current_term:
             self.commit_index = quorum_index
             return self._collect_applied()
-        return []
+        return ()
 
-    def _collect_applied(self) -> list[tuple[int, str]]:
+    def _collect_applied(self) -> tuple[tuple[int, str], ...]:
         applied: list[tuple[int, str]] = []
         while self.last_applied < self.commit_index:
             nxt = self.last_applied + 1
@@ -451,7 +495,7 @@ class RaftNode:
                 break
             applied.append((entry.index, entry.command))
             self.last_applied = nxt
-        return applied
+        return tuple(applied)
 
     def _on_snapshot_request(self, msg: SnapshotRequest) -> ReceiveResult:
         """Install a newer snapshot from a current leader. Every request, a
@@ -479,6 +523,7 @@ class RaftNode:
                 self._entries = []
                 self.storage.truncate_from(0)
             self._snapshot = snapshot
+            self._log_version += 1
             self.storage.save_snapshot(snapshot, self._entries)
             self.commit_index = max(self.commit_index, msg.last_included_index)
             self.last_applied = msg.last_included_index
@@ -490,9 +535,9 @@ class RaftNode:
             term=self.current_term,
             match_index=self.snapshot_index,
         )
-        return ReceiveResult(messages=[reply], snapshot_installed=installed)
+        return ReceiveResult((reply,), snapshot_installed=installed)
 
     def _on_snapshot_response(self, msg: SnapshotResponse) -> ReceiveResult:
         if self.role != Role.LEADER or msg.term != self.current_term:
-            return ReceiveResult()
+            return _NOTHING
         return self._on_match(msg.src, msg.match_index)

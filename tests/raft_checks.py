@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from qonnect.raft.simulation import RaftHarness
+from raft_harness import RaftHarness
 
 
 class SafetyViolation(AssertionError):

@@ -27,8 +27,8 @@ from qonnect.raft import (
     encode_message,
 )
 from qonnect.raft.node import MAX_APPEND_ENTRIES
-from qonnect.raft.simulation import RaftHarness
 from qonnect.raft.storage import Snapshot
+from raft_harness import RaftHarness
 from support import entries_from
 
 
