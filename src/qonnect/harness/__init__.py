@@ -1,22 +1,1 @@
-"""Testbed harness: parameter derivation, deterministic engine, scenarios, CLI."""
-
-from qonnect.harness.energy import (
-    AWS_COEFFICIENTS,
-    GCP_COEFFICIENTS,
-    EnergyCoefficientInput,
-    energy_coefficient,
-)
-from qonnect.harness.engine import Deployment
-from qonnect.harness.scenarios import ScenarioReport, run_scenario
-from qonnect.harness.testbed import TestbedSpec
-
-__all__ = [
-    "AWS_COEFFICIENTS",
-    "Deployment",
-    "EnergyCoefficientInput",
-    "GCP_COEFFICIENTS",
-    "ScenarioReport",
-    "TestbedSpec",
-    "energy_coefficient",
-    "run_scenario",
-]
+"""Testbed harness: testbed spec, deterministic engine, live HTTP mode, scenarios, CLI."""

@@ -28,10 +28,7 @@ EVENTS_FILE = "events.jsonl"
 
 
 def _load_spec(args: argparse.Namespace) -> TestbedSpec:
-    if getattr(args, "spec", None):
-        spec = TestbedSpec.from_yaml(args.spec)
-    else:
-        spec = TestbedSpec.default()
+    spec = TestbedSpec.from_yaml(args.spec) if getattr(args, "spec", None) else TestbedSpec()
     if getattr(args, "seed", None) is not None:
         spec.seed = args.seed
     return spec

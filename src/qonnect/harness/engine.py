@@ -38,7 +38,7 @@ class Deployment:
     DT = 0.05  # simulated seconds per step
 
     def __init__(self, spec: TestbedSpec | None = None, seed: int | None = None) -> None:
-        self.spec = spec if spec is not None else TestbedSpec.default()
+        self.spec = spec if spec is not None else TestbedSpec()
         if seed is not None:
             self.spec.seed = seed
         self.now = 0.0
@@ -165,9 +165,6 @@ class Deployment:
     @cached_property
     def _cluster_names(self) -> dict[str, str]:
         return {cluster_id: name for name, cluster_id in self._cluster_ids.items()}
-
-    def cluster_id_of(self, cluster_name: str) -> str:
-        return self._cluster_ids[cluster_name]
 
     def cluster_name_by_id(self, cluster_id: str) -> str | None:
         return self._cluster_names.get(cluster_id)

@@ -188,7 +188,9 @@ class LiveRla:
 
     def stop(self) -> None:
         self._running = False
-        self.server.shutdown()
+        if self._threads:
+            # ``shutdown`` waits for ``serve_forever``, which only ``start`` runs.
+            self.server.shutdown()
         self.server.server_close()
         for thread in self._threads:
             thread.join(timeout=2.0)
@@ -384,7 +386,7 @@ class LiveDeployment:
         host: str = "127.0.0.1",
         data_root: str | None = None,
     ) -> None:
-        self.spec = spec if spec is not None else TestbedSpec.default()
+        self.spec = spec if spec is not None else TestbedSpec()
         self.events = EventLog()
         members = tuple(range(self.spec.rla_count))
         addresses = {i: f"{host}:{base_port + i}" for i in members}

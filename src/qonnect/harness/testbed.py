@@ -8,6 +8,7 @@ the simulated clusters and their resource agents.
 from __future__ import annotations
 
 import ipaddress
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -26,6 +27,11 @@ from qonnect.sim.profiles import PROFILES
 
 DOMAINS = tuple(d.value for d in Domain)
 PROFILE_NAMES = ("energy", "cost", "performance")
+# The float settings that may be zero; ``grace_period`` must be positive.
+NON_NEGATIVE = (
+    "tick_period", "snapshot_staleness", "telemetry_flush", "ra_snapshot_period",
+    "ra_poll_period", "ra_heartbeat_period", "rollout_latency", "heartbeat_interval",
+)
 
 
 @dataclass(frozen=True)
@@ -73,10 +79,16 @@ class TestbedSpec:
         if self.rla_count < 3 or self.rla_count % 2 == 0:
             raise ValueError("rla_count must be odd and at least 3")
         lo, hi = self.election_timeout
-        if not 0 < lo <= hi:
-            raise ValueError(f"election_timeout must be [lo, hi] with 0 < lo <= hi, got {[lo, hi]}")
-        if not self.grace_period > 0:
-            raise ValueError(f"grace_period must be positive, got {self.grace_period}")
+        if not 0 < lo <= hi < math.inf:
+            raise ValueError(
+                f"election_timeout must be [lo, hi] with 0 < lo <= hi < inf, got {[lo, hi]}"
+            )
+        for name in NON_NEGATIVE:
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and not negative, got {value}")
+        if not 0 < self.grace_period < math.inf:
+            raise ValueError(f"grace_period must be positive and finite, got {self.grace_period}")
         names: set[str] = set()
         ips: dict[str, str] = {}
         per_domain: dict[str, set[str]] = {}
@@ -158,10 +170,6 @@ class TestbedSpec:
             )
             for cluster in self.clusters
         }
-
-    @classmethod
-    def default(cls, seed: int = 0) -> TestbedSpec:
-        return cls(clusters=default_clusters(), seed=seed)
 
     @classmethod
     def from_yaml(cls, path: str | Path) -> TestbedSpec:

@@ -1,37 +1,1 @@
 """Minimal Raft consensus: leader election, log replication, WAL persistence, snapshots."""
-
-from qonnect.raft.messages import (
-    AppendRequest,
-    AppendResponse,
-    LogEntry,
-    Message,
-    SnapshotRequest,
-    SnapshotResponse,
-    VoteRequest,
-    VoteResponse,
-    decode_message,
-    encode_message,
-)
-from qonnect.raft.node import NotLeaderError, RaftConfig, RaftNode, ReceiveResult, Role
-from qonnect.raft.storage import FileStorage, MemoryStorage, Snapshot
-
-__all__ = [
-    "AppendRequest",
-    "AppendResponse",
-    "FileStorage",
-    "LogEntry",
-    "MemoryStorage",
-    "Message",
-    "NotLeaderError",
-    "RaftConfig",
-    "RaftNode",
-    "ReceiveResult",
-    "Role",
-    "Snapshot",
-    "SnapshotRequest",
-    "SnapshotResponse",
-    "VoteRequest",
-    "VoteResponse",
-    "decode_message",
-    "encode_message",
-]

@@ -39,12 +39,16 @@ class ReplicaGroup:
         return [i for i in self.replicas if i not in self.stopped]
 
     def leader(self) -> RaftNode | None:
-        leaders = [
-            r.node for i, r in self.replicas.items()
-            if i not in self.stopped and r.node.role == Role.LEADER
-        ]
-        # With several stale leaders (partitions) prefer the highest term.
-        return max(leaders, key=lambda n: n.current_term) if leaders else None
+        # With several stale leaders (partitions) prefer the highest term;
+        # among equal terms the first replica wins.
+        leader = None
+        for i, replica in self.replicas.items():
+            node = replica.node
+            if node.role == Role.LEADER and i not in self.stopped and (
+                leader is None or node.current_term > leader.current_term
+            ):
+                leader = node
+        return leader
 
     def leader_id(self) -> int | None:
         node = self.leader()

@@ -1,21 +1,1 @@
 """Resource Lead Agent: REST control API over a Raft-replicated knowledge base."""
-
-from qonnect.rla.config import RlaConfig
-from qonnect.rla.rest import RestApi
-from qonnect.rla.service import (
-    ConflictError,
-    NotFoundError,
-    RlaService,
-    UnavailableError,
-    ValidationFailed,
-)
-
-__all__ = [
-    "ConflictError",
-    "NotFoundError",
-    "RestApi",
-    "RlaConfig",
-    "RlaService",
-    "UnavailableError",
-    "ValidationFailed",
-]

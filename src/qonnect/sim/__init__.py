@@ -1,36 +1,1 @@
 """In-process fake clusters: namespaces, workload rollouts, nodes, fault injection."""
-
-from qonnect.sim.cluster import (
-    CrashLoop,
-    DeleteNamespace,
-    Fault,
-    KillRa,
-    KillRla,
-    NodeNotReady,
-    NodePressure,
-    SimCluster,
-    SimEvent,
-    SimNode,
-    SimWorkload,
-    WorkloadPhase,
-    make_cluster,
-)
-from qonnect.sim.profiles import PROFILES, ProfileSpec
-
-__all__ = [
-    "CrashLoop",
-    "DeleteNamespace",
-    "Fault",
-    "KillRa",
-    "KillRla",
-    "NodeNotReady",
-    "NodePressure",
-    "PROFILES",
-    "ProfileSpec",
-    "SimCluster",
-    "SimEvent",
-    "SimNode",
-    "SimWorkload",
-    "WorkloadPhase",
-    "make_cluster",
-]

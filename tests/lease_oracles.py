@@ -13,7 +13,7 @@ from __future__ import annotations
 from qonnect.kb.commands import RecordHeartbeat
 from qonnect.kb.store import HEARTBEAT_STATUS
 from qonnect.rla.service import RlaService, ValidationFailed
-from qonnect.scheduler import Lease
+from qonnect.scheduler.loop import Lease
 
 
 class EveryBeatService(RlaService):

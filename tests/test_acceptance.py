@@ -11,7 +11,7 @@ import time
 
 from placement_oracle import oracle_place, random_instance
 from raft_checks import chaos_run, stop_tolerance_run
-from support import table_midpoint
+from support import AWS_COEFFICIENTS, GCP_COEFFICIENTS, energy_coefficient, table_midpoint
 from test_properties import (
     test_applied_objects_are_placeholder_free as prop_placeholder_free,
     test_positive_scaling_of_one_attribute_changes_nothing as prop_scaling_invariance,
@@ -19,14 +19,9 @@ from test_properties import (
     test_threshold_filter_never_empties as prop_threshold_nonempty,
     test_zero_qos_equals_unit_qos as prop_zero_qos,
 )
-from qonnect.harness.energy import (
-    AWS_COEFFICIENTS,
-    GCP_COEFFICIENTS,
-    energy_coefficient,
-)
 from qonnect.harness.engine import Deployment
 from qonnect.harness.scenarios import run_scenario
-from qonnect.scheduler import BordaCountStrategy
+from qonnect.scheduler.borda import BordaCountStrategy
 from qonnect.sim.profiles import PROFILES
 
 SCENARIO_SEEDS = list(range(1, 11))

@@ -8,12 +8,7 @@ import pytest
 
 from placement_oracle import oracle_place, oracle_ranking, random_instance
 from qonnect.kb.model import NodeSnapshot, QoSVector
-from qonnect.scheduler import (
-    BordaCountStrategy,
-    borda_rank,
-    eligibility_filter,
-)
-from qonnect.scheduler.borda import rank_nodes
+from qonnect.scheduler.borda import BordaCountStrategy, borda_rank, eligibility_filter, rank_nodes
 
 
 def snap(name: str, cluster: str = "c1", taken_at: float = 100.0, **overrides) -> NodeSnapshot:

@@ -19,32 +19,30 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qonnect.kb import (
-    ComponentStatus,
+from qonnect.harness.bookinfo import bookinfo_bundle
+from qonnect.harness.engine import Deployment
+from qonnect.harness.testbed import TestbedSpec, default_clusters
+from qonnect.kb.commands import (
+    Batch,
     DeleteApplication,
-    Domain,
-    KnowledgeBase,
-    QoSVector,
+    PutNodeSnapshot,
     RecordDecision,
     RecordHeartbeat,
     RegisterCluster,
     RequeueComponent,
     SubmitApplication,
     UpdateQoS,
+    decode_command,
 )
-from qonnect.harness.bookinfo import bookinfo_bundle
-from qonnect.harness.engine import Deployment
-from qonnect.harness.testbed import TestbedSpec, default_clusters
-from qonnect.kb.commands import Batch, PutNodeSnapshot, decode_command
-from qonnect.kb.store import cluster_id_for
-from qonnect.raft import RaftConfig, RaftNode
-from qonnect.raft.node import Role
-from qonnect.rla import RlaConfig, RlaService
+from qonnect.kb.model import ComponentStatus, Domain, QoSVector
+from qonnect.kb.store import KnowledgeBase, cluster_id_for
+from qonnect.raft.node import RaftConfig, RaftNode, Role
 from qonnect.rla import service as service_module
+from qonnect.rla.config import RlaConfig
 from qonnect.rla.rest import RestApi
-from qonnect.rla.service import NotFoundError, UnavailableError
+from qonnect.rla.service import NotFoundError, RlaService, UnavailableError
 from qonnect.rla.validation import placeholder_domains
-from qonnect.sim import CrashLoop, DeleteNamespace, make_cluster
+from qonnect.sim.cluster import CrashLoop, DeleteNamespace, make_cluster
 from scan_oracles import (
     oracle_dispatch,
     oracle_live_application,

@@ -12,7 +12,7 @@ from typing import Callable
 
 from qonnect.harness.bookinfo import bookinfo_bundle
 from qonnect.harness.engine import Deployment
-from qonnect.kb import ComponentStatus
+from qonnect.kb.model import ComponentStatus
 
 CYCLES = 50
 # 40 simulated s: an app is Healthy within about 16 s of its submit, and

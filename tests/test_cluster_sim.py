@@ -5,17 +5,17 @@ from __future__ import annotations
 import pytest
 
 from qonnect.kb.model import Domain
-from qonnect.sim import (
+from qonnect.sim.cluster import (
     CrashLoop,
     DeleteNamespace,
     KillRa,
     NodePressure,
-    PROFILES,
     SimCluster,
+    SimClusterError,
     WorkloadPhase,
     make_cluster,
 )
-from qonnect.sim.cluster import SimClusterError
+from qonnect.sim.profiles import PROFILES
 
 
 def cluster(profile: str = "performance") -> SimCluster:

@@ -12,29 +12,31 @@ from hypothesis import strategies as st
 from test_commands import GOLDEN_STATE, TOMBSTONE_STATE, json_values
 
 from qonnect import codec
-from qonnect.kb import (
-    ApplicationRecord,
+from qonnect.kb.commands import (
     Batch,
-    ClusterRecord,
-    ComponentRecord,
-    ComponentStatus,
     DeleteApplication,
-    Domain,
-    KnowledgeBase,
-    NodeSnapshot,
     PutNodeSnapshot,
-    QoSVector,
     RecordDecision,
     RecordHeartbeat,
     RegisterCluster,
     RequeueComponent,
-    ScheduleDecision,
     SubmitApplication,
     UpdateQoS,
     decode_command,
     encode_command,
 )
-from qonnect.raft import (
+from qonnect.kb.model import (
+    ApplicationRecord,
+    ClusterRecord,
+    ComponentRecord,
+    ComponentStatus,
+    Domain,
+    NodeSnapshot,
+    QoSVector,
+    ScheduleDecision,
+)
+from qonnect.kb.store import KnowledgeBase
+from qonnect.raft.messages import (
     AppendRequest,
     AppendResponse,
     LogEntry,

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qonnect.kb import Batch, KnowledgeBase, RecordHeartbeat, decode_command, encode_command
+from qonnect.kb.commands import Batch, RecordHeartbeat, decode_command, encode_command
+from qonnect.kb.store import KnowledgeBase
 
 # Single-command v1 log entries as written before batch entries existed,
 # and the KB snapshot they apply to, in order.

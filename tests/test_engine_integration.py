@@ -10,17 +10,11 @@ from qonnect.agent.client import RlaClientError
 from qonnect.harness.bookinfo import bookinfo_bundle
 from qonnect.harness.engine import Deployment
 from qonnect.harness.scenarios import run_all, run_scenario
-from qonnect.kb import (
-    Batch,
-    ComponentStatus,
-    Domain,
-    RegisterCluster,
-    decode_command,
-    encode_command,
-)
-from qonnect.kb.model import NODE_METRICS
+from qonnect.kb.commands import Batch, RegisterCluster, decode_command, encode_command
+from qonnect.kb.model import NODE_METRICS, ComponentStatus, Domain
 from qonnect.rla import service as service_module
-from qonnect.sim import DeleteNamespace, NodePressure, WorkloadPhase
+from qonnect.sim.cluster import DeleteNamespace, NodePressure, WorkloadPhase
+from support import cluster_id_of
 
 # Legal component status transitions (None = first appearance).
 ALLOWED_TRANSITIONS = {
@@ -247,7 +241,7 @@ def test_malformed_node_telemetry_gets_400_and_never_reaches_the_log():
     dep.boot()
     leader_id = dep.leader_id()
     api, service = dep.apis[f"rla-{leader_id}"], dep.services[leader_id]
-    path = f"/clusters/{dep.cluster_id_of('edge-energy')}/nodes"
+    path = f"/clusters/{cluster_id_of(dep, 'edge-energy')}/nodes"
     bad_nodes = [
         {"bogus": 1},
         {**GOOD_NODE, "energy": -1},
@@ -339,7 +333,7 @@ def test_node_attributes_that_are_not_finite_get_400():
     dep.boot()
     leader_id = dep.leader_id()
     service = dep.services[leader_id]
-    path = f"/clusters/{dep.cluster_id_of('edge-energy')}/nodes"
+    path = f"/clusters/{cluster_id_of(dep, 'edge-energy')}/nodes"
     service._telemetry.clear()
     for attr in NODE_METRICS:
         for value in (float("nan"), float("inf"), float("-inf"), 10**400):

@@ -10,18 +10,20 @@ import yaml
 
 from qonnect.harness.bookinfo import bookinfo_bundle, parse_bundle_stream
 from qonnect.harness.cli import main
-from qonnect.harness.energy import (
-    AWS_COEFFICIENTS,
-    GCP_COEFFICIENTS,
-    EnergyCoefficientInput,
-    energy_coefficient,
-)
 from qonnect.harness.engine import Deployment
 from qonnect.harness.scenarios import run_scenario
 from qonnect.harness.testbed import TestbedSpec
 from qonnect.kb.model import ComponentStatus
 from qonnect.sim.profiles import PROFILES
-from support import bundle_to_yaml, table_midpoint
+from support import (
+    AWS_COEFFICIENTS,
+    GCP_COEFFICIENTS,
+    EnergyCoefficientInput,
+    bundle_to_yaml,
+    cluster_id_of,
+    energy_coefficient,
+    table_midpoint,
+)
 
 
 def test_energy_coefficients_reproduce_published_values():
@@ -46,7 +48,7 @@ def test_profile_midpoints_follow_table_arithmetic():
 
 
 def test_default_testbed_is_nine_clusters():
-    spec = TestbedSpec.default()
+    spec = TestbedSpec()
     assert len(spec.clusters) == 9
     assert len({c.ingress_ip for c in spec.clusters}) == 9
     with pytest.raises(ValueError):
@@ -56,7 +58,7 @@ def test_default_testbed_is_nine_clusters():
 
 
 def test_a_testbed_with_two_clusters_per_profile_and_domain_boots_and_places():
-    base = TestbedSpec.default().clusters
+    base = TestbedSpec().clusters
     twins = [
         dataclasses.replace(c, name=f"{c.name}-2", ingress_ip=c.ingress_ip[:-1] + "2")
         for c in base
@@ -89,7 +91,7 @@ def test_testbed_spec_yaml_roundtrip(tmp_path):
                 "clusters": [
                     {"name": c.name, "domain": c.domain, "profile": c.profile,
                      "ingress_ip": c.ingress_ip}
-                    for c in TestbedSpec.default().clusters
+                    for c in TestbedSpec().clusters
                 ],
             }
         ),
@@ -104,7 +106,7 @@ def test_malformed_testbed_spec_is_a_value_error_naming_the_entry(tmp_path):
     spec_file = tmp_path / "spec.yaml"
     entries = [
         {"name": c.name, "domain": c.domain, "profile": c.profile, "ingress_ip": c.ingress_ip}
-        for c in TestbedSpec.default().clusters
+        for c in TestbedSpec().clusters
     ]
     del entries[3]["profile"]
     spec_file.write_text(yaml.safe_dump({"clusters": entries}), encoding="utf-8")
@@ -144,7 +146,7 @@ def test_bootstrap_populates_exact_parameter_table():
 
     by_profile: dict[str, list] = {"energy": [], "cost": [], "performance": []}
     for name, cluster in dep.clusters.items():
-        cid = dep.cluster_id_of(name)
+        cid = cluster_id_of(dep, name)
         for node in kb.nodes_in_domain(cluster.domain):
             if node.cluster_id == cid:
                 by_profile[cluster.profile].append(node)

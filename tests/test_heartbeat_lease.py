@@ -25,21 +25,23 @@ from lease_oracles import EveryBeatService
 from qonnect.harness.bookinfo import bookinfo_bundle
 from qonnect.harness.engine import Deployment
 from qonnect.harness.testbed import TestbedSpec
-from qonnect.kb import (
+from qonnect.kb.commands import (
     Batch,
-    KnowledgeBase,
     PutNodeSnapshot,
-    QoSVector,
+    RecordHeartbeat,
     RegisterCluster,
+    RequeueComponent,
     SubmitApplication,
+    decode_command,
 )
-from qonnect.kb.commands import RecordHeartbeat, RequeueComponent, decode_command
-from qonnect.kb.model import ComponentStatus, Domain
-from qonnect.kb.store import HEARTBEAT_STATUS
+from qonnect.kb.model import ComponentStatus, Domain, QoSVector
+from qonnect.kb.store import HEARTBEAT_STATUS, KnowledgeBase
 from qonnect.raft.node import Role
-from qonnect.rla import RlaConfig, RlaService
-from qonnect.scheduler import eligibility_filter
-from qonnect.sim import CrashLoop, NodeNotReady, NodePressure
+from qonnect.rla.config import RlaConfig
+from qonnect.rla.service import RlaService
+from qonnect.scheduler.borda import eligibility_filter
+from qonnect.sim.cluster import CrashLoop, NodeNotReady, NodePressure
+from support import cluster_id_of
 
 GRACE, TICK = 30.0, 5.0
 STEPS = 150  # one simulated second each
@@ -165,7 +167,7 @@ def _healthy_fleet(dep: Deployment, names: list[str]) -> None:
 
 
 def _components_on(dep: Deployment, cluster_name: str):
-    cluster_id = dep.cluster_id_of(cluster_name)
+    cluster_id = cluster_id_of(dep, cluster_name)
     return [
         comp
         for app in dep.kb().applications.values()

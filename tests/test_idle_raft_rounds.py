@@ -29,17 +29,15 @@ from hypothesis import strategies as st
 from qonnect.agent.ra import ResourceAgent
 from qonnect.harness.bookinfo import bookinfo_bundle
 from qonnect.harness.engine import Deployment
-from qonnect.kb import ComponentStatus
-from qonnect.raft import (
+from qonnect.kb.model import ComponentStatus
+from qonnect.raft.messages import (
     AppendRequest,
     AppendResponse,
     LogEntry,
-    RaftConfig,
-    RaftNode,
     SnapshotRequest,
     SnapshotResponse,
 )
-from qonnect.raft.node import MAX_APPEND_ENTRIES, Role
+from qonnect.raft.node import MAX_APPEND_ENTRIES, RaftConfig, RaftNode, Role
 from qonnect.raft.simulation import SyncRaftGroup
 from raft_checks import chaos_run
 from raft_harness import RaftHarness

@@ -4,14 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from qonnect.kb import (
+from qonnect.kb.commands import (
     Batch,
-    ComponentStatus,
     DeleteApplication,
-    Domain,
-    KnowledgeBase,
     PutNodeSnapshot,
-    QoSVector,
     RecordDecision,
     RecordHeartbeat,
     RegisterCluster,
@@ -21,7 +17,8 @@ from qonnect.kb import (
     decode_command,
     encode_command,
 )
-from qonnect.kb.store import cluster_id_for
+from qonnect.kb.model import ComponentStatus, Domain, QoSVector
+from qonnect.kb.store import KnowledgeBase, cluster_id_for
 
 
 def node_wire(name: str, **overrides) -> dict:

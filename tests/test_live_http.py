@@ -13,14 +13,17 @@ from contextlib import ExitStack
 
 import pytest
 
-from qonnect.harness.bookinfo import bookinfo_bundle
 from qonnect.harness import live as live_module
+from qonnect.harness.bookinfo import bookinfo_bundle
 from qonnect.harness.live import Connections, LiveDeployment, LiveRla
-from qonnect.kb import Domain, KnowledgeBase, RegisterCluster
-from qonnect.raft import RaftConfig, Role, SnapshotRequest, VoteRequest, encode_message
-from qonnect.rla import RlaConfig
 from qonnect.harness.testbed import TestbedSpec
+from qonnect.kb.commands import RegisterCluster
+from qonnect.kb.model import Domain
+from qonnect.kb.store import KnowledgeBase
+from qonnect.raft.messages import SnapshotRequest, VoteRequest, encode_message
+from qonnect.raft.node import RaftConfig, Role
 from qonnect.rla import service as service_module
+from qonnect.rla.config import RlaConfig
 
 # The Raft settings of a lone RLA (node 0 of three) served on its own.
 LONE_NODE = RaftConfig(node_id=0, members=(0, 1, 2))
@@ -70,7 +73,7 @@ def status_of(address: str, method: str, path: str, data: str | None = None) -> 
 
 
 def fast_spec() -> TestbedSpec:
-    spec = TestbedSpec.default(seed=3)
+    spec = TestbedSpec(seed=3)
     spec.tick_period = 0.5
     spec.grace_period = 5.0
     spec.snapshot_staleness = 3.0
@@ -266,6 +269,18 @@ def test_a_live_deployment_starts_only_the_rla_threads_and_one_member_loop():
     for kind in ("rla-http-", "rla-tick-", "rla-leader-"):
         assert kinds.count(kind) == live.spec.rla_count
     assert kinds.count("member-loop") == 1
+
+
+def test_an_unstarted_deployment_stops_at_once_and_frees_its_ports():
+    base = free_port_base()
+    live = LiveDeployment(spec=fast_spec(), base_port=base)
+    stopper = threading.Thread(target=live.stop, daemon=True)
+    stopper.start()
+    stopper.join(timeout=2.0)
+    assert not stopper.is_alive(), "stop() of an unstarted deployment hangs"
+    for port in range(base, base + live.spec.rla_count):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", port))
 
 
 def test_names_with_reserved_characters_route_over_http(live):

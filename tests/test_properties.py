@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from qonnect.agent.ra import APPS_STORE, CONFIG_STORE, RaConfig, ResourceAgent
 from qonnect.kb.model import Domain, NodeSnapshot, QoSVector
-from qonnect.scheduler import BordaCountStrategy
-from qonnect.scheduler.borda import rank_nodes
+from qonnect.scheduler.borda import BordaCountStrategy, rank_nodes
 from test_resource_agent import ScriptedClient
-from qonnect.sim import make_cluster
+from qonnect.sim.cluster import make_cluster
 
 # Attribute values on a quarter grid: exactly representable, so positive
 # scaling can never create or destroy ties through rounding.

@@ -9,16 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qonnect.raft import (
+from qonnect.raft.messages import (
     AppendRequest,
     AppendResponse,
-    FileStorage,
     LogEntry,
-    MemoryStorage,
-    NotLeaderError,
-    RaftConfig,
-    RaftNode,
-    Role,
     SnapshotRequest,
     SnapshotResponse,
     VoteRequest,
@@ -26,8 +20,8 @@ from qonnect.raft import (
     decode_message,
     encode_message,
 )
-from qonnect.raft.node import MAX_APPEND_ENTRIES
-from qonnect.raft.storage import Snapshot
+from qonnect.raft.node import MAX_APPEND_ENTRIES, NotLeaderError, RaftConfig, RaftNode, Role
+from qonnect.raft.storage import FileStorage, MemoryStorage, Snapshot
 from raft_harness import RaftHarness
 from support import entries_from
 

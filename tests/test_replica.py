@@ -9,16 +9,14 @@ from __future__ import annotations
 
 import pytest
 
-from qonnect.raft import (
+from qonnect.raft.messages import (
     AppendRequest,
     AppendResponse,
     LogEntry,
-    RaftConfig,
-    RaftNode,
-    Role,
     SnapshotRequest,
     VoteResponse,
 )
+from qonnect.raft.node import RaftConfig, RaftNode, Role
 from qonnect.raft.replica import Replica
 from support import entries_from
 

@@ -9,13 +9,13 @@ from qonnect.agent.ra import (
     APPS_STORE,
     CONFIG_STORE,
     SELF_STORE,
+    PlaceholderError,
     RaConfig,
     ResourceAgent,
     substitute_placeholders,
-    PlaceholderError,
 )
 from qonnect.kb.model import Domain
-from qonnect.sim import CrashLoop, DeleteNamespace, NodePressure, make_cluster
+from qonnect.sim.cluster import CrashLoop, DeleteNamespace, NodePressure, make_cluster
 
 
 class ScriptedClient:

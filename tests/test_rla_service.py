@@ -6,32 +6,18 @@ import pytest
 
 from qonnect.harness.bookinfo import bookinfo_bundle
 from qonnect.harness.engine import Deployment
-from qonnect.kb import (
-    Domain,
-    KBCommand,
-    KnowledgeBase,
-    RegisterCluster,
-    decode_command,
-    encode_command,
-)
-from qonnect.kb.model import ComponentStatus
-from qonnect.raft import (
-    AppendRequest,
-    FileStorage,
-    LogEntry,
-    MemoryStorage,
-    RaftConfig,
-    RaftNode,
-    SnapshotRequest,
-    VoteResponse,
-)
-from qonnect.raft.node import Role
+from qonnect.kb.commands import KBCommand, RegisterCluster, decode_command, encode_command
+from qonnect.kb.model import ComponentStatus, Domain
+from qonnect.kb.store import KnowledgeBase
+from qonnect.raft.messages import AppendRequest, LogEntry, SnapshotRequest, VoteResponse
+from qonnect.raft.node import RaftConfig, RaftNode, Role
 from qonnect.raft.replica import Replica
-from qonnect.raft.storage import RaftStorage
-from qonnect.rla import RlaConfig, RlaService
+from qonnect.raft.storage import FileStorage, MemoryStorage, RaftStorage
 from qonnect.rla import service as service_module
-from qonnect.rla.service import UnavailableError
+from qonnect.rla.config import RlaConfig
+from qonnect.rla.service import RlaService, UnavailableError
 from qonnect.rla.validation import MAX_MANIFEST_DEPTH
+from support import cluster_id_of
 
 
 @pytest.fixture()
@@ -107,7 +93,7 @@ def test_node_snapshot_unknown_cluster_404_and_control_plane_flagged(dep):
     )
     assert status == 404
 
-    cid = dep.cluster_id_of("cloud-energy")
+    cid = cluster_id_of(dep, "cloud-energy")
     node = {
         "node_name": "sneaky-control-plane", "ready": True, "schedulable": True,
         "pressured": False, "energy": 0.1, "pricing": 0.1, "cpu": 1, "memory": 1,
@@ -127,7 +113,7 @@ def test_a_repeated_node_report_gets_the_same_answer_and_is_queued_once(dep, mon
     monkeypatch.setattr(
         service_module, "_check_report", lambda *args: checked.append(1) or check(*args)
     )
-    cid = dep.cluster_id_of("cloud-energy")
+    cid = cluster_id_of(dep, "cloud-energy")
     node = {
         "node_name": "cp", "ready": True, "schedulable": True, "pressured": False,
         "energy": 0.1, "pricing": 1.0, "cpu": 1.0, "memory": 1.0, "bandwidth": 1.0,
@@ -322,7 +308,7 @@ def test_poll_payload_carries_placement_map_and_ack_semantics(dep):
         ) and dep.kb().live_application("bookinfo") is not None,
         60.0,
     )
-    cloud_perf = dep.cluster_id_of("cloud-performance")
+    cloud_perf = cluster_id_of(dep, "cloud-performance")
     status, body = leader_api(dep).dispatch(
         "GET", f"/clusters/{cloud_perf}/applications"
     )
@@ -337,7 +323,7 @@ def test_poll_payload_carries_placement_map_and_ack_semantics(dep):
     # Unknown cluster 404; unassigned cluster polls empty.
     status, _ = leader_api(dep).dispatch("GET", "/clusters/bogus/applications")
     assert status == 404
-    cloud_cost = dep.cluster_id_of("cloud-cost")
+    cloud_cost = cluster_id_of(dep, "cloud-cost")
     status, body = leader_api(dep).dispatch("GET", f"/clusters/{cloud_cost}/applications")
     assert status == 200 and body["applications"] == []
 
@@ -410,7 +396,7 @@ def test_heartbeat_paths_ok_stale_and_failed(dep):
     status, _ = leader_api(dep).dispatch(
         "POST",
         f"/applications/{app.app_id}/components/ratings/heartbeat",
-        {"cluster_id": dep.cluster_id_of("edge-cost"), "version": app.version,
+        {"cluster_id": cluster_id_of(dep, "edge-cost"), "version": app.version,
          "status": "healthy"},
     )
     assert status == 404
@@ -461,7 +447,8 @@ def test_unknown_route_is_404(dep):
 
 def test_poll_withholds_payload_until_placeholder_domains_are_placed():
     # Read-path behavior, driven directly against one replica's KB view.
-    from qonnect.kb import QoSVector, RecordDecision, SubmitApplication
+    from qonnect.kb.commands import RecordDecision, SubmitApplication
+    from qonnect.kb.model import QoSVector
 
     kb = KnowledgeBase()
     cloud = kb.apply(RegisterCluster("10.0.0.1", Domain.CLOUD, 0.0)).detail["cluster_id"]

@@ -11,24 +11,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from placement_oracle import random_instance
-from qonnect.kb import (
-    KnowledgeBase,
+from qonnect.kb.commands import (
     PutNodeSnapshot,
-    QoSVector,
     RecordDecision,
     RecordHeartbeat,
     RegisterCluster,
+    RequeueComponent,
     SubmitApplication,
 )
-from qonnect.kb.commands import RequeueComponent
-from qonnect.kb.model import Domain
-from qonnect.scheduler import (
-    BordaCountStrategy,
-    Lease,
-    borda,
-    eligibility_filter,
-    scheduler_tick,
-)
+from qonnect.kb.model import Domain, QoSVector
+from qonnect.kb.store import KnowledgeBase
+from qonnect.scheduler import borda
+from qonnect.scheduler.borda import BordaCountStrategy, eligibility_filter
+from qonnect.scheduler.loop import Lease, scheduler_tick
 from qonnect.sim.profiles import PROFILES
 
 PERIODS = {"grace_period": 30.0, "snapshot_staleness": 15.0}

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from test_commands import json_values
 
 from qonnect import codec
-from qonnect.harness.testbed import TestbedSpec, default_clusters
+from qonnect.harness.testbed import NON_NEGATIVE, TestbedSpec, default_clusters
 
 
 def write(tmp_path, text: str):
@@ -22,7 +22,7 @@ def write(tmp_path, text: str):
 
 
 def default_document() -> dict:
-    return codec.encoder(TestbedSpec)(TestbedSpec.default())
+    return codec.encoder(TestbedSpec)(TestbedSpec())
 
 
 def test_a_yaml_dump_of_every_field_loads_back_equal(tmp_path):
@@ -45,7 +45,7 @@ def test_a_yaml_dump_of_every_field_loads_back_equal(tmp_path):
         election_timeout=(0.4, 0.8),
         heartbeat_interval=0.1,
     )
-    default = TestbedSpec.default()
+    default = TestbedSpec()
     for f in dataclasses.fields(TestbedSpec):
         assert getattr(spec, f.name) != getattr(default, f.name), f.name
     document = yaml.safe_dump(codec.encoder(TestbedSpec)(spec))
@@ -53,8 +53,8 @@ def test_a_yaml_dump_of_every_field_loads_back_equal(tmp_path):
 
 
 def test_an_empty_file_is_the_default_spec(tmp_path):
-    assert TestbedSpec.from_yaml(write(tmp_path, "")) == TestbedSpec.default()
-    assert codec.decoder(TestbedSpec)({}) == TestbedSpec.default()
+    assert TestbedSpec.from_yaml(write(tmp_path, "")) == TestbedSpec()
+    assert codec.decoder(TestbedSpec)({}) == TestbedSpec()
 
 
 WORKERS_LIST = yaml.safe_dump(
@@ -104,10 +104,21 @@ def test_an_ingress_ip_that_is_no_ip_address_is_refused(ip):
         TestbedSpec(clusters=with_cluster("fog-cost", ingress_ip=ip))
 
 
-@pytest.mark.parametrize("grace", [0, 0.0, -1.0, float("nan")])
-def test_a_grace_period_that_is_not_positive_is_refused(grace):
-    with pytest.raises(ValueError, match="grace_period must be positive"):
-        TestbedSpec(grace_period=grace)
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        (field, value)
+        for field in (*NON_NEGATIVE, "grace_period", "election_timeout")
+        for value in (float("nan"), float("inf"), -1.0)
+    ]
+    + [("grace_period", 0), ("grace_period", 0.0)],
+)
+def test_a_float_setting_out_of_its_range_is_refused(field, value):
+    # Such a spec would load and boot, and then never make an app Healthy.
+    # Zero is legal but for grace_period: a zero flush means every pump.
+    changes = {field: (0.15, value) if field == "election_timeout" else value}
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        TestbedSpec(**changes)
 
 
 @st.composite

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import pytest
 
-from qonnect.raft import FileStorage, LogEntry, RaftConfig, RaftNode, Snapshot
 from qonnect.raft import storage as storage_module
-from qonnect.raft.storage import WAL_FILE
+from qonnect.raft.messages import LogEntry
+from qonnect.raft.node import RaftConfig, RaftNode
+from qonnect.raft.storage import WAL_FILE, FileStorage, Snapshot
 from support import entries_from
 
 ENTRIES = [LogEntry(i, 2, f"cmd-{i}") for i in range(1, 4)]
