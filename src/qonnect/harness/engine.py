@@ -31,7 +31,7 @@ from qonnect.raft.replica import Replica
 from qonnect.raft.simulation import SyncRaftGroup
 from qonnect.rla.rest import RestApi
 from qonnect.rla.service import RlaService
-from qonnect.sim.cluster import Fault, KillRa, KillRla, SimCluster
+from qonnect.sim.cluster import Fault, KillRa, SimCluster
 
 
 class Deployment:
@@ -175,10 +175,6 @@ class Deployment:
         self.events.append(self.now, cluster_name, event.kind, event.detail)
         # A killed agent needs nothing here: ``step`` skips agents whose
         # cluster reports ``ra_alive`` false.
-        if isinstance(fault, KillRla):
-            for rla_id, host in self.rla_hosts.items():
-                if host == cluster_name:
-                    self._stop_rla(rla_id)
 
     def kill_ra(self, cluster_name: str) -> None:
         self.inject_fault(cluster_name, KillRa())
@@ -186,12 +182,7 @@ class Deployment:
     def kill_rla(self, rla_id: int) -> None:
         host = self.rla_hosts.get(rla_id)
         if host is not None:
-            cluster = self.clusters[host]
-            event = cluster.inject_fault(KillRla())
-            self.events.append(self.now, host, event.kind, event.detail)
-        self._stop_rla(rla_id)
-
-    def _stop_rla(self, rla_id: int) -> None:
+            self.events.append(self.now, host, "fault-killrla", {})
         self.group.stop(rla_id)
         self.apis.pop(f"rla-{rla_id}", None)
         self.events.append(self.now, f"rla-{rla_id}", "rla-stopped", {})

@@ -149,8 +149,8 @@ class LiveRla:
         raft: RaftConfig,
         events: EventLog | None = None,
     ) -> None:
-        storage = FileStorage(config.data_dir) if config.data_dir else None
-        self.node = RaftNode(raft, storage=storage)
+        self._storage = FileStorage(config.data_dir) if config.data_dir else None
+        self.node = RaftNode(raft, storage=self._storage)
         self.service = RlaService(config, node=self.node, events=events)
         self.replica = Replica(self.node, self.service)
         self.service.proposer = lambda raw: self.replica.propose(raw, self._await_commit)
@@ -168,7 +168,11 @@ class LiveRla:
         self._threads: list[threading.Thread] = []
 
         host, port = config.peers[config.rla_id].rsplit(":", 1)
-        self.server = ThreadingHTTPServer((host, int(port)), _RlaHandler)
+        try:
+            self.server = ThreadingHTTPServer((host, int(port)), _RlaHandler)
+        except BaseException:
+            self._release()
+            raise
         self.server.daemon_threads = True
         self.server.rla = self  # type: ignore[attr-defined]
 
@@ -194,8 +198,16 @@ class LiveRla:
         self.server.server_close()
         for thread in self._threads:
             thread.join(timeout=2.0)
+        with self._lock:  # a handler may still be writing the log
+            self._release()
+
+    def _release(self) -> None:
+        """Free what the server does not own: the send pool, the peer
+        connections and the log files."""
         self._send_pool.shutdown(wait=False, cancel_futures=True)
         self._peers.close()
+        if self._storage is not None:
+            self._storage.close()
 
     # -- raft plumbing ----------------------------------------------------
 
@@ -392,10 +404,15 @@ class LiveDeployment:
         addresses = {i: f"{host}:{base_port + i}" for i in members}
         self.addresses = addresses
         self.rlas: dict[int, LiveRla] = {}
-        for i in members:
-            data_dir = f"{data_root}/rla-{i}" if data_root else None
-            config = self.spec.rla_config(i, addresses, data_dir)
-            self.rlas[i] = LiveRla(config, self.spec.raft_config(i), events=self.events)
+        try:
+            for i in members:
+                data_dir = f"{data_root}/rla-{i}" if data_root else None
+                config = self.spec.rla_config(i, addresses, data_dir)
+                self.rlas[i] = LiveRla(config, self.spec.raft_config(i), events=self.events)
+        except BaseException:  # say, a port is taken: free the RLAs already built
+            for rla in self.rlas.values():
+                rla.stop()
+            raise
 
         self.clusters = self.spec.make_clusters()
         self._send = HttpSend()  # shared by every client: each call has its own connection

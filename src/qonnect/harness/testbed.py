@@ -26,7 +26,7 @@ from qonnect.sim.cluster import SimCluster, make_cluster
 from qonnect.sim.profiles import PROFILES
 
 DOMAINS = tuple(d.value for d in Domain)
-PROFILE_NAMES = ("energy", "cost", "performance")
+PROFILE_NAMES = tuple(PROFILES)
 # The float settings that may be zero; ``grace_period`` must be positive.
 NON_NEGATIVE = (
     "tick_period", "snapshot_staleness", "telemetry_flush", "ra_snapshot_period",

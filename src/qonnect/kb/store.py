@@ -9,8 +9,10 @@ which is what the status-machine property tests replay.
 
 from __future__ import annotations
 
+import math
 import uuid
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Mapping, TypeVar
 
 from qonnect import codec
@@ -176,8 +178,8 @@ class KnowledgeBase:
         self,
         now: float,
         grace: float,
-        seen: Mapping[tuple[str, str], float] | None = None,
-        lease_start: float | None = None,
+        seen: Mapping[tuple[str, str], float] = MappingProxyType({}),
+        lease_start: float = -math.inf,
     ) -> tuple[list[tuple[ApplicationRecord, ComponentRecord]], float]:
         """Active components whose stall reference is more than ``grace`` old,
         by (submitted_at, app name, component name), and the floor: the
@@ -186,12 +188,12 @@ class KnowledgeBase:
 
         A component's stall reference is its replicated heartbeat time (its
         decision time, if never beaten). A leader passes the soft state of
-        its lease: ``seen`` maps ``(app_id, component)`` to the last
-        heartbeat it accepted, and ``lease_start`` is when it began to lead;
-        the reference is then the latest of those times and the replicated
-        one. No component can stall before ``floor + grace`` unless a
-        reference moves earlier (the lease's ``floor`` and ``epoch`` say
-        when).
+        its lease (by default, none): ``seen`` maps ``(app_id, component)``
+        to the last heartbeat it accepted, and ``lease_start`` is when it
+        began to lead; the reference is then the latest of those times and
+        the replicated one. No component can stall before ``floor + grace``
+        unless a reference moves earlier (the lease's ``floor`` and
+        ``epoch`` say when).
 
         The scan walks every active component once, unsorted, and sorts only
         what it returns.
@@ -207,10 +209,8 @@ class KnowledgeBase:
                 reference = comp.last_heartbeat
                 if reference is None:
                     reference = comp.decision.decided_at
-                if seen:
-                    reference = max(reference, seen.get((app.app_id, comp.name), reference))
-                if lease_start is not None:
-                    reference = max(reference, lease_start)
+                key = (app.app_id, comp.name)
+                reference = max(reference, seen.get(key, reference), lease_start)
                 if reference < floor:
                     floor = reference
                 if now - reference > grace:

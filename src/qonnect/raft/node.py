@@ -15,18 +15,17 @@ An idle round builds nothing and does next to nothing. ``_log_version``
 counts every change to the log: an append, a truncation, a compaction, an
 installed snapshot. A leader resends a peer's last empty ``AppendRequest``
 while its term, commit index, log version and the peer's next index are
-unchanged, and reads no log to do so; a follower resends its last
-``AppendResponse`` while its destination, term, match index and conflict
-index are. A follower handed the very request object it last answered
-through the full path, with a success that carried no entries and
-committed nothing, returns the stored result while its term, follower
-role, log version and last reply are unchanged: the full path would reach
-the same answer and change nothing else. A resent heartbeat then costs its
-receiver an identity check, four comparisons and the election timer's
-reset. The reset still draws the next timeout from the node's RNG, as the
-full path does, so every later draw, and with it every seeded run, stays
-the same. Only in-process transports resend one object; live mode decodes
-every inbound message into a new one and always takes the full path.
+unchanged, and reads no log to do so. A follower handed the very request
+object it last answered through the full path, with a success that carried
+no entries and committed nothing, returns the stored result while its
+term, follower role and log version are unchanged: the full path would
+reach an equal answer and change nothing else, since the commit index
+never falls. A resent heartbeat then costs its receiver an identity check,
+three comparisons and the election timer's reset. The reset still draws
+the next timeout from the node's RNG, as the full path does, so every
+later draw, and with it every seeded run, stays the same. Only in-process
+transports resend one object; live mode decodes every inbound message into
+a new one and always takes the full path.
 
 On the leader, a success that raises no match index and leaves nothing to
 send returns the shared empty result. The leader checks its commit index
@@ -133,13 +132,12 @@ class RaftNode:
         # Bumped whenever the log changes: an append, a truncation, a
         # compaction or an installed snapshot.
         self._log_version = 0
-        # The last empty AppendRequest per peer and the last AppendResponse,
-        # each with the values it was built from: an idle round resends them.
+        # The last empty AppendRequest per peer, with the values it was
+        # built from: an idle round resends it.
         self._idle: dict[int, tuple[tuple[int, ...], AppendRequest]] = {}
-        self._reply: tuple[tuple[int, ...], AppendResponse] | None = None
         # The last empty request answered with a success that committed
-        # nothing, with the term, log version and reply it was answered at.
-        self._answered: tuple = (None, 0, 0, None, _NOTHING)
+        # nothing, with the term and log version it was answered at.
+        self._answered: tuple = (None, 0, 0, _NOTHING)
 
         self._election_elapsed = 0.0
         self._election_deadline = self._random_timeout()
@@ -331,10 +329,10 @@ class RaftNode:
     # ------------------------------------------------------------------
 
     def handle_message(self, msg: Message) -> ReceiveResult:
-        request, term, version, reply, result = self._answered
+        request, term, version, result = self._answered
         if (
             msg is request and term == self.current_term and self.role is Role.FOLLOWER
-            and version == self._log_version and reply is self._reply
+            and version == self._log_version
         ):
             # The same heartbeat again, with nothing changed since it was
             # answered: the full path would do only this and answer alike.
@@ -388,17 +386,14 @@ class RaftNode:
         self, msg: AppendRequest, match_index: int = 0, conflict_index: int = 0
     ) -> ReceiveResult:
         """Answer ``msg``: a success unless a ``conflict_index`` is given."""
-        key = (msg.src, self.current_term, match_index, conflict_index)
-        if self._reply is None or self._reply[0] != key:
-            self._reply = (key, AppendResponse(
-                src=self.config.node_id,
-                dst=msg.src,
-                term=self.current_term,
-                success=conflict_index == 0,
-                match_index=match_index,
-                conflict_index=conflict_index,
-            ))
-        return ReceiveResult((self._reply[1],))
+        return ReceiveResult((AppendResponse(
+            src=self.config.node_id,
+            dst=msg.src,
+            term=self.current_term,
+            success=conflict_index == 0,
+            match_index=match_index,
+            conflict_index=conflict_index,
+        ),))
 
     def _on_append_request(self, msg: AppendRequest) -> ReceiveResult:
         if msg.term < self.current_term:
@@ -446,7 +441,7 @@ class RaftNode:
             )
             return result._replace(committed=self._collect_applied())
         if not msg.entries:
-            self._answered = (msg, self.current_term, self._log_version, self._reply, result)
+            self._answered = (msg, self.current_term, self._log_version, result)
         return result
 
     def _on_append_response(self, msg: AppendResponse) -> ReceiveResult:

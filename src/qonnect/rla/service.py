@@ -94,7 +94,7 @@ from qonnect.kb.model import NODE_METRICS, ApplicationRecord, ComponentStatus, D
 from qonnect.kb.store import HEARTBEAT_STATUS, Effect, KnowledgeBase, node_from_wire
 from qonnect.raft.node import NotLeaderError, RaftNode, Role
 from qonnect.rla.config import RlaConfig
-from qonnect.rla.validation import parse_qos, placeholder_domains, validate_bundle
+from qonnect.rla.validation import VALID_DOMAINS, parse_qos, placeholder_domains, validate_bundle
 from qonnect.scheduler.loop import Lease, scheduler_tick
 
 
@@ -328,7 +328,7 @@ class RlaService:
             raise ValidationFailed(
                 [{"field": "external_ip", "error": f"malformed ip: {external_ip!r}"}]
             ) from None
-        if domain_raw not in {d.value for d in Domain}:
+        if domain_raw not in VALID_DOMAINS:
             raise ValidationFailed(
                 [{"field": "domain", "error": f"unknown domain: {domain_raw!r}"}]
             )

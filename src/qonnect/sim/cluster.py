@@ -63,11 +63,6 @@ class KillRa:
 
 
 @dataclass(frozen=True)
-class KillRla:
-    pass
-
-
-@dataclass(frozen=True)
 class NodeNotReady:
     node_name: str
 
@@ -88,7 +83,7 @@ class CrashLoop:
     workload: str
 
 
-Fault = Union[KillRa, KillRla, NodeNotReady, NodePressure, DeleteNamespace, CrashLoop]
+Fault = Union[KillRa, NodeNotReady, NodePressure, DeleteNamespace, CrashLoop]
 
 
 class SimClusterError(Exception):
@@ -293,8 +288,6 @@ class SimCluster:
         if isinstance(fault, KillRa):
             self.ra_alive = False
             detail = {}
-        elif isinstance(fault, KillRla):
-            detail = {}  # the harness stops the RLA this cluster hosts
         elif isinstance(fault, NodeNotReady):
             self._node(fault.node_name).ready = False
             detail = {"node": fault.node_name}

@@ -66,3 +66,50 @@ def test_a_heartbeat_answered_404_returns_false():
     sent: list = []
     assert answering(404, sent).heartbeat("a1", "web", "c1", 2, "healthy") is False
     assert len(sent) == 1
+
+
+def scripted(answers: dict, sent: list) -> RlaClient:
+    """A client of RLAs ``a``, ``b`` and ``c``: each answers with its
+    ``answers`` entry, or raises it if it is an ``RlaClientError``."""
+
+    def send(target: str, method: str, path: str, body: dict | None) -> tuple[int, dict]:
+        sent.append(target)
+        answer = answers[target]
+        if isinstance(answer, RlaClientError):
+            raise answer
+        return answer
+
+    return RlaClient(["a", "b", "c"], send)
+
+
+def test_a_call_goes_on_past_unreachable_rlas_and_starts_at_the_one_that_answered():
+    sent: list = []
+    client = scripted(
+        {
+            "a": RlaClientError("a down"),
+            "b": RlaClientError("b down"),
+            "c": (200, {"clusters": {"c1": "c"}}),
+        },
+        sent,
+    )
+    assert client.cluster_config() == {"c1": "c"}
+    assert sent == ["a", "b", "c"]
+    sent.clear()
+    assert client.cluster_config() == {"c1": "c"}
+    assert sent == ["c"]
+
+
+def test_a_call_follows_a_leader_hint_once_and_raises_the_last_error():
+    sent: list = []
+    client = scripted(
+        {
+            "a": (307, {"error": "not leader", "leader_address": "c"}),
+            "c": (503, {"error": "c unavailable"}),
+            "b": RlaClientError("b down"),
+        },
+        sent,
+    )
+    with pytest.raises(RlaClientError) as raised:
+        client.cluster_config()
+    assert str(raised.value) == "b down"
+    assert sent == ["a", "c", "b"]

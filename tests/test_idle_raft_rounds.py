@@ -1,18 +1,16 @@
 """A quiet engine step builds nothing and does only what is due.
 
 A leader resends a peer's last empty AppendRequest while its term, commit
-index, log version and the peer's next index hold; a follower resends its
-last AppendResponse while the destination, term, match index and conflict
-index hold, and answers the very request it last answered from the stored
-result while its term, role, log version and reply hold. The leader checks
-its commit index only when a peer's match index rises, and drops a success
-that raises nothing and leaves nothing to send. The engine runs its agent
-round only when some live agent has a duty due. A work-count guard on the
-booted engine, and an equivalence property over seeded chaos runs: every
-append request and reply a node emits equals one built fresh from its
-state, every stored answer equals the full path's on a copy of the node,
-and no response leaves a commit that checking on every response would have
-made.
+index, log version and the peer's next index hold; a follower answers the
+very request it last answered from the stored result while its term, role
+and log version hold. The leader checks its commit index only when a
+peer's match index rises, and drops a success that raises nothing and
+leaves nothing to send. The engine runs its agent round only when some
+live agent has a duty due. A work-count guard on the booted engine, and an
+equivalence property over seeded chaos runs: every append request and
+reply a node emits equals one built fresh from its state, every stored
+answer equals the full path's on a copy of the node, and no response
+leaves a commit that checking on every response would have made.
 """
 
 from __future__ import annotations
@@ -111,11 +109,11 @@ def test_quiet_engine_steps_build_no_append_message_and_check_no_commit(monkeypa
     assert built == {
         "proposal": 1, "request": 2, "full append": 2, "reply": 2, "match": 2, "commit check": 2,
     }
-    # The next round carries the new commit index; each follower's reply
-    # to it is the one it already sent, and it raises no match.
-    assert quiet(1) == {"request": 2, "full append": 2}
+    # The next round carries the new commit index; each follower answers
+    # it, and its reply raises no match.
+    assert quiet(1) == {"request": 2, "full append": 2, "reply": 2}
     # The round after resends it, and each follower stores its answer.
-    assert quiet(1) == {"full append": 2}
+    assert quiet(1) == {"full append": 2, "reply": 2}
     assert quiet(100) == {}
 
 
@@ -127,7 +125,7 @@ def test_a_reply_is_resent_only_to_the_node_it_answered():
     )
     stale = replace(ahead, src=2, term=2)
     [first] = node.handle_message(ahead).messages
-    assert node.handle_message(ahead).messages[0] is first
+    assert node.handle_message(ahead).messages == (first,)
     assert first == AppendResponse(
         src=0, dst=1, term=3, success=False, match_index=0, conflict_index=1
     )

@@ -283,6 +283,27 @@ def test_an_unstarted_deployment_stops_at_once_and_frees_its_ports():
             sock.bind(("127.0.0.1", port))
 
 
+def test_a_deployment_whose_port_is_taken_frees_the_ports_it_bound():
+    base = free_port_base()
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", base + 1))
+        taken.listen()
+        with pytest.raises(OSError):
+            LiveDeployment(spec=fast_spec(), base_port=base)
+    with socket.socket() as sock:  # no garbage collection needed first
+        sock.bind(("127.0.0.1", base))
+
+
+def test_a_stopped_deployment_closes_every_write_ahead_log(tmp_path):
+    live = LiveDeployment(spec=fast_spec(), base_port=free_port_base(), data_root=str(tmp_path))
+    live.start()
+    try:
+        live.wait_for_leader(timeout=15.0)
+    finally:
+        live.stop()
+    assert all(rla.node.storage._wal.closed for rla in live.rlas.values())
+
+
 def test_names_with_reserved_characters_route_over_http(live):
     """The server routes on the raw path, as the in-process API does, so a
     name with ``:`` or ``+`` reaches its application over HTTP too."""
