@@ -5,10 +5,26 @@ replicas over an instant-delivery Raft group, one simulated cluster plus
 resource agent per testbed entry, and a single step loop that advances
 Raft timers, cluster dynamics, agent duties, and the leader's scheduler in
 a fixed order. With a fixed seed, every run is bit-identical; "within N
-seconds" deadlines are measured on the simulated clock. The agent round
-runs only on steps where some live agent has a duty due, the earliest
-``ResourceAgent.next_due`` it recorded after the last round; on any other
-step every agent would do nothing.
+seconds" deadlines are measured on the simulated clock.
+
+A step visits only the members with work due; each skip leaves every
+output as visiting them all would:
+
+- Raft: every live node ticks. The replicas are checked for a new leader
+  only after some node became leader (``RaftNode.terms_led`` grew): until
+  then each check would find a follower, or a leader of a term it already
+  recorded.
+- Clusters: only those with a Rolling or CrashLoop workload step, in
+  ``clusters`` order. A settled cluster's step would only add ``DT`` to
+  its clock; that clock started at 0.0 with the engine's and adds the same
+  ``DT`` once per step, so the engine sets it to its own ``now``, bit for
+  bit the same sum, before an agent round or a fault can unsettle the
+  cluster.
+- Agents: the round runs only on steps where some live agent has a duty
+  due, the earliest ``ResourceAgent.next_due`` recorded after the last
+  round; on any other step every agent would do nothing.
+- RLAs: a live RLA is pumped only when ``RlaService.due`` says its pump
+  has work, by the comparisons the pump itself makes.
 
 The RLA replicas are conceptually hosted on the cloud clusters (one per
 cloud cluster); killing a cloud cluster's lead agent stops its Raft node.
@@ -46,6 +62,9 @@ class Deployment:
         self.rng = random.Random(self.spec.seed)
 
         self.clusters: dict[str, SimCluster] = self.spec.make_clusters()
+        # The clusters with a Rolling or CrashLoop workload, in ``clusters``
+        # order: the only ones whose step has work.
+        self._unsettled: dict[str, SimCluster] = {}
 
         self._build_control_plane()
         self.agents = self.spec.make_agents(self.clusters, self.client, self.events)
@@ -86,6 +105,8 @@ class Deployment:
             self.services[i] = service
             self.apis[addresses[i]] = RestApi(service)
         self.group = SyncRaftGroup(replicas)
+        # The terms led that the last leader check counted.
+        self._terms_led = 0
 
     def _make_id(self) -> str:
         return str(uuid.UUID(int=self.rng.getrandbits(128), version=4))
@@ -97,23 +118,37 @@ class Deployment:
     def step(self) -> None:
         self.now += self.DT
         self.group.tick(self.DT)
-        for i, replica in self.group.replicas.items():
-            if self.group.observe(i):
-                term = replica.node.current_term
-                self.events.append(self.now, f"rla-{i}", "leader-elected", {"term": term})
-        for cluster in self.clusters.values():
+        terms_led = sum(replica.node.terms_led for replica in self.group.replicas.values())
+        if terms_led != self._terms_led:  # some node became leader
+            self._terms_led = terms_led
+            for i, replica in self.group.replicas.items():
+                if self.group.observe(i):
+                    term = replica.node.current_term
+                    self.events.append(self.now, f"rla-{i}", "leader-elected", {"term": term})
+        for name, cluster in list(self._unsettled.items()):
             for event in cluster.step(self.DT):
-                self.events.append(event.at, cluster.name, event.kind, event.detail)
+                self.events.append(event.at, name, event.kind, event.detail)
+            if not cluster.unsettled:
+                del self._unsettled[name]
         if self.now >= self._agents_due:
             due = float("inf")
             for name, agent in self.agents.items():
-                if self.clusters[name].ra_alive:
+                cluster = self.clusters[name]
+                if cluster.ra_alive:
+                    cluster.now = self.now  # applies read it; stepping resumes from it
                     agent.run_due(self.now)
                     due = min(due, agent.next_due)
+                    self._watch(name, cluster)
             self._agents_due = due
         for rla_id, service in self.services.items():
-            if rla_id not in self.group.stopped:
+            if rla_id not in self.group.stopped and service.due(self.now):
                 service.pump(self.now)
+
+    def _watch(self, name: str, cluster: SimCluster) -> None:
+        """Step ``cluster`` from the next step on if it has become unsettled."""
+        if cluster.unsettled and name not in self._unsettled:
+            self._unsettled[name] = cluster
+            self._unsettled = {n: c for n, c in self.clusters.items() if n in self._unsettled}
 
     def run(self, duration: float) -> None:
         for _ in range(int(round(duration / self.DT))):
@@ -171,8 +206,10 @@ class Deployment:
 
     def inject_fault(self, cluster_name: str, fault: Fault) -> None:
         cluster = self.clusters[cluster_name]
+        cluster.now = self.now  # stepping resumes from it
         event = cluster.inject_fault(fault)
         self.events.append(self.now, cluster_name, event.kind, event.detail)
+        self._watch(cluster_name, cluster)
         # A killed agent needs nothing here: ``step`` skips agents whose
         # cluster reports ``ra_alive`` false.
 

@@ -123,6 +123,9 @@ class RaftNode:
 
         self.role = Role.FOLLOWER
         self.leader_id: int | None = None
+        # Terms in which this node became leader: while the count holds, it
+        # has become leader of no new term.
+        self.terms_led = 0
         self.commit_index = self.snapshot_index
         self.last_applied = self.snapshot_index
 
@@ -132,9 +135,9 @@ class RaftNode:
         # Bumped whenever the log changes: an append, a truncation, a
         # compaction or an installed snapshot.
         self._log_version = 0
-        # The last empty AppendRequest per peer, with the values it was
-        # built from: an idle round resends it.
-        self._idle: dict[int, tuple[tuple[int, ...], AppendRequest]] = {}
+        # The last empty AppendRequest per peer, with the log version it was
+        # built at: an idle round resends it.
+        self._idle: dict[int, tuple[int, AppendRequest]] = {}
         # The last empty request answered with a success that committed
         # nothing, with the term and log version it was answered at.
         self._answered: tuple = (None, 0, 0, _NOTHING)
@@ -196,7 +199,7 @@ class RaftNode:
 
     def tick(self, elapsed: float) -> list[Message]:
         """Advance timers by ``elapsed`` seconds and emit any due messages."""
-        if self.role == Role.LEADER:
+        if self.role is Role.LEADER:
             self._heartbeat_elapsed += elapsed
             if self._heartbeat_elapsed >= self.config.heartbeat_interval:
                 return self.broadcast_append()
@@ -231,6 +234,7 @@ class RaftNode:
 
     def _become_leader(self) -> list[Message]:
         self.role = Role.LEADER
+        self.terms_led += 1
         self.leader_id = self.config.node_id
         self._next_index = {p: self.last_log_index + 1 for p in self.config.peers}
         self._match_index = {p: 0 for p in self.config.peers}
@@ -273,11 +277,14 @@ class RaftNode:
         return [self._append_for(peer) for peer in self.config.peers]
 
     def _append_for(self, peer: int) -> Message:
-        next_idx = self._next_index.get(peer, self.last_log_index + 1)
-        key = (self.current_term, self.commit_index, self._log_version, next_idx)
+        next_idx = self._next_index[peer]
         sent = self._idle.get(peer)
-        if sent is not None and sent[0] == key:
-            return sent[1]
+        if sent is not None and sent[0] == self._log_version:
+            # The request holds the term, commit index and next index it was built from.
+            request = sent[1]
+            if request.leader_commit == self.commit_index and request.term == self.current_term \
+                    and request.prev_log_index == next_idx - 1:
+                return request
         prev_index = next_idx - 1
         prev_term = self.term_at(prev_index)
         if next_idx <= self.snapshot_index or prev_term is None:
@@ -303,7 +310,7 @@ class RaftNode:
             leader_commit=self.commit_index,
         )
         if not entries:
-            self._idle[peer] = (key, request)
+            self._idle[peer] = (self._log_version, request)
         return request
 
     def compact(self, upto_index: int, state_blob: str) -> Snapshot:
@@ -342,14 +349,14 @@ class RaftNode:
         if msg.term > self.current_term:
             self._step_down(msg.term)
 
-        if isinstance(msg, VoteRequest):
-            return self._on_vote_request(msg)
-        if isinstance(msg, VoteResponse):
-            return self._on_vote_response(msg)
         if isinstance(msg, AppendRequest):
             return self._on_append_request(msg)
         if isinstance(msg, AppendResponse):
             return self._on_append_response(msg)
+        if isinstance(msg, VoteRequest):
+            return self._on_vote_request(msg)
+        if isinstance(msg, VoteResponse):
+            return self._on_vote_response(msg)
         if isinstance(msg, SnapshotRequest):
             return self._on_snapshot_request(msg)
         if isinstance(msg, SnapshotResponse):
@@ -445,7 +452,7 @@ class RaftNode:
         return result
 
     def _on_append_response(self, msg: AppendResponse) -> ReceiveResult:
-        if self.role != Role.LEADER or msg.term != self.current_term:
+        if self.role is not Role.LEADER or msg.term != self.current_term:
             return _NOTHING
         if msg.success:
             match = self._match_index.get(msg.src, 0)

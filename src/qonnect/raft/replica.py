@@ -50,6 +50,8 @@ class Replica:
         if isinstance(msg, SnapshotRequest):
             loaded = self.machine.load_snapshot(msg.state_blob)
         result = self.node.handle_message(msg)
+        if not result.committed and result.snapshot_installed is None:
+            return result.messages  # nothing to apply, as for every heartbeat
         if result.snapshot_installed is not None:
             self.machine.install_snapshot(loaded, result.snapshot_installed)
         for index, command in result.committed:

@@ -10,8 +10,7 @@ node's ``Replica`` applies what commits.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Iterable
+from typing import Any
 
 from qonnect.raft.messages import Message
 from qonnect.raft.node import RaftNode, Role
@@ -34,9 +33,6 @@ class ReplicaGroup:
 
     def stop(self, node_id: int) -> None:
         self.stopped.add(node_id)
-
-    def alive(self) -> list[int]:
-        return [i for i in self.replicas if i not in self.stopped]
 
     def leader(self) -> RaftNode | None:
         # With several stale leaders (partitions) prefer the highest term;
@@ -69,19 +65,21 @@ class ReplicaGroup:
 class SyncRaftGroup(ReplicaGroup):
     """Raft replicas with instant in-process delivery (run-to-completion)."""
 
-    def pump(self, messages: Iterable[Message]) -> None:
-        queue = deque(messages)
-        while queue:
-            msg = queue.popleft()
-            if msg.dst in self.stopped or msg.src in self.stopped:
-                continue
-            queue.extend(self.replicas[msg.dst].handle(msg))
+    def pump(self, messages: list[Message]) -> None:
+        """Deliver ``messages`` and every message they cause, oldest first.
+        Appends what it delivers to ``messages``, which serves as the queue."""
+        stopped = self.stopped
+        for msg in messages:  # a list's iterator also visits what is appended
+            if msg.dst not in stopped and msg.src not in stopped:
+                messages.extend(self.replicas[msg.dst].handle(msg))
 
     def tick(self, dt: float) -> None:
-        for node_id in self.alive():
-            messages = self.replicas[node_id].node.tick(dt)
-            if messages:
-                self.pump(messages)
+        stopped = self.stopped
+        for node_id, replica in self.replicas.items():
+            if node_id not in stopped:
+                messages = replica.node.tick(dt)
+                if messages:
+                    self.pump(messages)
 
     def propose(self, node_id: int, command: str) -> Any | None:
         """Propose on ``node_id`` and pump to quiescence.

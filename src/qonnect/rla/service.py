@@ -34,14 +34,16 @@ Kubernetes KEP-589, "Efficient Node Heartbeats"), renewed by their
 holders: a component by its heartbeat, a cluster by its node report. The
 leader keeps one ``Lease`` record of soft state for its term
 (``qonnect.scheduler.loop``), made at its first leader work in the term and
-dropped when it stops leading: when the term's lease began, the time of
-each component's last accepted heartbeat, the time of each cluster's last
-accepted report, the fingerprint of each cluster's last checked report,
-and what the term's last full stall scan found (its ``floor``, the
-earliest stall reference then, and the KB's ``epoch``, so passes skip the
-scan until a component can have stalled). A new term starts with no scan,
-and a clock reading earlier than the ``floor`` (live mode's clock can step
-back) voids it. Renewing a lease writes nothing to the log.
+replaced, with the telemetry still queued, at its first leader work in a
+later term (nothing reads either in between): when the term's lease began,
+the time of each component's last accepted heartbeat, the time of each
+cluster's last accepted report, the fingerprint of each cluster's last
+checked report, and what the term's last full stall scan found (its
+``floor``, the earliest stall reference then, and the KB's ``epoch``, so
+passes skip the scan until a component can have stalled). A new term
+starts with no scan, and a clock reading earlier than the ``floor`` (live
+mode's clock can step back) voids it. Renewing a lease writes nothing to
+the log.
 
 A heartbeat is logged only when it changes the replicated status, which
 the first beat after a decision always does (a decision sets Scheduled,
@@ -287,10 +289,16 @@ class RlaService:
             raise NotLeaderError(self.node.leader_id)
 
     def _hold_lease(self, now: float) -> Lease:
-        """This term's lease, begun at the first leader work in the term."""
+        """This term's lease, begun at the first leader work in the term.
+
+        Telemetry is queued only under the current term's lease, so what an
+        earlier term left queued is dropped when the next lease begins.
+        """
         lease = self._lease
         if lease is None or lease.term != self.node.current_term:
             lease = self._lease = Lease(self.node.current_term, now)
+            self._telemetry = []
+            self._status_queued = set()
         elif now < lease.floor:
             # The clock stepped back: a heartbeat now could set a stall
             # reference earlier than the last scan's floor.
@@ -518,12 +526,20 @@ class RlaService:
     # Leader loops
     # ------------------------------------------------------------------
 
+    def due(self, now: float) -> bool:
+        """Whether ``pump(now)`` has work: only a leader's pump can, when its
+        lease is not this term's or must drop its ``floor`` (``_hold_lease``),
+        or when a flush or a scheduler pass is due; by the comparisons those
+        two make."""
+        lease = self._lease
+        return self.node.role is Role.LEADER and (
+            lease is None or lease.term != self.node.current_term or now < lease.floor
+            or now >= self._next_flush or now >= self._next_scheduler_pass
+        )
+
     def pump(self, now: float) -> None:
         """Run due leader work: telemetry flush and the scheduler pass."""
         if self.node.role != Role.LEADER:
-            self._telemetry.clear()
-            self._status_queued.clear()
-            self._lease = None  # leading again starts a new lease
             return
         lease = self._hold_lease(now)
         if now >= self._next_flush:

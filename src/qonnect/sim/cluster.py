@@ -115,8 +115,9 @@ class SimCluster:
         self.config_stores: dict[str, dict] = {}
         self._crash_state: dict[tuple[str, str], int] = {}
         # Namespaces holding a Rolling or CrashLoop workload: the only ones
-        # ``step`` has work in. A namespace leaves once all its workloads are Ready.
-        self._unsettled: set[str] = set()
+        # ``step`` has work in. A namespace leaves once all its workloads are
+        # Ready. While it is empty, ``step`` only advances ``now``.
+        self.unsettled: set[str] = set()
 
     # ------------------------------------------------------------------
     # Node and store access (the agent-facing backend surface)
@@ -156,7 +157,7 @@ class SimCluster:
         """Remove exactly this namespace's objects; absent is a no-op."""
         self.namespaces.pop(namespace, None)
         self.workloads.pop(namespace, None)
-        self._unsettled.discard(namespace)
+        self.unsettled.discard(namespace)
 
     def apply_objects(
         self, namespace: str, objects: list[dict], pinned_nodes: tuple[str, ...]
@@ -211,7 +212,7 @@ class SimCluster:
             labels=labels,
             env=env,
         )
-        self._unsettled.add(namespace)
+        self.unsettled.add(namespace)
 
     def delete_objects(self, namespace: str, object_ids: list[str]) -> None:
         ns = self.namespaces.get(namespace)
@@ -238,11 +239,11 @@ class SimCluster:
             raise SimClusterError("step requires dt > 0")
         self.now += dt
         events: list[SimEvent] = []
-        if not self._unsettled:
+        if not self.unsettled:
             return events
         # Dict order, as a full scan would visit them, keeps events in order.
         for namespace, workloads in self.workloads.items():
-            if namespace not in self._unsettled:
+            if namespace not in self.unsettled:
                 continue
             settled = True
             for workload in workloads.values():
@@ -281,7 +282,7 @@ class SimCluster:
                         )
                     workload.ready = new_ready
             if settled:
-                self._unsettled.discard(namespace)
+                self.unsettled.discard(namespace)
         return events
 
     def inject_fault(self, fault: Fault) -> SimEvent:
@@ -306,7 +307,7 @@ class SimCluster:
                     f"unknown workload: {fault.namespace}/{fault.workload}"
                 )
             workload.phase = WorkloadPhase.CRASH_LOOP
-            self._unsettled.add(fault.namespace)
+            self.unsettled.add(fault.namespace)
             detail = {"namespace": fault.namespace, "workload": fault.workload}
         else:
             raise SimClusterError(f"unknown fault: {fault!r}")

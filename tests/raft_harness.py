@@ -124,6 +124,9 @@ class RaftHarness(ReplicaGroup):
         self.replicas[node_id] = self._replica(self.replicas[node_id].node.config)
         self.stopped.discard(node_id)
 
+    def alive(self) -> list[int]:
+        return [i for i in self.replicas if i not in self.stopped]
+
     # -- driving --------------------------------------------------------
 
     def _send(self, messages: Iterable[Message]) -> None:

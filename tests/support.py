@@ -1,6 +1,7 @@
 """Small helpers the tests share: reading a Raft log, writing a bundle as a
-YAML stream, a cluster's id in an engine deployment, and the parameter
-table's derivation (the energy coefficients and the decimal midpoint).
+YAML stream, a cluster's id in an engine deployment, the engine step that
+visits every member, and the parameter table's derivation (the energy
+coefficients and the decimal midpoint).
 
 The energy coefficient of a node-hour is ((W_idle + W_max) / 2) x PUE / 1000
 kWh. The two provider presets bracket the profile table: the AWS-derived
@@ -21,7 +22,7 @@ import yaml
 from qonnect.harness.engine import Deployment
 from qonnect.kb.store import cluster_id_for
 from qonnect.raft.messages import LogEntry
-from qonnect.raft.node import RaftNode
+from qonnect.raft.node import RaftNode, Role
 
 
 def entries_from(node: RaftNode, index: int) -> list[LogEntry]:
@@ -41,6 +42,37 @@ def cluster_id_of(dep: Deployment, cluster_name: str) -> str:
     """The KB id of ``dep``'s cluster named ``cluster_name``."""
     cluster = dep.clusters[cluster_name]
     return cluster_id_for(cluster.ingress_ip, cluster.domain)
+
+
+def visit_everything_step(dep: Deployment) -> None:
+    """``Deployment.step`` as it was before it skipped members with nothing
+    due: every step checks every replica for a new leader, steps every
+    cluster and pumps every live RLA, and a pump of a non-leader drops its
+    queued telemetry and its lease. Agents run only when one is due, as
+    then."""
+    dep.now += dep.DT
+    dep.group.tick(dep.DT)
+    for i, replica in dep.group.replicas.items():
+        if dep.group.observe(i):
+            term = replica.node.current_term
+            dep.events.append(dep.now, f"rla-{i}", "leader-elected", {"term": term})
+    for cluster in dep.clusters.values():
+        for event in cluster.step(dep.DT):
+            dep.events.append(event.at, cluster.name, event.kind, event.detail)
+    if dep.now >= dep._agents_due:
+        due = float("inf")
+        for name, agent in dep.agents.items():
+            if dep.clusters[name].ra_alive:
+                agent.run_due(dep.now)
+                due = min(due, agent.next_due)
+        dep._agents_due = due
+    for rla_id, service in dep.services.items():
+        if rla_id not in dep.group.stopped:
+            if service.node.role != Role.LEADER:
+                service._telemetry.clear()
+                service._status_queued.clear()
+                service._lease = None
+            service.pump(dep.now)
 
 
 def table_midpoint(low: float, high: float, places: int = 7) -> float:
