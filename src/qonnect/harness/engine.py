@@ -15,11 +15,11 @@ output as visiting them all would:
   then each check would find a follower, or a leader of a term it already
   recorded.
 - Clusters: only those with a Rolling or CrashLoop workload step, in
-  ``clusters`` order. A settled cluster's step would only add ``DT`` to
-  its clock; that clock started at 0.0 with the engine's and adds the same
-  ``DT`` once per step, so the engine sets it to its own ``now``, bit for
-  bit the same sum, before an agent round or a fault can unsettle the
-  cluster.
+  ``clusters`` order, each to the engine's ``now``. A settled cluster's
+  step would only set its clock, so the engine sets it instead before what
+  reads it: an agent round (an apply stamps its rollout start) and a fault
+  (the fault's event). Either may unsettle the cluster, which then steps
+  from the next step on.
 - Agents: the round runs only on steps where some live agent has a duty
   due, the earliest ``ResourceAgent.next_due`` recorded after the last
   round; on any other step every agent would do nothing.
@@ -53,15 +53,13 @@ from qonnect.sim.cluster import Fault, KillRa, SimCluster
 class Deployment:
     DT = 0.05  # simulated seconds per step
 
-    def __init__(self, spec: TestbedSpec | None = None, seed: int | None = None) -> None:
+    def __init__(self, spec: TestbedSpec | None = None) -> None:
         self.spec = spec if spec is not None else TestbedSpec()
-        if seed is not None:
-            self.spec.seed = seed
         self.now = 0.0
         self.events = EventLog()
         self.rng = random.Random(self.spec.seed)
 
-        self.clusters: dict[str, SimCluster] = self.spec.make_clusters()
+        self.clusters: dict[str, SimCluster] = self.spec.make_clusters(self.events)
         # The clusters with a Rolling or CrashLoop workload, in ``clusters``
         # order: the only ones whose step has work.
         self._unsettled: dict[str, SimCluster] = {}
@@ -126,8 +124,7 @@ class Deployment:
                     term = replica.node.current_term
                     self.events.append(self.now, f"rla-{i}", "leader-elected", {"term": term})
         for name, cluster in list(self._unsettled.items()):
-            for event in cluster.step(self.DT):
-                self.events.append(event.at, name, event.kind, event.detail)
+            cluster.step(self.now)
             if not cluster.unsettled:
                 del self._unsettled[name]
         if self.now >= self._agents_due:
@@ -135,7 +132,7 @@ class Deployment:
             for name, agent in self.agents.items():
                 cluster = self.clusters[name]
                 if cluster.ra_alive:
-                    cluster.now = self.now  # applies read it; stepping resumes from it
+                    cluster.now = self.now  # applies read it
                     agent.run_due(self.now)
                     due = min(due, agent.next_due)
                     self._watch(name, cluster)
@@ -206,9 +203,8 @@ class Deployment:
 
     def inject_fault(self, cluster_name: str, fault: Fault) -> None:
         cluster = self.clusters[cluster_name]
-        cluster.now = self.now  # stepping resumes from it
-        event = cluster.inject_fault(fault)
-        self.events.append(self.now, cluster_name, event.kind, event.detail)
+        cluster.now = self.now  # the fault's event reads it
+        cluster.inject_fault(fault)
         self._watch(cluster_name, cluster)
         # A killed agent needs nothing here: ``step`` skips agents whose
         # cluster reports ``ra_alive`` false.
@@ -217,9 +213,8 @@ class Deployment:
         self.inject_fault(cluster_name, KillRa())
 
     def kill_rla(self, rla_id: int) -> None:
-        host = self.rla_hosts.get(rla_id)
-        if host is not None:
-            self.events.append(self.now, host, "fault-killrla", {})
+        """Stop RLA ``rla_id``; an id that names no RLA raises ``KeyError``."""
+        self.events.append(self.now, self.rla_hosts[rla_id], "fault-killrla", {})
         self.group.stop(rla_id)
         self.apis.pop(f"rla-{rla_id}", None)
         self.events.append(self.now, f"rla-{rla_id}", "rla-stopped", {})

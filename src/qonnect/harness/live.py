@@ -414,7 +414,7 @@ class LiveDeployment:
                 rla.stop()
             raise
 
-        self.clusters = self.spec.make_clusters()
+        self.clusters = self.spec.make_clusters(self.events)
         self._send = HttpSend()  # shared by every client: each call has its own connection
         self.agents = self.spec.make_agents(self.clusters, self.client, self.events)
         self._running = False
@@ -437,22 +437,21 @@ class LiveDeployment:
             rla.stop()
 
     def _run_members(self) -> None:
-        """Every 0.1 s, step every cluster by the elapsed time, then run
-        each live agent's due duties: ``Deployment.step``'s order.
+        """Every 0.1 s, step every cluster to the loop's wall-clock time,
+        then run each live agent's due duties at it: ``Deployment.step``'s
+        order. A cluster logs its own events at that time, as agents stamp
+        theirs; a wall clock that steps back leaves a cluster's clock where
+        it was.
 
-        Cluster events are logged at the loop's wall-clock time, as agents
-        stamp theirs. An agent that raises is logged as ``agent-error`` and
-        the round goes on to the next agent, so one agent's fault neither
-        stops the others nor goes unseen.
+        An agent that raises is logged as ``agent-error`` and the round goes
+        on to the next agent, so one agent's fault neither stops the others
+        nor goes unseen.
         """
-        last = time.monotonic()
         while self._running:
             time.sleep(0.1)
-            now, now_mono = time.time(), time.monotonic()
-            dt, last = now_mono - last, now_mono
+            now = time.time()
             for cluster in self.clusters.values():
-                for event in cluster.step(dt):
-                    self.events.append(now, cluster.name, event.kind, event.detail)
+                cluster.step(now)
             for name, agent in self.agents.items():
                 if self.clusters[name].ra_alive:
                     try:

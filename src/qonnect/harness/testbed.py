@@ -97,6 +97,8 @@ class TestbedSpec:
                 raise ValueError(f"unknown domain: {cluster.domain}")
             if cluster.profile not in PROFILES:
                 raise ValueError(f"unknown profile: {cluster.profile}")
+            if cluster.workers < 1:  # a lone control-plane node can host nothing
+                raise ValueError(f"{cluster.name}: needs 1 or more workers, not {cluster.workers}")
             if cluster.name in names:
                 raise ValueError(f"duplicate cluster name: {cluster.name}")
             names.add(cluster.name)
@@ -157,8 +159,8 @@ class TestbedSpec:
             for cluster in self.clusters
         }
 
-    def make_clusters(self) -> dict[str, SimCluster]:
-        """One simulated cluster per entry."""
+    def make_clusters(self, events: EventLog) -> dict[str, SimCluster]:
+        """One simulated cluster per entry, each logging to ``events``."""
         return {
             cluster.name: make_cluster(
                 name=cluster.name,
@@ -167,6 +169,7 @@ class TestbedSpec:
                 ingress_ip=cluster.ingress_ip,
                 workers=cluster.workers,
                 rollout_latency=self.rollout_latency,
+                events=events,
             )
             for cluster in self.clusters
         }

@@ -3,8 +3,11 @@
 Holds namespaces of applied objects, Deployment-like workloads with replica
 rollout dynamics, a node set with status flags, and persisted key/value
 config stores (the moral equivalent of ConfigMaps, which is what keeps the
-agents stateless). All mutations are serialized through this object; time
-advances only via ``step``, so identical inputs replay identically.
+agents stateless). All mutations are serialized through this object. Its
+clock is its driver's: ``step(now)`` takes the driver's time, and the
+cluster writes its own events (rollouts, crash-loop restarts, faults) to
+the event log it is given, as the agents and RLAs do. Identical inputs
+replay identically.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Union
 
+from qonnect.events import EventLog
 from qonnect.kb.model import Domain
 from qonnect.sim.profiles import PROFILES
 
@@ -21,13 +25,6 @@ class WorkloadPhase(str, Enum):
     ROLLING = "Rolling"
     READY = "Ready"
     CRASH_LOOP = "CrashLoop"
-
-
-@dataclass(frozen=True)
-class SimEvent:
-    at: float
-    kind: str
-    detail: dict
 
 
 @dataclass
@@ -99,6 +96,7 @@ class SimCluster:
         ingress_ip: str,
         nodes: list[SimNode],
         rollout_latency: float = 2.0,
+        events: EventLog | None = None,
     ) -> None:
         if sum(1 for n in nodes if n.role == "control-plane") != 1:
             raise SimClusterError("a cluster has exactly one control-plane node")
@@ -108,6 +106,7 @@ class SimCluster:
         self.ingress_ip = ingress_ip
         self.nodes = nodes
         self.rollout_latency = rollout_latency
+        self.events = events if events is not None else EventLog()
         self.now = 0.0
         self.ra_alive = True
         self.namespaces: dict[str, dict[str, dict]] = {}
@@ -116,7 +115,7 @@ class SimCluster:
         self._crash_state: dict[tuple[str, str], int] = {}
         # Namespaces holding a Rolling or CrashLoop workload: the only ones
         # ``step`` has work in. A namespace leaves once all its workloads are
-        # Ready. While it is empty, ``step`` only advances ``now``.
+        # Ready. While it is empty, ``step`` only sets ``now``.
         self.unsettled: set[str] = set()
 
     # ------------------------------------------------------------------
@@ -234,13 +233,15 @@ class SimCluster:
     # Dynamics and faults
     # ------------------------------------------------------------------
 
-    def step(self, dt: float) -> list[SimEvent]:
-        if dt <= 0:
-            raise SimClusterError("step requires dt > 0")
-        self.now += dt
-        events: list[SimEvent] = []
+    def _log(self, kind: str, **detail: str) -> None:
+        self.events.append(self.now, self.name, kind, detail)
+
+    def step(self, now: float) -> None:
+        """Advance to the driver's time ``now``. An earlier ``now`` (a wall
+        clock stepped back) leaves the clock where it is."""
+        self.now = max(self.now, now)
         if not self.unsettled:
-            return events
+            return
         # Dict order, as a full scan would visit them, keeps events in order.
         for namespace, workloads in self.workloads.items():
             if namespace not in self.unsettled:
@@ -252,13 +253,7 @@ class SimCluster:
                     if elapsed >= self.rollout_latency:
                         workload.ready = workload.desired
                         workload.phase = WorkloadPhase.READY
-                        events.append(
-                            SimEvent(
-                                at=self.now,
-                                kind="workload-ready",
-                                detail={"namespace": namespace, "workload": workload.name},
-                            )
-                        )
+                        self._log("workload-ready", namespace=namespace, workload=workload.name)
                     else:
                         settled = False
                         fraction = elapsed / self.rollout_latency
@@ -273,19 +268,13 @@ class SimCluster:
                     key = (namespace, workload.name)
                     if self._crash_state.get(key) != flap:
                         self._crash_state[key] = flap
-                        events.append(
-                            SimEvent(
-                                at=self.now,
-                                kind="crashloop-restart",
-                                detail={"namespace": namespace, "workload": workload.name},
-                            )
-                        )
+                        self._log("crashloop-restart", namespace=namespace, workload=workload.name)
                     workload.ready = new_ready
             if settled:
                 self.unsettled.discard(namespace)
-        return events
 
-    def inject_fault(self, fault: Fault) -> SimEvent:
+    def inject_fault(self, fault: Fault) -> None:
+        """Apply ``fault`` and log it at the cluster's clock."""
         if isinstance(fault, KillRa):
             self.ra_alive = False
             detail = {}
@@ -311,11 +300,7 @@ class SimCluster:
             detail = {"namespace": fault.namespace, "workload": fault.workload}
         else:
             raise SimClusterError(f"unknown fault: {fault!r}")
-        return SimEvent(
-            at=self.now,
-            kind=f"fault-{type(fault).__name__.lower()}",
-            detail=detail,
-        )
+        self._log(f"fault-{type(fault).__name__.lower()}", **detail)
 
 
 def make_cluster(
@@ -325,6 +310,7 @@ def make_cluster(
     ingress_ip: str,
     workers: int = 2,
     rollout_latency: float = 2.0,
+    events: EventLog | None = None,
 ) -> SimCluster:
     """Build a cluster whose workers carry the profile's parameter row."""
     spec = PROFILES[profile]
@@ -349,4 +335,5 @@ def make_cluster(
         ingress_ip=ingress_ip,
         nodes=nodes,
         rollout_latency=rollout_latency,
+        events=events,
     )

@@ -23,13 +23,13 @@ from qonnect.kb.store import KnowledgeBase
 from qonnect.rla.rest import RestApi
 from qonnect.rla.service import NotFoundError
 from qonnect.rla.validation import placeholder_domains
-from qonnect.sim.cluster import SimCluster, SimEvent, WorkloadPhase
+from qonnect.sim.cluster import SimCluster, WorkloadPhase
 
 
-def oracle_step(cluster: SimCluster, dt: float) -> list[SimEvent]:
-    """Advance ``cluster`` by ``dt``, visiting every workload."""
-    cluster.now += dt
-    events: list[SimEvent] = []
+def oracle_step(cluster: SimCluster, now: float) -> None:
+    """Advance ``cluster`` to ``now`` (never back), visiting every workload
+    and logging to its event log."""
+    cluster.now = max(cluster.now, now)
     for namespace, workloads in cluster.workloads.items():
         for workload in workloads.values():
             if workload.phase == WorkloadPhase.ROLLING:
@@ -37,12 +37,11 @@ def oracle_step(cluster: SimCluster, dt: float) -> list[SimEvent]:
                 if elapsed >= cluster.rollout_latency:
                     workload.ready = workload.desired
                     workload.phase = WorkloadPhase.READY
-                    events.append(
-                        SimEvent(
-                            at=cluster.now,
-                            kind="workload-ready",
-                            detail={"namespace": namespace, "workload": workload.name},
-                        )
+                    cluster.events.append(
+                        cluster.now,
+                        cluster.name,
+                        "workload-ready",
+                        {"namespace": namespace, "workload": workload.name},
                     )
                 else:
                     fraction = elapsed / cluster.rollout_latency
@@ -53,15 +52,13 @@ def oracle_step(cluster: SimCluster, dt: float) -> list[SimEvent]:
                 key = (namespace, workload.name)
                 if cluster._crash_state.get(key) != flap:
                     cluster._crash_state[key] = flap
-                    events.append(
-                        SimEvent(
-                            at=cluster.now,
-                            kind="crashloop-restart",
-                            detail={"namespace": namespace, "workload": workload.name},
-                        )
+                    cluster.events.append(
+                        cluster.now,
+                        cluster.name,
+                        "crashloop-restart",
+                        {"namespace": namespace, "workload": workload.name},
                     )
                 workload.ready = new_ready
-    return events
 
 
 def oracle_live_application(kb: KnowledgeBase, name: str) -> ApplicationRecord | None:

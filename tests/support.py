@@ -57,8 +57,7 @@ def visit_everything_step(dep: Deployment) -> None:
             term = replica.node.current_term
             dep.events.append(dep.now, f"rla-{i}", "leader-elected", {"term": term})
     for cluster in dep.clusters.values():
-        for event in cluster.step(dep.DT):
-            dep.events.append(event.at, cluster.name, event.kind, event.detail)
+        cluster.step(dep.now)
     if dep.now >= dep._agents_due:
         due = float("inf")
         for name, agent in dep.agents.items():

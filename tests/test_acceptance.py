@@ -21,6 +21,7 @@ from test_properties import (
 )
 from qonnect.harness.engine import Deployment
 from qonnect.harness.scenarios import run_scenario
+from qonnect.harness.testbed import TestbedSpec
 from qonnect.scheduler.borda import BordaCountStrategy
 from qonnect.sim.profiles import PROFILES
 
@@ -38,7 +39,7 @@ def _scenario_batch(criterion: int, scenario: int, label: str) -> None:
     started = time.monotonic()
     failures = []
     for seed in SCENARIO_SEEDS:
-        deployment = Deployment(seed=seed)
+        deployment = Deployment(TestbedSpec(seed=seed))
         report = run_scenario(deployment, scenario)
         if report.verdict != "pass":
             failures.append((seed, report.render_text()))

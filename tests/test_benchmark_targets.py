@@ -14,6 +14,7 @@ from pathlib import Path
 from qonnect.agent.client import RlaClient
 from qonnect.harness.bookinfo import bookinfo_bundle
 from qonnect.harness.engine import Deployment
+from qonnect.harness.testbed import TestbedSpec
 from qonnect.kb.model import ComponentStatus
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
@@ -34,7 +35,7 @@ def test_the_tracer_wraps_every_target_and_puts_each_back(monkeypatch):
             assert getattr(owner, attr).__wrapped__ is original
         # A traced placement runs through every observer that reads a
         # call's arguments or result.
-        dep = Deployment(seed=7)
+        dep = Deployment(TestbedSpec(seed=7))
         dep.boot()
         dep.client().submit_application(bookinfo_bundle("traced"))
         assert dep.run_until(

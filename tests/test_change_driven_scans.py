@@ -19,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qonnect.events import EventLog
 from qonnect.harness.bookinfo import bookinfo_bundle
 from qonnect.harness.engine import Deployment
 from qonnect.harness.testbed import TestbedSpec, default_clusters
@@ -96,7 +97,9 @@ applies = st.tuples(
     st.integers(1, 3),
     st.sampled_from(("", "v2")),
 )
-steps = st.tuples(st.just("step"), st.sampled_from((0.25, 0.5, 0.75, 1.0, 2.5)))
+# A step to the cluster's clock plus one of these; a negative one is a wall
+# clock that stepped back.
+steps = st.tuples(st.just("step"), st.sampled_from((-0.5, 0.25, 0.5, 0.75, 1.0, 2.5)))
 # Applies and steps are listed more than once, so that workloads often
 # settle before a crash loop, a delete or a re-apply reaches them.
 sim_ops = st.lists(
@@ -116,10 +119,10 @@ sim_ops = st.lists(
 
 
 def sim_cluster():
-    return make_cluster("edge-perf", Domain.EDGE, "performance", "10.3.2.1")
+    return make_cluster("edge-perf", Domain.EDGE, "performance", "10.3.2.1", events=EventLog())
 
 
-def run_op(cluster, op, step) -> list:
+def run_op(cluster, op, step) -> None:
     kind = op[0]
     if kind == "apply":
         _, ns, name, replicas, env = op
@@ -137,8 +140,7 @@ def run_op(cluster, op, step) -> list:
         if cluster.workload_state(op[1], op[2]) is not None:
             cluster.inject_fault(CrashLoop(op[1], op[2]))
     else:
-        return step(cluster, op[1])
-    return []
+        step(cluster, cluster.now + op[1])
 
 
 def workload_states(cluster) -> dict:
@@ -154,9 +156,9 @@ def workload_states(cluster) -> dict:
 def test_step_matches_the_full_scan(ops):
     cluster, oracle = sim_cluster(), sim_cluster()
     for op in ops:
-        events = run_op(cluster, op, lambda c, dt: c.step(dt))
-        expected = run_op(oracle, op, oracle_step)
-        assert events == expected
+        run_op(cluster, op, lambda c, now: c.step(now))
+        run_op(oracle, op, oracle_step)
+        assert cluster.events.events == oracle.events.events
         assert workload_states(cluster) == workload_states(oracle)
         assert cluster.now == oracle.now
 
@@ -167,6 +169,7 @@ def settled_cluster():
         cluster.ensure_namespace(ns)
         cluster.apply_objects(ns, [{"kind": "Deployment", "name": "w1"}], pinned_nodes=())
     cluster.step(3.0)  # past the rollout latency: every workload is Ready
+    cluster.events.events.clear()
     cluster.workloads = CountingDict(
         {ns: CountingDict(workloads) for ns, workloads in cluster.workloads.items()}
     )
@@ -175,8 +178,9 @@ def settled_cluster():
 
 def test_a_settled_cluster_step_visits_no_workload():
     cluster = settled_cluster()
-    for _ in range(20):
-        assert cluster.step(0.05) == []
+    for i in range(1, 21):
+        cluster.step(3.0 + 0.05 * i)
+    assert cluster.events.events == [] and cluster.now == 3.0 + 0.05 * 20
     assert cluster.workloads.reads == 0
     assert all(workloads.reads == 0 for workloads in cluster.workloads.values())
 
@@ -185,13 +189,13 @@ def test_a_step_visits_only_unsettled_namespaces():
     cluster = settled_cluster()
     cluster.apply_objects("b", [{"kind": "Deployment", "name": "w1", "replicas": 2}], ())
     inner = {ns: dict.__getitem__(cluster.workloads, ns) for ns in NAMESPACES}
-    events = cluster.step(0.5)
-    assert events == [] and inner["b"].reads > 0
+    cluster.step(3.5)
+    assert cluster.events.events == [] and inner["b"].reads > 0
     assert inner["a"].reads == inner["c"].reads == 0
-    cluster.step(2.0)  # "b" settles and leaves the set
+    cluster.step(5.5)  # "b" settles and leaves the set
     before = {ns: w.reads for ns, w in inner.items()}
     cluster.workloads.reads = 0
-    cluster.step(0.5)
+    cluster.step(6.0)
     assert cluster.workloads.reads == 0
     assert {ns: w.reads for ns, w in inner.items()} == before
 

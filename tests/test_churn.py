@@ -12,6 +12,7 @@ from typing import Callable
 
 from qonnect.harness.bookinfo import bookinfo_bundle
 from qonnect.harness.engine import Deployment
+from qonnect.harness.testbed import TestbedSpec
 from qonnect.kb.model import ComponentStatus
 
 CYCLES = 50
@@ -32,7 +33,7 @@ def steps_until(dep: Deployment, done: Callable[[], bool]) -> int:
 
 def churned(apps: int) -> Deployment:
     """A deployment that ran ``CYCLES`` cycles, churning an app in the first ``apps``."""
-    dep = Deployment(seed=11)
+    dep = Deployment(TestbedSpec(seed=11))
     dep.boot()
     client = dep.client()
     for i in range(CYCLES):

@@ -1,9 +1,11 @@
-"""Simulated cluster: rollouts, idempotent applies, faults, determinism."""
+"""Simulated cluster: rollouts, idempotent applies, faults, its driver's
+clock, the events it logs, determinism."""
 
 from __future__ import annotations
 
 import pytest
 
+from qonnect.events import EventLog
 from qonnect.kb.model import Domain
 from qonnect.sim.cluster import (
     CrashLoop,
@@ -19,7 +21,7 @@ from qonnect.sim.profiles import PROFILES
 
 
 def cluster(profile: str = "performance") -> SimCluster:
-    return make_cluster("edge-perf", Domain.EDGE, profile, "10.3.2.1")
+    return make_cluster("edge-perf", Domain.EDGE, profile, "10.3.2.1", events=EventLog())
 
 
 def deployment(name: str = "web", replicas: int = 1, **extra) -> dict:
@@ -43,11 +45,13 @@ def test_rollout_reaches_ready_after_latency():
     c.apply_objects("app", [deployment()], pinned_nodes=("edge-perf-worker-0",))
     workload = c.workload_state("app", "web")
     assert workload.phase == WorkloadPhase.ROLLING and workload.ready == 0
-    events = []
-    for _ in range(5):
-        events += c.step(0.5)
+    for t in (0.5, 1.0, 1.5, 2.0, 2.5):
+        c.step(t)
     assert workload.phase == WorkloadPhase.READY and workload.ready == 1
-    assert any(e.kind == "workload-ready" for e in events)
+    ready = [e for e in c.events.events if e.kind == "workload-ready"]
+    assert [(e.at, e.source, e.detail) for e in ready] == [
+        (2.0, "edge-perf", {"namespace": "app", "workload": "web"})
+    ]
 
 
 def test_reapply_same_objects_is_idempotent():
@@ -80,9 +84,20 @@ def test_pin_to_unknown_node_rejected():
         c.apply_objects("app", [deployment()], pinned_nodes=("edge-perf-control-plane",))
 
 
-def test_step_rejects_nonpositive_dt():
-    with pytest.raises(SimClusterError):
-        cluster().step(0.0)
+def test_a_step_takes_the_drivers_time_and_an_earlier_one_leaves_the_clock():
+    c = cluster()
+    c.ensure_namespace("app")
+    c.apply_objects("app", [deployment(replicas=4)], ())
+    c.step(1.0)
+    assert c.now == 1.0 and c.workload_state("app", "web").ready == 2
+    # A wall clock that stepped back: no raise, and nothing moves back.
+    for earlier in (0.5, 0.0, -3.0):
+        c.step(earlier)
+        assert c.now == 1.0 and c.workload_state("app", "web").ready == 2
+    c.step(1.0)  # the same time again
+    assert c.now == 1.0 and c.events.events == []
+    c.step(2.5)
+    assert c.now == 2.5 and [e.kind for e in c.events.events] == ["workload-ready"]
 
 
 def test_crashloop_never_reaches_ready():
@@ -92,8 +107,8 @@ def test_crashloop_never_reaches_ready():
     c.step(3.0)
     c.inject_fault(CrashLoop("app", "web"))
     ready_values = set()
-    for _ in range(10):
-        c.step(0.5)
+    for i in range(1, 11):
+        c.step(3.0 + 0.5 * i)
         workload = c.workload_state("app", "web")
         ready_values.add(workload.ready)
         assert workload.phase == WorkloadPhase.CRASH_LOOP
@@ -103,8 +118,9 @@ def test_crashloop_never_reaches_ready():
 
 def test_fault_flags_and_namespace_conservation():
     c = cluster()
-    event = c.inject_fault(KillRa())
-    assert not c.ra_alive and event.kind == "fault-killra"
+    c.step(4.0)
+    assert c.inject_fault(KillRa()) is None
+    assert not c.ra_alive
     c.inject_fault(NodePressure("edge-perf-worker-1"))
     assert c._node("edge-perf-worker-1").pressured
 
@@ -117,6 +133,13 @@ def test_fault_flags_and_namespace_conservation():
     assert c.object_exists("b", "Deployment/wb")  # untouched
     with pytest.raises(SimClusterError):
         c.inject_fault(DeleteNamespace("missing"))
+    # Each fault that took effect is logged once, at the cluster's clock.
+    faults = [(e.at, e.source, e.kind, e.detail) for e in c.events.events]
+    assert faults == [
+        (4.0, "edge-perf", "fault-killra", {}),
+        (4.0, "edge-perf", "fault-nodepressure", {"node": "edge-perf-worker-1"}),
+        (4.0, "edge-perf", "fault-deletenamespace", {"namespace": "a"}),
+    ]
 
 
 def test_identical_inputs_replay_identical_event_logs():
@@ -124,11 +147,10 @@ def test_identical_inputs_replay_identical_event_logs():
         c = cluster()
         c.ensure_namespace("app")
         c.apply_objects("app", [deployment(replicas=3)], ())
-        events = []
         for i in range(8):
             if i == 4:
                 c.inject_fault(CrashLoop("app", "web"))
-            events += c.step(0.7)
-        return [(e.at, e.kind, tuple(sorted(e.detail.items()))) for e in events]
+            c.step(0.7 * (i + 1))
+        return [e.to_line() for e in c.events.events]
 
     assert run() == run()

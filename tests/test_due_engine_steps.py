@@ -84,7 +84,7 @@ def test_quiet_steps_step_no_cluster_check_no_leader_and_pump_only_when_due(
 
 
 def test_an_rla_is_due_exactly_when_its_pump_has_work():
-    dep = Deployment(seed=7)
+    dep = Deployment(TestbedSpec(seed=7))
     dep.boot()
     leader = dep.leader_service()
     now = dep.now
@@ -211,7 +211,7 @@ def step_both(dep: Deployment, ref: Deployment, seen: int) -> int:
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_due_steps_match_the_step_that_visits_everything(seed):
-    dep, ref = Deployment(seed=seed), Deployment(seed=seed)
+    dep, ref = Deployment(TestbedSpec(seed=seed)), Deployment(TestbedSpec(seed=seed))
     seen = boot_both(dep, ref)
     rng = random.Random(seed)
     apps: list[str] = []
@@ -235,8 +235,46 @@ def test_due_steps_match_the_step_that_visits_everything(seed):
     assert kinds["leader-elected"] >= 3
 
 
+def test_a_cluster_settled_for_many_steps_crash_loops_at_the_engines_whole_seconds():
+    dep, ref = Deployment(TestbedSpec(seed=2)), Deployment(TestbedSpec(seed=2))
+    seen = boot_both(dep, ref)
+    for d in (dep, ref):
+        run_op(d, ("submit", "shop"))
+    for _ in range(1200):
+        seen = step_both(dep, ref, seen)
+        app = dep.kb().live_application("shop")
+        if not dep._unsettled and all(c.status == ComponentStatus.HEALTHY for c in app.components):
+            break
+    else:
+        pytest.fail("bookinfo did not settle")
+    name, ns, workload = min(
+        (c.name, ns, w) for c in dep.clusters.values() for ns, ws in c.workloads.items() for w in ws
+    )
+    for d in (dep, ref):
+        d.kill_ra(name)  # no agent round sets this cluster's clock from now on
+    for _ in range(200):  # 10 s on which no cluster steps
+        seen = step_both(dep, ref, seen)
+        assert not dep._unsettled
+    assert dep.clusters[name].now <= dep.now - 10.0  # its clock lags the engine's
+    for d in (dep, ref):
+        d.inject_fault(name, CrashLoop(ns, workload))
+    assert dep.events.events[-1].at == dep.now
+    seen = len(dep.events.events)
+    times = []
+    for _ in range(100):
+        seen = step_both(dep, ref, seen)
+        times.append(dep.now)
+    # A restart on the first step, then on each step whose clock enters
+    # another whole second, as the cluster's own clock would show.
+    expected = [t for i, t in enumerate(times) if i == 0 or int(t) != int(times[i - 1])]
+    restarts = [
+        e.at for e in dep.events.matching("crashloop-restart", name) if e.at >= times[0]
+    ]
+    assert restarts == expected and len(restarts) >= 5
+
+
 def test_a_deposed_leader_that_leads_again_logs_nothing_it_queued_before():
-    dep, ref = Deployment(seed=5), Deployment(seed=5)
+    dep, ref = Deployment(TestbedSpec(seed=5)), Deployment(TestbedSpec(seed=5))
     seen = boot_both(dep, ref)
     old = dep.leader_id()
     path = f"/clusters/{cluster_id_of(dep, 'edge-energy')}/nodes"

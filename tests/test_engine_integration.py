@@ -10,6 +10,7 @@ from qonnect.agent.client import RlaClientError
 from qonnect.harness.bookinfo import bookinfo_bundle
 from qonnect.harness.engine import Deployment
 from qonnect.harness.scenarios import run_all, run_scenario
+from qonnect.harness.testbed import TestbedSpec
 from qonnect.kb.commands import Batch, RegisterCluster, decode_command, encode_command
 from qonnect.kb.model import NODE_METRICS, ComponentStatus, Domain
 from qonnect.rla import service as service_module
@@ -44,13 +45,13 @@ ALLOWED_TRANSITIONS = {
 
 
 def test_all_four_scenarios_pass_back_to_back_on_one_deployment():
-    dep = Deployment(seed=20)
+    dep = Deployment(TestbedSpec(seed=20))
     reports = run_all(dep)
     assert [r.verdict for r in reports] == ["pass"] * 4
 
 
 def test_a_stopped_rla_is_unreachable_and_clients_reach_the_next_leader():
-    dep = Deployment(seed=3)
+    dep = Deployment(TestbedSpec(seed=3))
     dep.boot()
     old = dep.leader_id()
     dep.kill_rla(old)
@@ -61,9 +62,20 @@ def test_a_stopped_rla_is_unreachable_and_clients_reach_the_next_leader():
     assert dep.kb().applications[app_id].name == "after-stop"
 
 
+@pytest.mark.parametrize("rla_id", [3, 7, -1, None])
+def test_killing_an_rla_id_that_names_no_rla_raises_and_stops_nothing(rla_id):
+    dep = Deployment(TestbedSpec(seed=1))
+    dep.boot()
+    logged = list(dep.events.events)
+    with pytest.raises(KeyError):
+        dep.kill_rla(rla_id)
+    assert dep.events.events == logged
+    assert not dep.group.stopped and len(dep.apis) == len(dep.services) == 3
+
+
 def test_component_status_transitions_follow_the_machine():
     # Replay every effect log transition from a full back-to-back run.
-    dep = Deployment(seed=21)
+    dep = Deployment(TestbedSpec(seed=21))
     run_all(dep)
     observed = set()
     for event in dep.events.events:
@@ -92,19 +104,19 @@ def assert_replicas_converge(dep: Deployment) -> None:
 
 
 def test_replicas_converge_to_identical_kb_state():
-    dep = Deployment(seed=22)
+    dep = Deployment(TestbedSpec(seed=22))
     run_scenario(dep, 1)
     assert_replicas_converge(dep)
 
 
 def test_empty_kb_serves_empty_cluster_config():
-    dep = Deployment(seed=23)  # not booted; nothing registered anywhere
+    dep = Deployment(TestbedSpec(seed=23))  # not booted; nothing registered anywhere
     status, body = dep.apis["rla-0"].dispatch("GET", "/clusters/config")
     assert status == 200 and body["clusters"] == {}
 
 
 def test_log_compaction_keeps_the_control_plane_running(monkeypatch):
-    dep = Deployment(seed=24)
+    dep = Deployment(TestbedSpec(seed=24))
     monkeypatch.setattr(service_module, "_COMPACT_EVERY", 10)  # force frequent snapshots
     monkeypatch.setattr(service_module, "_COMPACT_RATIO", 0)
     run_scenario(dep, 1)
@@ -119,7 +131,7 @@ def test_log_compaction_keeps_the_control_plane_running(monkeypatch):
 
 
 def test_compaction_waits_until_a_snapshot_worth_of_bytes_was_logged(monkeypatch):
-    dep = Deployment(seed=27)
+    dep = Deployment(TestbedSpec(seed=27))
     logged = dict.fromkeys(dep.services, 0)
     # A low count floor leaves the byte rule to decide when to compact.
     monkeypatch.setattr(service_module, "_COMPACT_EVERY", 10)
@@ -150,7 +162,7 @@ def test_compaction_waits_until_a_snapshot_worth_of_bytes_was_logged(monkeypatch
 
 
 def test_one_telemetry_flush_commits_as_one_log_entry():
-    dep = Deployment(seed=25)
+    dep = Deployment(TestbedSpec(seed=25))
     dep.boot()
     dep.client().submit_application(bookinfo_bundle("flushed"))
     # Stop as soon as every component is placed and none has been beaten:
@@ -194,7 +206,7 @@ def test_one_telemetry_flush_commits_as_one_log_entry():
 
 
 def test_proposer_gets_its_effects_after_compaction_swallowed_the_entry(monkeypatch):
-    dep = Deployment(seed=26)
+    dep = Deployment(TestbedSpec(seed=26))
     dep.boot()
     monkeypatch.setattr(service_module, "_COMPACT_EVERY", 1)
     monkeypatch.setattr(service_module, "_COMPACT_RATIO", 0)
@@ -237,7 +249,7 @@ GOOD_NODE = {
 
 
 def test_malformed_node_telemetry_gets_400_and_never_reaches_the_log():
-    dep = Deployment(seed=28)
+    dep = Deployment(TestbedSpec(seed=28))
     dep.boot()
     leader_id = dep.leader_id()
     api, service = dep.apis[f"rla-{leader_id}"], dep.services[leader_id]
@@ -270,7 +282,7 @@ def test_malformed_node_telemetry_gets_400_and_never_reaches_the_log():
 
 
 def test_the_leader_decodes_none_of_its_proposals_and_every_replica_kb_is_equal(monkeypatch):
-    dep = Deployment(seed=29)
+    dep = Deployment(TestbedSpec(seed=29))
     applied = {i: [] for i in dep.services}  # raw entries each replica applied
     decoded = {i: [] for i in dep.services}  # raw entries each replica decoded
     applying = []  # the replica inside ``apply_committed``
@@ -329,7 +341,7 @@ def test_the_leader_decodes_none_of_its_proposals_and_every_replica_kb_is_equal(
 
 
 def test_node_attributes_that_are_not_finite_get_400():
-    dep = Deployment(seed=28)
+    dep = Deployment(TestbedSpec(seed=28))
     dep.boot()
     leader_id = dep.leader_id()
     service = dep.services[leader_id]
@@ -366,7 +378,7 @@ def _running(dep: Deployment, name: str) -> bool:
 def test_an_app_deleted_and_submitted_again_at_once_runs_and_keeps_running():
     # The new app id applies into the namespace its old id still records on
     # each host; the old id's heartbeat-404 cleanup must not take it away.
-    dep = Deployment(seed=7)
+    dep = Deployment(TestbedSpec(seed=7))
     dep.boot()
     client = dep.client()
     client.submit_application(bookinfo_bundle("shop"))
@@ -380,7 +392,7 @@ def test_an_app_deleted_and_submitted_again_at_once_runs_and_keeps_running():
 
 
 def test_a_deleted_namespace_is_applied_again_on_the_same_cluster_without_a_requeue():
-    dep = Deployment(seed=7)
+    dep = Deployment(TestbedSpec(seed=7))
     dep.boot()
     dep.client().submit_application(bookinfo_bundle("shop"))
     assert dep.run_until(lambda: _running(dep, "shop"), 60.0)

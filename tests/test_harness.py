@@ -139,7 +139,7 @@ def test_bundle_yaml_stream_roundtrip():
 
 
 def test_bootstrap_populates_exact_parameter_table():
-    dep = Deployment(seed=2)
+    dep = Deployment(TestbedSpec(seed=2))
     dep.boot()
     kb = dep.kb()
     assert len(kb.cluster_config()) == 9
@@ -175,7 +175,7 @@ def decisions_fingerprint(dep: Deployment, name: str) -> list[tuple]:
 def test_scenarios_one_and_two_are_bit_identical_across_runs():
     fingerprints = []
     for _ in range(2):
-        dep = Deployment(seed=123)
+        dep = Deployment(TestbedSpec(seed=123))
         report1 = run_scenario(dep, 1)
         assert report1.verdict == "pass"
         first = decisions_fingerprint(dep, "bookinfo")

@@ -215,7 +215,7 @@ def test_a_leader_change_just_before_a_heartbeat_round_requeues_no_live_componen
 
 
 def test_a_dead_agents_component_is_requeued_within_a_grace_of_the_new_lease():
-    dep = Deployment(seed=32)
+    dep = Deployment(TestbedSpec(seed=32))
     dep.boot()
     _healthy_fleet(dep, ["orphaned"])
     dep.run(20.0)
@@ -251,7 +251,7 @@ def test_a_dead_agents_component_is_requeued_within_a_grace_of_the_new_lease():
 
 def _settled_fleet(seed: int) -> Deployment:
     """The default 9-cluster testbed, three Healthy bookinfo apps, settled."""
-    dep = Deployment(seed=seed)
+    dep = Deployment(TestbedSpec(seed=seed))
     dep.boot()
     _healthy_fleet(dep, ["quiet-a", "quiet-b", "quiet-c"])
     dep.run(30.0)
@@ -384,7 +384,7 @@ def test_a_leader_change_after_a_long_stable_term_requeues_only_dead_components(
     # Ten grace periods under one leader leave every replicated heartbeat
     # time ten graces old. The new leader's lease must still spare each live
     # component and requeue those of the agent killed with the old leader.
-    dep = Deployment(seed=34)
+    dep = Deployment(TestbedSpec(seed=34))
     dep.boot()
     _healthy_fleet(dep, ["long-a", "long-b", "long-c"])
     spec = dep.spec

@@ -314,7 +314,7 @@ def test_a_drifted_component_is_applied_again_from_the_record(drift):
     comp = backend.read_store(APPS_STORE)["shop-id"]["components"]["web"]
     assert comp["deployed_at"] == 5.0
 
-    backend.step(3.0)
+    backend.step(6.0)  # past the second rollout, applied at the cluster's 3.0
     agent.report_heartbeats(now=15.0)
     assert client.heartbeats[-1] == ("shop-id", "web", "cid-1", 1, "healthy")
     assert len([e for e in agent.events.events if e.kind == "reapplied"]) == 1

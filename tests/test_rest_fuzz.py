@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from qonnect.harness.bookinfo import bookinfo_bundle
 from qonnect.harness.engine import Deployment
+from qonnect.harness.testbed import TestbedSpec
 from qonnect.kb.commands import SubmitApplication, decode_command, encode_command
 from qonnect.rla.rest import RestApi
 from qonnect.rla.validation import MAX_MANIFEST_DEPTH, validate_bundle
@@ -47,7 +48,7 @@ ids = st.text(st.characters(blacklist_characters="/"), min_size=1, max_size=10) 
 def booted() -> tuple[Deployment, dict[str, list[str]]]:
     """A booted engine with one placed application, and the real value of
     each route parameter."""
-    dep = Deployment(seed=31)
+    dep = Deployment(TestbedSpec(seed=31))
     dep.boot()
     dep.client().submit_application(bookinfo_bundle("fuzzed"))
     assert dep.run_until(

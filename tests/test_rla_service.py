@@ -6,6 +6,7 @@ import pytest
 
 from qonnect.harness.bookinfo import bookinfo_bundle
 from qonnect.harness.engine import Deployment
+from qonnect.harness.testbed import TestbedSpec
 from qonnect.kb.commands import KBCommand, RegisterCluster, decode_command, encode_command
 from qonnect.kb.model import ComponentStatus, Domain
 from qonnect.kb.store import KnowledgeBase
@@ -22,7 +23,7 @@ from support import cluster_id_of
 
 @pytest.fixture()
 def dep() -> Deployment:
-    deployment = Deployment(seed=5)
+    deployment = Deployment(TestbedSpec(seed=5))
     deployment.boot()
     return deployment
 
@@ -71,7 +72,7 @@ def test_writes_on_follower_redirect_with_leader_hint(dep):
 
 
 def test_no_leader_yields_503():
-    fresh = Deployment(seed=11)  # not booted: no leader yet
+    fresh = Deployment(TestbedSpec(seed=11))  # not booted: no leader yet
     status, body = fresh.apis["rla-0"].dispatch(
         "POST", "/clusters/register", {"external_ip": "10.9.0.4", "domain": "fog"}
     )

@@ -46,10 +46,14 @@ def test_settings_are_the_pinned_fields(cls):
     assert tuple(f.name for f in dataclasses.fields(cls)) == SURFACE[cls]
 
 
+# ``events`` is where a cluster logs, as for ``ResourceAgent`` and
+# ``RlaService``: an output sink, not a setting.
 PARAMETERS = {
-    make_cluster: ("name", "domain", "profile", "ingress_ip", "workers", "rollout_latency"),
+    make_cluster: (
+        "name", "domain", "profile", "ingress_ip", "workers", "rollout_latency", "events",
+    ),
     SimCluster.__init__: (
-        "self", "name", "domain", "profile", "ingress_ip", "nodes", "rollout_latency",
+        "self", "name", "domain", "profile", "ingress_ip", "nodes", "rollout_latency", "events",
     ),
 }
 

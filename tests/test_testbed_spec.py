@@ -104,6 +104,13 @@ def test_an_ingress_ip_that_is_no_ip_address_is_refused(ip):
         TestbedSpec(clusters=with_cluster("fog-cost", ingress_ip=ip))
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_a_cluster_with_no_worker_is_refused(workers):
+    # Its lone control-plane node could host no component.
+    with pytest.raises(ValueError, match=f"fog-cost: needs 1 or more workers, not {workers}"):
+        TestbedSpec(clusters=with_cluster("fog-cost", workers=workers))
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
