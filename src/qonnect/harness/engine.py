@@ -14,15 +14,10 @@ output as visiting them all would:
   only after some node became leader (``RaftNode.terms_led`` grew): until
   then each check would find a follower, or a leader of a term it already
   recorded.
-- Clusters: only those with a Rolling or CrashLoop workload step, in
-  ``clusters`` order, each to the engine's ``now``. A settled cluster's
-  step would only set its clock, so the engine sets it instead before what
-  reads it: an agent round (an apply stamps its rollout start) and a fault
-  (the fault's event). Either may unsettle the cluster, which then steps
-  from the next step on.
-- Agents: the round runs only on steps where some live agent has a duty
-  due, the earliest ``ResourceAgent.next_due`` recorded after the last
-  round; on any other step every agent would do nothing.
+- Clusters and agents: one ``Members`` round at the engine's ``now``,
+  the one live mode runs on its wall clock. It steps only the clusters
+  with a Rolling or CrashLoop workload and runs the agent round only when
+  some live agent has a duty due.
 - RLAs: a live RLA is pumped only when ``RlaService.due`` says its pump
   has work, by the comparisons the pump itself makes.
 
@@ -39,7 +34,7 @@ from typing import Callable
 
 from qonnect.agent.client import RlaClient, RlaClientError
 from qonnect.events import EventLog
-from qonnect.harness.testbed import TestbedSpec
+from qonnect.harness.testbed import Members, TestbedSpec
 from qonnect.kb.model import Domain
 from qonnect.kb.store import KnowledgeBase, cluster_id_for
 from qonnect.raft.node import RaftNode
@@ -47,7 +42,7 @@ from qonnect.raft.replica import Replica
 from qonnect.raft.simulation import SyncRaftGroup
 from qonnect.rla.rest import RestApi
 from qonnect.rla.service import RlaService
-from qonnect.sim.cluster import Fault, KillRa, SimCluster
+from qonnect.sim.cluster import Fault, KillRa
 
 
 class Deployment:
@@ -59,16 +54,10 @@ class Deployment:
         self.events = EventLog()
         self.rng = random.Random(self.spec.seed)
 
-        self.clusters: dict[str, SimCluster] = self.spec.make_clusters(self.events)
-        # The clusters with a Rolling or CrashLoop workload, in ``clusters``
-        # order: the only ones whose step has work.
-        self._unsettled: dict[str, SimCluster] = {}
-
         self._build_control_plane()
-        self.agents = self.spec.make_agents(self.clusters, self.client, self.events)
-        # The earliest ``next_due`` of the live agents after the last agent
-        # round: no agent has work before it.
-        self._agents_due = 0.0
+        self.members = Members(self.spec, self.client, self.events)
+        self.clusters = self.members.clusters
+        self.agents = self.members.agents
         # RLAs ride on the cloud clusters, one each, in spec order.
         cloud = [c.name for c in self.spec.clusters if c.domain == Domain.CLOUD.value]
         self.rla_hosts: dict[int, str] = {
@@ -123,29 +112,10 @@ class Deployment:
                 if self.group.observe(i):
                     term = replica.node.current_term
                     self.events.append(self.now, f"rla-{i}", "leader-elected", {"term": term})
-        for name, cluster in list(self._unsettled.items()):
-            cluster.step(self.now)
-            if not cluster.unsettled:
-                del self._unsettled[name]
-        if self.now >= self._agents_due:
-            due = float("inf")
-            for name, agent in self.agents.items():
-                cluster = self.clusters[name]
-                if cluster.ra_alive:
-                    cluster.now = self.now  # applies read it
-                    agent.run_due(self.now)
-                    due = min(due, agent.next_due)
-                    self._watch(name, cluster)
-            self._agents_due = due
+        self.members.step(self.now)
         for rla_id, service in self.services.items():
             if rla_id not in self.group.stopped and service.due(self.now):
                 service.pump(self.now)
-
-    def _watch(self, name: str, cluster: SimCluster) -> None:
-        """Step ``cluster`` from the next step on if it has become unsettled."""
-        if cluster.unsettled and name not in self._unsettled:
-            self._unsettled[name] = cluster
-            self._unsettled = {n: c for n, c in self.clusters.items() if n in self._unsettled}
 
     def run(self, duration: float) -> None:
         for _ in range(int(round(duration / self.DT))):
@@ -202,18 +172,18 @@ class Deployment:
         return self._cluster_names.get(cluster_id)
 
     def inject_fault(self, cluster_name: str, fault: Fault) -> None:
-        cluster = self.clusters[cluster_name]
-        cluster.now = self.now  # the fault's event reads it
-        cluster.inject_fault(fault)
-        self._watch(cluster_name, cluster)
-        # A killed agent needs nothing here: ``step`` skips agents whose
-        # cluster reports ``ra_alive`` false.
+        # A killed agent needs nothing more: the agent round skips agents
+        # whose cluster reports ``ra_alive`` false.
+        self.members.inject_fault(cluster_name, fault, self.now)
 
     def kill_ra(self, cluster_name: str) -> None:
         self.inject_fault(cluster_name, KillRa())
 
     def kill_rla(self, rla_id: int) -> None:
-        """Stop RLA ``rla_id``; an id that names no RLA raises ``KeyError``."""
+        """Stop RLA ``rla_id``; an id that names no RLA raises ``KeyError``,
+        and one already stopped is left as it is."""
+        if rla_id in self.group.stopped:
+            return
         self.events.append(self.now, self.rla_hosts[rla_id], "fault-killrla", {})
         self.group.stop(rla_id)
         self.apis.pop(f"rla-{rla_id}", None)

@@ -4,8 +4,9 @@ Each RLA is one ``Replica`` served over one HTTP endpoint that carries
 both the Raft transport (one route per request kind under ``/raft/``,
 answering with the paired response message) and the REST control API.
 Both travel on kept-alive stdlib connections (``Connections``). Resource
-agents poll over HTTP; one member loop advances the simulated clusters on
-wall-clock time and runs their agents.
+agents poll over HTTP; one member loop runs the ``Members`` round that the
+engine runs too, every 0.1 s at the wall-clock time, so the simulated
+clusters and their agents step by the engine's rules.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from urllib.parse import quote
 from qonnect import codec
 from qonnect.agent.client import RlaClient, RlaClientError
 from qonnect.events import EventLog
-from qonnect.harness.testbed import TestbedSpec
+from qonnect.harness.testbed import Members, TestbedSpec
 from qonnect.raft.messages import Message, REQUEST_KINDS, decode_message, encode_message
 from qonnect.raft.node import RaftConfig, RaftNode
 from qonnect.raft.replica import Replica
@@ -414,9 +415,10 @@ class LiveDeployment:
                 rla.stop()
             raise
 
-        self.clusters = self.spec.make_clusters(self.events)
         self._send = HttpSend()  # shared by every client: each call has its own connection
-        self.agents = self.spec.make_agents(self.clusters, self.client, self.events)
+        self.members = Members(self.spec, self.client, self.events)
+        self.clusters = self.members.clusters
+        self.agents = self.members.agents
         self._running = False
         self._member_loop = threading.Thread(
             target=self._run_members, name="member-loop", daemon=True
@@ -437,27 +439,11 @@ class LiveDeployment:
             rla.stop()
 
     def _run_members(self) -> None:
-        """Every 0.1 s, step every cluster to the loop's wall-clock time,
-        then run each live agent's due duties at it: ``Deployment.step``'s
-        order. A cluster logs its own events at that time, as agents stamp
-        theirs; a wall clock that steps back leaves a cluster's clock where
-        it was.
-
-        An agent that raises is logged as ``agent-error`` and the round goes
-        on to the next agent, so one agent's fault neither stops the others
-        nor goes unseen.
-        """
+        """Every 0.1 s, one ``Members`` round at the wall-clock time; a wall
+        clock that steps back moves no cluster's clock back."""
         while self._running:
             time.sleep(0.1)
-            now = time.time()
-            for cluster in self.clusters.values():
-                cluster.step(now)
-            for name, agent in self.agents.items():
-                if self.clusters[name].ra_alive:
-                    try:
-                        agent.run_due(now)
-                    except Exception as exc:
-                        self.events.append(now, agent.name, "agent-error", {"error": repr(exc)})
+            self.members.step(time.time())
 
     def client(self) -> RlaClient:
         return RlaClient(list(self.addresses.values()), self._send)

@@ -1,8 +1,9 @@
 """Testbed layout: clusters per domain and profile, three RLAs, periods and seeds.
 
-``TestbedSpec`` also derives what both deployments (the deterministic engine
-and live HTTP mode) build from it: each RLA's config and Raft node settings,
-the simulated clusters and their resource agents.
+``TestbedSpec`` also derives each RLA's config and Raft node settings, and
+``Members`` builds the simulated clusters and their resource agents from it
+and steps them: both deployments (the deterministic engine and live HTTP
+mode) drive their members through it.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from qonnect.events import EventLog
 from qonnect.kb.model import Domain
 from qonnect.raft.node import RaftConfig
 from qonnect.rla.config import RlaConfig
-from qonnect.sim.cluster import SimCluster, make_cluster
+from qonnect.sim.cluster import Fault, SimCluster, make_cluster
 from qonnect.sim.profiles import PROFILES
 
 DOMAINS = tuple(d.value for d in Domain)
@@ -139,41 +140,6 @@ class TestbedSpec:
             seed=self.seed,
         )
 
-    def make_agents(
-        self, backends: dict, make_client: Callable[[], RlaClient], events: EventLog
-    ) -> dict[str, ResourceAgent]:
-        """One resource agent per cluster, over ``backends[name]``, each with its own client."""
-        return {
-            cluster.name: ResourceAgent(
-                backend=backends[cluster.name],
-                client=make_client(),
-                config=RaConfig(
-                    domain=cluster.domain,
-                    snapshot_period=self.ra_snapshot_period,
-                    poll_period=self.ra_poll_period,
-                    heartbeat_period=self.ra_heartbeat_period,
-                ),
-                events=events,
-                name=f"ra-{cluster.name}",
-            )
-            for cluster in self.clusters
-        }
-
-    def make_clusters(self, events: EventLog) -> dict[str, SimCluster]:
-        """One simulated cluster per entry, each logging to ``events``."""
-        return {
-            cluster.name: make_cluster(
-                name=cluster.name,
-                domain=Domain(cluster.domain),
-                profile=cluster.profile,
-                ingress_ip=cluster.ingress_ip,
-                workers=cluster.workers,
-                rollout_latency=self.rollout_latency,
-                events=events,
-            )
-            for cluster in self.clusters
-        }
-
     @classmethod
     def from_yaml(cls, path: str | Path) -> TestbedSpec:
         """A spec from a YAML file; an empty file is the default spec. A
@@ -204,3 +170,83 @@ def default_clusters() -> list[ClusterSpec]:
                 )
             )
     return clusters
+
+
+class Members:
+    """The testbed's simulated clusters and their resource agents, one of
+    each per spec entry, and the one round that steps them.
+
+    A round visits only what has work, and each skip leaves every output as
+    visiting them all would:
+
+    - Clusters: only those with a Rolling or CrashLoop workload step, in
+      spec order. A settled cluster's step would only set its clock, so its
+      clock is set instead before what reads it: an agent round (an apply
+      stamps its rollout start) and a fault (the fault's event). Either may
+      unsettle the cluster, which then steps from the next round on.
+    - Agents: the round runs only when some live agent has a duty due, the
+      earliest ``ResourceAgent.next_due`` recorded after the last round.
+
+    A clock is set to ``max(cluster.now, now)``, so a driver's clock that
+    steps back (live mode's wall clock) never moves a cluster's back. An
+    agent that raises is logged as ``agent-error`` and the round goes on to
+    the next agent, so one agent's fault neither stops the others nor goes
+    unseen.
+    """
+
+    def __init__(
+        self, spec: TestbedSpec, make_client: Callable[[], RlaClient], events: EventLog
+    ) -> None:
+        self.events = events
+        self.clusters: dict[str, SimCluster] = {}
+        self.agents: dict[str, ResourceAgent] = {}
+        for c in spec.clusters:
+            cluster = self.clusters[c.name] = make_cluster(
+                c.name, Domain(c.domain), c.profile, c.ingress_ip, c.workers,
+                rollout_latency=spec.rollout_latency, events=events,
+            )
+            config = RaConfig(
+                c.domain, spec.ra_snapshot_period, spec.ra_poll_period, spec.ra_heartbeat_period
+            )
+            self.agents[c.name] = ResourceAgent(
+                cluster, make_client(), config, events=events, name=f"ra-{c.name}"
+            )
+        # The clusters with a Rolling or CrashLoop workload, in spec order:
+        # the only ones whose step has work.
+        self._unsettled: dict[str, SimCluster] = {}
+        # No live agent has work before this time.
+        self._due = 0.0
+
+    def step(self, now: float) -> None:
+        """One round at the driver's time ``now``."""
+        for name, cluster in list(self._unsettled.items()):
+            cluster.step(now)
+            if not cluster.unsettled:
+                del self._unsettled[name]
+        if now < self._due:
+            return
+        due = math.inf
+        for name, agent in self.agents.items():
+            cluster = self.clusters[name]
+            if cluster.ra_alive:
+                cluster.now = max(cluster.now, now)  # applies read it
+                try:
+                    agent.run_due(now)
+                except Exception as exc:
+                    self.events.append(now, agent.name, "agent-error", {"error": repr(exc)})
+                due = min(due, agent.next_due)
+                self._watch(name, cluster)
+        self._due = due
+
+    def inject_fault(self, name: str, fault: Fault, now: float) -> None:
+        """Inject ``fault`` into cluster ``name`` at the driver's time ``now``."""
+        cluster = self.clusters[name]
+        cluster.now = max(cluster.now, now)  # the fault's event reads it
+        cluster.inject_fault(fault)
+        self._watch(name, cluster)
+
+    def _watch(self, name: str, cluster: SimCluster) -> None:
+        """Step ``cluster`` from the next round on if it has become unsettled."""
+        if cluster.unsettled and name not in self._unsettled:
+            self._unsettled[name] = cluster
+            self._unsettled = {n: c for n, c in self.clusters.items() if n in self._unsettled}

@@ -58,13 +58,13 @@ def visit_everything_step(dep: Deployment) -> None:
             dep.events.append(dep.now, f"rla-{i}", "leader-elected", {"term": term})
     for cluster in dep.clusters.values():
         cluster.step(dep.now)
-    if dep.now >= dep._agents_due:
+    if dep.now >= dep.members._due:
         due = float("inf")
         for name, agent in dep.agents.items():
             if dep.clusters[name].ra_alive:
                 agent.run_due(dep.now)
                 due = min(due, agent.next_due)
-        dep._agents_due = due
+        dep.members._due = due
     for rla_id, service in dep.services.items():
         if rla_id not in dep.group.stopped:
             if service.node.role != Role.LEADER:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-CEILING = 4104
+CEILING = 4095
 
 _NOT_CODE = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,

@@ -243,7 +243,7 @@ def test_a_cluster_settled_for_many_steps_crash_loops_at_the_engines_whole_secon
     for _ in range(1200):
         seen = step_both(dep, ref, seen)
         app = dep.kb().live_application("shop")
-        if not dep._unsettled and all(c.status == ComponentStatus.HEALTHY for c in app.components):
+        if not dep.members._unsettled and all(c.status == ComponentStatus.HEALTHY for c in app.components):
             break
     else:
         pytest.fail("bookinfo did not settle")
@@ -254,7 +254,7 @@ def test_a_cluster_settled_for_many_steps_crash_loops_at_the_engines_whole_secon
         d.kill_ra(name)  # no agent round sets this cluster's clock from now on
     for _ in range(200):  # 10 s on which no cluster steps
         seen = step_both(dep, ref, seen)
-        assert not dep._unsettled
+        assert not dep.members._unsettled
     assert dep.clusters[name].now <= dep.now - 10.0  # its clock lags the engine's
     for d in (dep, ref):
         d.inject_fault(name, CrashLoop(ns, workload))

@@ -48,6 +48,7 @@ def test_all_four_scenarios_pass_back_to_back_on_one_deployment():
     dep = Deployment(TestbedSpec(seed=20))
     reports = run_all(dep)
     assert [r.verdict for r in reports] == ["pass"] * 4
+    assert not dep.events.matching("agent-error")
 
 
 def test_a_stopped_rla_is_unreachable_and_clients_reach_the_next_leader():
@@ -71,6 +72,35 @@ def test_killing_an_rla_id_that_names_no_rla_raises_and_stops_nothing(rla_id):
         dep.kill_rla(rla_id)
     assert dep.events.events == logged
     assert not dep.group.stopped and len(dep.apis) == len(dep.services) == 3
+
+
+def test_killing_a_stopped_rla_again_logs_and_stops_nothing():
+    dep = Deployment(TestbedSpec(seed=1))
+    dep.boot()
+    leader = dep.leader_id()
+    dep.kill_rla(leader)
+    logged, apis = list(dep.events.events), dict(dep.apis)
+    dep.kill_rla(leader)
+    assert dep.events.events == logged
+    assert dep.group.stopped == {leader} and dep.apis == apis
+
+
+def test_an_agent_that_raises_is_logged_and_the_round_goes_on():
+    dep = Deployment(TestbedSpec(seed=1))
+    broken, *after = dep.agents.values()
+    error = RuntimeError("agent fault")
+
+    def raising(now: float) -> None:
+        raise error
+
+    broken.run_due = raising
+    dep.step()
+    errors = dep.events.matching("agent-error")
+    assert [(e.source, e.detail) for e in errors] == [(broken.name, {"error": repr(error)})]
+    # No RLA leads yet, so each agent after it tried to register and was refused.
+    for agent in after:
+        assert dep.events.matching("registration-retry", agent.name)
+        assert agent.next_due > dep.now
 
 
 def test_component_status_transitions_follow_the_machine():
