@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii as _string
 from types import MappingProxyType
-from typing import Callable, Mapping, TypeVar
+from typing import Callable, Mapping, NamedTuple, TypeVar
 
 from qonnect import codec
 from qonnect.kb.commands import (
@@ -115,6 +116,16 @@ class KnowledgeBase:
         # app id -> what ``derived`` computed from that record; filled by
         # reads, dropped with the record and never restored.
         self._derived: dict[str, object] = {}
+        # app id -> the snapshot text its submit fixes (``_fixed_text``),
+        # made by the submit's apply or a restored KB's first snapshot, and
+        # dropped with the record.
+        self._texts: dict[str, _FixedText] = {}
+        # cluster id -> ingress ip, served as the config poll's answer.
+        self._config: dict[str, str] = {}
+        # One tuple per distinct retained-node list, which every decision
+        # holding that list shares; cut back to the live lists by each
+        # ``snapshot_state``.
+        self._node_lists: dict[tuple[str, ...], tuple[str, ...]] = {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KnowledgeBase):
@@ -136,9 +147,10 @@ class KnowledgeBase:
         """``derive(app)``, computed once while ``app`` is in this KB.
 
         Only for what a submit fixes and no later command changes: each
-        component's name, target domain and manifest. A KB has one such
-        reader (the agent poll), so the value is kept per application, not
-        per ``derive``.
+        component's name, target domain and manifest. What a submit fixes
+        has two readers. The agent poll (``qonnect.rla.service``) reads it
+        here, so the value is kept per application, not per ``derive``.
+        ``snapshot_state`` keeps its text in ``_texts`` by the same rule.
         """
         value = self._derived.get(app.app_id)
         if value is None:
@@ -154,8 +166,12 @@ class KnowledgeBase:
         )
 
     def cluster_config(self) -> dict[str, str]:
-        """cluster id -> ingress ip for every registered cluster."""
-        return {cid: rec.external_ip for cid, rec in self.clusters.items()}
+        """cluster id -> ingress ip for every registered cluster.
+
+        The KB's own mapping, kept by ``RegisterCluster``'s apply and built by
+        ``restore``, so a poll builds nothing. Callers must not change it.
+        """
+        return self._config
 
     def nodes_in_domain(self, domain: Domain) -> list[NodeSnapshot]:
         cluster_ids = {cid for cid, rec in self.clusters.items() if rec.domain == domain}
@@ -292,6 +308,7 @@ class KnowledgeBase:
             external_ip=cmd.external_ip,
             registered_at=cmd.registered_at,
         )
+        self._config[cid] = cmd.external_ip
         return Effect(
             kind="cluster-registered",
             detail={"cluster_id": cid, "domain": cmd.domain.value, "ip": cmd.external_ip},
@@ -359,6 +376,7 @@ class KnowledgeBase:
         self._live_by_name[cmd.name] = app
         for comp in components:
             self._index(app, comp, add=True)
+        self._texts[cmd.app_id] = _fixed_text(app)  # now, so no snapshot stalls on it
         return effect
 
     def _apply_update_qos(self, cmd: UpdateQoS) -> Effect:
@@ -382,6 +400,7 @@ class KnowledgeBase:
         del self._live_by_name[cmd.name]
         del self.applications[app.app_id]
         self._derived.pop(app.app_id, None)
+        self._texts.pop(app.app_id, None)
         effect = Effect(kind="application-withdrawn", detail={"name": cmd.name})
         for comp in app.components:
             self._transition(effect, app, comp, ComponentStatus.WITHDRAWN)
@@ -416,10 +435,11 @@ class KnowledgeBase:
                 cluster_domain=cluster.domain.value,
                 target=comp.target_domain.value,
             )
+        node_names = self._node_lists.setdefault(cmd.node_names, cmd.node_names)
         comp.decision = ScheduleDecision(
             component_name=comp.name,
             cluster_id=cmd.cluster_id,
-            node_names=cmd.node_names,
+            node_names=node_names,
             decided_at=cmd.decided_at,
             deciding_term=cmd.deciding_term,
         )
@@ -430,7 +450,7 @@ class KnowledgeBase:
                 "app": app.name,
                 "component": comp.name,
                 "cluster_id": cmd.cluster_id,
-                "nodes": list(cmd.node_names),
+                "nodes": list(node_names),
             },
         )
         self._transition(effect, app, comp, ComponentStatus.SCHEDULED)
@@ -476,15 +496,41 @@ class KnowledgeBase:
     # ------------------------------------------------------------------
 
     def snapshot_state(self) -> str:
-        return codec.dumps(
-            _encode_state(
-                _State(
-                    v=codec.VERSION,
-                    clusters=list(self.clusters.values()),
-                    nodes=list(self.nodes.values()),
-                    applications=list(self.applications.values()),
-                )
-            )
+        """The KB as schema v1 text: byte for byte
+        ``codec.dumps(_encode_state(...))`` of all its records.
+
+        The applications section is built as text. What a submit fixes is
+        encoded once per record (``_fixed_text``): when the submit applies,
+        or at a restored record's first snapshot. Each distinct node list is
+        encoded once per call, and only the fields that change are formatted
+        on every call. Clusters and nodes go through the codec. The
+        node-list table is cut back to the lists that live decisions hold.
+        """
+        lists: dict[tuple[str, ...], str] = {}
+        applications = ",".join(
+            self._application_text(app, lists) for app in self.applications.values()
+        )
+        self._node_lists = {names: names for names in lists}
+        state = _State(codec.VERSION, list(self.clusters.values()), list(self.nodes.values()), [])
+        rest = codec.dumps(_encode_state(state))  # {"applications":[],"clusters":…
+        return f"{_APPLICATIONS}{applications}{rest[len(_APPLICATIONS):]}"
+
+    def _application_text(self, app: ApplicationRecord, lists: dict[tuple[str, ...], str]) -> str:
+        """``app`` as ``snapshot_state`` writes it; ``lists`` holds the text of
+        each node list this call has encoded."""
+        kept = self._texts.get(app.app_id) or self._texts.setdefault(app.app_id, _fixed_text(app))
+        head, middle, tail, fixed = kept
+        components = ",".join(
+            f'{{"decision":{_decision_text(comp.decision, lists)},'
+            f'"last_heartbeat":{_scalar(comp.last_heartbeat)}{manifest_and_name}'
+            f"{_STATUS_TEXT[comp.status]}{domain}"
+            for comp, (manifest_and_name, domain) in zip(app.components, fixed)
+        )
+        qos = app.qos
+        return (
+            f'{head}{components}{middle}{{"energy":{_scalar(qos.energy)},'
+            f'"performance":{_scalar(qos.performance)},"pricing":{_scalar(qos.pricing)}}}'
+            f'{tail}{_scalar(app.version)},"withdrawn":{_scalar(app.withdrawn)}}}'
         )
 
     @classmethod
@@ -494,13 +540,71 @@ class KnowledgeBase:
         state = _decode_state(codec.loads(blob))
         kb = cls()
         kb.clusters = {rec.cluster_id: rec for rec in state.clusters}
+        kb._config = {rec.cluster_id: rec.external_ip for rec in state.clusters}
         kb.nodes = {(snap.cluster_id, snap.node_name): snap for snap in state.nodes}
         kb.applications = {app.app_id: app for app in state.applications if not app.withdrawn}
         for app in kb.applications.values():
             kb._live_by_name.setdefault(app.name, app)
             for comp in app.components:
+                decision = comp.decision
+                if decision is not None:
+                    names = kb._node_lists.setdefault(decision.node_names, decision.node_names)
+                    if names is not decision.node_names:
+                        comp.decision = replace(decision, node_names=names)
                 kb._index(app, comp, add=True)
         return kb
+
+
+_APPLICATIONS = '{"applications":['
+# repr of a scalar -> its JSON text, where the two differ.
+_JSON_TEXT = {"None": "null", "True": "true", "False": "false",
+              "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_STATUS_TEXT = {status: _string(status.value) for status in ComponentStatus}
+
+
+def _scalar(value: float | bool | None) -> str:
+    """A number, bool or None as ``codec.dumps`` writes it."""
+    text = repr(value)
+    return _JSON_TEXT.get(text, text)
+
+
+class _FixedText(NamedTuple):
+    """An application's snapshot text that a submit fixes: the pieces around
+    the fields that change, in ``codec.dumps``'s key order."""
+
+    head: str  # {"app_id":…,"components":[
+    middle: str  # ],"labels":…,"name":…,"qos":
+    tail: str  # ,"submitted_at":…,"version":
+    # Per component: ,"manifest":…,"name":…,"status": and ,"target_domain":…}
+    components: tuple[tuple[str, str], ...]
+
+
+def _fixed_text(app: ApplicationRecord) -> _FixedText:
+    return _FixedText(
+        f'{{"app_id":{_string(app.app_id)},"components":[',
+        f'],"labels":{codec.dumps(app.labels)},"name":{_string(app.name)},"qos":',
+        f',"submitted_at":{_scalar(app.submitted_at)},"version":',
+        tuple(
+            (
+                f',"manifest":{codec.dumps(comp.manifest)},"name":{_string(comp.name)},"status":',
+                f',"target_domain":{_string(comp.target_domain.value)}}}',
+            )
+            for comp in app.components
+        ),
+    )
+
+
+def _decision_text(decision: ScheduleDecision | None, lists: dict[tuple[str, ...], str]) -> str:
+    if decision is None:
+        return "null"
+    names = decision.node_names
+    listed = lists.get(names) or lists.setdefault(names, codec.dumps(names))
+    return (
+        f'{{"cluster_id":{_string(decision.cluster_id)},'
+        f'"component_name":{_string(decision.component_name)},'
+        f'"decided_at":{_scalar(decision.decided_at)},'
+        f'"deciding_term":{_scalar(decision.deciding_term)},"node_names":{listed}}}'
+    )
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,12 @@ from dataclasses import replace
 import pytest
 
 from qonnect.agent.client import RlaClientError
+from qonnect.agent.ra import CONFIG_STORE
 from qonnect.harness.bookinfo import bookinfo_bundle
 from qonnect.harness.engine import Deployment
 from qonnect.harness.testbed import TestbedSpec, default_clusters
 from qonnect.kb.model import ComponentStatus
+from qonnect.kb.store import KnowledgeBase
 from qonnect.raft.simulation import ReplicaGroup
 from qonnect.rla.service import RlaService
 from qonnect.scheduler.loop import Lease
@@ -81,6 +83,27 @@ def test_quiet_steps_step_no_cluster_check_no_leader_and_pump_only_when_due(
         pumped += due
     assert dep.leader_service() is leader
     assert 15 <= pumped <= 20  # a flush each second, a pass each 5 s
+
+
+def test_a_config_poll_with_no_registration_since_the_last_builds_nothing(monkeypatch):
+    dep = federation(1, 2)
+    served = []
+    cluster_config = KnowledgeBase.cluster_config
+
+    def spy(kb):
+        served.append((kb, cluster_config(kb)))
+        return served[-1][1]
+
+    monkeypatch.setattr(KnowledgeBase, "cluster_config", spy)
+    dep.run(15.0)  # three config polls per agent
+    assert len(served) >= 9 * 3
+    for kb, config in served:
+        assert config is cluster_config(kb)  # the KB's own mapping, built at registration
+        assert config == {cid: rec.external_ip for cid, rec in kb.clusters.items()}
+    config = dep.kb().cluster_config()
+    for cluster in dep.clusters.values():  # an agent keeps a copy of its own
+        assert cluster.config_stores[CONFIG_STORE] == config
+        assert cluster.config_stores[CONFIG_STORE] is not config
 
 
 def test_an_rla_is_due_exactly_when_its_pump_has_work():

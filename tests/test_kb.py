@@ -76,6 +76,20 @@ def test_register_cluster_is_idempotent_on_ip_and_domain():
     assert len(kb.clusters) == 2
 
 
+def test_cluster_config_is_kept_by_registration_and_built_by_restore():
+    kb = KnowledgeBase()
+    config = kb.cluster_config()
+    assert config == {}
+    first = register(kb, "10.0.0.1", Domain.CLOUD)
+    register(kb, "10.0.0.1", Domain.CLOUD)  # exists: no change
+    second = register(kb, "10.0.0.2", Domain.EDGE)
+    assert kb.cluster_config() is config
+    assert config == {first: "10.0.0.1", second: "10.0.0.2"}
+    restored = KnowledgeBase.restore(kb.snapshot_state())
+    assert restored.cluster_config() == config
+    assert restored.cluster_config() is restored.cluster_config()
+
+
 def test_update_qos_bumps_version_and_resets_components():
     kb = KnowledgeBase()
     cid = register(kb, "10.1.0.1", Domain.CLOUD)
