@@ -10,10 +10,8 @@ seconds" deadlines are measured on the simulated clock.
 A step visits only the members with work due; each skip leaves every
 output as visiting them all would:
 
-- Raft: every live node ticks. The replicas are checked for a new leader
-  only after some node became leader (``RaftNode.terms_led`` grew): until
-  then each check would find a follower, or a leader of a term it already
-  recorded.
+- Raft: every live node ticks; a replica that wins an election logs its
+  own ``leader-elected`` as its ``Replica`` delivers the deciding vote.
 - Clusters and agents: one ``Members`` round at the engine's ``now``,
   the one live mode runs on its wall clock. It steps only the clusters
   with a Rolling or CrashLoop workload and runs the agent round only when
@@ -92,8 +90,6 @@ class Deployment:
             self.services[i] = service
             self.apis[addresses[i]] = RestApi(service)
         self.group = SyncRaftGroup(replicas)
-        # The terms led that the last leader check counted.
-        self._terms_led = 0
 
     def _make_id(self) -> str:
         return str(uuid.UUID(int=self.rng.getrandbits(128), version=4))
@@ -105,13 +101,6 @@ class Deployment:
     def step(self) -> None:
         self.now += self.DT
         self.group.tick(self.DT)
-        terms_led = sum(replica.node.terms_led for replica in self.group.replicas.values())
-        if terms_led != self._terms_led:  # some node became leader
-            self._terms_led = terms_led
-            for i, replica in self.group.replicas.items():
-                if self.group.observe(i):
-                    term = replica.node.current_term
-                    self.events.append(self.now, f"rla-{i}", "leader-elected", {"term": term})
         self.members.step(self.now)
         for rla_id, service in self.services.items():
             if rla_id not in self.group.stopped and service.due(self.now):

@@ -123,9 +123,6 @@ class RaftNode:
 
         self.role = Role.FOLLOWER
         self.leader_id: int | None = None
-        # Terms in which this node became leader: while the count holds, it
-        # has become leader of no new term.
-        self.terms_led = 0
         self.commit_index = self.snapshot_index
         self.last_applied = self.snapshot_index
 
@@ -234,7 +231,6 @@ class RaftNode:
 
     def _become_leader(self) -> list[Message]:
         self.role = Role.LEADER
-        self.terms_led += 1
         self.leader_id = self.config.node_id
         self._next_index = {p: self.last_log_index + 1 for p in self.config.peers}
         self._match_index = {p: 0 for p in self.config.peers}

@@ -4,11 +4,13 @@
 machine loads a snapshot's blob before the node sees it, so a blob that
 does not load is refused with ``ValueError`` and never replaces the log;
 once the node installs the snapshot, the replica installs the state already
-loaded. It then applies the newly committed entries in order, skipping the
-leader's empty no-op entries. ``propose`` hands an entry's effects to the
-one proposer waiting on it. Transports (the engine's instant group, the
-seeded lossy harness, live HTTP) only deliver messages and decide how a
-proposer waits for its commit.
+loaded. When the message made the node leader (only a vote that completes
+a majority does; a tick never does), the replica tells the state machine,
+before any entry of the new term commits. It then applies the newly
+committed entries in order, skipping the leader's empty no-op entries.
+``propose`` hands an entry's effects to the one proposer waiting on it.
+Transports (the engine's instant group, the seeded lossy harness, live
+HTTP) only deliver messages and decide how a proposer waits for its commit.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from typing import Any, Callable, Protocol
 
 from qonnect.raft.messages import Message, SnapshotRequest
-from qonnect.raft.node import RaftNode
+from qonnect.raft.node import RaftNode, Role
 
 
 class StateMachine(Protocol):
@@ -27,6 +29,9 @@ class StateMachine(Protocol):
 
     def install_snapshot(self, state: Any, blob: str) -> None:
         """Replace the state with ``state``, loaded from ``blob``."""
+
+    def elected(self, term: int) -> None:
+        """This node has just become leader of ``term``."""
 
 
 class Replica:
@@ -49,7 +54,10 @@ class Replica:
         loaded = None
         if isinstance(msg, SnapshotRequest):
             loaded = self.machine.load_snapshot(msg.state_blob)
+        role = self.node.role
         result = self.node.handle_message(msg)
+        if role is not Role.LEADER and self.node.role is Role.LEADER:
+            self.machine.elected(self.node.current_term)
         if not result.committed and result.snapshot_installed is None:
             return result.messages  # nothing to apply, as for every heartbeat
         if result.snapshot_installed is not None:

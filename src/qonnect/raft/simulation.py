@@ -5,7 +5,8 @@ one step, so a proposal commits synchronously while timers still advance
 with simulated time. ``ReplicaGroup`` holds the node bookkeeping it shares
 with the seeded lossy harness the safety tests drive
 (``tests/raft_harness.py``). A transport only delivers messages; each
-node's ``Replica`` applies what commits.
+node's ``Replica`` applies what commits and tells its state machine when
+the node wins an election.
 """
 
 from __future__ import annotations
@@ -19,13 +20,11 @@ from qonnect.raft.replica import Replica
 
 class ReplicaGroup:
     """Node bookkeeping shared by the in-memory transports: the replicas,
-    which of them are stopped, who leads, and every ``(term, node)`` moment
-    of leadership observed."""
+    which of them are stopped, and who leads."""
 
     def __init__(self, replicas: dict[int, Replica]) -> None:
         self.replicas = replicas
         self.stopped: set[int] = set()
-        self.leaders_by_term: dict[int, set[int]] = {}
 
     @property
     def nodes(self) -> dict[int, RaftNode]:
@@ -49,17 +48,6 @@ class ReplicaGroup:
     def leader_id(self) -> int | None:
         node = self.leader()
         return node.config.node_id if node is not None else None
-
-    def observe(self, node_id: int) -> bool:
-        """Record whether ``node_id`` leads its current term; True the first time."""
-        node = self.replicas[node_id].node
-        if node.role != Role.LEADER:
-            return False
-        leaders = self.leaders_by_term.setdefault(node.current_term, set())
-        if node_id in leaders:
-            return False
-        leaders.add(node_id)
-        return True
 
 
 class SyncRaftGroup(ReplicaGroup):

@@ -277,6 +277,9 @@ class RlaService:
         self.kb = kb
         self._reset_compaction(len(blob))
 
+    def elected(self, term: int) -> None:
+        self.events.append(self.clock(), self._source, "leader-elected", {"term": term})
+
     def _reset_compaction(self, snapshot_bytes: int) -> None:
         self._applied_since_compact = 0
         self._logged_since_compact = 0

@@ -2,9 +2,10 @@
 
 A chaos run drives a cluster through message drops, delivery jitter, and
 scripted partitions while clients keep proposing, then heals the network
-and verifies: election safety (one leader per term, ever), log matching
-(agreement up to commit), and committed-entry durability (nothing any node
-applied is ever lost or rewritten).
+and verifies: election safety (one leader per term, ever, and the
+elections the replicas report are those the harness observed), log
+matching (agreement up to commit), and committed-entry durability (nothing
+any node applied is ever lost or rewritten).
 """
 
 from __future__ import annotations
@@ -26,9 +27,17 @@ def _random_partition(rng: random.Random, size: int) -> list[list[int]]:
 
 
 def check_election_safety(harness: RaftHarness) -> None:
+    """One leader per term, ever; and the replicas reported exactly the
+    elections the harness observed, each once."""
     for term, leaders in harness.leaders_by_term.items():
         if len(leaders) > 1:
             raise SafetyViolation(f"term {term} had multiple leaders: {sorted(leaders)}")
+    observed = sorted((term, node) for term, leaders in harness.leaders_by_term.items()
+                      for node in leaders)
+    if sorted(harness.elections) != observed:
+        raise SafetyViolation(
+            f"replicas reported elections {sorted(harness.elections)}, observed {observed}"
+        )
 
 
 def check_log_matching(harness: RaftHarness) -> None:
@@ -192,4 +201,5 @@ def stop_tolerance_run(size: int, seed: int) -> None:
     for i in range(second_batch):
         if f"post-{i}" not in commands:
             raise SafetyViolation(f"lost entry post-{i} committed under quorum loss (n={size})")
+    check_election_safety(harness)
     check_log_matching(harness)

@@ -3,7 +3,10 @@
 ``LossyNetwork`` + ``RaftHarness`` drive a cluster through seeded message
 drops, delivery jitter, scripted partitions, and node stop/restart. The
 harness only delivers messages; each node's ``Replica`` applies what
-commits, and a ``_Recorder`` state machine records it.
+commits, and a ``_Recorder`` state machine records it and each election
+the replica reports. The harness also observes, from outside, every node
+that leads after each delivery: the independent record that election
+safety is checked against, and that the replicas' reports must equal.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import random
 from typing import Callable, Iterable
 
 from qonnect.raft.messages import Message
-from qonnect.raft.node import RaftConfig, RaftNode
+from qonnect.raft.node import RaftConfig, RaftNode, Role
 from qonnect.raft.replica import Replica
 from qonnect.raft.simulation import ReplicaGroup
 from qonnect.raft.storage import MemoryStorage, RaftStorage
@@ -66,12 +69,20 @@ class LossyNetwork:
 
 
 class _Recorder:
-    """The harness's state machine: records what one node applies."""
+    """The harness's state machine: records what one node applies, and
+    each ``(term, node)`` election its replica reports."""
 
-    def __init__(self, node: RaftNode, applied: dict[int, str], restored: dict[int, int]) -> None:
+    def __init__(
+        self,
+        node: RaftNode,
+        applied: dict[int, str],
+        restored: dict[int, int],
+        elections: list[tuple[int, int]],
+    ) -> None:
         self.node = node
         self.applied = applied
         self.restored = restored
+        self.elections = elections
 
     def apply_committed(self, index: int, command: str) -> None:
         self.applied[index] = command
@@ -82,13 +93,17 @@ class _Recorder:
     def install_snapshot(self, state: str, blob: str) -> None:
         self.restored[self.node.config.node_id] = self.node.snapshot_index
 
+    def elected(self, term: int) -> None:
+        self.elections.append((term, self.node.config.node_id))
+
 
 class RaftHarness(ReplicaGroup):
     """Seeded multi-node simulation over a ``LossyNetwork``.
 
-    Tracks, per node, every applied ``(index, command)``, the index of the
-    snapshot it last restored from, and every ``(term, node)`` moment of
-    leadership, which is what the safety invariants are asserted against.
+    Tracks, per node, every applied ``(index, command)`` and the index of
+    the snapshot it last restored from; and every ``(term, node)`` moment
+    of leadership, both as observed and as the replicas reported it. The
+    safety invariants are asserted against these.
     """
 
     def __init__(
@@ -106,6 +121,8 @@ class RaftHarness(ReplicaGroup):
         self.storages = storages or {i: MemoryStorage() for i in members}
         self.applied: dict[int, dict[int, str]] = {i: {} for i in members}
         self.snapshots_installed: dict[int, int] = {}
+        self.leaders_by_term: dict[int, set[int]] = {}
+        self.elections: list[tuple[int, int]] = []
         super().__init__({
             i: self._replica(RaftConfig(i, members, election_timeout, heartbeat_interval, seed))
             for i in members
@@ -116,7 +133,9 @@ class RaftHarness(ReplicaGroup):
 
     def _replica(self, config: RaftConfig) -> Replica:
         node = RaftNode(config, storage=self.storages[config.node_id])
-        recorder = _Recorder(node, self.applied[config.node_id], self.snapshots_installed)
+        recorder = _Recorder(
+            node, self.applied[config.node_id], self.snapshots_installed, self.elections
+        )
         return Replica(node, recorder)
 
     def restart(self, node_id: int) -> None:
@@ -126,6 +145,12 @@ class RaftHarness(ReplicaGroup):
 
     def alive(self) -> list[int]:
         return [i for i in self.replicas if i not in self.stopped]
+
+    def observe(self, node_id: int) -> None:
+        """Record ``node_id`` under its current term if it leads it."""
+        node = self.replicas[node_id].node
+        if node.role == Role.LEADER:
+            self.leaders_by_term.setdefault(node.current_term, set()).add(node_id)
 
     # -- driving --------------------------------------------------------
 

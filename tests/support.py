@@ -46,16 +46,11 @@ def cluster_id_of(dep: Deployment, cluster_name: str) -> str:
 
 def visit_everything_step(dep: Deployment) -> None:
     """``Deployment.step`` as it was before it skipped members with nothing
-    due: every step checks every replica for a new leader, steps every
-    cluster and pumps every live RLA, and a pump of a non-leader drops its
-    queued telemetry and its lease. Agents run only when one is due, as
-    then."""
+    due: every step steps every cluster and pumps every live RLA, and a
+    pump of a non-leader drops its queued telemetry and its lease. Agents
+    run only when one is due, as then."""
     dep.now += dep.DT
     dep.group.tick(dep.DT)
-    for i, replica in dep.group.replicas.items():
-        if dep.group.observe(i):
-            term = replica.node.current_term
-            dep.events.append(dep.now, f"rla-{i}", "leader-elected", {"term": term})
     for cluster in dep.clusters.values():
         cluster.step(dep.now)
     if dep.now >= dep.members._due:

@@ -1,8 +1,7 @@
 """An engine step visits only the members with work due.
 
 ``Deployment.step`` steps only clusters with a Rolling or CrashLoop
-workload, checks the replicas for a new leader only after some node became
-leader, and pumps an RLA only when ``RlaService.due`` says it has work.
+workload and pumps an RLA only when ``RlaService.due`` says it has work.
 Work-count guards on settled federations of 9 and 297 clusters, a check of
 the due rule, and an equivalence check against
 ``support.visit_everything_step`` over seeded schedules of submits, QoS
@@ -26,7 +25,6 @@ from qonnect.harness.engine import Deployment
 from qonnect.harness.testbed import TestbedSpec, default_clusters
 from qonnect.kb.model import ComponentStatus
 from qonnect.kb.store import KnowledgeBase
-from qonnect.raft.simulation import ReplicaGroup
 from qonnect.rla.service import RlaService
 from qonnect.scheduler.loop import Lease
 from qonnect.sim.cluster import CrashLoop, DeleteNamespace, NodeNotReady, NodePressure, SimCluster
@@ -62,14 +60,13 @@ def federation(copies: int, workers: int) -> Deployment:
 
 
 @pytest.mark.parametrize(("copies", "workers"), [(1, 2), (33, 3)])
-def test_quiet_steps_step_no_cluster_check_no_leader_and_pump_only_when_due(
+def test_quiet_steps_step_no_cluster_and_pump_only_when_due(
     monkeypatch, copies, workers
 ):
     dep = federation(copies, workers)
     assert len(dep.clusters) == 9 * copies
     calls: Counter = Counter()
     counting(monkeypatch, calls, SimCluster, "step", "step")
-    counting(monkeypatch, calls, ReplicaGroup, "observe", "observe")
     counting(monkeypatch, calls, RlaService, "pump", "pump")
     leader = dep.leader_service()
     pumped = 0
@@ -78,7 +75,7 @@ def test_quiet_steps_step_no_cluster_check_no_leader_and_pump_only_when_due(
         due = now >= leader._next_flush or now >= leader._next_scheduler_pass
         calls.clear()
         dep.step()
-        assert calls["step"] == calls["observe"] == 0
+        assert calls["step"] == 0
         assert calls["pump"] == due
         pumped += due
     assert dep.leader_service() is leader

@@ -174,6 +174,7 @@ def test_compaction_waits_until_a_snapshot_worth_of_bytes_was_logged(monkeypatch
             apply_committed=apply,
             load_snapshot=service.load_snapshot,
             install_snapshot=service.install_snapshot,
+            elected=service.elected,
         )
     dep.boot()
     for n in range(4):

@@ -13,6 +13,7 @@ from contextlib import ExitStack
 
 import pytest
 
+from qonnect.agent.client import RlaClientError
 from qonnect.harness import live as live_module
 from qonnect.harness.bookinfo import bookinfo_bundle
 from qonnect.harness.live import Connections, LiveDeployment, LiveRla
@@ -198,6 +199,40 @@ def test_the_live_log_holds_one_ready_event_per_placed_workload_from_its_host(li
     assert len(logged()) == len(components)
     assert {(e.source, e.detail["workload"]) for e in logged()} == ready()
     assert all(e.detail["namespace"] == "bookinfo" for e in logged())
+
+
+def leader_status(live: LiveDeployment, timeout: float = 15.0) -> dict:
+    """The ``/status`` body of the first RLA that reports itself leader."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        for address in live.addresses.values():
+            try:
+                status, body = live._send(address, "GET", "/status", None)
+            except RlaClientError:
+                continue
+            if status == 200 and body["role"] == "leader":
+                return body
+        time.sleep(0.1)
+    raise TimeoutError("no RLA leader elected in time")
+
+
+def test_each_term_won_is_logged_once_by_the_rla_that_won_it():
+    live = LiveDeployment(spec=fast_spec(), base_port=free_port_base())
+    live.start()
+    try:
+        # A leader logs its election before it answers ``/status`` as leader.
+        first = leader_status(live)
+        live.rlas[first["node_id"]].stop()
+        second = leader_status(live)
+    finally:
+        live.stop()
+    elections = live.events.matching(kind="leader-elected")
+    terms = [e.detail["term"] for e in elections]
+    assert len(set(terms)) == len(terms)  # one event per term won
+    won = {e.detail["term"]: e.source for e in elections}
+    assert won[first["term"]] == f"rla-{first['node_id']}"
+    assert won[second["term"]] == f"rla-{second['node_id']}"
+    assert second["term"] > first["term"]
 
 
 def test_an_agent_that_raises_is_logged_and_the_other_agents_still_run(monkeypatch):

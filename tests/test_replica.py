@@ -45,6 +45,9 @@ class FakeMachine:
         self.state = state
         self.calls.append(("restore", blob))
 
+    def elected(self, term: int) -> None:
+        self.calls.append(("elected", term))
+
 
 def follower() -> tuple[Replica, FakeMachine]:
     machine = FakeMachine()
@@ -52,12 +55,14 @@ def follower() -> tuple[Replica, FakeMachine]:
 
 
 def leader() -> tuple[Replica, FakeMachine]:
-    """Node 0 elected with node 1's vote; its no-op sits at index 1."""
+    """Node 0 elected with node 1's vote; its no-op sits at index 1. The
+    election notice is taken off ``machine.calls``."""
     replica, machine = follower()
     replica.node.tick(1.0)  # past any election timeout
     term = replica.node.current_term
     replica.handle(VoteResponse(src=1, dst=0, term=term, granted=True))
     assert replica.node.role == Role.LEADER and replica.node.last_log_index == 1
+    assert machine.calls.pop() == ("elected", term)
     return replica, machine
 
 
@@ -80,6 +85,21 @@ def acked(replica: Replica, match_index: int) -> list:
         AppendResponse(src=1, dst=0, term=term, success=True, match_index=match_index,
                        conflict_index=0)
     )
+
+
+def test_the_machine_hears_of_each_term_won_once_before_its_entries_apply():
+    replica, machine = follower()
+    assert replica.node.tick(1.0)  # the election starts; a tick never wins one
+    term = replica.node.current_term
+    replica.handle(VoteResponse(src=1, dst=0, term=term, granted=True))
+    replica.handle(VoteResponse(src=2, dst=0, term=term, granted=True))  # a vote too many
+    replica.propose("a", lambda index: acked(replica, index))
+    assert machine.calls == [("elected", term), ("apply", 2, "a")]
+    # Deposed by node 1's next term, node 0 wins the term after it.
+    replica.handle(append(term + 1, (2, term), [], commit=2))
+    replica.node.tick(1.0)
+    replica.handle(VoteResponse(src=2, dst=0, term=term + 2, granted=True))
+    assert machine.calls[2:] == [("elected", term + 2)]
 
 
 def test_leader_no_ops_are_not_applied():

@@ -16,12 +16,12 @@ from qonnect.harness.cli import EVENTS_FILE, REPORT_FILE, VERDICT_FILE, main
 DIGESTS = {
     7: {
         VERDICT_FILE: "7b3ac8cc30161fd38b06b8d70bca0898f35bf36ce2632a0cad4a95bd1e75449c",
-        EVENTS_FILE: "fc1f4be046755cd2d496cf0e0d87f827f5b13cb90bc07f7ec535189116c2c8d1",
+        EVENTS_FILE: "c8c8b3395f972207f0f376b34847a6295e8a9f847d90df95974d01fb1c27cd59",
         REPORT_FILE: "2c81e8b3a2d1a781d50ff220f13a40d81f3e312218987704395f83baba85aefb",
     },
     9001: {
         VERDICT_FILE: "b933c519da174572211162432287b2dc809f299a08c3603a139cf17f7de02f0a",
-        EVENTS_FILE: "e3a29aa298f975ba541244eb2d8d94d6fd015d897257abbac45710f419012b6d",
+        EVENTS_FILE: "86463986c9ed0042495db4cc6eeda082311d6a355fa8b3304ef2520cd14f3d5e",
         REPORT_FILE: "2848d11b4894544e59e87df9acffaaed994c480181556db9c0a0bc343904df9b",
     },
 }
