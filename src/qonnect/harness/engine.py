@@ -33,7 +33,6 @@ from typing import Callable
 from qonnect.agent.client import RlaClient, RlaClientError
 from qonnect.events import EventLog
 from qonnect.harness.testbed import Members, TestbedSpec
-from qonnect.kb.model import Domain
 from qonnect.kb.store import KnowledgeBase, cluster_id_for
 from qonnect.raft.node import RaftNode
 from qonnect.raft.replica import Replica
@@ -57,7 +56,7 @@ class Deployment:
         self.clusters = self.members.clusters
         self.agents = self.members.agents
         # RLAs ride on the cloud clusters, one each, in spec order.
-        cloud = [c.name for c in self.spec.clusters if c.domain == Domain.CLOUD.value]
+        cloud = [c.name for c in self.spec.clusters if c.domain == "cloud"]
         self.rla_hosts: dict[int, str] = {
             rla_id: cloud[rla_id % len(cloud)] for rla_id in self.services
         }

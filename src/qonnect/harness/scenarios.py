@@ -29,6 +29,8 @@ MIGRATION_DEADLINE = 90.0
 REELECTION_DEADLINE = 30.0
 BOOT_DEADLINE = 30.0
 
+_HEALTHY, _READY = ComponentStatus.HEALTHY, WorkloadPhase.READY  # bound once: see raft.node
+
 QOS_PERFORMANCE = {"performance": 1.0, "energy": 0.0, "pricing": 0.0}
 QOS_ENERGY = {"performance": 0.0, "energy": 1.0, "pricing": 0.0}
 
@@ -116,12 +118,12 @@ def _running_on_profile(dep: Deployment, app_name: str, profile: str) -> bool:
         return False
     for comp in app.components:
         expected = _profile_cluster(dep, comp.target_domain.value, profile)
-        if comp.status != ComponentStatus.HEALTHY or comp.decision is None:
+        if comp.status is not _HEALTHY or comp.decision is None:
             return False
         if dep.cluster_name_by_id(comp.decision.cluster_id) != expected:
             return False
         workload = dep.clusters[expected].workload_state(app_name, comp.name)
-        if workload is None or workload.phase != WorkloadPhase.READY:
+        if workload is None or workload.phase is not _READY:
             return False
     return True
 
@@ -249,13 +251,13 @@ def _scenario_3(dep: Deployment, report: ScenarioReport) -> None:
         if app is None:
             return False
         comp = app.component("ratings")
-        if comp is None or comp.decision is None or comp.status != ComponentStatus.HEALTHY:
+        if comp is None or comp.decision is None or comp.status is not _HEALTHY:
             return False
         host = dep.cluster_name_by_id(comp.decision.cluster_id)
         if host is None or host == edge_perf or dep.clusters[host].domain.value != "edge":
             return False
         workload = dep.clusters[host].workload_state(app_name, "ratings")
-        return workload is not None and workload.phase == WorkloadPhase.READY
+        return workload is not None and workload.phase is _READY
 
     _await(
         dep, report, "ratings redeployed to a different edge cluster",

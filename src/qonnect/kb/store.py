@@ -66,6 +66,10 @@ HEARTBEAT_STATUS = {
 _ACTIVE = frozenset(
     (ComponentStatus.SCHEDULED, ComponentStatus.HEALTHY, ComponentStatus.PROGRESSING)
 )
+# Bound once: see raft.node.
+_PENDING, _SCHEDULED = ComponentStatus.PENDING, ComponentStatus.SCHEDULED
+_WITHDRAWN = ComponentStatus.WITHDRAWN
+_STATUS_VALUE = {status: status.value for status in ComponentStatus}
 
 
 def _scan_order(pair: tuple[ApplicationRecord, ComponentRecord]) -> tuple[float, str, str]:
@@ -265,7 +269,7 @@ class KnowledgeBase:
         A move to Scheduled needs ``comp.decision`` set, and a move away from
         it needs the decision still set: it names the cluster to unindex.
         """
-        if comp.status == to:
+        if comp.status is to:
             return
         self._index(app, comp, add=False)
         if to in _ACTIVE and comp.status not in _ACTIVE:
@@ -274,8 +278,8 @@ class KnowledgeBase:
             {
                 "app": app.name,
                 "component": comp.name,
-                "from": comp.status.value,
-                "to": to.value,
+                "from": _STATUS_VALUE[comp.status],
+                "to": _STATUS_VALUE[to],
             }
         )
         comp.status = to
@@ -286,9 +290,9 @@ class KnowledgeBase:
         ``_pending`` for Pending, ``_scheduled`` under its decision's cluster
         for Scheduled. No other status has an index."""
         key = (app.app_id, comp.name)
-        if comp.status == ComponentStatus.PENDING:
+        if comp.status is _PENDING:
             (self._pending.add if add else self._pending.discard)(key)
-        elif comp.status == ComponentStatus.SCHEDULED and comp.decision is not None:
+        elif comp.status is _SCHEDULED and comp.decision is not None:
             cluster_id = comp.decision.cluster_id
             held = self._scheduled.setdefault(cluster_id, set())
             if add:
@@ -362,7 +366,7 @@ class KnowledgeBase:
             comp = ComponentRecord(name=name, target_domain=domain, manifest=manifest)
             components.append(comp)
             effect.transitions.append(
-                {"app": cmd.name, "component": name, "from": None, "to": comp.status.value}
+                {"app": cmd.name, "component": name, "from": None, "to": _STATUS_VALUE[comp.status]}
             )
         app = ApplicationRecord(
             app_id=cmd.app_id,
@@ -388,7 +392,7 @@ class KnowledgeBase:
         effect = Effect(kind="qos-updated", detail={"name": cmd.name, "version": app.version})
         # A QoS change re-places every component against the new weights.
         for comp in app.components:
-            self._transition(effect, app, comp, ComponentStatus.PENDING)
+            self._transition(effect, app, comp, _PENDING)
             comp.decision = None
             comp.last_heartbeat = None
         return effect
@@ -403,7 +407,7 @@ class KnowledgeBase:
         self._texts.pop(app.app_id, None)
         effect = Effect(kind="application-withdrawn", detail={"name": cmd.name})
         for comp in app.components:
-            self._transition(effect, app, comp, ComponentStatus.WITHDRAWN)
+            self._transition(effect, app, comp, _WITHDRAWN)
         return effect
 
     def _target(
@@ -424,7 +428,7 @@ class KnowledgeBase:
         app, comp, refused = self._target(cmd)
         if refused is not None:
             return refused
-        if comp.status != ComponentStatus.PENDING:
+        if comp.status is not _PENDING:
             return _noop("not-pending", component=cmd.component, status=comp.status.value)
         cluster = self.clusters.get(cmd.cluster_id)
         if cluster is None:
@@ -453,7 +457,7 @@ class KnowledgeBase:
                 "nodes": list(node_names),
             },
         )
-        self._transition(effect, app, comp, ComponentStatus.SCHEDULED)
+        self._transition(effect, app, comp, _SCHEDULED)
         return effect
 
     def _apply_heartbeat(self, cmd: RecordHeartbeat) -> Effect:
@@ -480,13 +484,13 @@ class KnowledgeBase:
         app, comp, refused = self._target(cmd)
         if refused is not None:
             return refused
-        if comp.status == ComponentStatus.PENDING:
+        if comp.status is _PENDING:
             return _noop("already-pending", component=cmd.component)
         effect = Effect(
             kind="component-requeued",
             detail={"app": app.name, "component": comp.name, "reason": cmd.reason},
         )
-        self._transition(effect, app, comp, ComponentStatus.PENDING)
+        self._transition(effect, app, comp, _PENDING)
         comp.decision = None
         comp.last_heartbeat = None
         return effect

@@ -67,6 +67,11 @@ class Role(str, Enum):
     LEADER = "leader"
 
 
+# Functions read the members as module globals: a read through the enum
+# class goes through its metaclass and costs about ten times as much.
+_FOLLOWER, _CANDIDATE, _LEADER = Role
+
+
 class NotLeaderError(Exception):
     """Raised when a write is attempted on a non-leader node."""
 
@@ -121,7 +126,7 @@ class RaftNode:
         self._snapshot = persisted.snapshot
         self._entries: list[LogEntry] = persisted.entries
 
-        self.role = Role.FOLLOWER
+        self.role = _FOLLOWER
         self.leader_id: int | None = None
         self.commit_index = self.snapshot_index
         self.last_applied = self.snapshot_index
@@ -196,7 +201,7 @@ class RaftNode:
 
     def tick(self, elapsed: float) -> list[Message]:
         """Advance timers by ``elapsed`` seconds and emit any due messages."""
-        if self.role is Role.LEADER:
+        if self.role is _LEADER:
             self._heartbeat_elapsed += elapsed
             if self._heartbeat_elapsed >= self.config.heartbeat_interval:
                 return self.broadcast_append()
@@ -211,7 +216,7 @@ class RaftNode:
     # ------------------------------------------------------------------
 
     def _start_election(self) -> list[Message]:
-        self.role = Role.CANDIDATE
+        self.role = _CANDIDATE
         self.current_term += 1
         self.voted_for = self.config.node_id
         self.storage.save_state(self.current_term, self.voted_for)
@@ -230,7 +235,7 @@ class RaftNode:
         ]
 
     def _become_leader(self) -> list[Message]:
-        self.role = Role.LEADER
+        self.role = _LEADER
         self.leader_id = self.config.node_id
         self._next_index = {p: self.last_log_index + 1 for p in self.config.peers}
         self._match_index = {p: 0 for p in self.config.peers}
@@ -247,7 +252,7 @@ class RaftNode:
             self.current_term = term
             self.voted_for = None
             self.storage.save_state(self.current_term, self.voted_for)
-        self.role = Role.FOLLOWER
+        self.role = _FOLLOWER
         self._votes = set()
         self._reset_election_timer()
 
@@ -257,7 +262,7 @@ class RaftNode:
 
     def propose(self, command: str) -> int:
         """Append ``command`` to the leader's log; returns its log index."""
-        if self.role != Role.LEADER:
+        if self.role is not _LEADER:
             raise NotLeaderError(self.leader_id)
         entry = LogEntry(index=self.last_log_index + 1, term=self.current_term, command=command)
         self._entries.append(entry)
@@ -267,7 +272,7 @@ class RaftNode:
 
     def broadcast_append(self) -> list[Message]:
         """Emit append (or snapshot install) messages to every peer now."""
-        if self.role != Role.LEADER:
+        if self.role is not _LEADER:
             return []
         self._heartbeat_elapsed = 0.0
         return [self._append_for(peer) for peer in self.config.peers]
@@ -334,7 +339,7 @@ class RaftNode:
     def handle_message(self, msg: Message) -> ReceiveResult:
         request, term, version, result = self._answered
         if (
-            msg is request and term == self.current_term and self.role is Role.FOLLOWER
+            msg is request and term == self.current_term and self.role is _FOLLOWER
             and version == self._log_version
         ):
             # The same heartbeat again, with nothing changed since it was
@@ -378,7 +383,7 @@ class RaftNode:
         ))
 
     def _on_vote_response(self, msg: VoteResponse) -> ReceiveResult:
-        if self.role != Role.CANDIDATE or msg.term != self.current_term or not msg.granted:
+        if self.role is not _CANDIDATE or msg.term != self.current_term or not msg.granted:
             return _NOTHING
         self._votes.add(msg.src)
         if len(self._votes) * 2 > len(self.config.members):
@@ -403,7 +408,7 @@ class RaftNode:
             return self._append_reply(msg, conflict_index=self.last_log_index + 1)
 
         # Valid leader for this term.
-        self.role = Role.FOLLOWER
+        self.role = _FOLLOWER
         self.leader_id = msg.src
         self._reset_election_timer()
 
@@ -448,7 +453,7 @@ class RaftNode:
         return result
 
     def _on_append_response(self, msg: AppendResponse) -> ReceiveResult:
-        if self.role is not Role.LEADER or msg.term != self.current_term:
+        if self.role is not _LEADER or msg.term != self.current_term:
             return _NOTHING
         if msg.success:
             match = self._match_index.get(msg.src, 0)
@@ -501,7 +506,7 @@ class RaftNode:
         index."""
         current = msg.term >= self.current_term
         if current:
-            self.role = Role.FOLLOWER
+            self.role = _FOLLOWER
             self.leader_id = msg.src
             self._reset_election_timer()
 
@@ -536,6 +541,6 @@ class RaftNode:
         return ReceiveResult((reply,), snapshot_installed=installed)
 
     def _on_snapshot_response(self, msg: SnapshotResponse) -> ReceiveResult:
-        if self.role != Role.LEADER or msg.term != self.current_term:
+        if self.role is not _LEADER or msg.term != self.current_term:
             return _NOTHING
         return self._on_match(msg.src, msg.match_index)

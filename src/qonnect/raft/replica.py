@@ -20,6 +20,8 @@ from typing import Any, Callable, Protocol
 from qonnect.raft.messages import Message, SnapshotRequest
 from qonnect.raft.node import RaftNode, Role
 
+_LEADER = Role.LEADER  # bound once: see raft.node
+
 
 class StateMachine(Protocol):
     def apply_committed(self, index: int, command: str) -> Any: ...
@@ -56,7 +58,7 @@ class Replica:
             loaded = self.machine.load_snapshot(msg.state_blob)
         role = self.node.role
         result = self.node.handle_message(msg)
-        if role is not Role.LEADER and self.node.role is Role.LEADER:
+        if role is not _LEADER and self.node.role is _LEADER:
             self.machine.elected(self.node.current_term)
         if not result.committed and result.snapshot_installed is None:
             return result.messages  # nothing to apply, as for every heartbeat

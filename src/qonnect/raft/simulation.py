@@ -17,6 +17,8 @@ from qonnect.raft.messages import Message
 from qonnect.raft.node import RaftNode, Role
 from qonnect.raft.replica import Replica
 
+_LEADER = Role.LEADER  # bound once: see raft.node
+
 
 class ReplicaGroup:
     """Node bookkeeping shared by the in-memory transports: the replicas,
@@ -39,7 +41,7 @@ class ReplicaGroup:
         leader = None
         for i, replica in self.replicas.items():
             node = replica.node
-            if node.role == Role.LEADER and i not in self.stopped and (
+            if node.role is _LEADER and i not in self.stopped and (
                 leader is None or node.current_term > leader.current_term
             ):
                 leader = node

@@ -128,6 +128,10 @@ _COMPACT_EVERY = 1000
 # before the next one (the dissertation's factor).
 _COMPACT_RATIO = 1.0
 
+# Bound once: see raft.node.
+_LEADER, _SCHEDULED = Role.LEADER, ComponentStatus.SCHEDULED
+_DOMAIN_VALUE = {domain: domain.value for domain in Domain}
+
 
 def _poll_plan(app: ApplicationRecord) -> tuple[tuple[str, ...], tuple[frozenset[str], ...]]:
     """Per component of ``app``: its domain's name, and the domains of ``app``
@@ -136,7 +140,7 @@ def _poll_plan(app: ApplicationRecord) -> tuple[tuple[str, ...], tuple[frozenset
     Both depend only on what the submit fixed, so each KB keeps them while
     it holds the application (``KnowledgeBase.derived``).
     """
-    domains = tuple(comp.target_domain.value for comp in app.components)
+    domains = tuple(_DOMAIN_VALUE[comp.target_domain] for comp in app.components)
     return domains, tuple(
         frozenset(placeholder_domains(comp.manifest).intersection(domains))
         for comp in app.components
@@ -288,7 +292,7 @@ class RlaService:
     def _require_leader(self) -> None:
         # Writes validate against local KB state, which is authoritative only
         # on the leader; followers redirect before consulting it.
-        if self.node.role != Role.LEADER:
+        if self.node.role is not _LEADER:
             raise NotLeaderError(self.node.leader_id)
 
     def _hold_lease(self, now: float) -> Lease:
@@ -443,7 +447,6 @@ class RlaService:
         if cluster_id not in self.kb.clusters:
             raise NotFoundError(f"unknown cluster: {cluster_id}")
         payloads: list[dict] = []
-        scheduled = ComponentStatus.SCHEDULED
         for app in self.kb.scheduled_applications(cluster_id):
             domains, needs = self.kb.derived(app, _poll_plan)
             placement: dict[str, str] = {}
@@ -453,7 +456,7 @@ class RlaService:
             for comp, needed in zip(app.components, needs):
                 decision = comp.decision
                 if (
-                    comp.status is not scheduled
+                    comp.status is not _SCHEDULED
                     or decision is None
                     or decision.cluster_id != cluster_id
                     or not needed <= placement.keys()
@@ -535,14 +538,14 @@ class RlaService:
         or when a flush or a scheduler pass is due; by the comparisons those
         two make."""
         lease = self._lease
-        return self.node.role is Role.LEADER and (
+        return self.node.role is _LEADER and (
             lease is None or lease.term != self.node.current_term or now < lease.floor
             or now >= self._next_flush or now >= self._next_scheduler_pass
         )
 
     def pump(self, now: float) -> None:
         """Run due leader work: telemetry flush and the scheduler pass."""
-        if self.node.role != Role.LEADER:
+        if self.node.role is not _LEADER:
             return
         lease = self._hold_lease(now)
         if now >= self._next_flush:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import count
 from typing import Union
 
 from qonnect.events import EventLog
@@ -25,6 +26,9 @@ class WorkloadPhase(str, Enum):
     ROLLING = "Rolling"
     READY = "Ready"
     CRASH_LOOP = "CrashLoop"
+
+
+_ROLLING, _READY, _CRASH_LOOP = WorkloadPhase  # bound once: see raft.node
 
 
 @dataclass
@@ -117,6 +121,9 @@ class SimCluster:
         # ``step`` has work in. A namespace leaves once all its workloads are
         # Ready. While it is empty, ``step`` only sets ``now``.
         self.unsettled: set[str] = set()
+        # Each namespace's creation number: ``step`` visits in creation order.
+        self._created: dict[str, int] = {}
+        self._creations = count()
 
     # ------------------------------------------------------------------
     # Node and store access (the agent-facing backend surface)
@@ -148,6 +155,7 @@ class SimCluster:
     def ensure_namespace(self, namespace: str) -> None:
         self.namespaces.setdefault(namespace, {})
         self.workloads.setdefault(namespace, {})
+        self._created.setdefault(namespace, next(self._creations))
 
     def namespace_exists(self, namespace: str) -> bool:
         return namespace in self.namespaces
@@ -156,6 +164,7 @@ class SimCluster:
         """Remove exactly this namespace's objects; absent is a no-op."""
         self.namespaces.pop(namespace, None)
         self.workloads.pop(namespace, None)
+        self._created.pop(namespace, None)
         self.unsettled.discard(namespace)
 
     def apply_objects(
@@ -198,7 +207,7 @@ class SimCluster:
             and current.env == env
             and current.labels == labels
             and current.pinned_nodes == tuple(pinned_nodes)
-            and current.phase != WorkloadPhase.CRASH_LOOP
+            and current.phase is not _CRASH_LOOP
         ):
             return  # unchanged spec: no second rollout
         self.workloads[namespace][name] = SimWorkload(
@@ -206,7 +215,7 @@ class SimCluster:
             desired=desired,
             ready=0,
             pinned_nodes=tuple(pinned_nodes),
-            phase=WorkloadPhase.ROLLING,
+            phase=_ROLLING,
             rollout_started=self.now,
             labels=labels,
             env=env,
@@ -242,17 +251,16 @@ class SimCluster:
         self.now = max(self.now, now)
         if not self.unsettled:
             return
-        # Dict order, as a full scan would visit them, keeps events in order.
-        for namespace, workloads in self.workloads.items():
-            if namespace not in self.unsettled:
-                continue
+        # Creation order, as a full scan of ``workloads`` would visit them,
+        # keeps events in order.
+        for namespace in sorted(self.unsettled, key=self._created.__getitem__):
             settled = True
-            for workload in workloads.values():
-                if workload.phase == WorkloadPhase.ROLLING:
+            for workload in self.workloads[namespace].values():
+                if workload.phase is _ROLLING:
                     elapsed = self.now - workload.rollout_started
                     if elapsed >= self.rollout_latency:
                         workload.ready = workload.desired
-                        workload.phase = WorkloadPhase.READY
+                        workload.phase = _READY
                         self._log("workload-ready", namespace=namespace, workload=workload.name)
                     else:
                         settled = False
@@ -260,7 +268,7 @@ class SimCluster:
                         workload.ready = min(
                             workload.desired, int(workload.desired * fraction)
                         )
-                elif workload.phase == WorkloadPhase.CRASH_LOOP:
+                elif workload.phase is _CRASH_LOOP:
                     settled = False
                     # Replicas flap between 0 and desired-1; never all ready.
                     flap = int(self.now) % 2
@@ -295,7 +303,7 @@ class SimCluster:
                 raise SimClusterError(
                     f"unknown workload: {fault.namespace}/{fault.workload}"
                 )
-            workload.phase = WorkloadPhase.CRASH_LOOP
+            workload.phase = _CRASH_LOOP
             self.unsettled.add(fault.namespace)
             detail = {"namespace": fault.namespace, "workload": fault.workload}
         else:

@@ -200,6 +200,46 @@ def test_a_step_visits_only_unsettled_namespaces():
     assert {ns: w.reads for ns, w in inner.items()} == before
 
 
+class VisitCountingDict(dict):
+    """A dict that counts the keys read from it, by lookup or by iteration."""
+
+    visits = 0
+
+    def _visit(self, items):
+        for item in items:
+            self.visits += 1
+            yield item
+
+    def __getitem__(self, key):
+        self.visits += 1
+        return dict.__getitem__(self, key)
+
+    def __iter__(self):
+        return self._visit(dict.__iter__(self))
+
+    def keys(self):
+        return self._visit(dict.keys(self))
+
+    def values(self):
+        return self._visit(dict.values(self))
+
+    def items(self):
+        return self._visit(dict.items(self))
+
+
+def test_a_step_visits_one_namespace_when_one_of_200_is_unsettled():
+    cluster = sim_cluster()
+    names = [f"ns-{i}" for i in range(200)]
+    for ns in names:
+        cluster.ensure_namespace(ns)
+        cluster.apply_objects(ns, [{"kind": "Deployment", "name": "w1"}], pinned_nodes=())
+    cluster.step(3.0)
+    cluster.apply_objects("ns-117", [{"kind": "Deployment", "name": "w1", "replicas": 2}], ())
+    cluster.workloads = VisitCountingDict(cluster.workloads)
+    cluster.step(3.5)
+    assert cluster.unsettled == {"ns-117"} and cluster.workloads.visits == 1
+
+
 # ---------------------------------------------------------------------------
 # Knowledge base and poll
 # ---------------------------------------------------------------------------
