@@ -96,6 +96,15 @@ def substitute_placeholders(value, placement: dict[str, str], config: dict[str, 
     return value
 
 
+def record_by_namespace(record: dict) -> dict[str, dict[str, dict]]:
+    """The entries of an applications record by namespace, then by app id,
+    in record order."""
+    index: dict[str, dict[str, dict]] = {}
+    for app_id, entry in record.items():
+        index.setdefault(entry["name"], {})[app_id] = entry
+    return index
+
+
 class ResourceAgent:
     def __init__(
         self,
@@ -322,6 +331,7 @@ class ResourceAgent:
         if not record:
             return
         changed = False
+        by_namespace = None  # built at the round's first cleanup
         for app_id in list(record):
             entry = record[app_id]
             namespace = entry["name"]
@@ -336,7 +346,9 @@ class ResourceAgent:
                     status="failed" if status == "missing" else status,
                 )
                 if not alive:
-                    self._cleanup_component(record, app_id, component, now)
+                    if by_namespace is None:
+                        by_namespace = record_by_namespace(record)
+                    self._cleanup_component(record, by_namespace, app_id, component, now)
                     changed = True
                 elif status == "missing":
                     # Drift: the RLA still places the component here.
@@ -346,19 +358,26 @@ class ResourceAgent:
         if changed:
             self.backend.write_store(APPS_STORE, record)
 
-    def _cleanup_component(self, record: dict, app_id: str, component: str, now: float) -> None:
+    def _cleanup_component(
+        self, record: dict, by_namespace: dict, app_id: str, component: str, now: float
+    ) -> None:
+        """Remove ``component`` of ``app_id`` from the cluster and from
+        ``record``; ``by_namespace`` is ``record_by_namespace(record)``, kept
+        in step with it."""
         entry = record.get(app_id)
         if entry is None:
             return
         namespace = entry["name"]
+        # Another app id may share the namespace: an app deleted and submitted
+        # again applies under its new id before the old one is cleaned up.
+        sharing = by_namespace[namespace]
         comp_record = entry["components"].pop(component, None)
         if not entry["components"]:
             record.pop(app_id)
-        # Another app id may share the namespace: an app deleted and submitted
-        # again applies under its new id before the old one is cleaned up.
-        sharing = [e for e in record.values() if e["name"] == namespace]
+            sharing.pop(app_id)
         if comp_record is not None:
-            held = {o for e in sharing for c in e["components"].values() for o in c["objects"]}
+            held = {o for e in sharing.values()
+                    for c in e["components"].values() for o in c["objects"]}
             self.backend.delete_objects(
                 namespace, [o for o in comp_record.get("objects", []) if o not in held]
             )

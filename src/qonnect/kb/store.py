@@ -454,7 +454,7 @@ class KnowledgeBase:
                 "app": app.name,
                 "component": comp.name,
                 "cluster_id": cmd.cluster_id,
-                "nodes": list(node_names),
+                "nodes": node_names,
             },
         )
         self._transition(effect, app, comp, _SCHEDULED)
@@ -511,13 +511,17 @@ class KnowledgeBase:
         node-list table is cut back to the lists that live decisions hold.
         """
         lists: dict[tuple[str, ...], str] = {}
-        applications = ",".join(
-            self._application_text(app, lists) for app in self.applications.values()
-        )
+        parts = [self._application_text(app, lists) for app in self.applications.values()]
         self._node_lists = {names: names for names in lists}
         state = _State(codec.VERSION, list(self.clusters.values()), list(self.nodes.values()), [])
         rest = codec.dumps(_encode_state(state))  # {"applications":[],"clusters":…
-        return f"{_APPLICATIONS}{applications}{rest[len(_APPLICATIONS):]}"
+        if not parts:
+            return rest
+        # The head and tail ride on the first and last part, so no string
+        # of the whole applications section is built besides the blob.
+        parts[0] = _APPLICATIONS + parts[0]
+        parts[-1] += rest[len(_APPLICATIONS):]
+        return ",".join(parts)
 
     def _application_text(self, app: ApplicationRecord, lists: dict[tuple[str, ...], str]) -> str:
         """``app`` as ``snapshot_state`` writes it; ``lists`` holds the text of

@@ -15,24 +15,29 @@ An idle round builds nothing and does next to nothing. ``_log_version``
 counts every change to the log: an append, a truncation, a compaction, an
 installed snapshot. A leader resends a peer's last empty ``AppendRequest``
 while its term, commit index, log version and the peer's next index are
-unchanged, and reads no log to do so. A follower handed the very request
-object it last answered through the full path, with a success that carried
-no entries and committed nothing, returns the stored result while its
-term, follower role and log version are unchanged: the full path would
+unchanged, and reads no log to do so.
+
+``renew`` answers the two messages that change nothing but the node's
+timers, and ``handle_message`` asks it first. A follower handed the very
+request object it last answered through the full path, with a success that
+carried no entries and committed nothing, returns the stored result while
+its term, follower role and log version are unchanged: the full path would
 reach an equal answer and change nothing else, since the commit index
 never falls. A resent heartbeat then costs its receiver an identity check,
 three comparisons and the election timer's reset. The reset still draws
 the next timeout from the node's RNG, as the full path does, so every
 later draw, and with it every seeded run, stays the same. Only in-process
 transports resend one object; live mode decodes every inbound message into
-a new one and always takes the full path.
+a new one, so its followers always take the full path. On the leader, a
+success that raises no match index and leaves nothing to send returns the
+shared empty result. A renewal commits nothing, installs no snapshot and
+elects no one, so a transport may deliver it to the node alone.
 
-On the leader, a success that raises no match index and leaves nothing to
-send returns the shared empty result. The leader checks its commit index
-only when a peer's match index rises: by Raft's commit rule (Ongaro and
-Ousterhout, 2014) the index a quorum holds moves with nothing else.
-Messages are frozen values and a ``ReceiveResult`` is a tuple, so a resent
-one is indistinguishable from a fresh equal one.
+The leader checks its commit index only when a peer's match index rises:
+by Raft's commit rule (Ongaro and Ousterhout, 2014) the index a quorum
+holds moves with nothing else. Messages are frozen values and a
+``ReceiveResult`` is a tuple, so a resent one is indistinguishable from a
+fresh equal one.
 """
 
 from __future__ import annotations
@@ -144,8 +149,7 @@ class RaftNode:
         # nothing, with the term and log version it was answered at.
         self._answered: tuple = (None, 0, 0, _NOTHING)
 
-        self._election_elapsed = 0.0
-        self._election_deadline = self._random_timeout()
+        self._reset_election_timer()
         self._heartbeat_elapsed = 0.0
 
     # ------------------------------------------------------------------
@@ -191,13 +195,11 @@ class RaftNode:
     # Timers
     # ------------------------------------------------------------------
 
-    def _random_timeout(self) -> float:
-        lo, hi = self.config.election_timeout
-        return self._rng.uniform(lo, hi)
-
     def _reset_election_timer(self) -> None:
+        lo, hi = self.config.election_timeout
         self._election_elapsed = 0.0
-        self._election_deadline = self._random_timeout()
+        # ``random.uniform``'s own formula, without its call.
+        self._election_deadline = lo + (hi - lo) * self._rng.random()
 
     def tick(self, elapsed: float) -> list[Message]:
         """Advance timers by ``elapsed`` seconds and emit any due messages."""
@@ -336,17 +338,30 @@ class RaftNode:
     # Message handling
     # ------------------------------------------------------------------
 
-    def handle_message(self, msg: Message) -> ReceiveResult:
+    def renew(self, msg: Message) -> ReceiveResult | None:
+        """The answer to ``msg`` if it changes nothing but this node's
+        timers, else None: a follower's repeated heartbeat, or a leader's
+        success that raises no match and leaves nothing to send. Either way
+        the full path would reach the same answer and change nothing else."""
+        if self.role is _LEADER:
+            if msg.__class__ is AppendResponse and msg.success and msg.term == self.current_term:
+                match = self._match_index.get(msg.src, 0)
+                if msg.match_index <= match and self._next_index.get(msg.src) == match + 1 \
+                        and match >= self.last_log_index:
+                    return _NOTHING
+            return None
         request, term, version, result = self._answered
-        if (
-            msg is request and term == self.current_term and self.role is _FOLLOWER
-            and version == self._log_version
-        ):
-            # The same heartbeat again, with nothing changed since it was
-            # answered: the full path would do only this and answer alike.
+        if msg is request and term == self.current_term and self.role is _FOLLOWER \
+                and version == self._log_version:
             self.leader_id = msg.src
             self._reset_election_timer()
             return result
+        return None
+
+    def handle_message(self, msg: Message) -> ReceiveResult:
+        renewed = self.renew(msg)
+        if renewed is not None:
+            return renewed
         if msg.term > self.current_term:
             self._step_down(msg.term)
 
@@ -456,10 +471,6 @@ class RaftNode:
         if self.role is not _LEADER or msg.term != self.current_term:
             return _NOTHING
         if msg.success:
-            match = self._match_index.get(msg.src, 0)
-            if msg.match_index <= match and self._next_index.get(msg.src) == match + 1 \
-                    and match >= self.last_log_index:
-                return _NOTHING  # no rise and nothing to send: _on_match would do nothing
             return self._on_match(msg.src, msg.match_index)
         # Log mismatch: back up and retry immediately.
         self._next_index[msg.src] = max(1, min(msg.conflict_index, self.last_log_index + 1))

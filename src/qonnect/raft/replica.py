@@ -1,6 +1,8 @@
 """One replica: a Raft node, its state machine and the apply path between them.
 
-``Replica.handle`` is the only place a message reaches a node. The state
+``Replica.handle`` delivers every message that can change what the state
+machine holds: a transport may hand a node a message its ``RaftNode.renew``
+answers, which changes only the node's timers, and skip the replica. The state
 machine loads a snapshot's blob before the node sees it, so a blob that
 does not load is refused with ``ValueError`` and never replaces the log;
 once the node installs the snapshot, the replica installs the state already

@@ -57,11 +57,36 @@ class SyncRaftGroup(ReplicaGroup):
 
     def pump(self, messages: list[Message]) -> None:
         """Deliver ``messages`` and every message they cause, oldest first.
-        Appends what it delivers to ``messages``, which serves as the queue."""
+        Appends what it delivers to ``messages``, which serves as the queue.
+
+        A message its destination node renews (``RaftNode.renew``) reaches
+        that node alone: a renewal commits nothing, installs no snapshot and
+        elects no one, so its replica has nothing to apply. A renewed reply
+        goes at once to its own destination's ``renew``, and is queued only
+        when that returns None. This delivers as the queue would. The reply
+        absorbed is a follower's success that raises its leader's match for
+        it no further, with nothing to send after it. Only the messages
+        queued ahead of it would reach the leader first, and none of them
+        can give it an effect. A match index never falls, and no proposal
+        runs inside a pump, so the leader's log grows only in a later term,
+        which drops the reply as well. The follower's next index moves only
+        on its own replies, and within a pump a leader sends a follower a
+        request only in the broadcast that starts it or in answer to the
+        follower's last reply, so no other reply from it is in flight.
+        """
         stopped = self.stopped
+        replicas = self.replicas
         for msg in messages:  # a list's iterator also visits what is appended
-            if msg.dst not in stopped and msg.src not in stopped:
-                messages.extend(self.replicas[msg.dst].handle(msg))
+            if msg.dst in stopped or msg.src in stopped:
+                continue
+            replica = replicas[msg.dst]
+            renewed = replica.node.renew(msg)
+            if renewed is None:
+                messages.extend(replica.handle(msg))
+                continue
+            for reply in renewed.messages:
+                if replicas[reply.dst].node.renew(reply) is None:
+                    messages.append(reply)
 
     def tick(self, dt: float) -> None:
         stopped = self.stopped

@@ -75,6 +75,7 @@ from __future__ import annotations
 import ipaddress
 import marshal
 import math
+import sys
 import time
 import uuid
 from typing import Callable
@@ -248,7 +249,7 @@ class RlaService:
             self.events.append(
                 self.clock(),
                 self._source,
-                f"kb-{effect.kind}",
+                sys.intern(f"kb-{effect.kind}"),
                 {**effect.detail, "transitions": effect.transitions},
             )
         self._applied_since_compact += len(members)
@@ -587,6 +588,6 @@ class RlaService:
             self.events.append(
                 now,
                 self._source,
-                f"scheduler-{effect.kind}",
+                sys.intern(f"scheduler-{effect.kind}"),
                 dict(effect.detail),
             )

@@ -11,6 +11,12 @@ equivalence property over seeded chaos runs: every append request and
 reply a node emits equals one built fresh from its state, every stored
 answer equals the full path's on a copy of the node, and no response
 leaves a commit that checking on every response would have made.
+
+The engine's pump hands a message its node renews to that node alone. A
+work-count guard: a settled engine step reaches no replica and no full
+handler. An equivalence property: over seeded chaos runs, a renewing group
+ends every step where full-path nodes fed oldest first through their
+replicas do.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from qonnect.raft.messages import (
     SnapshotResponse,
 )
 from qonnect.raft.node import MAX_APPEND_ENTRIES, RaftConfig, RaftNode, Role
+from qonnect.raft.replica import Replica
 from qonnect.raft.simulation import SyncRaftGroup
 from raft_checks import chaos_run
 from raft_harness import RaftHarness
@@ -295,3 +302,169 @@ def test_every_emitted_append_message_equals_a_fresh_one(size, seed):
 def test_every_emitted_append_message_equals_a_fresh_one_under_compaction(size):
     harness, checked = checked_chaos_run(size, seed=11, compact=True)
     assert checked["restart"] and harness.snapshots_installed and checked["stored answer"]
+
+
+# ---------------------------------------------------------------------------
+# Renewals skip the replica, and change nothing a FIFO delivery would not
+# ---------------------------------------------------------------------------
+
+
+class Applied:
+    """A state machine that records what its replica hands it."""
+
+    def __init__(self) -> None:
+        self.seen: list = []
+
+    def apply_committed(self, index: int, command: str) -> None:
+        self.seen.append((index, command))
+
+    def load_snapshot(self, blob: str) -> str:
+        return blob
+
+    def install_snapshot(self, state: str, blob: str) -> None:
+        self.seen.append(("snapshot", blob))
+
+    def elected(self, term: int) -> None:
+        self.seen.append(("elected", term))
+
+
+class FullPathNode(RaftNode):
+    """A node that renews nothing: every message takes the full path."""
+
+    def renew(self, msg):
+        return None
+
+
+class FifoGroup(SyncRaftGroup):
+    """Full-path nodes, and every message through ``Replica.handle``,
+    oldest first."""
+
+    def pump(self, messages) -> None:
+        for msg in messages:
+            if msg.dst not in self.stopped and msg.src not in self.stopped:
+                messages.extend(self.replicas[msg.dst].handle(msg))
+
+
+def group_of(cls, size: int, seed: int) -> SyncRaftGroup:
+    node_class = FullPathNode if cls is FifoGroup else RaftNode
+    members = tuple(range(size))
+    return cls({i: replica_of(node_class(RaftConfig(i, members, seed=seed))) for i in members})
+
+
+def replica_of(node: RaftNode) -> Replica:
+    return Replica(node, Applied())
+
+
+def group_state(group: SyncRaftGroup) -> dict:
+    return {
+        i: (
+            node_state(replica.node), replica.node._heartbeat_elapsed,
+            replica.node._next_index, replica.node._match_index, replica.machine.seen,
+        )
+        for i, replica in group.replicas.items()
+    }
+
+
+def twin_chaos_run(size: int, seed: int, steps: int = 800) -> tuple[SyncRaftGroup, Counter]:
+    """Drive a renewing group and a full-path FIFO group through the same
+    seeded proposals, crash-restarts and compactions, comparing every node
+    after each step. Returns the renewing group and the count of ``Replica.handle``
+    calls by group class and by message class."""
+    renewing, fifo = group_of(SyncRaftGroup, size, seed), group_of(FifoGroup, size, seed)
+    handled: Counter = Counter()
+    rng = random.Random(seed)
+    handle = Replica.handle
+
+    def counted(replica, msg):
+        handled[type(group).__name__] += 1
+        handled[type(msg).__name__] += 1
+        return handle(replica, msg)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Replica, "handle", counted)
+        for step in range(steps):
+            roll, pick = rng.random(), rng.randrange(size)
+            for group in (renewing, fifo):
+                if roll < 0.01:  # crash one node, or restart the one down
+                    down = next(iter(group.stopped), None)
+                    if down is None:
+                        group.stop(pick)
+                    else:
+                        node = group.replicas[down].node
+                        group.replicas[down] = replica_of(type(node)(node.config, node.storage))
+                        group.stopped.discard(down)
+                elif roll < 0.2 and group.leader_id() is not None:
+                    group.propose(group.leader_id(), f"cmd-{step}")
+                elif roll < 0.25 and pick not in group.stopped:
+                    node = group.replicas[pick].node
+                    if node.last_applied > node.snapshot_index:
+                        node.compact(node.last_applied, f"state-{node.last_applied}")
+                group.tick(0.01)
+            assert group_state(renewing) == group_state(fifo), f"step {step}"
+    return renewing, handled
+
+
+@settings(max_examples=15, deadline=None)
+@given(size=st.sampled_from((3, 5)), seed=st.integers(0, 2**16))
+@example(size=3, seed=0)
+@example(size=5, seed=0)
+def test_a_renewing_pump_ends_where_fifo_delivery_through_the_replica_does(size, seed):
+    _, handled = twin_chaos_run(size, seed)
+    # Renewals happened, and each skipped a replica.
+    assert 0 < handled["SyncRaftGroup"] < handled["FifoGroup"]
+
+
+@pytest.mark.parametrize("size", [3, 5])
+def test_a_twin_chaos_run_elects_again_and_ships_snapshots(size):
+    group, handled = twin_chaos_run(size, seed=0)
+    assert max(replica.node.current_term for replica in group.replicas.values()) > 1
+    assert handled["SnapshotRequest"]
+
+
+def test_a_settled_engine_step_reaches_no_replica_and_no_full_handler(monkeypatch):
+    dep = Deployment()
+    dep.boot()
+    dep.client().submit_application(bookinfo_bundle("bookinfo"))
+    assert dep.run_until(
+        lambda: all(
+            c.status == ComponentStatus.HEALTHY
+            for c in dep.kb().live_application("bookinfo").components
+        ),
+        60.0,
+    )
+    dep.step()
+    dep.step()
+    calls: Counter = Counter()
+    counting(monkeypatch, calls, Replica, "handle", "Replica.handle")
+    counting(monkeypatch, calls, RaftNode, "handle_message", "handle_message")
+    counting(monkeypatch, calls, RaftNode, "renew", "renew")
+    for _ in range(100):
+        dep.step()
+    # The heartbeat interval is one step: each step the leader's two
+    # requests and their two replies are renewed.
+    assert calls == {"renew": 400}
+
+
+def test_a_renewed_reply_its_leader_cannot_absorb_is_delivered_in_turn():
+    """A leader that forgot a peer's match, as no live one does: the peer
+    renews the repeated heartbeat, and its reply, which raises the match,
+    reaches the leader's full path as FIFO delivery would."""
+    renewing, fifo = group_of(SyncRaftGroup, 3, 0), group_of(FifoGroup, 3, 0)
+    for group in (renewing, fifo):
+        for _ in range(100):
+            group.tick(0.01)
+        leader = group.leader()
+        group.propose(leader.config.node_id, "x")
+        for _ in range(10):
+            group.tick(0.01)
+        peer = leader.config.peers[0]
+        leader._match_index[peer] = 0
+    with pytest.MonkeyPatch.context() as patch:
+        matched: Counter = Counter()
+        counting(patch, matched, RaftNode, "_on_match", "match")
+        renewing.tick(0.05)
+    fifo.tick(0.05)
+    # Only the reply that raises the match reaches the leader's full path.
+    leader = renewing.leader()
+    assert matched == {"match": 1} and leader._match_index[peer] == leader.last_log_index
+    assert group_state(renewing) == group_state(fifo)

@@ -7,7 +7,9 @@ from dataclasses import replace
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qonnect.agent.ra import APPS_STORE, CONFIG_STORE, RaConfig, ResourceAgent
+from qonnect.agent.ra import (
+    APPS_STORE, CONFIG_STORE, RaConfig, ResourceAgent, record_by_namespace,
+)
 from qonnect.kb.model import Domain, NodeSnapshot, QoSVector
 from qonnect.scheduler.borda import BordaCountStrategy, rank_nodes
 from test_resource_agent import ScriptedClient
@@ -151,7 +153,9 @@ def test_record_and_namespace_stay_bijective(ops):
     record = backend.read_store(APPS_STORE) or {}
     for op, app, app_id, component, version in ops:
         if op == "kill":
-            agent._cleanup_component(record, f"{app}-{app_id}", component, now=1.0)
+            agent._cleanup_component(
+                record, record_by_namespace(record), f"{app}-{app_id}", component, now=1.0
+            )
         else:
             payload = build_payload(
                 app,

@@ -12,6 +12,7 @@ from qonnect.agent.ra import (
     PlaceholderError,
     RaConfig,
     ResourceAgent,
+    record_by_namespace,
     substitute_placeholders,
 )
 from qonnect.kb.model import Domain
@@ -268,13 +269,85 @@ def test_multi_component_cleanup_keeps_namespace_until_last():
     agent.reconcile_payload(payload_for(component="api"), record, now=0.0)
     backend.write_store(APPS_STORE, record)
 
-    agent._cleanup_component(record, "shop-id", "web", now=1.0)
+    agent._cleanup_component(record, record_by_namespace(record), "shop-id", "web", now=1.0)
     assert backend.namespace_exists("shop")
     assert not backend.object_exists("shop", "Deployment/web")
     assert backend.object_exists("shop", "Deployment/api")
-    agent._cleanup_component(record, "shop-id", "api", now=2.0)
+    agent._cleanup_component(record, record_by_namespace(record), "shop-id", "api", now=2.0)
     assert not backend.namespace_exists("shop")
     assert record == {}
+
+
+class CountingRecord(dict):
+    """An applications record that counts the entries its traversals visit."""
+
+    visits = 0
+
+    def _counted(self, iterator):
+        for item in iterator:
+            self.visits += 1
+            yield item
+
+    def __iter__(self):
+        return self._counted(super().__iter__())
+
+    def values(self):
+        return self._counted(super().values())
+
+    def items(self):
+        return self._counted(super().items())
+
+
+def test_a_heartbeat_round_visits_each_record_entry_twice_whatever_it_cleans(monkeypatch):
+    """One pass lists the entries to report, and the first cleanup indexes
+    them by namespace; a scan of the record per cleanup would visit
+    n + n(n-1)/2 of them."""
+    agent, backend, client = make_agent()
+    agent.ensure_registered(0.0)
+    record = {}
+    apps = 30
+    for i in range(apps):
+        agent.reconcile_payload(payload_for(app=f"shop{i}"), record, now=0.0)
+    counted = CountingRecord(record)
+    read_store = backend.read_store
+    monkeypatch.setattr(
+        backend, "read_store", lambda store: counted if store == APPS_STORE else read_store(store)
+    )
+    agent.report_heartbeats(now=5.0)
+    assert counted.visits == apps  # nothing to clean, so no index
+    counted.visits = 0
+    client.heartbeat_ok = False
+    agent.report_heartbeats(now=15.0)
+    assert counted == {} and not backend.namespaces
+    assert len(agent.events.matching("cleanup")) == apps
+    assert counted.visits == 2 * apps
+
+
+def test_a_heartbeat_round_cleans_shared_namespaces_as_it_did_one_at_a_time():
+    """An app submitted again under a new id shares the old id's namespace
+    and objects: the round keeps both while the new id holds them."""
+    agent, backend, client = make_agent()
+    agent.ensure_registered(0.0)
+    record = {}
+    for payload in (
+        payload_for(component="web"),
+        payload_for(component="api"),
+        dict(payload_for(component="web"), app_id="shop-new"),
+        payload_for(app="cart"),
+    ):
+        agent.reconcile_payload(payload, record, now=0.0)
+    backend.write_store(APPS_STORE, record)
+    refused = {("shop-id", "web"), ("shop-id", "api"), ("cart-id", "web")}
+    client.heartbeat = lambda app_id, component, **_: (app_id, component) not in refused
+    agent.report_heartbeats(now=5.0)
+    cleaned = [(e.detail["app_id"], e.detail["component"]) for e in agent.events.events
+               if e.kind == "cleanup"]
+    assert cleaned == [("shop-id", "web"), ("shop-id", "api"), ("cart-id", "web")]
+    assert list(backend.read_store(APPS_STORE)) == ["shop-new"]
+    assert backend.object_exists("shop", "Deployment/web")
+    assert backend.object_exists("shop", "Ingress/web-ing")
+    assert not backend.object_exists("shop", "Deployment/api")
+    assert not backend.namespace_exists("cart")
 
 
 # ---------------------------------------------------------------------------
