@@ -58,9 +58,7 @@ class ClusterBackend(Protocol):
 
     def delete_objects(self, namespace: str, object_ids: list[str]) -> None: ...
 
-    def object_exists(self, namespace: str, object_id: str) -> bool: ...
-
-    def workload_state(self, namespace: str, name: str): ...
+    def namespace_state(self, namespace: str) -> tuple[dict, dict] | None: ...
 
 
 @dataclass
@@ -302,20 +300,22 @@ class ResourceAgent:
         """The component's heartbeat status, or "missing" when its namespace,
         an applied object or a Deployment's workload is gone (drift, which
         the heartbeat reports as failed)."""
-        if not self.backend.namespace_exists(namespace):
+        state = self.backend.namespace_state(namespace)
+        if state is None:
             return "missing"
-        workloads = []
+        objects, workloads = state
+        found = []
         for obj_id in comp_record.get("objects", []):
-            if not self.backend.object_exists(namespace, obj_id):
+            if obj_id not in objects:
                 return "missing"
             kind, _, obj_name = obj_id.partition("/")
             if kind == "Deployment":
-                workload = self.backend.workload_state(namespace, obj_name)
+                workload = workloads.get(obj_name)
                 if workload is None:
                     return "missing"
-                workloads.append(workload)
+                found.append(workload)
         rolling = False
-        for workload in workloads:
+        for workload in found:
             if workload.phase == "CrashLoop":
                 return "failed"
             if workload.ready != workload.desired:
@@ -332,31 +332,36 @@ class ResourceAgent:
             return
         changed = False
         by_namespace = None  # built at the round's first cleanup
-        for app_id in list(record):
-            entry = record[app_id]
-            namespace = entry["name"]
-            for component in list(entry.get("components", {})):
-                comp_record = entry["components"][component]
-                status = self.component_status(namespace, comp_record, now)
-                alive = self.client.heartbeat(
-                    app_id=app_id,
-                    component=component,
-                    cluster_id=self.cluster_id,
-                    version=comp_record["version"],
-                    status="failed" if status == "missing" else status,
-                )
-                if not alive:
-                    if by_namespace is None:
-                        by_namespace = record_by_namespace(record)
-                    self._cleanup_component(record, by_namespace, app_id, component, now)
-                    changed = True
-                elif status == "missing":
-                    # Drift: the RLA still places the component here.
-                    self._apply(app_id, namespace, component, comp_record, record, now,
-                                "reapplied")
-                    changed = True
-        if changed:
-            self.backend.write_store(APPS_STORE, record)
+        try:
+            for app_id in list(record):
+                entry = record[app_id]
+                namespace = entry["name"]
+                for component in list(entry.get("components", {})):
+                    comp_record = entry["components"][component]
+                    status = self.component_status(namespace, comp_record, now)
+                    alive = self.client.heartbeat(
+                        app_id=app_id,
+                        component=component,
+                        cluster_id=self.cluster_id,
+                        version=comp_record["version"],
+                        status="failed" if status == "missing" else status,
+                    )
+                    if not alive:
+                        if by_namespace is None:
+                            by_namespace = record_by_namespace(record)
+                        self._cleanup_component(record, by_namespace, app_id, component, now)
+                        changed = True
+                    elif status == "missing":
+                        # Drift: the RLA still places the component here.
+                        self._apply(app_id, namespace, component, comp_record, record, now,
+                                    "reapplied")
+                        changed = True
+        finally:
+            # A heartbeat that raises (no leader, say) ends the round after a
+            # cleanup or reapply may have changed entries that the store
+            # shares with ``record``, so what the round changed is written.
+            if changed:
+                self.backend.write_store(APPS_STORE, record)
 
     def _cleanup_component(
         self, record: dict, by_namespace: dict, app_id: str, component: str, now: float

@@ -232,8 +232,14 @@ class SimCluster:
             if kind == "Deployment":
                 self.workloads.get(namespace, {}).pop(name, None)
 
-    def object_exists(self, namespace: str, object_id: str) -> bool:
-        return object_id in self.namespaces.get(namespace, {})
+    def namespace_state(self, namespace: str) -> tuple[dict, dict] | None:
+        """The namespace's applied objects by id and its ``SimWorkload``s by
+        name, or None when the namespace does not exist. These are the
+        cluster's own maps: a caller reads them and changes nothing."""
+        objects = self.namespaces.get(namespace)
+        if objects is None:
+            return None
+        return objects, self.workloads[namespace]
 
     def workload_state(self, namespace: str, name: str) -> SimWorkload | None:
         return self.workloads.get(namespace, {}).get(name)

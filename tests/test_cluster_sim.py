@@ -130,7 +130,7 @@ def test_fault_flags_and_namespace_conservation():
     c.apply_objects("b", [deployment("wb")], ())
     c.inject_fault(DeleteNamespace("a"))
     assert not c.namespace_exists("a")
-    assert c.object_exists("b", "Deployment/wb")  # untouched
+    assert "Deployment/wb" in c.namespace_state("b")[0]  # untouched
     with pytest.raises(SimClusterError):
         c.inject_fault(DeleteNamespace("missing"))
     # Each fault that took effect is logged once, at the cluster's clock.

@@ -65,6 +65,12 @@ def make_agent(client: ScriptedClient | None = None):
     return agent, backend, client
 
 
+def applied_objects(backend, namespace: str) -> dict:
+    """The objects applied in ``namespace``, by id."""
+    objects, _ = backend.namespace_state(namespace)
+    return objects
+
+
 def payload_for(app: str = "shop", component: str = "web", version: int = 1, env=None) -> dict:
     return {
         "app_id": f"{app}-id",
@@ -271,8 +277,8 @@ def test_multi_component_cleanup_keeps_namespace_until_last():
 
     agent._cleanup_component(record, record_by_namespace(record), "shop-id", "web", now=1.0)
     assert backend.namespace_exists("shop")
-    assert not backend.object_exists("shop", "Deployment/web")
-    assert backend.object_exists("shop", "Deployment/api")
+    assert "Deployment/web" not in applied_objects(backend, "shop")
+    assert "Deployment/api" in applied_objects(backend, "shop")
     agent._cleanup_component(record, record_by_namespace(record), "shop-id", "api", now=2.0)
     assert not backend.namespace_exists("shop")
     assert record == {}
@@ -344,10 +350,40 @@ def test_a_heartbeat_round_cleans_shared_namespaces_as_it_did_one_at_a_time():
                if e.kind == "cleanup"]
     assert cleaned == [("shop-id", "web"), ("shop-id", "api"), ("cart-id", "web")]
     assert list(backend.read_store(APPS_STORE)) == ["shop-new"]
-    assert backend.object_exists("shop", "Deployment/web")
-    assert backend.object_exists("shop", "Ingress/web-ing")
-    assert not backend.object_exists("shop", "Deployment/api")
+    assert "Deployment/web" in applied_objects(backend, "shop")
+    assert "Ingress/web-ing" in applied_objects(backend, "shop")
+    assert "Deployment/api" not in applied_objects(backend, "shop")
     assert not backend.namespace_exists("cart")
+
+
+def test_a_round_cut_short_by_a_failed_heartbeat_keeps_its_cleanups():
+    """The round's first heartbeat is answered 404 and its component cleaned
+    up, then the next one fails (no leader). The store must drop the cleaned
+    entry: kept with no components, it would hold the shared namespace after
+    the last app id in it is cleaned up."""
+    agent, backend, client = make_agent()
+    agent.ensure_registered(0.0)
+    record = {}
+    for app_id in ("shop-old", "shop-new"):
+        agent.reconcile_payload(dict(payload_for(), app_id=app_id), record, now=0.0)
+    backend.write_store(APPS_STORE, record)
+    answers = iter([False, RlaClientError("heartbeat failed (503): no-leader")])
+
+    def heartbeat(**_) -> bool:
+        answer = next(answers)
+        if isinstance(answer, Exception):
+            raise answer
+        return answer
+
+    client.heartbeat = heartbeat
+    with pytest.raises(RlaClientError):
+        agent.report_heartbeats(now=5.0)
+    assert list(backend.read_store(APPS_STORE)) == ["shop-new"]
+
+    client.heartbeat = lambda **_: False
+    agent.report_heartbeats(now=15.0)
+    assert backend.read_store(APPS_STORE) == {}
+    assert not backend.namespace_exists("shop")
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +414,7 @@ def test_a_drifted_component_is_applied_again_from_the_record(drift):
 
     agent.report_heartbeats(now=5.0)
     assert client.heartbeats == [("shop-id", "web", "cid-1", 1, "failed")]
-    assert all(backend.object_exists("shop", o) for o in applied)
+    assert all(o in applied_objects(backend, "shop") for o in applied)
     assert backend.workload_state("shop", "web").env == {}
     reapplied = [e for e in agent.events.events if e.kind == "reapplied"]
     assert [(e.at, e.detail) for e in reapplied] == [
