@@ -17,6 +17,7 @@ is left alone.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from typing import Protocol
@@ -73,25 +74,26 @@ class PlaceholderError(Exception):
     pass
 
 
-def substitute_placeholders(value, placement: dict[str, str], config: dict[str, str]):
-    """Replace every {{QONNECT_<DOMAIN>_IP}} token with the concrete ingress ip."""
-    if isinstance(value, str):
-        def replace(match: re.Match) -> str:
-            domain = match.group(1).lower()
-            cluster_id = placement.get(domain)
-            if cluster_id is None:
-                raise PlaceholderError(f"no placement for domain {domain!r}")
-            ip = config.get(cluster_id)
-            if ip is None:
-                raise PlaceholderError(f"no ingress ip cached for cluster {cluster_id}")
-            return ip
+def substitute_placeholders(text: str, placement: dict[str, str], config: dict[str, str]) -> str:
+    """``text``, a manifest's JSON text, with every {{QONNECT_<DOMAIN>_IP}}
+    token replaced by the concrete ingress ip, in keys and values alike.
 
-        return PLACEHOLDER_RE.sub(replace, value)
-    if isinstance(value, dict):
-        return {k: substitute_placeholders(v, placement, config) for k, v in value.items()}
-    if isinstance(value, list):
-        return [substitute_placeholders(v, placement, config) for v in value]
-    return value
+    A token holds no character JSON escapes, so every token of a decoded
+    string is one in its text, in the same order. An ip goes in JSON-escaped:
+    an IPv6 scope id may hold any character but ``%``, quotes and
+    backslashes included, and the decoded value must be the ip as registered.
+    """
+    def replace(match: re.Match) -> str:
+        domain = match.group(1).lower()
+        cluster_id = placement.get(domain)
+        if cluster_id is None:
+            raise PlaceholderError(f"no placement for domain {domain!r}")
+        ip = config.get(cluster_id)
+        if ip is None:
+            raise PlaceholderError(f"no ingress ip cached for cluster {cluster_id}")
+        return json.dumps(ip)[1:-1]
+
+    return PLACEHOLDER_RE.sub(replace, text)
 
 
 def record_by_namespace(record: dict) -> dict[str, dict[str, dict]]:
@@ -248,18 +250,19 @@ class ResourceAgent:
         self, app_id: str, namespace: str, component: str, spec: dict, record: dict,
         now: float, kind: str,
     ) -> bool:
-        """Apply ``spec`` (its version, manifest, placement and target nodes)
-        and record it, keeping what a later reapply needs."""
+        """Apply ``spec`` (its version, manifest text, placement and target
+        nodes) and record it, keeping what a later reapply needs."""
         config_cache = self.backend.read_store(CONFIG_STORE) or {}
         try:
-            objects = substitute_placeholders(
-                spec["manifest"].get("objects", []), spec.get("placement", {}), config_cache
+            text = substitute_placeholders(
+                spec["manifest"], spec.get("placement", {}), config_cache
             )
         except PlaceholderError as exc:
             self._log(now, "failed-to-apply", {
                 "app": namespace, "component": component, "error": str(exc),
             })
             return False
+        objects = json.loads(text).get("objects", [])
 
         created = not self.backend.namespace_exists(namespace)
         self.backend.ensure_namespace(namespace)

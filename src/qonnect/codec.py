@@ -8,10 +8,12 @@ dataclass as an object of its fields (a field with a default may be
 omitted), and a union of dataclasses with a ``kind`` class attribute as
 ``{"v": VERSION, "kind": cls.kind, **fields}``. ``X | None``,
 ``tuple[X, ...]``, fixed tuples and ``list[X]`` nest, ``dict[str, X]`` takes
-scalar values, and a bare ``dict`` (a manifest) is opaque and passes
-through, as does ``Any``, which takes any JSON value (a logged node report,
-which apply checks). Any other type raises ``TypeError`` when its codec is
-built.
+scalar values, and ``Any`` takes any JSON value (a logged node report,
+which apply checks). ``ObjectText`` (a manifest) is an opaque JSON object
+kept as its ``dumps`` text: it decodes from an object to that text and
+encodes back to the object, so a document holding one reads and writes as
+if it held the object. Any other type raises ``TypeError`` when its codec
+is built.
 
 A decoder raises ``ValueError`` for malformed input, and no other exception.
 Rules about meaning (non-negative weights, non-empty batches) stay with the
@@ -31,9 +33,13 @@ from typing import Any, Callable, NamedTuple
 
 VERSION = 1
 
+# The canonical text (``dumps``) of a JSON object, as the codec reads and
+# writes it: equal objects give equal texts.
+ObjectText = typing.NewType("ObjectText", str)
+
 _TAGS = frozenset(("v", "kind"))
-# Exact JSON types per scalar type; a bare dict is checked the same way.
-_EXACT = {str: (str,), int: (int,), bool: (bool,), float: (float, int), dict: (dict,)}
+# Exact JSON types per scalar type.
+_EXACT = {str: (str,), int: (int,), bool: (bool,), float: (float, int)}
 
 
 class _Codec(NamedTuple):
@@ -76,6 +82,8 @@ def _mistyped(what: str, value: Any) -> ValueError:
 @cache
 def _codec(tp: Any) -> _Codec:
     origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if tp is ObjectText:
+        return _Codec(json.loads, _object_text)
     if tp in _EXACT:
         return _scalar(_EXACT[tp])
     if tp is Any:
@@ -102,6 +110,15 @@ def _scalar(exact: tuple[type, ...]) -> _Codec:
         return value
 
     return _Codec(None, decode, exact)
+
+
+def _object_text(value: Any) -> ObjectText:
+    if type(value) is not dict:
+        raise _mistyped("expected an object", value)
+    try:
+        return dumps(value)
+    except RecursionError:
+        raise ValueError("an object nested too deep to encode") from None
 
 
 def _enum(cls: type[Enum]) -> _Codec:

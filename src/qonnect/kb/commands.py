@@ -46,7 +46,8 @@ class SubmitApplication:
     name: str
     labels: tuple[tuple[str, str], ...]
     qos: QoSVector
-    components: tuple[tuple[str, Domain, dict], ...]  # (name, target domain, manifest)
+    # (name, target domain, manifest); the entry holds each manifest's object
+    components: tuple[tuple[str, Domain, codec.ObjectText], ...]
     submitted_at: float
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from qonnect.codec import ObjectText
+
 
 class Domain(str, Enum):
     CLOUD = "cloud"
@@ -89,7 +91,7 @@ class ScheduleDecision:
 class ComponentRecord:
     name: str
     target_domain: Domain
-    manifest: dict
+    manifest: ObjectText  # canonical text, spliced into snapshots and served to polls
     status: ComponentStatus = ComponentStatus.PENDING
     decision: ScheduleDecision | None = None
     last_heartbeat: float | None = None

@@ -503,12 +503,14 @@ class KnowledgeBase:
         """The KB as schema v1 text: byte for byte
         ``codec.dumps(_encode_state(...))`` of all its records.
 
-        The applications section is built as text. What a submit fixes is
-        encoded once per record (``_fixed_text``): when the submit applies,
-        or at a restored record's first snapshot. Each distinct node list is
-        encoded once per call, and only the fields that change are formatted
-        on every call. Clusters and nodes go through the codec. The
-        node-list table is cut back to the lists that live decisions hold.
+        The applications section is built as text. Each manifest is kept as
+        its text (``codec.ObjectText``) and spliced in. The rest of what a
+        submit fixes is encoded once per record (``_fixed_text``): when the
+        submit applies, or at a restored record's first snapshot. Each
+        distinct node list is encoded once per call, and only the fields
+        that change are formatted on every call. Clusters and nodes go
+        through the codec. The node-list table is cut back to the lists that
+        live decisions hold.
         """
         lists: dict[tuple[str, ...], str] = {}
         parts = [self._application_text(app, lists) for app in self.applications.values()]
@@ -530,9 +532,9 @@ class KnowledgeBase:
         head, middle, tail, fixed = kept
         components = ",".join(
             f'{{"decision":{_decision_text(comp.decision, lists)},'
-            f'"last_heartbeat":{_scalar(comp.last_heartbeat)}{manifest_and_name}'
+            f'"last_heartbeat":{_scalar(comp.last_heartbeat)},"manifest":{comp.manifest}{name}'
             f"{_STATUS_TEXT[comp.status]}{domain}"
-            for comp, (manifest_and_name, domain) in zip(app.components, fixed)
+            for comp, (name, domain) in zip(app.components, fixed)
         )
         qos = app.qos
         return (
@@ -544,7 +546,8 @@ class KnowledgeBase:
     @classmethod
     def restore(cls, blob: str) -> KnowledgeBase:
         """Load a ``snapshot_state`` blob; a malformed one raises ``ValueError``.
-        Applications an older delete kept, marked ``withdrawn``, are dropped."""
+        Applications an older delete kept, marked ``withdrawn``, are dropped.
+        The codec turns each manifest back into its text."""
         state = _decode_state(codec.loads(blob))
         kb = cls()
         kb.clusters = {rec.cluster_id: rec for rec in state.clusters}
@@ -583,7 +586,8 @@ class _FixedText(NamedTuple):
     head: str  # {"app_id":…,"components":[
     middle: str  # ],"labels":…,"name":…,"qos":
     tail: str  # ,"submitted_at":…,"version":
-    # Per component: ,"manifest":…,"name":…,"status": and ,"target_domain":…}
+    # Per component: ,"name":…,"status": and ,"target_domain":…}; its
+    # manifest is kept as text already and goes in front of the first.
     components: tuple[tuple[str, str], ...]
 
 
@@ -594,7 +598,7 @@ def _fixed_text(app: ApplicationRecord) -> _FixedText:
         f',"submitted_at":{_scalar(app.submitted_at)},"version":',
         tuple(
             (
-                f',"manifest":{codec.dumps(comp.manifest)},"name":{_string(comp.name)},"status":',
+                f',"name":{_string(comp.name)},"status":',
                 f',"target_domain":{_string(comp.target_domain.value)}}}',
             )
             for comp in app.components

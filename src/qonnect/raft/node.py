@@ -18,12 +18,13 @@ while its term, commit index, log version and the peer's next index are
 unchanged, and reads no log to do so.
 
 ``renew`` answers the two messages that change nothing but the node's
-timers, and ``handle_message`` asks it first. A follower handed the very
-request object it last answered through the full path, with a success that
-carried no entries and committed nothing, returns the stored result while
-its term, follower role and log version are unchanged: the full path would
-reach an equal answer and change nothing else, since the commit index
-never falls. A resent heartbeat then costs its receiver an identity check,
+timers. The replica asks it first (``Replica.handle``), and
+``handle_message`` is the full path, for a message it did not answer. A
+follower handed the very request object it last answered through the full
+path, with a success that carried no entries and committed nothing,
+returns the stored result while its term, follower role and log version
+are unchanged: the full path would reach an equal answer and change
+nothing else, since the commit index never falls. A resent heartbeat then costs its receiver an identity check,
 three comparisons and the election timer's reset. The reset still draws
 the next timeout from the node's RNG, as the full path does, so every
 later draw, and with it every seeded run, stays the same. Only in-process
@@ -359,9 +360,7 @@ class RaftNode:
         return None
 
     def handle_message(self, msg: Message) -> ReceiveResult:
-        renewed = self.renew(msg)
-        if renewed is not None:
-            return renewed
+        """The full path: any message, renewable or not, gets its answer."""
         if msg.term > self.current_term:
             self._step_down(msg.term)
 

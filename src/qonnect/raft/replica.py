@@ -1,10 +1,11 @@
 """One replica: a Raft node, its state machine and the apply path between them.
 
-``Replica.handle`` delivers every message that can change what the state
-machine holds: a transport may hand a node a message its ``RaftNode.renew``
-answers, which changes only the node's timers, and skip the replica. The state
-machine loads a snapshot's blob before the node sees it, so a blob that
-does not load is refused with ``ValueError`` and never replaces the log;
+``Replica.handle`` delivers a message: it asks ``RaftNode.renew`` once,
+and a message that answers changes only the node's timers, so nothing
+reaches the state machine. Any other message takes ``receive``, the full
+path; a transport that has asked ``renew`` itself calls ``receive``. The
+state machine loads a snapshot's blob before the node sees it, so a blob
+that does not load is refused with ``ValueError`` and never replaces the log;
 once the node installs the snapshot, the replica installs the state already
 loaded. When the message made the node leader (only a vote that completes
 a majority does; a tick never does), the replica tells the state machine,
@@ -55,6 +56,11 @@ class Replica:
         """Deliver ``msg`` to the node and apply what it committed; returns
         the node's outbound messages. Raises ``ValueError``, before the node
         sees ``msg``, for a snapshot the state machine cannot load."""
+        renewed = self.node.renew(msg)
+        return self.receive(msg) if renewed is None else renewed.messages
+
+    def receive(self, msg: Message) -> list[Message]:
+        """``handle`` for a message ``RaftNode.renew`` did not answer."""
         loaded = None
         if isinstance(msg, SnapshotRequest):
             loaded = self.machine.load_snapshot(msg.state_blob)

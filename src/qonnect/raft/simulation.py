@@ -59,11 +59,15 @@ class SyncRaftGroup(ReplicaGroup):
         """Deliver ``messages`` and every message they cause, oldest first.
         Appends what it delivers to ``messages``, which serves as the queue.
 
-        A message its destination node renews (``RaftNode.renew``) reaches
-        that node alone: a renewal commits nothing, installs no snapshot and
-        elects no one, so its replica has nothing to apply. A renewed reply
-        goes at once to its own destination's ``renew``, and is queued only
-        when that returns None. This delivers as the queue would. The reply
+        The pump asks ``RaftNode.renew`` about each message, and hands one
+        it does not answer to ``Replica.receive``, which does not ask again.
+        A message its destination node renews reaches that node alone: a
+        renewal commits nothing, installs no snapshot and elects no one, so
+        its replica has nothing to apply. A renewed reply goes at once to
+        its own destination's ``renew``, and is queued only when that
+        returns None (then it is asked again in turn; a leader that forgot
+        a peer's match, as no live one does, is the only source of such a
+        reply). This delivers as the queue would. The reply
         absorbed is a follower's success that raises its leader's match for
         it no further, with nothing to send after it. Only the messages
         queued ahead of it would reach the leader first, and none of them
@@ -82,7 +86,7 @@ class SyncRaftGroup(ReplicaGroup):
             replica = replicas[msg.dst]
             renewed = replica.node.renew(msg)
             if renewed is None:
-                messages.extend(replica.handle(msg))
+                messages.extend(replica.receive(msg))
                 continue
             for reply in renewed.messages:
                 if replicas[reply.dst].node.renew(reply) is None:

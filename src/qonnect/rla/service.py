@@ -21,9 +21,9 @@ Every replica applies every committed entry. Followers decode each one
 from the log; the leader applies an entry it proposed from the object it
 encoded, kept until its proposal returns. Each such command is
 built from validated values (exact scalars, enums, tuples of strings,
-finite weights, node reports that passed ``_check_report``, manifests
-``validate_bundle`` decoded from their own encoding), so decoding its
-encoding gives an equal object, and the leader's KB stays equal to every
+finite weights, node reports that passed ``_check_report``, manifests as
+the canonical text ``validate_bundle`` wrote), so decoding its encoding
+gives an equal object, and the leader's KB stays equal to every
 follower's.
 
 The scheduler pass and telemetry flush only run while this node is leader;
@@ -444,6 +444,8 @@ class RlaService:
         A poll costs O(the payloads it returns): the KB indexes the Scheduled
         components per cluster, and each component's placeholder domains are
         computed once per application (``_poll_plan``), not on every poll.
+        A payload's manifest is the KB's own text, which the agent
+        substitutes in; no poll encodes one.
         """
         if cluster_id not in self.kb.clusters:
             raise NotFoundError(f"unknown cluster: {cluster_id}")

@@ -12,7 +12,6 @@ domain that some component of the same bundle targets.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -35,12 +34,10 @@ _decode_qos = codec.decoder(QoSVector)
 MAX_MANIFEST_DEPTH = 100
 
 
-def placeholder_domains(manifest: object) -> set[str]:
-    """The domains, in lower case, that the placeholders in ``manifest`` name.
-
-    ``TypeError`` or ``ValueError`` if ``manifest`` is not a JSON value.
-    """
-    return {m.lower() for m in PLACEHOLDER_RE.findall(json.dumps(manifest))}
+def placeholder_domains(manifest: str) -> set[str]:
+    """The domains, in lower case, that the placeholders in a manifest's
+    JSON text name."""
+    return {m.lower() for m in PLACEHOLDER_RE.findall(manifest)}
 
 
 @dataclass(frozen=True)
@@ -48,7 +45,7 @@ class ParsedBundle:
     name: str
     labels: tuple[tuple[str, str], ...]
     qos: QoSVector
-    components: tuple[tuple[str, Domain, dict], ...]
+    components: tuple[tuple[str, Domain, codec.ObjectText], ...]
 
 
 def _check_objects(values: Iterable[object], levels: int) -> None:
@@ -107,8 +104,8 @@ def parse_qos(data: object) -> QoSVector:
 def validate_bundle(bundle: object) -> tuple[ParsedBundle | None, list[dict]]:
     """Field-level validation; returns (parsed, errors) with parsed None on failure.
 
-    ``parsed`` is in the form the log decodes to: exact strings, and manifests
-    decoded from their own encoding, so no object of the caller's is kept.
+    ``parsed`` is in the form the log decodes to: exact strings, and each
+    manifest as its canonical text, so no object of the caller's is kept.
     """
     errors: list[dict] = []
 
@@ -199,7 +196,7 @@ def validate_bundle(bundle: object) -> tuple[ParsedBundle | None, list[dict]]:
         except (TypeError, ValueError):
             err(f"components[{i}].objects", "objects must be JSON values")
             continue
-        unresolvable = sorted({m.lower() for m in PLACEHOLDER_RE.findall(text)} - targets)
+        unresolvable = sorted(placeholder_domains(text) - targets)
         if unresolvable:
             err(
                 f"components[{i}].objects",
@@ -210,15 +207,12 @@ def validate_bundle(bundle: object) -> tuple[ParsedBundle | None, list[dict]]:
 
     if errors:
         return None, errors
-    # One document for the bundle, so its manifests share their repeated
-    # keys as the decoded log entry's do.
-    manifests = codec.loads(f"[{','.join(texts)}]")
     return (
         ParsedBundle(
             name=name,
             labels=tuple(sorted(labels_raw.items())),
             qos=qos,
-            components=tuple((c, d, m) for (_, c, d, _), m in zip(kept, manifests)),
+            components=tuple((c, d, t) for (_, c, d, _), t in zip(kept, texts)),
         ),
         [],
     )

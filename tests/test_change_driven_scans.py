@@ -19,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qonnect import codec
 from qonnect.events import EventLog
 from qonnect.harness.bookinfo import bookinfo_bundle
 from qonnect.harness.engine import Deployment
@@ -249,18 +250,18 @@ CLUSTER_IDS = tuple(cluster_id_for(ip, domain) for ip, domain in CLUSTER_IPS)
 APP_IDS = ("a1", "a2", "a3")
 NAMES = ("n1", "n2")
 COMPONENTS = {
-    "x": (Domain.EDGE, {"kind": "Deployment", "name": "x"}),
-    "y": (Domain.FOG, {"kind": "Deployment", "name": "y"}),
+    "x": (Domain.EDGE, codec.dumps({"kind": "Deployment", "name": "x"})),
+    "y": (Domain.FOG, codec.dumps({"kind": "Deployment", "name": "y"})),
     # Withheld from polls until the fog sibling is placed.
-    "z": (Domain.EDGE, {"kind": "Deployment", "env": {"PEER": "{{QONNECT_FOG_IP}}"}}),
+    "z": (Domain.EDGE, codec.dumps({"kind": "Deployment", "env": {"PEER": "{{QONNECT_FOG_IP}}"}})),
 }
 # What a submit that reuses an app id sends: the same component names, other
 # placeholders. A poll that kept the replaced record's placeholder domains
 # would withhold or deliver the wrong components.
 REUSED = {
-    "x": (Domain.EDGE, {"kind": "Deployment", "env": {"PEER": "{{QONNECT_FOG_IP}}"}}),
-    "y": (Domain.FOG, {"kind": "Deployment", "env": {"PEER": "{{QONNECT_EDGE_IP}}"}}),
-    "z": (Domain.EDGE, {"kind": "Deployment", "name": "z"}),
+    "x": (Domain.EDGE, codec.dumps({"kind": "Deployment", "env": {"PEER": "{{QONNECT_FOG_IP}}"}})),
+    "y": (Domain.FOG, codec.dumps({"kind": "Deployment", "env": {"PEER": "{{QONNECT_EDGE_IP}}"}})),
+    "z": (Domain.EDGE, codec.dumps({"kind": "Deployment", "name": "z"})),
 }
 REUSE_NAMES = ("r1", "r2")
 

@@ -60,7 +60,7 @@ class Sample:
     flag: bool
     domain: Domain
     names: tuple[str, ...]
-    pair: tuple[str, Domain, dict]
+    pair: tuple[str, Domain, codec.ObjectText]
     note: str | None = None
 
 
@@ -76,7 +76,7 @@ SAMPLE = {
 
 def test_decoder_builds_the_dataclass_and_the_encoder_writes_it_back():
     sample = codec.decoder(Sample)(SAMPLE)
-    pair = ("x", Domain.EDGE, {"any": [1, None]})
+    pair = ("x", Domain.EDGE, '{"any":[1,null]}')
     assert sample == Sample(1, 0.5, True, Domain.FOG, ("a",), pair)
     assert codec.encoder(Sample)(sample) == {**SAMPLE, "note": None}
 
@@ -113,6 +113,17 @@ def test_ints_pass_for_floats_defaults_may_be_omitted_required_fields_may_not():
 def test_rules_about_meaning_stay_in_post_init():
     with pytest.raises(ValueError, match="non-negative"):
         codec.decoder(QoSVector)({"energy": -1})
+
+
+def test_object_text_is_the_canonical_text_and_too_deep_an_object_a_value_error():
+    decode = codec.decoder(codec.ObjectText)
+    assert decode({"b": [1.0, None], "a": "é"}) == '{"a":"\\u00e9","b":[1.0,null]}'
+    assert codec.encoder(codec.ObjectText)('{"a":[1]}') == {"a": [1]}
+    deep: dict = {}
+    for _ in range(100_000):  # past any recursion limit the encoder has
+        deep = {"x": deep}
+    with pytest.raises(ValueError):
+        decode(deep)
 
 
 def test_a_malformed_list_item_is_named_by_its_index():
@@ -156,7 +167,7 @@ def test_all_scalar_classes_refuse_what_their_fields_or_post_init_refuse(changes
         codec.decoder(NodeSnapshot)({**NODE, **changes})
 
 
-@pytest.mark.parametrize("tp", [dict[str, Sample], dict[int, str], set[int], list, object])
+@pytest.mark.parametrize("tp", [dict[str, Sample], dict[int, str], set[int], list, dict, object])
 def test_types_outside_the_rules_raise_type_error(tp):
     with pytest.raises(TypeError):
         codec.decoder(tp)
@@ -172,6 +183,7 @@ times = st.floats(allow_nan=False, allow_infinity=False) | ints
 amounts = st.floats(min_value=0, allow_nan=False, allow_infinity=False) | st.integers(0, 10**6)
 domains = st.sampled_from(Domain)
 objects = st.dictionaries(text, json_values, max_size=3)
+manifests = objects.map(codec.dumps)
 qos_vectors = st.builds(QoSVector, amounts, amounts, amounts)
 
 
@@ -188,7 +200,7 @@ commands = st.one_of(
         text,
         tuples_of(st.tuples(text, text)),
         qos_vectors,
-        tuples_of(st.tuples(text, domains, objects)),
+        tuples_of(st.tuples(text, domains, manifests)),
         times,
     ),
     st.builds(UpdateQoS, text, qos_vectors, times),
@@ -207,7 +219,7 @@ nodes = st.builds(
 )
 decisions = st.builds(ScheduleDecision, text, text, tuples_of(text), times, ints)
 components = st.builds(
-    ComponentRecord, text, domains, objects, st.sampled_from(ComponentStatus),
+    ComponentRecord, text, domains, manifests, st.sampled_from(ComponentStatus),
     st.none() | decisions, st.none() | times,
 )
 

@@ -90,7 +90,7 @@ class _Leader:
                 name="app",
                 labels=(),
                 qos=QoSVector(1.0, 1.0, 1.0),
-                components=tuple((name, Domain.EDGE, {"objects": []}) for name in COMPONENTS),
+                components=tuple((name, Domain.EDGE, '{"objects":[]}') for name in COMPONENTS),
                 submitted_at=0.0,
             )
         )

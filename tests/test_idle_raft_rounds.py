@@ -16,13 +16,17 @@ The engine's pump hands a message its node renews to that node alone. A
 work-count guard: a settled engine step reaches no replica and no full
 handler. An equivalence property: over seeded chaos runs, a renewing group
 ends every step where full-path nodes fed oldest first through their
-replicas do.
+replicas do. Every transport (the engine, the lossy harness, live HTTP)
+asks ``RaftNode.renew`` once about each message it delivers, and a message
+it does not answer takes the full path once.
 """
 
 from __future__ import annotations
 
 import random
+import time
 from collections import Counter
+from contextlib import ExitStack
 from copy import deepcopy
 from dataclasses import replace
 
@@ -147,7 +151,7 @@ def test_a_stored_answer_is_dropped_once_the_log_changes():
     node.handle_message(AppendRequest(1, 0, 1, 0, 0, entries, leader_commit=0))
     heartbeat = AppendRequest(1, 0, 1, 5, 1, (), leader_commit=0)
     answer = node.handle_message(heartbeat)
-    assert answer.messages[0].success and node.handle_message(heartbeat) is answer
+    assert answer.messages[0].success and node.renew(heartbeat) is answer
     # The same match index from a rewritten log: the reply stays the same.
     rewrite = (LogEntry(4, 1, "x4"), LogEntry(5, 2, "y5"))
     node.handle_message(AppendRequest(1, 0, 1, 3, 1, rewrite, leader_commit=0))
@@ -156,7 +160,7 @@ def test_a_stored_answer_is_dropped_once_the_log_changes():
     # A snapshot whose term disagrees with the log empties it.
     node.handle_message(AppendRequest(1, 0, 1, 4, 1, (LogEntry(5, 1, "x5"),), leader_commit=0))
     answer = node.handle_message(heartbeat)
-    assert answer.messages[0].success and node.handle_message(heartbeat) is answer
+    assert answer.messages[0].success and node.renew(heartbeat) is answer
     node.handle_message(SnapshotRequest(1, 0, 1, 3, 2, "state-3"))
     [emptied] = node.handle_message(heartbeat).messages
     assert (emptied.success, emptied.conflict_index) == (False, 4)
@@ -218,12 +222,7 @@ def checked_chaos_run(size: int, seed: int, compact: bool) -> tuple[RaftHarness,
     follower gives from its stored result."""
     checked: Counter = Counter()
     broadcast, handle, step = RaftNode.broadcast_append, RaftNode.handle_message, RaftHarness.step
-    full_append = RaftNode._on_append_request
-    full_appends = Counter()
-
-    def counted_full_append(self, msg):
-        full_appends[self] += 1
-        return full_append(self, msg)
+    renew = RaftNode.renew
 
     def check_requests(node: RaftNode, messages) -> None:
         for m in messages:
@@ -236,27 +235,37 @@ def checked_chaos_run(size: int, seed: int, compact: bool) -> tuple[RaftHarness,
         check_requests(self, messages)
         return messages
 
+    def check_answer(self, msg, reply, result) -> None:
+        if reply is not None:
+            assert result.messages == (reply,)
+            checked["reply"] += 1
+        check_requests(self, result.messages)
+        if isinstance(msg, (AppendResponse, SnapshotResponse)) and self.role == Role.LEADER:
+            commit = self.commit_index
+            assert self._advance_commit() == () and self.commit_index == commit
+            checked["commit check"] += 1
+
     def checked_handle(self, msg):
+        reply = fresh_reply(self, msg) if isinstance(msg, AppendRequest) else None
+        result = handle(self, msg)
+        check_answer(self, msg, reply, result)
+        return result
+
+    def checked_renew(self, msg):
         reply, twin = None, None
         if isinstance(msg, AppendRequest):
             reply = fresh_reply(self, msg)
             # The copy holds a copy of the stored request, not ``msg``
             # itself, so it answers ``msg`` through the full path.
             twin = deepcopy(self)
-        full = full_appends[self]
-        result = handle(self, msg)
+        result = renew(self, msg)
+        if result is None:
+            return None
+        check_answer(self, msg, reply, result)
         if reply is not None:
-            assert result.messages == (reply,)
-            checked["reply"] += 1
-            if full_appends[self] == full:
-                assert handle(twin, msg) == result
-                assert node_state(twin) == node_state(self)
-                checked["stored answer"] += 1
-        check_requests(self, result.messages)
-        if isinstance(msg, (AppendResponse, SnapshotResponse)) and self.role == Role.LEADER:
-            commit = self.commit_index
-            assert self._advance_commit() == () and self.commit_index == commit
-            checked["commit check"] += 1
+            assert handle(twin, msg) == result
+            assert node_state(twin) == node_state(self)
+            checked["stored answer"] += 1
         return result
 
     rng = random.Random(seed)
@@ -275,7 +284,7 @@ def checked_chaos_run(size: int, seed: int, compact: bool) -> tuple[RaftHarness,
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(RaftNode, "broadcast_append", checked_broadcast)
         patch.setattr(RaftNode, "handle_message", checked_handle)
-        patch.setattr(RaftNode, "_on_append_request", counted_full_append)
+        patch.setattr(RaftNode, "renew", checked_renew)
         patch.setattr(RaftHarness, "step", chaos_step)
         harness = chaos_run(size=size, seed=seed, duration=CHAOS_SECONDS)
     return harness, checked
@@ -368,20 +377,21 @@ def group_state(group: SyncRaftGroup) -> dict:
 def twin_chaos_run(size: int, seed: int, steps: int = 800) -> tuple[SyncRaftGroup, Counter]:
     """Drive a renewing group and a full-path FIFO group through the same
     seeded proposals, crash-restarts and compactions, comparing every node
-    after each step. Returns the renewing group and the count of ``Replica.handle``
-    calls by group class and by message class."""
+    after each step. Returns the renewing group and the count of
+    ``Replica.receive`` calls (the full path) by group class and by message
+    class."""
     renewing, fifo = group_of(SyncRaftGroup, size, seed), group_of(FifoGroup, size, seed)
     handled: Counter = Counter()
     rng = random.Random(seed)
-    handle = Replica.handle
+    receive = Replica.receive
 
     def counted(replica, msg):
         handled[type(group).__name__] += 1
         handled[type(msg).__name__] += 1
-        return handle(replica, msg)
+        return receive(replica, msg)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Replica, "handle", counted)
+        patch.setattr(Replica, "receive", counted)
         for step in range(steps):
             roll, pick = rng.random(), rng.randrange(size)
             for group in (renewing, fifo):
@@ -436,6 +446,7 @@ def test_a_settled_engine_step_reaches_no_replica_and_no_full_handler(monkeypatc
     dep.step()
     calls: Counter = Counter()
     counting(monkeypatch, calls, Replica, "handle", "Replica.handle")
+    counting(monkeypatch, calls, Replica, "receive", "Replica.receive")
     counting(monkeypatch, calls, RaftNode, "handle_message", "handle_message")
     counting(monkeypatch, calls, RaftNode, "renew", "renew")
     for _ in range(100):
@@ -468,3 +479,74 @@ def test_a_renewed_reply_its_leader_cannot_absorb_is_delivered_in_turn():
     leader = renewing.leader()
     assert matched == {"match": 1} and leader._match_index[peer] == leader.last_log_index
     assert group_state(renewing) == group_state(fifo)
+
+
+# ---------------------------------------------------------------------------
+# One renewal check per delivered message, in every transport
+# ---------------------------------------------------------------------------
+
+
+def asked(patch) -> list[str]:
+    """What each ``renew`` call answered ("renewed" or "asked") and each
+    full-path ``handle_message`` call ("full"), in order; a list, whose
+    appends every transport's threads may share."""
+    calls: list[str] = []
+    renew, handle = RaftNode.renew, RaftNode.handle_message
+
+    def counted_renew(node, msg):
+        result = renew(node, msg)
+        calls.append("asked" if result is None else "renewed")
+        return result
+
+    def counted_handle(node, msg):
+        calls.append("full")
+        return handle(node, msg)
+
+    patch.setattr(RaftNode, "renew", counted_renew)
+    patch.setattr(RaftNode, "handle_message", counted_handle)
+    return calls
+
+
+def assert_asked_once(calls: list[str]) -> None:
+    """Each message ``renew`` did not answer took the full path once, and
+    nothing took it unasked."""
+    counts = Counter(calls)
+    assert counts["renewed"] and counts["full"]
+    assert counts["asked"] == counts["full"]
+
+
+def test_the_engine_asks_renew_once_per_delivered_message(monkeypatch):
+    calls = asked(monkeypatch)
+    dep = Deployment()
+    dep.boot()
+    dep.client().submit_application(bookinfo_bundle("bookinfo"))
+    dep.run(20.0)
+    assert_asked_once(calls)
+
+
+def test_the_lossy_harness_asks_renew_once_per_delivered_message(monkeypatch):
+    calls = asked(monkeypatch)
+    chaos_run(size=3, seed=0)
+    assert_asked_once(calls)
+
+
+def test_live_mode_asks_renew_once_per_delivered_message(monkeypatch):
+    from test_live_http import fast_spec, free_port_base
+
+    from qonnect.harness.live import LiveDeployment
+
+    calls = asked(monkeypatch)
+    live = LiveDeployment(spec=fast_spec(), base_port=free_port_base())
+    live.start()
+    try:
+        live.wait_for_leader(timeout=15.0)
+        live.client().submit_application(bookinfo_bundle("bookinfo"))
+        time.sleep(1.0)
+    finally:
+        live.stop()
+    # Under every replica lock, so no delivery is half done.
+    with ExitStack() as held:
+        for rla in live.rlas.values():
+            held.enter_context(rla._lock)
+        done = list(calls)
+    assert_asked_once(done)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from qonnect import codec
 from qonnect.kb.commands import (
     Batch,
     DeleteApplication,
@@ -40,7 +41,7 @@ def node_wire(name: str, **overrides) -> dict:
 
 
 def submit_bookinfo(kb: KnowledgeBase, app_id: str = "app-1", at: float = 1.0) -> None:
-    manifest = {"objects": []}
+    manifest = codec.dumps({"objects": []})
     kb.apply(
         SubmitApplication(
             app_id=app_id,
@@ -197,7 +198,7 @@ def test_a_submit_that_reuses_an_app_id_drops_the_replaced_records_pending_pairs
             name="other",
             labels=(),
             qos=QoSVector(),
-            components=(("reviews", Domain.FOG, {}), ("web", Domain.CLOUD, {})),
+            components=(("reviews", Domain.FOG, "{}"), ("web", Domain.CLOUD, "{}")),
             submitted_at=3.0,
         )
     )
@@ -216,7 +217,7 @@ def test_pending_components_with_equal_submit_times_come_in_name_order():
                 name=name,
                 labels=(),
                 qos=QoSVector(),
-                components=(("web", Domain.CLOUD, {}), ("db", Domain.CLOUD, {})),
+                components=(("web", Domain.CLOUD, "{}"), ("db", Domain.CLOUD, "{}")),
                 submitted_at=1.0,
             )
         )
@@ -434,7 +435,7 @@ def test_same_command_sequence_yields_identical_kbs():
             name="demo",
             labels=(),
             qos=QoSVector(),
-            components=(("web", Domain.CLOUD, {"objects": []}),),
+            components=(("web", Domain.CLOUD, codec.dumps({"objects": []})),),
             submitted_at=1.0,
         )
     )
@@ -457,7 +458,7 @@ def test_delete_then_resubmit_under_same_name():
             name="bookinfo",
             labels=(),
             qos=QoSVector(),
-            components=(("x", Domain.CLOUD, {}),),
+            components=(("x", Domain.CLOUD, "{}"),),
             submitted_at=2.0,
         )
     )

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qonnect import codec
 from qonnect.agent.ra import (
     APPS_STORE, CONFIG_STORE, RaConfig, ResourceAgent, record_by_namespace,
 )
@@ -132,12 +134,12 @@ def build_payload(
         "name": app,
         "version": version,
         "component": component,
-        "manifest": {
+        "manifest": codec.dumps({
             "objects": [
                 {"kind": "Deployment", "name": component, "replicas": 1, "env": env},
                 {"kind": "Ingress", "name": f"{component}-ing", "path": f"/{app}/{component}"},
             ]
-        },
+        }),
         "target_nodes": ["ghost"] if bad_pin else ["edge-x-worker-0"],
         "placement": {"edge": "cid-1"},
     }
@@ -198,10 +200,12 @@ def test_applied_objects_are_placeholder_free(ops):
     record = backend.read_store(APPS_STORE) or {}
     for app, component, domain in ops:
         payload = build_payload(app, component, 1, bad_pin=False, bad_token=False)
-        payload["manifest"]["objects"][0]["env"] = {
+        manifest = json.loads(payload["manifest"])
+        manifest["objects"][0]["env"] = {
             "PEER": f"http://{{{{QONNECT_{domain.upper()}_IP}}}}/{app}/{component}",
             "NESTED": [f"{{{{QONNECT_{domain.upper()}_IP}}}}:9080"],
         }
+        payload["manifest"] = codec.dumps(manifest)
         payload["placement"] = {"cloud": "cid-cloud", "fog": "cid-fog", "edge": "cid-edge"}
         agent.reconcile_payload(payload, record, now=1.0)
     for namespace, objects in backend.namespaces.items():

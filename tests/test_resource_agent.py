@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
-import pytest
+import json
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from placeholder_oracle import substitute_in_values
+
+from qonnect import codec
 from qonnect.agent.client import RlaClientError
 from qonnect.agent.ra import (
     APPS_STORE,
@@ -77,12 +83,12 @@ def payload_for(app: str = "shop", component: str = "web", version: int = 1, env
         "name": app,
         "version": version,
         "component": component,
-        "manifest": {
+        "manifest": codec.dumps({
             "objects": [
                 {"kind": "Deployment", "name": component, "replicas": 1, "env": env or {}},
                 {"kind": "Ingress", "name": f"{component}-ing", "path": f"/{app}/{component}"},
             ]
-        },
+        }),
         "target_nodes": ["edge-perf-worker-0"],
         "placement": {"edge": "cid-1"},
     }
@@ -194,13 +200,79 @@ def test_reconcile_unknown_pinned_node_rolls_back_namespace():
 
 def test_substitute_placeholders_walks_nested_structures():
     objects = [{"env": {"A": "{{QONNECT_FOG_IP}}"}, "args": ["{{QONNECT_EDGE_IP}}:80"]}]
-    resolved = substitute_placeholders(
-        objects, {"fog": "f", "edge": "e"}, {"f": "1.1.1.1", "e": "2.2.2.2"}
-    )
+    resolved = json.loads(substitute_placeholders(
+        codec.dumps(objects), {"fog": "f", "edge": "e"}, {"f": "1.1.1.1", "e": "2.2.2.2"}
+    ))
     assert resolved[0]["env"]["A"] == "1.1.1.1"
     assert resolved[0]["args"][0] == "2.2.2.2:80"
     with pytest.raises(PlaceholderError):
-        substitute_placeholders("{{QONNECT_CLOUD_IP}}", {}, {})
+        substitute_placeholders('"{{QONNECT_CLOUD_IP}}"', {}, {})
+
+
+# Placeholders and the text around them; a domain the placement leaves out,
+# or a cluster the config leaves out, does not resolve.
+PLACEMENT = {"cloud": "c-1", "fog": "c-2", "edge": "c-3"}
+CONFIG = {"c-1": "10.0.0.1", "c-2": "fd00::2"}
+# An IPv6 scope id may hold any character but "%": these pass ipaddress.
+SCOPED_CONFIG = {"c-1": 'fe80::1%","replicas":99,"x":"', "c-2": "fe80::2%\\", "c-3": 'fe80::3%\\"é\n'}
+tokens = st.sampled_from(["CLOUD", "FOG", "EDGE", "SPACE"]).map(
+    lambda domain: f"{{{{QONNECT_{domain}_IP}}}}"
+)
+pieces = st.sampled_from(["", "http://", ":9080", "/", "é", '"', "\\", "\n", "{{", "}}"])
+strings = st.lists(tokens | pieces | st.text(max_size=3), max_size=5).map("".join)
+leaves = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | strings
+values = st.recursive(
+    leaves,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(manifest=st.dictionaries(st.text(max_size=4), values, max_size=4),
+       placement=st.sampled_from([PLACEMENT, {"fog": "c-2"}, {}]),
+       config=st.sampled_from([CONFIG, SCOPED_CONFIG]))
+def test_text_substitution_gives_the_recursive_walks_objects_and_first_error(
+    manifest, placement, config
+):
+    """Through the canonical text, as an agent gets it from the KB."""
+    text = codec.dumps(manifest)
+    try:
+        expected = substitute_in_values(json.loads(text), placement, config)
+    except PlaceholderError as exc:
+        with pytest.raises(PlaceholderError) as raised:
+            substitute_placeholders(text, placement, config)
+        assert str(raised.value) == str(exc)
+    else:
+        assert json.loads(substitute_placeholders(text, placement, config)) == expected
+
+
+def test_a_scoped_ip_with_quotes_and_backslashes_is_applied_as_one_value():
+    agent, backend, client = make_agent()
+    agent.ensure_registered(0.0)
+    hostile = SCOPED_CONFIG["c-1"]
+    backend.write_store(CONFIG_STORE, {"cid-1": hostile})
+    env = {"URL": "http://{{QONNECT_EDGE_IP}}/shop/x", "RAW": "{{QONNECT_EDGE_IP}}"}
+    assert agent.reconcile_payload(payload_for(env=env), {}, now=1.0)
+    workload = backend.workload_state("shop", "web")
+    assert workload.env == {"URL": f"http://{hostile}/shop/x", "RAW": hostile}
+    assert workload.desired == 1
+
+
+def test_a_placeholder_in_an_object_key_is_substituted_too():
+    agent, backend, client = make_agent()
+    agent.ensure_registered(0.0)
+    backend.write_store(CONFIG_STORE, {"fog-cid": "10.1.0.1", "cid-1": "10.2.2.1"})
+    env = {"{{QONNECT_FOG_IP}}": "http://{{QONNECT_EDGE_IP}}/shop/x"}
+    payload = payload_for(env=env)
+    payload["placement"]["fog"] = "fog-cid"
+    assert agent.reconcile_payload(payload, {}, now=1.0)
+    assert backend.workload_state("shop", "web").env == {"10.1.0.1": "http://10.2.2.1/shop/x"}
+    # The recursive walk left keys alone.
+    objects = json.loads(payload["manifest"])["objects"]
+    walked = substitute_in_values(objects, payload["placement"], backend.read_store(CONFIG_STORE))
+    assert walked[0]["env"] == {"{{QONNECT_FOG_IP}}": "http://10.2.2.1/shop/x"}
 
 
 # ---------------------------------------------------------------------------

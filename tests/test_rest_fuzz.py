@@ -189,10 +189,10 @@ def test_validate_bundle_classifies_any_json_value(bundle):
     cmd = SubmitApplication("id", parsed.name, parsed.labels, parsed.qos, parsed.components, 0.0)
     copy = decode_command(encode_command(cmd))
     assert copy == cmd
-    # ``==`` ignores key order and takes 1 == 1.0 == True and a subclass for
-    # its base; the unsorted dumps and exact types do not.
+    # A manifest is its text, so equal texts hold the same keys in the same
+    # order and values of the same JSON types.
     for (_, _, manifest), (_, _, decoded) in zip(cmd.components, copy.components):
-        assert json.dumps(manifest) == json.dumps(decoded)
-        assert depth(manifest) <= MAX_MANIFEST_DEPTH
+        assert type(manifest) is str and manifest == decoded
+        assert depth(json.loads(manifest)) <= MAX_MANIFEST_DEPTH
     names = (parsed.name, *(s for label in parsed.labels for s in label))
     assert all(type(s) is str for s in names + tuple(c for c, _, _ in parsed.components))

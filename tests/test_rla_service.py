@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from qonnect import codec
+from qonnect.agent.ra import substitute_placeholders
 from qonnect.harness.bookinfo import bookinfo_bundle
 from qonnect.harness.engine import Deployment
 from qonnect.harness.testbed import TestbedSpec
@@ -59,6 +63,24 @@ def test_register_is_idempotent_and_validates_ip(dep):
         "POST", "/clusters/register", {"external_ip": "10.9.0.2", "domain": "space"}
     )
     assert status == 400
+
+
+def test_a_scoped_ipv6_ip_is_served_as_registered_and_substituted_as_one_value(dep):
+    """A scope id may hold quotes and backslashes; an agent's substitution
+    must still give the ip as registered, as one JSON string value."""
+    api = leader_api(dep)
+    hostile = 'fe80::1%","replicas":99,"x":"\\'
+    status, body = api.dispatch(
+        "POST", "/clusters/register", {"external_ip": hostile, "domain": "edge"}
+    )
+    assert status == 200
+    cid = body["cluster_id"]
+    status, body = api.dispatch("GET", "/clusters/config")
+    assert status == 200 and body["clusters"][cid] == hostile
+
+    text = codec.dumps({"objects": [{"env": {"URL": "http://{{QONNECT_EDGE_IP}}/x"}}]})
+    resolved = substitute_placeholders(text, {"edge": cid}, body["clusters"])
+    assert json.loads(resolved) == {"objects": [{"env": {"URL": f"http://{hostile}/x"}}]}
 
 
 def test_writes_on_follower_redirect_with_leader_hint(dep):
@@ -269,7 +291,7 @@ def test_a_manifest_nested_past_the_limit_is_400_and_one_at_it_commits_everywher
     assert dep.send(leader, "POST", "/applications", at_limit)[0] == 201
     index = dep.group.nodes[dep.leader_id()].last_log_index
     dep.run(0.5)  # followers learn the commit and apply it
-    manifest = {"objects": at_limit["components"][0]["objects"]}
+    manifest = codec.dumps({"objects": at_limit["components"][0]["objects"]})
     for node in dep.group.nodes.values():
         entry = decode_command(node.entry_at(index).command)
         assert entry.components[0][2] == manifest
@@ -461,15 +483,15 @@ def test_poll_withholds_payload_until_placeholder_domains_are_placed():
             labels=(),
             qos=QoSVector(),
             components=(
-                ("front", Domain.CLOUD, {"objects": [
+                ("front", Domain.CLOUD, codec.dumps({"objects": [
                     {"kind": "Deployment", "name": "front",
                      "env": {"API": "http://{{QONNECT_FOG_IP}}/web/api"}},
                     {"kind": "Ingress", "name": "i", "path": "/web/front"},
-                ]}),
-                ("api", Domain.FOG, {"objects": [
+                ]})),
+                ("api", Domain.FOG, codec.dumps({"objects": [
                     {"kind": "Deployment", "name": "api"},
                     {"kind": "Ingress", "name": "i", "path": "/web/api"},
-                ]}),
+                ]})),
             ),
             submitted_at=0.0,
         )

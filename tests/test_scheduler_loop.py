@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from placement_oracle import random_instance
+from qonnect import codec
 from qonnect.kb.commands import (
     PutNodeSnapshot,
     RecordDecision,
@@ -65,7 +66,7 @@ def build_kb(now: float = 0.0) -> tuple[KnowledgeBase, dict[str, str]]:
 
 
 def submit(kb: KnowledgeBase, qos: QoSVector, name: str = "bookinfo", at: float = 0.0) -> str:
-    manifest = {"objects": []}
+    manifest = codec.dumps({"objects": []})
     kb.apply(
         SubmitApplication(
             app_id=f"{name}-id",
@@ -180,7 +181,7 @@ def random_federation(seed: int) -> KnowledgeBase:
             kb.nodes[(cid, snap.node_name)] = replace(snap, cluster_id=cid)
     for i in range(rng.randint(1, 8)):
         components = tuple(
-            (f"c{j}", rng.choice(list(Domain)), {}) for j in range(rng.randint(1, 4))
+            (f"c{j}", rng.choice(list(Domain)), "{}") for j in range(rng.randint(1, 4))
         )
         kb.apply(
             SubmitApplication(
@@ -248,7 +249,7 @@ def test_a_tick_ranks_each_domain_once_whatever_the_number_of_classes(seed, apps
                 name=f"many-{i}",
                 labels=(),
                 qos=QoSVector(rng.random(), rng.random(), rng.random()),
-                components=tuple((f"c{j}", domain, {}) for j, domain in enumerate(Domain)),
+                components=tuple((f"c{j}", domain, "{}") for j, domain in enumerate(Domain)),
                 submitted_at=10.0,
             )
         )

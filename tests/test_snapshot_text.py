@@ -1,14 +1,17 @@
 """KB snapshots built from kept text, and the node lists decisions share.
 
-``snapshot_state`` writes the applications section as text: what a submit
-fixes is encoded once per record, each distinct node list once per call,
-and only the fields that change are formatted on every call. Its bytes must
-equal the generic codec's for every KB, so a field added to a record fails
-these tests until the text covers it.
+``snapshot_state`` writes the applications section as text: each manifest
+is spliced in as the text the KB keeps, the rest of what a submit fixes is
+encoded once per record, each distinct node list once per call, and only
+the fields that change are formatted on every call. Its bytes must equal
+the generic codec's for every KB, so a field added to a record fails these
+tests until the text covers it. The leader, each follower and a restored
+KB hold each manifest as the same text, byte for byte.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -40,6 +43,7 @@ from qonnect.kb.model import (
     ScheduleDecision,
 )
 from qonnect.kb.store import KnowledgeBase, _encode_state, _State, cluster_id_for
+from qonnect.rla.validation import validate_bundle
 
 
 def generic(kb: KnowledgeBase) -> str:
@@ -70,7 +74,7 @@ labels = st.lists(st.tuples(st.text(max_size=3), st.text(max_size=3)), max_size=
 json_leaves = st.none() | st.booleans() | st.integers() | times | st.text(max_size=4)
 manifests = st.dictionaries(
     st.text(max_size=4), json_leaves | st.lists(json_leaves, max_size=2), max_size=3
-)
+).map(codec.dumps)
 node_lists = st.sampled_from([(), ("w0",), ("w0", "w1"), ("wø", "w1", "w2")])
 statuses = st.sampled_from(["healthy", "progressing", "failed"])
 
@@ -90,7 +94,7 @@ def command_for(kb: KnowledgeBase, op: tuple):
     kind = op[0]
     if kind == "submit":
         _, app_id, name, labels_, qos, manifest, at = op
-        parts = (("web", Domain.CLOUD, manifest), ("db", Domain.EDGE, {"objects": []}))
+        parts = (("web", Domain.CLOUD, manifest), ("db", Domain.EDGE, '{"objects":[]}'))
         return SubmitApplication(app_id, name, labels_, qos, parts, at)
     if kind == "qos":
         return UpdateQoS(op[1], op[2], op[3])
@@ -149,7 +153,7 @@ def test_snapshot_bytes_equal_the_codecs_for_any_records(clusters, nodes, applic
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.0, 1e300, 7, 2**70])
 def test_snapshot_bytes_equal_the_codecs_for_edge_scalars(value):
     decision = ScheduleDecision("web", "c", ("w0",), value, 3)
-    comp = ComponentRecord("web", Domain.FOG, {"x": [value]}, ComponentStatus.HEALTHY,
+    comp = ComponentRecord("web", Domain.FOG, codec.dumps({"x": [value]}), ComponentStatus.HEALTHY,
                            decision, last_heartbeat=value)
     app = ApplicationRecord("id", "app", {"k": "v"}, QoSVector(abs(value), 0, 1.5), [comp], value)
     kb = kb_of([], [], [app])
@@ -191,7 +195,7 @@ def decided_kb() -> KnowledgeBase:
     from separate decodes."""
     kb = registered_kb()
     for app_id, name in (("id-1", "a"), ("id-2", "b")):
-        manifest = {"objects": [{"kind": "Deployment", "name": name}]}
+        manifest = codec.dumps({"objects": [{"kind": "Deployment", "name": name}]})
         parts = (("web", Domain.CLOUD, manifest), ("db", Domain.EDGE, manifest))
         kb.apply(SubmitApplication(app_id, name, (), QoSVector(), parts, 1.0))
         kb.apply(decode_command(encode_command(
@@ -207,7 +211,7 @@ def test_equal_node_lists_are_one_tuple_and_a_snapshot_keeps_only_live_ones():
     assert web[0] == ("w0", "w1") and web[0] is web[1]
     kb.apply(UpdateQoS("a", QoSVector(energy=1.0), 3.0))  # its decisions go
     kb.apply(DeleteApplication("b"))
-    kb.apply(SubmitApplication("id-3", "c", (), QoSVector(), (("web", Domain.CLOUD, {}),), 4.0))
+    kb.apply(SubmitApplication("id-3", "c", (), QoSVector(), (("web", Domain.CLOUD, "{}"),), 4.0))
     kb.apply(RecordDecision("id-3", "web", CLOUD, ("w3",), 5.0, 1, 1))
     assert set(kb._node_lists) == {("w0", "w1"), ("w2",), ("w3",)}
     kb.snapshot_state()
@@ -237,7 +241,13 @@ def count_dumps(monkeypatch) -> list:
 
 
 def manifests_of(kb: KnowledgeBase) -> list[dict]:
-    return [comp.manifest for app in kb.applications.values() for comp in app.components]
+    """The object each manifest text of ``kb`` holds."""
+    return [json.loads(comp.manifest)
+            for app in kb.applications.values() for comp in app.components]
+
+
+def encodes_no_manifest(kb: KnowledgeBase, encoded: list) -> bool:
+    return not any(value == manifest for value in encoded for manifest in manifests_of(kb))
 
 
 def assert_snapshot_encodes_no_manifest(kb: KnowledgeBase, encoded: list) -> None:
@@ -245,7 +255,7 @@ def assert_snapshot_encodes_no_manifest(kb: KnowledgeBase, encoded: list) -> Non
              for app in kb.applications.values() for comp in app.components}
     encoded.clear()
     kb.snapshot_state()
-    assert not any(value is manifest for value in encoded for manifest in manifests_of(kb))
+    assert encodes_no_manifest(kb, encoded)
     assert sorted(v for v in encoded if type(v) is tuple) == sorted(lists)  # once each
     assert len(encoded) == len(lists) + 1  # and the clusters and nodes, through the codec
 
@@ -253,15 +263,91 @@ def assert_snapshot_encodes_no_manifest(kb: KnowledgeBase, encoded: list) -> Non
 def test_a_snapshot_after_submits_encodes_no_manifest_and_each_list_once(monkeypatch):
     kb = decided_kb()
     encoded = count_dumps(monkeypatch)
-    assert_snapshot_encodes_no_manifest(kb, encoded)  # the submits encoded them
+    assert_snapshot_encodes_no_manifest(kb, encoded)  # the submits encoded the rest
     assert_snapshot_encodes_no_manifest(kb, encoded)
 
 
-def test_a_restored_kb_encodes_each_manifest_at_its_first_snapshot_only(monkeypatch):
+def test_a_restored_kb_encodes_no_manifest_at_its_first_snapshot_either(monkeypatch):
     restored = KnowledgeBase.restore(decided_kb().snapshot_state())
     assert restored._texts == {}
     encoded = count_dumps(monkeypatch)
     blob = restored.snapshot_state()
-    assert sum(value is manifest for value in encoded for manifest in manifests_of(restored)) == 4
+    # It encodes each record's labels once, and the manifests never.
+    assert encoded and encodes_no_manifest(restored, encoded)
     assert_snapshot_encodes_no_manifest(restored, encoded)
     assert restored.snapshot_state() == blob
+
+
+# ---------------------------------------------------------------------------
+# One manifest text, byte for byte, on every replica
+# ---------------------------------------------------------------------------
+
+DOMAINS = ("cloud", "fog", "edge")
+json_values = st.recursive(
+    json_leaves | st.floats(allow_nan=False, allow_infinity=False),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=10,
+)
+
+
+@st.composite
+def valid_bundles(draw) -> dict:
+    """A bundle ``validate_bundle`` accepts: each component ships an Ingress
+    under the application's name, and its placeholders name only domains
+    that some component targets."""
+    name = draw(st.sampled_from(["shop", "café", "店"]))
+    domains = draw(st.lists(st.sampled_from(DOMAINS), min_size=1, max_size=3))
+    placeholders = [f"{{{{QONNECT_{domain.upper()}_IP}}}}" for domain in set(domains)]
+    components = []
+    for i, domain in enumerate(domains):
+        env = draw(st.dictionaries(
+            st.text(max_size=4), st.sampled_from(placeholders).map(lambda p: f"http://{p}/x")
+            | json_values, max_size=3,
+        ))
+        extra = draw(st.lists(st.dictionaries(st.text(max_size=4), json_values), max_size=2))
+        components.append({
+            "component": f"c{i}",
+            "domain": domain,
+            "objects": [
+                {"kind": "Deployment", "name": f"c{i}", "env": env},
+                *extra,
+                {"kind": "Ingress", "name": f"c{i}-ing", "path": f"/{name}/c{i}"},
+            ],
+        })
+    return {"application": {"name": name, "labels": {"app": name}}, "components": components}
+
+
+def entry_as_objects(cmd: SubmitApplication, bundle: dict) -> str:
+    """The entry as the codec wrote it when the command held each manifest
+    as its object: the bundle's own objects under ``objects``."""
+    return codec.dumps({
+        "v": codec.VERSION, "kind": cmd.kind, "app_id": cmd.app_id, "name": cmd.name,
+        "labels": [list(label) for label in cmd.labels],
+        "qos": {"energy": cmd.qos.energy, "performance": cmd.qos.performance,
+                "pricing": cmd.qos.pricing},
+        "components": [[c["component"], c["domain"], {"objects": c["objects"]}]
+                       for c in bundle["components"]],
+        "submitted_at": cmd.submitted_at,
+    })
+
+
+@settings(max_examples=150, deadline=None)
+@given(bundle=valid_bundles())
+def test_the_leader_each_follower_and_a_restored_kb_hold_the_same_manifest_text(bundle):
+    parsed, errors = validate_bundle(bundle)
+    assert errors == []
+    cmd = SubmitApplication("id-1", parsed.name, parsed.labels, parsed.qos,
+                            parsed.components, 1.0)
+    raw = encode_command(cmd)
+    assert raw == entry_as_objects(cmd, bundle)
+    leader, follower = registered_kb(), registered_kb()
+    leader.apply(cmd)  # the leader applies the object it proposed
+    follower.apply(decode_command(raw))
+    blob = leader.snapshot_state()
+    assert blob == generic(leader) == follower.snapshot_state()
+    restored = KnowledgeBase.restore(blob)
+    texts = [text for _, _, text in parsed.components]
+    for kb in (leader, follower, restored):
+        assert [comp.manifest for comp in kb.applications["id-1"].components] == texts
+    assert leader == follower == restored
