@@ -42,6 +42,11 @@ from qonnect.kb.model import (
 # RegisterCluster idempotent and replica-deterministic by construction.
 _CLUSTER_ID_NAMESPACE = uuid.UUID("87e1f2da-4b6e-4f80-9da5-5ea726ea3d58")
 
+# The KB snapshot document's schema. v2 writes each node list once, in a
+# table its decisions index; ``restore`` reads v1 too. Log entries keep
+# ``codec.VERSION``.
+STATE_VERSION = 2
+
 _decode_node = codec.decoder(NodeSnapshot)
 
 _T = TypeVar("_T")
@@ -500,22 +505,23 @@ class KnowledgeBase:
     # ------------------------------------------------------------------
 
     def snapshot_state(self) -> str:
-        """The KB as schema v1 text: byte for byte
-        ``codec.dumps(_encode_state(...))`` of all its records.
+        """The KB as schema v2 text: byte for byte ``codec.dumps`` of the v1
+        document of its records, with each decision's node list moved into
+        a ``node_lists`` table, in order of first use, that it indexes.
 
         The applications section is built as text. Each manifest is kept as
         its text (``codec.ObjectText``) and spliced in. The rest of what a
         submit fixes is encoded once per record (``_fixed_text``): when the
-        submit applies, or at a restored record's first snapshot. Each
-        distinct node list is encoded once per call, and only the fields
-        that change are formatted on every call. Clusters and nodes go
-        through the codec. The node-list table is cut back to the lists that
-        live decisions hold.
+        submit applies, or at a restored record's first snapshot. Only the
+        fields that change are formatted on every call. Clusters, nodes and
+        the table go through the codec. The KB's node-list tuples are cut
+        back to the ones live decisions hold.
         """
-        lists: dict[tuple[str, ...], str] = {}
+        lists: dict[tuple[str, ...], int] = {}
         parts = [self._application_text(app, lists) for app in self.applications.values()]
         self._node_lists = {names: names for names in lists}
-        state = _State(codec.VERSION, list(self.clusters.values()), list(self.nodes.values()), [])
+        state = _State(STATE_VERSION, list(self.clusters.values()), list(self.nodes.values()),
+                       [], list(lists))
         rest = codec.dumps(_encode_state(state))  # {"applications":[],"clusters":…
         if not parts:
             return rest
@@ -525,9 +531,9 @@ class KnowledgeBase:
         parts[-1] += rest[len(_APPLICATIONS):]
         return ",".join(parts)
 
-    def _application_text(self, app: ApplicationRecord, lists: dict[tuple[str, ...], str]) -> str:
-        """``app`` as ``snapshot_state`` writes it; ``lists`` holds the text of
-        each node list this call has encoded."""
+    def _application_text(self, app: ApplicationRecord, lists: dict[tuple[str, ...], int]) -> str:
+        """``app`` as ``snapshot_state`` writes it; ``lists`` maps each node
+        list this call has met to its index in the table."""
         kept = self._texts.get(app.app_id) or self._texts.setdefault(app.app_id, _fixed_text(app))
         head, middle, tail, fixed = kept
         components = ",".join(
@@ -545,20 +551,29 @@ class KnowledgeBase:
 
     @classmethod
     def restore(cls, blob: str) -> KnowledgeBase:
-        """Load a ``snapshot_state`` blob; a malformed one raises ``ValueError``.
-        Applications an older delete kept, marked ``withdrawn``, are dropped.
-        The codec turns each manifest back into its text."""
-        state = _decode_state(codec.loads(blob))
+        """Load a ``snapshot_state`` blob, v2 or v1; a malformed one raises
+        ``ValueError``. Applications an older delete kept, marked
+        ``withdrawn``, are dropped. The codec turns each manifest back into
+        its text. A v2 decision holds its table entry's tuple; a v1 document
+        repeats each list, so equal lists are made one tuple here."""
+        doc = codec.loads(blob)
+        listed = _take_decisions(doc)
+        state = _decode_state(doc)
         kb = cls()
         kb.clusters = {rec.cluster_id: rec for rec in state.clusters}
         kb._config = {rec.cluster_id: rec.external_ip for rec in state.clusters}
         kb.nodes = {(snap.cluster_id, snap.node_name): snap for snap in state.nodes}
+        if listed is not None:
+            table = [kb._node_lists.setdefault(names, names) for names in state.node_lists]
+            comps = [comp for app in state.applications for comp in app.components]
+            for comp, wire in zip(comps, _decode_listed(listed), strict=True):
+                comp.decision = None if wire is None else wire.decision(table)
         kb.applications = {app.app_id: app for app in state.applications if not app.withdrawn}
         for app in kb.applications.values():
             kb._live_by_name.setdefault(app.name, app)
             for comp in app.components:
                 decision = comp.decision
-                if decision is not None:
+                if listed is None and decision is not None:
                     names = kb._node_lists.setdefault(decision.node_names, decision.node_names)
                     if names is not decision.node_names:
                         comp.decision = replace(decision, node_names=names)
@@ -606,31 +621,71 @@ def _fixed_text(app: ApplicationRecord) -> _FixedText:
     )
 
 
-def _decision_text(decision: ScheduleDecision | None, lists: dict[tuple[str, ...], str]) -> str:
+def _decision_text(decision: ScheduleDecision | None, lists: dict[tuple[str, ...], int]) -> str:
     if decision is None:
         return "null"
-    names = decision.node_names
-    listed = lists.get(names) or lists.setdefault(names, codec.dumps(names))
+    index = lists.setdefault(decision.node_names, len(lists))
     return (
         f'{{"cluster_id":{_string(decision.cluster_id)},'
         f'"component_name":{_string(decision.component_name)},'
         f'"decided_at":{_scalar(decision.decided_at)},'
-        f'"deciding_term":{_scalar(decision.deciding_term)},"node_names":{listed}}}'
+        f'"deciding_term":{_scalar(decision.deciding_term)},"node_list":{index}}}'
     )
+
+
+def _take_decisions(doc: object) -> list[object] | None:
+    """Each component's decision in a v2 document, taken out of it in
+    order, so that ``_decode_state`` decodes the rest as v1 records; None
+    for any other document."""
+    if type(doc) is not dict or doc.get("v") != STATE_VERSION:
+        return None
+    taken = []
+    apps = doc.get("applications")
+    for app in apps if type(apps) is list else ():
+        comps = app.get("components") if type(app) is dict else None
+        for comp in comps if type(comps) is list else ():
+            if type(comp) is dict:
+                taken.append(comp.pop("decision", None))
+    return taken
+
+
+@dataclass(frozen=True)
+class _ListedDecision:
+    """A v2 document's decision: ``node_list`` indexes its node-list table."""
+
+    cluster_id: str
+    component_name: str
+    decided_at: float
+    deciding_term: int
+    node_list: int
+
+    def decision(self, table: list[tuple[str, ...]]) -> ScheduleDecision:
+        """The decision, holding its table entry's tuple."""
+        if not 0 <= self.node_list < len(table):
+            raise ValueError(f"node list {self.node_list} is not in the table of {len(table)}")
+        return ScheduleDecision(self.component_name, self.cluster_id, table[self.node_list],
+                                self.decided_at, self.deciding_term)
+
+
+_decode_listed = codec.decoder(list[_ListedDecision | None])
 
 
 @dataclass(frozen=True)
 class _State:
-    """The snapshot document: every record of the KB, schema v1."""
+    """The snapshot document: every record of the KB. A v2 document holds
+    the table its decisions index; a v1 document has none."""
 
     v: int
     clusters: list[ClusterRecord]
     nodes: list[NodeSnapshot]
     applications: list[ApplicationRecord]
+    node_lists: list[tuple[str, ...]] | None = None
 
     def __post_init__(self) -> None:
-        if self.v != codec.VERSION:
+        if self.v not in (1, STATE_VERSION):
             raise ValueError(f"unsupported knowledge base snapshot schema: {self.v!r}")
+        if (self.node_lists is None) != (self.v == 1):
+            raise ValueError("a v2 snapshot has a node_lists table, and a v1 snapshot none")
 
 
 _encode_state = codec.encoder(_State)

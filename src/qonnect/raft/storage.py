@@ -5,11 +5,13 @@ file under a per-node data directory; a node restarted from that directory
 resumes with identical term, vote, and log suffix. Every call that writes is
 durable when it returns: the WAL is fsynced once per call, and a snapshot
 file or rewritten WAL is fsynced before it is renamed into place, and the
-directory after. A crash in mid-append leaves at most a torn last record;
-``load`` drops it and cuts it from the file, while a bad record anywhere
-else is corruption and raises ``ValueError``. ``MemoryStorage`` offers
-the same interface for deterministic in-process tests, where the storage
-object surviving a "process" restart stands in for the disk.
+directory after. A WAL or data directory that ``FileStorage`` creates has
+its directory entry synced before the constructor returns. A crash in
+mid-append leaves at most a torn last record; ``load`` drops it and cuts it
+from the file, while a bad record anywhere else is corruption and raises
+``ValueError``. ``MemoryStorage`` offers the same interface for
+deterministic in-process tests, where the storage object surviving a
+"process" restart stands in for the disk.
 """
 
 from __future__ import annotations
@@ -106,9 +108,14 @@ class FileStorage:
 
     def __init__(self, data_dir: str | Path) -> None:
         self._dir = Path(data_dir)
-        self._dir.mkdir(parents=True, exist_ok=True)
         self._wal_path = self._dir / WAL_FILE
+        # Each directory and file this creates, so that its entry is synced.
+        created = [path for path in (self._wal_path, self._dir, *self._dir.parents)
+                   if not path.exists()]
+        self._dir.mkdir(parents=True, exist_ok=True)
         self._wal = self._wal_path.open("a", encoding="utf-8")
+        for path in created:
+            _sync_dir(path.parent)
         # The term and vote last loaded or saved, for rewriting the WAL.
         fresh = PersistedState()
         self._meta = _meta_record(fresh.term, fresh.voted_for)
@@ -200,11 +207,16 @@ class FileStorage:
             fh.flush()
             os.fsync(fh.fileno())
         tmp.rename(path)
-        fd = os.open(self._dir, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+        _sync_dir(self._dir)
+
+
+def _sync_dir(path: Path) -> None:
+    """fsync a directory, so that the entries made in it are durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 # The fields of each WAL record kind and the types each may hold.

@@ -9,7 +9,14 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_commands import GOLDEN_STATE, TOMBSTONE_STATE, json_values
+from test_commands import (
+    GOLDEN_SNAPSHOT,
+    GOLDEN_STATE,
+    REPEATED_SNAPSHOT,
+    REPEATED_STATE,
+    TOMBSTONE_STATE,
+    json_values,
+)
 
 from qonnect import codec
 from qonnect.kb.commands import (
@@ -378,19 +385,79 @@ def _objects_in(value: object) -> list[dict]:
     return []
 
 
-@pytest.mark.parametrize("version", [0, 2, "1", True, None])
-def test_restore_refuses_other_schema_versions(version):
-    state = {**json.loads(GOLDEN_STATE), "v": version}
+@pytest.mark.parametrize("blob", [GOLDEN_STATE, GOLDEN_SNAPSHOT], ids=["v1", "v2"])
+@pytest.mark.parametrize("version", [0, 3, "1", True, None])
+def test_restore_refuses_other_schema_versions(version, blob):
+    state = {**json.loads(blob), "v": version}
     with pytest.raises(ValueError):
         KnowledgeBase.restore(json.dumps(state))
-    assert KnowledgeBase.restore(GOLDEN_STATE).snapshot_state() == GOLDEN_STATE
+    assert KnowledgeBase.restore(blob).snapshot_state() == GOLDEN_SNAPSHOT
+
+
+def _decisions_in(state: dict) -> list[dict]:
+    return [comp["decision"] for app in state["applications"] for comp in app["components"]]
+
+
+def _with_index(index):
+    def mutate(state):
+        _decisions_in(state)[1]["node_list"] = index
+    return mutate
+
+
+def _with_entry(entry):
+    def mutate(state):
+        state["node_lists"][1] = entry
+    return mutate
+
+
+def _drop_table(state):
+    del state["node_lists"]
+
+
+def _with_both(state):
+    _decisions_in(state)[0]["node_names"] = ["edge-w0", "edge-w1"]
+
+
+def _v1_with_index(state):
+    state.update(json.loads(REPEATED_STATE))
+    _decisions_in(state)[0]["node_list"] = 0
+
+
+# The v2 snapshot made malformed in each way its reader must refuse.
+MALFORMED_V2 = {
+    "index-a-bool": _with_index(True),
+    "index-a-float": _with_index(1.0),
+    "index-a-string": _with_index("1"),
+    "index-null": _with_index(None),
+    "index-out-of-range": _with_index(2),
+    "index-negative": _with_index(-1),
+    "entry-not-a-list": _with_entry("edge-w1"),
+    "entry-holds-a-number": _with_entry(["edge-w1", 3]),
+    "table-missing": _drop_table,
+    "table-not-a-list": lambda state: state.update(node_lists={"0": ["edge-w1"]}),
+    "list-and-names": _with_both,
+    "v1-with-an-index": _v1_with_index,
+}
+
+
+def malformed_v2(mutate) -> str:
+    state = json.loads(REPEATED_SNAPSHOT)
+    mutate(state)
+    return json.dumps(state)
+
+
+@pytest.mark.parametrize("mutate", MALFORMED_V2.values(), ids=MALFORMED_V2)
+def test_restore_refuses_a_malformed_v2_snapshot(mutate):
+    with pytest.raises(ValueError):
+        KnowledgeBase.restore(malformed_v2(mutate))
 
 
 @st.composite
 def mutated_states(draw) -> str:
-    """The recorded tombstone-bearing KB snapshot with fields dropped or
-    replaced anywhere in it."""
-    state = json.loads(TOMBSTONE_STATE)
+    """A recorded KB snapshot, the v1 one with a tombstone or a v2 one with
+    decisions, with fields dropped or replaced anywhere in it; for the v2
+    one, its decisions' indexes and its table's entries too."""
+    state = json.loads(draw(st.sampled_from([TOMBSTONE_STATE, REPEATED_SNAPSHOT])))
     for _ in range(draw(st.integers(1, 3))):
         target = draw(st.sampled_from(_objects_in(state)))
         if not target:
@@ -398,13 +465,16 @@ def mutated_states(draw) -> str:
         key = draw(st.sampled_from(sorted(target)) | text)
         if draw(st.booleans()):
             target.pop(key, None)
+        elif key == "node_list" or type(target.get(key)) is list:
+            target[key] = draw(json_values | st.integers(-2, 3) | st.lists(json_values, max_size=2))
         else:
             target[key] = draw(json_values)
     return json.dumps(state)
 
 
 @settings(max_examples=300, deadline=None)
-@given(blob=mutated_states() | json_values.map(json.dumps) | st.text(max_size=40))
+@given(blob=mutated_states() | st.sampled_from(list(MALFORMED_V2.values())).map(malformed_v2)
+       | json_values.map(json.dumps) | st.text(max_size=40))
 def test_restore_accepts_or_raises_value_error_only(blob):
     try:
         kb = KnowledgeBase.restore(blob)

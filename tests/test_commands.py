@@ -46,13 +46,48 @@ TOMBSTONE_STATE = (
     '"memory":8.0,"node_name":"edge-w0","pressured":false,"pricing":1.0,"ready":true,'
     '"role":"worker","schedulable":true,"storage":100.0,"taken_at":2.0}],"v":1}'
 )
-# The KB snapshot the entries apply to: the delete removed the application.
+# The v1 KB snapshot the entries apply to: the delete removed the application.
 GOLDEN_STATE = (
     '{"applications":[],"clusters":[{"cluster_id":"79a62f64-8252-5a15-b929-f461267aebc7",'
     '"domain":"edge","external_ip":"10.0.0.1","registered_at":1.0}],"nodes":[{"bandwidth":52.5,'
     '"cluster_id":"79a62f64-8252-5a15-b929-f461267aebc7","cpu":4.0,"energy":0.002,'
     '"memory":8.0,"node_name":"edge-w0","pressured":false,"pricing":1.0,"ready":true,'
     '"role":"worker","schedulable":true,"storage":100.0,"taken_at":2.0}],"v":1}'
+)
+# The same state as the v2 snapshot the KB writes: an empty node-list table.
+GOLDEN_SNAPSHOT = (
+    '{"applications":[],"clusters":[{"cluster_id":"79a62f64-8252-5a15-b929-f461267aebc7",'
+    '"domain":"edge","external_ip":"10.0.0.1","registered_at":1.0}],"node_lists":[],'
+    '"nodes":[{"bandwidth":52.5,"cluster_id":"79a62f64-8252-5a15-b929-f461267aebc7","cpu":4.0,'
+    '"energy":0.002,"memory":8.0,"node_name":"edge-w0","pressured":false,"pricing":1.0,'
+    '"ready":true,"role":"worker","schedulable":true,"storage":100.0,"taken_at":2.0}],"v":2}'
+)
+# A v1 snapshot whose decisions repeat a node list, as written before v2,
+# and the v2 snapshot of the same state: each list once, in order of use.
+_DECIDED = (
+    '{"applications":[{"app_id":"app-1","components":[{"decision":{"cluster_id":'
+    '"79a62f64-8252-5a15-b929-f461267aebc7","component_name":"ratings","decided_at":4.0,'
+    '"deciding_term":2,%s},"last_heartbeat":null,"manifest":{"objects":[{"kind":"Deployment"}]},'
+    '"name":"ratings","status":"Scheduled","target_domain":"edge"},{"decision":{"cluster_id":'
+    '"79a62f64-8252-5a15-b929-f461267aebc7","component_name":"reviews","decided_at":4.0,'
+    '"deciding_term":2,%s},"last_heartbeat":null,"manifest":{"objects":[{"kind":"Deployment"}]},'
+    '"name":"reviews","status":"Scheduled","target_domain":"edge"}],"labels":{},"name":"demo",'
+    '"qos":{"energy":1.0,"performance":0.0,"pricing":0.0},"submitted_at":3.0,"version":1,'
+    '"withdrawn":false},{"app_id":"app-2","components":[{"decision":{"cluster_id":'
+    '"79a62f64-8252-5a15-b929-f461267aebc7","component_name":"ratings","decided_at":4.5,'
+    '"deciding_term":2,%s},"last_heartbeat":null,"manifest":{"objects":[{"kind":"Deployment"}]},'
+    '"name":"ratings","status":"Scheduled","target_domain":"edge"}],"labels":{},"name":"shop",'
+    '"qos":{"energy":1.0,"performance":0.0,"pricing":0.0},"submitted_at":3.5,"version":1,'
+    '"withdrawn":false}],"clusters":[{"cluster_id":"79a62f64-8252-5a15-b929-f461267aebc7",'
+    '"domain":"edge","external_ip":"10.0.0.1","registered_at":1.0}],%s"nodes":[],"v":%d}'
+)
+REPEATED_STATE = _DECIDED % (
+    '"node_names":["edge-w0","edge-w1"]', '"node_names":["edge-w1"]',
+    '"node_names":["edge-w0","edge-w1"]', "", 1,
+)
+REPEATED_SNAPSHOT = _DECIDED % (
+    '"node_list":0', '"node_list":1', '"node_list":0',
+    '"node_lists":[["edge-w0","edge-w1"],["edge-w1"]],', 2,
 )
 
 
@@ -65,7 +100,8 @@ def test_recorded_single_command_entries_decode_and_apply_to_the_recorded_state(
         assert encode_command(command) == raw  # the v1 schema is unchanged
         kinds.append(kb.apply(command).kind)
     assert kinds == GOLDEN_EFFECTS
-    assert kb.snapshot_state() == GOLDEN_STATE
+    assert kb.snapshot_state() == GOLDEN_SNAPSHOT
+    assert KnowledgeBase.restore(GOLDEN_STATE) == kb  # the v1 text still reads
 
 
 def test_batch_of_recorded_entries_applies_like_the_entries_one_by_one():
@@ -77,7 +113,7 @@ def test_batch_of_recorded_entries_applies_like_the_entries_one_by_one():
     assert decoded == batch
     kb = KnowledgeBase()
     assert [kb.apply(member).kind for member in decoded.commands] == GOLDEN_EFFECTS
-    assert kb.snapshot_state() == GOLDEN_STATE
+    assert kb.snapshot_state() == GOLDEN_SNAPSHOT
 
 
 def test_a_recorded_tombstone_is_dropped_on_restore():
@@ -87,7 +123,17 @@ def test_a_recorded_tombstone_is_dropped_on_restore():
     assert [app["withdrawn"] for app in json.loads(TOMBSTONE_STATE)["applications"]] == [True]
     restored = KnowledgeBase.restore(TOMBSTONE_STATE)
     assert restored == replayed
-    assert restored.snapshot_state() == GOLDEN_STATE
+    assert restored.snapshot_state() == GOLDEN_SNAPSHOT
+
+
+def test_a_v1_snapshot_that_repeats_node_lists_reads_as_its_v2_snapshot():
+    from_v1 = KnowledgeBase.restore(REPEATED_STATE)
+    from_v2 = KnowledgeBase.restore(REPEATED_SNAPSHOT)
+    assert from_v1 == from_v2
+    assert from_v1.snapshot_state() == from_v2.snapshot_state() == REPEATED_SNAPSHOT
+    for kb in (from_v1, from_v2):  # one tuple per distinct list
+        demo, shop = kb.applications.values()
+        assert demo.components[0].decision.node_names is shop.components[0].decision.node_names
 
 
 def test_entries_with_qos_weights_that_are_not_finite_still_replay():

@@ -12,6 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 
 import pytest
+from test_commands import REPEATED_SNAPSHOT
 
 from qonnect.agent.client import RlaClientError
 from qonnect.harness import live as live_module
@@ -461,6 +462,8 @@ def test_a_snapshot_the_kb_cannot_restore_is_refused_and_never_saved(tmp_path):
         assert install(5, good) == 200
         assert install(9, "not a snapshot") == 400
         assert install(9, '{"v": 1}') == 400
+        # A v2 blob whose decision indexes past its node-list table.
+        assert install(9, REPEATED_SNAPSHOT.replace('"node_list":1', '"node_list":2')) == 400
         assert rla.node.snapshot_index == 5
         assert rla.service.kb.snapshot_state() == good
     finally:

@@ -2,10 +2,11 @@
 
 ``snapshot_state`` writes the applications section as text: each manifest
 is spliced in as the text the KB keeps, the rest of what a submit fixes is
-encoded once per record, each distinct node list once per call, and only
-the fields that change are formatted on every call. Its bytes must equal
-the generic codec's for every KB, so a field added to a record fails these
-tests until the text covers it. The leader, each follower and a restored
+encoded once per record, and only the fields that change are formatted on
+every call. Each distinct node list is written once, in the v2 document's
+table. Its bytes must equal the generic codec's v1 document turned into
+that table form (``as_v2``) for every KB, so a field added to a record
+fails these tests until the text covers it. The leader, each follower and a restored
 KB hold each manifest as the same text, byte for byte.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -42,19 +44,37 @@ from qonnect.kb.model import (
     QoSVector,
     ScheduleDecision,
 )
-from qonnect.kb.store import KnowledgeBase, _encode_state, _State, cluster_id_for
+from qonnect.kb.store import KnowledgeBase, cluster_id_for
 from qonnect.rla.validation import validate_bundle
+
+
+def v1_document(kb: KnowledgeBase) -> dict:
+    """The KB's records as the codec writes them, in the v1 snapshot document."""
+    def encoded(records) -> list:
+        return [codec.encoder(type(record))(record) for record in records]
+
+    return {"applications": encoded(kb.applications.values()),
+            "clusters": encoded(kb.clusters.values()), "nodes": encoded(kb.nodes.values()),
+            "v": 1}
+
+
+def as_v2(document: dict) -> dict:
+    """A v1 document in the v2 form: each decision's node list moves into a
+    ``node_lists`` table, in order of first use, and the decision holds its
+    index there."""
+    table: dict[tuple[str, ...], int] = {}
+    for app in document["applications"]:
+        for comp in app["components"]:
+            decision = comp["decision"]
+            if decision is not None:
+                names = tuple(decision.pop("node_names"))
+                decision["node_list"] = table.setdefault(names, len(table))
+    return {**document, "node_lists": [list(names) for names in table], "v": 2}
 
 
 def generic(kb: KnowledgeBase) -> str:
     """The snapshot as the codec writes it from the records alone."""
-    state = _State(
-        v=codec.VERSION,
-        clusters=list(kb.clusters.values()),
-        nodes=list(kb.nodes.values()),
-        applications=list(kb.applications.values()),
-    )
-    return codec.dumps(_encode_state(state))
+    return codec.dumps(as_v2(v1_document(kb)))
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +210,48 @@ def test_decisions_on_one_cluster_share_one_node_list_on_every_replica():
             assert all(a is b for a, b in zip(event.detail["nodes"], names))
 
 
+# Bytes per app of the snapshot of a 30-app bookinfo fleet placed on 30
+# workers per cluster (seed 7): 8 019 when each of its 120 decisions wrote
+# its node list, 5 212 with each of the 9 distinct lists written once.
+SNAPSHOT_BYTES_PER_APP = 6_500
+FLEET_QOS = ({"energy": 1.0}, {"pricing": 1.0}, {"performance": 1.0},
+             {"energy": 0.2, "pricing": 0.5, "performance": 0.3})
+
+
+def node_lists_in(document: dict) -> list[tuple[str, ...]]:
+    """Every node list a snapshot document writes, each time it writes one."""
+    written = [tuple(names) for names in document.get("node_lists", ())]
+    for app in document["applications"]:
+        for comp in app["components"]:
+            if comp["decision"] is not None and "node_names" in comp["decision"]:
+                written.append(tuple(comp["decision"]["node_names"]))
+    return written
+
+
+def test_a_placed_fleet_snapshot_writes_each_node_list_once_on_every_replica():
+    spec = TestbedSpec(seed=7)
+    spec.clusters = [replace(cluster, workers=30) for cluster in spec.clusters]
+    dep = Deployment(spec)
+    dep.boot()
+    client = dep.client()
+    apps = 30
+    for i in range(apps):
+        client.submit_application(bookinfo_bundle(f"app-{i}", FLEET_QOS[i % len(FLEET_QOS)]))
+
+    def placed() -> bool:
+        live = dep.kb().applications.values()
+        return len(live) == apps and all(comp.decision for app in live for comp in app.components)
+
+    assert dep.run_until(placed, 120.0)
+    dep.group.pump(dep.group.leader().broadcast_append())  # followers catch up
+    blobs = {service.kb.snapshot_state() for service in dep.services.values()}
+    assert len(blobs) == 1  # byte-identical on every replica
+    [blob] = blobs
+    written = node_lists_in(json.loads(blob))
+    assert len(written) > 1 and len(written) == len(set(written))
+    assert len(blob) / apps < SNAPSHOT_BYTES_PER_APP, len(blob) / apps
+
+
 def decided_kb() -> KnowledgeBase:
     """Two apps with decisions holding two distinct lists, by equal tuples
     from separate decodes."""
@@ -256,8 +318,9 @@ def assert_snapshot_encodes_no_manifest(kb: KnowledgeBase, encoded: list) -> Non
     encoded.clear()
     kb.snapshot_state()
     assert encodes_no_manifest(kb, encoded)
-    assert sorted(v for v in encoded if type(v) is tuple) == sorted(lists)  # once each
-    assert len(encoded) == len(lists) + 1  # and the clusters and nodes, through the codec
+    # One document through the codec: clusters, nodes and each list once.
+    [rest] = encoded
+    assert sorted(map(tuple, rest["node_lists"])) == sorted(lists)
 
 
 def test_a_snapshot_after_submits_encodes_no_manifest_and_each_list_once(monkeypatch):

@@ -7,6 +7,8 @@ else is corruption, and loading refuses it.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from qonnect.raft import storage as storage_module
@@ -67,9 +69,9 @@ def test_a_bad_record_before_the_last_is_refused_with_its_line(tmp_path, bad):
 def test_each_write_call_is_fsynced_once_and_a_snapshot_before_and_after_its_renames(
     tmp_path, monkeypatch
 ):
+    storage = FileStorage(tmp_path)
     synced: list[int] = []
     monkeypatch.setattr(storage_module.os, "fsync", synced.append)
-    storage = FileStorage(tmp_path)
     storage.append_entries(ENTRIES)
     storage.save_state(2, 1)
     storage.truncate_from(3)
@@ -87,3 +89,24 @@ def test_each_write_call_is_fsynced_once_and_a_snapshot_before_and_after_its_ren
     assert renamed == [1, 3] and len(synced) == 4
     storage.close()
     assert FileStorage(tmp_path).load().entries == ENTRIES[2:]
+
+
+def test_a_created_wal_and_data_directory_are_synced_into_their_parents(tmp_path, monkeypatch):
+    opened: dict[int, object] = {}
+    synced: list[object] = []
+    open_fd = os.open
+
+    def spy_open(path, flags, *args):
+        fd = open_fd(path, flags, *args)
+        opened[fd] = path
+        return fd
+
+    monkeypatch.setattr(storage_module.os, "open", spy_open)
+    monkeypatch.setattr(storage_module.os, "fsync", lambda fd: synced.append(opened.get(fd)))
+    data_dir = tmp_path / "rla" / "0"
+    FileStorage(data_dir).close()
+    # The WAL's entry in the data directory, and each new directory's in its parent.
+    assert sorted(map(str, synced)) == sorted(map(str, [data_dir, data_dir.parent, tmp_path]))
+    synced.clear()
+    FileStorage(data_dir).close()
+    assert synced == []  # nothing was created
