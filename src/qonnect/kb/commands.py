@@ -5,10 +5,14 @@ propose time) so that applying the same sequence on every replica is fully
 deterministic.
 
 A log entry holds either one command or a ``Batch`` of them (group commit:
-one entry per telemetry flush or scheduler pass). A batch's members are
-encoded exactly like single-command entries, so entries written before
-batches existed still decode. Entries are written by ``qonnect.codec`` as
-``{"v": 1, "kind": cls.kind, **fields}`` with sorted keys.
+one entry per telemetry flush or scheduler pass). Entries are written by
+``qonnect.codec`` as ``{"v": 1, "kind": cls.kind, **fields}`` with sorted
+keys, and a batch's members like single-command entries, with one
+exception: a batch that holds a ``RecordDecision`` is written as v2,
+``{"commands": [...], "kind": "batch", "node_lists": [[...], ...], "v": 2}``.
+Its table holds each distinct node list once, in order of first use, and
+each decision member holds ``node_list``, its index there, in place of
+``node_names``. v1 batches still decode.
 """
 
 from __future__ import annotations
@@ -123,14 +127,56 @@ class Batch:
             raise ValueError("batches do not nest")
 
 
+# The schema of a batch that holds a decision; every other entry is v1.
+LISTED_VERSION = 2
+
 _encode = codec.encoder(KBCommand | Batch)
 _decode = codec.decoder(KBCommand | Batch)
+_NO_NAMES: list = []  # what a v2 decision is decoded with, before it gets its list
 
 
 def encode_command(cmd: KBCommand | Batch) -> str:
-    return codec.dumps(_encode(cmd))
+    data = _encode(cmd)
+    if type(cmd) is Batch and any(type(member) is RecordDecision for member in cmd.commands):
+        lists: dict[tuple[str, ...], int] = {}
+        for member, encoded in zip(cmd.commands, data["commands"]):
+            if type(member) is RecordDecision:
+                del encoded["node_names"]
+                encoded["node_list"] = lists.setdefault(member.node_names, len(lists))
+        data.update(node_lists=list(lists), v=LISTED_VERSION)
+    return codec.dumps(data)
 
 
 def decode_command(raw: str) -> KBCommand | Batch:
-    """Decode one log entry; any malformed payload raises ``ValueError``."""
-    return _decode(codec.loads(raw))
+    """Decode one log entry, v1 or a v2 batch; any malformed payload raises
+    ``ValueError``."""
+    data = codec.loads(raw)
+    if type(data) is dict and "node_lists" in data:
+        return _decode_listed(data)
+    return _decode(data)
+
+
+def _decode_listed(data: dict) -> Batch:
+    """A v2 batch. Its table is decoded once, one tuple per entry. Each
+    decision's index is taken out and the rest decoded as a v1 batch; then
+    each decision holds the tuple its index names."""
+    from qonnect.kb.store import decode_node_lists, listed_nodes  # store imports this module
+
+    if data.get("v") != LISTED_VERSION or type(data["v"]) is not int \
+            or data.get("kind") != Batch.kind:
+        raise ValueError("only a v2 batch holds a node-list table")
+    table = decode_node_lists(data.pop("node_lists"))
+    listed = []
+    members = data.get("commands")
+    for member in members if type(members) is list else ():
+        if type(member) is dict and member.get("kind") == RecordDecision.kind:
+            if "node_names" in member:
+                raise ValueError("a v2 decision holds node_list, not node_names")
+            listed.append(listed_nodes(table, member.pop("node_list", None)))
+            member["node_names"] = _NO_NAMES
+    data["v"] = codec.VERSION
+    batch = _decode(data)
+    decisions = (cmd for cmd in batch.commands if type(cmd) is RecordDecision)
+    for decision, names in zip(decisions, listed, strict=True):
+        decision.__dict__["node_names"] = names  # as the codec builds it
+    return batch

@@ -49,6 +49,10 @@ STATE_VERSION = 2
 
 _decode_node = codec.decoder(NodeSnapshot)
 
+# A node-list table, as the KB snapshot v2 and a v2 log batch hold it: a
+# list of lists of strings, each decoded as one tuple.
+decode_node_lists = codec.decoder(list[tuple[str, ...]])
+
 _T = TypeVar("_T")
 
 
@@ -61,6 +65,15 @@ def node_from_wire(wire: object, cluster_id: str, taken_at: float) -> NodeSnapsh
     if type(wire) is not dict or "cluster_id" in wire or "taken_at" in wire:
         raise ValueError("a node must be an object without cluster_id or taken_at")
     return _decode_node({**wire, "cluster_id": cluster_id, "taken_at": taken_at})
+
+
+def listed_nodes(table: list[tuple[str, ...]], index: object) -> tuple[str, ...]:
+    """Entry ``index`` of a decoded node-list table; ``ValueError`` unless
+    ``index`` is an int (a bool is not) within the table."""
+    if type(index) is not int or not 0 <= index < len(table):
+        raise ValueError(f"node list {index!r:.20} is not in the table of {len(table)}")
+    return table[index]
+
 
 HEARTBEAT_STATUS = {
     "healthy": ComponentStatus.HEALTHY,
@@ -296,13 +309,18 @@ class KnowledgeBase:
         for Scheduled. No other status has an index."""
         key = (app.app_id, comp.name)
         if comp.status is _PENDING:
-            (self._pending.add if add else self._pending.discard)(key)
+            if add:
+                self._pending.add(key)
+            else:
+                self._pending.discard(key)
         elif comp.status is _SCHEDULED and comp.decision is not None:
             cluster_id = comp.decision.cluster_id
-            held = self._scheduled.setdefault(cluster_id, set())
+            held = self._scheduled.get(cluster_id)
             if add:
+                if held is None:
+                    held = self._scheduled[cluster_id] = set()
                 held.add(key)
-            else:
+            elif held is not None:
                 held.discard(key)
                 if not held:
                     del self._scheduled[cluster_id]
@@ -661,10 +679,9 @@ class _ListedDecision:
 
     def decision(self, table: list[tuple[str, ...]]) -> ScheduleDecision:
         """The decision, holding its table entry's tuple."""
-        if not 0 <= self.node_list < len(table):
-            raise ValueError(f"node list {self.node_list} is not in the table of {len(table)}")
-        return ScheduleDecision(self.component_name, self.cluster_id, table[self.node_list],
-                                self.decided_at, self.deciding_term)
+        return ScheduleDecision(self.component_name, self.cluster_id,
+                                listed_nodes(table, self.node_list), self.decided_at,
+                                self.deciding_term)
 
 
 _decode_listed = codec.decoder(list[_ListedDecision | None])

@@ -255,6 +255,8 @@ class RaftNode:
             self.current_term = term
             self.voted_for = None
             self.storage.save_state(self.current_term, self.voted_for)
+        if self.role is _LEADER:  # it no longer knows who leads
+            self.leader_id = None
         self.role = _FOLLOWER
         self._votes = set()
         self._reset_election_timer()

@@ -12,6 +12,8 @@ replay identically.
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import count
@@ -29,6 +31,9 @@ class WorkloadPhase(str, Enum):
 
 
 _ROLLING, _READY, _CRASH_LOOP = WorkloadPhase  # bound once: see raft.node
+# How far below a rollout's end its namespace falls due: far more than float
+# rounding at any simulated time, so the exact test in ``step`` decides.
+_DUE_SLACK = 1e-6
 
 
 @dataclass
@@ -124,6 +129,11 @@ class SimCluster:
         # Each namespace's creation number: ``step`` visits in creation order.
         self._created: dict[str, int] = {}
         self._creations = count()
+        # (due time, creation number, namespace): an unsettled namespace
+        # cannot change before the due time of its entry (``_due_time``), so
+        # ``step`` visits only the due ones. A namespace may have several
+        # entries; a stale one costs at most a visit that changes nothing.
+        self._due: list[tuple[float, int, str]] = []
 
     # ------------------------------------------------------------------
     # Node and store access (the agent-facing backend surface)
@@ -221,6 +231,7 @@ class SimCluster:
             env=env,
         )
         self.unsettled.add(namespace)
+        self._queue(namespace, self._due_time(self.workloads[namespace][name]))
 
     def delete_objects(self, namespace: str, object_ids: list[str]) -> None:
         ns = self.namespaces.get(namespace)
@@ -231,6 +242,8 @@ class SimCluster:
             kind, _, name = obj_id.partition("/")
             if kind == "Deployment":
                 self.workloads.get(namespace, {}).pop(name, None)
+                if namespace in self.unsettled:  # it may have settled
+                    self._queue(namespace, -math.inf)
 
     def namespace_state(self, namespace: str) -> tuple[dict, dict] | None:
         """The namespace's applied objects by id and its ``SimWorkload``s by
@@ -251,16 +264,31 @@ class SimCluster:
     def _log(self, kind: str, **detail: str) -> None:
         self.events.append(self.now, self.name, kind, detail)
 
+    def _due_time(self, workload: SimWorkload) -> float:
+        """When an unsettled ``workload`` may next change: a Rolling one of
+        at most one replica keeps ``ready`` at 0 until its rollout ends;
+        any other may change at every step."""
+        if workload.phase is _ROLLING and 0 <= workload.desired <= 1:
+            return workload.rollout_started + self.rollout_latency - _DUE_SLACK
+        return -math.inf
+
+    def _queue(self, namespace: str, due: float) -> None:
+        heapq.heappush(self._due, (due, self._created[namespace], namespace))
+
     def step(self, now: float) -> None:
         """Advance to the driver's time ``now``. An earlier ``now`` (a wall
         clock stepped back) leaves the clock where it is."""
         self.now = max(self.now, now)
-        if not self.unsettled:
+        queue = self._due
+        if not queue or queue[0][0] > self.now:
             return
+        visiting = set()
+        while queue and queue[0][0] <= self.now:
+            visiting.add(heapq.heappop(queue)[2])
         # Creation order, as a full scan of ``workloads`` would visit them,
         # keeps events in order.
-        for namespace in sorted(self.unsettled, key=self._created.__getitem__):
-            settled = True
+        for namespace in sorted(visiting & self.unsettled, key=self._created.__getitem__):
+            due = math.inf
             for workload in self.workloads[namespace].values():
                 if workload.phase is _ROLLING:
                     elapsed = self.now - workload.rollout_started
@@ -269,13 +297,13 @@ class SimCluster:
                         workload.phase = _READY
                         self._log("workload-ready", namespace=namespace, workload=workload.name)
                     else:
-                        settled = False
+                        due = min(due, self._due_time(workload))
                         fraction = elapsed / self.rollout_latency
                         workload.ready = min(
                             workload.desired, int(workload.desired * fraction)
                         )
                 elif workload.phase is _CRASH_LOOP:
-                    settled = False
+                    due = -math.inf
                     # Replicas flap between 0 and desired-1; never all ready.
                     flap = int(self.now) % 2
                     new_ready = 0 if flap == 0 else max(0, workload.desired - 1)
@@ -284,8 +312,10 @@ class SimCluster:
                         self._crash_state[key] = flap
                         self._log("crashloop-restart", namespace=namespace, workload=workload.name)
                     workload.ready = new_ready
-            if settled:
+            if due == math.inf:
                 self.unsettled.discard(namespace)
+            else:
+                self._queue(namespace, due)
 
     def inject_fault(self, fault: Fault) -> None:
         """Apply ``fault`` and log it at the cluster's clock."""
@@ -311,6 +341,7 @@ class SimCluster:
                 )
             workload.phase = _CRASH_LOOP
             self.unsettled.add(fault.namespace)
+            self._queue(fault.namespace, -math.inf)
             detail = {"namespace": fault.namespace, "workload": fault.workload}
         else:
             raise SimClusterError(f"unknown fault: {fault!r}")

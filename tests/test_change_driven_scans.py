@@ -241,6 +241,41 @@ def test_a_step_visits_one_namespace_when_one_of_200_is_unsettled():
     assert cluster.unsettled == {"ns-117"} and cluster.workloads.visits == 1
 
 
+def test_a_step_visits_no_namespace_while_200_single_replica_rollouts_run():
+    cluster = sim_cluster()  # rollouts take 2 s
+    names = [f"ns-{i}" for i in range(200)]
+    for ns in names:
+        cluster.ensure_namespace(ns)
+        cluster.apply_objects(ns, [{"kind": "Deployment", "name": "w1"}], pinned_nodes=())
+    cluster.workloads = VisitCountingDict(cluster.workloads)
+    now = 0.0
+    for _ in range(39):  # up to 1.95 s, summed as the engine sums its steps
+        now += 0.05
+        cluster.step(now)
+    assert cluster.workloads.visits == 0 and cluster.unsettled == set(names)
+    assert cluster.events.events == []
+    cluster.step(2.0)
+    assert cluster.workloads.visits == 200 and cluster.unsettled == set()
+    assert len(cluster.events.matching("workload-ready")) == 200
+
+
+def test_rollouts_end_at_the_step_the_full_scan_ends_them():
+    # Rollouts start at times a sum of steps reaches inexactly, so a due
+    # time computed as start + latency may round either way.
+    cluster, oracle = sim_cluster(), sim_cluster()
+    now = 0.0
+    for i in range(120):
+        now += 0.05
+        for c in (cluster, oracle):
+            if i % 7 == 0:
+                c.ensure_namespace(f"ns-{i}")
+                c.apply_objects(f"ns-{i}", [{"kind": "Deployment", "name": "w1"}], ())
+        cluster.step(now)
+        oracle_step(oracle, now)
+        assert cluster.events.events == oracle.events.events
+        assert workload_states(cluster) == workload_states(oracle)
+
+
 # ---------------------------------------------------------------------------
 # Knowledge base and poll
 # ---------------------------------------------------------------------------

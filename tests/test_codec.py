@@ -251,6 +251,32 @@ def test_every_log_entry_round_trips(entry):
     assert encode_command(decode_command(raw)) == raw
 
 
+# Decisions drawing their node lists from a few, so that lists repeat.
+shared_lists = st.sampled_from(((), ("w0",), ("w0", "w1"), ("w1", "w0", "w2")))
+telemetry = st.one_of(
+    st.builds(RecordDecision, text, text, text, shared_lists, times, ints, ints),
+    st.builds(RequeueComponent, text, text, ints, text),
+    st.builds(RecordHeartbeat, text, text, text, ints, text, times),
+    st.builds(PutNodeSnapshot, text, tuples_of(objects), times),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(members=st.lists(telemetry, min_size=1, max_size=8))
+def test_a_mixed_batch_round_trips_and_its_equal_lists_are_one_tuple(members):
+    batch = Batch(tuple(members))
+    raw = encode_command(batch)
+    decoded = decode_command(raw)
+    assert decoded == batch
+    assert encode_command(decoded) == raw
+    listed = [m.node_names for m in decoded.commands if isinstance(m, RecordDecision)]
+    assert json.loads(raw)["v"] == (2 if listed else 1)
+    one_each = {names: names for names in listed}
+    assert all(names is one_each[names] for names in listed)
+    if listed:
+        assert len(json.loads(raw)["node_lists"]) == len(one_each)
+
+
 @settings(max_examples=300, deadline=None)
 @given(record=records)
 def test_every_kb_record_round_trips(record):

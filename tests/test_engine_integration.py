@@ -13,6 +13,7 @@ from qonnect.harness.scenarios import run_all, run_scenario
 from qonnect.harness.testbed import TestbedSpec
 from qonnect.kb.commands import Batch, RegisterCluster, decode_command, encode_command
 from qonnect.kb.model import NODE_METRICS, ComponentStatus, Domain
+from qonnect.raft.messages import VoteRequest
 from qonnect.rla import service as service_module
 from qonnect.sim.cluster import DeleteNamespace, NodePressure, WorkloadPhase
 from support import cluster_id_of
@@ -143,6 +144,23 @@ def test_empty_kb_serves_empty_cluster_config():
     dep = Deployment(TestbedSpec(seed=23))  # not booted; nothing registered anywhere
     status, body = dep.apis["rla-0"].dispatch("GET", "/clusters/config")
     assert status == 200 and body["clusters"] == {}
+
+
+def test_a_deposed_leader_answers_a_write_with_503_no_leader():
+    dep = Deployment(TestbedSpec(seed=23))
+    dep.boot()
+    leader_id = dep.leader_id()
+    node = dep.services[leader_id].node
+    peer = next(i for i in dep.services if i != leader_id)
+    # A peer's election at a later term deposes it before any leader is known.
+    node.handle_message(
+        VoteRequest(src=peer, dst=leader_id, term=node.current_term + 1,
+                    last_log_index=0, last_log_term=0)
+    )
+    status, body = dep.apis[f"rla-{leader_id}"].dispatch(
+        "POST", "/applications", bookinfo_bundle("late", {"energy": 1.0})
+    )
+    assert (status, body) == (503, {"error": "no-leader"})
 
 
 def test_log_compaction_keeps_the_control_plane_running(monkeypatch):

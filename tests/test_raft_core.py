@@ -78,6 +78,19 @@ def test_config_rejects_even_or_tiny_membership():
 # ---------------------------------------------------------------------------
 
 
+def test_a_deposed_leader_no_longer_names_itself_leader():
+    node = make_node()
+    node.tick(0.35)  # a candidate at term 2
+    for voter in (1, 2):
+        node.handle_message(VoteResponse(src=voter, dst=0, term=2, granted=True))
+    assert node.role == Role.LEADER and node.leader_id == 0
+    node.handle_message(VoteRequest(src=1, dst=0, term=3, last_log_index=0, last_log_term=0))
+    assert (node.role, node.current_term, node.leader_id) == (Role.FOLLOWER, 3, None)
+    with pytest.raises(NotLeaderError) as refused:
+        node.propose("x")
+    assert refused.value.leader_id is None
+
+
 def test_candidate_with_one_grant_wins_three_node_election():
     node = make_node()
     node.tick(0.35)

@@ -10,9 +10,12 @@ from __future__ import annotations
 import os
 
 import pytest
+from test_commands import GOLDEN_ENTRIES, GOLDEN_V1_BATCH, THREE_COMPONENTS, decided_kb
+from test_rla_service import follower_service
 
+from qonnect.kb.commands import decode_command, encode_command
 from qonnect.raft import storage as storage_module
-from qonnect.raft.messages import LogEntry
+from qonnect.raft.messages import AppendRequest, LogEntry
 from qonnect.raft.node import RaftConfig, RaftNode
 from qonnect.raft.storage import WAL_FILE, FileStorage, Snapshot
 from support import entries_from
@@ -110,3 +113,24 @@ def test_a_created_wal_and_data_directory_are_synced_into_their_parents(tmp_path
     synced.clear()
     FileStorage(data_dir).close()
     assert synced == []  # nothing was created
+
+
+def test_a_wal_holding_a_v1_decision_batch_replays_to_the_same_kb(tmp_path):
+    # The decision batch as a binary from before log batch v2 wrote it.
+    logged = [*GOLDEN_ENTRIES[:2], encode_command(THREE_COMPONENTS), GOLDEN_V1_BATCH]
+    storage = FileStorage(tmp_path)
+    storage.save_state(1, 1)
+    storage.append_entries([LogEntry(i, 1, raw) for i, raw in enumerate(logged, start=1)])
+    storage.close()
+
+    reopened = FileStorage(tmp_path)
+    service = follower_service(reopened)
+    assert [entry.command for entry in entries_from(service.node, 1)] == logged
+    result = service.node.handle_message(AppendRequest(
+        src=1, dst=0, term=1, prev_log_index=4, prev_log_term=1, entries=(), leader_commit=4,
+    ))
+    for index, raw in result.committed:
+        service.apply_committed(index, raw)
+    reopened.close()
+    assert service.node.last_applied == 4
+    assert service.kb == decided_kb(decode_command(GOLDEN_V1_BATCH))
