@@ -13,12 +13,16 @@ exception: a batch that holds a ``RecordDecision`` is written as v2,
 Its table holds each distinct node list once, in order of first use, and
 each decision member holds ``node_list``, its index there, in place of
 ``node_names``. v1 batches still decode.
+
+The KB snapshot v2 (``qonnect.kb.store``) holds the same table. Both
+formats are read through ``take_node_lists`` and ``put_node_lists``, the
+one place that knows the table's index rule and its refusals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Union
+from typing import Any, Iterable, Union
 
 from qonnect import codec
 from qonnect.kb.model import Domain, QoSVector
@@ -132,7 +136,34 @@ LISTED_VERSION = 2
 
 _encode = codec.encoder(KBCommand | Batch)
 _decode = codec.decoder(KBCommand | Batch)
-_NO_NAMES: list = []  # what a v2 decision is decoded with, before it gets its list
+_decode_node_lists = codec.decoder(list[tuple[str, ...]])
+_NO_NAMES: list = []  # what a listed decision is decoded with, before it gets its list
+
+
+def take_node_lists(doc: dict, decisions: list[dict]) -> list[tuple[str, ...]]:
+    """Take the node-list table out of ``doc``, and each of ``decisions``'
+    index into it, so that the rest decodes as v1: each decision is left an
+    empty ``node_names``. Returns each decision's list, in order, as the
+    table's one tuple per entry; ``ValueError`` for a missing or malformed
+    table, an index that is not an int (a bool is not) within it, or an
+    index next to ``node_names``."""
+    table = _decode_node_lists(doc.pop("node_lists", None))
+    taken = []
+    for decision in decisions:
+        index = decision.pop("node_list", None)
+        if type(index) is not int or not 0 <= index < len(table):
+            raise ValueError(f"node list {index!r:.20} is not in the table of {len(table)}")
+        if "node_names" in decision:
+            raise ValueError("a listed decision holds node_list, not node_names")
+        taken.append(table[index])
+        decision["node_names"] = _NO_NAMES
+    return taken
+
+
+def put_node_lists(decisions: Iterable[Any], names: list[tuple[str, ...]]) -> None:
+    """Give each decoded decision its list, in order, as the codec builds it."""
+    for decision, nodes in zip(decisions, names, strict=True):
+        decision.__dict__["node_names"] = nodes
 
 
 def encode_command(cmd: KBCommand | Batch) -> str:
@@ -151,32 +182,17 @@ def decode_command(raw: str) -> KBCommand | Batch:
     """Decode one log entry, v1 or a v2 batch; any malformed payload raises
     ``ValueError``."""
     data = codec.loads(raw)
-    if type(data) is dict and "node_lists" in data:
-        return _decode_listed(data)
-    return _decode(data)
-
-
-def _decode_listed(data: dict) -> Batch:
-    """A v2 batch. Its table is decoded once, one tuple per entry. Each
-    decision's index is taken out and the rest decoded as a v1 batch; then
-    each decision holds the tuple its index names."""
-    from qonnect.kb.store import decode_node_lists, listed_nodes  # store imports this module
-
+    if type(data) is not dict or "node_lists" not in data:
+        return _decode(data)
     if data.get("v") != LISTED_VERSION or type(data["v"]) is not int \
             or data.get("kind") != Batch.kind:
         raise ValueError("only a v2 batch holds a node-list table")
-    table = decode_node_lists(data.pop("node_lists"))
-    listed = []
     members = data.get("commands")
-    for member in members if type(members) is list else ():
-        if type(member) is dict and member.get("kind") == RecordDecision.kind:
-            if "node_names" in member:
-                raise ValueError("a v2 decision holds node_list, not node_names")
-            listed.append(listed_nodes(table, member.pop("node_list", None)))
-            member["node_names"] = _NO_NAMES
+    names = take_node_lists(data, [
+        member for member in (members if type(members) is list else ())
+        if type(member) is dict and member.get("kind") == RecordDecision.kind
+    ])
     data["v"] = codec.VERSION
     batch = _decode(data)
-    decisions = (cmd for cmd in batch.commands if type(cmd) is RecordDecision)
-    for decision, names in zip(decisions, listed, strict=True):
-        decision.__dict__["node_names"] = names  # as the codec builds it
+    put_node_lists((cmd for cmd in batch.commands if type(cmd) is RecordDecision), names)
     return batch

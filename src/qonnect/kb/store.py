@@ -5,13 +5,18 @@ sequence ends up structurally identical. Commands referencing unknown ids
 degrade to no-op effects (never exceptions), so replicas cannot diverge on
 bad input. Each effect records the component status transitions it caused,
 which is what the status-machine property tests replay.
+
+A v2 KB snapshot writes each retained-node list once, in a ``node_lists``
+table its decisions index, as a v2 decision batch does; ``restore`` reads
+the table through ``qonnect.kb.commands``' ``take_node_lists`` and
+``put_node_lists``, the one reader of both formats.
 """
 
 from __future__ import annotations
 
 import math
 import uuid
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _string
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, TypeVar
@@ -27,6 +32,8 @@ from qonnect.kb.commands import (
     RequeueComponent,
     SubmitApplication,
     UpdateQoS,
+    put_node_lists,
+    take_node_lists,
 )
 from qonnect.kb.model import (
     ApplicationRecord,
@@ -49,10 +56,6 @@ STATE_VERSION = 2
 
 _decode_node = codec.decoder(NodeSnapshot)
 
-# A node-list table, as the KB snapshot v2 and a v2 log batch hold it: a
-# list of lists of strings, each decoded as one tuple.
-decode_node_lists = codec.decoder(list[tuple[str, ...]])
-
 _T = TypeVar("_T")
 
 
@@ -65,14 +68,6 @@ def node_from_wire(wire: object, cluster_id: str, taken_at: float) -> NodeSnapsh
     if type(wire) is not dict or "cluster_id" in wire or "taken_at" in wire:
         raise ValueError("a node must be an object without cluster_id or taken_at")
     return _decode_node({**wire, "cluster_id": cluster_id, "taken_at": taken_at})
-
-
-def listed_nodes(table: list[tuple[str, ...]], index: object) -> tuple[str, ...]:
-    """Entry ``index`` of a decoded node-list table; ``ValueError`` unless
-    ``index`` is an int (a bool is not) within the table."""
-    if type(index) is not int or not 0 <= index < len(table):
-        raise ValueError(f"node list {index!r:.20} is not in the table of {len(table)}")
-    return table[index]
 
 
 HEARTBEAT_STATUS = {
@@ -261,23 +256,10 @@ class KnowledgeBase:
     # ------------------------------------------------------------------
 
     def apply(self, cmd: KBCommand) -> Effect:
-        if isinstance(cmd, RegisterCluster):
-            return self._apply_register(cmd)
-        if isinstance(cmd, PutNodeSnapshot):
-            return self._apply_put_nodes(cmd)
-        if isinstance(cmd, SubmitApplication):
-            return self._apply_submit(cmd)
-        if isinstance(cmd, UpdateQoS):
-            return self._apply_update_qos(cmd)
-        if isinstance(cmd, DeleteApplication):
-            return self._apply_delete(cmd)
-        if isinstance(cmd, RecordDecision):
-            return self._apply_decision(cmd)
-        if isinstance(cmd, RecordHeartbeat):
-            return self._apply_heartbeat(cmd)
-        if isinstance(cmd, RequeueComponent):
-            return self._apply_requeue(cmd)
-        raise TypeError(f"unknown command type: {type(cmd)!r}")
+        handler = _HANDLERS.get(type(cmd))
+        if handler is None:
+            raise TypeError(f"unknown command type: {type(cmd)!r}")
+        return handler(self, cmd)
 
     def _transition(
         self, effect: Effect, app: ApplicationRecord, comp: ComponentRecord, to: ComponentStatus
@@ -538,9 +520,9 @@ class KnowledgeBase:
         lists: dict[tuple[str, ...], int] = {}
         parts = [self._application_text(app, lists) for app in self.applications.values()]
         self._node_lists = {names: names for names in lists}
-        state = _State(STATE_VERSION, list(self.clusters.values()), list(self.nodes.values()),
-                       [], list(lists))
-        rest = codec.dumps(_encode_state(state))  # {"applications":[],"clusters":…
+        state = _State(STATE_VERSION, list(self.clusters.values()), list(self.nodes.values()), [])
+        # {"applications":[],"clusters":…,"node_lists":…,"nodes":…,"v":2}
+        rest = codec.dumps({**_encode_state(state), "node_lists": list(lists)})
         if not parts:
             return rest
         # The head and tail ride on the first and last part, so no string
@@ -572,31 +554,40 @@ class KnowledgeBase:
         """Load a ``snapshot_state`` blob, v2 or v1; a malformed one raises
         ``ValueError``. Applications an older delete kept, marked
         ``withdrawn``, are dropped. The codec turns each manifest back into
-        its text. A v2 decision holds its table entry's tuple; a v1 document
-        repeats each list, so equal lists are made one tuple here."""
+        its text. A v2 document's table is read by ``take_node_lists``;
+        either version's equal lists are then made one tuple."""
         doc = codec.loads(blob)
-        listed = _take_decisions(doc)
+        listed = None
+        if type(doc) is dict and doc.get("v") == STATE_VERSION:
+            listed = take_node_lists(doc, _decisions_in(doc))
         state = _decode_state(doc)
+        decisions = [comp.decision for app in state.applications for comp in app.components
+                     if comp.decision is not None]
+        if listed is None:
+            listed = [decision.node_names for decision in decisions]
         kb = cls()
+        put_node_lists(decisions, [kb._node_lists.setdefault(names, names) for names in listed])
         kb.clusters = {rec.cluster_id: rec for rec in state.clusters}
         kb._config = {rec.cluster_id: rec.external_ip for rec in state.clusters}
         kb.nodes = {(snap.cluster_id, snap.node_name): snap for snap in state.nodes}
-        if listed is not None:
-            table = [kb._node_lists.setdefault(names, names) for names in state.node_lists]
-            comps = [comp for app in state.applications for comp in app.components]
-            for comp, wire in zip(comps, _decode_listed(listed), strict=True):
-                comp.decision = None if wire is None else wire.decision(table)
         kb.applications = {app.app_id: app for app in state.applications if not app.withdrawn}
         for app in kb.applications.values():
             kb._live_by_name.setdefault(app.name, app)
             for comp in app.components:
-                decision = comp.decision
-                if listed is None and decision is not None:
-                    names = kb._node_lists.setdefault(decision.node_names, decision.node_names)
-                    if names is not decision.node_names:
-                        comp.decision = replace(decision, node_names=names)
                 kb._index(app, comp, add=True)
         return kb
+
+
+_HANDLERS: dict[type, Callable[[KnowledgeBase, KBCommand], Effect]] = {
+    RegisterCluster: KnowledgeBase._apply_register,
+    PutNodeSnapshot: KnowledgeBase._apply_put_nodes,
+    SubmitApplication: KnowledgeBase._apply_submit,
+    UpdateQoS: KnowledgeBase._apply_update_qos,
+    DeleteApplication: KnowledgeBase._apply_delete,
+    RecordDecision: KnowledgeBase._apply_decision,
+    RecordHeartbeat: KnowledgeBase._apply_heartbeat,
+    RequeueComponent: KnowledgeBase._apply_requeue,
+}
 
 
 _APPLICATIONS = '{"applications":['
@@ -651,58 +642,34 @@ def _decision_text(decision: ScheduleDecision | None, lists: dict[tuple[str, ...
     )
 
 
-def _take_decisions(doc: object) -> list[object] | None:
-    """Each component's decision in a v2 document, taken out of it in
-    order, so that ``_decode_state`` decodes the rest as v1 records; None
-    for any other document."""
-    if type(doc) is not dict or doc.get("v") != STATE_VERSION:
-        return None
-    taken = []
+def _decisions_in(doc: dict) -> list[dict]:
+    """Each decision object in a snapshot document, in order. What this
+    passes over (a component that is not an object, say) fails to decode."""
+    decisions = []
     apps = doc.get("applications")
     for app in apps if type(apps) is list else ():
         comps = app.get("components") if type(app) is dict else None
         for comp in comps if type(comps) is list else ():
-            if type(comp) is dict:
-                taken.append(comp.pop("decision", None))
-    return taken
-
-
-@dataclass(frozen=True)
-class _ListedDecision:
-    """A v2 document's decision: ``node_list`` indexes its node-list table."""
-
-    cluster_id: str
-    component_name: str
-    decided_at: float
-    deciding_term: int
-    node_list: int
-
-    def decision(self, table: list[tuple[str, ...]]) -> ScheduleDecision:
-        """The decision, holding its table entry's tuple."""
-        return ScheduleDecision(self.component_name, self.cluster_id,
-                                listed_nodes(table, self.node_list), self.decided_at,
-                                self.deciding_term)
-
-
-_decode_listed = codec.decoder(list[_ListedDecision | None])
+            decision = comp.get("decision") if type(comp) is dict else None
+            if type(decision) is dict:
+                decisions.append(decision)
+    return decisions
 
 
 @dataclass(frozen=True)
 class _State:
-    """The snapshot document: every record of the KB. A v2 document holds
-    the table its decisions index; a v1 document has none."""
+    """The snapshot document: every record of the KB. A v2 document also
+    holds a ``node_lists`` table, which ``restore`` takes out before
+    decoding and ``snapshot_state`` adds after encoding."""
 
     v: int
     clusters: list[ClusterRecord]
     nodes: list[NodeSnapshot]
     applications: list[ApplicationRecord]
-    node_lists: list[tuple[str, ...]] | None = None
 
     def __post_init__(self) -> None:
         if self.v not in (1, STATE_VERSION):
             raise ValueError(f"unsupported knowledge base snapshot schema: {self.v!r}")
-        if (self.node_lists is None) != (self.v == 1):
-            raise ValueError("a v2 snapshot has a node_lists table, and a v1 snapshot none")
 
 
 _encode_state = codec.encoder(_State)

@@ -415,6 +415,42 @@ def test_decode_accepts_or_raises_value_error_only(raw):
     assert decode_command(encode_command(command)) == command
 
 
+table_entries = st.lists(st.sampled_from(["edge-w0", "edge-w1", "edge-w2"]), max_size=3) \
+    | st.sampled_from([["edge-w0", 3], "edge-w0", None])
+indexes = st.integers(-2, 4) | st.booleans() | st.sampled_from([None, 1.0, "0"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=st.lists(table_entries, max_size=4), chosen=st.lists(indexes, min_size=3, max_size=3))
+def test_a_snapshot_and_a_batch_read_the_same_node_list_table_alike(table, chosen):
+    """The same table and indexes in a KB snapshot v2 and a v2 decision
+    batch: both read the same tuples, or both raise ``ValueError``."""
+    state, batch = json.loads(REPEATED_SNAPSHOT), json.loads(GOLDEN_V2_BATCH)
+    state_decisions = [comp["decision"] for app in state["applications"]
+                       for comp in app["components"]]
+    batch_decisions = [m for m in batch["commands"] if m["kind"] == RecordDecision.kind]
+    for decisions, doc in ((state_decisions, state), (batch_decisions, batch)):
+        doc["node_lists"] = table
+        for decision, index in zip(decisions, chosen, strict=True):
+            decision["node_list"] = index
+
+    def read(decode):
+        try:
+            return decode()
+        except ValueError:
+            return ValueError
+
+    restored = read(lambda: [
+        comp.decision.node_names
+        for app in KnowledgeBase.restore(json.dumps(state)).applications.values()
+        for comp in app.components
+    ])
+    decoded = read(lambda: [m.node_names for m in decode_command(json.dumps(batch)).commands
+                            if type(m) is RecordDecision])
+    assert restored == decoded
+    if decoded is not ValueError:
+        assert decoded == [tuple(table[index]) for index in chosen]
+
 
 # ---------------------------------------------------------------------------
 # A scheduler pass's entry

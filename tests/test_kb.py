@@ -157,6 +157,32 @@ def test_decision_requires_matching_domain_and_version():
     assert ok.kind == "decision-recorded"
 
 
+@pytest.mark.parametrize(
+    "cmd", [None, "record-decision", Batch((UpdateQoS("bookinfo", QoSVector(), 1.0),))]
+)
+def test_apply_refuses_what_is_not_a_command(cmd):
+    with pytest.raises(TypeError):
+        populated_kb().apply(cmd)
+
+
+def test_a_decision_or_heartbeat_naming_what_is_unknown_is_a_noop_that_changes_nothing():
+    kb = populated_kb()
+    app = kb.live_application("bookinfo")
+    edge = app.component("ratings").decision.cluster_id
+    before = KnowledgeBase.restore(kb.snapshot_state())
+    refused = {
+        "unknown-component": RecordDecision(app.app_id, "cart", edge, ("w1",), 5.0, 2, 1),
+        "unknown-cluster": RecordDecision(app.app_id, "details", "no-such-cluster", ("w1",),
+                                          5.0, 2, 1),
+        "unknown-status": RecordHeartbeat(app.app_id, "ratings", edge, 1, "asleep", 5.0),
+    }
+    for reason, cmd in refused.items():
+        effect = kb.apply(cmd)
+        assert effect.is_noop and effect.detail["reason"] == reason
+        assert kb == before
+    assert kb.snapshot_state() == before.snapshot_state()
+
+
 def test_pending_components_ordering_and_progression():
     kb = KnowledgeBase()
     assert kb.pending_components() == []

@@ -7,6 +7,7 @@ else is corruption, and loading refuses it.
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
@@ -134,3 +135,33 @@ def test_a_wal_holding_a_v1_decision_batch_replays_to_the_same_kb(tmp_path):
     reopened.close()
     assert service.node.last_applied == 4
     assert service.kb == decided_kb(decode_command(GOLDEN_V1_BATCH))
+
+
+def test_a_truncated_suffix_stays_cut_when_no_compaction_rewrote_the_wal(tmp_path):
+    storage = FileStorage(tmp_path)
+    node = RaftNode(RaftConfig(node_id=0, members=(0, 1, 2)), storage=storage)
+    entries = tuple(LogEntry(i, 2, f"c{i}") for i in range(1, 6))
+    node.handle_message(AppendRequest(1, 0, 2, 0, 0, entries, leader_commit=2))
+    # A new leader whose log disagrees from index 4 on.
+    node.handle_message(AppendRequest(2, 0, 3, 3, 2, (LogEntry(4, 3, "x4"),), leader_commit=4))
+    storage.close()
+
+    lines = (tmp_path / WAL_FILE).read_text().splitlines(keepends=True)
+    cut = [json.loads(line) for line in lines].index({"t": "trunc", "i": 4}) + 1
+    reloaded = FileStorage(tmp_path).load().entries
+    assert [entry.command for entry in reloaded] == ["c1", "c2", "c3", "x4"]
+    assert reloaded == entries_from(node, 1)
+    # A crash between the trunc record and the entry that follows it.
+    crashed = tmp_path / "crashed"
+    crashed.mkdir()
+    (crashed / WAL_FILE).write_text("".join(lines[:cut]))
+    assert [entry.command for entry in FileStorage(crashed).load().entries] == ["c1", "c2", "c3"]
+
+
+def test_an_entry_logged_again_at_a_held_index_replaces_the_suffix_from_there(tmp_path):
+    records = [{"t": "meta", "term": 2, "vote": 1}, {"t": "entry", "i": 1, "tm": 1, "c": "a"},
+               {"t": "entry", "i": 2, "tm": 1, "c": "b"}, {"t": "entry", "i": 3, "tm": 1, "c": "c"},
+               {"t": "entry", "i": 2, "tm": 2, "c": "B"}]  # no trunc before it
+    (tmp_path / WAL_FILE).write_text("".join(json.dumps(record) + "\n" for record in records))
+    state = FileStorage(tmp_path).load()
+    assert state.entries == [LogEntry(1, 1, "a"), LogEntry(2, 2, "B")]
