@@ -7,17 +7,20 @@ Raft timers, cluster dynamics, agent duties, and the leader's scheduler in
 a fixed order. With a fixed seed, every run is bit-identical; "within N
 seconds" deadlines are measured on the simulated clock.
 
-A step visits only the members with work due; each skip leaves every
-output as visiting them all would:
+A step runs the production code of each member, and skips only work that
+is not due; each skip leaves every output as doing it all would:
 
-- Raft: every live node ticks; a replica that wins an election logs its
-  own ``leader-elected`` as its ``Replica`` delivers the deciding vote.
+- Raft: every live node ticks, and every message reaches its destination
+  through ``Replica.handle``, as in live mode. A replica that wins an
+  election logs its own ``leader-elected`` as it delivers the deciding
+  vote.
 - Clusters and agents: one ``Members`` round at the engine's ``now``,
   the one live mode runs on its wall clock. It steps only the clusters
   with a Rolling or CrashLoop workload and runs the agent round only when
   some live agent has a duty due.
-- RLAs: a live RLA is pumped only when ``RlaService.due`` says its pump
-  has work, by the comparisons the pump itself makes.
+- RLAs: every live RLA is pumped each step, as live mode's leader loop
+  pumps on each tick; ``RlaService.pump`` does only the leader work that is
+  due.
 
 The RLA replicas are conceptually hosted on the cloud clusters (one per
 cloud cluster); killing a cloud cluster's lead agent stops its Raft node.
@@ -102,7 +105,7 @@ class Deployment:
         self.group.tick(self.DT)
         self.members.step(self.now)
         for rla_id, service in self.services.items():
-            if rla_id not in self.group.stopped and service.due(self.now):
+            if rla_id not in self.group.stopped:
                 service.pump(self.now)
 
     def run(self, duration: float) -> None:

@@ -309,6 +309,10 @@ class LiveRla:
 
 class _RlaHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # The version answered before a request's own is known (a refused
+    # version, a line without one): with the default, HTTP/0.9, a refusal
+    # would carry no status line.
+    default_request_version = "HTTP/1.0"
     # ``_respond`` writes the head and the body separately; with Nagle's
     # algorithm on, the body waits for the client's delayed ACK of the head
     # (about 40 ms) on every call of a kept-alive connection.

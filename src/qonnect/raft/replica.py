@@ -2,8 +2,7 @@
 
 ``Replica.handle`` delivers a message: it asks ``RaftNode.renew`` once,
 and a message that answers changes only the node's timers, so nothing
-reaches the state machine. Any other message takes ``receive``, the full
-path; a transport that has asked ``renew`` itself calls ``receive``. The
+reaches the state machine. Any other message takes the full path. The
 state machine loads a snapshot's blob before the node sees it, so a blob
 that does not load is refused with ``ValueError`` and never replaces the log;
 once the node installs the snapshot, the replica installs the state already
@@ -57,10 +56,8 @@ class Replica:
         the node's outbound messages. Raises ``ValueError``, before the node
         sees ``msg``, for a snapshot the state machine cannot load."""
         renewed = self.node.renew(msg)
-        return self.receive(msg) if renewed is None else renewed.messages
-
-    def receive(self, msg: Message) -> list[Message]:
-        """``handle`` for a message ``RaftNode.renew`` did not answer."""
+        if renewed is not None:
+            return renewed.messages
         loaded = None
         if isinstance(msg, SnapshotRequest):
             loaded = self.machine.load_snapshot(msg.state_blob)

@@ -4,9 +4,10 @@
 one step, so a proposal commits synchronously while timers still advance
 with simulated time. ``ReplicaGroup`` holds the node bookkeeping it shares
 with the seeded lossy harness the safety tests drive
-(``tests/raft_harness.py``). A transport only delivers messages; each
-node's ``Replica`` applies what commits and tells its state machine when
-the node wins an election.
+(``tests/raft_harness.py``). A transport only delivers messages, each
+through its destination's ``Replica.handle`` as live HTTP does; that
+replica applies what commits and tells its state machine when the node
+wins an election.
 """
 
 from __future__ import annotations
@@ -56,41 +57,13 @@ class SyncRaftGroup(ReplicaGroup):
     """Raft replicas with instant in-process delivery (run-to-completion)."""
 
     def pump(self, messages: list[Message]) -> None:
-        """Deliver ``messages`` and every message they cause, oldest first.
-        Appends what it delivers to ``messages``, which serves as the queue.
-
-        The pump asks ``RaftNode.renew`` about each message, and hands one
-        it does not answer to ``Replica.receive``, which does not ask again.
-        A message its destination node renews reaches that node alone: a
-        renewal commits nothing, installs no snapshot and elects no one, so
-        its replica has nothing to apply. A renewed reply goes at once to
-        its own destination's ``renew``, and is queued only when that
-        returns None (then it is asked again in turn; a leader that forgot
-        a peer's match, as no live one does, is the only source of such a
-        reply). This delivers as the queue would. The reply
-        absorbed is a follower's success that raises its leader's match for
-        it no further, with nothing to send after it. Only the messages
-        queued ahead of it would reach the leader first, and none of them
-        can give it an effect. A match index never falls, and no proposal
-        runs inside a pump, so the leader's log grows only in a later term,
-        which drops the reply as well. The follower's next index moves only
-        on its own replies, and within a pump a leader sends a follower a
-        request only in the broadcast that starts it or in answer to the
-        follower's last reply, so no other reply from it is in flight.
-        """
+        """Deliver ``messages`` and every message they cause, oldest first;
+        the list is the queue."""
         stopped = self.stopped
         replicas = self.replicas
         for msg in messages:  # a list's iterator also visits what is appended
-            if msg.dst in stopped or msg.src in stopped:
-                continue
-            replica = replicas[msg.dst]
-            renewed = replica.node.renew(msg)
-            if renewed is None:
-                messages.extend(replica.receive(msg))
-                continue
-            for reply in renewed.messages:
-                if replicas[reply.dst].node.renew(reply) is None:
-                    messages.append(reply)
+            if msg.dst not in stopped and msg.src not in stopped:
+                messages.extend(replicas[msg.dst].handle(msg))
 
     def tick(self, dt: float) -> None:
         stopped = self.stopped

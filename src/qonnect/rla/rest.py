@@ -94,12 +94,13 @@ class RestApi:
         version = body.get("version")
         if type(version) is not int:  # a bool, a float or a string is not a version
             raise ValidationFailed([{"field": "version", "error": "version must be an integer"}])
+        cluster_id, status = body.get("cluster_id"), body.get("status")
+        # Not coerced: an unknown cluster gets the 404 that tells an agent to clean up.
+        if type(cluster_id) is not str or type(status) is not str:
+            field = "status" if type(cluster_id) is str else "cluster_id"
+            raise ValidationFailed([{"field": field, "error": f"{field} must be a string"}])
         ok = self.service.heartbeat(
-            params["app_id"],
-            params["component"],
-            str(body.get("cluster_id", "")),
-            version,
-            str(body.get("status", "")),
+            params["app_id"], params["component"], cluster_id, version, status
         )
         if not ok:
             return 404, {"error": "not-found"}

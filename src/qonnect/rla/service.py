@@ -406,6 +406,8 @@ class RlaService:
         return app_id
 
     def update_qos(self, name: str, qos_raw: object) -> dict:
+        if qos_raw is None:  # ``parse_qos`` reads None as no preference
+            raise ValidationFailed([{"field": "qos", "error": "qos is required"}])
         try:
             qos = parse_qos(qos_raw)
         except ValueError as exc:
@@ -534,17 +536,6 @@ class RlaService:
     # ------------------------------------------------------------------
     # Leader loops
     # ------------------------------------------------------------------
-
-    def due(self, now: float) -> bool:
-        """Whether ``pump(now)`` has work: only a leader's pump can, when its
-        lease is not this term's or must drop its ``floor`` (``_hold_lease``),
-        or when a flush or a scheduler pass is due; by the comparisons those
-        two make."""
-        lease = self._lease
-        return self.node.role is _LEADER and (
-            lease is None or lease.term != self.node.current_term or now < lease.floor
-            or now >= self._next_flush or now >= self._next_scheduler_pass
-        )
 
     def pump(self, now: float) -> None:
         """Run due leader work: telemetry flush and the scheduler pass."""

@@ -1,9 +1,10 @@
-"""An engine step visits only the members with work due.
+"""An engine step does only the work that is due.
 
 ``Deployment.step`` steps only clusters with a Rolling or CrashLoop
-workload and pumps an RLA only when ``RlaService.due`` says it has work.
-Work-count guards on settled federations of 9 and 297 clusters, a check of
-the due rule, and an equivalence check against
+workload, and pumps every live RLA, whose pump runs a telemetry flush or a
+scheduler pass only when one is due. Work-count guards on settled
+federations of 9 and 297 clusters, a check that a pump with nothing due
+changes nothing, and an equivalence check against
 ``support.visit_everything_step`` over seeded schedules of submits, QoS
 updates, deletes, agent and RLA kills, forced elections and cluster
 faults, and over a deposed leader that leads again.
@@ -18,6 +19,7 @@ from dataclasses import replace
 
 import pytest
 
+import qonnect.rla.service as service_module
 from qonnect.agent.client import RlaClientError
 from qonnect.agent.ra import CONFIG_STORE
 from qonnect.harness.bookinfo import bookinfo_bundle
@@ -67,17 +69,18 @@ def test_quiet_steps_step_no_cluster_and_pump_only_when_due(
     assert len(dep.clusters) == 9 * copies
     calls: Counter = Counter()
     counting(monkeypatch, calls, SimCluster, "step", "step")
-    counting(monkeypatch, calls, RlaService, "pump", "pump")
+    counting(monkeypatch, calls, RlaService, "_flush_telemetry", "flush")
+    counting(monkeypatch, calls, service_module, "scheduler_tick", "pass")
     leader = dep.leader_service()
     pumped = 0
     for _ in range(300):  # 15 simulated seconds: agent rounds, flushes, passes
         now = dep.now + dep.DT  # the step's clock, summed as the step sums it
-        due = now >= leader._next_flush or now >= leader._next_scheduler_pass
+        flush, scheduler_pass = now >= leader._next_flush, now >= leader._next_scheduler_pass
         calls.clear()
         dep.step()
         assert calls["step"] == 0
-        assert calls["pump"] == due
-        pumped += due
+        assert (calls["flush"], calls["pass"]) == (flush, scheduler_pass)
+        pumped += flush or scheduler_pass
     assert dep.leader_service() is leader
     assert 15 <= pumped <= 20  # a flush each second, a pass each 5 s
 
@@ -103,29 +106,39 @@ def test_a_config_poll_with_no_registration_since_the_last_builds_nothing(monkey
         assert cluster.config_stores[CONFIG_STORE] is not config
 
 
-def test_an_rla_is_due_exactly_when_its_pump_has_work():
+def test_a_pump_with_nothing_due_changes_nothing():
     dep = Deployment(TestbedSpec(seed=7))
     dep.boot()
     leader = dep.leader_service()
     now = dep.now
-    assert not any(s.due(now) for s in dep.services.values() if s is not leader)
     # A lease of this term, no voided floor, and no flush or pass due.
     leader._next_flush = leader._next_scheduler_pass = now + 1.0
     lease = leader._lease
-    assert lease.term == leader.node.current_term and not leader.due(now)
-    leader.pump(now)
-    assert leader._lease is lease and leader._next_flush == now + 1.0
+    assert lease.term == leader.node.current_term
+
+    def state() -> list:
+        return [
+            (s._lease, None if s._lease is None else s._lease.floor,
+             s._next_flush, s._next_scheduler_pass, s.node.last_log_index)
+            for s in dep.services.values()
+        ]
+
+    before = state()
+    for service in dep.services.values():  # followers' pumps too
+        service.pump(now)
+    after = state()
+    assert after == before and all(a[0] is b[0] for a, b in zip(after, before))
     # A lease of an earlier term is replaced at the first leader work.
     leader._lease = Lease(lease.term - 1, start=0.0)
-    assert leader.due(now)
     leader.pump(now)
     assert (leader._lease.term, leader._lease.start) == (lease.term, now)
     # A clock earlier than the floor voids it.
     leader._lease.floor = now + 0.5
-    assert leader.due(now)
     leader.pump(now)
-    assert leader._lease.floor == -math.inf and not leader.due(now)
-    assert leader.due(now + 1.0)
+    assert leader._lease.floor == -math.inf
+    # A flush comes due on the flush timer.
+    leader.pump(now + 1.0)
+    assert leader._next_flush == now + 1.0 + leader.config.telemetry_flush
 
 
 # ---------------------------------------------------------------------------

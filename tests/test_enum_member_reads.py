@@ -2,7 +2,7 @@
 
 ``Role.LEADER`` goes through the enum metaclass's ``__getattr__`` and costs
 about ten times a module global on CPython 3.11, and the engine's idle step
-(the Raft heartbeat round, the member round, ``RlaService.due``) reads such
+(the Raft heartbeat round, the member round, ``RlaService.pump``) reads such
 members many times. So functions read members from module constants bound
 once (``_LEADER = Role.LEADER``); module-level code may read them through the
 class.

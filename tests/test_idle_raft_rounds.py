@@ -12,10 +12,10 @@ reply a node emits equals one built fresh from its state, every stored
 answer equals the full path's on a copy of the node, and no response
 leaves a commit that checking on every response would have made.
 
-The engine's pump hands a message its node renews to that node alone. A
-work-count guard: a settled engine step reaches no replica and no full
-handler. An equivalence property: over seeded chaos runs, a renewing group
-ends every step where full-path nodes fed oldest first through their
+``Replica.handle`` hands a message its node renews to that node alone. A
+work-count guard: a settled engine step reaches no state machine and no
+full handler. An equivalence property: over seeded chaos runs, a renewing
+group ends every step where full-path nodes fed oldest first through their
 replicas do. Every transport (the engine, the lossy harness, live HTTP)
 asks ``RaftNode.renew`` once about each message it delivers, and a message
 it does not answer takes the full path once.
@@ -345,13 +345,8 @@ class FullPathNode(RaftNode):
 
 
 class FifoGroup(SyncRaftGroup):
-    """Full-path nodes, and every message through ``Replica.handle``,
-    oldest first."""
-
-    def pump(self, messages) -> None:
-        for msg in messages:
-            if msg.dst not in self.stopped and msg.src not in self.stopped:
-                messages.extend(self.replicas[msg.dst].handle(msg))
+    """Full-path nodes, with every message through ``Replica.handle``,
+    oldest first, as the production pump delivers."""
 
 
 def group_of(cls, size: int, seed: int) -> SyncRaftGroup:
@@ -378,20 +373,20 @@ def twin_chaos_run(size: int, seed: int, steps: int = 800) -> tuple[SyncRaftGrou
     """Drive a renewing group and a full-path FIFO group through the same
     seeded proposals, crash-restarts and compactions, comparing every node
     after each step. Returns the renewing group and the count of
-    ``Replica.receive`` calls (the full path) by group class and by message
-    class."""
+    ``RaftNode.handle_message`` calls (the full path) by group class and by
+    message class."""
     renewing, fifo = group_of(SyncRaftGroup, size, seed), group_of(FifoGroup, size, seed)
     handled: Counter = Counter()
     rng = random.Random(seed)
-    receive = Replica.receive
+    handle = RaftNode.handle_message
 
-    def counted(replica, msg):
+    def counted(node, msg):
         handled[type(group).__name__] += 1
         handled[type(msg).__name__] += 1
-        return receive(replica, msg)
+        return handle(node, msg)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Replica, "receive", counted)
+        patch.setattr(RaftNode, "handle_message", counted)
         for step in range(steps):
             roll, pick = rng.random(), rng.randrange(size)
             for group in (renewing, fifo):
@@ -446,14 +441,13 @@ def test_a_settled_engine_step_reaches_no_replica_and_no_full_handler(monkeypatc
     dep.step()
     calls: Counter = Counter()
     counting(monkeypatch, calls, Replica, "handle", "Replica.handle")
-    counting(monkeypatch, calls, Replica, "receive", "Replica.receive")
     counting(monkeypatch, calls, RaftNode, "handle_message", "handle_message")
     counting(monkeypatch, calls, RaftNode, "renew", "renew")
     for _ in range(100):
         dep.step()
     # The heartbeat interval is one step: each step the leader's two
-    # requests and their two replies are renewed.
-    assert calls == {"renew": 400}
+    # requests and their two replies are delivered and renewed.
+    assert calls == {"Replica.handle": 400, "renew": 400}
 
 
 def test_a_renewed_reply_its_leader_cannot_absorb_is_delivered_in_turn():

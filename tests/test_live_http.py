@@ -8,10 +8,13 @@ import sys
 import threading
 import time
 import traceback
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_commands import REPEATED_SNAPSHOT
 
 from qonnect.agent.client import RlaClientError
@@ -72,6 +75,32 @@ def status_of(address: str, method: str, path: str, data: str | None = None) -> 
         return request(conn, method, path, data).status
     finally:
         conn.close()
+
+
+def raw_response(
+    address: str, head: str, body: bytes = b"", half_close: bool = False, timeout: float = 3.0
+) -> tuple[int | None, bytes]:
+    """Send one raw request on a connection of its own; the status line's
+    code (None without one) and the response head, or what the server sent
+    before it closed the connection. ``half_close`` shuts the sending side
+    after the request, so a server waiting for more body reads its end. A
+    server that neither answers nor closes within ``timeout`` raises
+    ``TimeoutError``."""
+    host, port = address.rsplit(":", 1)
+    lines = [b""]
+    with socket.create_connection((host, int(port)), timeout=timeout) as sock:
+        try:
+            sock.sendall(head.encode("latin-1") + b"\r\n" + body)
+            if half_close:
+                sock.shutdown(socket.SHUT_WR)
+            reply = sock.makefile("rb")
+            lines = [reply.readline()]
+            while lines[-1] not in (b"\r\n", b""):
+                lines.append(reply.readline())
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the server closed first: what it sent is in ``lines``
+    status = int(lines[0].split()[1]) if lines[0].startswith(b"HTTP/") else None
+    return status, b"".join(lines)
 
 
 def fast_spec() -> TestbedSpec:
@@ -383,22 +412,6 @@ def test_malformed_requests_get_400_and_the_server_keeps_serving(live):
     heartbeat = '{"cluster_id": "c", "version": "abc", "status": "healthy"}'
     assert post("/applications/a/components/c/heartbeat", heartbeat) == 400
 
-    def raw_response(head: str, body: bytes = b"") -> tuple[int | None, bytes]:
-        """Send one raw request; the status line's code (None without one)
-        and the response head."""
-        host, port = address.rsplit(":", 1)
-        with socket.create_connection((host, int(port)), timeout=3.0) as sock:
-            sock.sendall(head.encode("ascii") + b"\r\n" + body)
-            reply = sock.makefile("rb")
-            try:
-                lines = [reply.readline()]
-                while lines[-1] not in (b"\r\n", b""):
-                    lines.append(reply.readline())
-            except socket.timeout:
-                return None, b""
-        status = int(lines[0].split()[1]) if lines[0].startswith(b"HTTP/") else None
-        return status, b"".join(lines)
-
     # A refusal that leaves the end of the body unknown closes the connection
     # and says so: the rest of the bytes are never read as the next request.
     for framing, body in (
@@ -407,12 +420,108 @@ def test_malformed_requests_get_400_and_the_server_keeps_serving(live):
         ("Transfer-Encoding: chunked", b"4\r\nGET \r\n0\r\n\r\n"),
     ):
         head = f"POST /applications HTTP/1.1\r\nHost: x\r\n{framing}\r\n"
-        status, reply = raw_response(head, body)
+        status, reply = raw_response(address, head, body)
         assert status == 400 and b"Connection: close" in reply, (framing, reply)
     nested = b"[" * 100_000
     head = f"POST /applications HTTP/1.1\r\nHost: x\r\nContent-Length: {len(nested)}\r\n"
-    assert raw_response(head, nested)[0] == 400
+    assert raw_response(address, head, nested)[0] == 400
     assert status_of(address, "GET", "/status") == 200
+
+
+def _never_an_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+# A request line's parts. No version is "HTTP/0.9", whose answers carry no
+# status line; no path is a route that succeeds.
+_METHODS = st.sampled_from(["POST", "PUT", "GET", "DELETE", "HEAD", "PATCH", "post", "P\x00ST"])
+_PATHS = st.builds(
+    lambda path, at, cut: path[:at] + cut + path[at:] if cut else path,
+    st.sampled_from(["/applications", "/raft/append-request"]),
+    st.integers(1, 12),
+    st.sampled_from(
+        ["", " ", "  ", "\t", "\r", "\n", "\x00", "\x01", "\x0b", "\x1f", "\x7f", "\xff"]
+    ),
+)
+_VERSIONS = st.one_of(
+    st.sampled_from(["HTTP/1.1", "HTTP/1.0"]),
+    st.sampled_from(["HTTP/2.0", "HTTP/1.1.1", "HTTP/1", "HTTP/x.y", "HTTP/", "http/1.1",
+                     "FTP/1.1", "HTTP/-1.1", "HTTP/1.99999999999"]),
+    st.from_regex(r"HTTP/[0-9.]{0,5}", fullmatch=True).filter(lambda v: v != "HTTP/0.9"),
+)
+# Bodies that parse, any bytes, and bodies that are not UTF-8: UTF-16 JSON,
+# or a stray 0xff.
+_BODIES = st.one_of(
+    st.sampled_from([b"", b"{}", b'{"qos": null}']),
+    st.binary(max_size=48),
+    st.sampled_from(['{"qos": {}}', '{"v": 1}']).map(lambda text: text.encode("utf-16")),
+    st.binary(max_size=16).map(lambda b: b'{"a": "\xff' + b + b'"}'),
+)
+_HEADER_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=255), max_size=8)
+
+
+@st.composite
+def _framings(draw, body: bytes) -> list[str]:
+    """Framing headers for ``body``: a Content-Length that is negative, not
+    a number, duplicated or larger than the body, a Transfer-Encoding, or
+    the body's own length."""
+    kind = draw(st.sampled_from(["negative", "text", "twice", "long", "te"] + ["exact"] * 3))
+    if kind == "negative":
+        return [f"Content-Length: {draw(st.integers(max_value=-1))}"]
+    if kind == "text":
+        return [f"Content-Length: {draw(_HEADER_TEXT.filter(_never_an_int))}"]
+    if kind == "twice":
+        lengths = draw(st.lists(st.integers(0, len(body) + 4), min_size=2, max_size=2))
+        return [f"Content-Length: {n}" for n in lengths]
+    if kind == "long":
+        return [f"Content-Length: {len(body) + draw(st.integers(1, 1000))}"]
+    if kind == "te":
+        name = draw(
+            st.sampled_from(["Transfer-Encoding", "transfer-encoding", "TRANSFER-ENCODING"])
+        )
+        value = draw(st.sampled_from(["chunked", "Chunked", "gzip, chunked", "identity", ""]))
+        extra = draw(st.sampled_from([[], [f"Content-Length: {len(body)}"]]))
+        return [f"{name}: {value}", *extra]
+    return [f"Content-Length: {len(body)}"]
+
+
+def test_fuzzed_framing_is_refused_and_the_server_keeps_serving():
+    """Garbled request lines, framing and bodies sent to one live RLA. It
+    never leads (a lone node of three), so no request draws a success: each
+    gets a refusal or a closed connection, and then ``GET /status`` on a
+    fresh connection answers 200. A refusal is a 4xx, 503, or the 501 and
+    505 with which ``http.server`` refuses a method or version it does not
+    serve. Every request half-closes, so none waits out ``_HANDLER_TIMEOUT``."""
+    config = RlaConfig(rla_id=0, peers={0: f"127.0.0.1:{free_port_base(1)}"})
+    address = config.peers[0]
+    rla = LiveRla(config, LONE_NODE)
+    rla.start()
+    statuses: Counter = Counter()
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(_METHODS, _PATHS, _VERSIONS, _BODIES, st.data())
+    def check(method, path, version, body, data):
+        framing = data.draw(_framings(body))
+        lines = [f"{method} {path} {version}", "Host: x", *framing]
+        head = "".join(f"{line}\r\n" for line in lines)
+        status, reply = raw_response(address, head, body, half_close=True, timeout=2.0)
+        statuses[status] += 1
+        if status is None:
+            assert reply == b"", (head, body, reply)  # closed, with nothing sent
+        else:
+            assert 400 <= status < 500 or status in (501, 503, 505), (head, body, reply)
+        assert status_of(address, "GET", "/status") == 200
+
+    try:
+        check()
+    finally:
+        rla.stop()
+    # Framing refusals, the router's, and those of ``http.server``.
+    assert {400, 404, 501, 505} <= set(statuses)
 
 
 def test_committed_writes_answer_with_compaction_after_every_command(monkeypatch):

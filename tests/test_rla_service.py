@@ -17,6 +17,7 @@ from qonnect.kb.store import KnowledgeBase
 from qonnect.raft.messages import AppendRequest, LogEntry, SnapshotRequest, VoteResponse
 from qonnect.raft.node import RaftConfig, RaftNode, Role
 from qonnect.raft.replica import Replica
+from qonnect.raft.simulation import SyncRaftGroup
 from qonnect.raft.storage import FileStorage, MemoryStorage, RaftStorage
 from qonnect.rla import service as service_module
 from qonnect.rla.config import RlaConfig
@@ -452,6 +453,43 @@ def test_non_integer_heartbeat_version_is_400(dep):
         assert status == 400 and body["errors"][0]["field"] == "version", version
     status, body = api.dispatch("POST", path, {"cluster_id": "c", "status": "healthy"})
     assert status == 400 and body["errors"][0]["field"] == "version"
+
+
+def test_a_heartbeat_whose_cluster_id_or_status_is_not_a_string_is_400(dep):
+    """Not 404, which tells an agent its component was withdrawn."""
+    submit_and_place(dep)
+    app = dep.kb().live_application("bookinfo")
+    path = f"/applications/{app.app_id}/components/ratings/heartbeat"
+    good = {
+        "cluster_id": app.component("ratings").decision.cluster_id,
+        "version": app.version,
+        "status": "healthy",
+    }
+    api = leader_api(dep)
+    assert api.dispatch("POST", path, good) == (200, {"status": "ok"})
+    for field in ("cluster_id", "status"):
+        missing = {k: v for k, v in good.items() if k != field}
+        for body in (missing, {**good, field: None}, {**good, field: 7}):
+            status, reply = api.dispatch("POST", path, body)
+            assert status == 400 and [e["field"] for e in reply["errors"]] == [field], body
+
+
+def test_a_qos_update_without_weights_is_400_and_proposes_nothing(dep, monkeypatch):
+    submit_and_place(dep)
+    proposed = []
+    propose = SyncRaftGroup.propose
+
+    def recorded(group, node_id, command):
+        proposed.append(command)
+        return propose(group, node_id, command)
+
+    monkeypatch.setattr(SyncRaftGroup, "propose", recorded)
+    for body in ({}, {"qos": None}):
+        status, reply = leader_api(dep).dispatch("PUT", "/applications/bookinfo/qos", body)
+        assert status == 400 and reply["errors"] == [{"field": "qos", "error": "qos is required"}]
+    app = dep.kb().live_application("bookinfo")
+    assert app.version == 1 and proposed == []
+    assert all(c.status == ComponentStatus.HEALTHY for c in app.components)
 
 
 def test_body_that_is_not_a_json_object_is_400(dep):
