@@ -1,11 +1,12 @@
 """Sans-IO Raft node: a single logical event loop driven by ticks and messages.
 
 The node never touches the network. ``tick`` advances timers and returns
-outbound messages; ``handle_message`` applies one inbound message and returns
-outbound messages plus any commands that just became committed, in order.
+outbound messages; ``handle_message`` applies one inbound message, raises
+``commit_index`` as far as the log allows and returns outbound messages.
 Transports own delivery (deterministic in-memory or HTTP); a
-``qonnect.raft.replica.Replica`` applies the committed commands to its
-state machine.
+``qonnect.raft.replica.Replica`` applies the committed entries to its
+state machine and owns ``last_applied``, which the node sets only when it
+starts and when it installs a snapshot.
 
 Role transitions follow the classic finite-state machine: a follower whose
 election timer fires becomes a candidate, a candidate reaching a majority
@@ -113,7 +114,6 @@ class ReceiveResult(NamedTuple):
     can answer many messages."""
 
     messages: tuple[Message, ...] = ()
-    committed: tuple[tuple[int, str], ...] = ()
     snapshot_installed: str | None = None
 
 
@@ -463,8 +463,7 @@ class RaftNode:
             self.commit_index = max(
                 self.commit_index, min(msg.leader_commit, appended_through)
             )
-            return result._replace(committed=self._collect_applied())
-        if not msg.entries:
+        elif not msg.entries:
             self._answered = (msg, self.current_term, self._log_version, result)
         return result
 
@@ -480,17 +479,16 @@ class RaftNode:
     def _on_match(self, peer: int, match_index: int) -> ReceiveResult:
         """``peer`` holds the log through ``match_index``: advance its
         indexes and the commit index, then send it whatever follows."""
-        committed: tuple[tuple[int, str], ...] = ()
         if match_index > self._match_index.get(peer, 0):
             self._match_index[peer] = match_index
             # Only a rising match index can raise the quorum index.
-            committed = self._advance_commit()
+            self._advance_commit()
         self._next_index[peer] = self._match_index[peer] + 1
         if self._next_index[peer] <= self.last_log_index:
-            return ReceiveResult((self._append_for(peer),), committed)
-        return ReceiveResult((), committed)
+            return ReceiveResult((self._append_for(peer),))
+        return _NOTHING
 
-    def _advance_commit(self) -> tuple[tuple[int, str], ...]:
+    def _advance_commit(self) -> None:
         matches = sorted(
             [self.last_log_index] + [self._match_index.get(p, 0) for p in self.config.peers],
             reverse=True,
@@ -498,19 +496,6 @@ class RaftNode:
         quorum_index = matches[len(self.config.members) // 2]
         if quorum_index > self.commit_index and self.term_at(quorum_index) == self.current_term:
             self.commit_index = quorum_index
-            return self._collect_applied()
-        return ()
-
-    def _collect_applied(self) -> tuple[tuple[int, str], ...]:
-        applied: list[tuple[int, str]] = []
-        while self.last_applied < self.commit_index:
-            nxt = self.last_applied + 1
-            entry = self.entry_at(nxt)
-            if entry is None:
-                break
-            applied.append((entry.index, entry.command))
-            self.last_applied = nxt
-        return tuple(applied)
 
     def _on_snapshot_request(self, msg: SnapshotRequest) -> ReceiveResult:
         """Install a newer snapshot from a current leader. Every request, a

@@ -8,8 +8,12 @@ that does not load is refused with ``ValueError`` and never replaces the log;
 once the node installs the snapshot, the replica installs the state already
 loaded. When the message made the node leader (only a vote that completes
 a majority does; a tick never does), the replica tells the state machine,
-before any entry of the new term commits. It then applies the newly
-committed entries in order, skipping the leader's empty no-op entries.
+before any entry of the new term commits. The node only raises its commit
+index; the replica owns ``last_applied`` past the node's snapshot and
+applies each entry up to the commit index in order, skipping the leader's
+empty no-op entries. An entry whose apply raises is not counted: the
+cursor stays at the entry before it, nothing after it applies, and the
+next full-path delivery tries it again.
 ``propose`` hands an entry's effects to the one proposer waiting on it.
 Transports (the engine's instant group, the seeded lossy harness, live
 HTTP) only deliver messages and decide how a proposer waits for its commit.
@@ -61,25 +65,29 @@ class Replica:
         loaded = None
         if isinstance(msg, SnapshotRequest):
             loaded = self.machine.load_snapshot(msg.state_blob)
-        role = self.node.role
-        result = self.node.handle_message(msg)
-        if role is not _LEADER and self.node.role is _LEADER:
-            self.machine.elected(self.node.current_term)
-        if not result.committed and result.snapshot_installed is None:
-            return result.messages  # nothing to apply, as for every heartbeat
+        node = self.node
+        role = node.role
+        result = node.handle_message(msg)
+        if role is not _LEADER and node.role is _LEADER:
+            self.machine.elected(node.current_term)
         if result.snapshot_installed is not None:
             self.machine.install_snapshot(loaded, result.snapshot_installed)
-        for index, command in result.committed:
-            if not command:
+        while node.last_applied < node.commit_index:
+            entry = node.entry_at(node.last_applied + 1)
+            # Counted before the machine sees it, which may compact the log
+            # at the entry it applies.
+            node.last_applied = entry.index
+            if not entry.command:
                 continue  # leader no-ops are not state machine input
-            if index in self._awaited:
+            try:
+                effects = self.machine.apply_committed(entry.index, entry.command)
+            except BaseException:
+                node.last_applied = entry.index - 1
+                raise
+            if entry.index in self._awaited:
                 # The term identifies the entry: a proposer whose entry was
-                # overwritten by another leader's sees a different term. Read
-                # it first, because applying may compact past the entry.
-                term = self.node.term_at(index)
-                self._awaited[index] = (term, self.machine.apply_committed(index, command))
-            else:
-                self.machine.apply_committed(index, command)
+                # overwritten by another leader's sees a different term.
+                self._awaited[entry.index] = (entry.term, effects)
         return result.messages
 
     def propose(self, command: str, wait: Callable[[int], None]) -> Any | None:

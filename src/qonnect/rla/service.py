@@ -258,8 +258,6 @@ class RlaService:
             self._applied_since_compact >= _COMPACT_EVERY
             and self._logged_since_compact >= _COMPACT_RATIO * self._snapshot_bytes
         ):
-            # Compact at this entry, not at ``last_applied``: entries of the
-            # same commit that follow it are not in the KB state yet.
             blob = self.kb.snapshot_state()
             self.node.compact(index, blob)
             self.events.append(

@@ -1,5 +1,5 @@
-"""Small helpers the tests share: reading a Raft log, writing a bundle as a
-YAML stream, a cluster's id in an engine deployment, the engine step that
+"""Small helpers the tests share: reading a Raft log, a log entry no
+replica can apply, writing a bundle as a YAML stream, a cluster's id in an engine deployment, the engine step that
 visits every member, and the parameter table's derivation (the energy
 coefficients and the decimal midpoint).
 
@@ -23,6 +23,10 @@ from qonnect.harness.engine import Deployment
 from qonnect.kb.store import cluster_id_for
 from qonnect.raft.messages import LogEntry
 from qonnect.raft.node import RaftNode, Role
+
+
+# A batch entry no replica can decode: its schema version is unknown.
+UNDECODABLE_BATCH = '{"kind":"batch","v":3,"commands":[]}'
 
 
 def entries_from(node: RaftNode, index: int) -> list[LogEntry]:

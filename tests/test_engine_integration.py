@@ -16,7 +16,7 @@ from qonnect.kb.model import NODE_METRICS, ComponentStatus, Domain
 from qonnect.raft.messages import VoteRequest
 from qonnect.rla import service as service_module
 from qonnect.sim.cluster import DeleteNamespace, NodePressure, WorkloadPhase
-from support import cluster_id_of
+from support import UNDECODABLE_BATCH, cluster_id_of
 
 # Legal component status transitions (None = first appearance).
 ALLOWED_TRANSITIONS = {
@@ -295,6 +295,21 @@ GOOD_NODE = {
     "bandwidth": 52.5,
     "storage": 100.0,
 }
+
+
+def test_an_entry_whose_apply_raises_is_never_counted_applied_nor_skipped():
+    dep = Deployment(TestbedSpec(seed=3))
+    dep.boot()
+    leader = dep.group.leader()
+    clusters = len(dep.kb().clusters)
+    bad = leader.propose(UNDECODABLE_BATCH)
+    leader.propose(encode_command(RegisterCluster("10.9.9.9", Domain.EDGE, 1.0)))
+    for _ in range(2):  # a later delivery tries the entry again, and skips nothing
+        with pytest.raises(ValueError):
+            dep.group.pump(leader.broadcast_append())
+        assert max(node.last_applied for node in dep.group.nodes.values()) == bad - 1
+        assert {len(service.kb.clusters) for service in dep.services.values()} == {clusters}
+    assert leader.commit_index == bad + 1  # both entries did commit
 
 
 def test_malformed_node_telemetry_gets_400_and_never_reaches_the_log():

@@ -21,9 +21,11 @@ from qonnect.raft.messages import (
     encode_message,
 )
 from qonnect.raft.node import MAX_APPEND_ENTRIES, NotLeaderError, RaftConfig, RaftNode, Role
+from qonnect.raft.replica import Replica
 from qonnect.raft.storage import FileStorage, MemoryStorage, Snapshot
-from raft_harness import RaftHarness
+from raft_harness import RaftHarness, _Recorder
 from support import entries_from
+from test_replica import FakeMachine
 
 
 def make_node(node_id: int = 0, size: int = 3, **kwargs) -> RaftNode:
@@ -339,14 +341,17 @@ def test_restart_from_wal_and_snapshot_preserves_state(tmp_path):
 def test_storage_reloads_term_vote_snapshot_and_entries_after_compaction(tmp_path, durable):
     storage = FileStorage(tmp_path) if durable else MemoryStorage()
     node = RaftNode(RaftConfig(node_id=0, members=(0, 1, 2)), storage=storage)
+    machine = FakeMachine()
+    replica = Replica(node, machine)
     entries = tuple(LogEntry(i, 2, f"c{i}") for i in range(1, 6))
-    node.handle_message(VoteRequest(src=1, dst=0, term=2, last_log_index=0, last_log_term=0))
-    node.handle_message(AppendRequest(1, 0, 2, 0, 0, entries, leader_commit=2))
+    replica.handle(VoteRequest(src=1, dst=0, term=2, last_log_index=0, last_log_term=0))
+    replica.handle(AppendRequest(1, 0, 2, 0, 0, entries, leader_commit=2))
     # A new term and vote, then a leader whose log disagrees from index 4 on.
-    node.handle_message(VoteRequest(src=2, dst=0, term=3, last_log_index=5, last_log_term=2))
-    node.handle_message(AppendRequest(2, 0, 3, 3, 2, (LogEntry(4, 3, "x4"),), leader_commit=4))
+    replica.handle(VoteRequest(src=2, dst=0, term=3, last_log_index=5, last_log_term=2))
+    replica.handle(AppendRequest(2, 0, 3, 3, 2, (LogEntry(4, 3, "x4"),), leader_commit=4))
+    assert machine.state == ["c1", "c2", "c3", "x4"]
     node.compact(3, state_blob="blob-3")
-    node.handle_message(AppendRequest(2, 0, 3, 4, 3, (LogEntry(5, 3, "x5"),), leader_commit=4))
+    replica.handle(AppendRequest(2, 0, 3, 4, 3, (LogEntry(5, 3, "x5"),), leader_commit=4))
     assert (node.current_term, node.voted_for) == (3, 2)
 
     if durable:
@@ -432,6 +437,32 @@ def test_partition_heals_with_identical_logs():
     assert logs[0] == logs[1] == logs[2]
     commands = [e.command for e in logs[0]]
     assert "stale-0" not in commands  # diverged suffix truncated and overwritten
+
+
+def test_no_node_counts_an_entry_whose_apply_raises_or_any_after_it(monkeypatch):
+    apply = _Recorder.apply_committed
+
+    def refusing(self, index: int, command: str) -> None:
+        if command == "refused":
+            raise ValueError(f"cannot apply {index}")
+        apply(self, index, command)
+
+    monkeypatch.setattr(_Recorder, "apply_committed", refusing)
+    harness = RaftHarness(size=3, seed=5, drop_rate=0.1, jitter=0.005)
+    elect(harness)
+    bad = harness.propose("refused")
+    harness.propose("after")
+    raised = 0
+    for _ in range(300):
+        try:
+            harness.step()
+        except ValueError:
+            raised += 1
+    assert raised > 1  # each later delivery tried the entry again
+    assert max(node.commit_index for node in harness.nodes.values()) > bad
+    for node_id, node in harness.nodes.items():
+        assert node.last_applied < bad
+        assert max(harness.applied[node_id], default=0) < bad
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,18 @@ def test_a_snapshot_install_restores_the_state_before_later_entries_apply():
     assert machine.state == ["x", "y", "z"]
 
 
+def test_a_snapshot_below_the_commit_index_applies_the_suffix_it_keeps_at_once():
+    replica, machine = follower()
+    replica.handle(append(1, (0, 0), [(i, f"c{i}") for i in range(1, 11)], commit=10))
+    machine.calls.clear()
+    replica.handle(
+        SnapshotRequest(src=1, dst=0, term=1, last_included_index=8, last_included_term=1,
+                        state_blob="s")
+    )
+    assert machine.calls == [("restore", "s"), ("apply", 9, "c9"), ("apply", 10, "c10")]
+    assert machine.state == ["s", "c9", "c10"] and replica.node.last_applied == 10
+
+
 def test_a_snapshot_the_machine_cannot_load_never_reaches_the_node():
     replica, machine = follower()
     replica.handle(append(1, (0, 0), [(1, "a"), (2, "b")], commit=2))

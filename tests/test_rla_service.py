@@ -554,20 +554,21 @@ def test_poll_withholds_payload_until_placeholder_domains_are_placed():
 # ---------------------------------------------------------------------------
 
 
-def follower_service(storage: RaftStorage) -> RlaService:
+def follower_replica(storage: RaftStorage) -> Replica:
+    """Node 0 over ``storage`` with an ``RlaService`` as its machine; the
+    replica restores a node reloaded from storage to its snapshot."""
     node = RaftNode(RaftConfig(node_id=0, members=(0, 1, 2)), storage=storage)
-    # The replica restores a node reloaded from storage to its snapshot.
-    return Replica(node, RlaService(RlaConfig(rla_id=0), node=node)).machine
+    return Replica(node, RlaService(RlaConfig(rla_id=0), node=node))
 
 
-def replicate(service: RlaService, commands: list[KBCommand]) -> None:
-    """Deliver ``commands`` from leader 1 as committed entries and apply them."""
-    node = service.node
+def replicate(replica: Replica, commands: list[KBCommand]) -> None:
+    """Deliver ``commands`` from leader 1 as committed entries."""
+    node = replica.node
     start = node.last_log_index
     entries = tuple(
         LogEntry(start + i, 1, encode_command(c)) for i, c in enumerate(commands, start=1)
     )
-    result = node.handle_message(
+    replica.handle(
         AppendRequest(
             src=1,
             dst=0,
@@ -578,27 +579,24 @@ def replicate(service: RlaService, commands: list[KBCommand]) -> None:
             leader_commit=start + len(entries),
         )
     )
-    for index, raw in result.committed:
-        service.apply_committed(index, raw)
 
 
-def install(service: RlaService, index: int, blob: str) -> None:
-    kb = service.load_snapshot(blob)
-    result = service.node.handle_message(
+def install(replica: Replica, index: int, blob: str) -> None:
+    replica.handle(
         SnapshotRequest(
             src=1, dst=0, term=1, last_included_index=index, last_included_term=1, state_blob=blob
         )
     )
-    service.install_snapshot(kb, result.snapshot_installed)
 
 
 def test_restarted_replica_serves_the_kb_its_snapshot_holds(tmp_path, monkeypatch):
     storage = FileStorage(tmp_path)
     monkeypatch.setattr(service_module, "_COMPACT_EVERY", 1)
     monkeypatch.setattr(service_module, "_COMPACT_RATIO", 0)  # compact at every entry
-    service = follower_service(storage)
+    replica = follower_replica(storage)
+    service = replica.machine
     replicate(
-        service,
+        replica,
         [RegisterCluster("10.0.0.1", Domain.EDGE, 1.0), RegisterCluster("10.0.0.2", Domain.FOG, 2.0)],
     )
     assert service.node.snapshot_index == 2 and len(service.kb.clusters) == 2
@@ -606,7 +604,7 @@ def test_restarted_replica_serves_the_kb_its_snapshot_holds(tmp_path, monkeypatc
     storage.close()
 
     reopened = FileStorage(tmp_path)
-    restarted = follower_service(reopened)
+    restarted = follower_replica(reopened).machine
     reopened.close()
     # The snapshot covers every applied entry, so none is applied again.
     assert restarted.node.last_applied == 2
@@ -615,7 +613,8 @@ def test_restarted_replica_serves_the_kb_its_snapshot_holds(tmp_path, monkeypatc
 
 def test_snapshot_install_restarts_the_compaction_trigger(monkeypatch):
     monkeypatch.setattr(service_module, "_COMPACT_EVERY", 1)
-    service = follower_service(MemoryStorage())
+    replica = follower_replica(MemoryStorage())
+    service = replica.machine
     source = KnowledgeBase()
     for i in range(8):
         source.apply(RegisterCluster(f"10.0.1.{i}", Domain.EDGE, float(i)))
@@ -624,15 +623,15 @@ def test_snapshot_install_restarts_the_compaction_trigger(monkeypatch):
     below = (len(blob) - 1) // len(encode_command(command))  # entries logging < one blob
     assert below >= 2
 
-    install(service, 3, blob)
-    replicate(service, [command] * below)
+    install(replica, 3, blob)
+    replicate(replica, [command] * below)
     assert service.node.snapshot_index == 3  # the installed blob sets the bar
 
     newer = service.node.last_log_index + 1
-    install(service, newer, blob)  # a leader's newer snapshot
-    replicate(service, [command] * below)
+    install(replica, newer, blob)  # a leader's newer snapshot
+    replicate(replica, [command] * below)
     assert service.node.snapshot_index == newer  # bytes logged before it do not count
-    replicate(service, [command])
+    replicate(replica, [command])
     assert service.node.snapshot_index == newer + below + 1
     compacted = service.events.matching("log-compacted")[-1].detail
     assert compacted["index"] == newer + below + 1
@@ -661,8 +660,7 @@ def test_apply_path_calls_the_names_the_benchmark_tracer_wraps(monkeypatch):
     )
     monkeypatch.setattr(service_module, "_COMPACT_EVERY", 1)
     monkeypatch.setattr(service_module, "_COMPACT_RATIO", 0)  # compact at every entry
-    service = follower_service(MemoryStorage())
-    replicate(service, [RegisterCluster("10.0.0.1", Domain.EDGE, 1.0)])
+    replicate(follower_replica(MemoryStorage()), [RegisterCluster("10.0.0.1", Domain.EDGE, 1.0)])
     assert calls == ["decode", "snapshot"]
 
 

@@ -12,7 +12,7 @@ import os
 
 import pytest
 from test_commands import GOLDEN_ENTRIES, GOLDEN_V1_BATCH, THREE_COMPONENTS, decided_kb
-from test_rla_service import follower_service
+from test_rla_service import follower_replica
 
 from qonnect.kb.commands import decode_command, encode_command
 from qonnect.raft import storage as storage_module
@@ -125,13 +125,12 @@ def test_a_wal_holding_a_v1_decision_batch_replays_to_the_same_kb(tmp_path):
     storage.close()
 
     reopened = FileStorage(tmp_path)
-    service = follower_service(reopened)
+    replica = follower_replica(reopened)
+    service = replica.machine
     assert [entry.command for entry in entries_from(service.node, 1)] == logged
-    result = service.node.handle_message(AppendRequest(
+    replica.handle(AppendRequest(
         src=1, dst=0, term=1, prev_log_index=4, prev_log_term=1, entries=(), leader_commit=4,
     ))
-    for index, raw in result.committed:
-        service.apply_committed(index, raw)
     reopened.close()
     assert service.node.last_applied == 4
     assert service.kb == decided_kb(decode_command(GOLDEN_V1_BATCH))
