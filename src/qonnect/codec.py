@@ -17,7 +17,10 @@ is built.
 
 A decoder raises ``ValueError`` for malformed input, and no other exception.
 Rules about meaning (non-negative weights, non-empty batches) stay with the
-classes, in ``__post_init__``.
+classes, in ``__post_init__``. A decoded dataclass is built without its
+``__init__`` by one builder per class, made when its codec is: an unslotted
+class (a command, a Raft message) is filled through its ``__dict__``, and a
+slotted one (the KB's records) through its slots.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ VERSION = 1
 ObjectText = typing.NewType("ObjectText", str)
 
 _TAGS = frozenset(("v", "kind"))
+# The namespace of a frozen slotted class's builder subclass (``_builder``).
+_UNFROZEN = {"__slots__": (), "__setattr__": object.__setattr__, "__delattr__": object.__delattr__}
 # Exact JSON types per scalar type.
 _EXACT = {str: (str,), int: (int,), bool: (bool,), float: (float, int)}
 
@@ -159,8 +164,8 @@ def _dataclass(cls: type, tags: frozenset[str] = frozenset()) -> _Codec:
     scalars = all(c.exact for c in codecs.values())
     canonical = tuple(c.exact[0] for c in codecs.values()) if scalars else None
     head = {"v": VERSION, "kind": cls.kind} if tags else {}  # a union member's tags
-    post_init = getattr(cls, "__post_init__", None)
     what = cls.__name__
+    build = _builder(cls, names)
 
     def encode(obj):
         data = dict(zip(names, values(obj)))
@@ -179,24 +184,16 @@ def _dataclass(cls: type, tags: frozenset[str] = frozenset()) -> _Codec:
         if complete and canonical is not None:
             given = items(data)
             if tuple(map(type, given)) == canonical:
-                obj = object.__new__(cls)
-                obj.__dict__.update(zip(names, given) if tags else data)
-                if post_init is not None:
-                    post_init(obj)
-                return obj
+                return build(given)
         if not complete and not keys <= allowed:
             raise ValueError(f"{what} has unknown fields {sorted(keys - allowed, key=str)}")
         if not complete and not required <= keys:
             raise ValueError(f"{what} misses fields {sorted(required - keys)}")
-        # Build the object as unpickling does, straight into its __dict__,
-        # and let __post_init__ check it: a frozen dataclass's __init__ costs
-        # more than all of the decoding.
-        obj = object.__new__(cls)
-        state = obj.__dict__
+        given = []
         for name, exact, decode_field, f in steps:
             if not complete and name not in keys:
                 missing = f.default_factory is not dataclasses.MISSING
-                state[name] = f.default_factory() if missing else f.default
+                given.append(f.default_factory() if missing else f.default)
                 continue
             value = data[name]
             if exact is None:
@@ -206,12 +203,33 @@ def _dataclass(cls: type, tags: frozenset[str] = frozenset()) -> _Codec:
                     raise ValueError(f"{what}.{name}: {exc}") from None
             elif type(value) not in exact:
                 raise _mistyped(f"{what}.{name} must be {exact[0].__name__}", value)
-            state[name] = value
-        if post_init is not None:
-            post_init(obj)
-        return obj
+            given.append(value)
+        return build(given)
 
     return _Codec(encode, decode)
+
+
+def _builder(cls: type, names: tuple[str, ...]) -> Callable[[Any], Any]:
+    """Values in field order -> a ``cls`` built as unpickling does, without
+    ``__init__``, and checked by its ``__post_init__``: a frozen dataclass's
+    ``__init__`` costs more than all of the decoding.
+
+    An unslotted class is filled through its ``__dict__``. A slotted one is
+    filled through its slots by attribute stores, which the interpreter
+    specializes. A frozen class's ``__setattr__`` raises, so its object is
+    made as a subclass that adds no slot and keeps ``object``'s attribute
+    methods, then given ``cls`` as its class: the layout is the same.
+    """
+    slotted = "__slots__" in cls.__dict__
+    frozen = slotted and cls.__dataclass_params__.frozen
+    maker = type(cls.__name__, (cls,), _UNFROZEN) if frozen else cls
+    fill = "".join(f"obj.{n}," for n in names) + " = values" if slotted \
+        else "obj.__dict__.update(zip(names, values))"
+    check = " obj.__post_init__()" if hasattr(cls, "__post_init__") else ""
+    scope = {"new": object.__new__, "maker": maker, "cls": cls, "names": names}
+    exec(f"def build(values):\n obj = new(maker)\n {fill}\n"
+         f"{' obj.__class__ = cls' if frozen else ''}\n{check}\n return obj", scope)
+    return scope["build"]
 
 
 def _union(tp: Any, args: tuple) -> _Codec:

@@ -161,9 +161,10 @@ def take_node_lists(doc: dict, decisions: list[dict]) -> list[tuple[str, ...]]:
 
 
 def put_node_lists(decisions: Iterable[Any], names: list[tuple[str, ...]]) -> None:
-    """Give each decoded decision its list, in order, as the codec builds it."""
+    """Give each decoded decision its list, in order. ``object.__setattr__``
+    passes a frozen class's own, and sets a slot or ``__dict__`` alike."""
     for decision, nodes in zip(decisions, names, strict=True):
-        decision.__dict__["node_names"] = nodes
+        object.__setattr__(decision, "node_names", nodes)
 
 
 def encode_command(cmd: KBCommand | Batch) -> str:

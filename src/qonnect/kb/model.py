@@ -23,7 +23,7 @@ class ComponentStatus(str, Enum):
     WITHDRAWN = "Withdrawn"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QoSVector:
     """User weights over energy, pricing, and performance/capacity."""
 
@@ -42,7 +42,7 @@ class QoSVector:
         return self
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClusterRecord:
     cluster_id: str
     domain: Domain
@@ -54,7 +54,7 @@ class ClusterRecord:
 NODE_METRICS = ("energy", "pricing", "cpu", "memory", "bandwidth", "storage")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeSnapshot:
     """Per-node telemetry plus the static profile attributes used by the scorer."""
 
@@ -78,7 +78,7 @@ class NodeSnapshot:
                 raise ValueError(f"node attribute {attr} must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScheduleDecision:
     component_name: str
     cluster_id: str
@@ -87,7 +87,7 @@ class ScheduleDecision:
     deciding_term: int
 
 
-@dataclass
+@dataclass(slots=True)
 class ComponentRecord:
     name: str
     target_domain: Domain
@@ -97,7 +97,7 @@ class ComponentRecord:
     last_heartbeat: float | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class ApplicationRecord:
     app_id: str
     name: str

@@ -328,15 +328,16 @@ class KnowledgeBase:
         out goes, unless it was reported later than this report."""
         if cmd.cluster_id not in self.clusters:
             return _noop("unknown-cluster", cluster_id=cmd.cluster_id)
+        cluster_id = self.clusters[cmd.cluster_id].cluster_id  # the KB's string, not the log's
         stored, flags = 0, []
         named = set()
         for i, wire in enumerate(cmd.nodes):
             try:
-                snap = node_from_wire(wire, cmd.cluster_id, cmd.taken_at)
+                snap = node_from_wire(wire, cluster_id, cmd.taken_at)
             except ValueError:  # logged before leaders checked reports
                 flags.append(f"malformed-node:{i}")
                 continue
-            key = (cmd.cluster_id, snap.node_name)
+            key = (cluster_id, snap.node_name)
             named.add(key)
             existing = self.nodes.get(key)
             if existing is not None and existing.taken_at > snap.taken_at:
@@ -350,7 +351,7 @@ class KnowledgeBase:
         for key in [
             key
             for key, snap in self.nodes.items()
-            if key[0] == cmd.cluster_id and key not in named and snap.taken_at <= cmd.taken_at
+            if key[0] == cluster_id and key not in named and snap.taken_at <= cmd.taken_at
         ]:
             del self.nodes[key]
         return Effect(kind="nodes-updated", detail={"stored": stored, "flags": flags})
@@ -447,7 +448,7 @@ class KnowledgeBase:
         node_names = self._node_lists.setdefault(cmd.node_names, cmd.node_names)
         comp.decision = ScheduleDecision(
             component_name=comp.name,
-            cluster_id=cmd.cluster_id,
+            cluster_id=cluster.cluster_id,  # the KB's string, not the log's copy
             node_names=node_names,
             decided_at=cmd.decided_at,
             deciding_term=cmd.deciding_term,
@@ -458,7 +459,7 @@ class KnowledgeBase:
             detail={
                 "app": app.name,
                 "component": comp.name,
-                "cluster_id": cmd.cluster_id,
+                "cluster_id": cluster.cluster_id,
                 "nodes": node_names,
             },
         )

@@ -36,7 +36,7 @@ _ROLLING, _READY, _CRASH_LOOP = WorkloadPhase  # bound once: see raft.node
 _DUE_SLACK = 1e-6
 
 
-@dataclass
+@dataclass(slots=True)
 class SimNode:
     name: str
     role: str  # control-plane | worker
@@ -51,7 +51,7 @@ class SimNode:
     storage: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class SimWorkload:
     name: str
     desired: int

@@ -3,6 +3,7 @@ Raft wire payloads, and malformed KB snapshots."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 
@@ -17,6 +18,7 @@ from test_commands import (
     TOMBSTONE_STATE,
     json_values,
 )
+from test_slotted_records import BUILT, COMPONENT
 
 from qonnect import codec
 from qonnect.kb.commands import (
@@ -33,6 +35,7 @@ from qonnect.kb.commands import (
     encode_command,
 )
 from qonnect.kb.model import (
+    NODE_METRICS,
     ApplicationRecord,
     ClusterRecord,
     ComponentRecord,
@@ -117,9 +120,12 @@ def test_ints_pass_for_floats_defaults_may_be_omitted_required_fields_may_not():
         codec.decoder(Sample)({k: v for k, v in SAMPLE.items() if k != "count"})
 
 
-def test_rules_about_meaning_stay_in_post_init():
-    with pytest.raises(ValueError, match="non-negative"):
-        codec.decoder(QoSVector)({"energy": -1})
+@pytest.mark.parametrize("weight", ["energy", "pricing", "performance"])
+def test_rules_about_meaning_stay_in_post_init(weight):
+    complete = {"energy": 1.0, "pricing": 1.0, "performance": 1.0, weight: -1.0}
+    for doc in (complete, {weight: -1}):
+        with pytest.raises(ValueError, match="non-negative"):
+            codec.decoder(QoSVector)(doc)
 
 
 def test_object_text_is_the_canonical_text_and_too_deep_an_object_a_value_error():
@@ -282,7 +288,9 @@ def test_a_mixed_batch_round_trips_and_its_equal_lists_are_one_tuple(members):
 def test_every_kb_record_round_trips(record):
     cls = type(record)
     raw = codec.dumps(codec.encoder(cls)(record))
-    assert codec.decoder(cls)(codec.loads(raw)) == record
+    decoded = codec.decoder(cls)(codec.loads(raw))
+    assert decoded == record
+    assert type(decoded) is cls and not hasattr(decoded, "__dict__")
 
 
 def kb_of(clusters, nodes, applications) -> KnowledgeBase:
@@ -507,3 +515,74 @@ def test_restore_accepts_or_raises_value_error_only(blob):
     except ValueError:
         return
     assert KnowledgeBase.restore(kb.snapshot_state()) == kb
+
+
+# ---------------------------------------------------------------------------
+# Slotted records: the decoder fills them through their slots
+# ---------------------------------------------------------------------------
+
+SLOTTED = {
+    QoSVector: qos_vectors,
+    ClusterRecord: clusters,
+    NodeSnapshot: nodes,
+    ScheduleDecision: decisions,
+    ComponentRecord: components,
+    ApplicationRecord: applications,
+}
+FROZEN = (QoSVector, ClusterRecord, NodeSnapshot, ScheduleDecision)
+
+
+def encoded(record: object) -> dict:
+    return codec.loads(codec.dumps(codec.encoder(type(record))(record)))
+
+
+@pytest.mark.parametrize("cls", SLOTTED, ids=lambda cls: cls.__name__)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_a_slotted_record_omitting_defaulted_fields_decodes_with_the_defaults(cls, data):
+    record = data.draw(SLOTTED[cls])
+    defaulted = [f for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING]
+    doc = {k: v for k, v in encoded(record).items() if k not in {f.name for f in defaulted}}
+    decoded = codec.decoder(cls)(doc)
+    assert type(decoded) is cls and not hasattr(decoded, "__dict__")
+    assert decoded == dataclasses.replace(record, **{f.name: f.default for f in defaulted})
+
+
+@pytest.mark.parametrize("cls", SLOTTED, ids=lambda cls: cls.__name__)
+def test_a_slotted_record_with_an_unknown_or_missing_field_is_a_value_error(cls):
+    doc = encoded(BUILT[cls])
+    with pytest.raises(ValueError, match="unknown fields"):
+        codec.decoder(cls)({**doc, "extra": 1})
+    required = [f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING]
+    for name in required:
+        with pytest.raises(ValueError, match="misses fields"):
+            codec.decoder(cls)({k: v for k, v in doc.items() if k != name})
+
+
+@pytest.mark.parametrize("omit_role", [False, True], ids=["complete", "role-omitted"])
+@pytest.mark.parametrize("metric", NODE_METRICS)
+def test_a_decoded_node_still_refuses_a_negative_metric(metric, omit_role):
+    node = {k: v for k, v in {**NODE, metric: -0.5}.items() if not (omit_role and k == "role")}
+    with pytest.raises(ValueError, match=f"{metric} must be non-negative"):
+        codec.decoder(NodeSnapshot)(node)
+
+
+@pytest.mark.parametrize("cls", FROZEN, ids=lambda cls: cls.__name__)
+def test_a_decoded_frozen_record_still_refuses_assignment(cls):
+    record = BUILT[cls]
+    decoded = codec.decoder(cls)(encoded(record))
+    name = dataclasses.fields(cls)[0].name
+    for target in (record, decoded):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(target, name, getattr(target, name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(target, name)
+    assert decoded == record
+
+
+def test_a_decoded_mutable_record_takes_its_fields_and_no_other():
+    decoded = codec.decoder(ComponentRecord)(encoded(COMPONENT))
+    decoded.status = ComponentStatus.HEALTHY
+    assert decoded.status is ComponentStatus.HEALTHY
+    with pytest.raises(AttributeError):
+        decoded.extra = 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from test_commands import REPEATED_SNAPSHOT, REPEATED_STATE
 
 from qonnect import codec
 from qonnect.kb.commands import (
@@ -492,3 +493,39 @@ def test_delete_then_resubmit_under_same_name():
     kb.apply(DeleteApplication("bookinfo"))
     submit_bookinfo(kb, app_id="app-2", at=3.0)
     assert kb.live_application("bookinfo").app_id == "app-2"
+
+
+def test_a_follower_keeps_its_clusters_own_id_string_in_decisions_and_nodes():
+    """A follower decodes each entry afresh, so every command's cluster id
+    is a new string; the KB stores the cluster record's one instead."""
+    kb = KnowledgeBase()
+    cid = kb.apply(decode_command(encode_command(
+        RegisterCluster("10.0.0.1", Domain.EDGE, registered_at=0.0)
+    ))).detail["cluster_id"]
+    own = kb.clusters[cid].cluster_id
+    put = PutNodeSnapshot(cid, (node_wire("w1"), node_wire("w2")), taken_at=1.0)
+    kb.apply(decode_command(encode_command(put)))
+    submit_bookinfo(kb)
+    app = kb.live_application("bookinfo")
+    decision = Batch((RecordDecision(app.app_id, "ratings", cid, ("w1",), 3.0, 2, version=1),))
+    (replayed,) = decode_command(encode_command(decision)).commands
+    assert replayed.cluster_id == own and replayed.cluster_id is not own
+    effect = kb.apply(replayed)
+    assert effect.kind == "decision-recorded"
+    assert effect.detail["cluster_id"] is own
+    assert app.component("ratings").decision.cluster_id is own
+    assert all(key[0] is own and snap.cluster_id is own for key, snap in kb.nodes.items())
+
+
+@pytest.mark.parametrize("blob", [REPEATED_STATE, REPEATED_SNAPSHOT], ids=["v1", "v2"])
+def test_a_restored_snapshots_decisions_carry_its_table_tuples(blob):
+    kb = KnowledgeBase.restore(blob)
+    assert kb == KnowledgeBase.restore(REPEATED_SNAPSHOT)
+    assert kb.snapshot_state() == REPEATED_SNAPSHOT
+    decisions = [comp.decision for app in kb.applications.values() for comp in app.components]
+    assert [d.node_names for d in decisions] == [
+        ("edge-w0", "edge-w1"), ("edge-w1",), ("edge-w0", "edge-w1"),
+    ]
+    assert all(d.node_names is kb._node_lists[d.node_names] for d in decisions)
+    assert decisions[0].node_names is decisions[2].node_names
+    assert not any(hasattr(d, "__dict__") for d in decisions)
