@@ -21,6 +21,14 @@ classes, in ``__post_init__``. A decoded dataclass is built without its
 ``__init__`` by one builder per class, made when its codec is: an unslotted
 class (a command, a Raft message) is filled through its ``__dict__``, and a
 slotted one (the KB's records) through its slots.
+
+``columns(cls)`` builds the run codec of a dataclass: a list of its
+objects as one object of columns, ``{<field>: [one value per object],
+...}``, as a batch log entry writes each run of same-kind commands. Each
+column is read by the codec of a list of its field's type, so its JSON
+types are as exact as a record's; every field is a column, all columns are
+equally long, and each object is made by the same builder and checked by
+its ``__post_init__``.
 """
 
 from __future__ import annotations
@@ -232,6 +240,39 @@ def _builder(cls: type, names: tuple[str, ...]) -> Callable[[Any], Any]:
     return scope["build"]
 
 
+@cache
+def columns(cls: type) -> _Codec:
+    """The run codec of dataclass ``cls``: ``encode`` takes a list of its
+    objects to an object of columns, one list per field holding each
+    object's value in order, and ``decode`` takes that object back to the
+    list; ``ValueError`` if malformed. Each column is read by the codec of
+    a list of its field's type, and the objects are built by the record
+    codec's builder, so each is checked by its ``__post_init__``."""
+    hints = typing.get_type_hints(cls)
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    fields = tuple((name, attrgetter(name), _codec(list[hints[name]])) for name in names)
+    allowed = frozenset(names)
+    build = _builder(cls, names)
+
+    def encode(objs):
+        return {name: c.encode(map(get, objs)) for name, get, c in fields}
+
+    def decode(data):
+        if type(data) is not dict or data.keys() != allowed:
+            raise ValueError(f"{cls.__name__} columns must be an object of its fields")
+        decoded = []
+        for name, _get, c in fields:
+            try:
+                decoded.append(c.decode(data[name]))
+            except ValueError as exc:
+                raise ValueError(f"{cls.__name__}.{name}: {exc}") from None
+        if len(set(map(len, decoded))) > 1:
+            raise ValueError(f"{cls.__name__} columns of unequal lengths {list(map(len, decoded))}")
+        return list(map(build, zip(*decoded)))
+
+    return _Codec(encode, decode)
+
+
 def _union(tp: Any, args: tuple) -> _Codec:
     options = tuple(arg for arg in args if arg is not type(None))
     if len(options) > 1 and all(hasattr(arg, "kind") for arg in options):
@@ -273,6 +314,7 @@ def _tagged(classes: tuple[type, ...]) -> _Codec:
 
 def _sequence(item: Any, build: type) -> _Codec:
     convert, decode_item, exact = _codec(item)
+    exact_types = frozenset(exact or ())
 
     def decode(value):
         if type(value) is not list:
@@ -285,10 +327,9 @@ def _sequence(item: Any, build: type) -> _Codec:
             except ValueError as exc:
                 index = len(value) - length_hint(items) - 1
                 raise ValueError(f"[{index}]: {exc}") from None
-        for x in items:  # scalars, checked inline
-            if type(x) not in exact:
-                index = len(value) - length_hint(items) - 1
-                raise _mistyped(f"[{index}]: expected {exact[0].__name__}", x)
+        if not exact_types.issuperset(map(type, value)):  # scalars, checked at once
+            index, x = next((i, x) for i, x in enumerate(value) if type(x) not in exact)
+            raise _mistyped(f"[{index}]: expected {exact[0].__name__}", x)
         return build(value)
 
     return _Codec(list if convert is None else lambda v: [convert(x) for x in v], decode)

@@ -5,23 +5,31 @@ propose time) so that applying the same sequence on every replica is fully
 deterministic.
 
 A log entry holds either one command or a ``Batch`` of them (group commit:
-one entry per telemetry flush or scheduler pass). Entries are written by
-``qonnect.codec`` as ``{"v": 1, "kind": cls.kind, **fields}`` with sorted
-keys, and a batch's members like single-command entries, with one
-exception: a batch that holds a ``RecordDecision`` is written as v2,
-``{"commands": [...], "kind": "batch", "node_lists": [[...], ...], "v": 2}``.
-Its table holds each distinct node list once, in order of first use, and
-each decision member holds ``node_list``, its index there, in place of
-``node_names``. v1 batches still decode.
+one entry per telemetry flush or scheduler pass). ``qonnect.codec`` writes
+a single command as the v1 entry ``{"v": 1, "kind": cls.kind, **fields}``,
+with sorted keys, and every batch as v3,
+``{"kind": "batch", "node_lists": [[...], ...], "runs": [...], "v": 3}``.
+Each run is one maximal stretch of members of one kind, written by that
+class's run codec as ``{"kind": cls.kind, <field>: [one value per
+member], ...}``, so the runs keep the members' order. A decision run holds
+a ``node_list`` column, each member's index in the table, in place of
+``node_names``. The table holds each distinct node list once, in order of
+first use, and is there only when a decision run is. v1 batches
+(``"commands"``, members written as single entries) and v2 batches (v1's
+members, each decision holding ``node_list``, and the table) still decode.
 
-The KB snapshot v2 (``qonnect.kb.store``) holds the same table. Both
-formats are read through ``take_node_lists`` and ``put_node_lists``, the
-one place that knows the table's index rule and its refusals.
+The KB snapshot v2 (``qonnect.kb.store``) holds the same table. Every
+format reads it through ``take_node_lists`` and ``put_node_lists``, the
+one place that knows the table's index rule and its refusals;
+``listed_indexes`` takes each index out of a snapshot's or a v2 batch's
+decision object.
 """
 
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Any, Iterable, Union
 
 from qonnect import codec
@@ -131,33 +139,43 @@ class Batch:
             raise ValueError("batches do not nest")
 
 
-# The schema of a batch that holds a decision; every other entry is v1.
-LISTED_VERSION = 2
+# The schema of a batch entry; every single-command entry is v1.
+BATCH_VERSION = 3
+# The schema of a v2 batch, which held a decision; still read.
+_LISTED_VERSION = 2
+_BATCH_KEYS = frozenset(("kind", "node_lists", "runs", "v"))
 
-_encode = codec.encoder(KBCommand | Batch)
+_encode = codec.encoder(KBCommand)
 _decode = codec.decoder(KBCommand | Batch)
+_runs = {cls.kind: codec.columns(cls) for cls in typing.get_args(KBCommand)}
 _decode_node_lists = codec.decoder(list[tuple[str, ...]])
 _NO_NAMES: list = []  # what a listed decision is decoded with, before it gets its list
 
 
-def take_node_lists(doc: dict, decisions: list[dict]) -> list[tuple[str, ...]]:
-    """Take the node-list table out of ``doc``, and each of ``decisions``'
-    index into it, so that the rest decodes as v1: each decision is left an
-    empty ``node_names``. Returns each decision's list, in order, as the
-    table's one tuple per entry; ``ValueError`` for a missing or malformed
-    table, an index that is not an int (a bool is not) within it, or an
+def listed_indexes(decisions: list[dict]) -> list[Any]:
+    """Take each of ``decisions``' ``node_list`` out, so that the rest
+    decodes as v1: each decision is left an empty ``node_names``. Returns
+    the indexes, in order, for ``take_node_lists``; ``ValueError`` for an
     index next to ``node_names``."""
-    table = _decode_node_lists(doc.pop("node_lists", None))
-    taken = []
+    indexes = []
     for decision in decisions:
-        index = decision.pop("node_list", None)
-        if type(index) is not int or not 0 <= index < len(table):
-            raise ValueError(f"node list {index!r:.20} is not in the table of {len(table)}")
         if "node_names" in decision:
             raise ValueError("a listed decision holds node_list, not node_names")
-        taken.append(table[index])
+        indexes.append(decision.pop("node_list", None))
         decision["node_names"] = _NO_NAMES
-    return taken
+    return indexes
+
+
+def take_node_lists(doc: dict, indexes: list[Any]) -> list[tuple[str, ...]]:
+    """Take the node-list table out of ``doc`` and return the entry each of
+    ``indexes`` names, in order, as the table's one tuple per entry;
+    ``ValueError`` for a missing or malformed table, or an index that is not
+    an int (a bool is not) within it."""
+    table = _decode_node_lists(doc.pop("node_lists", None))
+    for index in indexes:
+        if type(index) is not int or not 0 <= index < len(table):
+            raise ValueError(f"node list {index!r:.20} is not in the table of {len(table)}")
+    return [table[index] for index in indexes]
 
 
 def put_node_lists(decisions: Iterable[Any], names: list[tuple[str, ...]]) -> None:
@@ -168,32 +186,74 @@ def put_node_lists(decisions: Iterable[Any], names: list[tuple[str, ...]]) -> No
 
 
 def encode_command(cmd: KBCommand | Batch) -> str:
-    data = _encode(cmd)
-    if type(cmd) is Batch and any(type(member) is RecordDecision for member in cmd.commands):
-        lists: dict[tuple[str, ...], int] = {}
-        for member, encoded in zip(cmd.commands, data["commands"]):
-            if type(member) is RecordDecision:
-                del encoded["node_names"]
-                encoded["node_list"] = lists.setdefault(member.node_names, len(lists))
-        data.update(node_lists=list(lists), v=LISTED_VERSION)
-    return codec.dumps(data)
+    if type(cmd) is not Batch:
+        return codec.dumps(_encode(cmd))
+    runs = []
+    lists: dict[tuple[str, ...], int] = {}
+    for cls, members in groupby(cmd.commands, type):
+        members = list(members)
+        run = _runs[cls.kind].encode(members)
+        if cls is RecordDecision:
+            del run["node_names"]
+            run["node_list"] = [lists.setdefault(m.node_names, len(lists)) for m in members]
+        run["kind"] = cls.kind
+        runs.append(run)
+    entry = {"kind": Batch.kind, "runs": runs, "v": BATCH_VERSION}
+    if lists:
+        entry["node_lists"] = list(lists)
+    return codec.dumps(entry)
 
 
 def decode_command(raw: str) -> KBCommand | Batch:
-    """Decode one log entry, v1 or a v2 batch; any malformed payload raises
-    ``ValueError``."""
+    """Decode one log entry: a v1 command or batch, a v2 batch or a v3
+    batch; any malformed payload raises ``ValueError``."""
     data = codec.loads(raw)
-    if type(data) is not dict or "node_lists" not in data:
+    if type(data) is not dict:
         return _decode(data)
-    if data.get("v") != LISTED_VERSION or type(data["v"]) is not int \
-            or data.get("kind") != Batch.kind:
-        raise ValueError("only a v2 batch holds a node-list table")
+    version = data.get("v")
+    if version == BATCH_VERSION and type(version) is int:
+        return _decode_runs(data)
+    if "node_lists" not in data:
+        return _decode(data)
+    if version != _LISTED_VERSION or type(version) is not int or data.get("kind") != Batch.kind:
+        raise ValueError("only a v2 or v3 batch holds a node-list table")
     members = data.get("commands")
-    names = take_node_lists(data, [
+    names = take_node_lists(data, listed_indexes([
         member for member in (members if type(members) is list else ())
         if type(member) is dict and member.get("kind") == RecordDecision.kind
-    ])
+    ]))
     data["v"] = codec.VERSION
     batch = _decode(data)
     put_node_lists((cmd for cmd in batch.commands if type(cmd) is RecordDecision), names)
     return batch
+
+
+def _decode_runs(data: dict) -> Batch:
+    """A v3 batch: each run by its class's run codec, and a decision run's
+    ``node_list`` column by ``take_node_lists``' index rule."""
+    runs = data.get("runs")
+    if data.get("kind") != Batch.kind or not data.keys() <= _BATCH_KEYS or type(runs) is not list:
+        raise ValueError("a v3 entry is a batch of runs")
+    members: list[KBCommand] = []
+    indexes: list[Any] = []
+    for run in runs:
+        kind = run.pop("kind", None) if type(run) is dict else None
+        run_codec = _runs.get(kind) if type(kind) is str else None
+        if run_codec is None:
+            raise ValueError(f"unknown run kind: {kind!r:.40}")
+        if kind == RecordDecision.kind:
+            listed = run.pop("node_list", None)
+            if type(listed) is not list or "node_names" in run:
+                raise ValueError("a decision run holds a node_list column, not node_names")
+            indexes += listed
+            run["node_names"] = [_NO_NAMES] * len(listed)
+        decoded = run_codec.decode(run)
+        if not decoded:
+            raise ValueError(f"an empty {kind} run")
+        members += decoded
+    if "node_lists" in data or indexes:
+        names = take_node_lists(data, indexes)
+        if not names:
+            raise ValueError("a node-list table in a batch with no decision")
+        put_node_lists((cmd for cmd in members if type(cmd) is RecordDecision), names)
+    return Batch(tuple(members))

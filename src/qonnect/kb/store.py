@@ -7,9 +7,9 @@ bad input. Each effect records the component status transitions it caused,
 which is what the status-machine property tests replay.
 
 A v2 KB snapshot writes each retained-node list once, in a ``node_lists``
-table its decisions index, as a v2 decision batch does; ``restore`` reads
+table its decisions index, as a batch log entry does; ``restore`` reads
 the table through ``qonnect.kb.commands``' ``take_node_lists`` and
-``put_node_lists``, the one reader of both formats.
+``put_node_lists``, the one reader of every such format.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from qonnect.kb.commands import (
     RequeueComponent,
     SubmitApplication,
     UpdateQoS,
+    listed_indexes,
     put_node_lists,
     take_node_lists,
 )
@@ -50,8 +51,8 @@ from qonnect.kb.model import (
 _CLUSTER_ID_NAMESPACE = uuid.UUID("87e1f2da-4b6e-4f80-9da5-5ea726ea3d58")
 
 # The KB snapshot document's schema. v2 writes each node list once, in a
-# table its decisions index; ``restore`` reads v1 too. Log entries keep
-# ``codec.VERSION``.
+# table its decisions index; ``restore`` reads v1 too. Single-command log
+# entries keep ``codec.VERSION``; batches are ``commands.BATCH_VERSION``.
 STATE_VERSION = 2
 
 _decode_node = codec.decoder(NodeSnapshot)
@@ -556,11 +557,12 @@ class KnowledgeBase:
         ``ValueError``. Applications an older delete kept, marked
         ``withdrawn``, are dropped. The codec turns each manifest back into
         its text. A v2 document's table is read by ``take_node_lists``;
-        either version's equal lists are then made one tuple."""
+        either version's equal lists are then made one tuple, and each
+        decision of a registered cluster holds its record's id string."""
         doc = codec.loads(blob)
         listed = None
         if type(doc) is dict and doc.get("v") == STATE_VERSION:
-            listed = take_node_lists(doc, _decisions_in(doc))
+            listed = take_node_lists(doc, listed_indexes(_decisions_in(doc)))
         state = _decode_state(doc)
         decisions = [comp.decision for app in state.applications for comp in app.components
                      if comp.decision is not None]
@@ -569,6 +571,10 @@ class KnowledgeBase:
         kb = cls()
         put_node_lists(decisions, [kb._node_lists.setdefault(names, names) for names in listed])
         kb.clusters = {rec.cluster_id: rec for rec in state.clusters}
+        for decision in decisions:
+            cluster = kb.clusters.get(decision.cluster_id)
+            if cluster is not None:
+                object.__setattr__(decision, "cluster_id", cluster.cluster_id)
         kb._config = {rec.cluster_id: rec.external_ip for rec in state.clusters}
         kb.nodes = {(snap.cluster_id, snap.node_name): snap for snap in state.nodes}
         kb.applications = {app.app_id: app for app in state.applications if not app.withdrawn}

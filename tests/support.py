@@ -26,7 +26,7 @@ from qonnect.raft.node import RaftNode, Role
 
 
 # A batch entry no replica can decode: its schema version is unknown.
-UNDECODABLE_BATCH = '{"kind":"batch","v":3,"commands":[]}'
+UNDECODABLE_BATCH = '{"kind":"batch","v":4,"commands":[]}'
 
 
 def entries_from(node: RaftNode, index: int) -> list[LogEntry]:

@@ -276,11 +276,26 @@ def test_a_mixed_batch_round_trips_and_its_equal_lists_are_one_tuple(members):
     assert decoded == batch
     assert encode_command(decoded) == raw
     listed = [m.node_names for m in decoded.commands if isinstance(m, RecordDecision)]
-    assert json.loads(raw)["v"] == (2 if listed else 1)
+    assert json.loads(raw)["v"] == 3
     one_each = {names: names for names in listed}
     assert all(names is one_each[names] for names in listed)
-    if listed:
-        assert len(json.loads(raw)["node_lists"]) == len(one_each)
+    assert len(json.loads(raw).get("node_lists", ())) == len(one_each)
+
+
+@settings(max_examples=300, deadline=None)
+@given(members=st.lists(commands | telemetry, min_size=1, max_size=12))
+def test_a_batch_of_any_kinds_in_any_order_is_written_as_runs_in_member_order(members):
+    batch = Batch(tuple(members))
+    raw = encode_command(batch)
+    assert decode_command(raw) == batch
+    assert encode_command(decode_command(raw)) == raw
+    runs = json.loads(raw)["runs"]
+    kinds = [run["kind"] for run in runs]
+    assert all(a != b for a, b in zip(kinds, kinds[1:]))  # each run is maximal
+    lengths = [len(next(column for key, column in run.items() if key != "kind"))
+               for run in runs]
+    assert [kind for kind, n in zip(kinds, lengths) for _ in range(n)] \
+        == [member.kind for member in members]
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,5 +1,5 @@
-"""The KB command codec: v1 compatibility, batches (v2 when they hold a
-decision), and malformed entries."""
+"""The KB command codec: v1 compatibility, batches (v3, read back to v1),
+and malformed entries."""
 
 from __future__ import annotations
 
@@ -16,15 +16,17 @@ from qonnect.harness.engine import Deployment
 from qonnect.harness.testbed import TestbedSpec
 from qonnect.kb.commands import (
     Batch,
+    PutNodeSnapshot,
     RecordDecision,
     RecordHeartbeat,
+    RequeueComponent,
     SubmitApplication,
     decode_command,
     encode_command,
 )
-from qonnect.kb.model import Domain, QoSVector
+from qonnect.kb.model import ComponentStatus, Domain, QoSVector
 from qonnect.kb.store import KnowledgeBase
-from support import entries_from
+from qonnect.rla import service as service_module
 
 # Single-command v1 log entries as written before batch entries existed,
 # and the KB snapshot they apply to, in order.
@@ -127,6 +129,40 @@ GOLDEN_V2_BATCH = _DECISION_BATCH % (
     '"node_list":0', '"node_list":1', '"node_list":0',
     '"node_lists":[["edge-w0","edge-w1"],["edge-w1"]],', 2,
 )
+# The same batch as the v3 entry written today: three runs, two decisions,
+# a heartbeat and a decision, each decision run indexing the one table.
+_CID = '"79a62f64-8252-5a15-b929-f461267aebc7"'
+GOLDEN_V3_BATCH = (
+    '{"kind":"batch","node_lists":[["edge-w0","edge-w1"],["edge-w1"]],"runs":['
+    f'{{"app_id":["app-1","app-1"],"cluster_id":[{_CID},{_CID}],"component":["ratings","reviews"],'
+    '"decided_at":[4.0,4.0],"deciding_term":[2,2],"kind":"record-decision","node_list":[0,1],'
+    f'"version":[1,1]}},{{"app_id":["app-1"],"at":[4.5],"cluster_id":[{_CID}],'
+    '"component":["ratings"],"kind":"record-heartbeat","status":["healthy"],"version":[1]},'
+    f'{{"app_id":["app-1"],"cluster_id":[{_CID}],"component":["details"],"decided_at":[4.0],'
+    '"deciding_term":[2],"kind":"record-decision","node_list":[0],"version":[1]}],"v":3}'
+)
+# A scheduler pass as v3, a requeue run then a decision run, and a telemetry
+# flush, three runs with the node report between two heartbeat runs. They
+# apply, in order, after ``GOLDEN_V3_BATCH``.
+GOLDEN_V3_PASS = (
+    '{"kind":"batch","node_lists":[["edge-w0"]],"runs":[{"app_id":["app-1","app-1"],'
+    '"component":["ratings","reviews"],"kind":"requeue-component",'
+    '"reason":["heartbeat-stalled","heartbeat-stalled"],"version":[1,1]},'
+    f'{{"app_id":["app-1","app-1"],"cluster_id":[{_CID},{_CID}],'
+    '"component":["ratings","reviews"],"decided_at":[7.0,7.0],"deciding_term":[3,3],'
+    '"kind":"record-decision","node_list":[0,0],'
+    '"version":[1,1]}],"v":3}'
+)
+GOLDEN_V3_FLUSH = (
+    '{"kind":"batch","runs":[{"app_id":["app-1","app-1"],"at":[8.0,8.0],'
+    f'"cluster_id":[{_CID},{_CID}],"component":["ratings","reviews"],"kind":"record-heartbeat",'
+    '"status":["healthy","progressing"],"version":[1,1]},'
+    f'{{"cluster_id":[{_CID}],"kind":"put-node-snapshot","nodes":[[{{"bandwidth":52.5,'
+    '"cpu":4.0,"energy":0.002,"memory":8.0,"node_name":"edge-w0","pressured":false,"pricing":1.0,'
+    '"ready":true,"role":"worker","schedulable":true,"storage":100.0}]],"taken_at":[8.0]},'
+    f'{{"app_id":["app-1"],"at":[8.0],"cluster_id":[{_CID}],"component":["details"],'
+    '"kind":"record-heartbeat","status":["healthy"],"version":[1]}],"v":3}'
+)
 _MANIFEST = codec.dumps({"objects": [{"kind": "Deployment"}]})
 THREE_COMPONENTS = SubmitApplication(
     "app-1", "demo", (), QoSVector(energy=1.0),
@@ -150,17 +186,20 @@ def test_recorded_single_command_entries_decode_and_apply_to_the_recorded_state(
 def test_batch_of_recorded_entries_applies_like_the_entries_one_by_one():
     batch = Batch(tuple(decode_command(raw) for raw in GOLDEN_ENTRIES))
     raw = encode_command(batch)
-    # Members are encoded like single-command entries, but that the batch
-    # holds a decision: it is v2, and the decision indexes the table.
-    members = [json.loads(r) for r in GOLDEN_ENTRIES]
-    members[3]["node_list"] = 0
-    del members[3]["node_names"]
+    # Each member is a run of one: its entry's fields as columns of one
+    # value, and the decision's index into the table in place of its list.
+    runs = []
+    for entry in map(json.loads, GOLDEN_ENTRIES):
+        del entry["v"]
+        runs.append({key: value if key == "kind" else [value] for key, value in entry.items()})
+    runs[3]["node_list"] = [0]
+    del runs[3]["node_names"]
     assert json.loads(raw) == {
-        "commands": members, "kind": "batch", "node_lists": [["edge-w0"]], "v": 2,
+        "kind": "batch", "node_lists": [["edge-w0"]], "runs": runs, "v": 3,
     }
     without_decision = Batch(batch.commands[4:])
     assert json.loads(encode_command(without_decision)) == {
-        "commands": [json.loads(r) for r in GOLDEN_ENTRIES[4:]], "kind": "batch", "v": 1,
+        "kind": "batch", "runs": runs[4:], "v": 3,
     }
     decoded = decode_command(raw)
     assert decoded == batch
@@ -181,13 +220,45 @@ def decided_kb(batch: Batch) -> KnowledgeBase:
 
 def test_a_recorded_v1_decision_batch_reads_and_applies_as_its_v2_entry():
     v1, v2 = decode_command(GOLDEN_V1_BATCH), decode_command(GOLDEN_V2_BATCH)
-    assert v1 == v2
-    assert encode_command(v1) == encode_command(v2) == GOLDEN_V2_BATCH
-    assert decided_kb(v1) == decided_kb(v2)
-    assert decided_kb(v1).snapshot_state() == decided_kb(v2).snapshot_state()
-    ratings, reviews, _heartbeat, details = v2.commands
-    assert ratings.node_names is details.node_names == ("edge-w0", "edge-w1")
-    assert reviews.node_names == ("edge-w1",)
+    v3 = decode_command(GOLDEN_V3_BATCH)
+    assert v1 == v2 == v3
+    assert encode_command(v1) == encode_command(v2) == encode_command(v3) == GOLDEN_V3_BATCH
+    assert decided_kb(v1) == decided_kb(v2) == decided_kb(v3)
+    assert decided_kb(v1).snapshot_state() == decided_kb(v3).snapshot_state()
+    for batch in (v2, v3):
+        ratings, reviews, _heartbeat, details = batch.commands
+        assert ratings.node_names is details.node_names == ("edge-w0", "edge-w1")
+        assert reviews.node_names == ("edge-w1",)
+
+
+def test_a_recorded_v3_pass_and_flush_apply_and_write_back_byte_for_byte():
+    cid = json.loads(_CID)
+    node = json.loads(GOLDEN_ENTRIES[1])["nodes"][0]
+    expected = {
+        GOLDEN_V3_PASS: Batch((
+            RequeueComponent("app-1", "ratings", 1, "heartbeat-stalled"),
+            RequeueComponent("app-1", "reviews", 1, "heartbeat-stalled"),
+            RecordDecision("app-1", "ratings", cid, ("edge-w0",), 7.0, 3, 1),
+            RecordDecision("app-1", "reviews", cid, ("edge-w0",), 7.0, 3, 1),
+        )),
+        GOLDEN_V3_FLUSH: Batch((
+            RecordHeartbeat("app-1", "ratings", cid, 1, "healthy", 8.0),
+            RecordHeartbeat("app-1", "reviews", cid, 1, "progressing", 8.0),
+            PutNodeSnapshot(cid, (node,), 8.0),
+            RecordHeartbeat("app-1", "details", cid, 1, "healthy", 8.0),
+        )),
+    }
+    kb = decided_kb(decode_command(GOLDEN_V3_BATCH))
+    kinds = []
+    for raw, batch in expected.items():
+        decoded = decode_command(raw)
+        assert decoded == batch
+        assert encode_command(batch) == raw
+        kinds += [kb.apply(member).kind for member in decoded.commands]
+    assert kinds == ["component-requeued"] * 2 + ["decision-recorded"] * 2 \
+        + ["heartbeat-recorded"] * 2 + ["nodes-updated", "heartbeat-recorded"]
+    _requeued, _again, ratings, reviews = decode_command(GOLDEN_V3_PASS).commands
+    assert ratings.node_names is reviews.node_names
 
 
 def test_a_recorded_tombstone_is_dropped_on_restore():
@@ -208,6 +279,15 @@ def test_a_v1_snapshot_that_repeats_node_lists_reads_as_its_v2_snapshot():
     for kb in (from_v1, from_v2):  # one tuple per distinct list
         demo, shop = kb.applications.values()
         assert demo.components[0].decision.node_names is shop.components[0].decision.node_names
+
+
+def test_restored_decisions_share_their_cluster_record_id_string():
+    for blob in (REPEATED_STATE, REPEATED_SNAPSHOT):
+        kb = KnowledgeBase.restore(blob)
+        (cluster,) = kb.clusters.values()
+        decisions = [comp.decision for app in kb.applications.values() for comp in app.components]
+        assert len(decisions) == 3
+        assert all(decision.cluster_id is cluster.cluster_id for decision in decisions)
 
 
 def test_entries_with_qos_weights_that_are_not_finite_still_replay():
@@ -356,6 +436,97 @@ def test_malformed_v2_batches_raise_value_error(mutate):
         decode_command(malformed_v2(mutate))
 
 
+def _v3_set(run, column, index, value):
+    def mutate(entry):
+        entry["runs"][run][column][index] = value
+    return mutate
+
+
+def _v3_run(run, **changes):
+    def mutate(entry):
+        entry["runs"][run].update(changes)
+    return mutate
+
+
+def _v3_replace(run, value):
+    def mutate(entry):
+        entry["runs"][run] = value
+    return mutate
+
+
+def _v3_entry(raw, **changes):
+    def mutate(entry):
+        entry.clear()
+        entry.update(json.loads(raw), **changes)
+    return mutate
+
+
+def _v3_names_only(entry):
+    entry["runs"][0]["node_names"] = [["edge-w0", "edge-w1"], ["edge-w1"]]
+    del entry["runs"][0]["node_list"]
+
+
+_EMPTY_RUN = {"app_id": [], "at": [], "cluster_id": [], "component": [],
+              "kind": "record-heartbeat", "status": [], "version": []}
+_NEGATIVE_QOS = {"kind": "batch", "v": 3, "runs": [
+    {"kind": "update-qos", "name": ["x"], "qos": [{"energy": -1}], "updated_at": [0]}]}
+
+# The v3 batch (runs: two decisions, a heartbeat, a decision) made malformed
+# in each way its reader must refuse.
+MALFORMED_V3 = {
+    "column-ragged": lambda entry: entry["runs"][0]["app_id"].append("app-2"),
+    "index-column-ragged": lambda entry: entry["runs"][0]["node_list"].append(0),
+    "column-missing": lambda entry: entry["runs"][1].pop("status"),
+    "column-extra": _v3_run(1, extra=[1]),
+    "column-not-a-list": _v3_run(1, status="healthy"),
+    "column-value-mistyped": _v3_set(0, "deciding_term", 1, "2"),
+    "column-value-a-bool": _v3_set(1, "version", 0, True),
+    "index-column-missing": lambda entry: entry["runs"][0].pop("node_list"),
+    "index-column-and-names": _v3_run(0, node_names=[["edge-w0"], ["edge-w1"]]),
+    "names-in-place-of-index": _v3_names_only,
+    "index-column-not-a-list": _v3_run(2, node_list=0),
+    "run-kind-unknown": _v3_run(1, kind="no-such-kind"),
+    "run-kind-missing": lambda entry: entry["runs"][1].pop("kind"),
+    "run-kind-not-a-string": _v3_run(1, kind=["record-heartbeat"]),
+    "run-kind-batch": _v3_run(1, kind="batch"),
+    "run-a-nested-batch": _v3_replace(1, json.loads(GOLDEN_V3_FLUSH)),
+    "run-not-an-object": _v3_replace(1, ["record-heartbeat"]),
+    "run-empty": _v3_replace(1, _EMPTY_RUN),
+    "runs-empty": lambda entry: entry.update(runs=[]),
+    "runs-empty-and-no-table": _v3_entry('{"kind":"batch","runs":[],"v":3}'),
+    "runs-missing": lambda entry: entry.pop("runs"),
+    "runs-not-a-list": lambda entry: entry.update(runs=entry["runs"][0]),
+    "index-a-bool": _v3_set(0, "node_list", 1, True),
+    "index-a-float": _v3_set(0, "node_list", 1, 1.0),
+    "index-null": _v3_set(0, "node_list", 1, None),
+    "index-negative": _v3_set(0, "node_list", 1, -1),
+    "index-out-of-range": _v3_set(2, "node_list", 0, 2),
+    "table-missing": lambda entry: entry.pop("node_lists"),
+    "table-entry-holds-a-number": lambda entry: entry["node_lists"].__setitem__(1, ["w", 3]),
+    "table-without-a-decision-run": _v3_entry(GOLDEN_V3_FLUSH, node_lists=[["edge-w0"]]),
+    "empty-table-without-a-decision-run": _v3_entry(GOLDEN_V3_FLUSH, node_lists=[]),
+    "v3-on-a-command": _v3_entry(GOLDEN_ENTRIES[4], v=3),
+    "v3-on-a-v1-batch": _v3_entry(GOLDEN_V1_BATCH, v=3),
+    "v3-not-an-int": lambda entry: entry.update(v=3.0),
+    "commands-next-to-runs": lambda entry: entry.update(commands=[MEMBER]),
+    "kind-not-batch": lambda entry: entry.update(kind="record-decision"),
+    "field-unknown": lambda entry: entry.update(extra=1),
+    "member-refused-by-post-init": _v3_entry(json.dumps(_NEGATIVE_QOS)),
+}
+
+
+def malformed_v3(mutate) -> str:
+    entry = json.loads(GOLDEN_V3_BATCH)
+    mutate(entry)
+    return json.dumps(entry)
+
+
+@pytest.mark.parametrize("mutate", MALFORMED_V3.values(), ids=MALFORMED_V3)
+def test_malformed_v3_batches_raise_value_error(mutate):
+    with pytest.raises(ValueError):
+        decode_command(malformed_v3(mutate))
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.floats(allow_nan=False) | st.integers() | st.text(max_size=8),
     lambda children: st.lists(children, max_size=4)
@@ -364,15 +535,17 @@ json_values = st.recursive(
 )
 field_names = st.sampled_from(
     sorted({key for raw in GOLDEN_ENTRIES for key in json.loads(raw)}
-           | {"commands", "node_list", "node_lists"})
+           | {"commands", "node_list", "node_lists", "runs"})
 )
+V3_BATCHES = (GOLDEN_V3_BATCH, GOLDEN_V3_PASS, GOLDEN_V3_FLUSH)
 
 
 @st.composite
 def mutated_entries(draw) -> str:
-    """A recorded entry, a batch of them or the v2 decision batch, with
-    fields dropped or replaced; in the v2 batch, its indexes and its
-    table's entries too."""
+    """A recorded entry, a batch of them, the v2 decision batch or a v3
+    batch, with fields dropped or replaced; in a batch with a table, its
+    indexes and the table's entries too, and in a v3 batch, its runs'
+    columns and their values."""
     entries = draw(st.lists(st.sampled_from(GOLDEN_ENTRIES), min_size=1, max_size=3))
     members = [json.loads(raw) for raw in entries]
     payload: object = members[0]
@@ -380,7 +553,9 @@ def mutated_entries(draw) -> str:
         payload = {"v": 1, "kind": "batch", "commands": members}
     elif draw(st.booleans()):
         payload = json.loads(GOLDEN_V2_BATCH)
-    targets = [payload] + (payload["commands"] if "commands" in payload else [])
+    elif draw(st.booleans()):
+        payload = json.loads(draw(st.sampled_from(V3_BATCHES)))
+    targets = [payload] + payload.get("commands", []) + payload.get("runs", [])
     table = payload.get("node_lists")
     for _ in range(draw(st.integers(0, 3))):
         if table and draw(st.booleans()):
@@ -389,7 +564,11 @@ def mutated_entries(draw) -> str:
             continue
         target = draw(st.sampled_from(targets))
         key = draw(field_names)
-        if draw(st.booleans()):
+        column = target.get(key)
+        if type(column) is list and column and draw(st.booleans()):  # a run's column
+            index = draw(st.integers(0, len(column) - 1))
+            column[index] = draw(json_values | st.integers(-2, 3))
+        elif draw(st.booleans()):
             target.pop(key, None)
         elif key == "node_list":
             target[key] = draw(json_values | st.integers(-2, 3))
@@ -400,6 +579,7 @@ def mutated_entries(draw) -> str:
 
 @settings(max_examples=300, deadline=None)
 @given(raw=mutated_entries() | st.sampled_from(list(MALFORMED_V2.values())).map(malformed_v2)
+       | st.sampled_from(list(MALFORMED_V3.values())).map(malformed_v3)
        | json_values.map(json.dumps) | st.text(max_size=40))
 def test_decode_accepts_or_raises_value_error_only(raw):
     try:
@@ -456,44 +636,57 @@ def test_a_snapshot_and_a_batch_read_the_same_node_list_table_alike(table, chose
 # A scheduler pass's entry
 # ---------------------------------------------------------------------------
 
-# Bytes per decision of the entry that places 30 bookinfo apps on 30 workers
-# per cluster (seed 7): 989 when each of its 120 decisions wrote its node
-# list, 287 with each of the 9 distinct lists written once.
+# Bytes per decision of the entry that places 300 bookinfo apps on 30
+# workers per cluster (seed 7): 980 when each of its 1 200 decisions wrote
+# its node list (v1), 237 with each distinct list written once (v2), 119
+# with the members written as columns (v3).
 DECISION_ENTRY_BYTES = 400
+# That entry, and the fleet's first heartbeat flush, at most: v2 wrote
+# 283 928 and 254 435 B, v3 writes 142 450 and 144 129 B.
+ENTRY_BYTES = 150_000
 FLEET_QOS = ({"energy": 1.0}, {"pricing": 1.0}, {"performance": 1.0},
              {"energy": 0.2, "pricing": 0.5, "performance": 0.3})
 
 
-def test_a_placed_fleet_logs_each_node_list_once_and_every_replica_agrees():
+def test_a_placed_fleet_logs_each_node_list_once_and_every_replica_agrees(monkeypatch):
+    # Every entry as written: the log compacts the pass away once it applies.
+    written: list[str] = []
+    encode = service_module.encode_command
+    monkeypatch.setattr(
+        service_module, "encode_command", lambda cmd: written.append(encode(cmd)) or written[-1]
+    )
     spec = TestbedSpec(seed=7)
     spec.clusters = [replace(cluster, workers=30) for cluster in spec.clusters]
     dep = Deployment(spec)
     dep.boot()
     client = dep.client()
-    apps = 30
+    apps = 300
     for i in range(apps):
         client.submit_application(bookinfo_bundle(f"app-{i}", FLEET_QOS[i % len(FLEET_QOS)]))
 
-    def placed() -> bool:
+    def healthy() -> bool:
         live = dep.kb().applications.values()
-        return len(live) == apps and all(comp.decision for app in live for comp in app.components)
+        return len(live) == apps and all(
+            comp.status is ComponentStatus.HEALTHY for app in live for comp in app.components
+        )
 
-    assert dep.run_until(placed, 120.0)
+    assert dep.run_until(healthy, 120.0)
     leader = dep.group.leader()
     dep.group.pump(leader.broadcast_append())  # followers catch up
-    passes = [entry.command for entry in entries_from(leader, 1)
-              if '"record-decision"' in entry.command]
+    passes = [raw for raw in written if '"record-decision"' in raw]
     decisions = 0
     for raw in passes:
         entry = json.loads(raw)
-        assert entry["v"] == 2
+        assert entry["v"] == 3
         table = [tuple(names) for names in entry["node_lists"]]
         assert len(table) == len(set(table))  # each distinct list once
-        members = [m for m in entry["commands"] if m["kind"] == "record-decision"]
-        assert all("node_names" not in m for m in members)
-        decisions += len(members)
+        runs = [run for run in entry["runs"] if run["kind"] == "record-decision"]
+        assert all("node_names" not in run for run in runs)
+        decisions += sum(len(run["node_list"]) for run in runs)
     assert decisions == 4 * apps
     logged = sum(map(len, passes))
     assert logged / decisions < DECISION_ENTRY_BYTES, logged / decisions
+    flush = next(raw for raw in written if '"record-heartbeat"' in raw)
+    assert max(map(len, passes)) <= ENTRY_BYTES and len(flush) <= ENTRY_BYTES
     kbs = [service.kb for service in dep.services.values()]
     assert all(kb == kbs[0] for kb in kbs[1:])

@@ -11,7 +11,16 @@ import json
 import os
 
 import pytest
-from test_commands import GOLDEN_ENTRIES, GOLDEN_V1_BATCH, THREE_COMPONENTS, decided_kb
+from test_commands import (
+    GOLDEN_ENTRIES,
+    GOLDEN_V1_BATCH,
+    GOLDEN_V2_BATCH,
+    GOLDEN_V3_BATCH,
+    GOLDEN_V3_FLUSH,
+    GOLDEN_V3_PASS,
+    THREE_COMPONENTS,
+    decided_kb,
+)
 from test_rla_service import follower_replica
 
 from qonnect.kb.commands import decode_command, encode_command
@@ -116,9 +125,11 @@ def test_a_created_wal_and_data_directory_are_synced_into_their_parents(tmp_path
     assert synced == []  # nothing was created
 
 
-def test_a_wal_holding_a_v1_decision_batch_replays_to_the_same_kb(tmp_path):
-    # The decision batch as a binary from before log batch v2 wrote it.
-    logged = [*GOLDEN_ENTRIES[:2], encode_command(THREE_COMPONENTS), GOLDEN_V1_BATCH]
+def test_a_wal_holding_v1_v2_and_v3_batches_replays_to_the_same_kb(tmp_path):
+    # The decision batch as binaries before log batch v2 and v3 wrote it,
+    # and as written today, then a scheduler pass and a telemetry flush.
+    logged = [*GOLDEN_ENTRIES[:2], encode_command(THREE_COMPONENTS), GOLDEN_V1_BATCH,
+              GOLDEN_V2_BATCH, GOLDEN_V3_BATCH, GOLDEN_V3_PASS, GOLDEN_V3_FLUSH]
     storage = FileStorage(tmp_path)
     storage.save_state(1, 1)
     storage.append_entries([LogEntry(i, 1, raw) for i, raw in enumerate(logged, start=1)])
@@ -128,12 +139,18 @@ def test_a_wal_holding_a_v1_decision_batch_replays_to_the_same_kb(tmp_path):
     replica = follower_replica(reopened)
     service = replica.machine
     assert [entry.command for entry in entries_from(service.node, 1)] == logged
+    last = len(logged)
     replica.handle(AppendRequest(
-        src=1, dst=0, term=1, prev_log_index=4, prev_log_term=1, entries=(), leader_commit=4,
+        src=1, dst=0, term=1, prev_log_index=last, prev_log_term=1, entries=(),
+        leader_commit=last,
     ))
     reopened.close()
-    assert service.node.last_applied == 4
-    assert service.kb == decided_kb(decode_command(GOLDEN_V1_BATCH))
+    assert service.node.last_applied == last
+    expected = decided_kb(decode_command(GOLDEN_V1_BATCH))
+    for raw in logged[4:]:
+        for member in decode_command(raw).commands:
+            expected.apply(member)
+    assert service.kb == expected
 
 
 def test_a_truncated_suffix_stays_cut_when_no_compaction_rewrote_the_wal(tmp_path):
