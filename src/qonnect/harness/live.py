@@ -277,7 +277,9 @@ class LiveRla:
         try:
             self._handle_inbound(decode_message(raw.decode("utf-8")))
         except ValueError:  # includes UnicodeDecodeError
-            return  # a malformed reply, or a snapshot the KB cannot load
+            # A malformed reply, a snapshot the KB cannot load, or an entry
+            # this replica's KB fails to apply: all three are dropped alike.
+            return
 
     def _handle_inbound(self, msg: Message) -> Message | None:
         """Handle a message; returns the direct reply to msg.src, if any."""
@@ -373,7 +375,9 @@ class _RlaHandler(BaseHTTPRequestHandler):
         if self.path.startswith("/raft/") and self.command == "POST":
             try:
                 # ``Replica.handle`` refuses a snapshot its KB cannot load
-                # before the node sees it.
+                # before the node sees it. An entry this replica's KB fails
+                # to apply raises ``ValueError`` too, after the node took the
+                # message, and is refused alike.
                 reply = rla._handle_inbound(decode_message(raw.decode("utf-8")))
             except ValueError as exc:  # includes UnicodeDecodeError
                 self._refuse(str(exc))

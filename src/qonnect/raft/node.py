@@ -23,23 +23,25 @@ timers. The replica asks it first (``Replica.handle``), and
 ``handle_message`` is the full path, for a message it did not answer. A
 follower handed the very request object it last answered through the full
 path, with a success that carried no entries and committed nothing,
-returns the stored result while its term, follower role and log version
-are unchanged: the full path would reach an equal answer and change
-nothing else, since the commit index never falls. A resent heartbeat then costs its receiver an identity check,
-three comparisons and the election timer's reset. The reset still draws
-the next timeout from the node's RNG, as the full path does, so every
-later draw, and with it every seeded run, stays the same. Only in-process
-transports resend one object; live mode decodes every inbound message into
-a new one, so its followers always take the full path. On the leader, a
-success that raises no match index and leaves nothing to send returns the
-shared empty result. A renewal commits nothing, installs no snapshot and
-elects no one, so a transport may deliver it to the node alone.
+returns the very tuple it answered with while its term, follower role and
+log version are unchanged: the full path would reach an equal answer and
+change nothing else, since the commit index never falls. A resent
+heartbeat then costs its receiver an identity check, three comparisons
+and the election timer's reset. The reset still draws the next timeout
+from the node's RNG, as the full path does, so every later draw, and with
+it every seeded run, stays the same. Only in-process transports resend one
+object; live mode decodes every inbound message into a new one, so its
+followers always take the full path. On the leader, a success that raises
+no match index and leaves nothing to send returns the empty tuple. A
+renewal commits nothing, installs no snapshot and elects no one, so a
+transport may deliver it to the node alone.
 
 The leader checks its commit index only when a peer's match index rises:
 by Raft's commit rule (Ongaro and Ousterhout, 2014) the index a quorum
-holds moves with nothing else. Messages are frozen values and a
-``ReceiveResult`` is a tuple, so a resent one is indistinguishable from a
-fresh equal one.
+holds moves with nothing else. Every answer is a tuple of frozen
+messages, so a resent one is indistinguishable from a fresh equal one. The
+node reports nothing else: a snapshot it installs shows as a new
+``snapshot``.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple
 
 from qonnect.raft.messages import (
     AppendRequest,
@@ -109,15 +110,7 @@ class RaftConfig:
         return tuple(m for m in self.members if m != self.node_id)
 
 
-class ReceiveResult(NamedTuple):
-    """Outcome of handling one inbound message. Immutable, so one result
-    can answer many messages."""
-
-    messages: tuple[Message, ...] = ()
-    snapshot_installed: str | None = None
-
-
-_NOTHING = ReceiveResult()
+_NOTHING: tuple[Message, ...] = ()
 
 
 class RaftNode:
@@ -147,7 +140,8 @@ class RaftNode:
         # built at: an idle round resends it.
         self._idle: dict[int, tuple[int, AppendRequest]] = {}
         # The last empty request answered with a success that committed
-        # nothing, with the term and log version it was answered at.
+        # nothing, with the term and log version it was answered at and the
+        # tuple it was answered with.
         self._answered: tuple = (None, 0, 0, _NOTHING)
 
         self._reset_election_timer()
@@ -341,7 +335,7 @@ class RaftNode:
     # Message handling
     # ------------------------------------------------------------------
 
-    def renew(self, msg: Message) -> ReceiveResult | None:
+    def renew(self, msg: Message) -> tuple[Message, ...] | None:
         """The answer to ``msg`` if it changes nothing but this node's
         timers, else None: a follower's repeated heartbeat, or a leader's
         success that raises no match and leaves nothing to send. Either way
@@ -361,7 +355,7 @@ class RaftNode:
             return result
         return None
 
-    def handle_message(self, msg: Message) -> ReceiveResult:
+    def handle_message(self, msg: Message) -> tuple[Message, ...]:
         """The full path: any message, renewable or not, gets its answer."""
         if msg.term > self.current_term:
             self._step_down(msg.term)
@@ -380,7 +374,7 @@ class RaftNode:
             return self._on_snapshot_response(msg)
         raise TypeError(f"unhandled message type: {type(msg)!r}")
 
-    def _on_vote_request(self, msg: VoteRequest) -> ReceiveResult:
+    def _on_vote_request(self, msg: VoteRequest) -> tuple[Message, ...]:
         granted = False
         if msg.term == self.current_term and self.voted_for in (None, msg.src):
             log_ok = msg.last_log_term > self.last_log_term or (
@@ -392,34 +386,32 @@ class RaftNode:
                 self.voted_for = msg.src
                 self.storage.save_state(self.current_term, self.voted_for)
                 self._reset_election_timer()
-        return ReceiveResult((
-            VoteResponse(
-                src=self.config.node_id, dst=msg.src, term=self.current_term, granted=granted
-            ),
-        ))
+        return (VoteResponse(
+            src=self.config.node_id, dst=msg.src, term=self.current_term, granted=granted
+        ),)
 
-    def _on_vote_response(self, msg: VoteResponse) -> ReceiveResult:
+    def _on_vote_response(self, msg: VoteResponse) -> tuple[Message, ...]:
         if self.role is not _CANDIDATE or msg.term != self.current_term or not msg.granted:
             return _NOTHING
         self._votes.add(msg.src)
         if len(self._votes) * 2 > len(self.config.members):
-            return ReceiveResult(tuple(self._become_leader()))
+            return tuple(self._become_leader())
         return _NOTHING
 
     def _append_reply(
         self, msg: AppendRequest, match_index: int = 0, conflict_index: int = 0
-    ) -> ReceiveResult:
+    ) -> tuple[Message, ...]:
         """Answer ``msg``: a success unless a ``conflict_index`` is given."""
-        return ReceiveResult((AppendResponse(
+        return (AppendResponse(
             src=self.config.node_id,
             dst=msg.src,
             term=self.current_term,
             success=conflict_index == 0,
             match_index=match_index,
             conflict_index=conflict_index,
-        ),))
+        ),)
 
-    def _on_append_request(self, msg: AppendRequest) -> ReceiveResult:
+    def _on_append_request(self, msg: AppendRequest) -> tuple[Message, ...]:
         if msg.term < self.current_term:
             return self._append_reply(msg, conflict_index=self.last_log_index + 1)
 
@@ -467,16 +459,16 @@ class RaftNode:
             self._answered = (msg, self.current_term, self._log_version, result)
         return result
 
-    def _on_append_response(self, msg: AppendResponse) -> ReceiveResult:
+    def _on_append_response(self, msg: AppendResponse) -> tuple[Message, ...]:
         if self.role is not _LEADER or msg.term != self.current_term:
             return _NOTHING
         if msg.success:
             return self._on_match(msg.src, msg.match_index)
         # Log mismatch: back up and retry immediately.
         self._next_index[msg.src] = max(1, min(msg.conflict_index, self.last_log_index + 1))
-        return ReceiveResult((self._append_for(msg.src),))
+        return (self._append_for(msg.src),)
 
-    def _on_match(self, peer: int, match_index: int) -> ReceiveResult:
+    def _on_match(self, peer: int, match_index: int) -> tuple[Message, ...]:
         """``peer`` holds the log through ``match_index``: advance its
         indexes and the commit index, then send it whatever follows."""
         if match_index > self._match_index.get(peer, 0):
@@ -485,7 +477,7 @@ class RaftNode:
             self._advance_commit()
         self._next_index[peer] = self._match_index[peer] + 1
         if self._next_index[peer] <= self.last_log_index:
-            return ReceiveResult((self._append_for(peer),))
+            return (self._append_for(peer),)
         return _NOTHING
 
     def _advance_commit(self) -> None:
@@ -497,7 +489,7 @@ class RaftNode:
         if quorum_index > self.commit_index and self.term_at(quorum_index) == self.current_term:
             self.commit_index = quorum_index
 
-    def _on_snapshot_request(self, msg: SnapshotRequest) -> ReceiveResult:
+    def _on_snapshot_request(self, msg: SnapshotRequest) -> tuple[Message, ...]:
         """Install a newer snapshot from a current leader. Every request, a
         stale term's included, gets one reply with this node's snapshot
         index."""
@@ -507,7 +499,6 @@ class RaftNode:
             self.leader_id = msg.src
             self._reset_election_timer()
 
-        installed: str | None = None
         if current and msg.last_included_index > self.snapshot_index:
             snapshot = Snapshot(
                 index=msg.last_included_index,
@@ -527,17 +518,15 @@ class RaftNode:
             self.storage.save_snapshot(snapshot, self._entries)
             self.commit_index = max(self.commit_index, msg.last_included_index)
             self.last_applied = msg.last_included_index
-            installed = msg.state_blob
 
-        reply = SnapshotResponse(
+        return (SnapshotResponse(
             src=self.config.node_id,
             dst=msg.src,
             term=self.current_term,
             match_index=self.snapshot_index,
-        )
-        return ReceiveResult((reply,), snapshot_installed=installed)
+        ),)
 
-    def _on_snapshot_response(self, msg: SnapshotResponse) -> ReceiveResult:
+    def _on_snapshot_response(self, msg: SnapshotResponse) -> tuple[Message, ...]:
         if self.role is not _LEADER or msg.term != self.current_term:
             return _NOTHING
         return self._on_match(msg.src, msg.match_index)

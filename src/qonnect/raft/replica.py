@@ -4,14 +4,16 @@
 and a message that answers changes only the node's timers, so nothing
 reaches the state machine. Any other message takes the full path. The
 state machine loads a snapshot's blob before the node sees it, so a blob
-that does not load is refused with ``ValueError`` and never replaces the log;
-once the node installs the snapshot, the replica installs the state already
-loaded. When the message made the node leader (only a vote that completes
-a majority does; a tick never does), the replica tells the state machine,
-before any entry of the new term commits. The node only raises its commit
-index; the replica owns ``last_applied`` past the node's snapshot and
-applies each entry up to the commit index in order, skipping the leader's
-empty no-op entries. An entry whose apply raises is not counted: the
+that does not load is refused with ``ValueError`` and never replaces the log.
+The replica reads an install from the node: when the node holds a new
+``snapshot`` after the message, the replica installs the state already
+loaded, and a request the node refuses (a stale term, an index at or below
+its own snapshot) never reaches the state machine. When the message made
+the node leader (only a vote that completes a majority does; a tick never
+does), the replica tells the state machine, before any entry of the new
+term commits. The node only raises its commit index; the replica owns
+``last_applied`` past the node's snapshot and applies each entry up to the
+commit index in order, skipping the leader's empty no-op entries. An entry whose apply raises is not counted: the
 cursor stays at the entry before it, nothing after it applies, and the
 next full-path delivery tries it again.
 ``propose`` hands an entry's effects to the one proposer waiting on it.
@@ -55,23 +57,26 @@ class Replica:
             blob = node.snapshot.blob
             machine.install_snapshot(machine.load_snapshot(blob), blob)
 
-    def handle(self, msg: Message) -> list[Message]:
+    def handle(self, msg: Message) -> tuple[Message, ...]:
         """Deliver ``msg`` to the node and apply what it committed; returns
         the node's outbound messages. Raises ``ValueError``, before the node
         sees ``msg``, for a snapshot the state machine cannot load."""
-        renewed = self.node.renew(msg)
+        node = self.node
+        renewed = node.renew(msg)
         if renewed is not None:
-            return renewed.messages
+            return renewed
         loaded = None
         if isinstance(msg, SnapshotRequest):
             loaded = self.machine.load_snapshot(msg.state_blob)
-        node = self.node
         role = node.role
-        result = node.handle_message(msg)
+        snapshot = node.snapshot
+        messages = node.handle_message(msg)
         if role is not _LEADER and node.role is _LEADER:
             self.machine.elected(node.current_term)
-        if result.snapshot_installed is not None:
-            self.machine.install_snapshot(loaded, result.snapshot_installed)
+        if node.snapshot is not snapshot:
+            # Only an installed SnapshotRequest replaces it here: compaction
+            # runs later, inside apply.
+            self.machine.install_snapshot(loaded, msg.state_blob)
         while node.last_applied < node.commit_index:
             entry = node.entry_at(node.last_applied + 1)
             # Counted before the machine sees it, which may compact the log
@@ -88,7 +93,7 @@ class Replica:
                 # The term identifies the entry: a proposer whose entry was
                 # overwritten by another leader's sees a different term.
                 self._awaited[entry.index] = (entry.term, effects)
-        return result.messages
+        return messages
 
     def propose(self, command: str, wait: Callable[[int], None]) -> Any | None:
         """Append ``command`` to this leader's log, let ``wait(index)``

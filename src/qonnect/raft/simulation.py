@@ -58,12 +58,21 @@ class SyncRaftGroup(ReplicaGroup):
 
     def pump(self, messages: list[Message]) -> None:
         """Deliver ``messages`` and every message they cause, oldest first;
-        the list is the queue."""
+        the list is the queue. A delivery that raises sends nothing, the
+        rest of the queue is still delivered, and then the first exception
+        raised is raised again."""
         stopped = self.stopped
         replicas = self.replicas
+        failure = None
         for msg in messages:  # a list's iterator also visits what is appended
             if msg.dst not in stopped and msg.src not in stopped:
-                messages.extend(replicas[msg.dst].handle(msg))
+                try:
+                    messages.extend(replicas[msg.dst].handle(msg))
+                except Exception as exc:
+                    if failure is None:
+                        failure = exc
+        if failure is not None:
+            raise failure
 
     def tick(self, dt: float) -> None:
         stopped = self.stopped

@@ -19,7 +19,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-CEILING = 4353
+CEILING = 4352
 
 _NOT_CODE = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,

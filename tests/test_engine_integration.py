@@ -309,7 +309,10 @@ def test_an_entry_whose_apply_raises_is_never_counted_applied_nor_skipped():
             dep.group.pump(leader.broadcast_append())
         assert max(node.last_applied for node in dep.group.nodes.values()) == bad - 1
         assert {len(service.kb.clusters) for service in dep.services.values()} == {clusters}
-    assert leader.commit_index == bad + 1  # both entries did commit
+    # Both entries did commit, on every node: a raise at one replica drops
+    # nothing the pump still held for the others.
+    commits = [node.commit_index for node in dep.group.nodes.values()]
+    assert commits == [bad + 1] * len(commits)
 
 
 def test_malformed_node_telemetry_gets_400_and_never_reaches_the_log():

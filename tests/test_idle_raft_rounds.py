@@ -135,12 +135,12 @@ def test_a_reply_is_resent_only_to_the_node_it_answered():
         src=1, dst=0, term=3, prev_log_index=5, prev_log_term=3, entries=(), leader_commit=0
     )
     stale = replace(ahead, src=2, term=2)
-    [first] = node.handle_message(ahead).messages
-    assert node.handle_message(ahead).messages == (first,)
+    [first] = node.handle_message(ahead)
+    assert node.handle_message(ahead) == (first,)
     assert first == AppendResponse(
         src=0, dst=1, term=3, success=False, match_index=0, conflict_index=1
     )
-    assert node.handle_message(stale).messages == (replace(first, dst=2),)
+    assert node.handle_message(stale) == (replace(first, dst=2),)
 
 
 def test_a_stored_answer_is_dropped_once_the_log_changes():
@@ -151,18 +151,18 @@ def test_a_stored_answer_is_dropped_once_the_log_changes():
     node.handle_message(AppendRequest(1, 0, 1, 0, 0, entries, leader_commit=0))
     heartbeat = AppendRequest(1, 0, 1, 5, 1, (), leader_commit=0)
     answer = node.handle_message(heartbeat)
-    assert answer.messages[0].success and node.renew(heartbeat) is answer
+    assert answer[0].success and node.renew(heartbeat) is answer
     # The same match index from a rewritten log: the reply stays the same.
     rewrite = (LogEntry(4, 1, "x4"), LogEntry(5, 2, "y5"))
     node.handle_message(AppendRequest(1, 0, 1, 3, 1, rewrite, leader_commit=0))
-    [rewritten] = node.handle_message(heartbeat).messages
+    [rewritten] = node.handle_message(heartbeat)
     assert (rewritten.success, rewritten.conflict_index) == (False, 5)
     # A snapshot whose term disagrees with the log empties it.
     node.handle_message(AppendRequest(1, 0, 1, 4, 1, (LogEntry(5, 1, "x5"),), leader_commit=0))
     answer = node.handle_message(heartbeat)
-    assert answer.messages[0].success and node.renew(heartbeat) is answer
+    assert answer[0].success and node.renew(heartbeat) is answer
     node.handle_message(SnapshotRequest(1, 0, 1, 3, 2, "state-3"))
-    [emptied] = node.handle_message(heartbeat).messages
+    [emptied] = node.handle_message(heartbeat)
     assert (emptied.success, emptied.conflict_index) == (False, 4)
 
 
@@ -237,9 +237,9 @@ def checked_chaos_run(size: int, seed: int, compact: bool) -> tuple[RaftHarness,
 
     def check_answer(self, msg, reply, result) -> None:
         if reply is not None:
-            assert result.messages == (reply,)
+            assert result == (reply,)
             checked["reply"] += 1
-        check_requests(self, result.messages)
+        check_requests(self, result)
         if isinstance(msg, (AppendResponse, SnapshotResponse)) and self.role == Role.LEADER:
             commit = self.commit_index
             self._advance_commit()

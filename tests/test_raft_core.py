@@ -98,7 +98,7 @@ def test_candidate_with_one_grant_wins_three_node_election():
     node.tick(0.35)
     result = node.handle_message(VoteResponse(src=1, dst=0, term=2, granted=True))
     assert node.role == Role.LEADER
-    appends = [m for m in result.messages if isinstance(m, AppendRequest)]
+    appends = [m for m in result if isinstance(m, AppendRequest)]
     assert len(appends) == 2
 
 
@@ -106,10 +106,10 @@ def test_vote_granted_at_most_once_per_term():
     node = make_node(node_id=2)
     req = VoteRequest(src=0, dst=2, term=2, last_log_index=0, last_log_term=0)
     first = node.handle_message(req)
-    assert first.messages[0].granted
+    assert first[0].granted
     rival = VoteRequest(src=1, dst=2, term=2, last_log_index=0, last_log_term=0)
     second = node.handle_message(rival)
-    assert not second.messages[0].granted
+    assert not second[0].granted
 
 
 def test_stale_term_message_rejected_with_current_term():
@@ -120,7 +120,7 @@ def test_stale_term_message_rejected_with_current_term():
         src=2, dst=1, term=3, prev_log_index=0, prev_log_term=0, entries=(), leader_commit=0
     )
     result = node.handle_message(stale)
-    reply = result.messages[0]
+    reply = result[0]
     assert isinstance(reply, AppendResponse)
     assert not reply.success
     assert reply.term == 5
@@ -151,7 +151,7 @@ def test_mismatched_previous_term_rejected_then_leader_backs_up():
         leader_commit=0,
     )
     result = follower.handle_message(mismatch)
-    reply = result.messages[0]
+    reply = result[0]
     assert isinstance(reply, AppendResponse)
     assert not reply.success
     assert reply.conflict_index == 1
@@ -172,8 +172,8 @@ def test_mismatched_previous_term_rejected_then_leader_backs_up():
         conflict_index=1,
     )
     retry = leader.handle_message(response)
-    assert len(retry.messages) == 1
-    again = retry.messages[0]
+    assert len(retry) == 1
+    again = retry[0]
     assert isinstance(again, AppendRequest)
     assert again.prev_log_index == 0
 

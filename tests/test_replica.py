@@ -14,6 +14,7 @@ from qonnect.raft.messages import (
     AppendResponse,
     LogEntry,
     SnapshotRequest,
+    SnapshotResponse,
     VoteResponse,
 )
 from qonnect.raft.node import RaftConfig, RaftNode, Role
@@ -78,7 +79,7 @@ def append(term: int, prev: tuple[int, int], entries: list[tuple[int, str]], com
     )
 
 
-def acked(replica: Replica, match_index: int) -> list:
+def acked(replica: Replica, match_index: int) -> tuple:
     """Node 1 acknowledges the leader's log through ``match_index``."""
     term = replica.node.current_term
     return replica.handle(
@@ -130,6 +131,26 @@ def test_a_snapshot_below_the_commit_index_applies_the_suffix_it_keeps_at_once()
     )
     assert machine.calls == [("restore", "s"), ("apply", 9, "c9"), ("apply", 10, "c10")]
     assert machine.state == ["s", "c9", "c10"] and replica.node.last_applied == 10
+
+
+def test_only_a_snapshot_the_node_installs_reaches_the_machine():
+    replica, machine = follower()
+
+    def request(term: int, index: int, blob: str) -> SnapshotRequest:
+        return SnapshotRequest(src=1, dst=0, term=term, last_included_index=index,
+                               last_included_term=term, state_blob=blob)
+
+    replica.handle(request(2, 5, "x,y"))
+    refused = [
+        request(1, 9, "stale"),  # a stale term's, however far ahead
+        request(2, 5, "at"),  # at the node's snapshot index
+        request(2, 3, "below"),  # below it
+    ]
+    for msg in refused:
+        # Each is still answered, with the snapshot index the node keeps.
+        assert replica.handle(msg) == (SnapshotResponse(src=0, dst=1, term=2, match_index=5),)
+    assert machine.calls == [("restore", "x,y")]
+    assert machine.state == ["x", "y"] and replica.node.snapshot.blob == "x,y"
 
 
 def test_a_snapshot_the_machine_cannot_load_never_reaches_the_node():
