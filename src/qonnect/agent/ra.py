@@ -22,6 +22,7 @@ import re
 from dataclasses import dataclass
 from typing import Protocol
 
+from qonnect import codec
 from qonnect.agent.client import RlaClient, RlaClientError
 from qonnect.events import EventLog
 from qonnect.rla.validation import PLACEHOLDER_RE
@@ -41,7 +42,12 @@ class ClusterBackend(Protocol):
 
     def external_ip(self) -> str: ...
 
-    def list_nodes(self) -> list: ...
+    def list_nodes(self) -> list:
+        """The cluster's nodes, each a dataclass record whose codec form is
+        its wire node report: the fields of ``NodeSnapshot`` less
+        ``cluster_id`` and ``taken_at``. The agent reads ``role`` alone, to
+        leave out the control-plane node, and sends every other record as
+        ``codec.encoder`` writes it."""
 
     def read_store(self, store: str) -> dict | None: ...
 
@@ -202,23 +208,10 @@ class ResourceAgent:
     # ------------------------------------------------------------------
 
     def send_node_snapshot(self, now: float) -> dict:
-        workers = [n for n in self.backend.list_nodes() if n.role != "control-plane"]
-        wire = [
-            {
-                "node_name": n.name,
-                "ready": n.ready,
-                "schedulable": n.schedulable,
-                "pressured": n.pressured,
-                "energy": n.energy,
-                "pricing": n.pricing,
-                "cpu": n.cpu,
-                "memory": n.memory,
-                "bandwidth": n.bandwidth,
-                "storage": n.storage,
-                "role": "worker",
-            }
-            for n in workers
-        ]
+        """Report every node whose role is not control-plane, each in its
+        record's codec form (see ``ClusterBackend.list_nodes``)."""
+        wire = [codec.encoder(type(n))(n) for n in self.backend.list_nodes()
+                if n.role != "control-plane"]
         return self.client.put_nodes(self.cluster_id, wire)
 
     def poll_cluster_config(self, now: float) -> None:

@@ -75,12 +75,22 @@ class SyncRaftGroup(ReplicaGroup):
             raise failure
 
     def tick(self, dt: float) -> None:
+        """Tick every live node in node order and pump what each one emits.
+        A pump that raises stops no later node's tick: the first exception
+        raised is raised again once every node has ticked."""
         stopped = self.stopped
+        failure = None
         for node_id, replica in self.replicas.items():
             if node_id not in stopped:
                 messages = replica.node.tick(dt)
-                if messages:
-                    self.pump(messages)
+                try:
+                    if messages:
+                        self.pump(messages)
+                except Exception as exc:
+                    if failure is None:
+                        failure = exc
+        if failure is not None:
+            raise failure
 
     def propose(self, node_id: int, command: str) -> Any | None:
         """Propose on ``node_id`` and pump to quiescence.

@@ -20,7 +20,7 @@ from itertools import count
 from typing import Union
 
 from qonnect.events import EventLog
-from qonnect.kb.model import Domain
+from qonnect.kb.model import NODE_METRICS, Domain
 from qonnect.sim.profiles import PROFILES
 
 
@@ -38,7 +38,10 @@ _DUE_SLACK = 1e-6
 
 @dataclass(slots=True)
 class SimNode:
-    name: str
+    """A node of the cluster, which is also its report's wire record: the
+    fields of ``NodeSnapshot`` less ``cluster_id`` and ``taken_at``."""
+
+    node_name: str
     role: str  # control-plane | worker
     ready: bool = True
     schedulable: bool = True
@@ -147,7 +150,7 @@ class SimCluster:
 
     def _node(self, name: str) -> SimNode:
         for node in self.nodes:
-            if node.name == name:
+            if node.node_name == name:
                 return node
         raise SimClusterError(f"unknown node: {name}")
 
@@ -182,7 +185,7 @@ class SimCluster:
     ) -> list[str]:
         if namespace not in self.namespaces:
             raise SimClusterError(f"namespace does not exist: {namespace}")
-        workers = {n.name for n in self.nodes if n.role == "worker" and n.schedulable}
+        workers = {n.node_name for n in self.nodes if n.role == "worker" and n.schedulable}
         for pin in pinned_nodes:
             if pin not in workers:
                 raise SimClusterError(f"cannot pin to unknown or unschedulable node: {pin}")
@@ -359,20 +362,9 @@ def make_cluster(
 ) -> SimCluster:
     """Build a cluster whose workers carry the profile's parameter row."""
     spec = PROFILES[profile]
-    nodes = [SimNode(name=f"{name}-control-plane", role="control-plane")]
-    for i in range(workers):
-        nodes.append(
-            SimNode(
-                name=f"{name}-worker-{i}",
-                role="worker",
-                energy=spec.energy,
-                pricing=spec.pricing,
-                cpu=spec.cpu,
-                memory=spec.memory,
-                bandwidth=spec.bandwidth,
-                storage=spec.storage,
-            )
-        )
+    metrics = {metric: getattr(spec, metric) for metric in NODE_METRICS}
+    nodes = [SimNode(f"{name}-control-plane", "control-plane")]
+    nodes.extend(SimNode(f"{name}-worker-{i}", "worker", **metrics) for i in range(workers))
     return SimCluster(
         name=name,
         domain=domain,

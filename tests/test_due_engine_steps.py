@@ -178,7 +178,7 @@ def pick_op(rng: random.Random, dep: Deployment, apps: list[str]) -> tuple:
         return ("kill_ra", rng.choice(alive)) if len(alive) > 6 else ("none",)
     if kind == "node":
         cluster = dep.clusters[rng.choice(names)]
-        node = rng.choice([n.name for n in cluster.nodes if n.role == "worker"])
+        node = rng.choice([n.node_name for n in cluster.nodes if n.role == "worker"])
         return ("fault", cluster.name, rng.choice((NodeNotReady, NodePressure))(node))
     workloads = sorted(
         (not cluster.unsettled, cluster.name, ns, name)

@@ -14,6 +14,7 @@ from qonnect.harness.testbed import TestbedSpec
 from qonnect.kb.commands import Batch, RegisterCluster, decode_command, encode_command
 from qonnect.kb.model import NODE_METRICS, ComponentStatus, Domain
 from qonnect.raft.messages import VoteRequest
+from qonnect.raft.node import RaftNode
 from qonnect.rla import service as service_module
 from qonnect.sim.cluster import DeleteNamespace, NodePressure, WorkloadPhase
 from support import UNDECODABLE_BATCH, cluster_id_of
@@ -163,6 +164,26 @@ def test_a_deposed_leader_answers_a_write_with_503_no_leader():
     assert (status, body) == (503, {"error": "no-leader"})
 
 
+def test_a_proposal_that_cannot_commit_gets_503_and_reaches_no_kb():
+    dep = Deployment(TestbedSpec(seed=7))
+    dep.boot()
+    leader_id = dep.leader_id()
+    for follower in [i for i in dep.services if i != leader_id]:
+        dep.kill_rla(follower)
+    node = dep.group.nodes[leader_id]
+    commit, last = node.commit_index, node.last_log_index
+    status, body = dep.apis[f"rla-{leader_id}"].dispatch(
+        "POST", "/applications", bookinfo_bundle("x")
+    )
+    assert (status, body) == (503, {"error": "proposal did not commit"})
+    # Appended to the leader's log, but no quorum acknowledged it.
+    assert (node.commit_index, node.last_log_index) == (commit, last + 1)
+    assert all(
+        app.name != "x" for service in dep.services.values()
+        for app in service.kb.applications.values()
+    )
+
+
 def test_log_compaction_keeps_the_control_plane_running(monkeypatch):
     dep = Deployment(TestbedSpec(seed=24))
     monkeypatch.setattr(service_module, "_COMPACT_EVERY", 10)  # force frequent snapshots
@@ -228,7 +249,7 @@ def test_one_telemetry_flush_commits_as_one_log_entry():
     # A node report is logged only when it changed: change one node per cluster.
     for name, cluster in dep.clusters.items():
         worker = next(n for n in cluster.nodes if n.role == "worker")
-        dep.inject_fault(name, NodePressure(worker.name))
+        dep.inject_fault(name, NodePressure(worker.node_name))
     for agent in dep.agents.values():
         agent.send_node_snapshot(dep.now)
         agent.poll_cluster_config(dep.now)
@@ -313,6 +334,31 @@ def test_an_entry_whose_apply_raises_is_never_counted_applied_nor_skipped():
     # nothing the pump still held for the others.
     commits = [node.commit_index for node in dep.group.nodes.values()]
     assert commits == [bad + 1] * len(commits)
+
+
+def test_a_tick_whose_pump_raises_still_ticks_every_live_node(monkeypatch):
+    dep = Deployment(TestbedSpec(seed=3))
+    dep.boot()
+    leader = dep.group.leader()
+    leader.propose(UNDECODABLE_BATCH)
+    leader.propose(encode_command(RegisterCluster("10.9.9.9", Domain.EDGE, 1.0)))
+    ticked = []  # the id of each node ticked in the current step
+    tick = RaftNode.tick
+
+    def counted(node, dt):
+        ticked.append(node.config.node_id)
+        return tick(node, dt)
+
+    monkeypatch.setattr(RaftNode, "tick", counted)
+    raising = []  # per step that raised: the nodes it ticked
+    for _ in range(20):
+        ticked.clear()
+        try:
+            dep.group.tick(Deployment.DT)
+        except ValueError:
+            raising.append(list(ticked))
+    assert raising, "no step met the entry whose apply raises"
+    assert raising == [sorted(dep.group.replicas)] * len(raising)
 
 
 def test_malformed_node_telemetry_gets_400_and_never_reaches_the_log():

@@ -476,13 +476,13 @@ def test_a_node_dropped_from_its_clusters_reports_leaves_every_replica():
     key = (cluster_id, node_name)
     cluster = dep.clusters[dep.cluster_name_by_id(cluster_id)]
     leader = dep.leader_service()
-    cluster.nodes = [n for n in cluster.nodes if n.name != node_name]
+    cluster.nodes = [n for n in cluster.nodes if n.node_name != node_name]
     bound = spec.ra_snapshot_period + spec.telemetry_flush + dep.DT
     start = dep.now
 
     assert dep.run_until(lambda: all(key not in kb.nodes for kb in _running_kbs(dep)), bound)
     assert dep.now - start <= bound
-    others = {(cluster_id, n.name) for n in cluster.nodes if n.role != "control-plane"}
+    others = {(cluster_id, n.node_name) for n in cluster.nodes if n.role != "control-plane"}
     for kb in _running_kbs(dep):
         assert {k for k in kb.nodes if k[0] == cluster_id} == others
         restored = KnowledgeBase.restore(kb.snapshot_state())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import http.client
+import json
 import socket
 import sys
 import threading
@@ -245,6 +246,26 @@ def leader_status(live: LiveDeployment, timeout: float = 15.0) -> dict:
                 return body
         time.sleep(0.1)
     raise TimeoutError("no RLA leader elected in time")
+
+
+def test_a_write_to_a_follower_is_redirected_to_the_leader_by_its_location(live):
+    leader = leader_status(live)
+    address = live.addresses[leader["node_id"]]
+    follower = next(i for i in live.addresses if i != leader["node_id"])
+    deadline = time.monotonic() + 15.0
+    while live.rlas[follower].service.node.leader_id != leader["node_id"]:
+        assert time.monotonic() < deadline, "the follower never learned the leader"
+        time.sleep(0.05)
+    conn = connect(live.addresses[follower])
+    try:
+        conn.request("POST", "/applications", body=json.dumps(bookinfo_bundle("x")).encode())
+        response = conn.getresponse()
+        body = json.loads(response.read())
+    finally:
+        conn.close()
+    assert response.status == 307
+    assert body["leader_address"] == address
+    assert response.getheader("Location") == f"http://{address}/applications"
 
 
 def test_each_term_won_is_logged_once_by_the_rla_that_won_it():

@@ -30,7 +30,7 @@ def members() -> Members:
 def test_an_earlier_time_moves_no_cluster_clock_back():
     m = members()
     name, cluster = next(iter(m.clusters.items()))
-    node = cluster.nodes[1].name
+    node = cluster.nodes[1].node_name
     m.inject_fault(name, NodeNotReady(node), 10.0)
     assert cluster.now == 10.0
 

@@ -33,7 +33,7 @@ class FakeMachine:
     def apply_committed(self, index: int, command: str) -> str:
         self.state.append(command)
         self.calls.append(("apply", index, command))
-        if self.node is not None:  # through every committed entry, this one's successors too
+        if self.node is not None:  # at the entry being applied: the replica counted it already
             self.node.compact(self.node.last_applied, ",".join(self.state))
         return f"effect-{index}"
 
@@ -208,7 +208,7 @@ def test_effects_survive_a_compaction_past_the_awaited_entry():
 
     def commit_with_the_next(index: int) -> None:
         replica.node.propose("second")
-        acked(replica, index + 1)  # both commit at once; applying the first compacts past it
+        acked(replica, index + 1)  # both commit at once; applying the second compacts past it
         assert replica.node.snapshot_index == index + 1 and replica.node.term_at(index) is None
 
     assert replica.propose("first", commit_with_the_next) == "effect-2"

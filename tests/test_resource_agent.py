@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -21,8 +22,8 @@ from qonnect.agent.ra import (
     record_by_namespace,
     substitute_placeholders,
 )
-from qonnect.kb.model import Domain
-from qonnect.sim.cluster import CrashLoop, DeleteNamespace, NodePressure, make_cluster
+from qonnect.kb.model import Domain, NodeSnapshot
+from qonnect.sim.cluster import CrashLoop, DeleteNamespace, NodePressure, SimNode, make_cluster
 
 
 class ScriptedClient:
@@ -146,6 +147,39 @@ def test_snapshot_filters_control_plane_and_carries_flags():
     assert names == {"edge-perf-worker-0", "edge-perf-worker-1"}
     flagged = next(n for n in client.snapshots[0] if n["node_name"] == "edge-perf-worker-1")
     assert flagged["pressured"] is True
+
+
+def test_a_simulated_node_holds_exactly_the_fields_of_a_node_report():
+    reported = {f.name for f in dataclasses.fields(NodeSnapshot)} - {"cluster_id", "taken_at"}
+    assert {f.name for f in dataclasses.fields(SimNode)} == reported
+
+
+def test_each_worker_is_reported_as_the_dict_its_fields_spell_out():
+    agent, backend, client = make_agent()
+    agent.ensure_registered(0.0)
+    backend.inject_fault(NodePressure("edge-perf-worker-1"))
+    agent.send_node_snapshot(1.0)
+    spelled_out = [
+        {
+            "node_name": n.node_name,
+            "ready": n.ready,
+            "schedulable": n.schedulable,
+            "pressured": n.pressured,
+            "energy": n.energy,
+            "pricing": n.pricing,
+            "cpu": n.cpu,
+            "memory": n.memory,
+            "bandwidth": n.bandwidth,
+            "storage": n.storage,
+            "role": "worker",
+        }
+        for n in backend.nodes
+        if n.role != "control-plane"
+    ]
+    (report,) = client.snapshots
+    assert report == spelled_out
+    types = [{key: type(value) for key, value in node.items()} for node in report]
+    assert types == [{key: type(value) for key, value in node.items()} for node in spelled_out]
 
 
 # ---------------------------------------------------------------------------
