@@ -210,9 +210,9 @@ class ResourceAgent:
     def send_node_snapshot(self, now: float) -> dict:
         """Report every node whose role is not control-plane, each in its
         record's codec form (see ``ClusterBackend.list_nodes``)."""
-        wire = [codec.encoder(type(n))(n) for n in self.backend.list_nodes()
-                if n.role != "control-plane"]
-        return self.client.put_nodes(self.cluster_id, wire)
+        nodes = [n for n in self.backend.list_nodes() if n.role != "control-plane"]
+        encoders = {cls: codec.encoder(cls) for cls in set(map(type, nodes))}
+        return self.client.put_nodes(self.cluster_id, [encoders[type(n)](n) for n in nodes])
 
     def poll_cluster_config(self, now: float) -> None:
         self.backend.write_store(CONFIG_STORE, self.client.cluster_config())

@@ -219,10 +219,11 @@ class Members:
 
     def step(self, now: float) -> None:
         """One round at the driver's time ``now``."""
-        for name, cluster in list(self._unsettled.items()):
-            cluster.step(now)
-            if not cluster.unsettled:
-                del self._unsettled[name]
+        if self._unsettled:
+            for name, cluster in list(self._unsettled.items()):
+                cluster.step(now)
+                if not cluster.unsettled:
+                    del self._unsettled[name]
         if now < self._due:
             return
         due = math.inf

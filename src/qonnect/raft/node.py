@@ -29,12 +29,14 @@ change nothing else, since the commit index never falls. A resent
 heartbeat then costs its receiver an identity check, three comparisons
 and the election timer's reset. The reset still draws the next timeout
 from the node's RNG, as the full path does, so every later draw, and with
-it every seeded run, stays the same. Only in-process transports resend one
-object; live mode decodes every inbound message into a new one, so its
-followers always take the full path. On the leader, a success that raises
-no match index and leaves nothing to send returns the empty tuple. A
-renewal commits nothing, installs no snapshot and elects no one, so a
-transport may deliver it to the node alone.
+it every seeded run, stays the same. ``_renewed`` is that effect, and its
+one owner: the engine's group, which replays a settled round instead of
+delivering it, renews each follower through it too. Only in-process
+transports resend one object; live mode decodes every inbound message
+into a new one, so its followers always take the full path. On the
+leader, a success that raises no match index and leaves nothing to send
+returns the empty tuple. A renewal commits nothing, installs no snapshot
+and elects no one, so a transport may deliver it to the node alone.
 
 The leader checks its commit index only when a peer's match index rises:
 by Raft's commit rule (Ongaro and Ousterhout, 2014) the index a quorum
@@ -276,15 +278,23 @@ class RaftNode:
         self._heartbeat_elapsed = 0.0
         return [self._append_for(peer) for peer in self.config.peers]
 
-    def _append_for(self, peer: int) -> Message:
-        next_idx = self._next_index[peer]
+    def _idle_request(self, peer: int) -> AppendRequest | None:
+        """The last empty request to ``peer`` while it is still the one to
+        send: built at this log version, term, commit index and next index."""
         sent = self._idle.get(peer)
         if sent is not None and sent[0] == self._log_version:
             # The request holds the term, commit index and next index it was built from.
             request = sent[1]
             if request.leader_commit == self.commit_index and request.term == self.current_term \
-                    and request.prev_log_index == next_idx - 1:
+                    and request.prev_log_index == self._next_index[peer] - 1:
                 return request
+        return None
+
+    def _append_for(self, peer: int) -> Message:
+        request = self._idle_request(peer)
+        if request is not None:
+            return request
+        next_idx = self._next_index[peer]
         prev_index = next_idx - 1
         prev_term = self.term_at(prev_index)
         if next_idx <= self.snapshot_index or prev_term is None:
@@ -350,10 +360,14 @@ class RaftNode:
         request, term, version, result = self._answered
         if msg is request and term == self.current_term and self.role is _FOLLOWER \
                 and version == self._log_version:
-            self.leader_id = msg.src
-            self._reset_election_timer()
+            self._renewed(msg.src)
             return result
         return None
+
+    def _renewed(self, leader_id: int) -> None:
+        """A repeated heartbeat's whole effect on a follower."""
+        self.leader_id = leader_id
+        self._reset_election_timer()
 
     def handle_message(self, msg: Message) -> tuple[Message, ...]:
         """The full path: any message, renewable or not, gets its answer."""

@@ -19,6 +19,14 @@ group ends every step where full-path nodes fed oldest first through their
 replicas do. Every transport (the engine, the lossy harness, live HTTP)
 asks ``RaftNode.renew`` once about each message it delivers, and a message
 it does not answer takes the full path once.
+
+The engine's group replays a settled round instead of delivering it. The
+twin property covers the replay, since the FIFO group delivers every
+tick; the paper's four scenarios end every step where the delivering tick
+does; and a proposal in flight, a stopped or restarted node, an election,
+a follower whose timer would fire, a reply the leader cannot absorb, a
+tick too long for the shortest election timeout and an entry committed
+but not applied each make a tick deliver.
 """
 
 from __future__ import annotations
@@ -37,7 +45,10 @@ from hypothesis import strategies as st
 from qonnect.agent.ra import ResourceAgent
 from qonnect.harness.bookinfo import bookinfo_bundle
 from qonnect.harness.engine import Deployment
-from qonnect.kb.model import ComponentStatus
+from qonnect.harness.scenarios import run_all
+from qonnect.harness.testbed import TestbedSpec
+from qonnect.kb.commands import RegisterCluster, encode_command
+from qonnect.kb.model import ComponentStatus, Domain
 from qonnect.raft.messages import (
     AppendRequest,
     AppendResponse,
@@ -50,6 +61,7 @@ from qonnect.raft.replica import Replica
 from qonnect.raft.simulation import SyncRaftGroup
 from raft_checks import chaos_run
 from raft_harness import RaftHarness
+from support import UNDECODABLE_BATCH
 
 # ---------------------------------------------------------------------------
 # Work count on the engine
@@ -347,13 +359,17 @@ class FullPathNode(RaftNode):
 
 class FifoGroup(SyncRaftGroup):
     """Full-path nodes, with every message through ``Replica.handle``,
-    oldest first, as the production pump delivers."""
+    oldest first, as the production pump delivers, on every tick."""
+
+    tick = SyncRaftGroup._deliver_tick
 
 
-def group_of(cls, size: int, seed: int) -> SyncRaftGroup:
+def group_of(cls, size: int, seed: int, **config) -> SyncRaftGroup:
     node_class = FullPathNode if cls is FifoGroup else RaftNode
     members = tuple(range(size))
-    return cls({i: replica_of(node_class(RaftConfig(i, members, seed=seed))) for i in members})
+    return cls({
+        i: replica_of(node_class(RaftConfig(i, members, seed=seed, **config))) for i in members
+    })
 
 
 def replica_of(node: RaftNode) -> Replica:
@@ -363,7 +379,7 @@ def replica_of(node: RaftNode) -> Replica:
 def group_state(group: SyncRaftGroup) -> dict:
     return {
         i: (
-            node_state(replica.node), replica.node._heartbeat_elapsed,
+            node_state(replica.node), replica.node._heartbeat_elapsed, replica.node._idle,
             replica.node._next_index, replica.node._match_index, replica.machine.seen,
         )
         for i, replica in group.replicas.items()
@@ -375,19 +391,24 @@ def twin_chaos_run(size: int, seed: int, steps: int = 800) -> tuple[SyncRaftGrou
     seeded proposals, crash-restarts and compactions, comparing every node
     after each step. Returns the renewing group and the count of
     ``RaftNode.handle_message`` calls (the full path) by group class and by
-    message class."""
+    message class, and of the renewing group's "replayed" ticks."""
     renewing, fifo = group_of(SyncRaftGroup, size, seed), group_of(FifoGroup, size, seed)
     handled: Counter = Counter()
     rng = random.Random(seed)
-    handle = RaftNode.handle_message
+    handle, deliver = RaftNode.handle_message, SyncRaftGroup._deliver_tick
 
     def counted(node, msg):
         handled[type(group).__name__] += 1
         handled[type(msg).__name__] += 1
         return handle(node, msg)
 
+    def delivered(group, dt):  # FifoGroup.tick is the unpatched function
+        handled["delivered"] += 1
+        deliver(group, dt)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(RaftNode, "handle_message", counted)
+        patch.setattr(SyncRaftGroup, "_deliver_tick", delivered)
         for step in range(steps):
             roll, pick = rng.random(), rng.randrange(size)
             for group in (renewing, fifo):
@@ -407,6 +428,7 @@ def twin_chaos_run(size: int, seed: int, steps: int = 800) -> tuple[SyncRaftGrou
                         node.compact(node.last_applied, f"state-{node.last_applied}")
                 group.tick(0.01)
             assert group_state(renewing) == group_state(fifo), f"step {step}"
+    handled["replayed"] = steps - handled["delivered"]
     return renewing, handled
 
 
@@ -416,8 +438,10 @@ def twin_chaos_run(size: int, seed: int, steps: int = 800) -> tuple[SyncRaftGrou
 @example(size=5, seed=0)
 def test_a_renewing_pump_ends_where_fifo_delivery_through_the_replica_does(size, seed):
     _, handled = twin_chaos_run(size, seed)
-    # Renewals happened, and each skipped a replica.
+    # Renewals happened, and each skipped a replica; settled rounds were
+    # replayed, and FIFO delivery ended every one of them where they did.
     assert 0 < handled["SyncRaftGroup"] < handled["FifoGroup"]
+    assert handled["replayed"] > 0
 
 
 @pytest.mark.parametrize("size", [3, 5])
@@ -446,9 +470,9 @@ def test_a_settled_engine_step_reaches_no_replica_and_no_full_handler(monkeypatc
     counting(monkeypatch, calls, RaftNode, "renew", "renew")
     for _ in range(100):
         dep.step()
-    # The heartbeat interval is one step: each step the leader's two
-    # requests and their two replies are delivered and renewed.
-    assert calls == {"Replica.handle": 400, "renew": 400}
+    # The heartbeat interval is one step: each step replays the settled
+    # round, so no request or reply is delivered.
+    assert calls == {}
 
 
 def test_a_renewed_reply_its_leader_cannot_absorb_is_delivered_in_turn():
@@ -474,6 +498,172 @@ def test_a_renewed_reply_its_leader_cannot_absorb_is_delivered_in_turn():
     leader = renewing.leader()
     assert matched == {"match": 1} and leader._match_index[peer] == leader.last_log_index
     assert group_state(renewing) == group_state(fifo)
+
+
+# ---------------------------------------------------------------------------
+# A settled round is replayed, with exactly the delivering tick's effects
+# ---------------------------------------------------------------------------
+
+
+def tick_twins(replaying: SyncRaftGroup, fifo: SyncRaftGroup, dt: float = 0.01) -> bool:
+    """Tick both groups, check that the replaying one ends where FIFO
+    delivery does, and say whether it replayed its recorded round."""
+    recorded = replaying._round
+    replaying.tick(dt)
+    fifo.tick(dt)
+    assert group_state(replaying) == group_state(fifo)
+    return recorded is not None and replaying._round is recorded
+
+
+def settled_twins(**config) -> tuple[SyncRaftGroup, SyncRaftGroup]:
+    """A replaying group and its FIFO twin, ticked to their first replay."""
+    twins = group_of(SyncRaftGroup, 3, 0, **config), group_of(FifoGroup, 3, 0, **config)
+    assert any(tick_twins(*twins) for _ in range(200))
+    return twins
+
+
+def test_a_proposal_in_flight_is_delivered_not_replayed():
+    replaying, fifo = settled_twins()
+    for group in (replaying, fifo):
+        group.leader().propose("x")  # appended, not yet sent
+    assert not tick_twins(replaying, fifo)
+    assert any(tick_twins(replaying, fifo) for _ in range(20))
+    for replica in replaying.replicas.values():
+        assert replica.machine.seen[-1] == (2, "x")
+
+
+def test_a_stopped_node_and_a_restarted_one_are_delivered_not_replayed():
+    replaying, fifo = settled_twins()
+    peer = replaying.leader().config.peers[0]
+    for group in (replaying, fifo):
+        group.stop(peer)
+    assert not tick_twins(replaying, fifo)
+    # Settled again without it: the leader still owes it its request.
+    assert any(tick_twins(replaying, fifo) for _ in range(20))
+    for group in (replaying, fifo):  # the same node, on a new replica
+        node = group.replicas[peer].node
+        group.replicas[peer] = replica_of(type(node)(node.config, node.storage))
+        group.stopped.discard(peer)
+    assert not tick_twins(replaying, fifo)
+    assert any(tick_twins(replaying, fifo) for _ in range(20))
+
+
+def test_an_election_is_delivered_not_replayed():
+    replaying, fifo = settled_twins()
+    for group in (replaying, fifo):
+        group.stop(group.leader_id())
+    replayed = []
+    while not replayed or not replayed[-1]:
+        electing = replaying.leader() is None or any(
+            r.node.role is Role.CANDIDATE for r in replaying.replicas.values()
+        )
+        replayed.append(tick_twins(replaying, fifo))
+        assert not (electing and replayed[-1])
+    assert replaying.leader().current_term > 1 and len(replayed) > 10
+
+
+def test_a_follower_whose_timer_would_fire_is_delivered_not_replayed():
+    """The heartbeat interval is above the shortest election timeout, so a
+    follower's timer can fire between two heartbeats of a settled round."""
+    replaying, fifo = settled_twins(heartbeat_interval=0.2)
+    fired = replayed = 0
+    for _ in range(1000):
+        recorded, leader = replaying._round, replaying.leader()
+        matched = recorded is not None and recorded[0] == replaying._key(0.01, leader)
+        firing = any(
+            node.role is Role.FOLLOWER and node._election_elapsed + 0.01 >= node._election_deadline
+            for i, node in replaying.nodes.items() if i not in replaying.stopped
+        )
+        was_replayed = tick_twins(replaying, fifo)
+        assert not (firing and was_replayed)
+        fired += firing and matched
+        replayed += was_replayed
+    assert fired and replayed
+
+
+def test_a_reply_its_leader_cannot_absorb_is_delivered_not_replayed():
+    """The leader forgets a peer's match between two heartbeats: that
+    peer's stored answer raises it again, so no round is recorded until a
+    delivered heartbeat carries it."""
+    replaying, fifo = settled_twins()
+    for group in (replaying, fifo):
+        leader = group.leader()
+        leader._match_index[leader.config.peers[0]] = 0
+    assert not tick_twins(replaying, fifo)
+    assert any([tick_twins(replaying, fifo) for _ in range(20)])
+
+
+def test_a_tick_longer_than_the_shortest_election_timeout_is_never_replayed():
+    """A follower renewed in such a tick can still reach its new deadline
+    in the same tick, after the leader's heartbeat; the wide timeout range
+    lets its old deadline lie past the tick."""
+    replaying, fifo = settled_twins(election_timeout=(0.15, 1.0))
+    assert not any([tick_twins(replaying, fifo, dt=0.2) for _ in range(200)])
+
+
+def test_no_tick_is_replayed_while_a_replica_holds_an_entry_it_did_not_apply():
+    """An entry whose apply raises, then a valid one: the heartbeats after
+    them are renewals, yet no round is recorded while the entry is
+    committed and unapplied."""
+    dep = Deployment(TestbedSpec(seed=3))
+    dep.boot()
+    leader = dep.group.leader()
+    leader.propose(UNDECODABLE_BATCH)
+    leader.propose(encode_command(RegisterCluster("10.9.9.9", Domain.EDGE, 1.0)))
+    raised = 0
+    for _ in range(20):
+        try:
+            dep.group.tick(Deployment.DT)
+        except ValueError:
+            raised += 1
+        assert dep.group._round is None
+    assert raised and raised < 20
+    assert all(n.last_applied < n.commit_index for n in dep.group.nodes.values())
+
+
+def test_every_scenario_step_ends_where_the_delivering_tick_does():
+    """The paper's four scenarios at two seeds, once as shipped and once
+    with every tick delivered: every node's state after every step, and
+    the event log at the end, are equal."""
+
+    def run(seed: int, replay: bool) -> tuple[list, list, int]:
+        dep = Deployment(TestbedSpec(seed=seed))
+        states: list = []
+        step, deliver = Deployment.step, SyncRaftGroup._deliver_tick
+        delivered = [0]
+
+        def recorded(self):
+            step(self)
+            # A copy of each container, and the RNG state's hash in place of
+            # its 625 words.
+            states.append([
+                node_state(node)[:5] + (tuple(node._entries),) + node_state(node)[6:-1] + (
+                    hash(node._rng.getstate()), node._heartbeat_elapsed, node._log_version,
+                    dict(node._next_index), dict(node._match_index),
+                )
+                for node in self.group.nodes.values()
+            ])
+
+        def counted(group, dt):
+            delivered[0] += 1
+            deliver(group, dt)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Deployment, "step", recorded)
+            patch.setattr(SyncRaftGroup, "_deliver_tick", counted)
+            if not replay:
+                patch.setattr(SyncRaftGroup, "tick", counted)
+            run_all(dep)
+        return states, dep.events.events, len(states) - delivered[0]
+
+    for seed in (1, 2):
+        states, events, replayed = run(seed, replay=True)
+        reference, reference_events, none = run(seed, replay=False)
+        assert none == 0 and replayed > len(states) // 2
+        assert len(states) == len(reference)
+        for i, (state, expected) in enumerate(zip(states, reference)):
+            assert state == expected, f"seed {seed}, step {i}"
+        assert events == reference_events
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,22 @@ def test_each_worker_is_reported_as_the_dict_its_fields_spell_out():
     assert types == [{key: type(value) for key, value in node.items()} for node in spelled_out]
 
 
+def test_a_report_mixing_two_record_classes_encodes_each_node_by_its_own_class():
+    @dataclasses.dataclass(slots=True)
+    class RackedNode(SimNode):
+        rack: str = "r1"
+
+    agent, backend, client = make_agent()
+    agent.ensure_registered(0.0)
+    backend.nodes.insert(1, RackedNode("edge-perf-racked-0", "worker", energy=0.5))
+    backend.nodes.append(RackedNode("edge-perf-racked-1", "worker", rack="r2"))
+    agent.send_node_snapshot(1.0)
+    (report,) = client.snapshots
+    workers = [n for n in backend.nodes if n.role != "control-plane"]
+    assert report == [codec.encoder(type(n))(n) for n in workers]
+    assert [node.get("rack") for node in report] == ["r1", None, None, "r2"]
+
+
 # ---------------------------------------------------------------------------
 # Reconcile
 # ---------------------------------------------------------------------------
