@@ -12,38 +12,21 @@ Role transitions follow the classic finite-state machine: a follower whose
 election timer fires becomes a candidate, a candidate reaching a majority
 becomes leader, and any node observing a higher term falls back to follower.
 
-An idle round builds nothing and does next to nothing. ``_log_version``
-counts every change to the log: an append, a truncation, a compaction, an
-installed snapshot. A leader resends a peer's last empty ``AppendRequest``
-while its term, commit index, log version and the peer's next index are
-unchanged, and reads no log to do so.
-
-``renew`` answers the two messages that change nothing but the node's
-timers. The replica asks it first (``Replica.handle``), and
-``handle_message`` is the full path, for a message it did not answer. A
-follower handed the very request object it last answered through the full
-path, with a success that carried no entries and committed nothing,
-returns the very tuple it answered with while its term, follower role and
-log version are unchanged: the full path would reach an equal answer and
-change nothing else, since the commit index never falls. A resent
-heartbeat then costs its receiver an identity check, three comparisons
-and the election timer's reset. The reset still draws the next timeout
-from the node's RNG, as the full path does, so every later draw, and with
-it every seeded run, stays the same. ``_renewed`` is that effect, and its
-one owner: the engine's group, which replays a settled round instead of
-delivering it, renews each follower through it too. Only in-process
-transports resend one object; live mode decodes every inbound message
-into a new one, so its followers always take the full path. On the
-leader, a success that raises no match index and leaves nothing to send
-returns the empty tuple. A renewal commits nothing, installs no snapshot
-and elects no one, so a transport may deliver it to the node alone.
+Every delivered message takes ``handle_message``, whatever it changes. A
+heartbeat that changes nothing but a follower's timers has ``_renewed`` as
+its whole effect on that follower: it records the leader and resets the
+election timer, drawing the next timeout from the node's RNG. The
+engine's group, which replays a settled round instead of delivering it,
+renews each follower through it, so every later draw, and with it every
+seeded run, stays the same. ``_log_version`` counts every change to the
+log (an append, a truncation, a compaction, an installed snapshot), so
+that replay can tell in one comparison that no log changed.
 
 The leader checks its commit index only when a peer's match index rises:
 by Raft's commit rule (Ongaro and Ousterhout, 2014) the index a quorum
 holds moves with nothing else. Every answer is a tuple of frozen
-messages, so a resent one is indistinguishable from a fresh equal one. The
-node reports nothing else: a snapshot it installs shows as a new
-``snapshot``.
+messages. The node reports nothing else: a snapshot it installs shows as
+a new ``snapshot``.
 """
 
 from __future__ import annotations
@@ -138,13 +121,6 @@ class RaftNode:
         # Bumped whenever the log changes: an append, a truncation, a
         # compaction or an installed snapshot.
         self._log_version = 0
-        # The last empty AppendRequest per peer, with the log version it was
-        # built at: an idle round resends it.
-        self._idle: dict[int, tuple[int, AppendRequest]] = {}
-        # The last empty request answered with a success that committed
-        # nothing, with the term and log version it was answered at and the
-        # tuple it was answered with.
-        self._answered: tuple = (None, 0, 0, _NOTHING)
 
         self._reset_election_timer()
         self._heartbeat_elapsed = 0.0
@@ -278,22 +254,7 @@ class RaftNode:
         self._heartbeat_elapsed = 0.0
         return [self._append_for(peer) for peer in self.config.peers]
 
-    def _idle_request(self, peer: int) -> AppendRequest | None:
-        """The last empty request to ``peer`` while it is still the one to
-        send: built at this log version, term, commit index and next index."""
-        sent = self._idle.get(peer)
-        if sent is not None and sent[0] == self._log_version:
-            # The request holds the term, commit index and next index it was built from.
-            request = sent[1]
-            if request.leader_commit == self.commit_index and request.term == self.current_term \
-                    and request.prev_log_index == self._next_index[peer] - 1:
-                return request
-        return None
-
     def _append_for(self, peer: int) -> Message:
-        request = self._idle_request(peer)
-        if request is not None:
-            return request
         next_idx = self._next_index[peer]
         prev_index = next_idx - 1
         prev_term = self.term_at(prev_index)
@@ -310,7 +271,7 @@ class RaftNode:
             )
         offset = prev_index - self.snapshot_index
         entries = tuple(self._entries[offset:offset + MAX_APPEND_ENTRIES])
-        request = AppendRequest(
+        return AppendRequest(
             src=self.config.node_id,
             dst=peer,
             term=self.current_term,
@@ -319,9 +280,6 @@ class RaftNode:
             entries=entries,
             leader_commit=self.commit_index,
         )
-        if not entries:
-            self._idle[peer] = (self._log_version, request)
-        return request
 
     def compact(self, upto_index: int, state_blob: str) -> Snapshot:
         """Discard the log prefix up to ``upto_index``, keeping the state blob."""
@@ -345,32 +303,15 @@ class RaftNode:
     # Message handling
     # ------------------------------------------------------------------
 
-    def renew(self, msg: Message) -> tuple[Message, ...] | None:
-        """The answer to ``msg`` if it changes nothing but this node's
-        timers, else None: a follower's repeated heartbeat, or a leader's
-        success that raises no match and leaves nothing to send. Either way
-        the full path would reach the same answer and change nothing else."""
-        if self.role is _LEADER:
-            if msg.__class__ is AppendResponse and msg.success and msg.term == self.current_term:
-                match = self._match_index.get(msg.src, 0)
-                if msg.match_index <= match and self._next_index.get(msg.src) == match + 1 \
-                        and match >= self.last_log_index:
-                    return _NOTHING
-            return None
-        request, term, version, result = self._answered
-        if msg is request and term == self.current_term and self.role is _FOLLOWER \
-                and version == self._log_version:
-            self._renewed(msg.src)
-            return result
-        return None
-
     def _renewed(self, leader_id: int) -> None:
-        """A repeated heartbeat's whole effect on a follower."""
+        """Record ``leader_id`` as leader and reset the election timer: the
+        whole effect of a heartbeat that leaves the log and commit index as
+        they are."""
         self.leader_id = leader_id
         self._reset_election_timer()
 
     def handle_message(self, msg: Message) -> tuple[Message, ...]:
-        """The full path: any message, renewable or not, gets its answer."""
+        """Apply one inbound message; returns the messages it answers with."""
         if msg.term > self.current_term:
             self._step_down(msg.term)
 
@@ -431,8 +372,7 @@ class RaftNode:
 
         # Valid leader for this term.
         self.role = _FOLLOWER
-        self.leader_id = msg.src
-        self._reset_election_timer()
+        self._renewed(msg.src)
 
         prev_term_here = self.term_at(msg.prev_log_index)
         if msg.prev_log_index > self.snapshot_index and prev_term_here != msg.prev_log_term:
@@ -462,16 +402,13 @@ class RaftNode:
             self._log_version += 1
             self.storage.append_entries(new_entries)
 
-        result = self._append_reply(msg, match_index=appended_through)
         if msg.leader_commit > self.commit_index:
             # Never regress: a retransmission of an old prefix must not pull
             # the commit index back below what we already know is committed.
             self.commit_index = max(
                 self.commit_index, min(msg.leader_commit, appended_through)
             )
-        elif not msg.entries:
-            self._answered = (msg, self.current_term, self._log_version, result)
-        return result
+        return self._append_reply(msg, match_index=appended_through)
 
     def _on_append_response(self, msg: AppendResponse) -> tuple[Message, ...]:
         if self.role is not _LEADER or msg.term != self.current_term:
@@ -510,8 +447,7 @@ class RaftNode:
         current = msg.term >= self.current_term
         if current:
             self.role = _FOLLOWER
-            self.leader_id = msg.src
-            self._reset_election_timer()
+            self._renewed(msg.src)
 
         if current and msg.last_included_index > self.snapshot_index:
             snapshot = Snapshot(

@@ -1,10 +1,9 @@
 """One replica: a Raft node, its state machine and the apply path between them.
 
-``Replica.handle`` delivers a message: it asks ``RaftNode.renew`` once,
-and a message that answers changes only the node's timers, so nothing
-reaches the state machine. Any other message takes the full path. The
-state machine loads a snapshot's blob before the node sees it, so a blob
-that does not load is refused with ``ValueError`` and never replaces the log.
+``Replica.handle`` delivers a message to ``RaftNode.handle_message``, the
+node's one path for every message. The state machine loads a snapshot's
+blob before the node sees it, so a blob that does not load is refused with
+``ValueError`` and never replaces the log.
 The replica reads an install from the node: when the node holds a new
 ``snapshot`` after the message, the replica installs the state already
 loaded, and a request the node refuses (a stale term, an index at or below
@@ -13,9 +12,9 @@ the node leader (only a vote that completes a majority does; a tick never
 does), the replica tells the state machine, before any entry of the new
 term commits. The node only raises its commit index; the replica owns
 ``last_applied`` past the node's snapshot and applies each entry up to the
-commit index in order, skipping the leader's empty no-op entries. An entry whose apply raises is not counted: the
-cursor stays at the entry before it, nothing after it applies, and the
-next full-path delivery tries it again.
+commit index in order, skipping the leader's empty no-op entries. An
+entry whose apply raises is not counted: the cursor stays at the entry
+before it, nothing after it applies, and the next delivery tries it again.
 ``propose`` hands an entry's effects to the one proposer waiting on it.
 Transports (the engine's instant group, the seeded lossy harness, live
 HTTP) only deliver messages and decide how a proposer waits for its commit.
@@ -62,9 +61,6 @@ class Replica:
         the node's outbound messages. Raises ``ValueError``, before the node
         sees ``msg``, for a snapshot the state machine cannot load."""
         node = self.node
-        renewed = node.renew(msg)
-        if renewed is not None:
-            return renewed
         loaded = None
         if isinstance(msg, SnapshotRequest):
             loaded = self.machine.load_snapshot(msg.state_blob)

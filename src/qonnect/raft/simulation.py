@@ -10,16 +10,18 @@ replica applies what commits and tells its state machine when the node
 wins an election.
 
 A settled heartbeat round is replayed, not delivered. After a tick that
-leaves one live leader, every other live node a follower that last
-answered the leader's still-valid empty request with a success the leader
-absorbs, and every live replica applied through its commit index, the
-group records the round with a key. While one comparison finds the key
-unchanged and no follower's timer would fire, a tick leaves each node as
-the delivering tick would: each follower's timer advanced, the leader's
-heartbeat timer advanced and, when it beats, its request built for each
-stopped peer and each follower renewed by ``RaftNode._renewed``. It builds
-and delivers no message, so every seeded run stays the same. Any other
-tick, decided before any state changes, is delivered.
+leaves one live leader, every other live node a follower at the leader's
+term, commit index and last log index and term that the leader matches
+through its last entry, and every live replica applied through its commit
+index, a heartbeat changes nothing but timers. The group then records the
+round with a key. While one comparison finds the key unchanged and no
+follower's timer would fire, a tick leaves each node as the delivering
+tick would: each follower's timer advanced, the leader's heartbeat timer
+advanced and, when it beats, each follower renewed by
+``RaftNode._renewed``. It builds and delivers no message, not even the
+request a stopped peer would be sent and the transport drop, so every
+seeded run stays the same. Any other tick, decided before any state
+changes, is delivered.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ class SyncRaftGroup(ReplicaGroup):
     """Raft replicas with instant in-process delivery (run-to-completion)."""
 
     # The settled round the last tick left: (key, leader, followers, the
-    # followers after the leader in node order, stopped peers), or None.
+    # followers after the leader in node order), or None.
     _round: tuple | None = None
 
     def pump(self, messages: list[Message]) -> None:
@@ -97,7 +99,7 @@ class SyncRaftGroup(ReplicaGroup):
         the delivering tick would, and builds and delivers nothing."""
         settled = self._round
         if settled is not None:
-            key, leader, followers, later, down = settled
+            key, leader, followers, later = settled
             if key == self._key(dt, leader):
                 for follower in followers:
                     if follower._election_elapsed + dt >= follower._election_deadline:
@@ -107,8 +109,6 @@ class SyncRaftGroup(ReplicaGroup):
                     leader._heartbeat_elapsed += dt
                     if leader._heartbeat_elapsed >= leader.config.heartbeat_interval:
                         leader._heartbeat_elapsed = 0.0
-                        for peer in down:
-                            leader._append_for(peer)
                         for follower in followers:
                             follower._renewed(leader.config.node_id)
                         # A follower ticked before the leader is renewed
@@ -124,38 +124,40 @@ class SyncRaftGroup(ReplicaGroup):
     def _key(self, dt: float, leader: RaftNode) -> list:
         """What a settled round rests on. The containers are the live ones;
         a recorded key holds copies, so the two compare by value."""
-        key = [dt, self.stopped, leader._idle, leader._next_index, leader._match_index]
+        key = [dt, self.stopped, leader._next_index, leader._match_index]
         for replica in self.replicas.values():
             node = replica.node
-            key += (node, node.role, node.current_term, node.commit_index, node._log_version,
-                    node._answered)
+            key += (node, node.role, node.current_term, node.commit_index, node._log_version)
         return key
 
     def _settled(self, dt: float) -> tuple | None:
         """The round to replay from now on, or None. Settled means one live
-        leader; every other live node a follower whose last answer was a
-        success to the leader's still-valid empty request, at its current
-        term and log version, that the leader absorbs; every live replica
-        applied through its commit index; and ``dt`` below the shortest
-        election timeout, so a renewed timer cannot fire in the same tick."""
+        leader; every other live node a follower at the leader's term,
+        commit index, last log index and last log term, whose match index
+        at the leader is that last index and whose next index follows it;
+        every live replica applied through its commit index; and ``dt``
+        below the shortest election timeout, so a renewed timer cannot fire
+        in the same tick. A heartbeat's request then succeeds on each
+        follower at the match the leader holds, and its reply sends
+        nothing."""
         stopped = self.stopped
         live = [replica.node for i, replica in self.replicas.items() if i not in stopped]
         leaders = [node for node in live if node.role is _LEADER]
         if len(leaders) != 1 or any(node.last_applied < node.commit_index for node in live):
             return None
         leader = leaders[0]
+        last = leader.last_log_index
+        held = (leader.current_term, leader.commit_index, last, leader.last_log_term)
         followers = [node for node in live if node is not leader]
         for node in followers:
-            request, term, version, answer = node._answered
+            peer = node.config.node_id
             if node.role is not _FOLLOWER or dt >= node.config.election_timeout[0] \
-                    or len(answer) != 1 or request is not leader._idle_request(node.config.node_id) \
-                    or term != node.current_term or version != node._log_version \
-                    or leader.renew(answer[0]) is None:
+                    or (node.current_term, node.commit_index, node.last_log_index,
+                        node.last_log_term) != held \
+                    or leader._match_index[peer] != last or leader._next_index[peer] != last + 1:
                 return None
         key = [v.copy() if isinstance(v, (set, dict)) else v for v in self._key(dt, leader)]
-        later = followers[live.index(leader):]
-        down = [peer for peer in leader.config.peers if peer in stopped]
-        return key, leader, followers, later, down
+        return key, leader, followers, followers[live.index(leader):]
 
     def _deliver_tick(self, dt: float) -> None:
         """Tick every live node in node order and pump what each one emits.

@@ -1,30 +1,27 @@
 """A quiet engine step builds nothing and does only what is due.
 
-A leader resends a peer's last empty AppendRequest while its term, commit
-index, log version and the peer's next index hold; a follower answers the
-very request it last answered from the stored result while its term, role
-and log version hold. The leader checks its commit index only when a
-peer's match index rises, and drops a success that raises nothing and
-leaves nothing to send. The engine runs its agent round only when some
-live agent has a duty due. A work-count guard on the booted engine, and an
-equivalence property over seeded chaos runs: every append request and
-reply a node emits equals one built fresh from its state, every stored
-answer equals the full path's on a copy of the node, and no response
-leaves a commit that checking on every response would have made.
+A node answers every request from its state as it stands: alike when
+the request repeats, to its sender, and as its log now reads. The leader
+checks its commit index only when a peer's match index rises, and owes a
+peer whose match holds only what its log has past that match.
+The engine runs its agent round only when some live agent has a duty due.
+A work-count guard on the booted engine, and an equivalence property over
+seeded chaos runs: every append request and reply a node emits equals one
+built fresh from its state, and no response leaves a commit that checking
+on every response would have made.
 
-``Replica.handle`` hands a message its node renews to that node alone. A
-work-count guard: a settled engine step reaches no state machine and no
-full handler. An equivalence property: over seeded chaos runs, a renewing
-group ends every step where full-path nodes fed oldest first through their
-replicas do. Every transport (the engine, the lossy harness, live HTTP)
-asks ``RaftNode.renew`` once about each message it delivers, and a message
-it does not answer takes the full path once.
+Every transport (the engine, the lossy harness, live HTTP) hands each
+message it delivers to ``RaftNode.handle_message`` once, through
+``Replica.handle``.
 
-The engine's group replays a settled round instead of delivering it. The
-twin property covers the replay, since the FIFO group delivers every
-tick; the paper's four scenarios end every step where the delivering tick
-does; and a proposal in flight, a stopped or restarted node, an election,
-a follower whose timer would fire, a reply the leader cannot absorb, a
+The engine's group replays a settled round instead of delivering it. A
+work-count guard: a settled engine step reaches no replica and no
+handler, and a replayed beat builds no request for a stopped peer. An
+equivalence property: over seeded chaos runs, the replaying group ends
+every step where a group that delivers every tick, oldest message first,
+does; the paper's four scenarios end every step where the delivering
+tick does; and a proposal in flight, a stopped or restarted node, an
+election, a follower whose timer would fire, a match the leader lost, a
 tick too long for the shortest election timeout and an entry committed
 but not applied each make a tick deliver.
 """
@@ -35,7 +32,6 @@ import random
 import time
 from collections import Counter
 from contextlib import ExitStack
-from copy import deepcopy
 from dataclasses import replace
 
 import pytest
@@ -89,9 +85,7 @@ def test_quiet_engine_steps_build_no_append_message_and_check_no_commit(monkeypa
         ),
         60.0,
     )
-    # The round that carries the last entry's commit index, then the round
-    # whose answer each follower stores.
-    dep.step()
+    # The round that carries the last entry's commit index.
     dep.step()
     built: Counter = Counter()
     counting(monkeypatch, built, AppendRequest, "__init__", "request")
@@ -133,14 +127,19 @@ def test_quiet_engine_steps_build_no_append_message_and_check_no_commit(monkeypa
         "proposal": 1, "request": 2, "full append": 2, "reply": 2, "match": 2, "commit check": 2,
     }
     # The next round carries the new commit index; each follower answers
-    # it, and its reply raises no match.
-    assert quiet(1) == {"request": 2, "full append": 2, "reply": 2}
-    # The round after resends it, and each follower stores its answer.
-    assert quiet(1) == {"full append": 2, "reply": 2}
+    # it, and its reply reaches the leader's match handling, which raises
+    # no match, so checks no commit and sends nothing.
+    assert quiet(1) == {"request": 2, "full append": 2, "reply": 2, "match": 2}
+    # That round leaves the group settled: every later one is replayed.
     assert quiet(100) == {}
 
 
-def test_a_reply_is_resent_only_to_the_node_it_answered():
+# ---------------------------------------------------------------------------
+# The full path answers from the node's state as it stands
+# ---------------------------------------------------------------------------
+
+
+def test_a_repeated_request_is_answered_alike_and_each_reply_goes_to_its_sender():
     node = RaftNode(RaftConfig(node_id=0, members=(0, 1, 2)))
     # Both requests get "send from index 1" in term 3, from different nodes.
     ahead = AppendRequest(
@@ -155,27 +154,58 @@ def test_a_reply_is_resent_only_to_the_node_it_answered():
     assert node.handle_message(stale) == (replace(first, dst=2),)
 
 
-def test_a_stored_answer_is_dropped_once_the_log_changes():
-    """Messages no live leader sends: each changes only the log, so only
-    the log version tells the follower that its stored answer is stale."""
+def test_a_repeated_heartbeat_is_answered_from_the_log_as_it_stands():
+    """Messages no live leader sends: each changes only the log, and the
+    same heartbeat's answer follows every change."""
     node = RaftNode(RaftConfig(node_id=0, members=(0, 1, 2)))
     entries = tuple(LogEntry(i, 1, f"x{i}") for i in range(1, 6))
     node.handle_message(AppendRequest(1, 0, 1, 0, 0, entries, leader_commit=0))
     heartbeat = AppendRequest(1, 0, 1, 5, 1, (), leader_commit=0)
-    answer = node.handle_message(heartbeat)
-    assert answer[0].success and node.renew(heartbeat) is answer
-    # The same match index from a rewritten log: the reply stays the same.
+    [answer] = node.handle_message(heartbeat)
+    assert answer.success and node.handle_message(heartbeat) == (answer,)
+    # The same match index from a rewritten log: the heartbeat now conflicts.
     rewrite = (LogEntry(4, 1, "x4"), LogEntry(5, 2, "y5"))
     node.handle_message(AppendRequest(1, 0, 1, 3, 1, rewrite, leader_commit=0))
     [rewritten] = node.handle_message(heartbeat)
     assert (rewritten.success, rewritten.conflict_index) == (False, 5)
     # A snapshot whose term disagrees with the log empties it.
     node.handle_message(AppendRequest(1, 0, 1, 4, 1, (LogEntry(5, 1, "x5"),), leader_commit=0))
-    answer = node.handle_message(heartbeat)
-    assert answer[0].success and node.renew(heartbeat) is answer
+    [answer] = node.handle_message(heartbeat)
+    assert answer.success and node.handle_message(heartbeat) == (answer,)
     node.handle_message(SnapshotRequest(1, 0, 1, 3, 2, "state-3"))
     [emptied] = node.handle_message(heartbeat)
     assert (emptied.success, emptied.conflict_index) == (False, 4)
+
+
+def test_a_success_that_raises_no_match_checks_no_commit_and_sends_nothing(monkeypatch):
+    """A repeated acknowledgement leaves the peer's match where it was, so
+    the quorum index cannot rise; the leader sends the peer only what its
+    log holds past that match."""
+    group = group_of(SyncRaftGroup, 3, 0)
+    for _ in range(200):
+        group.tick(0.01)
+    leader = group.leader()
+    peer = leader.config.peers[0]
+    ack = AppendResponse(
+        src=peer, dst=leader.config.node_id, term=leader.current_term, success=True,
+        match_index=leader._match_index[peer], conflict_index=0,
+    )
+    checked: Counter = Counter()
+    counting(monkeypatch, checked, RaftNode, "_advance_commit", "commit check")
+    before = (leader.commit_index, dict(leader._match_index), dict(leader._next_index))
+    assert leader.handle_message(ack) == ()
+    assert checked == {}
+    assert (leader.commit_index, leader._match_index, leader._next_index) == before
+    # An entry appended, not yet sent: the same acknowledgement now owes
+    # the peer that entry, and still checks no commit.
+    index = leader.propose("x")
+    [request] = leader.handle_message(ack)
+    assert request.dst == peer and request.entries == (leader.entry_at(index),)
+    assert checked == {}
+    # The acknowledgement of that entry raises the match, and a quorum
+    # commits it.
+    assert leader.handle_message(replace(ack, match_index=index)) == ()
+    assert checked == {"commit check": 1} and leader.commit_index == index
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +260,9 @@ def node_state(node: RaftNode) -> tuple:
 
 def checked_chaos_run(size: int, seed: int, compact: bool) -> tuple[RaftHarness, Counter]:
     """``chaos_run`` with seeded node restarts and, if ``compact``, log
-    compactions, checking every message a node emits and every answer a
-    follower gives from its stored result."""
+    compactions, checking every message a node emits."""
     checked: Counter = Counter()
     broadcast, handle, step = RaftNode.broadcast_append, RaftNode.handle_message, RaftHarness.step
-    renew = RaftNode.renew
 
     def check_requests(node: RaftNode, messages) -> None:
         for m in messages:
@@ -247,7 +275,9 @@ def checked_chaos_run(size: int, seed: int, compact: bool) -> tuple[RaftHarness,
         check_requests(self, messages)
         return messages
 
-    def check_answer(self, msg, reply, result) -> None:
+    def checked_handle(self, msg):
+        reply = fresh_reply(self, msg) if isinstance(msg, AppendRequest) else None
+        result = handle(self, msg)
         if reply is not None:
             assert result == (reply,)
             checked["reply"] += 1
@@ -257,28 +287,6 @@ def checked_chaos_run(size: int, seed: int, compact: bool) -> tuple[RaftHarness,
             self._advance_commit()
             assert self.commit_index == commit
             checked["commit check"] += 1
-
-    def checked_handle(self, msg):
-        reply = fresh_reply(self, msg) if isinstance(msg, AppendRequest) else None
-        result = handle(self, msg)
-        check_answer(self, msg, reply, result)
-        return result
-
-    def checked_renew(self, msg):
-        reply, twin = None, None
-        if isinstance(msg, AppendRequest):
-            reply = fresh_reply(self, msg)
-            # The copy holds a copy of the stored request, not ``msg``
-            # itself, so it answers ``msg`` through the full path.
-            twin = deepcopy(self)
-        result = renew(self, msg)
-        if result is None:
-            return None
-        check_answer(self, msg, reply, result)
-        if reply is not None:
-            assert handle(twin, msg) == result
-            assert node_state(twin) == node_state(self)
-            checked["stored answer"] += 1
         return result
 
     rng = random.Random(seed)
@@ -297,7 +305,6 @@ def checked_chaos_run(size: int, seed: int, compact: bool) -> tuple[RaftHarness,
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(RaftNode, "broadcast_append", checked_broadcast)
         patch.setattr(RaftNode, "handle_message", checked_handle)
-        patch.setattr(RaftNode, "renew", checked_renew)
         patch.setattr(RaftHarness, "step", chaos_step)
         harness = chaos_run(size=size, seed=seed, duration=CHAOS_SECONDS)
     return harness, checked
@@ -311,23 +318,22 @@ def checked_chaos_run(size: int, seed: int, compact: bool) -> tuple[RaftHarness,
 # below one a node had applied before its restart.
 @example(size=3, seed=155)
 @example(size=5, seed=175)
-# A stored request arrives again after a message of a higher term raised
-# the follower's term: the full path answers it as stale.
+# A request arrives again after a message of a higher term raised the
+# follower's term, which answers it as stale.
 @example(size=5, seed=28422)
 def test_every_emitted_append_message_equals_a_fresh_one(size, seed):
     _, checked = checked_chaos_run(size, seed, compact=False)
     assert checked["request"] and checked["reply"] and checked["commit check"]
-    assert checked["stored answer"]
 
 
 @pytest.mark.parametrize("size", [3, 5])
 def test_every_emitted_append_message_equals_a_fresh_one_under_compaction(size):
     harness, checked = checked_chaos_run(size, seed=11, compact=True)
-    assert checked["restart"] and harness.snapshots_installed and checked["stored answer"]
+    assert checked["restart"] and harness.snapshots_installed and checked["reply"]
 
 
 # ---------------------------------------------------------------------------
-# Renewals skip the replica, and change nothing a FIFO delivery would not
+# A replayed round changes nothing a FIFO delivery would not
 # ---------------------------------------------------------------------------
 
 
@@ -350,25 +356,17 @@ class Applied:
         self.seen.append(("elected", term))
 
 
-class FullPathNode(RaftNode):
-    """A node that renews nothing: every message takes the full path."""
-
-    def renew(self, msg):
-        return None
-
-
 class FifoGroup(SyncRaftGroup):
-    """Full-path nodes, with every message through ``Replica.handle``,
-    oldest first, as the production pump delivers, on every tick."""
+    """Every message through ``Replica.handle``, oldest first, as the
+    production pump delivers, on every tick."""
 
     tick = SyncRaftGroup._deliver_tick
 
 
 def group_of(cls, size: int, seed: int, **config) -> SyncRaftGroup:
-    node_class = FullPathNode if cls is FifoGroup else RaftNode
     members = tuple(range(size))
     return cls({
-        i: replica_of(node_class(RaftConfig(i, members, seed=seed, **config))) for i in members
+        i: replica_of(RaftNode(RaftConfig(i, members, seed=seed, **config))) for i in members
     })
 
 
@@ -379,7 +377,7 @@ def replica_of(node: RaftNode) -> Replica:
 def group_state(group: SyncRaftGroup) -> dict:
     return {
         i: (
-            node_state(replica.node), replica.node._heartbeat_elapsed, replica.node._idle,
+            node_state(replica.node), replica.node._heartbeat_elapsed,
             replica.node._next_index, replica.node._match_index, replica.machine.seen,
         )
         for i, replica in group.replicas.items()
@@ -387,12 +385,12 @@ def group_state(group: SyncRaftGroup) -> dict:
 
 
 def twin_chaos_run(size: int, seed: int, steps: int = 800) -> tuple[SyncRaftGroup, Counter]:
-    """Drive a renewing group and a full-path FIFO group through the same
-    seeded proposals, crash-restarts and compactions, comparing every node
-    after each step. Returns the renewing group and the count of
-    ``RaftNode.handle_message`` calls (the full path) by group class and by
-    message class, and of the renewing group's "replayed" ticks."""
-    renewing, fifo = group_of(SyncRaftGroup, size, seed), group_of(FifoGroup, size, seed)
+    """Drive a replaying group and a FIFO group through the same seeded
+    proposals, crash-restarts and compactions, comparing every node after
+    each step. Returns the replaying group and the count of
+    ``RaftNode.handle_message`` calls by group class and by message class,
+    and of the replaying group's "replayed" ticks."""
+    replaying, fifo = group_of(SyncRaftGroup, size, seed), group_of(FifoGroup, size, seed)
     handled: Counter = Counter()
     rng = random.Random(seed)
     handle, deliver = RaftNode.handle_message, SyncRaftGroup._deliver_tick
@@ -411,7 +409,7 @@ def twin_chaos_run(size: int, seed: int, steps: int = 800) -> tuple[SyncRaftGrou
         patch.setattr(SyncRaftGroup, "_deliver_tick", delivered)
         for step in range(steps):
             roll, pick = rng.random(), rng.randrange(size)
-            for group in (renewing, fifo):
+            for group in (replaying, fifo):
                 if roll < 0.01:  # crash one node, or restart the one down
                     down = next(iter(group.stopped), None)
                     if down is None:
@@ -427,19 +425,19 @@ def twin_chaos_run(size: int, seed: int, steps: int = 800) -> tuple[SyncRaftGrou
                     if node.last_applied > node.snapshot_index:
                         node.compact(node.last_applied, f"state-{node.last_applied}")
                 group.tick(0.01)
-            assert group_state(renewing) == group_state(fifo), f"step {step}"
+            assert group_state(replaying) == group_state(fifo), f"step {step}"
     handled["replayed"] = steps - handled["delivered"]
-    return renewing, handled
+    return replaying, handled
 
 
 @settings(max_examples=15, deadline=None)
 @given(size=st.sampled_from((3, 5)), seed=st.integers(0, 2**16))
 @example(size=3, seed=0)
 @example(size=5, seed=0)
-def test_a_renewing_pump_ends_where_fifo_delivery_through_the_replica_does(size, seed):
+def test_a_replaying_group_ends_where_fifo_delivery_through_the_replica_does(size, seed):
     _, handled = twin_chaos_run(size, seed)
-    # Renewals happened, and each skipped a replica; settled rounds were
-    # replayed, and FIFO delivery ended every one of them where they did.
+    # Settled rounds were replayed, delivering nothing, and FIFO delivery
+    # ended every one of them where they did.
     assert 0 < handled["SyncRaftGroup"] < handled["FifoGroup"]
     assert handled["replayed"] > 0
 
@@ -451,7 +449,7 @@ def test_a_twin_chaos_run_elects_again_and_ships_snapshots(size):
     assert handled["SnapshotRequest"]
 
 
-def test_a_settled_engine_step_reaches_no_replica_and_no_full_handler(monkeypatch):
+def test_a_settled_engine_step_reaches_no_replica_and_no_handler(monkeypatch):
     dep = Deployment()
     dep.boot()
     dep.client().submit_application(bookinfo_bundle("bookinfo"))
@@ -463,41 +461,14 @@ def test_a_settled_engine_step_reaches_no_replica_and_no_full_handler(monkeypatc
         60.0,
     )
     dep.step()
-    dep.step()
     calls: Counter = Counter()
     counting(monkeypatch, calls, Replica, "handle", "Replica.handle")
     counting(monkeypatch, calls, RaftNode, "handle_message", "handle_message")
-    counting(monkeypatch, calls, RaftNode, "renew", "renew")
     for _ in range(100):
         dep.step()
     # The heartbeat interval is one step: each step replays the settled
     # round, so no request or reply is delivered.
     assert calls == {}
-
-
-def test_a_renewed_reply_its_leader_cannot_absorb_is_delivered_in_turn():
-    """A leader that forgot a peer's match, as no live one does: the peer
-    renews the repeated heartbeat, and its reply, which raises the match,
-    reaches the leader's full path as FIFO delivery would."""
-    renewing, fifo = group_of(SyncRaftGroup, 3, 0), group_of(FifoGroup, 3, 0)
-    for group in (renewing, fifo):
-        for _ in range(100):
-            group.tick(0.01)
-        leader = group.leader()
-        group.propose(leader.config.node_id, "x")
-        for _ in range(10):
-            group.tick(0.01)
-        peer = leader.config.peers[0]
-        leader._match_index[peer] = 0
-    with pytest.MonkeyPatch.context() as patch:
-        matched: Counter = Counter()
-        counting(patch, matched, RaftNode, "_on_match", "match")
-        renewing.tick(0.05)
-    fifo.tick(0.05)
-    # Only the reply that raises the match reaches the leader's full path.
-    leader = renewing.leader()
-    assert matched == {"match": 1} and leader._match_index[peer] == leader.last_log_index
-    assert group_state(renewing) == group_state(fifo)
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +554,7 @@ def test_a_follower_whose_timer_would_fire_is_delivered_not_replayed():
 
 def test_a_reply_its_leader_cannot_absorb_is_delivered_not_replayed():
     """The leader forgets a peer's match between two heartbeats: that
-    peer's stored answer raises it again, so no round is recorded until a
+    peer's next reply raises it again, so no round is recorded until a
     delivered heartbeat carries it."""
     replaying, fifo = settled_twins()
     for group in (replaying, fifo):
@@ -602,8 +573,9 @@ def test_a_tick_longer_than_the_shortest_election_timeout_is_never_replayed():
 
 
 def test_no_tick_is_replayed_while_a_replica_holds_an_entry_it_did_not_apply():
-    """An entry whose apply raises, then a valid one: the heartbeats after
-    them are renewals, yet no round is recorded while the entry is
+    """An entry whose apply raises, then a valid one: every tick's
+    heartbeats reach each replica's apply loop, which tries the entry
+    again and raises again, and no round is recorded while the entry is
     committed and unapplied."""
     dep = Deployment(TestbedSpec(seed=3))
     dep.boot()
@@ -617,7 +589,7 @@ def test_no_tick_is_replayed_while_a_replica_holds_an_entry_it_did_not_apply():
         except ValueError:
             raised += 1
         assert dep.group._round is None
-    assert raised and raised < 20
+    assert raised == 20
     assert all(n.last_applied < n.commit_index for n in dep.group.nodes.values())
 
 
@@ -666,61 +638,87 @@ def test_every_scenario_step_ends_where_the_delivering_tick_does():
         assert events == reference_events
 
 
+def test_a_replayed_beat_builds_no_request_for_a_stopped_peer(monkeypatch):
+    """Scenario 4 stops the old leader, and the new one beats on for the
+    rest of the run: a delivered beat builds the stopped peer's request,
+    which the pump drops, and a replayed beat builds nothing."""
+    dep = Deployment(TestbedSpec(seed=7))
+    phase: list[str] = []  # "replay" while a tick runs, "delivery" once it delivers
+    built: Counter = Counter()
+    append_for, tick = RaftNode._append_for, SyncRaftGroup.tick
+    deliver = SyncRaftGroup._deliver_tick
+
+    def ticking(group, dt):
+        phase.append("replay")
+        try:
+            tick(group, dt)
+        finally:
+            replayed = phase.pop() == "replay"
+        if replayed and group.stopped:
+            built["replayed tick with a peer stopped"] += 1
+
+    def delivering(group, dt):
+        phase[-1] = "delivery"
+        deliver(group, dt)
+
+    def building(node, peer):
+        if peer in dep.group.stopped:
+            built[f"request in {phase[-1] if phase else 'proposal'}"] += 1
+        return append_for(node, peer)
+
+    monkeypatch.setattr(SyncRaftGroup, "tick", ticking)
+    monkeypatch.setattr(SyncRaftGroup, "_deliver_tick", delivering)
+    monkeypatch.setattr(RaftNode, "_append_for", building)
+    run_all(dep)
+    assert built["replayed tick with a peer stopped"] and built["request in delivery"]
+    assert built["request in replay"] == 0
+
+
 # ---------------------------------------------------------------------------
-# One renewal check per delivered message, in every transport
+# Each delivered message reaches the node's handler once, in every transport
 # ---------------------------------------------------------------------------
 
 
-def asked(patch) -> list[str]:
-    """What each ``renew`` call answered ("renewed" or "asked") and each
-    full-path ``handle_message`` call ("full"), in order; a list, whose
-    appends every transport's threads may share."""
-    calls: list[str] = []
-    renew, handle = RaftNode.renew, RaftNode.handle_message
+def delivered_and_handled(patch) -> tuple[list, list]:
+    """The messages handed to ``Replica.handle`` and to
+    ``RaftNode.handle_message``, in order; lists, whose appends every
+    transport's threads may share. Each list holds what it records, so no
+    two recorded messages share an ``id``."""
+    delivered: list = []
+    handled: list = []
+    deliver, handle = Replica.handle, RaftNode.handle_message
 
-    def counted_renew(node, msg):
-        result = renew(node, msg)
-        calls.append("asked" if result is None else "renewed")
-        return result
+    def counted_deliver(replica, msg):
+        delivered.append(msg)
+        return deliver(replica, msg)
 
     def counted_handle(node, msg):
-        calls.append("full")
+        handled.append(msg)
         return handle(node, msg)
 
-    patch.setattr(RaftNode, "renew", counted_renew)
+    patch.setattr(Replica, "handle", counted_deliver)
     patch.setattr(RaftNode, "handle_message", counted_handle)
-    return calls
+    return delivered, handled
 
 
-def assert_asked_once(calls: list[str]) -> None:
-    """Each message ``renew`` did not answer took the full path once, and
-    nothing took it unasked."""
-    counts = Counter(calls)
-    assert counts["renewed"] and counts["full"]
-    assert counts["asked"] == counts["full"]
-
-
-def test_the_engine_asks_renew_once_per_delivered_message(monkeypatch):
-    calls = asked(monkeypatch)
+def run_engine() -> None:
     dep = Deployment()
     dep.boot()
     dep.client().submit_application(bookinfo_bundle("bookinfo"))
     dep.run(20.0)
-    assert_asked_once(calls)
 
 
-def test_the_lossy_harness_asks_renew_once_per_delivered_message(monkeypatch):
-    calls = asked(monkeypatch)
+def run_lossy_harness() -> None:
     chaos_run(size=3, seed=0)
-    assert_asked_once(calls)
 
 
-def test_live_mode_asks_renew_once_per_delivered_message(monkeypatch):
+def run_live_http() -> list:
+    """Run live mode, and return the replica locks, which are held while no
+    delivery is half done."""
     from test_live_http import fast_spec, free_port_base
 
     from qonnect.harness.live import LiveDeployment
 
-    calls = asked(monkeypatch)
     live = LiveDeployment(spec=fast_spec(), base_port=free_port_base())
     live.start()
     try:
@@ -729,9 +727,17 @@ def test_live_mode_asks_renew_once_per_delivered_message(monkeypatch):
         time.sleep(1.0)
     finally:
         live.stop()
-    # Under every replica lock, so no delivery is half done.
+    return [rla._lock for rla in live.rlas.values()]
+
+
+@pytest.mark.parametrize(
+    "run", [run_engine, run_lossy_harness, run_live_http], ids=["engine", "lossy", "live"]
+)
+def test_each_delivered_message_reaches_handle_message_once(monkeypatch, run):
+    delivered, handled = delivered_and_handled(monkeypatch)
+    locks = run() or []
     with ExitStack() as held:
-        for rla in live.rlas.values():
-            held.enter_context(rla._lock)
-        done = list(calls)
-    assert_asked_once(done)
+        for lock in locks:
+            held.enter_context(lock)
+        delivered, handled = list(delivered), list(handled)
+    assert handled and Counter(map(id, handled)) == Counter(map(id, delivered))
