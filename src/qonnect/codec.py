@@ -29,7 +29,9 @@ objects as one object of columns, ``{<field>: [one value per object],
 column is read by the codec of a list of its field's type, so its JSON
 types are as exact as a record's; every field is a column, all columns are
 equally long, and each object is made by the same builder and checked by
-its ``__post_init__``.
+its ``__post_init__``. A caller that already holds a column's values (a
+decision run's node lists, looked up in its entry's table) gives them to
+the decoder in place of that column.
 """
 
 from __future__ import annotations
@@ -258,8 +260,10 @@ def columns(cls: type) -> _Codec:
     objects to an object of columns, one list per field holding each
     object's value in order, and ``decode`` takes that object back to the
     list; ``ValueError`` if malformed. Each column is read by the codec of
-    a list of its field's type, and the objects are built by the record
-    codec's builder, so each is checked by its ``__post_init__``."""
+    a list of its field's type, unless ``decode`` is ``given`` it already
+    decoded (field name -> column, which the object must then not hold),
+    and the objects are built by the record codec's builder, so each is
+    checked by its ``__post_init__``."""
     hints = typing.get_type_hints(cls)
     names = tuple(f.name for f in dataclasses.fields(cls))
     fields = tuple((name, attrgetter(name), _codec(list[hints[name]])) for name in names)
@@ -269,13 +273,13 @@ def columns(cls: type) -> _Codec:
     def encode(objs):
         return {name: c.encode(map(get, objs)) for name, get, c in fields}
 
-    def decode(data):
-        if type(data) is not dict or data.keys() != allowed:
+    def decode(data, given=types.MappingProxyType({})):
+        if type(data) is not dict or data.keys() != (allowed - given.keys() if given else allowed):
             raise ValueError(f"{cls.__name__} columns must be an object of its fields")
         decoded = []
         for name, _get, c in fields:
             try:
-                decoded.append(c.decode(data[name]))
+                decoded.append(given[name] if name in given else c.decode(data[name]))
             except ValueError as exc:
                 raise ValueError(f"{cls.__name__}.{name}: {exc}") from None
         if len(set(map(len, decoded))) > 1:

@@ -18,11 +18,13 @@ first use, and is there only when a decision run is. v1 batches
 (``"commands"``, members written as single entries) and v2 batches (v1's
 members, each decision holding ``node_list``, and the table) still decode.
 
-The KB snapshot v2 (``qonnect.kb.store``) holds the same table. Every
-format reads it through ``take_node_lists`` and ``put_node_lists``, the
-one place that knows the table's index rule and its refusals;
-``listed_indexes`` takes each index out of a snapshot's or a v2 batch's
-decision object.
+The KB snapshot v2 (``qonnect.kb.store``) holds the same table. The
+snapshot and a v2 batch read it through ``take_node_lists`` and
+``put_node_lists``; ``listed_indexes`` takes each index out of their
+decision objects. A v3 decision run looks its lists up by the same rule
+(``_lists_at``, the one place that knows the table's index rule and its
+refusals) before its run is decoded, and hands them to the run codec as
+its decoded ``node_names`` column.
 """
 
 from __future__ import annotations
@@ -171,7 +173,10 @@ def take_node_lists(doc: dict, indexes: list[Any]) -> list[tuple[str, ...]]:
     ``indexes`` names, in order, as the table's one tuple per entry;
     ``ValueError`` for a missing or malformed table, or an index that is not
     an int (a bool is not) within it."""
-    table = _decode_node_lists(doc.pop("node_lists", None))
+    return _lists_at(_decode_node_lists(doc.pop("node_lists", None)), indexes)
+
+
+def _lists_at(table: list[tuple[str, ...]], indexes: list[Any]) -> list[tuple[str, ...]]:
     for index in indexes:
         if type(index) is not int or not 0 <= index < len(table):
             raise ValueError(f"node list {index!r:.20} is not in the table of {len(table)}")
@@ -229,13 +234,14 @@ def decode_command(raw: str) -> KBCommand | Batch:
 
 
 def _decode_runs(data: dict) -> Batch:
-    """A v3 batch: each run by its class's run codec, and a decision run's
-    ``node_list`` column by ``take_node_lists``' index rule."""
+    """A v3 batch: each run by its class's run codec, a decision run given
+    the lists its ``node_list`` column names, by ``take_node_lists``' index
+    rule, as its ``node_names`` column."""
     runs = data.get("runs")
     if data.get("kind") != Batch.kind or not data.keys() <= _BATCH_KEYS or type(runs) is not list:
         raise ValueError("a v3 entry is a batch of runs")
     members: list[KBCommand] = []
-    indexes: list[Any] = []
+    table = None
     for run in runs:
         kind = run.pop("kind", None) if type(run) is dict else None
         run_codec = _runs.get(kind) if type(kind) is str else None
@@ -245,15 +251,14 @@ def _decode_runs(data: dict) -> Batch:
             listed = run.pop("node_list", None)
             if type(listed) is not list or "node_names" in run:
                 raise ValueError("a decision run holds a node_list column, not node_names")
-            indexes += listed
-            run["node_names"] = [_NO_NAMES] * len(listed)
-        decoded = run_codec.decode(run)
+            if table is None:
+                table = _decode_node_lists(data.pop("node_lists", None))
+            decoded = run_codec.decode(run, {"node_names": _lists_at(table, listed)})
+        else:
+            decoded = run_codec.decode(run)
         if not decoded:
             raise ValueError(f"an empty {kind} run")
         members += decoded
-    if "node_lists" in data or indexes:
-        names = take_node_lists(data, indexes)
-        if not names:
-            raise ValueError("a node-list table in a batch with no decision")
-        put_node_lists((cmd for cmd in members if type(cmd) is RecordDecision), names)
+    if "node_lists" in data:
+        raise ValueError("a node-list table in a batch with no decision")
     return Batch(tuple(members))

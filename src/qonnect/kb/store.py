@@ -9,7 +9,8 @@ which is what the status-machine property tests replay.
 A v2 KB snapshot writes each retained-node list once, in a ``node_lists``
 table its decisions index, as a batch log entry does; ``restore`` reads
 the table through ``qonnect.kb.commands``' ``take_node_lists`` and
-``put_node_lists``, the one reader of every such format.
+``put_node_lists``, which hold the table's index rule for every such
+format.
 """
 
 from __future__ import annotations

@@ -17,14 +17,17 @@ snapshot's size. Snapshot work then stays proportional to the bytes logged,
 whatever the size of a batch, and the log kept between snapshots is bounded
 by about one snapshot's size.
 
-Every replica applies every committed entry. Followers decode each one
-from the log; the leader applies an entry it proposed from the object it
-encoded, kept until its proposal returns. Each such command is
-built from validated values (exact scalars, enums, tuples of strings,
-finite weights, node reports that passed ``_check_report``, manifests as
-the canonical text ``validate_bundle`` wrote), so decoding its encoding
-gives an equal object, and the leader's KB stays equal to every
-follower's.
+Every replica applies every committed entry. The leader applies an entry
+it proposed from the object it encoded, kept until its proposal returns.
+Any other entry is decoded from the log. The replicas one process hosts
+(the engine's, live mode's) apply the same entries in turn, so a replica
+whose entry is the one last decoded in the process takes that decode's
+command, and each entry is decoded about once per process. Each command
+the leader encodes is built from validated values (exact scalars, enums,
+tuples of strings, finite weights, node reports that passed
+``_check_report``, manifests as the canonical text ``validate_bundle``
+wrote), so decoding its encoding gives an equal object, and the leader's
+KB stays equal to every follower's.
 
 The scheduler pass and telemetry flush only run while this node is leader;
 a deposed leader's in-flight proposals fail at commit and are harmless.
@@ -128,6 +131,14 @@ _COMPACT_EVERY = 1000
 # Raw entry bytes to log since the last snapshot, as a multiple of its size,
 # before the next one (the dissertation's factor).
 _COMPACT_RATIO = 1.0
+
+# The last entry a replica in this process decoded, and its command, which
+# the next replica to apply the same text takes: commands are frozen, and
+# applying one copies what the KB keeps of it. A leader's own proposals are
+# not stored, so its followers' KBs still come from decoded entries. A
+# decode that raises stores nothing. Replaced whole, so handler threads
+# read a consistent pair.
+_last_decoded: tuple[str | None, KBCommand | Batch | None] = (None, None)
 
 # Bound once: see raft.node.
 _LEADER, _SCHEDULED = Role.LEADER, ComponentStatus.SCHEDULED
@@ -235,12 +246,18 @@ class RlaService:
         replica; returns the effect of each of its commands.
 
         An entry this service proposed and still waits on is applied from the
-        object it encoded; any other entry (a follower's, another leader's
-        at the same index) is decoded from the log.
+        object it encoded. Any other entry (a follower's, another leader's
+        at the same index) is decoded from the log, unless it is the entry
+        last decoded in this process (``_last_decoded``), whose command it
+        takes.
         """
         command = self._proposed.get(raw_command)
         if command is None:
-            command = decode_command(raw_command)
+            global _last_decoded
+            text, command = _last_decoded
+            if text != raw_command:  # CPython compares a string with itself by identity
+                command = decode_command(raw_command)
+                _last_decoded = (raw_command, command)
         members = command.commands if isinstance(command, Batch) else (command,)
         effects = []
         for member in members:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-CEILING = 4355
+CEILING = 4360
 
 _NOT_CODE = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,

@@ -336,6 +336,47 @@ def test_an_entry_whose_apply_raises_is_never_counted_applied_nor_skipped():
     assert commits == [bad + 1] * len(commits)
 
 
+def test_an_undecodable_entry_is_decoded_and_raises_at_every_replica_that_applies_it(
+    monkeypatch,
+):
+    dep = Deployment(TestbedSpec(seed=3))
+    dep.boot()
+    leader = dep.group.leader()
+    before = RegisterCluster("10.9.9.9", Domain.EDGE, 1.0)
+    leader.propose(encode_command(before))
+    for _ in range(2):  # commits it, then every follower applies it
+        dep.group.pump(leader.broadcast_append())
+    assert service_module._last_decoded == (encode_command(before), before)
+    tries = []  # the replica of each apply of the undecodable entry
+    raised = []  # the replica of each decode that raised
+    decode = service_module.decode_command
+
+    def spy(raw: str):
+        try:
+            return decode(raw)
+        except ValueError:
+            raised.append(tries[-1])
+            raise
+
+    monkeypatch.setattr(service_module, "decode_command", spy)
+    for rla_id, service in dep.services.items():
+        def apply(index: int, raw: str, rla_id=rla_id, apply=service.apply_committed) -> list:
+            if raw == UNDECODABLE_BATCH:
+                tries.append(rla_id)
+            return apply(index, raw)
+
+        monkeypatch.setattr(service, "apply_committed", apply)
+
+    leader.propose(UNDECODABLE_BATCH)
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            dep.group.pump(leader.broadcast_append())
+    # Each try decodes it anew: a decode that raised stored nothing.
+    assert raised == tries
+    assert set(dep.services) - {dep.leader_id()} <= set(tries)
+    assert service_module._last_decoded == (encode_command(before), before)
+
+
 def test_a_tick_whose_pump_raises_still_ticks_every_live_node(monkeypatch):
     dep = Deployment(TestbedSpec(seed=3))
     dep.boot()
@@ -398,14 +439,17 @@ def test_the_leader_decodes_none_of_its_proposals_and_every_replica_kb_is_equal(
     dep = Deployment(TestbedSpec(seed=29))
     applied = {i: [] for i in dep.services}  # raw entries each replica applied
     decoded = {i: [] for i in dep.services}  # raw entries each replica decoded
+    in_turn = []  # every decode in the process, in order
     applying = []  # the replica inside ``apply_committed``
     decode = service_module.decode_command
 
     def spy(raw: str):
         decoded[applying[-1]].append(raw)
+        in_turn.append(raw)
         return decode(raw)
 
     monkeypatch.setattr(service_module, "decode_command", spy)
+    monkeypatch.setattr(service_module, "_last_decoded", (None, None))  # what earlier tests left
     for rla_id, service in dep.services.items():
         def apply(index: int, raw: str, rla_id=rla_id, apply=service.apply_committed) -> list:
             applied[rla_id].append(raw)
@@ -447,8 +491,11 @@ def test_the_leader_decodes_none_of_its_proposals_and_every_replica_kb_is_equal(
         "update-qos", "delete-application", "record-decision", "requeue-component",
     }
     assert decoded[leader] == []
+    # The first follower to apply an entry decodes it, and the next one
+    # applies that decode's command.
+    assert in_turn == applied[leader]
     for follower in set(dep.services) - {leader}:
-        assert decoded[follower] == applied[follower] == applied[leader]
+        assert applied[follower] == applied[leader]
         # Objects, not snapshot bytes: those would hide a tuple that is a list.
         assert dep.services[follower].kb == dep.services[leader].kb
 

@@ -857,6 +857,65 @@ def test_writes_proposed_at_once_leave_every_replica_kb_equal():
         live.stop()
 
 
+def test_live_replicas_share_decodes_of_equal_texts_and_end_with_equal_kbs(monkeypatch):
+    """The three ``LiveRla``s share one process, and each decodes its
+    entries from its own message: the texts are equal, not the same object.
+    After a mixed run over HTTP every replica's KB is equal, and the
+    process decoded fewer entries than its replicas applied without having
+    proposed them."""
+    decoded = []  # each raw entry decoded in the process
+    unproposed = []  # each raw entry a replica applied that it had not proposed
+    decode = service_module.decode_command
+    monkeypatch.setattr(
+        service_module, "decode_command", lambda raw: decoded.append(raw) or decode(raw)
+    )
+    monkeypatch.setattr(service_module, "_last_decoded", (None, None))  # what earlier tests left
+    live = LiveDeployment(spec=fast_spec(), base_port=free_port_base())
+    for rla in live.rlas.values():
+        service = rla.service
+
+        def apply(index: int, raw: str, service=service, apply=service.apply_committed) -> list:
+            if raw not in service._proposed:
+                unproposed.append(raw)
+            return apply(index, raw)
+
+        monkeypatch.setattr(service, "apply_committed", apply)
+    live.start()
+    try:
+        leader = live.wait_for_leader(timeout=15.0)
+        client = live.client()
+        deadline = time.monotonic() + 20.0
+        while time.monotonic() < deadline and len(client.cluster_config()) < 9:
+            time.sleep(0.2)
+        for name in ("kept", "gone"):
+            client.submit_application(bookinfo_bundle(name))
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline and not live.events.matching("kb-heartbeat-recorded"):
+            time.sleep(0.2)
+        client.update_qos("kept", {"energy": 1.0, "pricing": 0.0, "performance": 0.0})
+        client.delete_application("gone")
+
+        deadline = time.monotonic() + 10.0
+        while True:  # compare the KBs at an index every replica has applied
+            with ExitStack() as stack:
+                for rla in live.rlas.values():
+                    stack.enter_context(rla._lock)
+                if len({rla.node.last_applied for rla in live.rlas.values()}) == 1:
+                    kbs = [rla.service.kb for rla in live.rlas.values()]
+                    assert all(kb == kbs[0] for kb in kbs)
+                    decodes, applies = Counter(decoded), Counter(unproposed)
+                    break
+            assert time.monotonic() < deadline, "replicas never applied the same index"
+            time.sleep(0.01)
+    finally:
+        live.stop()
+    kinds = {e.kind for e in live.events.events}
+    assert {"kb-decision-recorded", "kb-heartbeat-recorded", "kb-qos-updated"} <= kinds
+    assert live.rlas[leader].service.kb.live_application("gone") is None
+    assert all(decodes[raw] <= applies[raw] for raw in decodes)
+    assert sum(decodes.values()) < sum(applies.values())
+
+
 def test_a_commit_slowed_past_the_election_timeout_leaves_the_term_unchanged(monkeypatch):
     """The leader's tick thread keeps heartbeating while its leader work
     waits on a slow commit that released the replica lock."""

@@ -660,6 +660,8 @@ def test_apply_path_calls_the_names_the_benchmark_tracer_wraps(monkeypatch):
     )
     monkeypatch.setattr(service_module, "_COMPACT_EVERY", 1)
     monkeypatch.setattr(service_module, "_COMPACT_RATIO", 0)  # compact at every entry
+    # An earlier test may have left this entry as the process's last decode.
+    monkeypatch.setattr(service_module, "_last_decoded", (None, None))
     replicate(follower_replica(MemoryStorage()), [RegisterCluster("10.0.0.1", Domain.EDGE, 1.0)])
     assert calls == ["decode", "snapshot"]
 
@@ -677,6 +679,7 @@ def test_an_entry_another_leader_wrote_at_the_proposed_index_is_applied_as_writt
     monkeypatch.setattr(
         service_module, "decode_command", lambda raw: decoded.append(raw) or decode(raw)
     )
+    monkeypatch.setattr(service_module, "_last_decoded", (None, None))  # what earlier tests left
     winner = encode_command(RegisterCluster("10.0.0.2", Domain.FOG, 2.0))
 
     def overwritten(index: int) -> None:
